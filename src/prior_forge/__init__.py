@@ -14,7 +14,6 @@ from .certainty import (
     closure,
     component_catalog,
     is_commonly_certain,
-    is_component,
     is_maximal,
     is_strongly_maximal,
     minimal_components,
@@ -77,7 +76,6 @@ from .model import (
     point_mass,
     single_player_view,
     uniform,
-    validate_structure,
 )
 from .priors import (
     PriorClassification,

@@ -11,12 +11,11 @@ by tests, not assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from ._rational import ZERO
 from .errors import DimensionError, EmptySetError, SizeCapError
-from .model import Distribution, InformationStructure, forward_closed
+from .model import Distribution, InformationStructure
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,6 @@ class SupportGraph:
     adjacency: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=1024)
 def support_graph(structure: InformationStructure) -> SupportGraph:
     adj = []
     for s in range(structure.num_states):
@@ -37,17 +35,12 @@ def support_graph(structure: InformationStructure) -> SupportGraph:
     return SupportGraph(tuple(adj))
 
 
-def is_component(structure: InformationStructure, states: Iterable[int]) -> bool:
-    """Whether the set is a common certainty component (empty set raises)."""
-    return forward_closed(structure, states)
-
-
-def closure(structure: InformationStructure, state: int, graph: SupportGraph | None = None) -> tuple[int, ...]:
+def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
     """The smallest component containing ``state``: itself plus everything
     reachable from it in the support graph."""
     if not 0 <= state < structure.num_states:
         raise DimensionError(f"state index {state} out of range")
-    adj = (graph or support_graph(structure)).adjacency
+    adj = support_graph(structure).adjacency
     seen = {state}
     stack = [state]
     while stack:
@@ -113,38 +106,34 @@ def _strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> list[lis
     return out
 
 
-def minimal_components(
-    structure: InformationStructure, graph: SupportGraph | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Bottom strongly connected components of the support graph, ordered by
-    smallest contained state index."""
-    if graph is None:
-        return _minimal_components_cached(structure)
-    return _minimal_components_from_graph(graph)
-
-
-@lru_cache(maxsize=1024)
-def _minimal_components_cached(
+def _condensation(
     structure: InformationStructure,
-) -> tuple[tuple[int, ...], ...]:
-    return _minimal_components_from_graph(support_graph(structure))
-
-
-def _minimal_components_from_graph(
-    graph: SupportGraph,
-) -> tuple[tuple[int, ...], ...]:
-    adj = graph.adjacency
+) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """Strongly connected components of the support graph and, for each, the
+    other components its edges reach in one step."""
+    adj = support_graph(structure).adjacency
     sccs = _strongly_connected_components(adj)
     comp_of = [0] * len(adj)
     for k, comp in enumerate(sccs):
         for s in comp:
             comp_of[s] = k
-    bottoms = []
+    successors = []
     for k, comp in enumerate(sccs):
-        if all(comp_of[nxt] == k for s in comp for nxt in adj[s]):
-            bottoms.append(tuple(comp))
-    bottoms.sort(key=lambda c: c[0])
-    return tuple(bottoms)
+        succ = {comp_of[nxt] for s in comp for nxt in adj[s]} - {k}
+        successors.append(tuple(sorted(succ)))
+    return sccs, successors
+
+
+def minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
+    """Bottom strongly connected components of the support graph, ordered by
+    smallest contained state index. Memoized on the structure."""
+    return structure.derived("minimal_components", _minimal_components)
+
+
+def _minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
+    sccs, successors = _condensation(structure)
+    bottoms = (tuple(comp) for comp, succ in zip(sccs, successors) if not succ)
+    return tuple(sorted(bottoms, key=lambda c: c[0]))
 
 
 @dataclass(frozen=True)
@@ -188,18 +177,10 @@ def component_catalog(
         raise SizeCapError(
             f"{structure.num_states} states exceeds the component enumeration cap {max_states}"
         )
-    adj = support_graph(structure).adjacency
-    sccs = _strongly_connected_components(adj)
-    comp_of = [0] * len(adj)
-    for k, comp in enumerate(sccs):
-        for s in comp:
-            comp_of[s] = k
-    successors = []
-    for k, comp in enumerate(sccs):
-        succ = {comp_of[nxt] for s in comp for nxt in adj[s]} - {k}
-        successors.append(tuple(sorted(succ)))
-    minimal = tuple(sorted((tuple(c) for k, c in enumerate(sccs) if not successors[k]), key=lambda c: c[0]))
-    return ComponentCatalog(minimal, tuple(tuple(c) for c in sccs), tuple(successors))
+    sccs, successors = _condensation(structure)
+    return ComponentCatalog(
+        minimal_components(structure), tuple(tuple(c) for c in sccs), tuple(successors)
+    )
 
 
 def is_maximal(structure: InformationStructure, p: Distribution) -> bool:

@@ -32,7 +32,7 @@ from .jsonio import (
     structure_to_json,
 )
 from .priors import classify_prior, find_common_prior, find_strong_common_prior, find_universal_common_prior
-from .report import analyze, prior_witness_json, pump_json, trade_json
+from .report import _state_set, _vector, analyze, prior_witness_json, pump_json, trade_json
 from .trades import (
     classify_distribution,
     classify_trade,
@@ -62,14 +62,6 @@ def _emit(args, doc: dict, text: str) -> None:
         sys.stdout.write(dumps_canonical(doc))
     else:
         sys.stdout.write(text)
-
-
-def _vector(values) -> str:
-    return "(" + ", ".join(format_rational(v) for v in values) + ")"
-
-
-def _state_list(structure, indices) -> str:
-    return "{" + ",".join(structure.states[w] for w in indices) + "}"
 
 
 def _load_structure(path):
@@ -108,9 +100,9 @@ def _cmd_components(args) -> int:
         if family is None
         else [[structure.states[w] for w in comp] for comp in family],
     }
-    lines = ["minimal: " + " ".join(_state_list(structure, c) for c in minimal)]
+    lines = ["minimal: " + " ".join(_state_set(structure, c) for c in minimal)]
     if family is not None:
-        lines.append("all: " + " ".join(_state_list(structure, c) for c in family))
+        lines.append("all: " + " ".join(_state_set(structure, c) for c in family))
     _emit(args, doc, "\n".join(lines) + "\n")
     return 0
 
@@ -375,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous_dump = lp.DUMP
     if args.dump_lp:
         lp.DUMP = sys.stderr
     try:
@@ -388,6 +381,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        lp.DUMP = previous_dump
 
 
 if __name__ == "__main__":

@@ -27,14 +27,26 @@ from ._rational import ONE, ZERO, rational
 from .certainty import (
     closure,
     is_commonly_certain,
-    is_component,
     is_maximal,
     is_strongly_maximal,
     minimal_components,
 )
 from .errors import PriorForgeError
-from .lp import enumerate_basic_solutions, solve
-from .model import Distribution, InformationStructure, make_structure, single_player_view
+from .lp import (
+    LinearProgram,
+    LPBuilder,
+    enumerate_basic_solutions,
+    feasibility_violations,
+    solve,
+)
+from .model import (
+    Distribution,
+    InformationStructure,
+    dot,
+    forward_closed,
+    make_structure,
+    single_player_view,
+)
 from .priors import (
     classify_prior,
     common_prior_polytope,
@@ -54,6 +66,7 @@ from .trades import (
     find_multiplayer_money_pump,
     find_single_money_pump,
     find_weakly_agreeable_trade,
+    pump_piece,
 )
 
 REJECTION_CAP = 1000
@@ -364,12 +377,12 @@ def cross_check(
     comps = minimal_components(structure)
     rec.check("minimal components exist", len(comps) >= 1)
     for comp in comps:
-        rec.check("minimal component is forward-closed", is_component(structure, comp))
+        rec.check("minimal component is forward-closed", forward_closed(structure, comp))
     for w in range(structure.num_states):
         cl = closure(structure, w)
         rec.check(
             "closure is a component containing its state",
-            w in cl and is_component(structure, cl),
+            w in cl and forward_closed(structure, cl),
         )
 
     # Distribution-level dualities on sampled distributions.
@@ -439,8 +452,8 @@ def cross_check(
                     conglomerable,
                     f"player {i} p={tuple(dist)}",
                 )
-            # For one-player structures the view LP equals the multiplayer
-            # pump LP already solved above; reuse that result.
+            # A one-player structure is its own view: reuse the pump found
+            # above.
             if structure.num_players == 1:
                 pump = sample_pumps[k]
             else:
@@ -568,9 +581,27 @@ def run_battery(
     return BatteryReport(checked, checks, tuple(failures))
 
 
+def pump_piece_program(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> LinearProgram:
+    """The program ``pump_piece`` solves in closed form: one player's payoff
+    in [-1, 1] per state, a non-negative conditional expectation at every
+    cell, the p-expectation minimized. Kept as that closed form's oracle."""
+    b = LPBuilder()
+    fvar = [b.add_var(f"f[{w}]", lower=-1, upper=1) for w in range(structure.num_states)]
+    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
+        b.add_constraint({fvar[w]: t[w] for w in cell if t[w]}, ">=", 0)
+    for w, mass in enumerate(dist):
+        if mass:
+            b.add_objective(fvar[w], mass)
+    return b.build(maximize=False)
+
+
 def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
     """Simplex vs exhaustive basis enumeration on the common-prior polytope,
-    feasibility and strictness-margin objective, exactly."""
+    feasibility and strictness-margin objective, exactly; and the closed-form
+    pump piece vs the simplex on its program, per player, for one sampled
+    distribution."""
     if cfg is None:
         cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
     checked = 0
@@ -611,6 +642,18 @@ def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
             rec.check(
                 "oracle: joint formulation agrees on infeasibility",
                 joint.status == "infeasible",
+            )
+        dist = random_distribution(structure, cfg, "any", random.Random(seed))
+        for i in range(structure.num_players):
+            piece = pump_piece(structure, i, dist)
+            program = pump_piece_program(structure, i, dist)
+            out_pump = solve(program)
+            rec.check(
+                "oracle: closed-form pump piece is feasible and LP-optimal",
+                not feasibility_violations(program, piece)
+                and out_pump.status == "optimal"
+                and out_pump.objective_value == dot(piece, dist.probs),
+                f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
             )
         checked += 1
         checks += rec.count

@@ -14,7 +14,6 @@ trailing newline. Identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from ._rational import rational, to_json_value
 from .errors import DimensionError, SchemaError
@@ -228,10 +227,3 @@ def parse_payoffs(doc, structure: InformationStructure) -> tuple:
         )
         for row in rows
     )
-
-
-def payoffs_to_json(payoffs: Sequence) -> dict:
-    return {
-        "schema": SCHEMA,
-        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
-    }

@@ -13,19 +13,20 @@ index-based (states ``0..M-1`` in declaration order, players likewise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._rational import ONE, ZERO, Rational, rational
 from .errors import (
     DimensionError,
     EmptySetError,
-    InconsistencyError,
     NotAComponentError,
     PartitionError,
     SchemaError,
     StochasticityError,
     SupportError,
 )
+
+T = TypeVar("T")
 
 # A payoff vector is a plain tuple of exact rationals, one entry per state.
 PayoffVector = tuple
@@ -98,7 +99,8 @@ class InformationStructure:
     ``partitions[i]`` lists player ``i``'s cells as sorted index tuples, ordered
     by smallest contained state. ``cell_types[i][c]`` is the type shared by all
     states of cell ``c``. Construction validates every invariant; instances are
-    immutable afterwards.
+    immutable afterwards, apart from the ``derived`` memo of values computed
+    from them.
     """
 
     states: tuple[str, ...]
@@ -157,6 +159,7 @@ class InformationStructure:
                     )
             cell_of.append(tuple(seen))
         object.__setattr__(self, "_cell_of", tuple(cell_of))
+        object.__setattr__(self, "_derived", {})
 
     # -- indexed access -------------------------------------------------
 
@@ -195,19 +198,14 @@ class InformationStructure:
         except ValueError:
             raise SchemaError(f"unknown player label {label!r}") from None
 
-    def distinct_types(self, player: int) -> tuple[tuple[Distribution, tuple[int, ...]], ...]:
-        """Player's distinct type vectors with the cells sharing each, in
-        order of first appearance."""
-        order: list[tuple[Distribution, list[int]]] = []
-        index: dict[tuple, int] = {}
-        for c, t in enumerate(self.cell_types[player]):
-            key = t.probs
-            if key in index:
-                order[index[key]][1].append(c)
-            else:
-                index[key] = len(order)
-                order.append((t, [c]))
-        return tuple((t, tuple(cs)) for t, cs in order)
+    def derived(self, key: str, compute: Callable[["InformationStructure"], T]) -> T:
+        """``compute(self)``, evaluated on the first request for ``key`` and
+        kept on this instance. The memo belongs to one structure object: it
+        is not shared with equal structures and not part of equality."""
+        memo = self._derived  # type: ignore[attr-defined]
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
 
 def make_structure(
@@ -236,109 +234,6 @@ def make_structure(
 
 def _as_distribution(obj) -> Distribution:
     return obj if isinstance(obj, Distribution) else Distribution(tuple(obj))
-
-
-def validate_structure(raw: Mapping) -> InformationStructure:
-    """Build a structure from its label-based raw description.
-
-    ``raw`` carries ``states``, ``players``, ``partitions`` (player label ->
-    list of cells, each a list of state labels), and ``types`` (player label ->
-    either a mapping of cell index -> distribution, or a list with one
-    distribution per state). Rationals may be ints or ``"a/b"`` strings;
-    floats are rejected. Idempotent: an already-built structure is re-checked
-    through the constructor and returned equal.
-    """
-    if isinstance(raw, InformationStructure):
-        return InformationStructure(raw.states, raw.players, raw.partitions, raw.cell_types)
-    if not isinstance(raw, Mapping):
-        raise SchemaError("structure document must be a mapping")
-    for key in ("states", "players", "partitions", "types"):
-        if key not in raw:
-            raise SchemaError(f"missing {key!r}")
-    states = _label_list(raw["states"], "states")
-    players = _label_list(raw["players"], "players")
-    state_index = {s: k for k, s in enumerate(states)}
-
-    partitions = []
-    cell_types = []
-    parts_raw = raw["partitions"]
-    types_raw = raw["types"]
-    if not isinstance(parts_raw, Mapping) or not isinstance(types_raw, Mapping):
-        raise SchemaError("'partitions' and 'types' must map player labels")
-    for player in players:
-        if player not in parts_raw:
-            raise SchemaError(f"no partition for player {player!r}")
-        if player not in types_raw:
-            raise SchemaError(f"no types for player {player!r}")
-        cells = []
-        for cell in parts_raw[player]:
-            if not isinstance(cell, Sequence) or isinstance(cell, str):
-                raise SchemaError(f"player {player!r}: cells must be lists of state labels")
-            idx = []
-            for s in cell:
-                if s not in state_index:
-                    raise SchemaError(f"player {player!r}: unknown state label {s!r}")
-                idx.append(state_index[s])
-            cells.append(tuple(sorted(idx)))
-        cells.sort(key=lambda c: c[0] if c else -1)
-
-        spec = types_raw[player]
-        if isinstance(spec, Mapping):
-            types = _types_per_cell(player, spec, cells, len(states))
-        elif isinstance(spec, Sequence) and not isinstance(spec, str):
-            types = _types_per_state(player, spec, cells, len(states))
-        else:
-            raise SchemaError(f"player {player!r}: types must be a mapping or a per-state list")
-        partitions.append(tuple(cells))
-        cell_types.append(types)
-
-    return InformationStructure(tuple(states), tuple(players), tuple(partitions), tuple(cell_types))
-
-
-def _label_list(obj, what: str) -> tuple[str, ...]:
-    if not isinstance(obj, Sequence) or isinstance(obj, str):
-        raise SchemaError(f"{what} must be a list of strings")
-    return tuple(str(x) for x in obj)
-
-
-def _types_per_cell(player, spec, cells, m) -> tuple[Distribution, ...]:
-    table = {}
-    for key, row in spec.items():
-        try:
-            c = int(key)
-        except (TypeError, ValueError):
-            raise SchemaError(f"player {player!r}: type keys must be cell indices") from None
-        if not 0 <= c < len(cells):
-            raise SchemaError(f"player {player!r}: cell index {c} out of range")
-        table[c] = _distribution_row(player, row, m)
-    missing = sorted(set(range(len(cells))) - set(table))
-    if missing:
-        raise SchemaError(f"player {player!r}: no type for cell index {missing[0]}")
-    return tuple(table[c] for c in range(len(cells)))
-
-
-def _types_per_state(player, spec, cells, m) -> tuple[Distribution, ...]:
-    if len(spec) != m:
-        raise SchemaError(f"player {player!r}: per-state types need {m} rows, got {len(spec)}")
-    rows = [_distribution_row(player, row, m) for row in spec]
-    types = []
-    for cell in cells:
-        first = rows[cell[0]]
-        for s in cell[1:]:
-            if rows[s].probs != first.probs:
-                raise InconsistencyError(
-                    f"player {player!r}: types differ inside cell {cell}"
-                )
-        types.append(first)
-    return tuple(types)
-
-
-def _distribution_row(player, row, m) -> Distribution:
-    if not isinstance(row, Sequence) or isinstance(row, str):
-        raise SchemaError(f"player {player!r}: a type must be a list of rationals")
-    if len(row) != m:
-        raise DimensionError(f"player {player!r}: type has {len(row)} entries, expected {m}")
-    return Distribution(tuple(row))
 
 
 # -- substructures ------------------------------------------------------
@@ -370,9 +265,12 @@ def induced_substructure(
 
     Types are restricted without renormalization; on a component they keep
     full mass, so the result is again a valid structure. Raises
-    ``NotAComponentError`` otherwise.
+    ``NotAComponentError`` otherwise. The whole state space gives back
+    ``structure`` itself, derived memo included.
     """
     subset = sorted(set(states))
+    if subset == list(range(structure.num_states)):
+        return structure
     if not forward_closed(structure, subset):
         raise NotAComponentError(f"{subset} is not a common certainty component")
     reindex = {s: k for k, s in enumerate(subset)}
@@ -403,11 +301,6 @@ def single_player_view(structure: InformationStructure, player: int) -> Informat
         (structure.partitions[player],),
         (structure.cell_types[player],),
     )
-
-
-def restrict_distribution(d: Distribution, subset: Sequence[int]) -> tuple:
-    """Masses of ``d`` on ``subset`` (not renormalized)."""
-    return tuple(d[s] for s in subset)
 
 
 def zero_extend(values: Sequence, subset: Sequence[int], size: int) -> tuple:

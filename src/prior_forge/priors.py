@@ -18,7 +18,6 @@ cross-checking against the vertex-enumeration oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._rational import ONE, ZERO, rational
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
@@ -41,8 +40,8 @@ EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 
 @dataclass(frozen=True)
 class PriorWitness:
-    """A prior plus, per player, convex weights over that player's distinct
-    types expressing it as a mixture of posteriors."""
+    """A prior plus, per player, convex weights over that player's cells
+    expressing it as a mixture of the cells' types."""
 
     prior: Distribution
     hull_weights: tuple[tuple, ...]
@@ -55,7 +54,7 @@ class PriorWitness:
             raise VerificationError("witness prior has wrong dimension")
         for i in range(structure.num_players):
             weights = self.hull_weights[i]
-            types = structure.distinct_types(i)
+            types = structure.cell_types[i]
             if len(weights) != len(types):
                 raise VerificationError(f"player {i} weight vector has wrong length")
             if any(w < ZERO for w in weights):
@@ -64,7 +63,7 @@ class PriorWitness:
                 raise VerificationError(f"player {i} hull weights do not sum to 1")
             for w in range(structure.num_states):
                 acc = ZERO
-                for (dist, _), lam in zip(types, weights):
+                for dist, lam in zip(types, weights):
                     if lam:
                         acc += lam * dist[w]
                 if acc != self.prior[w]:
@@ -113,20 +112,15 @@ def _check_dimension(structure: InformationStructure, dist: Distribution) -> Non
 def hull_weights(
     structure: InformationStructure, player: int, dist: Distribution
 ) -> tuple | None:
-    """Convex weights over the player's distinct types reconstructing dist,
-    or None when dist is outside the hull. Weights are forced to be the cell
-    masses, so this is a direct exact check, not a search."""
+    """Convex weights over the player's cells reconstructing dist from the
+    cells' types, or None when dist is outside the hull. Weights are forced
+    to be the cell masses, so this is a direct exact check, not a search."""
     _check_dimension(structure, dist)
-    types = structure.distinct_types(player)
-    weights = []
-    for _, cells in types:
-        w = ZERO
-        for cell in cells:
-            w += dist.mass(structure.cell_states(player, cell))
-        weights.append(w)
+    types = structure.cell_types[player]
+    weights = [dist.mass(cell) for cell in structure.partitions[player]]
     for state in range(structure.num_states):
         acc = ZERO
-        for (tdist, _), lam in zip(types, weights):
+        for tdist, lam in zip(types, weights):
             if lam:
                 acc += lam * tdist[state]
         if acc != dist[state]:
@@ -163,7 +157,7 @@ def is_conglomerable(
     m = structure.num_states
     if m > max_states:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {max_states}")
-    cell_dists = [d for d, _ in structure.distinct_types(0)]
+    cell_dists = structure.cell_types[0]
     p_e = ZERO
     t_e = [ZERO] * len(cell_dists)
     full = (1 << m) - 1
@@ -220,25 +214,26 @@ def disintegrable_by_definition(
 
 
 def common_prior_program(structure: InformationStructure) -> LinearProgram:
-    """The joint program over (p, lambda per player, epsilon): p matches every
-    player's mixture of distinct types, every cell's mass dominates epsilon,
-    epsilon is maximized. Feasible iff a common prior exists; optimal
-    epsilon > 0 iff a strong one does."""
+    """The joint program over (p, lambda per player and cell, epsilon): p
+    matches every player's mixture of cell types, every cell's mass
+    dominates epsilon, epsilon is maximized. Feasible iff a common prior
+    exists; optimal epsilon > 0 iff a strong one does."""
     b = LPBuilder()
     m = structure.num_states
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
     lam_vars: list[list[int]] = []
     for i in range(structure.num_players):
-        types = structure.distinct_types(i)
         lam_vars.append(
-            [b.add_var(f"w[{structure.players[i]},{v}]", lower=0) for v in range(len(types))]
+            [
+                b.add_var(f"w[{structure.players[i]},{v}]", lower=0)
+                for v in range(structure.num_cells(i))
+            ]
         )
     eps = b.add_var("eps", lower=0, objective=1)
     for i in range(structure.num_players):
-        types = structure.distinct_types(i)
         for w in range(m):
             row = {p_vars[w]: 1}
-            for v, (tdist, _) in enumerate(types):
+            for v, tdist in enumerate(structure.cell_types[i]):
                 if tdist[w]:
                     row[lam_vars[i][v]] = -tdist[w]
             b.add_constraint(row, "=", 0)
@@ -290,9 +285,10 @@ def _distinct_cell_sets(structure: InformationStructure) -> list[tuple[int, ...]
     return list(seen)
 
 
-@lru_cache(maxsize=256)
 def _solve_common(structure: InformationStructure) -> LPOutcome:
-    return solve(common_prior_program(structure))
+    """The joint program's outcome, solved once per structure: the common and
+    the strong finders both read it."""
+    return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
 
 
 def _witness_from_prior(

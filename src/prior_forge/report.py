@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ._rational import format_rational, to_json_value
 from .certainty import component_catalog, minimal_components
+from .errors import VerificationError
 from .jsonio import SCHEMA, distribution_to_json, structure_to_json
 from .model import Distribution, InformationStructure
 from .priors import PriorReport, PriorWitness
@@ -161,13 +162,15 @@ def _verify_report(report: AnalysisReport) -> None:
     ):
         if witness is not None:
             witness.verify(s)
-    for refutation in (
-        report.priors.common_refutation,
-        report.priors.universal_refutation,
-        report.priors.strong_refutation,
+    for refutation, grade in (
+        (report.priors.common_refutation, "agreeable"),
+        (report.priors.universal_refutation, "weakly_agreeable"),
+        (report.priors.strong_refutation, "acceptable"),
     ):
         if refutation is not None:
-            classify_trade(s, refutation.payoffs)
+            cls = classify_trade(s, refutation.payoffs)
+            if not (cls.is_trade and getattr(cls, grade)):
+                raise VerificationError(f"refuting trade is not {grade}")
     if report.verdict is not None:
         if report.verdict.prior_witness is not None:
             report.verdict.prior_witness.verify(s)

@@ -15,16 +15,15 @@ drains p-average money from an outside party while every player is content
 at every information set, which is exactly what fails to exist when p is a
 common prior.
 
-All synthesis LPs box payoffs into [-1, 1]; every defining condition is
-scale-invariant, so this only normalizes witnesses. Every object returned
-has been re-verified against its definition; failures raise
-VerificationError and mean a bug, not bad input.
+Trade synthesis LPs and money pumps box payoffs into [-1, 1]; every
+defining condition is scale-invariant, so this only normalizes witnesses.
+Every object returned has been re-verified against its definition; failures
+raise VerificationError and mean a bug, not bad input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._rational import ONE, ZERO, rational
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
@@ -52,7 +51,6 @@ from .priors import (
     find_strong_common_prior,
     find_universal_common_prior,
     hull_weights,
-    is_disintegrable,
 )
 
 PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
@@ -256,12 +254,15 @@ def _payoffs_from_primal(structure, fvar, primal) -> tuple[tuple, ...]:
     )
 
 
-@lru_cache(maxsize=1024)
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """Maximize the worst conditional expectation subject to the budget; a
     trade exists iff the optimum is strictly positive (scale-invariance makes
-    the boxed optimum decisive). Cached: the weakly-agreeable scan re-asks
-    for whole-space components."""
+    the boxed optimum decisive). Memoized on the structure: the
+    weakly-agreeable scan re-asks for whole-space components."""
+    return structure.derived("agreeable_trade", _synthesize_agreeable_trade)
+
+
+def _synthesize_agreeable_trade(structure: InformationStructure) -> Trade | None:
     b, fvar = _payoff_lp(structure, with_sum_rows=True)
     delta = b.add_var("delta", objective=1)
     for i in range(structure.num_players):
@@ -332,49 +333,43 @@ def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
     return PLAIN
 
 
-@lru_cache(maxsize=4096)
-def _pump_piece(cells: tuple, types: tuple, dist_values: tuple):
-    """Most negative p-expectation one player's boxed payoff can reach while
-    keeping every conditional expectation non-negative.
+def pump_piece(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> tuple:
+    """One player's boxed payoff with the most negative p-expectation among
+    those whose conditional expectation is non-negative at every cell.
 
-    Semi-trades carry no budget row, so the pump program has no constraint
-    linking players: its minimum is the sum of these per-player minima, and
-    concatenating the per-player argmins attains it. The cache key is the
-    player's own partition, types, and p, which makes the block shared
-    between the full structure and that player's one-player view.
+    Semi-trades carry no budget row, so the pump program splits by player and
+    then by cell. Each cell is a continuous knapsack, min sum p_w f_w subject
+    to sum t_w f_w >= 0 and f in [-1, 1], which the greedy rule solves
+    exactly (Dantzig 1957): start every f_w at -1, which puts the constraint
+    at -1, then raise the states with t_w > 0 to +1 in ascending p_w / t_w,
+    lower state index first on ties, until the constraint reaches 0. The
+    last state raised may stop at a fractional value.
     """
-    b = LPBuilder()
-    m = len(dist_values)
-    fvar = [b.add_var(f"f[{w}]", lower=-1, upper=1) for w in range(m)]
-    for cell, t in zip(cells, types):
-        b.add_constraint({fvar[w]: t[w] for w in cell if t[w]}, ">=", 0)
-    for w in range(m):
-        if dist_values[w]:
-            b.add_objective(fvar[w], dist_values[w])
-    out = solve(b.build(maximize=False))
-    if out.status != "optimal":
-        raise VerificationError(f"money-pump program ended {out.status}")
-    return out.objective_value, out.primal
+    f = [-ONE] * structure.num_states
+    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
+        need = ONE
+        for w in sorted((w for w in cell if t[w]), key=lambda w: (dist[w] / t[w], w)):
+            gain = 2 * t[w]  # of raising f_w from -1 to +1
+            if gain >= need:
+                f[w] = need / t[w] - ONE
+                break
+            f[w] = ONE
+            need -= gain
+    return tuple(f)
 
 
 def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
-    total = ZERO
-    payoffs = []
-    values = tuple(dist)
-    for i in range(structure.num_players):
-        types = tuple(
-            structure.type_of_cell(i, c) for c in range(structure.num_cells(i))
-        )
-        value, fvec = _pump_piece(structure.partitions[i], types, values)
-        total += value
-        payoffs.append(fvec)
+    payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
+    total = sum((dot(f, dist.probs) for f in payoffs), ZERO)
     if not total < ZERO:
         return None
     witness = MoneyPumpWitness(
         distribution=dist,
-        semi_trade=SemiTrade(tuple(payoffs)),
+        semi_trade=SemiTrade(payoffs),
         deficit=total,
         kind=pump_kind(structure, dist),
     )
@@ -474,12 +469,3 @@ def build_prior_report(structure: InformationStructure) -> PriorReport:
         universal_refutation=refut_u,
         strong_refutation=refut_s,
     )
-
-
-def single_player_pump_duality(
-    structure: InformationStructure, dist: Distribution
-) -> bool:
-    """Exactly one of {disintegrable, pump exists}; used as a harness check."""
-    disintegrable, _ = is_disintegrable(structure, dist)
-    pump = find_single_money_pump(structure, dist)
-    return disintegrable != (pump is not None)

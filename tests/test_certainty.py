@@ -6,8 +6,8 @@ from prior_forge import (
     SizeCapError,
     component_catalog,
     closure,
+    forward_closed,
     is_commonly_certain,
-    is_component,
     is_maximal,
     is_strongly_maximal,
     make_structure,
@@ -38,7 +38,7 @@ def test_minimal_components_singleton_whole_space(pl4):
 def test_closure_reaches_down(ex_pl1):
     assert closure(ex_pl1, 1) == (0, 1, 2, 3)
     assert closure(ex_pl1, 0) == (0,)
-    assert is_component(ex_pl1, closure(ex_pl1, 1))
+    assert forward_closed(ex_pl1, closure(ex_pl1, 1))
 
 
 def test_is_commonly_certain(ex_pl1):
@@ -69,4 +69,4 @@ def test_component_catalog_cap():
 def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4):
     for s in (intro, ex_pl2, pl4, ex_plbet4):
         for comp in minimal_components(s):
-            assert is_component(s, comp)
+            assert forward_closed(s, comp)

@@ -236,21 +236,19 @@ def test_fuzz_bad_range(run):
 
 
 def test_dump_lp_flag(run, tmp_path):
-    # A structure no other test touches, so the prior solve is not cached.
     doc = {
         "states": ["a", "b", "c"],
         "players": ["P1"],
         "partitions": [[["a", "c"], ["b"]]],
         "types": [[["1/3", 0, "2/3"], [0, 1, 0]]],
     }
-    try:
-        code, _, err = run(
-            "--dump-lp", "prior", "--kind", "common", write_json(tmp_path, "s.json", doc)
-        )
-        assert code == 0
-        assert "maximize" in err and "subject to" in err
-    finally:
-        lp.DUMP = None
+    code, _, err = run(
+        "--dump-lp", "prior", "--kind", "common", write_json(tmp_path, "s.json", doc)
+    )
+    assert code == 0
+    assert "maximize" in err and "subject to" in err
+    # The flag holds for that one invocation only.
+    assert lp.DUMP is None
 
 
 def test_usage_error_exits_two():

@@ -15,14 +15,21 @@ from prior_forge import (
     rational,
     structure_to_json,
 )
+from prior_forge._rational import to_json_value
 from prior_forge.jsonio import (
     check_schema,
     distribution_to_json,
     load_path,
     loads,
     parse_rational_value,
-    payoffs_to_json,
 )
+
+
+def payoffs_to_json(payoffs):
+    return {
+        "schema": SCHEMA,
+        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
+    }
 
 
 def test_floats_rejected_everywhere():

@@ -4,7 +4,6 @@ from prior_forge import (
     DimensionError,
     Distribution,
     EmptySetError,
-    InconsistencyError,
     PartitionError,
     SchemaError,
     StochasticityError,
@@ -16,10 +15,14 @@ from prior_forge import (
     point_mass,
     single_player_view,
     uniform,
-    validate_structure,
 )
 from prior_forge.errors import NotAComponentError
-from prior_forge.model import dot, expectation, restrict_distribution, zero_extend
+from prior_forge.model import dot, expectation, zero_extend
+
+
+def restrict_distribution(d, subset):
+    """Masses of ``d`` on ``subset`` (not renormalized)."""
+    return tuple(d[s] for s in subset)
 
 
 def test_distribution_rejects_floats():
@@ -80,7 +83,7 @@ def test_make_structure_accessors():
     assert s.cell_states(0, 0) == (0, 1)
     assert s.num_cells(0) == 2
     assert s.type_at(0, 0) == s.type_at(0, 1)
-    assert len(s.distinct_types(0)) == 2
+    assert len(s.cell_types[0]) == s.num_cells(0)
 
 
 def test_support_must_stay_in_cell():
@@ -107,36 +110,6 @@ def test_duplicate_labels_rejected():
         make_structure(["w1", "w1"], ["P1"], [[[0, 1]]], [[("1/2", "1/2")]])
 
 
-def test_validate_structure_label_dialect():
-    s = validate_structure(
-        {
-            "states": ["w1", "w2", "w3"],
-            "players": ["P1"],
-            "partitions": {"P1": [["w1", "w2"], ["w3"]]},
-            "types": {"P1": {0: ["9/10", "1/10", 0], 1: [0, 0, 1]}},
-        }
-    )
-    assert s == _pl_structure()
-
-
-def test_validate_structure_per_state_types_and_consistency():
-    raw = {
-        "states": ["w1", "w2", "w3"],
-        "players": ["P1"],
-        "partitions": {"P1": [["w1", "w2"], ["w3"]]},
-        "types": {"P1": [["9/10", "1/10", 0], ["9/10", "1/10", 0], [0, 0, 1]]},
-    }
-    assert validate_structure(raw) == _pl_structure()
-    raw["types"]["P1"][1] = ["4/5", "1/5", 0]
-    with pytest.raises(InconsistencyError):
-        validate_structure(raw)
-
-
-def test_validate_structure_idempotent():
-    s = _pl_structure()
-    assert validate_structure(s) == s
-
-
 def test_forward_closed_and_induced():
     s = _pl_structure()
     assert forward_closed(s, [2])
@@ -146,6 +119,22 @@ def test_forward_closed_and_induced():
     assert sub.num_states == 1 and sub.states == ("w3",)
     with pytest.raises(NotAComponentError):
         induced_substructure(s, [0])
+
+
+def test_induced_whole_space_is_the_structure_itself():
+    s = _pl_structure()
+    assert induced_substructure(s, range(s.num_states)) is s
+    assert induced_substructure(s, [2, 1, 0]) is s
+
+
+def test_derived_memo_is_per_instance():
+    s = _pl_structure()
+    copy = make_structure(s.states, s.players, s.partitions, s.cell_types)
+    assert s.derived("k", lambda x: 1) == 1
+    assert s.derived("k", lambda x: 2) == 1
+    # Equal structures share no memo, and the memo is outside eq/hash/repr.
+    assert copy.derived("k", lambda x: 2) == 2
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
 
 
 def test_single_player_view(ex_pl2):

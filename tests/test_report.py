@@ -1,6 +1,19 @@
 """AnalysisReport assembly and rendering."""
 
-from prior_forge import AnalysisReport, Distribution, analyze, rational, uniform
+from dataclasses import replace
+
+import pytest
+
+from prior_forge import (
+    AnalysisReport,
+    Distribution,
+    Trade,
+    VerificationError,
+    analyze,
+    rational,
+    uniform,
+)
+from prior_forge.report import _verify_report
 
 
 def test_analyze_ex_pl1(ex_pl1):
@@ -64,3 +77,12 @@ def test_rendering_deterministic(pl4):
     b = analyze(pl4, uniform(4), all_components=True)
     assert a.to_json() == b.to_json()
     assert a.to_text() == b.to_text()
+
+
+def test_report_verification_regrades_refutations(ex_pl2):
+    report = analyze(ex_pl2)
+    zero = Trade(((0, 0, 0, 0), (0, 0, 0, 0)))
+    for field in ("common_refutation", "universal_refutation", "strong_refutation"):
+        forged = replace(report, priors=replace(report.priors, **{field: zero}))
+        with pytest.raises(VerificationError):
+            _verify_report(forged)

@@ -18,13 +18,16 @@ from prior_forge import (
     find_multiplayer_money_pump,
     find_single_money_pump,
     find_weakly_agreeable_trade,
+    is_disintegrable,
+    make_structure,
     point_mass,
     pump_kind,
     rational,
+    solve,
     uniform,
 )
+from prior_forge.harness import pump_piece_program
 from prior_forge.model import dot
-from prior_forge.trades import single_player_pump_duality
 
 
 def q(text):
@@ -176,6 +179,13 @@ def test_single_pump_absent_for_priors(pl):
     assert find_single_money_pump(pl, p) is None
 
 
+def single_player_pump_duality(structure, dist):
+    """Exactly one of {disintegrable, pump exists}."""
+    disintegrable, _ = is_disintegrable(structure, dist)
+    pump = find_single_money_pump(structure, dist)
+    return disintegrable != (pump is not None)
+
+
 def test_single_pump_duality(pl):
     for values in (
         (q("1/10"), ZERO, q("9/10")),
@@ -185,6 +195,24 @@ def test_single_pump_duality(pl):
         (q("1/3"), q("1/3"), q("1/3")),
     ):
         assert single_player_pump_duality(pl, Distribution(values))
+
+
+def test_closed_form_pump_ties_and_fractional_stop():
+    # Cell {a,b}: t = (1/2, 1/2) and p = (3/8, 3/8) tie at ratio 3/4, so the
+    # lower index is raised to +1 and b stays at -1. Cell {c,d}: d has the
+    # lower ratio (1/6 < 1/2) and stops part way, at 1/3.
+    s = make_structure(
+        ["a", "b", "c", "d"],
+        ["P1"],
+        [[[0, 1], [2, 3]]],
+        [[("1/2", "1/2", 0, 0), (0, 0, "1/4", "3/4")]],
+    )
+    p = Distribution((q("3/8"), q("3/8"), q("1/8"), q("1/8")))
+    witness = find_single_money_pump(s, p)
+    assert witness.semi_trade.payoffs == ((1, -1, -1, q("1/3")),)
+    assert witness.deficit == q("-1/12")
+    oracle = solve(pump_piece_program(s, 0, p))
+    assert oracle.objective_value == witness.deficit
 
 
 def test_multiplayer_pump_on_ex_pl2(ex_pl2):
