@@ -26,6 +26,12 @@ class SupportGraph:
 
 
 def support_graph(structure: InformationStructure) -> SupportGraph:
+    """Memoized on the structure: ``closure`` runs once per state and per
+    commonly-certain query, and the condensation reads the same graph."""
+    return structure.derived("support_graph", _support_graph)
+
+
+def _support_graph(structure: InformationStructure) -> SupportGraph:
     adj = []
     for s in range(structure.num_states):
         succ: set[int] = set()

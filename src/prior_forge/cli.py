@@ -149,7 +149,9 @@ def _cmd_prior(args) -> int:
         "kind": args.kind,
         "holds": False,
         "witness": None,
-        "refutation": trade_json(structure, refutation.payoffs),
+        "refutation": trade_json(
+            structure, refutation.payoffs, classify_trade(structure, refutation.payoffs)
+        ),
     }
     lines = [f"{args.kind} prior: absent", f"  refuting trade ({_DUAL_TRADE[args.kind]}):"]
     for i, name in enumerate(structure.players):
@@ -166,7 +168,9 @@ def _cmd_trade(args) -> int:
             "schema": SCHEMA,
             "kind": args.kind,
             "holds": True,
-            "trade": trade_json(structure, trade.payoffs),
+            "trade": trade_json(
+                structure, trade.payoffs, classify_trade(structure, trade.payoffs)
+            ),
         }
         lines = [f"{args.kind} trade: present"]
         for i, name in enumerate(structure.players):
@@ -215,7 +219,7 @@ def _cmd_classify(args) -> int:
     if args.trade is not None:
         payoffs = parse_payoffs(load_path(args.trade), structure)
         cls = classify_trade(structure, payoffs)
-        doc = {"schema": SCHEMA, "trade": trade_json(structure, payoffs)}
+        doc = {"schema": SCHEMA, "trade": trade_json(structure, payoffs, cls)}
         flags = [
             name
             for name, ok in (
@@ -367,11 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    previous_dump = lp.DUMP
-    if args.dump_lp:
-        lp.DUMP = sys.stderr
     try:
-        return args.func(args)
+        with lp.dumping(sys.stderr if args.dump_lp else None):
+            return args.func(args)
     except VerificationError as exc:
         print(f"verification failure (this is a bug): {exc}", file=sys.stderr)
         return 4
@@ -381,8 +383,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        lp.DUMP = previous_dump
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@
 The six dualities this package implements are exactly-one statements: a
 notion holds or its dual witness exists, never both, never neither. That
 makes them ideal property tests, because both sides are computed by
-independent code paths (prior LPs vs trade LPs vs closed-form membership)
-and any disagreement is a bug somewhere. cross_check runs all six on one
-structure, together with the single-player theory on every player's
-marginal view and the commonly-certain reformulations of the trade grades.
+independent code paths and any disagreement is a bug somewhere. cross_check
+runs all six on one structure, together with the single-player theory on
+every player's marginal view and the commonly-certain reformulations of the
+trade grades. Where production reads a refuting trade off the common-prior
+program (its Farkas certificate or its strictness margin), cross_check
+solves the trade LP that production no longer runs and requires the same
+decision from it.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -31,7 +34,7 @@ from .certainty import (
     is_strongly_maximal,
     minimal_components,
 )
-from .errors import PriorForgeError
+from .errors import PriorForgeError, VerificationError
 from .lp import (
     LinearProgram,
     LPBuilder,
@@ -48,9 +51,11 @@ from .model import (
     single_player_view,
 )
 from .priors import (
+    _solve_common,
     classify_prior,
     common_prior_polytope,
     common_prior_program,
+    component_substructures,
     disintegrable_by_definition,
     find_common_prior,
     find_strong_common_prior,
@@ -60,6 +65,7 @@ from .priors import (
     is_disintegrable,
 )
 from .trades import (
+    acceptable_trade_program,
     classify_trade,
     find_acceptable_trade,
     find_agreeable_trade,
@@ -67,6 +73,7 @@ from .trades import (
     find_single_money_pump,
     find_weakly_agreeable_trade,
     pump_piece,
+    trade_variables,
 )
 
 REJECTION_CAP = 1000
@@ -310,6 +317,80 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     )
 
 
+def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
+    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
+    the worst conditional expectation over all (player, cell) pairs; an
+    agreeable trade exists iff the optimum is strictly positive. Production
+    reads the trade off the common-prior program's Farkas certificate
+    instead; this program is that path's oracle."""
+    b = LPBuilder()
+    fvar = trade_variables(b, structure)
+    delta = b.add_var("delta", objective=1)
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            row = {fvar[i][w]: t[w] for w in cell if t[w]}
+            row[delta] = -ONE
+            b.add_constraint(row, ">=", 0)
+    return b.build(maximize=True)
+
+
+def _trade_program_decides(program: LinearProgram) -> bool:
+    """True when a trade program's boxed optimum is strictly positive."""
+    out = solve(program)
+    if out.status != "optimal":
+        raise VerificationError(f"trade program ended {out.status}")
+    return out.objective_value > ZERO
+
+
+def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
+    """Each trade LP decides its duality again where production took a derived
+    path, and must agree with both the prior finder and the trade finder.
+    Every program runs at most once per (sub)structure: the agreeable one on
+    the structure and on the components the universal finder solved, the
+    acceptable one where production read its answer off the common-prior
+    program (infeasible, or a positive strictness margin) instead of
+    solving it."""
+    common, universal, strong = priors
+    agree, weak, accept = trades
+    agreeable = _trade_program_decides(agreeable_trade_program(structure))
+    rec.check(
+        "oracle: agreeable program matches the common prior",
+        agreeable == (common is None),
+    )
+    rec.check(
+        "oracle: agreeable program matches the agreeable trade",
+        agreeable == (agree is not None),
+    )
+    # Components in the finders' order, up to the first that has a trade.
+    weakly = False
+    for _, sub in component_substructures(structure):
+        if sub is structure:
+            weakly = agreeable
+        else:
+            weakly = _trade_program_decides(agreeable_trade_program(sub))
+        if weakly:
+            break
+    rec.check(
+        "oracle: component agreeable programs match the universal prior",
+        weakly == (universal is None),
+    )
+    rec.check(
+        "oracle: component agreeable programs match the weakly agreeable trade",
+        weakly == (weak is not None),
+    )
+    outcome = _solve_common(structure)
+    if outcome.status == "infeasible" or outcome.objective_value > ZERO:
+        acceptable = _trade_program_decides(acceptable_trade_program(structure))
+        rec.check(
+            "oracle: acceptable program matches the strong prior",
+            acceptable == (strong is None),
+        )
+        rec.check(
+            "oracle: acceptable program matches the acceptable trade",
+            acceptable == (accept is not None),
+        )
+
+
 def cross_check(
     structure: InformationStructure,
     sample_count: int = 2,
@@ -371,6 +452,8 @@ def cross_check(
     for trade, label in ((agree, "agreeable"), (weak, "weakly"), (accept, "acceptable")):
         if trade is not None:
             _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {label}")
+    with rec.guard("oracle: trade programs"):
+        _check_trade_oracles(rec, structure, (common, universal, strong), (agree, weak, accept))
 
     # Components sanity: minimal components are components; closures are
     # components containing their state.

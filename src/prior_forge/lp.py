@@ -21,9 +21,11 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from ._rational import ONE, ZERO, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
@@ -32,8 +34,20 @@ from .model import dot
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
 
-# Debug hook: set to a stream (e.g. sys.stderr) to dump every program solved.
-DUMP: IO[str] | None = None
+# Debug stream that every program solved, and its outcome, is written to;
+# set only inside ``dumping``.
+_DUMP: ContextVar[IO[str] | None] = ContextVar("prior_forge_lp_dump", default=None)
+
+
+@contextmanager
+def dumping(stream: IO[str] | None) -> Iterator[None]:
+    """Within the block, write every program solved, and its outcome, to
+    ``stream`` (None: write nothing). The previous setting comes back on exit."""
+    token = _DUMP.set(stream)
+    try:
+        yield
+    finally:
+        _DUMP.reset(token)
 
 
 @dataclass(frozen=True)
@@ -563,8 +577,9 @@ def _extract_farkas(lp: LinearProgram, std: _StdForm, tab: _Tableau) -> FarkasCe
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; outcomes are self-verified before being returned."""
-    if DUMP is not None:
-        DUMP.write(render_lp(lp))
+    dump = _DUMP.get()
+    if dump is not None:
+        dump.write(render_lp(lp))
     std = _standardize(lp)
     tab = _Tableau(std)
     if not tab.phase1():
@@ -572,11 +587,11 @@ def solve(lp: LinearProgram) -> LPOutcome:
         problems = farkas_violations(lp, cert)
         if problems:
             raise VerificationError("bad Farkas certificate: " + "; ".join(problems))
-        _dump_status("infeasible")
+        _dump_status(dump, "infeasible")
         return LPOutcome("infeasible", None, None, cert)
     status = tab.phase2()
     if status == "unbounded":
-        _dump_status("unbounded")
+        _dump_status(dump, "unbounded")
         return LPOutcome("unbounded", None, None, None)
     x = std.to_original(lp, tab.primal_std())
     problems = feasibility_violations(lp, x)
@@ -589,13 +604,13 @@ def solve(lp: LinearProgram) -> LPOutcome:
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
-    _dump_status(f"optimal value={format_rational(value)}")
+    _dump_status(dump, f"optimal value={format_rational(value)}")
     return LPOutcome("optimal", x, value, None)
 
 
-def _dump_status(text: str) -> None:
-    if DUMP is not None:
-        DUMP.write(f"-> {text}\n\n")
+def _dump_status(dump: IO[str] | None, text: str) -> None:
+    if dump is not None:
+        dump.write(f"-> {text}\n\n")
 
 
 # -- independent oracle --------------------------------------------------

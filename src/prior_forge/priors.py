@@ -10,8 +10,11 @@ A structural fact does most of the work here: types are supported inside
 their own cells, so distinct cells of one player always carry distinct types,
 and the convex weight of each type in any hull representation of p is forced
 to be the mass p puts on that type's cell. Hull membership therefore reduces
-to one exact linear identity per state, no LP needed. The LPs below are kept
-for what genuinely needs optimization (the strictness margin epsilon) and for
+to one exact linear identity per state, no LP needed. The joint program
+below is solved once per structure for what genuinely needs optimization (the
+strictness margin epsilon); when it is infeasible, its Farkas certificate
+gives the payoffs of an agreeable trade (``certificate_payoffs``), which the
+trade layer hands out as the refutation. The projected polytope is kept for
 cross-checking against the vertex-enumeration oracle.
 """
 
@@ -27,7 +30,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .lp import LinearProgram, LPBuilder, LPOutcome, solve
+from .lp import FarkasCertificate, LinearProgram, LPBuilder, LPOutcome, solve
 from .model import (
     Distribution,
     InformationStructure,
@@ -217,7 +220,12 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     """The joint program over (p, lambda per player and cell, epsilon): p
     matches every player's mixture of cell types, every cell's mass
     dominates epsilon, epsilon is maximized. Feasible iff a common prior
-    exists; optimal epsilon > 0 iff a strong one does."""
+    exists; optimal epsilon > 0 iff a strong one does.
+
+    Row order, which ``certificate_payoffs`` relies on: for each player i,
+    the M rows ``p_w - sum_v t_v(w) lambda_{i,v} = 0`` and then
+    ``sum_v lambda_{i,v} = 1``; next ``sum p = 1``; last one cell-mass row
+    per distinct cell set."""
     b = LPBuilder()
     m = structure.num_states
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
@@ -244,6 +252,29 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
         row[eps] = -1
         b.add_constraint(row, ">=", 0)
     return b.build(maximize=True)
+
+
+def certificate_payoffs(
+    structure: InformationStructure, certificate: FarkasCertificate
+) -> tuple[tuple, ...]:
+    """An agreeable trade from a Farkas certificate of ``common_prior_program``
+    (the constructive half of the Samet / Morris separation duality).
+
+    With mu_{i,w} the multiplier of player i's row at state w, nu_i that of
+    the player's weight-sum row and mu_0 that of ``sum p = 1``, the
+    certificate's right-hand side is s = sum nu + mu_0 < 0. Set
+    h_i(w) = nu_i - mu_{i,w} - s/N. Each lambda_{i,v} column cancels against
+    a lower-bound multiplier <= 0, so E_i[h_i | v] >= -s/N > 0; each p_w
+    column cancels against cell and lower-bound multipliers <= 0, so
+    sum_i h_i(w) <= 0. Dividing by max |h| puts the trade in the [-1, 1] box.
+    """
+    m, n = structure.num_states, structure.num_players
+    mus = certificate.constraint_multipliers
+    rows = [mus[i * (m + 1) : (i + 1) * (m + 1)] for i in range(n)]
+    shift = (sum((row[m] for row in rows), ZERO) + mus[n * (m + 1)]) / n
+    h = [[row[m] - row[w] - shift for w in range(m)] for row in rows]
+    scale = max(abs(v) for hi in h for v in hi)
+    return tuple(tuple(v / scale for v in hi) for hi in h)
 
 
 def common_prior_polytope(
@@ -287,8 +318,23 @@ def _distinct_cell_sets(structure: InformationStructure) -> list[tuple[int, ...]
 
 def _solve_common(structure: InformationStructure) -> LPOutcome:
     """The joint program's outcome, solved once per structure: the common and
-    the strong finders both read it."""
+    the strong finders read it, and so do the agreeable and acceptable trade
+    finders."""
     return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
+
+
+def component_substructures(
+    structure: InformationStructure,
+) -> tuple[tuple[tuple[int, ...], InformationStructure], ...]:
+    """Each minimal component with its induced structure, built once per
+    structure. The universal-prior and weakly-agreeable-trade finders both
+    walk these objects, so each component's program is solved once."""
+    return structure.derived(
+        "component_substructures",
+        lambda s: tuple(
+            (comp, induced_substructure(s, comp)) for comp in minimal_components(s)
+        ),
+    )
 
 
 def _witness_from_prior(
@@ -337,10 +383,8 @@ def find_universal_common_prior(structure: InformationStructure) -> PriorWitness
     prior; the equal-weight mixture of their zero-extensions then charges
     every component and stays in every hull (cross-component types put no
     mass outside their own component)."""
-    components = minimal_components(structure)
     parts = []
-    for comp in components:
-        sub = induced_substructure(structure, comp)
+    for comp, sub in component_substructures(structure):
         witness = find_common_prior(sub)
         if witness is None:
             return None

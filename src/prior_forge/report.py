@@ -9,11 +9,14 @@ input yields byte-identical JSON and identical text.
 Every witness is re-verified here, immediately before rendering, even though
 the finders verified it at construction. A report is the artifact that
 leaves the process; it must never carry a claim that was not re-checked.
+The classifications made by that re-check are kept on the report and are
+what the renderings print, so each refuting trade is graded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ._rational import format_rational, to_json_value
 from .certainty import component_catalog, minimal_components
@@ -24,6 +27,7 @@ from .priors import PriorReport, PriorWitness
 from .trades import (
     MoneyPumpWitness,
     Trade,
+    TradeClassification,
     build_prior_report,
     classify_distribution,
     classify_trade,
@@ -39,6 +43,8 @@ class AnalysisReport:
     priors: PriorReport
     dist: Distribution | None
     verdict: DistributionVerdict | None
+    # The re-check's classification of each distinct refuting trade.
+    refutation_classes: Mapping[Trade, TradeClassification]
 
     def to_json(self) -> dict:
         s = self.structure
@@ -57,19 +63,29 @@ class AnalysisReport:
                 else [_states_json(s, comp) for comp in self.all_components],
             },
             "priors": {
-                "common": _notion_json(
-                    s, self.priors.common_prior, self.priors.common_refutation
+                "common": self._notion_json(
+                    self.priors.common_prior, self.priors.common_refutation
                 ),
-                "universal": _notion_json(
-                    s, self.priors.universal_common_prior, self.priors.universal_refutation
+                "universal": self._notion_json(
+                    self.priors.universal_common_prior, self.priors.universal_refutation
                 ),
-                "strong": _notion_json(
-                    s, self.priors.strong_common_prior, self.priors.strong_refutation
+                "strong": self._notion_json(
+                    self.priors.strong_common_prior, self.priors.strong_refutation
                 ),
             },
             "distribution": _verdict_json(s, self.dist, self.verdict),
         }
         return doc
+
+    def _notion_json(self, witness, refutation) -> dict:
+        s = self.structure
+        return {
+            "holds": witness is not None,
+            "witness": None if witness is None else prior_witness_json(s, witness),
+            "refutation": None
+            if refutation is None
+            else trade_json(s, refutation.payoffs, self.refutation_classes[refutation]),
+        }
 
     def to_text(self) -> str:
         s = self.structure
@@ -114,7 +130,8 @@ class AnalysisReport:
             else:
                 lines.append(f"{label}: absent")
                 if refutation is not None:
-                    lines.append(f"  refuting trade ({_trade_grade(s, refutation)}):")
+                    grade = _trade_grade(self.refutation_classes[refutation])
+                    lines.append(f"  refuting trade ({grade}):")
                     for i, name in enumerate(s.players):
                         lines.append(f"    f[{name}] = {_vector(refutation.payoffs[i])}")
         if self.dist is not None and self.verdict is not None:
@@ -148,34 +165,41 @@ def analyze(
         family = tuple(component_catalog(structure).iter_all())
     priors = build_prior_report(structure)
     verdict = classify_distribution(structure, dist) if dist is not None else None
-    report = AnalysisReport(structure, minimal, family, priors, dist, verdict)
-    _verify_report(report)
-    return report
+    classes = _verify_report(structure, priors, verdict)
+    return AnalysisReport(structure, minimal, family, priors, dist, verdict, classes)
 
 
-def _verify_report(report: AnalysisReport) -> None:
-    s = report.structure
+def _verify_report(
+    s: InformationStructure, priors: PriorReport, verdict: DistributionVerdict | None
+) -> dict[Trade, TradeClassification]:
+    """Re-verify every witness and re-grade every refuting trade; one trade
+    may refute several notions and is classified once. Returns the
+    classification of each distinct refuting trade."""
     for witness in (
-        report.priors.common_prior,
-        report.priors.universal_common_prior,
-        report.priors.strong_common_prior,
+        priors.common_prior,
+        priors.universal_common_prior,
+        priors.strong_common_prior,
     ):
         if witness is not None:
             witness.verify(s)
+    classes: dict[Trade, TradeClassification] = {}
     for refutation, grade in (
-        (report.priors.common_refutation, "agreeable"),
-        (report.priors.universal_refutation, "weakly_agreeable"),
-        (report.priors.strong_refutation, "acceptable"),
+        (priors.common_refutation, "agreeable"),
+        (priors.universal_refutation, "weakly_agreeable"),
+        (priors.strong_refutation, "acceptable"),
     ):
         if refutation is not None:
-            cls = classify_trade(s, refutation.payoffs)
+            if refutation not in classes:
+                classes[refutation] = classify_trade(s, refutation.payoffs)
+            cls = classes[refutation]
             if not (cls.is_trade and getattr(cls, grade)):
                 raise VerificationError(f"refuting trade is not {grade}")
-    if report.verdict is not None:
-        if report.verdict.prior_witness is not None:
-            report.verdict.prior_witness.verify(s)
-        if report.verdict.pump_witness is not None:
-            report.verdict.pump_witness.verify(s)
+    if verdict is not None:
+        if verdict.prior_witness is not None:
+            verdict.prior_witness.verify(s)
+        if verdict.pump_witness is not None:
+            verdict.pump_witness.verify(s)
+    return classes
 
 
 # -- JSON pieces ------------------------------------------------------------
@@ -195,9 +219,8 @@ def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     }
 
 
-def trade_json(s: InformationStructure, payoffs) -> dict:
-    """A payoff family with its re-evaluated classification attached."""
-    cls = classify_trade(s, payoffs)
+def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> dict:
+    """A payoff family with its classification attached."""
     return {
         "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
         "flags": {
@@ -222,14 +245,6 @@ def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
         ],
         "deficit": to_json_value(witness.deficit),
         "kind": witness.kind,
-    }
-
-
-def _notion_json(s, witness, refutation) -> dict:
-    return {
-        "holds": witness is not None,
-        "witness": None if witness is None else prior_witness_json(s, witness),
-        "refutation": None if refutation is None else trade_json(s, refutation.payoffs),
     }
 
 
@@ -272,8 +287,7 @@ def _state_set(s: InformationStructure, indices) -> str:
     return "{" + ",".join(s.states[w] for w in indices) + "}"
 
 
-def _trade_grade(s: InformationStructure, trade: Trade) -> str:
-    cls = classify_trade(s, trade.payoffs)
+def _trade_grade(cls: TradeClassification) -> str:
     if cls.agreeable:
         return "agreeable"
     if cls.weakly_agreeable:

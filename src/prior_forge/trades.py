@@ -8,6 +8,14 @@ ever loses in expectation, someone somewhere gains), weakly agreeable
 the synthesizers here are the constructive halves of those dualities: they
 either produce a graded trade or the prior side exists.
 
+One LP settles each duality pair. The refuting trades are read off the
+memoized joint common-prior program: with no common prior, its verified
+Farkas certificate gives an agreeable trade, which also refutes the strong
+prior; the weakly agreeable trade comes from the per-component programs
+that decide the universal prior. Only when a common prior exists but no
+strong one does the acceptable-trade LP run. The trade LPs that production
+no longer solves stay in ``harness`` as oracles.
+
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
 whose total payoff has strictly negative expectation under p. Such an f
@@ -15,7 +23,7 @@ drains p-average money from an outside party while every player is content
 at every information set, which is exactly what fails to exist when p is a
 common prior.
 
-Trade synthesis LPs and money pumps box payoffs into [-1, 1]; every
+Synthesized trades and money pumps box payoffs into [-1, 1]; every
 defining condition is scale-invariant, so this only normalizes witnesses.
 Every object returned has been re-verified against its definition; failures
 raise VerificationError and mean a bug, not bad input.
@@ -33,12 +41,11 @@ from .errors import (
     PlayerCountError,
     VerificationError,
 )
-from .lp import LPBuilder, solve
+from .lp import LinearProgram, LPBuilder, solve
 from .model import (
     Distribution,
     InformationStructure,
     dot,
-    induced_substructure,
     payoff_vector,
     zero_extend,
 )
@@ -46,7 +53,10 @@ from .priors import (
     PriorClassification,
     PriorReport,
     PriorWitness,
+    _solve_common,
+    certificate_payoffs,
     classify_prior,
+    component_substructures,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
@@ -220,75 +230,35 @@ def classify_trade(
 # -- synthesis ------------------------------------------------------------
 
 
-def _payoff_lp(structure: InformationStructure, with_sum_rows: bool):
-    """Shared scaffolding: boxed payoff variables, optional budget rows, and
-    one expectation row per (player, cell)."""
-    b = LPBuilder()
-    m = structure.num_states
-    fvar = [
-        [
-            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
-            for w in range(m)
-        ]
-        for i in range(structure.num_players)
-    ]
-    if with_sum_rows:
-        for w in range(m):
-            b.add_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, "<=", 0)
-    return b, fvar
-
-
-def _expectation_coeffs(structure, player, cell, fvar) -> dict:
-    t = structure.type_of_cell(player, cell)
-    return {
-        fvar[player][w]: t[w]
-        for w in structure.cell_states(player, cell)
-        if t[w]
-    }
-
-
-def _payoffs_from_primal(structure, fvar, primal) -> tuple[tuple, ...]:
-    return tuple(
-        tuple(primal[fvar[i][w]] for w in range(structure.num_states))
-        for i in range(structure.num_players)
-    )
-
-
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    """Maximize the worst conditional expectation subject to the budget; a
-    trade exists iff the optimum is strictly positive (scale-invariance makes
-    the boxed optimum decisive). Memoized on the structure: the
-    weakly-agreeable scan re-asks for whole-space components."""
-    return structure.derived("agreeable_trade", _synthesize_agreeable_trade)
+    """The trade read off the Farkas certificate of the joint common-prior
+    program, or None when that program is feasible. No LP of its own is
+    solved: the certificate is the one ``lp.solve`` verified when it decided
+    the common prior. Memoized on the structure: the weakly agreeable and
+    acceptable finders re-ask for it."""
+    return structure.derived("agreeable_trade", _agreeable_from_certificate)
 
 
-def _synthesize_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    b, fvar = _payoff_lp(structure, with_sum_rows=True)
-    delta = b.add_var("delta", objective=1)
-    for i in range(structure.num_players):
-        for c in range(structure.num_cells(i)):
-            row = _expectation_coeffs(structure, i, c, fvar)
-            row[delta] = -ONE
-            b.add_constraint(row, ">=", 0)
-    out = solve(b.build(maximize=True))
-    if out.status != "optimal":
-        raise VerificationError(f"agreeable-trade program ended {out.status}")
-    if not out.objective_value > ZERO:
+def _agreeable_from_certificate(structure: InformationStructure) -> Trade | None:
+    outcome = _solve_common(structure)
+    if outcome.status != "infeasible":
         return None
-    trade = Trade(_payoffs_from_primal(structure, fvar, out.primal))
+    trade = Trade(certificate_payoffs(structure, outcome.certificate))
     if not classify_trade(structure, trade.payoffs).agreeable:
-        raise VerificationError("synthesized trade is not agreeable")
+        raise VerificationError("certificate trade is not agreeable")
     return trade
 
 
 def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    """First minimal component (by least state) whose induced structure has
-    an agreeable trade, zero-extended to the full state space."""
-    for comp in minimal_components(structure):
-        sub = induced_substructure(structure, comp)
+    """The agreeable trade of the first minimal component (by least state)
+    that has one, zero-extended to the full state space. The components are
+    the ones the universal-prior finder solved, so no LP runs here."""
+    for comp, sub in component_substructures(structure):
         inner = find_agreeable_trade(sub)
         if inner is None:
             continue
+        if sub is structure:
+            return inner  # agreeable everywhere, hence on every component
         payoffs = tuple(
             zero_extend(f, comp, structure.num_states) for f in inner.payoffs
         )
@@ -300,27 +270,61 @@ def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
-    """Maximize the total of all conditional expectations subject to the
-    budget and to no player ever expecting a loss; acceptable iff the optimum
-    is strictly positive. Each (player, cell) expectation is weighted by the
-    cell size, i.e. the objective sums expectations over states."""
-    b, fvar = _payoff_lp(structure, with_sum_rows=True)
-    for i in range(structure.num_players):
-        for c in range(structure.num_cells(i)):
-            row = _expectation_coeffs(structure, i, c, fvar)
-            b.add_constraint(row, ">=", 0)
-            weight = rational(len(structure.cell_states(i, c)))
-            for var, coeff in row.items():
-                b.add_objective(var, weight * coeff)
-    out = solve(b.build(maximize=True))
+    """Read off the joint common-prior program where it settles the question:
+    with no common prior the agreeable trade is returned (agreeable implies
+    acceptable); with a strong common prior there is none. Only when a common
+    prior exists but no strong one is ``acceptable_trade_program`` solved; an
+    acceptable trade exists iff its optimum is strictly positive."""
+    outcome = _solve_common(structure)
+    if outcome.status == "infeasible":
+        return find_agreeable_trade(structure)
+    if outcome.objective_value > ZERO:
+        return None
+    out = solve(acceptable_trade_program(structure))
     if out.status != "optimal":
         raise VerificationError(f"acceptable-trade program ended {out.status}")
     if not out.objective_value > ZERO:
         return None
-    trade = Trade(_payoffs_from_primal(structure, fvar, out.primal))
+    m = structure.num_states
+    trade = Trade(
+        tuple(out.primal[i * m : (i + 1) * m] for i in range(structure.num_players))
+    )
     if not classify_trade(structure, trade.payoffs).acceptable:
         raise VerificationError("synthesized trade is not acceptable")
     return trade
+
+
+def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
+    """Payoffs f[i, w] in [-1, 1] (variable i*M + w) with pointwise sum <= 0
+    and no player ever expecting a loss; the objective totals all conditional
+    expectations, each (player, cell) weighted by the cell size, i.e. summed
+    over states. Scale invariance makes the boxed optimum decisive."""
+    b = LPBuilder()
+    fvar = trade_variables(b, structure)
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            row = {fvar[i][w]: t[w] for w in cell if t[w]}
+            b.add_constraint(row, ">=", 0)
+            weight = rational(len(cell))
+            for var, coeff in row.items():
+                b.add_objective(var, weight * coeff)
+    return b.build(maximize=True)
+
+
+def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
+    """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
+    row per state (pointwise sum <= 0); return the variable indices."""
+    m = structure.num_states
+    fvar = [
+        [
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
+            for w in range(m)
+        ]
+        for i in range(structure.num_players)
+    ]
+    for w in range(m):
+        b.add_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, "<=", 0)
+    return fvar
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:

@@ -235,7 +235,7 @@ def test_fuzz_bad_range(run):
 # -- plumbing --------------------------------------------------------------------
 
 
-def test_dump_lp_flag(run, tmp_path):
+def test_dump_lp_flag(run, tmp_path, capsys):
     doc = {
         "states": ["a", "b", "c"],
         "players": ["P1"],
@@ -247,8 +247,11 @@ def test_dump_lp_flag(run, tmp_path):
     )
     assert code == 0
     assert "maximize" in err and "subject to" in err
-    # The flag holds for that one invocation only.
-    assert lp.DUMP is None
+    # The flag holds for that one invocation only: nothing is dumped after.
+    builder = lp.LPBuilder()
+    builder.add_var("x", lower=0, upper=1, objective=1)
+    lp.solve(builder.build(maximize=True))
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exits_two():

@@ -1,10 +1,14 @@
 """Generator determinism and the executable-theorem battery."""
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from prior_forge import (
+    ONE,
+    ZERO,
     GeneratorConfig,
     PriorForgeError,
     cross_check,
@@ -13,9 +17,13 @@ from prior_forge import (
     oracle_battery,
     random_distribution,
     random_structure,
+    common_prior_program,
+    parse_structure,
     run_battery,
+    solve,
     structure_digest,
 )
+from prior_forge import harness
 
 
 def test_config_validation():
@@ -76,6 +84,33 @@ def test_cross_check_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
         assert report.passed, report.failures
         assert report.checks_run > 0
         assert report.minimized is None
+
+
+def _fresh(fixture_path, name):
+    """A newly parsed fixture, so no memo from another test applies."""
+    return parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+
+
+def _oracle_failures(report):
+    return [f.name for f in report.failures if f.name.startswith("oracle:")]
+
+
+def test_cross_check_oracle_catches_a_wrong_trade_finder(fixture_path, monkeypatch):
+    s = _fresh(fixture_path, "ex_pl2")
+    monkeypatch.setattr(harness, "find_agreeable_trade", lambda structure: None)
+    report = cross_check(s, minimize=False)
+    assert "oracle: agreeable program matches the agreeable trade" in _oracle_failures(report)
+
+
+def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
+    s = _fresh(fixture_path, "ex_pl1")
+    outcome = solve(common_prior_program(s))
+    assert outcome.status == "optimal" and outcome.objective_value == ZERO
+    # Plant a positive strictness margin in the memo: production then reads
+    # "no acceptable trade" off it, and only the acceptable program objects.
+    s.derived("common_prior", lambda _: replace(outcome, objective_value=ONE))
+    report = cross_check(s, minimize=False)
+    assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
 
 
 def test_battery_slice():

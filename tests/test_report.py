@@ -83,6 +83,6 @@ def test_report_verification_regrades_refutations(ex_pl2):
     report = analyze(ex_pl2)
     zero = Trade(((0, 0, 0, 0), (0, 0, 0, 0)))
     for field in ("common_refutation", "universal_refutation", "strong_refutation"):
-        forged = replace(report, priors=replace(report.priors, **{field: zero}))
+        forged = replace(report.priors, **{field: zero})
         with pytest.raises(VerificationError):
-            _verify_report(forged)
+            _verify_report(ex_pl2, forged, None)

@@ -1,5 +1,7 @@
 """Trades, semi-trades, money pumps, and the prior/trade dualities."""
 
+import json
+
 import pytest
 
 from prior_forge import (
@@ -15,18 +17,24 @@ from prior_forge import (
     expectation_table,
     find_acceptable_trade,
     find_agreeable_trade,
+    find_common_prior,
     find_multiplayer_money_pump,
     find_single_money_pump,
+    find_strong_common_prior,
+    find_universal_common_prior,
     find_weakly_agreeable_trade,
     is_disintegrable,
     make_structure,
+    parse_structure,
     point_mass,
     pump_kind,
     rational,
     solve,
     uniform,
 )
+from prior_forge import priors, trades
 from prior_forge.harness import pump_piece_program
+from prior_forge.priors import component_substructures
 from prior_forge.model import dot
 
 
@@ -149,6 +157,46 @@ def test_trade_chain(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
             assert find_weakly_agreeable_trade(s) is not None
         if find_weakly_agreeable_trade(s) is not None:
             assert find_acceptable_trade(s) is not None
+
+
+@pytest.mark.parametrize("name", ["ex_pl2", "pl4"])
+def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name):
+    # A freshly parsed structure, so no memo from another test applies.
+    s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+    find_common_prior(s)
+    find_universal_common_prior(s)
+    find_strong_common_prior(s)
+    solved = []
+
+    def counting_solve(program):
+        solved.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(trades, "solve", counting_solve)
+    monkeypatch.setattr(priors, "solve", counting_solve)
+    find_agreeable_trade(s)
+    assert find_weakly_agreeable_trade(s) is not None
+    assert solved == []
+    assert find_acceptable_trade(s) is not None
+    if name == "ex_pl2":
+        assert solved == []
+    else:
+        # pl4 has a common prior but no strong one: the only case in which
+        # the acceptable-trade program still runs.
+        assert find_common_prior(s) is not None and find_strong_common_prior(s) is None
+        assert [p.names[0] for p in solved] == ["f[P1,w1]"]
+
+
+def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    refuted = 0
+    for s in (intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+        for sub in {s, *(sub for _, sub in component_substructures(s))}:
+            if find_common_prior(sub) is None:
+                trade = find_agreeable_trade(sub)
+                assert classify_trade(sub, trade.payoffs).agreeable
+                assert max(abs(v) for f in trade.payoffs for v in f) == 1
+                refuted += 1
+    assert refuted >= 2  # ex_pl2, and pl4's component {w3, w4}
 
 
 # -- money pumps -------------------------------------------------------------
