@@ -82,8 +82,6 @@ from .priors import (
     PriorReport,
     PriorWitness,
     classify_prior,
-    common_prior_polytope,
-    common_prior_program,
     disintegrable_by_definition,
     find_common_prior,
     find_strong_common_prior,

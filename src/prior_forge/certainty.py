@@ -26,8 +26,8 @@ class SupportGraph:
 
 
 def support_graph(structure: InformationStructure) -> SupportGraph:
-    """Memoized on the structure: ``closure`` runs once per state and per
-    commonly-certain query, and the condensation reads the same graph."""
+    """Memoized on the structure: ``closure`` and the condensation read the
+    same graph."""
     return structure.derived("support_graph", _support_graph)
 
 
@@ -43,18 +43,23 @@ def _support_graph(structure: InformationStructure) -> SupportGraph:
 
 def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
     """The smallest component containing ``state``: itself plus everything
-    reachable from it in the support graph."""
+    reachable from it in the support graph. Each state's closure is walked
+    once per structure and kept in a table on it, filled on demand: the
+    commonly-certain checks ask for the same few closures many times."""
     if not 0 <= state < structure.num_states:
         raise DimensionError(f"state index {state} out of range")
-    adj = support_graph(structure).adjacency
-    seen = {state}
-    stack = [state]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return tuple(sorted(seen))
+    table = structure.derived("closures", lambda s: [None] * s.num_states)
+    if table[state] is None:
+        adj = support_graph(structure).adjacency
+        seen = {state}
+        stack = [state]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        table[state] = tuple(sorted(seen))
+    return table[state]
 
 
 def is_commonly_certain(structure: InformationStructure, event: Iterable[int], state: int) -> bool:
@@ -62,7 +67,7 @@ def is_commonly_certain(structure: InformationStructure, event: Iterable[int], s
     ev = frozenset(event)
     if not ev:
         raise EmptySetError("the empty event is never commonly certain")
-    return set(closure(structure, state)) <= ev
+    return ev.issuperset(closure(structure, state))
 
 
 def _strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:

@@ -32,7 +32,8 @@ from .jsonio import (
     structure_to_json,
 )
 from .priors import classify_prior, find_common_prior, find_strong_common_prior, find_universal_common_prior
-from .report import _state_set, _vector, analyze, prior_witness_json, pump_json, trade_json
+from .report import _payoff_lines, _state_set, _vector, _weight_lines, analyze
+from .report import prior_witness_json, pump_json, trade_json
 from .trades import (
     classify_distribution,
     classify_trade,
@@ -135,8 +136,7 @@ def _cmd_prior(args) -> int:
             "refutation": None,
         }
         lines = [f"{args.kind} prior: present", f"  p = {_vector(witness.prior)}"]
-        for i, name in enumerate(structure.players):
-            lines.append(f"  {name} hull weights: {_vector(witness.hull_weights[i])}")
+        lines += _weight_lines(structure, witness.hull_weights, "  ")
         _emit(args, doc, "\n".join(lines) + "\n")
         return 0
     refutation = _TRADE_FINDERS[_DUAL_TRADE[args.kind]](structure)
@@ -154,8 +154,7 @@ def _cmd_prior(args) -> int:
         ),
     }
     lines = [f"{args.kind} prior: absent", f"  refuting trade ({_DUAL_TRADE[args.kind]}):"]
-    for i, name in enumerate(structure.players):
-        lines.append(f"    f[{name}] = {_vector(refutation.payoffs[i])}")
+    lines += _payoff_lines(structure, refutation.payoffs, "    ")
     _emit(args, doc, "\n".join(lines) + "\n")
     return 3
 
@@ -173,8 +172,7 @@ def _cmd_trade(args) -> int:
             ),
         }
         lines = [f"{args.kind} trade: present"]
-        for i, name in enumerate(structure.players):
-            lines.append(f"  f[{name}] = {_vector(trade.payoffs[i])}")
+        lines += _payoff_lines(structure, trade.payoffs, "  ")
         _emit(args, doc, "\n".join(lines) + "\n")
         return 0
     doc = {"schema": SCHEMA, "kind": args.kind, "holds": False, "trade": None}
@@ -207,9 +205,8 @@ def _cmd_pump(args) -> int:
     lines = [
         f"money pump: {witness.kind}",
         f"  deficit = {format_rational(witness.deficit)}",
+        *_payoff_lines(structure, witness.semi_trade.payoffs, "  "),
     ]
-    for i, name in enumerate(structure.players):
-        lines.append(f"  f[{name}] = {_vector(witness.semi_trade.payoffs[i])}")
     _emit(args, doc, "\n".join(lines) + "\n")
     return 0
 

@@ -6,10 +6,12 @@ makes them ideal property tests, because both sides are computed by
 independent code paths and any disagreement is a bug somewhere. cross_check
 runs all six on one structure, together with the single-player theory on
 every player's marginal view and the commonly-certain reformulations of the
-trade grades. Where production reads a refuting trade off the common-prior
-program (its Farkas certificate or its strictness margin), cross_check
-solves the trade LP that production no longer runs and requires the same
-decision from it.
+trade grades. Production reads every refuting trade off the common-prior
+program (its Farkas certificate, its optimal duals or its strictness
+margin); cross_check solves the trade LPs that production no longer runs
+and requires the same decisions from them. The joint common-prior
+formulation, with explicit hull weights, is the oracle of the projected
+program in ``oracle_battery``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -51,12 +53,11 @@ from .model import (
     single_player_view,
 )
 from .priors import (
-    _solve_common,
     classify_prior,
-    common_prior_polytope,
     common_prior_program,
     component_substructures,
     disintegrable_by_definition,
+    distinct_cell_sets,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
@@ -65,7 +66,6 @@ from .priors import (
     is_disintegrable,
 )
 from .trades import (
-    acceptable_trade_program,
     classify_trade,
     find_acceptable_trade,
     find_agreeable_trade,
@@ -73,7 +73,6 @@ from .trades import (
     find_single_money_pump,
     find_weakly_agreeable_trade,
     pump_piece,
-    trade_variables,
 )
 
 REJECTION_CAP = 1000
@@ -317,6 +316,22 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     )
 
 
+def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
+    """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
+    row per state (pointwise sum <= 0); return the variable indices."""
+    m = structure.num_states
+    fvar = [
+        [
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
+            for w in range(m)
+        ]
+        for i in range(structure.num_players)
+    ]
+    for w in range(m):
+        b.add_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, "<=", 0)
+    return fvar
+
+
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
     the worst conditional expectation over all (player, cell) pairs; an
@@ -334,6 +349,59 @@ def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     return b.build(maximize=True)
 
 
+def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
+    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0 and no player ever
+    expecting a loss, maximizing all conditional expectations summed over
+    states; an acceptable trade exists iff the optimum is strictly positive.
+    The oracle of the trades production reads off the common-prior
+    program's certificate and optimal duals."""
+    b = LPBuilder()
+    fvar = trade_variables(b, structure)
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            row = {fvar[i][w]: t[w] for w in cell if t[w]}
+            b.add_constraint(row, ">=", 0)
+            weight = rational(len(cell))
+            for var, coeff in row.items():
+                b.add_objective(var, weight * coeff)
+    return b.build(maximize=True)
+
+
+def joint_common_prior_program(structure: InformationStructure) -> LinearProgram:
+    """The common priors as a joint program over (p, lambda per player and
+    cell, epsilon): p matches every player's mixture of cell types, every
+    cell's mass dominates epsilon, epsilon is maximized. The same decision
+    and optimum as ``priors.common_prior_program``, which drops the lambda
+    columns because the hull weights are forced to be the cell masses; kept
+    as that projection's oracle."""
+    b = LPBuilder()
+    m = structure.num_states
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
+    lam_vars: list[list[int]] = []
+    for i in range(structure.num_players):
+        lam_vars.append(
+            [
+                b.add_var(f"w[{structure.players[i]},{v}]", lower=0)
+                for v in range(structure.num_cells(i))
+            ]
+        )
+    eps = b.add_var("eps", lower=0, objective=1)
+    for i in range(structure.num_players):
+        for w in range(m):
+            row = {p_vars[w]: 1}
+            for v, tdist in enumerate(structure.cell_types[i]):
+                if tdist[w]:
+                    row[lam_vars[i][v]] = -tdist[w]
+            b.add_constraint(row, "=", 0)
+        b.add_constraint({lv: 1 for lv in lam_vars[i]}, "=", 1)
+    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
+    for cell_set in distinct_cell_sets(structure):
+        row = {p_vars[w]: 1 for w in cell_set}
+        row[eps] = -1
+        b.add_constraint(row, ">=", 0)
+    return b.build(maximize=True)
+
+
 def _trade_program_decides(program: LinearProgram) -> bool:
     """True when a trade program's boxed optimum is strictly positive."""
     out = solve(program)
@@ -343,24 +411,14 @@ def _trade_program_decides(program: LinearProgram) -> bool:
 
 
 def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
-    """Each trade LP decides its duality again where production took a derived
-    path, and must agree with both the prior finder and the trade finder.
-    Every program runs at most once per (sub)structure: the agreeable one on
-    the structure and on the components the universal finder solved, the
-    acceptable one where production read its answer off the common-prior
-    program (infeasible, or a positive strictness margin) instead of
-    solving it."""
+    """Each trade LP decides its duality again, and must agree with both the
+    prior finder and the trade finder; production solves none of them. Each
+    runs at most once per (sub)structure: the agreeable one on the structure
+    and on the components the universal finder solved, the acceptable one on
+    the structure."""
     common, universal, strong = priors
     agree, weak, accept = trades
     agreeable = _trade_program_decides(agreeable_trade_program(structure))
-    rec.check(
-        "oracle: agreeable program matches the common prior",
-        agreeable == (common is None),
-    )
-    rec.check(
-        "oracle: agreeable program matches the agreeable trade",
-        agreeable == (agree is not None),
-    )
     # Components in the finders' order, up to the first that has a trade.
     weakly = False
     for _, sub in component_substructures(structure):
@@ -370,25 +428,14 @@ def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
             weakly = _trade_program_decides(agreeable_trade_program(sub))
         if weakly:
             break
-    rec.check(
-        "oracle: component agreeable programs match the universal prior",
-        weakly == (universal is None),
-    )
-    rec.check(
-        "oracle: component agreeable programs match the weakly agreeable trade",
-        weakly == (weak is not None),
-    )
-    outcome = _solve_common(structure)
-    if outcome.status == "infeasible" or outcome.objective_value > ZERO:
-        acceptable = _trade_program_decides(acceptable_trade_program(structure))
-        rec.check(
-            "oracle: acceptable program matches the strong prior",
-            acceptable == (strong is None),
-        )
-        rec.check(
-            "oracle: acceptable program matches the acceptable trade",
-            acceptable == (accept is not None),
-        )
+    acceptable = _trade_program_decides(acceptable_trade_program(structure))
+    for claim, decided, prior, prior_name, trade, trade_name in (
+        ("agreeable program matches", agreeable, common, "common", agree, "agreeable"),
+        ("component agreeable programs match", weakly, universal, "universal", weak, "weakly agreeable"),
+        ("acceptable program matches", acceptable, strong, "strong", accept, "acceptable"),
+    ):
+        rec.check(f"oracle: {claim} the {prior_name} prior", decided == (prior is None))
+        rec.check(f"oracle: {claim} the {trade_name} trade", decided == (trade is not None))
 
 
 def cross_check(
@@ -681,10 +728,10 @@ def pump_piece_program(
 
 
 def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
-    """Simplex vs exhaustive basis enumeration on the common-prior polytope,
-    feasibility and strictness-margin objective, exactly; and the closed-form
-    pump piece vs the simplex on its program, per player, for one sampled
-    distribution."""
+    """Simplex vs exhaustive basis enumeration on the common-prior program,
+    feasibility and strictness-margin objective, exactly; the joint
+    formulation vs the projected one; and the closed-form pump piece vs the
+    simplex on its program, per player, for one sampled distribution."""
     if cfg is None:
         cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
     checked = 0
@@ -693,21 +740,14 @@ def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
     for seed in seeds:
         structure = random_structure(replace(cfg, seed=seed))
         rec = _Recorder()
-        feas = common_prior_polytope(structure)
-        out = solve(feas)
-        vertices = enumerate_basic_solutions(feas)
-        rec.check(
-            "oracle: polytope feasibility agrees with vertex enumeration",
-            (out.status == "optimal") == bool(vertices),
-            f"status={out.status} vertices={len(vertices)}",
-        )
-        eps_lp = common_prior_polytope(structure, with_epsilon=True)
+        eps_lp = common_prior_program(structure)
         out_eps = solve(eps_lp)
         vertices_eps = enumerate_basic_solutions(eps_lp)
         rec.check(
             "oracle: margin program feasibility agrees",
             (out_eps.status == "optimal") == bool(vertices_eps),
         )
+        joint = solve(joint_common_prior_program(structure))
         if out_eps.status == "optimal":
             best = max(v[-1] for v in vertices_eps)
             rec.check(
@@ -715,13 +755,11 @@ def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
                 out_eps.objective_value == best,
                 f"lp={out_eps.objective_value} vertices={best}",
             )
-            joint = solve(common_prior_program(structure))
             rec.check(
                 "oracle: joint formulation matches projected margin",
                 joint.status == "optimal" and joint.objective_value == out_eps.objective_value,
             )
         else:
-            joint = solve(common_prior_program(structure))
             rec.check(
                 "oracle: joint formulation agrees on infeasibility",
                 joint.status == "infeasible",

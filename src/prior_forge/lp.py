@@ -162,10 +162,17 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LPOutcome:
+    """``duals`` (optimal outcomes only): one multiplier u_k per constraint,
+    in max form (objective negated when minimizing), sign rules as in
+    ``FarkasCertificate``. The reduced costs c - A^T u are priced by the
+    variables' bounds; with every variable bounded below by 0 and nothing
+    else, A^T u >= c and b.u = c.x."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     primal: tuple | None
     objective_value: object | None
     certificate: FarkasCertificate | None
+    duals: tuple | None = None
 
 
 def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
@@ -363,7 +370,7 @@ class _Tableau:
         self.std = std
         self.rows: list[dict] = []
         self.basis: list[int] = []
-        self.init_col: list[int] = []  # identity column of each row at start
+        self.init_col: list[int] = []  # identity column of each std row
         ncols = std.ncols
         artificials: set[int] = set()
         for r, base_row in enumerate(std.rows):
@@ -505,7 +512,6 @@ class _Tableau:
         for r in reversed(drop):
             del self.rows[r]
             del self.basis[r]
-            del self.init_col[r]
         self.barred.update(self.artificials)
 
     def phase2(self) -> str:
@@ -534,31 +540,33 @@ class _Tableau:
     def phase1_duals(self) -> list:
         # y = (phase-1 basic costs) times B^-1; B^-1 columns sit under the
         # rows' initial identity columns.
-        y = []
         art_rows = [r for r, b in enumerate(self.basis) if b in self.artificials]
-        for k in range(len(self.rows)):
-            col = self.init_col[k]
-            y.append(sum((self.rows[r].get(col, ZERO) for r in art_rows), ZERO))
-        return y
+        return [
+            sum((self.rows[r].get(col, ZERO) for r in art_rows), ZERO)
+            for col in self.init_col
+        ]
 
 
-def _extract_farkas(lp: LinearProgram, std: _StdForm, tab: _Tableau) -> FarkasCertificate:
-    y = tab.phase1_duals()
-    # Undo the rhs-negation: y applies to post-negation rows. The condition
-    # must match the one in _Tableau.__init__ exactly.
-    z = []
-    for k in range(len(std.rows)):
-        rhs = std.row_rhs[k]
-        negated = rhs < ZERO or (rhs == ZERO and std.row_rel[k] == GREATER)
-        z.append(-y[k] if negated else y[k])
+def _row_multipliers(lp: LinearProgram, std: _StdForm, y: list) -> tuple[list, list]:
+    """Minimization multipliers ``y`` of the std rows, mapped to max-form
+    multipliers of the user's constraints and of the variables' upper bounds."""
     mus = [ZERO] * len(lp.constraints)
     uppers = [ZERO] * lp.num_vars
     for k, origin in enumerate(std.row_origin):
-        mult = -z[k]
+        # Undo the rhs-negation: y applies to post-negation rows. The
+        # condition must match the one in _Tableau.__init__ exactly.
+        rhs = std.row_rhs[k]
+        negated = rhs < ZERO or (rhs == ZERO and std.row_rel[k] == GREATER)
+        mult = y[k] if negated else -y[k]
         if origin[0] == "user":
             mus[origin[1]] = mult
         else:
             uppers[origin[1]] += mult
+    return mus, uppers
+
+
+def _extract_farkas(lp: LinearProgram, std: _StdForm, tab: _Tableau) -> FarkasCertificate:
+    mus, uppers = _row_multipliers(lp, std, tab.phase1_duals())
     lowers = [ZERO] * lp.num_vars
     for j in range(lp.num_vars):
         residual = sum(
@@ -604,8 +612,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
+    # The final objective row is c - yA; identity columns cost nothing, so
+    # theirs read -y (rows dropped as redundant held a zero-cost artificial).
+    y = [-tab._final_obj.get(col, ZERO) for col in tab.init_col]
+    duals = tuple(_row_multipliers(lp, std, y)[0])
     _dump_status(dump, f"optimal value={format_rational(value)}")
-    return LPOutcome("optimal", x, value, None)
+    return LPOutcome("optimal", x, value, None, duals)
 
 
 def _dump_status(dump: IO[str] | None, text: str) -> None:

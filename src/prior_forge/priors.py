@@ -10,12 +10,13 @@ A structural fact does most of the work here: types are supported inside
 their own cells, so distinct cells of one player always carry distinct types,
 and the convex weight of each type in any hull representation of p is forced
 to be the mass p puts on that type's cell. Hull membership therefore reduces
-to one exact linear identity per state, no LP needed. The joint program
-below is solved once per structure for what genuinely needs optimization (the
-strictness margin epsilon); when it is infeasible, its Farkas certificate
-gives the payoffs of an agreeable trade (``certificate_payoffs``), which the
-trade layer hands out as the refutation. The projected polytope is kept for
-cross-checking against the vertex-enumeration oracle.
+to one exact linear identity per state, which also makes the set of common
+priors a polytope in p alone. One program over that polytope is solved per
+structure for what genuinely needs optimization (the strictness margin
+epsilon). It decides the common and the strong prior, and the trade layer
+reads every refuting trade off its outcome: the Farkas certificate when it
+is infeasible, the optimal duals when the margin is zero. The joint
+formulation with explicit hull weights is kept in ``harness`` as an oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .lp import FarkasCertificate, LinearProgram, LPBuilder, LPOutcome, solve
+from .lp import LinearProgram, LPBuilder, LPOutcome, solve
 from .model import (
     Distribution,
     InformationStructure,
@@ -213,113 +214,51 @@ def disintegrable_by_definition(
     return True
 
 
-# -- common prior programs -------------------------------------------------
+# -- the common prior program ---------------------------------------------
 
 
 def common_prior_program(structure: InformationStructure) -> LinearProgram:
-    """The joint program over (p, lambda per player and cell, epsilon): p
-    matches every player's mixture of cell types, every cell's mass
-    dominates epsilon, epsilon is maximized. Feasible iff a common prior
-    exists; optimal epsilon > 0 iff a strong one does.
+    """The common priors, projected onto p alone, with the strictness margin
+    epsilon maximized. The forced-weight identity makes hull membership
+    linear in p. Feasible iff a common prior exists; optimal epsilon > 0 iff
+    a strong one does.
 
-    Row order, which ``certificate_payoffs`` relies on: for each player i,
-    the M rows ``p_w - sum_v t_v(w) lambda_{i,v} = 0`` and then
-    ``sum_v lambda_{i,v} = 1``; next ``sum p = 1``; last one cell-mass row
-    per distinct cell set."""
+    Row order, which the trade layer relies on when it reads refuting trades
+    off the certificate or the duals: for each player i, the M rows
+    ``p_w - t_i(w) * p(cell_i(w)) = 0``; next ``sum p = 1``; last one row
+    ``p(d) - eps >= 0`` per distinct cell set d (``distinct_cell_sets``)."""
     b = LPBuilder()
     m = structure.num_states
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
-    lam_vars: list[list[int]] = []
-    for i in range(structure.num_players):
-        lam_vars.append(
-            [
-                b.add_var(f"w[{structure.players[i]},{v}]", lower=0)
-                for v in range(structure.num_cells(i))
-            ]
-        )
     eps = b.add_var("eps", lower=0, objective=1)
     for i in range(structure.num_players):
         for w in range(m):
-            row = {p_vars[w]: 1}
-            for v, tdist in enumerate(structure.cell_types[i]):
-                if tdist[w]:
-                    row[lam_vars[i][v]] = -tdist[w]
+            t_w = structure.type_at(i, w)[w]
+            row = {p_vars[s]: -t_w for s in structure.partitions[i][structure.cell_of(i, w)]}
+            row[p_vars[w]] = ONE - t_w
             b.add_constraint(row, "=", 0)
-        b.add_constraint({lv: 1 for lv in lam_vars[i]}, "=", 1)
     b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
-    for cell_set in _distinct_cell_sets(structure):
+    for cell_set in distinct_cell_sets(structure):
         row = {p_vars[w]: 1 for w in cell_set}
         row[eps] = -1
         b.add_constraint(row, ">=", 0)
     return b.build(maximize=True)
 
 
-def certificate_payoffs(
-    structure: InformationStructure, certificate: FarkasCertificate
-) -> tuple[tuple, ...]:
-    """An agreeable trade from a Farkas certificate of ``common_prior_program``
-    (the constructive half of the Samet / Morris separation duality).
-
-    With mu_{i,w} the multiplier of player i's row at state w, nu_i that of
-    the player's weight-sum row and mu_0 that of ``sum p = 1``, the
-    certificate's right-hand side is s = sum nu + mu_0 < 0. Set
-    h_i(w) = nu_i - mu_{i,w} - s/N. Each lambda_{i,v} column cancels against
-    a lower-bound multiplier <= 0, so E_i[h_i | v] >= -s/N > 0; each p_w
-    column cancels against cell and lower-bound multipliers <= 0, so
-    sum_i h_i(w) <= 0. Dividing by max |h| puts the trade in the [-1, 1] box.
-    """
-    m, n = structure.num_states, structure.num_players
-    mus = certificate.constraint_multipliers
-    rows = [mus[i * (m + 1) : (i + 1) * (m + 1)] for i in range(n)]
-    shift = (sum((row[m] for row in rows), ZERO) + mus[n * (m + 1)]) / n
-    h = [[row[m] - row[w] - shift for w in range(m)] for row in rows]
-    scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(v / scale for v in hi) for hi in h)
-
-
-def common_prior_polytope(
-    structure: InformationStructure, with_epsilon: bool = False
-) -> LinearProgram:
-    """The same feasible set projected onto p alone: the forced-weight
-    identity makes hull membership linear in p. Small enough for the
-    vertex-enumeration oracle; with_epsilon adds the strictness margin and
-    its objective."""
-    b = LPBuilder()
-    m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
-    eps = b.add_var("eps", lower=0, objective=1) if with_epsilon else None
+def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
+    """Cell state-sets across players, deduplicated (mass constraints only
+    depend on the set of states), each with the first player owning it."""
+    seen: dict[tuple[int, ...], int] = {}
     for i in range(structure.num_players):
-        for w in range(m):
-            row: dict = {p_vars[w]: ONE}
-            for c in range(structure.num_cells(i)):
-                t_w = structure.type_of_cell(i, c)[w]
-                if t_w:
-                    for s in structure.cell_states(i, c):
-                        row[p_vars[s]] = row.get(p_vars[s], ZERO) - t_w
-            b.add_constraint(row, "=", 0)
-    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
-    if eps is not None:
-        for cell_set in _distinct_cell_sets(structure):
-            row = {p_vars[w]: 1 for w in cell_set}
-            row[eps] = -1
-            b.add_constraint(row, ">=", 0)
-    return b.build(maximize=True)
-
-
-def _distinct_cell_sets(structure: InformationStructure) -> list[tuple[int, ...]]:
-    """Cell state-sets across players, deduplicated: mass constraints only
-    depend on the set of states."""
-    seen: dict[tuple[int, ...], None] = {}
-    for i in range(structure.num_players):
-        for c in range(structure.num_cells(i)):
-            seen.setdefault(structure.cell_states(i, c), None)
-    return list(seen)
+        for cell in structure.partitions[i]:
+            seen.setdefault(cell, i)
+    return seen
 
 
 def _solve_common(structure: InformationStructure) -> LPOutcome:
-    """The joint program's outcome, solved once per structure: the common and
-    the strong finders read it, and so do the agreeable and acceptable trade
-    finders."""
+    """The common prior program's outcome, solved once per structure: the
+    common and the strong finders read it, and the trade finders read all
+    three refuting trades off it."""
     return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
 
 

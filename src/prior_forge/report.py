@@ -123,17 +123,13 @@ class AnalysisReport:
             if witness is not None:
                 lines.append(f"{label}: present")
                 lines.append(f"  p = {_vector(witness.prior)}")
-                for i, name in enumerate(s.players):
-                    lines.append(
-                        f"  {name} hull weights: {_vector(witness.hull_weights[i])}"
-                    )
+                lines += _weight_lines(s, witness.hull_weights, "  ")
             else:
                 lines.append(f"{label}: absent")
                 if refutation is not None:
                     grade = _trade_grade(self.refutation_classes[refutation])
                     lines.append(f"  refuting trade ({grade}):")
-                    for i, name in enumerate(s.players):
-                        lines.append(f"    f[{name}] = {_vector(refutation.payoffs[i])}")
+                    lines += _payoff_lines(s, refutation.payoffs, "    ")
         if self.dist is not None and self.verdict is not None:
             v = self.verdict
             lines.append(f"distribution p = {_vector(self.dist)}")
@@ -141,15 +137,9 @@ class AnalysisReport:
             lines.append("  verdict: " + ", ".join(held))
             if v.pump_witness is not None:
                 lines.append(f"  deficit = {format_rational(v.pump_witness.deficit)}")
-                for i, name in enumerate(s.players):
-                    lines.append(
-                        f"  f[{name}] = {_vector(v.pump_witness.semi_trade.payoffs[i])}"
-                    )
+                lines += _payoff_lines(s, v.pump_witness.semi_trade.payoffs, "  ")
             if v.prior_witness is not None:
-                for i, name in enumerate(s.players):
-                    lines.append(
-                        f"  {name} hull weights: {_vector(v.prior_witness.hull_weights[i])}"
-                    )
+                lines += _weight_lines(s, v.prior_witness.hull_weights, "  ")
         return "\n".join(lines) + "\n"
 
 
@@ -285,6 +275,14 @@ def _vector(values) -> str:
 
 def _state_set(s: InformationStructure, indices) -> str:
     return "{" + ",".join(s.states[w] for w in indices) + "}"
+
+
+def _payoff_lines(s: InformationStructure, payoffs, indent: str) -> list[str]:
+    return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, payoffs)]
+
+
+def _weight_lines(s: InformationStructure, weights, indent: str) -> list[str]:
+    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, weights)]
 
 
 def _trade_grade(cls: TradeClassification) -> str:

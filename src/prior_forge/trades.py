@@ -8,13 +8,14 @@ ever loses in expectation, someone somewhere gains), weakly agreeable
 the synthesizers here are the constructive halves of those dualities: they
 either produce a graded trade or the prior side exists.
 
-One LP settles each duality pair. The refuting trades are read off the
-memoized joint common-prior program: with no common prior, its verified
-Farkas certificate gives an agreeable trade, which also refutes the strong
-prior; the weakly agreeable trade comes from the per-component programs
-that decide the universal prior. Only when a common prior exists but no
-strong one does the acceptable-trade LP run. The trade LPs that production
-no longer solves stay in ``harness`` as oracles.
+No LP is solved here. Every refuting trade is read off the memoized
+common-prior program of ``priors``, the other half of the same separation
+argument: with no common prior, its verified Farkas certificate gives an
+agreeable trade, which also refutes the strong prior; with a common prior
+but a zero optimal margin, its verified optimal duals give an acceptable
+trade; the weakly agreeable trade comes from the per-component programs
+that decide the universal prior. The trade LPs stay in ``harness`` as
+oracles.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import ONE, ZERO, rational
+from ._rational import ONE, ZERO
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
 from .errors import (
     DimensionError,
@@ -41,7 +42,7 @@ from .errors import (
     PlayerCountError,
     VerificationError,
 )
-from .lp import LinearProgram, LPBuilder, solve
+from .lp import FarkasCertificate
 from .model import (
     Distribution,
     InformationStructure,
@@ -54,9 +55,9 @@ from .priors import (
     PriorReport,
     PriorWitness,
     _solve_common,
-    certificate_payoffs,
     classify_prior,
     component_substructures,
+    distinct_cell_sets,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
@@ -73,14 +74,8 @@ class Trade:
     payoffs: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(payoff_vector(f) for f in self.payoffs)
-        if not norm:
-            raise DimensionError("a trade needs at least one player")
-        m = len(norm[0])
-        if any(len(f) != m for f in norm):
-            raise DimensionError("payoff vectors differ in length")
-        object.__setattr__(self, "payoffs", norm)
-        for w in range(m):
+        norm = _payoff_rows(self, "a trade")
+        for w in range(len(norm[0])):
             total = sum((f[w] for f in norm), ZERO)
             if total > ZERO:
                 raise InconsistencyError(
@@ -96,13 +91,19 @@ class SemiTrade:
     payoffs: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(payoff_vector(f) for f in self.payoffs)
-        if not norm:
-            raise DimensionError("a semi-trade needs at least one player")
-        m = len(norm[0])
-        if any(len(f) != m for f in norm):
-            raise DimensionError("payoff vectors differ in length")
-        object.__setattr__(self, "payoffs", norm)
+        _payoff_rows(self, "a semi-trade")
+
+
+def _payoff_rows(family: Trade | SemiTrade, what: str) -> tuple[tuple, ...]:
+    """Coerce ``family.payoffs`` in place to exact rows, one per player and
+    all of one length, and return them."""
+    norm = tuple(payoff_vector(f) for f in family.payoffs)
+    if not norm:
+        raise DimensionError(f"{what} needs at least one player")
+    if any(len(f) != len(norm[0]) for f in norm):
+        raise DimensionError("payoff vectors differ in length")
+    object.__setattr__(family, "payoffs", norm)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -230,12 +231,62 @@ def classify_trade(
 # -- synthesis ------------------------------------------------------------
 
 
+def certificate_payoffs(
+    structure: InformationStructure, certificate: FarkasCertificate
+) -> tuple[tuple, ...]:
+    """An agreeable trade from a Farkas certificate of the common prior
+    program (the constructive half of the Samet / Morris separation duality).
+
+    With mu_i player i's row multipliers and mu_0 that of ``sum p = 1`` < 0,
+    set h_i = T_i mu_i - mu_i - mu_0/N, T_i the expectation table. Each p_s
+    column cancels against cell and lower-bound multipliers <= 0, so
+    sum_i (mu_i - T_i mu_i)(s) >= -mu_0 and sum_i h_i <= 0; T_i is
+    idempotent, so E_i[h_i | c] = -mu_0/N > 0 on every cell c."""
+    mus = certificate.constraint_multipliers
+    n = structure.num_players
+    return _box(_expectation_gaps(structure, mus), mus[n * structure.num_states] / n)
+
+
+def dual_payoffs(structure: InformationStructure, duals: tuple) -> tuple[tuple, ...]:
+    """An acceptable trade from optimal duals of the common prior program
+    when its margin is 0 (a common prior exists, but no strong one).
+
+    With u_i player i's row duals, u_0 = 0 that of ``sum p = 1`` and
+    nu_d <= 0 that of cell set d, set h_i = T_i u_i - u_i and add |nu_d| on
+    d to d's first owner. Dual feasibility on the p_s columns gives
+    sum_i (T_i u_i - u_i)(s) <= -sum_{d contains s} |nu_d|, so sum_i h_i <= 0;
+    E_i[h_i | c] = |nu_c| if i owns c, else 0, and the eps column gives
+    sum |nu| >= 1, so some expectation is strict."""
+    h = _expectation_gaps(structure, duals)
+    rows = duals[structure.num_players * structure.num_states + 1 :]
+    for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), rows):
+        for w in cell_set:
+            h[owner][w] -= nu
+    return _box(h, ZERO)
+
+
+def _expectation_gaps(structure: InformationStructure, multipliers) -> list[list]:
+    """T_i f_i - f_i per player, f_i the player's M leading row multipliers."""
+    m = structure.num_states
+    rows = tuple(multipliers[i * m : (i + 1) * m] for i in range(structure.num_players))
+    table = expectation_table(structure, rows)
+    return [[e - v for e, v in zip(te, f)] for te, f in zip(table, rows)]
+
+
+def _box(h: list[list], shift) -> tuple[tuple, ...]:
+    """Subtract ``shift`` everywhere and divide by max |h|, so the payoffs
+    fill the [-1, 1] box."""
+    h = [[v - shift for v in hi] for hi in h]
+    scale = max(abs(v) for hi in h for v in hi)
+    return tuple(tuple(v / scale for v in hi) for hi in h)
+
+
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    """The trade read off the Farkas certificate of the joint common-prior
-    program, or None when that program is feasible. No LP of its own is
-    solved: the certificate is the one ``lp.solve`` verified when it decided
-    the common prior. Memoized on the structure: the weakly agreeable and
-    acceptable finders re-ask for it."""
+    """The trade read off the Farkas certificate of the common-prior program,
+    or None when that program is feasible. No LP of its own is solved: the
+    certificate is the one ``lp.solve`` verified when it decided the common
+    prior. Memoized on the structure: the weakly agreeable and acceptable
+    finders re-ask for it."""
     return structure.derived("agreeable_trade", _agreeable_from_certificate)
 
 
@@ -270,61 +321,18 @@ def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
-    """Read off the joint common-prior program where it settles the question:
-    with no common prior the agreeable trade is returned (agreeable implies
-    acceptable); with a strong common prior there is none. Only when a common
-    prior exists but no strong one is ``acceptable_trade_program`` solved; an
-    acceptable trade exists iff its optimum is strictly positive."""
+    """Read off the common-prior program: with no common prior the agreeable
+    trade (agreeable implies acceptable); with a positive optimal margin (a
+    strong prior) none; with a zero margin the trade its optimal duals give."""
     outcome = _solve_common(structure)
     if outcome.status == "infeasible":
         return find_agreeable_trade(structure)
     if outcome.objective_value > ZERO:
         return None
-    out = solve(acceptable_trade_program(structure))
-    if out.status != "optimal":
-        raise VerificationError(f"acceptable-trade program ended {out.status}")
-    if not out.objective_value > ZERO:
-        return None
-    m = structure.num_states
-    trade = Trade(
-        tuple(out.primal[i * m : (i + 1) * m] for i in range(structure.num_players))
-    )
+    trade = Trade(dual_payoffs(structure, outcome.duals))
     if not classify_trade(structure, trade.payoffs).acceptable:
-        raise VerificationError("synthesized trade is not acceptable")
+        raise VerificationError("dual trade is not acceptable")
     return trade
-
-
-def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
-    """Payoffs f[i, w] in [-1, 1] (variable i*M + w) with pointwise sum <= 0
-    and no player ever expecting a loss; the objective totals all conditional
-    expectations, each (player, cell) weighted by the cell size, i.e. summed
-    over states. Scale invariance makes the boxed optimum decisive."""
-    b = LPBuilder()
-    fvar = trade_variables(b, structure)
-    for i in range(structure.num_players):
-        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = {fvar[i][w]: t[w] for w in cell if t[w]}
-            b.add_constraint(row, ">=", 0)
-            weight = rational(len(cell))
-            for var, coeff in row.items():
-                b.add_objective(var, weight * coeff)
-    return b.build(maximize=True)
-
-
-def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
-    """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
-    row per state (pointwise sum <= 0); return the variable indices."""
-    m = structure.num_states
-    fvar = [
-        [
-            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
-            for w in range(m)
-        ]
-        for i in range(structure.num_players)
-    ]
-    for w in range(m):
-        b.add_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, "<=", 0)
-    return fvar
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:

@@ -17,7 +17,6 @@ from prior_forge import (
     classify_distribution,
     classify_prior,
     classify_trade,
-    common_prior_polytope,
     component_catalog,
     enumerate_basic_solutions,
     find_acceptable_trade,
@@ -38,6 +37,7 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.cli import main as cli_main
+from prior_forge.priors import common_prior_program
 from prior_forge.model import dot
 
 
@@ -125,8 +125,8 @@ def test_criterion_4_agreeable_trade_and_pump(ex_pl2):
 
 def test_criterion_5_point_polytope_and_plain_pump(pl4):
     assert find_common_prior(pl4) is not None
-    vertices = set(enumerate_basic_solutions(common_prior_polytope(pl4)))
-    assert vertices == {(q("1/2"), q("1/2"), ZERO, ZERO)}
+    vertices = enumerate_basic_solutions(common_prior_program(pl4))
+    assert {v[:-1] for v in vertices if v[-1] == 0} == {(q("1/2"), q("1/2"), ZERO, ZERO)}
     assert find_universal_common_prior(pl4) is None
 
     f1 = (0, 0, -1, 2)

@@ -17,13 +17,13 @@ from prior_forge import (
     oracle_battery,
     random_distribution,
     random_structure,
-    common_prior_program,
     parse_structure,
     run_battery,
     solve,
     structure_digest,
 )
 from prior_forge import harness
+from prior_forge.priors import common_prior_program
 
 
 def test_config_validation():
@@ -109,6 +109,17 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     # Plant a positive strictness margin in the memo: production then reads
     # "no acceptable trade" off it, and only the acceptable program objects.
     s.derived("common_prior", lambda _: replace(outcome, objective_value=ONE))
+    report = cross_check(s, minimize=False)
+    assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
+
+
+def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypatch):
+    # pl4 has a common prior but no strong one (optimal margin 0): production
+    # reads its acceptable trade off the optimal duals, and the acceptable
+    # program still runs as the oracle.
+    s = _fresh(fixture_path, "pl4")
+    assert solve(common_prior_program(s)).objective_value == ZERO
+    monkeypatch.setattr(harness, "find_acceptable_trade", lambda structure: None)
     report = cross_check(s, minimize=False)
     assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
 

@@ -185,3 +185,50 @@ def test_enumerate_infeasible_is_empty():
     b.add_constraint({x: 1}, "=", 1)
     b.add_constraint({x: 1}, "=", 2)
     assert enumerate_basic_solutions(b.build(maximize=False)) == ()
+
+
+def _assert_optimal_duals(lp, out):
+    # Max form, every variable bounded below by 0 and nothing else: the
+    # duals are dual-feasible (A^T u >= c, u <= 0 on >= rows) and close the
+    # duality gap exactly.
+    assert all(lo == 0 for lo in lp.lower) and all(up is None for up in lp.upper)
+    u = out.duals
+    assert len(u) == len(lp.constraints)
+    for con, uk in zip(lp.constraints, u):
+        assert not (con.rel == ">=" and uk > 0) and not (con.rel == "<=" and uk < 0)
+    for j in range(lp.num_vars):
+        column = sum((uk * con.coeffs[j] for con, uk in zip(lp.constraints, u)), ZERO)
+        assert column >= lp.objective[j]
+    assert sum((uk * con.rhs for con, uk in zip(lp.constraints, u)), ZERO) == out.objective_value
+
+
+def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    from prior_forge import GeneratorConfig, random_structure
+    from prior_forge.priors import common_prior_program
+
+    checked = 0
+    fixtures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    generated = [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    for s in fixtures + generated:
+        lp = common_prior_program(s)
+        out = solve(lp)
+        if out.status == "optimal":
+            _assert_optimal_duals(lp, out)
+            checked += 1
+        else:
+            assert out.duals is None
+    assert checked > 50
+
+
+def test_duals_of_a_bounded_minimization():
+    # min x + 2y s.t. x + y >= 1, x - y = 0, x <= 3: optimum 3/2 at x = y = 1/2.
+    b = LPBuilder()
+    x = b.add_var("x", lower=0, upper=3, objective=1)
+    y = b.add_var("y", lower=0, objective=2)
+    b.add_constraint({x: 1, y: 1}, ">=", 1)
+    b.add_constraint({x: 1, y: -1}, "=", 0)
+    out = solve(b.build(maximize=False))
+    assert out.objective_value == rational("3/2")
+    # In max form (max -x - 2y) the >= row's dual is <= 0, and
+    # u . b = -3/2 = the max-form value.
+    assert out.duals == (rational("-3/2"), rational("1/2"))

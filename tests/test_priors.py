@@ -8,7 +8,6 @@ from prior_forge import (
     SizeCapError,
     ZERO,
     classify_prior,
-    common_prior_polytope,
     disintegrable_by_definition,
     enumerate_basic_solutions,
     find_common_prior,
@@ -21,6 +20,7 @@ from prior_forge import (
     single_player_prior,
     uniform,
 )
+from prior_forge.priors import common_prior_program
 
 
 def q(text):
@@ -196,8 +196,10 @@ def test_notion_chain_on_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
 
 
 def vertex_priors(structure):
-    lp = common_prior_polytope(structure)
-    return {point for point in enumerate_basic_solutions(lp)}
+    # The common priors are the margin program's vertices at eps = 0, eps
+    # dropped.
+    lp = common_prior_program(structure)
+    return {v[:-1] for v in enumerate_basic_solutions(lp) if v[-1] == 0}
 
 
 def test_pl4_polytope_is_a_point(pl4):
