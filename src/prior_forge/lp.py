@@ -1,11 +1,18 @@
 """Exact linear programming over rationals.
 
 Two-phase primal simplex with Bland's anti-cycling rule. Every coefficient is
-an exact rational; there is no tolerance anywhere. Outcomes are verified
-before they are returned: optimal points are re-substituted into every
-constraint and bound, and infeasibility comes with a Farkas certificate whose
-contradiction is re-multiplied from scratch. A failed internal check raises
-``VerificationError`` and always indicates a bug, never bad input.
+an exact rational; there is no tolerance anywhere. The tableau is
+fraction-free (Edmonds 1967, Bareiss 1968): each row is a sparse dict of
+integer numerators over one positive row denominator, kept in lowest terms,
+so a pivot costs integer multiplications and one gcd per changed row instead
+of a normalized rational per entry. Pivots follow the same rule on the same
+exact values, so bases, points, certificates and duals are those of a
+rational tableau; rationals are built only where results are read off.
+Outcomes are verified before they are returned: optimal points are
+re-substituted into every constraint and bound, and infeasibility comes with
+a Farkas certificate whose contradiction is re-multiplied from scratch. A
+failed internal check raises ``VerificationError`` and always indicates a
+bug, never bad input.
 
 ``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
 solutions of the standardized system by brute-force basis selection with exact
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterator, Sequence
 
-from ._rational import ONE, ZERO, format_rational, rational
+from ._rational import ONE, ZERO, Rational, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
 from .model import dot
 
@@ -193,6 +200,22 @@ def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
     return bad
 
 
+def _combine(lp: LinearProgram, mus: Sequence) -> tuple[list, object]:
+    """sum_k mus[k] * row_k over nonzero multipliers and nonzero coefficients:
+    the combined coefficient of each variable, and the combined rhs."""
+    coeffs = [ZERO] * lp.num_vars
+    rhs = ZERO
+    for mu, con in zip(mus, lp.constraints):
+        if not mu:
+            continue
+        for j, a in enumerate(con.coeffs):
+            if a:
+                coeffs[j] += mu * a
+        if con.rhs:
+            rhs += mu * con.rhs
+    return coeffs, rhs
+
+
 def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
     """Check a Farkas certificate by exact re-multiplication."""
     bad = []
@@ -215,12 +238,11 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
             bad.append(f"lower multiplier {j} used without a bound")
         if ups[j] != ZERO and lp.upper[j] is None:
             bad.append(f"upper multiplier {j} used without a bound")
+    combo, rhs = _combine(lp, mus)
     for j in range(lp.num_vars):
-        combo = sum((mus[k] * lp.constraints[k].coeffs[j] for k in range(len(mus))), ZERO)
-        combo += los[j] + ups[j]
-        if combo != ZERO:
-            bad.append(f"variable {lp.names[j]} does not cancel (residual {format_rational(combo)})")
-    rhs = sum((mus[k] * lp.constraints[k].rhs for k in range(len(mus))), ZERO)
+        residual = combo[j] + los[j] + ups[j]
+        if residual != ZERO:
+            bad.append(f"variable {lp.names[j]} does not cancel (residual {format_rational(residual)})")
     rhs += sum((los[j] * lp.lower[j] for j in range(lp.num_vars) if los[j] != ZERO), ZERO)
     rhs += sum((ups[j] * lp.upper[j] for j in range(lp.num_vars) if ups[j] != ZERO), ZERO)
     if not rhs < ZERO:
@@ -361,31 +383,70 @@ def _standardize(lp: LinearProgram) -> _StdForm:
 
 
 # -- simplex -------------------------------------------------------------
+#
+# Fraction-free rows: entry j of row r is rows[r][j] / dens[r], with int
+# numerators (zeros never stored) and a positive int denominator sharing no
+# common factor with them. Pivoting touches only the rows that hold the
+# entering column, so rows keep their own denominators; one denominator for
+# the whole tableau would rescale every row on every pivot.
+
+
+def _to_ints(row: dict) -> tuple[dict, int]:
+    """An exact rational row as int numerators over the lcm of its entries'
+    denominators, which is already in lowest terms."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {j: int(v.numerator) * (den // v.denominator) for j, v in row.items()}, den
+
+
+def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
+    """Subtract ``row[c]`` times the pivot row, whose entry at ``c`` is 1
+    (``prow[c] == pden``), from ``row`` in place: ``row * pden - m * prow``
+    over ``den * pden``, reduced by the gcd. Returns the new denominator."""
+    m = row[c]
+    if pden != 1:
+        for j in row:
+            row[j] *= pden
+    for j, v in prow.items():
+        nv = row.get(j, 0) - m * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    den *= pden
+    g = math.gcd(den, *row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return den
 
 
 class _Tableau:
-    """Sparse dict-of-dicts simplex tableau. Row key -1 holds the rhs."""
+    """Sparse fraction-free simplex tableau; row key -1 holds the rhs. The
+    objective row ``obj`` over ``obj_den`` has the same form."""
 
     def __init__(self, std: _StdForm) -> None:
         self.std = std
         self.rows: list[dict] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each std row
+        self.negated: list[bool] = []  # std row multiplied by -1 to make rhs >= 0
         ncols = std.ncols
         artificials: set[int] = set()
         for r, base_row in enumerate(std.rows):
             rel, rhs = std.row_rel[r], std.row_rhs[r]
             row = dict(base_row)
             if rel == LESS:
-                slack_sign = ONE
+                slack_sign = 1
             elif rel == GREATER:
-                slack_sign = -ONE
+                slack_sign = -1
             else:
                 slack_sign = None
             # Negating >= rows with rhs 0 turns their slack into a valid
             # starting basis column; many callers' programs then need no
             # phase 1 at all.
-            negate = rhs < ZERO or (rhs == ZERO and slack_sign == -ONE)
+            negate = rhs < ZERO or (rhs == ZERO and slack_sign == -1)
             if negate:
                 row = {j: -v for j, v in row.items()}
                 rhs = -rhs
@@ -397,100 +458,92 @@ class _Tableau:
                 ncols += 1
             else:
                 slack_col = None
-            if slack_col is not None and slack_sign == ONE:
+            if slack_col is not None and slack_sign == 1:
                 ident = slack_col
             else:
-                row[ncols] = ONE
+                row[ncols] = 1
                 artificials.add(ncols)
                 ident = ncols
                 ncols += 1
             if rhs:
                 row[_RHS] = rhs
-            self.rows.append(row)
+            nums, den = _to_ints(row)
+            self.rows.append(nums)
+            self.dens.append(den)
             self.basis.append(ident)
             self.init_col.append(ident)
-        self.ncols = ncols
+            self.negated.append(negate)
         self.artificials = artificials
         self.barred: set[int] = set()
+        self.obj: dict = {}
+        self.obj_den = 1
 
-    # Core pivot. Keeps every stored coefficient nonzero.
     def pivot(self, r: int, c: int) -> None:
-        rows = self.rows
+        """Scale row r to entry 1 at column c (its numerators, made coprime
+        and positive at c, over the denominator ``prow[c]``) and eliminate c
+        from every other row that holds it."""
+        rows, dens = self.rows, self.dens
         prow = rows[r]
-        piv = prow[c]
-        if piv != ONE:
-            inv = ONE / piv
-            prow = {j: v * inv for j, v in prow.items()}
-            rows[r] = prow
+        g = math.gcd(*prow.values())
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            for j in prow:
+                prow[j] //= g
+        pden = dens[r] = prow[c]
         for rr, row in enumerate(rows):
-            if rr == r:
-                continue
-            m = row.get(c)
-            if m is None:
-                continue
-            for j, bv in prow.items():
-                nv = row.get(j, ZERO) - m * bv
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
+            if rr != r and c in row:
+                dens[rr] = _eliminate(row, dens[rr], prow, pden, c)
         self.basis[r] = c
 
-    def _pivot_obj(self, obj: dict, r: int, c: int) -> None:
-        m = obj.get(c)
-        if m is None:
-            return
-        for j, bv in self.rows[r].items():
-            nv = obj.get(j, ZERO) - m * bv
-            if nv:
-                obj[j] = nv
-            else:
-                obj.pop(j, None)
+    def _price_out(self, r: int) -> None:
+        """Zero the objective's entry at row r's basic column."""
+        b = self.basis[r]
+        if b in self.obj:
+            self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[r], self.dens[r], b)
 
-    def _iterate(self, obj: dict) -> str:
-        rows = self.rows
+    def _iterate(self) -> str:
+        rows, basis, obj = self.rows, self.basis, self.obj
         while True:
             entering = None
-            for j, c in obj.items():
-                if j >= 0 and c < ZERO and j not in self.barred:
+            for j, v in obj.items():
+                if j >= 0 and v < 0 and j not in self.barred:
                     if entering is None or j < entering:
                         entering = j
             if entering is None:
                 return "optimal"
-            best = None  # (ratio, basis var, row)
+            # Smallest ratio rhs / a, ties to the smaller basis index; both
+            # numerators share the row's denominator, so it cancels.
+            leaving_row = None
             for r, row in enumerate(rows):
                 a = row.get(entering)
-                if a is None or a <= ZERO:
+                if a is None or a <= 0:
                     continue
-                ratio = row.get(_RHS, ZERO) / a
-                key = (ratio, self.basis[r])
-                if best is None or key < best:
-                    best = key
-                    leaving_row = r
-            if best is None:
+                rhs = row.get(_RHS, 0)
+                if leaving_row is not None:
+                    diff = rhs * best_a - best_rhs * a
+                    if diff > 0 or (diff == 0 and basis[r] > basis[leaving_row]):
+                        continue
+                leaving_row, best_rhs, best_a = r, rhs, a
+            if leaving_row is None:
                 return "unbounded"
-            leaving_col = self.basis[leaving_row]
+            leaving_col = basis[leaving_row]
             self.pivot(leaving_row, entering)
-            self._pivot_obj(obj, leaving_row, entering)
+            self._price_out(leaving_row)
             if leaving_col in self.artificials:
                 self.barred.add(leaving_col)
 
     def phase1(self) -> bool:
         if not self.artificials:
             return True
-        obj: dict = {a: ONE for a in self.artificials}
+        self.obj, self.obj_den = {a: 1 for a in self.artificials}, 1
         for r, b in enumerate(self.basis):
             if b in self.artificials:
-                for j, v in self.rows[r].items():
-                    nv = obj.get(j, ZERO) - v
-                    if nv:
-                        obj[j] = nv
-                    else:
-                        obj.pop(j, None)
-        status = self._iterate(obj)
+                self._price_out(r)
+        status = self._iterate()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded below
             raise VerificationError("phase 1 reported unbounded")
-        if -obj.get(_RHS, ZERO) > ZERO:
+        if self.obj.get(_RHS, 0) < 0:
             return False
         self._cleanup_artificials()
         return True
@@ -511,53 +564,52 @@ class _Tableau:
                 self.pivot(r, target)
         for r in reversed(drop):
             del self.rows[r]
+            del self.dens[r]
             del self.basis[r]
         self.barred.update(self.artificials)
 
     def phase2(self) -> str:
-        obj = dict(self.std.costs)
-        for r, b in enumerate(self.basis):
-            c = obj.get(b)
-            if c:
-                for j, v in self.rows[r].items():
-                    nv = obj.get(j, ZERO) - c * v
-                    if nv:
-                        obj[j] = nv
-                    else:
-                        obj.pop(j, None)
-        # price-out loop above zeroed basic columns; remaining negative
-        # reduced costs drive the iteration
-        status = self._iterate(obj)
-        self._final_obj = obj
-        return status
+        self.obj, self.obj_den = _to_ints(self.std.costs)
+        # price out the basic columns; remaining negative reduced costs
+        # drive the iteration
+        for r in range(len(self.rows)):
+            self._price_out(r)
+        return self._iterate()
+
+    def objective_entry(self, j: int):
+        """Entry j of the objective row as a rational (key -1: its rhs)."""
+        n = self.obj.get(j)
+        return ZERO if n is None else Rational(n, self.obj_den)
 
     def primal_std(self) -> list:
-        x = [ZERO] * self.ncols
+        x = [ZERO] * self.std.ncols
         for r, b in enumerate(self.basis):
-            x[b] = self.rows[r].get(_RHS, ZERO)
-        return x[: self.std.ncols]
+            n = self.rows[r].get(_RHS)
+            if n is not None and b < self.std.ncols:
+                x[b] = Rational(n, self.dens[r])
+        return x
 
     def phase1_duals(self) -> list:
         # y = (phase-1 basic costs) times B^-1; B^-1 columns sit under the
         # rows' initial identity columns.
         art_rows = [r for r, b in enumerate(self.basis) if b in self.artificials]
         return [
-            sum((self.rows[r].get(col, ZERO) for r in art_rows), ZERO)
+            sum(
+                (Rational(self.rows[r][col], self.dens[r]) for r in art_rows if col in self.rows[r]),
+                ZERO,
+            )
             for col in self.init_col
         ]
 
 
-def _row_multipliers(lp: LinearProgram, std: _StdForm, y: list) -> tuple[list, list]:
+def _row_multipliers(lp: LinearProgram, tab: _Tableau, y: list) -> tuple[list, list]:
     """Minimization multipliers ``y`` of the std rows, mapped to max-form
     multipliers of the user's constraints and of the variables' upper bounds."""
     mus = [ZERO] * len(lp.constraints)
     uppers = [ZERO] * lp.num_vars
-    for k, origin in enumerate(std.row_origin):
-        # Undo the rhs-negation: y applies to post-negation rows. The
-        # condition must match the one in _Tableau.__init__ exactly.
-        rhs = std.row_rhs[k]
-        negated = rhs < ZERO or (rhs == ZERO and std.row_rel[k] == GREATER)
-        mult = y[k] if negated else -y[k]
+    for k, origin in enumerate(tab.std.row_origin):
+        # y applies to the rows as the tableau holds them, after negation.
+        mult = y[k] if tab.negated[k] else -y[k]
         if origin[0] == "user":
             mus[origin[1]] = mult
         else:
@@ -565,14 +617,12 @@ def _row_multipliers(lp: LinearProgram, std: _StdForm, y: list) -> tuple[list, l
     return mus, uppers
 
 
-def _extract_farkas(lp: LinearProgram, std: _StdForm, tab: _Tableau) -> FarkasCertificate:
-    mus, uppers = _row_multipliers(lp, std, tab.phase1_duals())
+def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
+    mus, uppers = _row_multipliers(lp, tab, tab.phase1_duals())
+    combo, _ = _combine(lp, mus)
     lowers = [ZERO] * lp.num_vars
     for j in range(lp.num_vars):
-        residual = sum(
-            (mus[k] * lp.constraints[k].coeffs[j] for k in range(len(mus))),
-            ZERO,
-        ) + uppers[j]
+        residual = combo[j] + uppers[j]
         if residual == ZERO:
             continue
         if lp.lower[j] is not None:
@@ -591,7 +641,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     std = _standardize(lp)
     tab = _Tableau(std)
     if not tab.phase1():
-        cert = _extract_farkas(lp, std, tab)
+        cert = _extract_farkas(lp, tab)
         problems = farkas_violations(lp, cert)
         if problems:
             raise VerificationError("bad Farkas certificate: " + "; ".join(problems))
@@ -606,7 +656,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
     value = dot(lp.objective, x)
-    tableau_min = -tab._final_obj.get(_RHS, ZERO) + std.cost_const
+    tableau_min = -tab.objective_entry(_RHS) + std.cost_const
     claimed = -tableau_min if lp.maximize else tableau_min
     if claimed != value:
         raise VerificationError(
@@ -614,8 +664,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
         )
     # The final objective row is c - yA; identity columns cost nothing, so
     # theirs read -y (rows dropped as redundant held a zero-cost artificial).
-    y = [-tab._final_obj.get(col, ZERO) for col in tab.init_col]
-    duals = tuple(_row_multipliers(lp, std, y)[0])
+    y = [-tab.objective_entry(col) for col in tab.init_col]
+    duals = tuple(_row_multipliers(lp, tab, y)[0])
     _dump_status(dump, f"optimal value={format_rational(value)}")
     return LPOutcome("optimal", x, value, None, duals)
 

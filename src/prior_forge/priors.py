@@ -65,12 +65,9 @@ class PriorWitness:
                 raise VerificationError(f"player {i} has a negative hull weight")
             if sum(weights, ZERO) != ONE:
                 raise VerificationError(f"player {i} hull weights do not sum to 1")
+            mixed = _mixture(structure, i, weights)
             for w in range(structure.num_states):
-                acc = ZERO
-                for dist, lam in zip(types, weights):
-                    if lam:
-                        acc += lam * dist[w]
-                if acc != self.prior[w]:
+                if mixed[w] != self.prior[w]:
                     raise VerificationError(
                         f"player {i} weights fail to reconstruct the prior at state {w}"
                     )
@@ -120,16 +117,23 @@ def hull_weights(
     cells' types, or None when dist is outside the hull. Weights are forced
     to be the cell masses, so this is a direct exact check, not a search."""
     _check_dimension(structure, dist)
-    types = structure.cell_types[player]
     weights = [dist.mass(cell) for cell in structure.partitions[player]]
-    for state in range(structure.num_states):
-        acc = ZERO
-        for tdist, lam in zip(types, weights):
-            if lam:
-                acc += lam * tdist[state]
-        if acc != dist[state]:
-            return None
+    if _mixture(structure, player, weights) != list(dist.probs):
+        return None
     return tuple(weights)
+
+
+def _mixture(structure: InformationStructure, player: int, weights) -> list:
+    """sum_c weights[c] * type_c, state by state. Types vanish off their own
+    cell and every state lies in exactly one cell, so each state's sum has
+    at most one nonzero term."""
+    mixed = [ZERO] * structure.num_states
+    for cell, tdist, lam in zip(structure.partitions[player], structure.cell_types[player], weights):
+        if lam:
+            for w in cell:
+                if tdist[w]:
+                    mixed[w] = lam * tdist[w]
+    return mixed
 
 
 def is_disintegrable(

@@ -178,7 +178,7 @@ def expectation_table(
     table = []
     for i, f in enumerate(payoffs):
         per_cell = [
-            dot(f, structure.type_of_cell(i, c)) for c in range(structure.num_cells(i))
+            dot(structure.type_of_cell(i, c).probs, f) for c in range(structure.num_cells(i))
         ]
         table.append(
             tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))

@@ -1,5 +1,7 @@
 """Exact simplex: solve outcomes, certificates, and the brute-force oracle."""
 
+import hashlib
+
 import pytest
 
 from prior_forge import (
@@ -10,6 +12,7 @@ from prior_forge import (
     enumerate_basic_solutions,
     farkas_violations,
     feasibility_violations,
+    format_rational,
     rational,
     solve,
 )
@@ -232,3 +235,86 @@ def test_duals_of_a_bounded_minimization():
     # In max form (max -x - 2y) the >= row's dual is <= 0, and
     # u . b = -3/2 = the max-form value.
     assert out.duals == (rational("-3/2"), rational("1/2"))
+
+
+def _outcome_text(out):
+    def row(values):
+        return "-" if values is None else ",".join(format_rational(v) for v in values)
+
+    cert = out.certificate
+    parts = [
+        out.status,
+        row(out.primal),
+        "-" if out.objective_value is None else format_rational(out.objective_value),
+        "-" if cert is None else "|".join(
+            row(m) for m in (cert.constraint_multipliers, cert.lower_multipliers, cert.upper_multipliers)
+        ),
+        row(out.duals),
+    ]
+    return ";".join(parts)
+
+
+# sha256 over every outcome below, recorded with the Fraction-based tableau;
+# any change of pivots shows up as a changed point, certificate or dual.
+PINNED_OUTCOMES = "9515ab73592fcd95eb2b881687fa43c47f9cdd33fdf054483701be6ad1d14d55"
+
+
+def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    from prior_forge import GeneratorConfig, random_structure
+    from prior_forge.harness import (
+        acceptable_trade_program,
+        agreeable_trade_program,
+        joint_common_prior_program,
+    )
+    from prior_forge.priors import common_prior_program
+
+    builders = (
+        common_prior_program,
+        joint_common_prior_program,
+        agreeable_trade_program,
+        acceptable_trade_program,
+    )
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    digest = hashlib.sha256()
+    for s in structures:
+        for build in builders:
+            digest.update(_outcome_text(solve(build(s))).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_OUTCOMES
+
+
+def test_bland_ties_leave_on_the_smaller_basis_index():
+    # max y + 2x s.t. 3x <= 3, (x + y)/2 <= 1/2. y enters first and becomes
+    # basic in the second row; x then ties both rows at ratio 1. Bland's rule
+    # sends out y (basis index 0) rather than the first row's slack, so the
+    # whole price sits on the second row.
+    b = LPBuilder()
+    y = b.add_var("y", lower=0, objective=1)
+    x = b.add_var("x", lower=0, objective=2)
+    b.add_constraint({x: 3}, "<=", 3)
+    b.add_constraint({x: rational("1/2"), y: rational("1/2")}, "<=", rational("1/2"))
+    out = solve(b.build(maximize=True))
+    assert out.primal == (ZERO, rational(1))
+    assert out.objective_value == 2
+    assert out.duals == (ZERO, rational(4))
+
+
+def test_coefficients_beyond_64_bits():
+    big = rational(2**70) / 3
+    b = LPBuilder()
+    x = b.add_var("x", lower=0)
+    y = b.add_var("y", lower=0, upper=big)
+    b.add_objective(x, big)
+    b.add_objective(y, 1)
+    b.add_constraint({x: big, y: 1}, "<=", big + 1)
+    b.add_constraint({x: 1, y: -big}, ">=", rational(-(2**80)))
+    lp = b.build(maximize=True)
+    out = solve(lp)
+    assert out.status == "optimal"
+    assert feasibility_violations(lp, out.primal) == []
+    assert out.objective_value == big + 1
+    b.add_constraint({x: big, y: big}, ">=", 2 * big * big)
+    lp = b.build(maximize=True)
+    out = solve(lp)
+    assert out.status == "infeasible"
+    assert farkas_violations(lp, out.certificate) == []

@@ -5,7 +5,9 @@ import pytest
 from prior_forge import (
     Distribution,
     PlayerCountError,
+    PriorWitness,
     SizeCapError,
+    VerificationError,
     ZERO,
     classify_prior,
     disintegrable_by_definition,
@@ -134,6 +136,28 @@ def test_classify_grades(ex_pl1):
     cls = classify_prior(ex_pl1, ends)
     assert cls.common and cls.maximal and cls.universal
     assert not cls.strongly_maximal and not cls.strong
+
+
+def test_hull_weights_outside_the_hull(ex_pl1):
+    # Player 0's middle cell carries (0, 1/2, 1/2, 0); the forced weights are
+    # the cell masses, and only the type's own split reconstructs.
+    inside = Distribution((ZERO, q("1/2"), q("1/2"), ZERO))
+    assert hull_weights(ex_pl1, 0, inside) == (ZERO, rational(1), ZERO)
+    outside = Distribution((ZERO, q("1/4"), q("3/4"), ZERO))
+    assert hull_weights(ex_pl1, 0, outside) is None
+    assert not classify_prior(ex_pl1, outside).common
+
+
+def test_prior_witness_verify_rejects_defects(intro):
+    witness = find_strong_common_prior(intro)
+    witness.verify(intro)
+    bumped = list(witness.prior)
+    bumped[3] += q("1/7")
+    with pytest.raises(VerificationError, match="reconstruct the prior at state 3"):
+        PriorWitness(tuple(bumped), witness.hull_weights).verify(intro)
+    doubled = (tuple(2 * w for w in witness.hull_weights[0]),) + witness.hull_weights[1:]
+    with pytest.raises(VerificationError, match="player 0 hull weights do not sum to 1"):
+        PriorWitness(witness.prior, doubled).verify(intro)
 
 
 # -- finders ----------------------------------------------------------------
