@@ -9,10 +9,8 @@ a Farkas certificate). See the README for the notions and the CLI.
 
 from ._rational import Rational, ZERO, ONE, format_rational, rational
 from .certainty import (
-    ComponentCatalog,
-    SupportGraph,
     closure,
-    component_catalog,
+    component_family,
     is_commonly_certain,
     is_maximal,
     is_strongly_maximal,
@@ -69,6 +67,7 @@ from .model import (
     Distribution,
     InformationStructure,
     expectation,
+    expectation_table,
     forward_closed,
     induced_substructure,
     make_structure,
@@ -101,7 +100,6 @@ from .trades import (
     build_prior_report,
     classify_distribution,
     classify_trade,
-    expectation_table,
     find_acceptable_trade,
     find_agreeable_trade,
     find_multiplayer_money_pump,

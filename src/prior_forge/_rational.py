@@ -4,39 +4,28 @@ Everything in this package computes with exact rationals; floats are rejected
 at every parse boundary because rounding destroys the strict-vs-weak
 inequality distinctions the certificates rest on.
 
-``gmpy2.mpq`` is used when available (several times faster, which matters for
-the randomized battery); ``fractions.Fraction`` is the drop-in fallback. Set
-``PRIOR_FORGE_RATIONAL=fraction`` to force the fallback.
+The one backend is ``fractions.Fraction``. The simplex, where the arithmetic
+is heaviest, pivots on Python ints and builds rationals only where it reads
+results off (see ``lp``).
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-if os.environ.get("PRIOR_FORGE_RATIONAL", "").lower() == "fraction":
-    Rational = Fraction
-else:
-    try:
-        from gmpy2 import mpq as Rational  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised via env override instead
-        Rational = Fraction  # type: ignore[misc,assignment]
-
+Rational = Fraction
 ZERO = Rational(0)
 ONE = Rational(1)
 
-# Accepted scalar inputs: int, backend rationals, Fraction, "a/b" / "a" strings.
-# Floats are never accepted, not even integral ones.
-_RATIONAL_TYPES = (int, Fraction, type(ZERO))
-
 
 def rational(value) -> "Rational":
-    """Coerce ``value`` to an exact rational, rejecting floats and junk."""
-    if type(value) is type(ZERO):
+    """Coerce ``value`` to an exact rational: an int, a Fraction, or an
+    ``"a/b"`` / ``"a"`` string. Floats are rejected, even integral ones."""
+    if type(value) is Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, _RATIONAL_TYPES):
+    if isinstance(value, (int, Fraction)):
         return Rational(value)
     if isinstance(value, str):
         return _parse_str(value)

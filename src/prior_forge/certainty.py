@@ -10,35 +10,26 @@ by tests, not assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from ._rational import ZERO
 from .errors import DimensionError, EmptySetError, SizeCapError
 from .model import Distribution, InformationStructure
 
 
-@dataclass(frozen=True)
-class SupportGraph:
-    """Per-state successor lists (sorted, deduplicated)."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-
-def support_graph(structure: InformationStructure) -> SupportGraph:
-    """Memoized on the structure: ``closure`` and the condensation read the
-    same graph."""
+def support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
+    """Per-state successor lists (sorted, deduplicated). Memoized on the
+    structure: ``closure`` and the condensation read the same graph."""
     return structure.derived("support_graph", _support_graph)
 
 
-def _support_graph(structure: InformationStructure) -> SupportGraph:
+def _support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
     adj = []
     for s in range(structure.num_states):
         succ: set[int] = set()
         for i in range(structure.num_players):
             succ.update(structure.type_at(i, s).support())
         adj.append(tuple(sorted(succ)))
-    return SupportGraph(tuple(adj))
+    return tuple(adj)
 
 
 def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
@@ -50,7 +41,7 @@ def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
         raise DimensionError(f"state index {state} out of range")
     table = structure.derived("closures", lambda s: [None] * s.num_states)
     if table[state] is None:
-        adj = support_graph(structure).adjacency
+        adj = support_graph(structure)
         seen = {state}
         stack = [state]
         while stack:
@@ -122,7 +113,7 @@ def _condensation(
 ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """Strongly connected components of the support graph and, for each, the
     other components its edges reach in one step."""
-    adj = support_graph(structure).adjacency
+    adj = support_graph(structure)
     sccs = _strongly_connected_components(adj)
     comp_of = [0] * len(adj)
     for k, comp in enumerate(sccs):
@@ -147,64 +138,44 @@ def _minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...
     return tuple(sorted(bottoms, key=lambda c: c[0]))
 
 
-@dataclass(frozen=True)
-class ComponentCatalog:
-    """Minimal components plus lazy access to the full (possibly exponential)
-    family of components, which consists of all successor-closed SCC unions."""
-
-    minimal: tuple[tuple[int, ...], ...]
-    _sccs: tuple[tuple[int, ...], ...]
-    _scc_successors: tuple[tuple[int, ...], ...]
-
-    def iter_all(self) -> Iterator[tuple[int, ...]]:
-        """Yields every component once, in a deterministic enumeration order."""
-        k = len(self._sccs)
-        succ_masks = [0] * k
-        for a, succs in enumerate(self._scc_successors):
-            for b in succs:
-                succ_masks[a] |= 1 << b
-        for mask in range(1, 1 << k):
-            closed = True
-            probe = mask
-            while probe:
-                low = probe & -probe
-                a = low.bit_length() - 1
-                if succ_masks[a] & ~mask:
-                    closed = False
-                    break
-                probe ^= low
-            if closed:
-                members: list[int] = []
-                for a in range(k):
-                    if mask >> a & 1:
-                        members.extend(self._sccs[a])
-                yield tuple(sorted(members))
-
-
-def component_catalog(
+def component_family(
     structure: InformationStructure, max_states: int = 20
-) -> ComponentCatalog:
+) -> tuple[tuple[int, ...], ...]:
+    """Every component once: the successor-closed unions of strongly
+    connected components, possibly exponentially many. Ordered by the bit
+    mask of the SCCs they join (Tarjan's order, sinks early)."""
     if structure.num_states > max_states:
         raise SizeCapError(
             f"{structure.num_states} states exceeds the component enumeration cap {max_states}"
         )
     sccs, successors = _condensation(structure)
-    return ComponentCatalog(
-        minimal_components(structure), tuple(tuple(c) for c in sccs), tuple(successors)
-    )
+    k = len(sccs)
+    succ_masks = [0] * k
+    for a, succs in enumerate(successors):
+        for b in succs:
+            succ_masks[a] |= 1 << b
+    family = []
+    for mask in range(1, 1 << k):
+        if all(not succ_masks[a] & ~mask for a in range(k) if mask >> a & 1):
+            members: list[int] = []
+            for a in range(k):
+                if mask >> a & 1:
+                    members.extend(sccs[a])
+            family.append(tuple(sorted(members)))
+    return tuple(family)
 
 
 def is_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every component (equivalently, on every minimal one)."""
     _check_dist(structure, p)
-    return all(p.mass(comp) > ZERO for comp in minimal_components(structure))
+    return all(any(p[w] for w in comp) for comp in minimal_components(structure))
 
 
 def is_strongly_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every cell of every player."""
     _check_dist(structure, p)
     return all(
-        p.mass(cell) > ZERO
+        any(p[w] for w in cell)
         for i in range(structure.num_players)
         for cell in structure.partitions[i]
     )

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import lp
 from ._rational import format_rational, to_json_value
-from .certainty import component_catalog, minimal_components
+from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
 from .harness import GeneratorConfig, cross_check, random_structure
 from .jsonio import (
@@ -93,7 +93,7 @@ def _cmd_components(args) -> int:
     minimal = minimal_components(structure)
     family = None
     if args.all:
-        family = tuple(component_catalog(structure).iter_all())
+        family = component_family(structure)
     doc = {
         "schema": SCHEMA,
         "minimal": [[structure.states[w] for w in comp] for comp in minimal],

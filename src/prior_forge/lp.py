@@ -282,17 +282,17 @@ def _render_row(coeffs: Sequence, names: Sequence[str]) -> str:
 
 # -- standardization -----------------------------------------------------
 #
-# Internal form: A x' = b with x' >= 0. Finite lower bounds shift, an upper
-# bound without a lower flips the variable, free variables split into a
-# positive and a negative part, and upper bounds of shifted variables become
-# extra <= rows. Row bookkeeping keeps enough structure to translate phase-1
-# duals back into an original-space Farkas certificate.
+# Internal form: A x' = b with x' >= 0. Finite lower bounds shift, variables
+# without one split into a positive and a negative part, and every finite
+# upper bound becomes an extra <= row over the variable's columns. Row
+# bookkeeping keeps enough structure to translate phase-1 duals back into an
+# original-space Farkas certificate.
 
 
 @dataclass
 class _StdForm:
     ncols: int
-    col_kind: list[tuple]         # per std column: ("shift", j) | ("flip", j) | ("pos", j) | ("neg", j)
+    col_kind: list[tuple]         # per std column: ("shift", j) | ("pos", j) | ("neg", j)
     rows: list[dict]              # transformed coefficient rows (sparse), pre-negation
     row_rel: list[str]
     row_rhs: list
@@ -307,8 +307,6 @@ class _StdForm:
             v = xstd[col]
             if tag == "shift":
                 x[j] = lp.lower[j] + v
-            elif tag == "flip":
-                x[j] = lp.upper[j] - v
             elif tag == "pos":
                 x[j] = x[j] + v
             else:
@@ -319,24 +317,15 @@ class _StdForm:
 def _standardize(lp: LinearProgram) -> _StdForm:
     col_kind: list[tuple] = []
     col_of_var: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
-    upper_rows: list[tuple[int, object]] = []     # (var, rhs of x' <= rhs)
     for j in range(lp.num_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            col = len(col_kind)
+        col = len(col_kind)
+        if lp.lower[j] is not None:
             col_kind.append(("shift", j))
             col_of_var.append([(col, 1)])
-            if up is not None:
-                upper_rows.append((j, up - lo))
-        elif up is not None:
-            col = len(col_kind)
-            col_kind.append(("flip", j))
-            col_of_var.append([(col, -1)])
         else:
-            cp = len(col_kind)
             col_kind.append(("pos", j))
             col_kind.append(("neg", j))
-            col_of_var.append([(cp, 1), (cp + 1, -1)])
+            col_of_var.append([(col, 1), (col + 1, -1)])
 
     rows: list[dict] = []
     row_rel: list[str] = []
@@ -348,22 +337,20 @@ def _standardize(lp: LinearProgram) -> _StdForm:
         for j, a in enumerate(con.coeffs):
             if not a:
                 continue
-            lo, up = lp.lower[j], lp.upper[j]
-            if lo is not None:
-                rhs -= a * lo
-            elif up is not None:
-                rhs -= a * up
+            if lp.lower[j]:
+                rhs -= a * lp.lower[j]
             for col, sign in col_of_var[j]:
                 row[col] = a if sign == 1 else -a
         rows.append(row)
         row_rel.append(con.rel)
         row_rhs.append(rhs)
         row_origin.append(("user", k))
-    for j, rhs in upper_rows:
-        col = col_of_var[j][0][0]
-        rows.append({col: ONE})
+    for j, up in enumerate(lp.upper):
+        if up is None:
+            continue
+        rows.append({col: ONE if sign == 1 else -ONE for col, sign in col_of_var[j]})
         row_rel.append(LESS)
-        row_rhs.append(rhs)
+        row_rhs.append(up - lp.lower[j] if lp.lower[j] else up)
         row_origin.append(("upper", j))
 
     raw_costs = lp.objective if not lp.maximize else tuple(-c for c in lp.objective)
@@ -372,11 +359,8 @@ def _standardize(lp: LinearProgram) -> _StdForm:
     for j, c in enumerate(raw_costs):
         if not c:
             continue
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            cost_const += c * lo
-        elif up is not None:
-            cost_const += c * up
+        if lp.lower[j]:
+            cost_const += c * lp.lower[j]
         for col, sign in col_of_var[j]:
             costs[col] = c if sign == 1 else -c
     return _StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs, row_origin, cost_const, costs)
@@ -395,7 +379,7 @@ def _to_ints(row: dict) -> tuple[dict, int]:
     """An exact rational row as int numerators over the lcm of its entries'
     denominators, which is already in lowest terms."""
     den = math.lcm(*(v.denominator for v in row.values()))
-    return {j: int(v.numerator) * (den // v.denominator) for j, v in row.items()}, den
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}, den
 
 
 def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
@@ -627,9 +611,7 @@ def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
             continue
         if lp.lower[j] is not None:
             lowers[j] = -residual
-        elif lp.upper[j] is not None:
-            uppers[j] += -residual
-        # free variables must already cancel; the verifier catches it if not
+        # split variables must already cancel; the verifier catches it if not
     return FarkasCertificate(tuple(mus), tuple(lowers), tuple(uppers))
 
 

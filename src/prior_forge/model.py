@@ -76,6 +76,22 @@ def dot(weights: Sequence, values: Sequence):
     return sum((w * v for w, v in zip(weights, values) if w), ZERO)
 
 
+def expectation_table(
+    structure: InformationStructure, payoffs: tuple[tuple, ...]
+) -> tuple[tuple, ...]:
+    """Per player, per state, the exact conditional expectation of that
+    player's payoff under their type. Constant on cells by construction."""
+    table = []
+    for i, f in enumerate(payoffs):
+        per_cell = [
+            dot(structure.type_of_cell(i, c).probs, f) for c in range(structure.num_cells(i))
+        ]
+        table.append(
+            tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
+        )
+    return tuple(table)
+
+
 def expectation(f: Sequence, d: Distribution):
     """Expected value of payoff vector ``f`` under distribution ``d``."""
     return dot(d.probs, f)
@@ -186,18 +202,6 @@ class InformationStructure:
     def type_at(self, player: int, state: int) -> Distribution:
         return self.cell_types[player][self.cell_of(player, state)]
 
-    def state_index(self, label: str) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise SchemaError(f"unknown state label {label!r}") from None
-
-    def player_index(self, label: str) -> int:
-        try:
-            return self.players.index(label)
-        except ValueError:
-            raise SchemaError(f"unknown player label {label!r}") from None
-
     def derived(self, key: str, compute: Callable[["InformationStructure"], T]) -> T:
         """``compute(self)``, evaluated on the first request for ``key`` and
         kept on this instance. The memo belongs to one structure object: it
@@ -242,18 +246,19 @@ def _as_distribution(obj) -> Distribution:
 def forward_closed(structure: InformationStructure, states: Iterable[int]) -> bool:
     """True when every type at a member state keeps its support inside the set.
 
-    This is exactly the common-certainty-component condition; the certainty
-    module layers graph machinery on top of it.
+    A type lives on its own cell, so each (player, cell) that meets the set
+    is checked once, by the support alone. This is exactly the
+    common-certainty-component condition; the certainty module layers graph
+    machinery on top of it.
     """
     inside = frozenset(states)
     if not inside:
         raise EmptySetError("the empty set is never a component")
     if not all(0 <= s < structure.num_states for s in inside):
         raise DimensionError("state index out of range")
-    for s in inside:
-        for i in range(structure.num_players):
-            t = structure.type_at(i, s)
-            if t.mass(inside) != ONE:
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            if not inside.isdisjoint(cell) and not inside.issuperset(w for w in cell if t[w]):
                 return False
     return True
 

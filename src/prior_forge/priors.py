@@ -13,10 +13,12 @@ to be the mass p puts on that type's cell. Hull membership therefore reduces
 to one exact linear identity per state, which also makes the set of common
 priors a polytope in p alone. One program over that polytope is solved per
 structure for what genuinely needs optimization (the strictness margin
-epsilon). It decides the common and the strong prior, and the trade layer
-reads every refuting trade off its outcome: the Farkas certificate when it
-is infeasible, the optimal duals when the margin is zero. The joint
-formulation with explicit hull weights is kept in ``harness`` as an oracle.
+epsilon). It decides the common and the strong prior, and
+``refuting_payoffs`` maps its multipliers to every refuting trade by one
+formula: the Farkas certificate is the infeasible case, the optimal duals
+the zero-margin one. Only this module knows the program's row layout. The
+joint formulation with explicit hull weights is kept in ``harness`` as an
+oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .lp import LinearProgram, LPBuilder, LPOutcome, solve
 from .model import (
     Distribution,
     InformationStructure,
+    expectation_table,
     induced_substructure,
     zero_extend,
 )
@@ -227,10 +230,10 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     linear in p. Feasible iff a common prior exists; optimal epsilon > 0 iff
     a strong one does.
 
-    Row order, which the trade layer relies on when it reads refuting trades
-    off the certificate or the duals: for each player i, the M rows
-    ``p_w - t_i(w) * p(cell_i(w)) = 0``; next ``sum p = 1``; last one row
-    ``p(d) - eps >= 0`` per distinct cell set d (``distinct_cell_sets``)."""
+    Row order, which ``refuting_payoffs`` reads its multipliers by: for
+    each player i, the M rows ``p_w - t_i(w) * p(cell_i(w)) = 0``; next
+    ``sum p = 1``; last one row ``p(d) - eps >= 0`` per distinct cell set d
+    (``distinct_cell_sets``)."""
     b = LPBuilder()
     m = structure.num_states
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
@@ -249,6 +252,44 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     return b.build(maximize=True)
 
 
+def refuting_payoffs(structure: InformationStructure) -> tuple[tuple, ...] | None:
+    """The refuting trade's payoffs, read off the common-prior program's
+    multipliers u (the constructive half of the Samet / Morris separation):
+    the Farkas certificate when the program is infeasible, the optimal duals
+    when the margin is 0, and None when it is positive (a strong prior).
+
+    With u_i player i's rows, u_0 that of ``sum p = 1`` and nu_d <= 0 that
+    of cell set d, set h_i = T_i u_i - u_i - u_0/N + sum |nu_d| 1_d over the
+    d that i owns, T_i the expectation table, and box h into [-1, 1]. On
+    column p_s the row of player i carries (u_i - T_i u_i)(s), so the
+    column's cancellation (certificate) or dual feasibility (duals) gives
+    sum_i h_i <= 0. T_i is idempotent and types live on their cells, so
+    E_i[h_i | c] = -u_0/N + |nu_c| when i owns c, else -u_0/N. Only
+    ``sum p = 1`` has a nonzero rhs and every lower bound is 0, so a
+    certificate's negative rhs is u_0 and h is agreeable; optimal duals have
+    u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
+    acceptable."""
+    outcome = _solve_common(structure)
+    if outcome.status == "infeasible":
+        u = outcome.certificate.constraint_multipliers
+    elif outcome.objective_value == ZERO:
+        u = outcome.duals
+    else:
+        return None
+    m, n = structure.num_states, structure.num_players
+    rows = tuple(u[i * m : (i + 1) * m] for i in range(n))
+    shift = u[n * m] / n
+    h = [
+        [e - v - shift for e, v in zip(te, f)]
+        for te, f in zip(expectation_table(structure, rows), rows)
+    ]
+    for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), u[n * m + 1 :]):
+        for w in cell_set:
+            h[owner][w] -= nu
+    scale = max(abs(v) for hi in h for v in hi)
+    return tuple(tuple(v / scale for v in hi) for hi in h)
+
+
 def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
     """Cell state-sets across players, deduplicated (mass constraints only
     depend on the set of states), each with the first player owning it."""
@@ -261,8 +302,8 @@ def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...],
 
 def _solve_common(structure: InformationStructure) -> LPOutcome:
     """The common prior program's outcome, solved once per structure: the
-    common and the strong finders read it, and the trade finders read all
-    three refuting trades off it."""
+    common and the strong finders read it, and ``refuting_payoffs`` reads
+    every refuting trade off it."""
     return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._rational import format_rational, to_json_value
-from .certainty import component_catalog, minimal_components
+from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, distribution_to_json, structure_to_json
 from .model import Distribution, InformationStructure
@@ -152,7 +152,7 @@ def analyze(
     minimal = minimal_components(structure)
     family = None
     if all_components:
-        family = tuple(component_catalog(structure).iter_all())
+        family = component_family(structure)
     priors = build_prior_report(structure)
     verdict = classify_distribution(structure, dist) if dist is not None else None
     classes = _verify_report(structure, priors, verdict)

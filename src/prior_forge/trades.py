@@ -8,11 +8,11 @@ ever loses in expectation, someone somewhere gains), weakly agreeable
 the synthesizers here are the constructive halves of those dualities: they
 either produce a graded trade or the prior side exists.
 
-No LP is solved here. Every refuting trade is read off the memoized
-common-prior program of ``priors``, the other half of the same separation
-argument: with no common prior, its verified Farkas certificate gives an
-agreeable trade, which also refutes the strong prior; with a common prior
-but a zero optimal margin, its verified optimal duals give an acceptable
+No LP is solved here. Every refuting trade comes from
+``priors.refuting_payoffs``, one map from the memoized common-prior
+program's multipliers, the other half of the same separation argument:
+with no common prior it gives an agreeable trade, which also refutes the
+strong prior; with a common prior but a zero optimal margin, an acceptable
 trade; the weakly agreeable trade comes from the per-component programs
 that decide the universal prior. The trade LPs stay in ``harness`` as
 oracles.
@@ -42,11 +42,11 @@ from .errors import (
     PlayerCountError,
     VerificationError,
 )
-from .lp import FarkasCertificate
 from .model import (
     Distribution,
     InformationStructure,
     dot,
+    expectation_table,
     payoff_vector,
     zero_extend,
 )
@@ -57,11 +57,11 @@ from .priors import (
     _solve_common,
     classify_prior,
     component_substructures,
-    distinct_cell_sets,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
     hull_weights,
+    refuting_payoffs,
 )
 
 PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
@@ -170,22 +170,6 @@ class DistributionVerdict:
     strong: str | None  # set only when p is strongly maximal
 
 
-def expectation_table(
-    structure: InformationStructure, payoffs: tuple[tuple, ...]
-) -> tuple[tuple, ...]:
-    """Per player, per state, the exact conditional expectation of that
-    player's payoff under their type. Constant on cells by construction."""
-    table = []
-    for i, f in enumerate(payoffs):
-        per_cell = [
-            dot(structure.type_of_cell(i, c).probs, f) for c in range(structure.num_cells(i))
-        ]
-        table.append(
-            tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
-        )
-    return tuple(table)
-
-
 def classify_trade(
     structure: InformationStructure, payoffs
 ) -> TradeClassification:
@@ -231,73 +215,31 @@ def classify_trade(
 # -- synthesis ------------------------------------------------------------
 
 
-def certificate_payoffs(
-    structure: InformationStructure, certificate: FarkasCertificate
-) -> tuple[tuple, ...]:
-    """An agreeable trade from a Farkas certificate of the common prior
-    program (the constructive half of the Samet / Morris separation duality).
-
-    With mu_i player i's row multipliers and mu_0 that of ``sum p = 1`` < 0,
-    set h_i = T_i mu_i - mu_i - mu_0/N, T_i the expectation table. Each p_s
-    column cancels against cell and lower-bound multipliers <= 0, so
-    sum_i (mu_i - T_i mu_i)(s) >= -mu_0 and sum_i h_i <= 0; T_i is
-    idempotent, so E_i[h_i | c] = -mu_0/N > 0 on every cell c."""
-    mus = certificate.constraint_multipliers
-    n = structure.num_players
-    return _box(_expectation_gaps(structure, mus), mus[n * structure.num_states] / n)
-
-
-def dual_payoffs(structure: InformationStructure, duals: tuple) -> tuple[tuple, ...]:
-    """An acceptable trade from optimal duals of the common prior program
-    when its margin is 0 (a common prior exists, but no strong one).
-
-    With u_i player i's row duals, u_0 = 0 that of ``sum p = 1`` and
-    nu_d <= 0 that of cell set d, set h_i = T_i u_i - u_i and add |nu_d| on
-    d to d's first owner. Dual feasibility on the p_s columns gives
-    sum_i (T_i u_i - u_i)(s) <= -sum_{d contains s} |nu_d|, so sum_i h_i <= 0;
-    E_i[h_i | c] = |nu_c| if i owns c, else 0, and the eps column gives
-    sum |nu| >= 1, so some expectation is strict."""
-    h = _expectation_gaps(structure, duals)
-    rows = duals[structure.num_players * structure.num_states + 1 :]
-    for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), rows):
-        for w in cell_set:
-            h[owner][w] -= nu
-    return _box(h, ZERO)
-
-
-def _expectation_gaps(structure: InformationStructure, multipliers) -> list[list]:
-    """T_i f_i - f_i per player, f_i the player's M leading row multipliers."""
-    m = structure.num_states
-    rows = tuple(multipliers[i * m : (i + 1) * m] for i in range(structure.num_players))
-    table = expectation_table(structure, rows)
-    return [[e - v for e, v in zip(te, f)] for te, f in zip(table, rows)]
-
-
-def _box(h: list[list], shift) -> tuple[tuple, ...]:
-    """Subtract ``shift`` everywhere and divide by max |h|, so the payoffs
-    fill the [-1, 1] box."""
-    h = [[v - shift for v in hi] for hi in h]
-    scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(v / scale for v in hi) for hi in h)
+def _refutation(structure: InformationStructure) -> Trade | None:
+    """The trade ``priors.refuting_payoffs`` reads off the common-prior
+    program, re-verified: agreeable when the program is infeasible,
+    acceptable otherwise. The finders keep it in the structure's memo."""
+    payoffs = refuting_payoffs(structure)
+    if payoffs is None:
+        return None
+    trade = Trade(payoffs)
+    cls = classify_trade(structure, trade.payoffs)
+    if _solve_common(structure).status == "infeasible":
+        if not cls.agreeable:
+            raise VerificationError("certificate trade is not agreeable")
+    elif not cls.acceptable:
+        raise VerificationError("dual trade is not acceptable")
+    return trade
 
 
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The trade read off the Farkas certificate of the common-prior program,
     or None when that program is feasible. No LP of its own is solved: the
     certificate is the one ``lp.solve`` verified when it decided the common
-    prior. Memoized on the structure: the weakly agreeable and acceptable
-    finders re-ask for it."""
-    return structure.derived("agreeable_trade", _agreeable_from_certificate)
-
-
-def _agreeable_from_certificate(structure: InformationStructure) -> Trade | None:
-    outcome = _solve_common(structure)
-    if outcome.status != "infeasible":
+    prior."""
+    if _solve_common(structure).status != "infeasible":
         return None
-    trade = Trade(certificate_payoffs(structure, outcome.certificate))
-    if not classify_trade(structure, trade.payoffs).agreeable:
-        raise VerificationError("certificate trade is not agreeable")
-    return trade
+    return structure.derived("refutation", _refutation)
 
 
 def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None:
@@ -324,15 +266,7 @@ def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
     """Read off the common-prior program: with no common prior the agreeable
     trade (agreeable implies acceptable); with a positive optimal margin (a
     strong prior) none; with a zero margin the trade its optimal duals give."""
-    outcome = _solve_common(structure)
-    if outcome.status == "infeasible":
-        return find_agreeable_trade(structure)
-    if outcome.objective_value > ZERO:
-        return None
-    trade = Trade(dual_payoffs(structure, outcome.duals))
-    if not classify_trade(structure, trade.payoffs).acceptable:
-        raise VerificationError("dual trade is not acceptable")
-    return trade
+    return structure.derived("refutation", _refutation)
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:

@@ -17,7 +17,7 @@ from prior_forge import (
     classify_distribution,
     classify_prior,
     classify_trade,
-    component_catalog,
+    component_family,
     enumerate_basic_solutions,
     find_acceptable_trade,
     find_agreeable_trade,
@@ -92,7 +92,7 @@ def test_criterion_2_intro_classification(intro):
 
 def test_criterion_3_component_family_and_graded_priors(ex_pl1):
     assert minimal_components(ex_pl1) == ((0,), (3,))
-    family = set(component_catalog(ex_pl1).iter_all())
+    family = set(component_family(ex_pl1))
     assert family == {(0,), (3,), (0, 3), (0, 1, 2, 3)}
 
     assert find_common_prior(ex_pl1) is not None

@@ -4,8 +4,8 @@ from prior_forge import (
     Distribution,
     EmptySetError,
     SizeCapError,
-    component_catalog,
     closure,
+    component_family,
     forward_closed,
     is_commonly_certain,
     is_maximal,
@@ -18,7 +18,7 @@ from prior_forge import (
 
 
 def test_support_graph_union_of_supports(ex_pl1):
-    adj = support_graph(ex_pl1).adjacency
+    adj = support_graph(ex_pl1)
     # At w2 Anne's side looks at {w2,w3} while the other player points back at w1.
     assert adj[0] == (0,)
     assert adj[1] == (0, 1, 2)
@@ -27,7 +27,7 @@ def test_support_graph_union_of_supports(ex_pl1):
 
 def test_components_of_ex_pl1(ex_pl1):
     assert minimal_components(ex_pl1) == ((0,), (3,))
-    family = set(component_catalog(ex_pl1).iter_all())
+    family = set(component_family(ex_pl1))
     assert family == {(0,), (3,), (0, 3), (0, 1, 2, 3)}
 
 
@@ -60,10 +60,10 @@ def test_maximality_flags(ex_pl1):
     assert is_strongly_maximal(ex_pl1, u)
 
 
-def test_component_catalog_cap():
+def test_component_family_cap():
     s = make_structure(["a", "b"], ["P1"], [[[0], [1]]], [[(1, 0), (0, 1)]])
     with pytest.raises(SizeCapError):
-        component_catalog(s, max_states=1)
+        component_family(s, max_states=1)
 
 
 def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4):

@@ -57,6 +57,29 @@ def test_free_variable():
     assert out.primal == (rational(-5),)
 
 
+def test_upper_bound_without_lower():
+    # max x + y, x <= 3 (no lower bound), y >= 0, x + y <= 5, x >= -2.
+    b = LPBuilder()
+    x = b.add_var("x", upper=3, objective=1)
+    y = b.add_var("y", lower=0, objective=1)
+    b.add_constraint({x: 1, y: 1}, "<=", 5)
+    b.add_constraint({x: 1}, ">=", -2)
+    lp = b.build(maximize=True)
+    out = solve(lp)
+    assert out.status == "optimal"
+    assert out.primal == (rational(3), rational(2))
+    assert out.objective_value == 5
+    # x <= 3 and x >= 4: the certificate uses the upper bound of a variable
+    # that has no lower one.
+    b = LPBuilder()
+    x = b.add_var("x", upper=3)
+    b.add_constraint({x: 1}, ">=", 4)
+    lp = b.build(maximize=False)
+    out = solve(lp)
+    assert out.status == "infeasible"
+    assert farkas_violations(lp, out.certificate) == []
+
+
 def test_equality_rows():
     b = LPBuilder()
     x = b.add_var("x", lower=0)

@@ -1,11 +1,13 @@
 """Trades, semi-trades, money pumps, and the prior/trade dualities."""
 
+import hashlib
 import json
 
 import pytest
 
 from prior_forge import (
     Distribution,
+    GeneratorConfig,
     InconsistencyError,
     MoneyPumpWitness,
     SemiTrade,
@@ -23,11 +25,13 @@ from prior_forge import (
     find_strong_common_prior,
     find_universal_common_prior,
     find_weakly_agreeable_trade,
+    format_rational,
     is_disintegrable,
     make_structure,
     parse_structure,
     point_mass,
     pump_kind,
+    random_structure,
     rational,
     solve,
     uniform,
@@ -195,6 +199,29 @@ def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbe
                 assert max(abs(v) for f in trade.payoffs for v in f) == 1
                 refuted += 1
     assert refuted >= 2  # ex_pl2, and pl4's component {w3, w4}
+
+
+# sha256 over the common, universal and strong refutations below, as
+# ``format_rational`` strings; any change of a refuting trade's bytes shows.
+PINNED_REFUTATIONS = "01a92cd2c3eb54d9570f522bf3074a6b78c4302f73c55b8e038c73beeac68ac7"
+
+
+def test_refuting_trades_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    digest = hashlib.sha256()
+    for s in structures:
+        report = build_prior_report(s)
+        for trade in (
+            report.common_refutation,
+            report.universal_refutation,
+            report.strong_refutation,
+        ):
+            text = "-" if trade is None else "|".join(
+                ",".join(format_rational(v) for v in f) for f in trade.payoffs
+            )
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_REFUTATIONS
 
 
 # -- money pumps -------------------------------------------------------------
