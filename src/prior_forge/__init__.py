@@ -66,7 +66,6 @@ from .lp import (
 from .model import (
     Distribution,
     InformationStructure,
-    expectation,
     expectation_table,
     forward_closed,
     induced_substructure,

@@ -143,25 +143,25 @@ def component_family(
 ) -> tuple[tuple[int, ...], ...]:
     """Every component once: the successor-closed unions of strongly
     connected components, possibly exponentially many. Ordered by the bit
-    mask of the SCCs they join (Tarjan's order, sinks early)."""
+    mask of the SCCs they join (Tarjan's order, sinks early).
+
+    Tarjan emits each SCC after every SCC it reaches, so the closed masks
+    over SCCs 0..a are those over 0..a-1, followed by those of them that
+    contain all of a's successors with a added: each closed mask is built
+    once, in increasing order, with no scan of the 2^k subsets."""
     if structure.num_states > max_states:
         raise SizeCapError(
             f"{structure.num_states} states exceeds the component enumeration cap {max_states}"
         )
     sccs, successors = _condensation(structure)
-    k = len(sccs)
-    succ_masks = [0] * k
+    closed = [0]
     for a, succs in enumerate(successors):
-        for b in succs:
-            succ_masks[a] |= 1 << b
+        need = sum(1 << b for b in succs)
+        closed += [m | 1 << a for m in closed if not need & ~m]
     family = []
-    for mask in range(1, 1 << k):
-        if all(not succ_masks[a] & ~mask for a in range(k) if mask >> a & 1):
-            members: list[int] = []
-            for a in range(k):
-                if mask >> a & 1:
-                    members.extend(sccs[a])
-            family.append(tuple(sorted(members)))
+    for mask in closed[1:]:
+        members = [w for a, comp in enumerate(sccs) if mask >> a & 1 for w in comp]
+        family.append(tuple(sorted(members)))
     return tuple(family)
 
 

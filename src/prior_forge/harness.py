@@ -25,8 +25,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterator
 
 from ._rational import ONE, ZERO, rational
 from .certainty import (
@@ -36,7 +38,7 @@ from .certainty import (
     is_strongly_maximal,
     minimal_components,
 )
-from .errors import PriorForgeError, VerificationError
+from .errors import InputError, PriorForgeError, VerificationError
 from .lp import (
     LinearProgram,
     LPBuilder,
@@ -93,10 +95,10 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         if self.max_states < 1 or self.max_players < 1 or self.denominator_bound < 1:
-            raise PriorForgeError("generator sizes must be positive")
+            raise InputError("generator sizes must be positive")
         zr = rational(self.zero_mass_rate)
         if zr < ZERO or zr > ONE:
-            raise PriorForgeError("zero_mass_rate must lie in [0,1]")
+            raise InputError("zero_mass_rate must lie in [0,1]")
         object.__setattr__(self, "zero_mass_rate", zr)
 
 
@@ -254,23 +256,16 @@ class _Recorder:
         if not ok:
             self.failures.append(CheckFailure(name, details))
 
-    def guard(self, name: str):
-        """Context manager converting internal verification crashes into
-        recorded failures rather than aborting the battery."""
-        rec = self
-
-        class _Guard:
-            def __enter__(self) -> None:
-                return None
-
-            def __exit__(self, exc_type, exc, tb) -> bool:
-                rec.count += 1
-                if exc is not None and isinstance(exc, PriorForgeError):
-                    rec.failures.append(CheckFailure(name, f"raised {exc!r}"))
-                    return True
-                return False
-
-        return _Guard()
+    @contextmanager
+    def guard(self, name: str) -> Iterator[None]:
+        """Count one check; a ``PriorForgeError`` raised inside is recorded as
+        its failure rather than aborting the battery."""
+        try:
+            yield
+        except PriorForgeError as exc:
+            self.failures.append(CheckFailure(name, f"raised {exc!r}"))
+        finally:
+            self.count += 1
 
 
 def _event_set(table, relation) -> tuple[int, ...]:

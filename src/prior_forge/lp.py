@@ -1,13 +1,17 @@
 """Exact linear programming over rationals.
 
 Two-phase primal simplex with Bland's anti-cycling rule. Every coefficient is
-an exact rational; there is no tolerance anywhere. The tableau is
-fraction-free (Edmonds 1967, Bareiss 1968): each row is a sparse dict of
-integer numerators over one positive row denominator, kept in lowest terms,
-so a pivot costs integer multiplications and one gcd per changed row instead
-of a normalized rational per entry. Pivots follow the same rule on the same
-exact values, so bases, points, certificates and duals are those of a
-rational tableau; rationals are built only where results are read off.
+an exact rational; there is no tolerance anywhere. A constraint is a sparse
+row, a map from variable index to nonzero coefficient, in one form from
+``LPBuilder.add_constraint`` through standardization, the verifiers and the
+dump to the tableau; only the objective is a dense tuple, and it fixes the
+number of variables. The tableau is fraction-free (Edmonds 1967, Bareiss
+1968): each row is a sparse dict of integer numerators over one positive row
+denominator, kept in lowest terms, so a pivot costs integer multiplications
+and one gcd per changed row instead of a normalized rational per entry.
+Pivots follow the same rule on the same exact values, so bases, points,
+certificates and duals are those of a rational tableau; rationals are built
+only where results are read off.
 Outcomes are verified before they are returned: optimal points are
 re-substituted into every constraint and bound, and infeasibility comes with
 a Farkas certificate whose contradiction is re-multiplied from scratch. A
@@ -32,7 +36,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from ._rational import ONE, ZERO, Rational, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
@@ -59,14 +63,18 @@ def dumping(stream: IO[str] | None) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple
+    """The row ``sum_j coeffs[j] * x_j  rel  rhs``. ``coeffs`` maps variable
+    indices to nonzero rationals; zero coefficients are dropped here."""
+
+    coeffs: dict
     rel: str
     rhs: object
 
     def __post_init__(self) -> None:
         if self.rel not in (LESS, EQUAL, GREATER):
             raise DimensionError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(rational(c) for c in self.coeffs))
+        coeffs = {j: q for j, c in self.coeffs.items() if (q := rational(c))}
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rhs", rational(self.rhs))
 
 
@@ -92,8 +100,8 @@ class LinearProgram:
             self, "upper", tuple(None if b is None else rational(b) for b in self.upper)
         )
         for con in self.constraints:
-            if len(con.coeffs) != n:
-                raise DimensionError("constraint width does not match variable count")
+            if not all(0 <= j < n for j in con.coeffs):
+                raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
 
     @property
     def num_vars(self) -> int:
@@ -108,7 +116,7 @@ class LPBuilder:
         self._lower: list = []
         self._upper: list = []
         self._objective: list = []
-        self._rows: list[tuple[dict, str, object]] = []
+        self._rows: list[Constraint] = []
 
     def add_var(self, name: str, lower=None, upper=None, objective=0) -> int:
         self._names.append(name)
@@ -118,32 +126,17 @@ class LPBuilder:
         return len(self._names) - 1
 
     def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
-        if rel not in (LESS, EQUAL, GREATER):
-            raise DimensionError(f"unknown relation {rel!r}")
-        self._rows.append((dict(coeffs), rel, rhs))
+        self._rows.append(Constraint(coeffs, rel, rhs))
 
     def add_objective(self, var: int, coeff) -> None:
         """Accumulate into a variable's objective coefficient."""
         self._objective[var] = rational(self._objective[var]) + rational(coeff)
 
     def build(self, maximize: bool) -> LinearProgram:
-        n = len(self._names)
-        constraints = []
-        for coeffs, rel, rhs in self._rows:
-            dense = [ZERO] * n
-            for j, c in coeffs.items():
-                dense[j] = rational(c)
-            # Values are already exact here; skip __post_init__'s per-entry
-            # re-coercion of the dense row.
-            con = object.__new__(Constraint)
-            object.__setattr__(con, "coeffs", tuple(dense))
-            object.__setattr__(con, "rel", rel)
-            object.__setattr__(con, "rhs", rational(rhs))
-            constraints.append(con)
         return LinearProgram(
             tuple(self._objective),
             maximize,
-            tuple(constraints),
+            tuple(self._rows),
             tuple(self._lower),
             tuple(self._upper),
             tuple(self._names),
@@ -188,7 +181,7 @@ def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
     if len(x) != lp.num_vars:
         return [f"point has {len(x)} coordinates, expected {lp.num_vars}"]
     for k, con in enumerate(lp.constraints):
-        lhs = dot(con.coeffs, x)
+        lhs = sum((a * x[j] for j, a in con.coeffs.items()), ZERO)
         ok = lhs <= con.rhs if con.rel == LESS else lhs >= con.rhs if con.rel == GREATER else lhs == con.rhs
         if not ok:
             bad.append(f"constraint {k}: {format_rational(lhs)} {con.rel} {format_rational(con.rhs)} fails")
@@ -201,16 +194,15 @@ def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
 
 
 def _combine(lp: LinearProgram, mus: Sequence) -> tuple[list, object]:
-    """sum_k mus[k] * row_k over nonzero multipliers and nonzero coefficients:
-    the combined coefficient of each variable, and the combined rhs."""
+    """sum_k mus[k] * row_k over nonzero multipliers: the combined
+    coefficient of each variable, and the combined rhs."""
     coeffs = [ZERO] * lp.num_vars
     rhs = ZERO
     for mu, con in zip(mus, lp.constraints):
         if not mu:
             continue
-        for j, a in enumerate(con.coeffs):
-            if a:
-                coeffs[j] += mu * a
+        for j, a in con.coeffs.items():
+            coeffs[j] += mu * a
         if con.rhs:
             rhs += mu * con.rhs
     return coeffs, rhs
@@ -253,10 +245,12 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
 def render_lp(lp: LinearProgram) -> str:
     """Plain-text rendering (used by the CLI --dump-lp debug flag)."""
     out = ["maximize" if lp.maximize else "minimize"]
-    out.append("  " + _render_row(lp.objective, lp.names))
+    objective = ((j, c) for j, c in enumerate(lp.objective) if c)
+    out.append("  " + _render_row(objective, lp.names))
     out.append("subject to")
     for con in lp.constraints:
-        out.append(f"  {_render_row(con.coeffs, lp.names)} {con.rel} {format_rational(con.rhs)}")
+        row = _render_row(sorted(con.coeffs.items()), lp.names)
+        out.append(f"  {row} {con.rel} {format_rational(con.rhs)}")
     bounds = []
     for j in range(lp.num_vars):
         lo, up = lp.lower[j], lp.upper[j]
@@ -271,13 +265,9 @@ def render_lp(lp: LinearProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_row(coeffs: Sequence, names: Sequence[str]) -> str:
-    terms = [
-        f"{format_rational(c)}*{names[j]}"
-        for j, c in enumerate(coeffs)
-        if c != ZERO
-    ]
-    return " + ".join(terms) if terms else "0"
+def _render_row(terms: Iterable[tuple[int, Rational]], names: Sequence[str]) -> str:
+    """``terms``: (variable index, nonzero coefficient) pairs, in index order."""
+    return " + ".join(f"{format_rational(c)}*{names[j]}" for j, c in terms) or "0"
 
 
 # -- standardization -----------------------------------------------------
@@ -334,9 +324,7 @@ def _standardize(lp: LinearProgram) -> _StdForm:
     for k, con in enumerate(lp.constraints):
         row: dict = {}
         rhs = con.rhs
-        for j, a in enumerate(con.coeffs):
-            if not a:
-                continue
+        for j, a in con.coeffs.items():
             if lp.lower[j]:
                 rhs -= a * lp.lower[j]
             for col, sign in col_of_var[j]:

@@ -92,11 +92,6 @@ def expectation_table(
     return tuple(table)
 
 
-def expectation(f: Sequence, d: Distribution):
-    """Expected value of payoff vector ``f`` under distribution ``d``."""
-    return dot(d.probs, f)
-
-
 def uniform(size: int) -> Distribution:
     if size <= 0:
         raise EmptySetError("cannot build a distribution over no states")

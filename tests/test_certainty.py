@@ -3,6 +3,7 @@ import pytest
 from prior_forge import (
     Distribution,
     EmptySetError,
+    GeneratorConfig,
     SizeCapError,
     closure,
     component_family,
@@ -12,9 +13,11 @@ from prior_forge import (
     is_strongly_maximal,
     make_structure,
     minimal_components,
+    random_structure,
     support_graph,
     uniform,
 )
+from prior_forge.certainty import _condensation
 
 
 def test_support_graph_union_of_supports(ex_pl1):
@@ -64,6 +67,31 @@ def test_component_family_cap():
     s = make_structure(["a", "b"], ["P1"], [[[0], [1]]], [[(1, 0), (0, 1)]])
     with pytest.raises(SizeCapError):
         component_family(s, max_states=1)
+
+
+def _component_family_by_mask_scan(structure):
+    """Oracle: every nonempty SCC mask in increasing order, kept when no SCC
+    in it has a successor outside it."""
+    sccs, successors = _condensation(structure)
+    k = len(sccs)
+    succ_masks = [sum(1 << b for b in succs) for succs in successors]
+    family = []
+    for mask in range(1, 1 << k):
+        if all(not succ_masks[a] & ~mask for a in range(k) if mask >> a & 1):
+            members = [w for a in range(k) if mask >> a & 1 for w in sccs[a]]
+            family.append(tuple(sorted(members)))
+    return tuple(family)
+
+
+def test_component_family_matches_mask_scan(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(2000)]
+    structures += [
+        random_structure(GeneratorConfig(seed=k, max_states=12, max_players=4))
+        for k in range(300)
+    ]
+    for s in structures:
+        assert component_family(s) == _component_family_by_mask_scan(s)
 
 
 def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4):

@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from prior_forge import SCHEMA, dumps_canonical, lp
+from prior_forge import SCHEMA, DimensionError, dumps_canonical, lp
 from prior_forge.cli import main
 
 
@@ -232,6 +233,12 @@ def test_fuzz_bad_range(run):
     assert "a..b" in err
 
 
+def test_fuzz_bad_size_is_input_error(run):
+    code, _, err = run("fuzz", "--seeds", "0..1", "--max-states", "0")
+    assert code == 2
+    assert "generator sizes must be positive" in err
+
+
 # -- plumbing --------------------------------------------------------------------
 
 
@@ -252,6 +259,35 @@ def test_dump_lp_flag(run, tmp_path, capsys):
     builder.add_var("x", lower=0, upper=1, objective=1)
     lp.solve(builder.build(maximize=True))
     assert capsys.readouterr().err == ""
+
+
+# sha256 over the --dump-lp stderr of the common-prior and acceptable-trade
+# invocations on every fixture: the rendering of each program solved, term
+# order and hidden zeros included, and its outcome line.
+PINNED_DUMP = "746cf9dbc63a8a77c8dad0331447a72d91bdb85baa97c9ad1781c5c7066887d4"
+
+
+def test_dump_lp_bytes_are_pinned(run, spath):
+    digest = hashlib.sha256()
+    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        for command in (("prior", "--kind", "common"), ("trade", "--kind", "acceptable")):
+            _, _, err = run("--dump-lp", *command, spath(name))
+            digest.update(err.encode())
+    assert digest.hexdigest() == PINNED_DUMP
+
+
+def test_constraint_rows_are_sparse_and_in_range():
+    builder = lp.LPBuilder()
+    x = builder.add_var("x", lower=0)
+    y = builder.add_var("y", lower=0)
+    builder.add_constraint({y: 1, x: 0}, "<=", 1)
+    program = builder.build(maximize=True)
+    assert program.constraints[0].coeffs == {y: 1}
+    assert lp.render_lp(program).splitlines()[3] == "  1*y <= 1"
+    with pytest.raises(DimensionError):
+        lp.LinearProgram(
+            (0, 0), True, (lp.Constraint({2: 1}, "<=", 1),), (0, 0), (None, None), ("x", "y")
+        )
 
 
 def test_usage_error_exits_two():

@@ -223,7 +223,7 @@ def _assert_optimal_duals(lp, out):
     for con, uk in zip(lp.constraints, u):
         assert not (con.rel == ">=" and uk > 0) and not (con.rel == "<=" and uk < 0)
     for j in range(lp.num_vars):
-        column = sum((uk * con.coeffs[j] for con, uk in zip(lp.constraints, u)), ZERO)
+        column = sum((uk * con.coeffs.get(j, ZERO) for con, uk in zip(lp.constraints, u)), ZERO)
         assert column >= lp.objective[j]
     assert sum((uk * con.rhs for con, uk in zip(lp.constraints, u)), ZERO) == out.objective_value
 

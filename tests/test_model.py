@@ -17,7 +17,7 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.errors import NotAComponentError
-from prior_forge.model import dot, expectation, zero_extend
+from prior_forge.model import dot, zero_extend
 
 
 def restrict_distribution(d, subset):
@@ -62,7 +62,6 @@ def test_payoff_vector_length_checked():
 def test_dot_and_expectation():
     d = Distribution(("1/4", "3/4"))
     assert dot((4, 8), d) == 7
-    assert expectation((4, 8), d) == 7
     with pytest.raises(DimensionError):
         dot((1,), d)
 
