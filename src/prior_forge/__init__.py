@@ -71,7 +71,6 @@ from .model import (
     induced_substructure,
     make_structure,
     payoff_vector,
-    point_mass,
     single_player_view,
     uniform,
 )
@@ -87,7 +86,6 @@ from .priors import (
     hull_weights,
     is_conglomerable,
     is_disintegrable,
-    single_player_prior,
 )
 from .report import AnalysisReport, analyze
 from .trades import (

@@ -15,6 +15,8 @@ from typing import Iterable
 from .errors import DimensionError, EmptySetError, SizeCapError
 from .model import Distribution, InformationStructure
 
+COMPONENT_CAP = 20  # component_family refuses structures beyond this many states
+
 
 def support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
     """Per-state successor lists (sorted, deduplicated). Memoized on the
@@ -138,9 +140,7 @@ def _minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...
     return tuple(sorted(bottoms, key=lambda c: c[0]))
 
 
-def component_family(
-    structure: InformationStructure, max_states: int = 20
-) -> tuple[tuple[int, ...], ...]:
+def component_family(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
     """Every component once: the successor-closed unions of strongly
     connected components, possibly exponentially many. Ordered by the bit
     mask of the SCCs they join (Tarjan's order, sinks early).
@@ -149,9 +149,9 @@ def component_family(
     over SCCs 0..a are those over 0..a-1, followed by those of them that
     contain all of a's successors with a added: each closed mask is built
     once, in increasing order, with no scan of the 2^k subsets."""
-    if structure.num_states > max_states:
+    if structure.num_states > COMPONENT_CAP:
         raise SizeCapError(
-            f"{structure.num_states} states exceeds the component enumeration cap {max_states}"
+            f"{structure.num_states} states exceeds the component enumeration cap {COMPONENT_CAP}"
         )
     sccs, successors = _condensation(structure)
     closed = [0]

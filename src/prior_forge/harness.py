@@ -15,9 +15,9 @@ program in ``oracle_battery``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
-compositions with bounded denominators; supports are thinned at a
-configurable rate so sparse structures (rich component geometry) appear
-often.
+compositions with bounded denominators; supports are thinned, each state
+dropped with probability ``ZERO_MASS_RATE``, so sparse structures (rich
+component geometry) appear often.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._rational import ONE, ZERO, rational
 from .certainty import (
@@ -78,6 +78,7 @@ from .trades import (
 )
 
 REJECTION_CAP = 1000
+ZERO_MASS_RATE = rational("1/4")
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,10 @@ class GeneratorConfig:
     max_states: int = 6
     max_players: int = 3
     denominator_bound: int = 6
-    zero_mass_rate: object = rational("1/4")
 
     def __post_init__(self) -> None:
         if self.max_states < 1 or self.max_players < 1 or self.denominator_bound < 1:
             raise InputError("generator sizes must be positive")
-        zr = rational(self.zero_mass_rate)
-        if zr < ZERO or zr > ONE:
-            raise InputError("zero_mass_rate must lie in [0,1]")
-        object.__setattr__(self, "zero_mass_rate", zr)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +126,8 @@ def _sample_set_partition(items: list[int], rng: random.Random) -> list[list[int
     return [block, *_sample_set_partition(remaining, rng)]
 
 
-def _drop(rng: random.Random, rate) -> bool:
-    if rate == ZERO:
-        return False
-    return rng.randrange(rate.denominator) < rate.numerator
+def _drop(rng: random.Random) -> bool:
+    return rng.randrange(ZERO_MASS_RATE.denominator) < ZERO_MASS_RATE.numerator
 
 
 def _positive_composition(total: int, parts: int, rng: random.Random) -> list[int]:
@@ -145,18 +139,20 @@ def _positive_composition(total: int, parts: int, rng: random.Random) -> list[in
     return [edges[k + 1] - edges[k] for k in range(parts)]
 
 
-def _random_type(cell: tuple[int, ...], size: int, cfg: GeneratorConfig, rng: random.Random) -> list:
-    support = [s for s in cell if not _drop(rng, cfg.zero_mass_rate)]
+def _random_masses(states: Sequence[int], size: int, cfg: GeneratorConfig, rng: random.Random) -> list:
+    """Masses over ``size`` states summing to 1 on a thinned, never empty,
+    subset of ``states``: a uniform composition of a random denominator."""
+    support = [s for s in states if not _drop(rng)]
     if not support:
-        support = [cell[rng.randrange(len(cell))]]
+        support = [states[rng.randrange(len(states))]]
     k = len(support)
     d = rng.randint(k, max(cfg.denominator_bound, k))
     parts = _positive_composition(d, k, rng)
-    dist = [ZERO] * size
+    masses = [ZERO] * size
     dq = rational(d)
     for s, part in zip(support, parts):
-        dist[s] = rational(part) / dq
-    return dist
+        masses[s] = rational(part) / dq
+    return masses
 
 
 def random_structure(cfg: GeneratorConfig) -> InformationStructure:
@@ -173,7 +169,7 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
         blocks = sorted([sorted(b) for b in blocks])
         partitions.append(blocks)
         cell_types.append(
-            [_random_type(tuple(b), m, cfg, rng) for b in blocks]
+            [_random_masses(b, m, cfg, rng) for b in blocks]
         )
     return make_structure(states, players, partitions, cell_types)
 
@@ -181,28 +177,16 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
 def random_distribution(
     structure: InformationStructure,
     cfg: GeneratorConfig,
-    constraint: str = "any",
-    rng: random.Random | None = None,
+    constraint: str,
+    rng: random.Random,
 ) -> Distribution:
     """Rejection-samples a distribution satisfying the constraint; after the
     attempt cap falls back to a perturbed uniform, which always qualifies."""
     if constraint not in ("any", "maximal", "strongly_maximal"):
         raise PriorForgeError(f"unknown constraint {constraint!r}")
-    if rng is None:
-        rng = random.Random(cfg.seed)
     m = structure.num_states
     for _ in range(REJECTION_CAP):
-        support = [s for s in range(m) if not _drop(rng, cfg.zero_mass_rate)]
-        if not support:
-            support = [rng.randrange(m)]
-        k = len(support)
-        d = rng.randint(k, max(cfg.denominator_bound, k))
-        parts = _positive_composition(d, k, rng)
-        probs = [ZERO] * m
-        dq = rational(d)
-        for s, part in zip(support, parts):
-            probs[s] = rational(part) / dq
-        dist = Distribution(tuple(probs))
+        dist = Distribution(tuple(_random_masses(range(m), m, cfg, rng)))
         if constraint == "any":
             return dist
         if constraint == "maximal" and is_maximal(structure, dist):
@@ -441,7 +425,11 @@ def cross_check(
 ) -> CrossCheckReport:
     """All six exactly-one dualities, the presence chains, the single-player
     theory on each player's view, and the commonly-certain reformulations,
-    on one structure. Deterministic: sampling is seeded by a content digest."""
+    on one structure. Deterministic: sampling is seeded by a content digest.
+    The distribution-level checks run on one maximal, one strongly maximal
+    and max(sample_count, 1) unconstrained samples."""
+    if sample_count < 0:
+        raise InputError(f"sample count must be non-negative, got {sample_count}")
     if cfg is None:
         cfg = GeneratorConfig()
     rec = _Recorder()
@@ -516,7 +504,7 @@ def cross_check(
         (random_distribution(structure, cfg, "maximal", rng), "maximal"),
         (random_distribution(structure, cfg, "strongly_maximal", rng), "strongly_maximal"),
     ]
-    for _ in range(max(0, sample_count - 1)):
+    for _ in range(sample_count - 1):
         samples.append((random_distribution(structure, cfg, "any", rng), "any"))
     sample_pumps = []
     for dist, kind in samples:
@@ -687,18 +675,14 @@ class BatteryReport:
         return not self.failures
 
 
-def run_battery(
-    seeds, cfg: GeneratorConfig | None = None, sample_count: int = 2
-) -> BatteryReport:
-    """cross_check over a seed range; deterministic and mergeable."""
-    if cfg is None:
-        cfg = GeneratorConfig()
+def run_battery(seeds) -> BatteryReport:
+    """cross_check, with its default sampling, over the default generator on
+    a seed range; deterministic and mergeable."""
     checked = 0
     checks = 0
     failures = []
     for seed in seeds:
-        structure = random_structure(replace(cfg, seed=seed))
-        report = cross_check(structure, sample_count, cfg)
+        report = cross_check(random_structure(GeneratorConfig(seed=seed)))
         checked += 1
         checks += report.checks_run
         if not report.passed:
@@ -722,13 +706,13 @@ def pump_piece_program(
     return b.build(maximize=False)
 
 
-def oracle_battery(seeds, cfg: GeneratorConfig | None = None) -> BatteryReport:
+def oracle_battery(seeds) -> BatteryReport:
     """Simplex vs exhaustive basis enumeration on the common-prior program,
     feasibility and strictness-margin objective, exactly; the joint
     formulation vs the projected one; and the closed-form pump piece vs the
-    simplex on its program, per player, for one sampled distribution."""
-    if cfg is None:
-        cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
+    simplex on its program, per player, for one sampled distribution. The
+    structures are small (M <= 4, N <= 2) so that enumeration stays cheap."""
+    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
     checked = 0
     checks = 0
     failures = []

@@ -123,46 +123,26 @@ def parse_structure(doc) -> InformationStructure:
 
     if ("types" in data) == ("state_types" in data):
         raise SchemaError("provide exactly one of 'types' or 'state_types'")
+    per_state = "state_types" in data
+    raw_types = _list_field(data, "state_types" if per_state else "types")
+    if len(raw_types) != len(players):
+        raise SchemaError("need one type table per player")
     cell_types = []
-    if "types" in data:
-        raw_types = _list_field(data, "types")
-        if len(raw_types) != len(players):
-            raise SchemaError("need one type table per player")
-        for i, rows in enumerate(raw_types):
-            if not isinstance(rows, list) or len(rows) != len(partitions[i]):
-                raise SchemaError(
-                    f"player {players[i]!r} needs one type row per cell"
-                )
-            cell_types.append(
-                tuple(
-                    _rational_row(row, m, f"type row for player {players[i]!r}")
-                    for row in rows
-                )
-            )
-    else:
-        raw_types = _list_field(data, "state_types")
-        if len(raw_types) != len(players):
-            raise SchemaError("need one type table per player")
-        for i, rows in enumerate(raw_types):
-            if not isinstance(rows, list) or len(rows) != m:
-                raise SchemaError(
-                    f"player {players[i]!r} needs one state_types row per state"
-                )
-            parsed = [
-                _rational_row(row, m, f"type row for player {players[i]!r}")
-                for row in rows
-            ]
-            per_cell = []
-            for cell in partitions[i]:
-                first = parsed[cell[0]]
-                for w in cell[1:]:
-                    if parsed[w] != first:
-                        raise SchemaError(
-                            f"player {players[i]!r} has differing types inside "
-                            f"cell {[states[w] for w in cell]}"
-                        )
-                per_cell.append(first)
-            cell_types.append(tuple(per_cell))
+    for i, rows in enumerate(raw_types):
+        cells = partitions[i]
+        if not isinstance(rows, list) or len(rows) != (m if per_state else len(cells)):
+            unit = "state_types row per state" if per_state else "type row per cell"
+            raise SchemaError(f"player {players[i]!r} needs one {unit}")
+        parsed = [_rational_row(row, m, f"type row for player {players[i]!r}") for row in rows]
+        if per_state:
+            for cell in cells:
+                if any(parsed[w] != parsed[cell[0]] for w in cell[1:]):
+                    raise SchemaError(
+                        f"player {players[i]!r} has differing types inside "
+                        f"cell {[states[w] for w in cell]}"
+                    )
+            parsed = [parsed[cell[0]] for cell in cells]
+        cell_types.append(tuple(parsed))
 
     return make_structure(states, players, partitions, cell_types)
 
@@ -186,8 +166,9 @@ def structure_to_json(structure: InformationStructure) -> dict:
     }
 
 
-def parse_distribution(doc, structure: InformationStructure | None = None) -> Distribution:
-    """Accepts ``{"dist": [...]}`` or a bare list of rationals."""
+def parse_distribution(doc, structure: InformationStructure) -> Distribution:
+    """Accepts ``{"dist": [...]}`` or a bare list of rationals, one per state
+    of ``structure``."""
     if isinstance(doc, dict):
         check_schema(doc)
         values = _list_field(doc, "dist")
@@ -196,7 +177,7 @@ def parse_distribution(doc, structure: InformationStructure | None = None) -> Di
     else:
         raise SchemaError("distribution document must be an object or a list")
     masses = tuple(parse_rational_value(v) for v in values)
-    if structure is not None and len(masses) != structure.num_states:
+    if len(masses) != structure.num_states:
         raise DimensionError(
             f"distribution has {len(masses)} entries for {structure.num_states} states"
         )

@@ -45,6 +45,11 @@ from .model import dot
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
 
+# Caps of the basis-enumeration oracle, whose work is combinatorial.
+ORACLE_MAX_VARS = 12
+ORACLE_MAX_CONSTRAINTS = 24
+ORACLE_MAX_BASES = 200_000
+
 # Debug stream that every program solved, and its outcome, is written to;
 # set only inside ``dumping``.
 _DUMP: ContextVar[IO[str] | None] = ContextVar("prior_forge_lp_dump", default=None)
@@ -561,15 +566,14 @@ class _Tableau:
                 x[b] = Rational(n, self.dens[r])
         return x
 
-    def phase1_duals(self) -> list:
-        # y = (phase-1 basic costs) times B^-1; B^-1 columns sit under the
-        # rows' initial identity columns.
-        art_rows = [r for r, b in enumerate(self.basis) if b in self.artificials]
+    def row_duals(self, phase1: bool) -> list:
+        """The multipliers y of the rows as the tableau holds them. The
+        objective row is c - yA and B^-1 sits under the rows' initial
+        identity columns, so y = c - (objective row) there; c is 1 on the
+        artificial columns in phase 1 and 0 on every identity column in
+        phase 2 (a row dropped as redundant held a zero-cost artificial)."""
         return [
-            sum(
-                (Rational(self.rows[r][col], self.dens[r]) for r in art_rows if col in self.rows[r]),
-                ZERO,
-            )
+            (ONE if phase1 and col in self.artificials else ZERO) - self.objective_entry(col)
             for col in self.init_col
         ]
 
@@ -590,7 +594,7 @@ def _row_multipliers(lp: LinearProgram, tab: _Tableau, y: list) -> tuple[list, l
 
 
 def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
-    mus, uppers = _row_multipliers(lp, tab, tab.phase1_duals())
+    mus, uppers = _row_multipliers(lp, tab, tab.row_duals(phase1=True))
     combo, _ = _combine(lp, mus)
     lowers = [ZERO] * lp.num_vars
     for j in range(lp.num_vars):
@@ -632,10 +636,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
-    # The final objective row is c - yA; identity columns cost nothing, so
-    # theirs read -y (rows dropped as redundant held a zero-cost artificial).
-    y = [-tab.objective_entry(col) for col in tab.init_col]
-    duals = tuple(_row_multipliers(lp, tab, y)[0])
+    duals = tuple(_row_multipliers(lp, tab, tab.row_duals(phase1=False))[0])
     _dump_status(dump, f"optimal value={format_rational(value)}")
     return LPOutcome("optimal", x, value, None, duals)
 
@@ -648,12 +649,7 @@ def _dump_status(dump: IO[str] | None, text: str) -> None:
 # -- independent oracle --------------------------------------------------
 
 
-def enumerate_basic_solutions(
-    lp: LinearProgram,
-    max_vars: int = 12,
-    max_constraints: int = 24,
-    max_bases: int = 200_000,
-) -> tuple[tuple, ...]:
+def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
     """All basic feasible solutions of the standardized system, mapped back to
     original variables, deduplicated and sorted.
 
@@ -662,10 +658,12 @@ def enumerate_basic_solutions(
     Gaussian elimination. Raises ``SizeCapError`` when the instance exceeds
     the caps.
     """
-    if lp.num_vars > max_vars:
-        raise SizeCapError(f"{lp.num_vars} variables exceeds oracle cap {max_vars}")
-    if len(lp.constraints) > max_constraints:
-        raise SizeCapError(f"{len(lp.constraints)} constraints exceeds oracle cap {max_constraints}")
+    if lp.num_vars > ORACLE_MAX_VARS:
+        raise SizeCapError(f"{lp.num_vars} variables exceeds oracle cap {ORACLE_MAX_VARS}")
+    if len(lp.constraints) > ORACLE_MAX_CONSTRAINTS:
+        raise SizeCapError(
+            f"{len(lp.constraints)} constraints exceeds oracle cap {ORACLE_MAX_CONSTRAINTS}"
+        )
     std = _standardize(lp)
     # Dense copy of the standardized equality system (slack per inequality).
     ncols = std.ncols
@@ -694,9 +692,9 @@ def enumerate_basic_solutions(
         # No binding equalities: the only basic solution is the origin.
         zero = tuple([ZERO] * ncols)
         return (std.to_original(lp, zero),)
-    if math.comb(ncols, rank) > max_bases:
+    if math.comb(ncols, rank) > ORACLE_MAX_BASES:
         raise SizeCapError(
-            f"C({ncols},{rank}) basis combinations exceed oracle cap {max_bases}"
+            f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"
         )
     seen = set()
     for cols in combinations(range(ncols), rank):

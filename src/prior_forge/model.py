@@ -99,10 +99,6 @@ def uniform(size: int) -> Distribution:
     return Distribution((w,) * size)
 
 
-def point_mass(state: int, size: int) -> Distribution:
-    return Distribution(tuple(ONE if i == state else ZERO for i in range(size)))
-
-
 @dataclass(frozen=True)
 class InformationStructure:
     """States, players, per-player partitions, per-cell types.

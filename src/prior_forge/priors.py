@@ -43,6 +43,7 @@ from .model import (
 )
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
+DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,8 @@ def is_disintegrable(
     return (weights is not None), weights
 
 
-def single_player_prior(structure: InformationStructure, dist: Distribution) -> bool:
-    """A single-player prior is exactly a disintegrable distribution."""
-    return is_disintegrable(structure, dist)[0]
-
-
 def is_conglomerable(
-    structure: InformationStructure,
-    dist: Distribution,
-    max_states: int = EVENT_CAP,
+    structure: InformationStructure, dist: Distribution
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Single-player sandwich property: for every proper non-empty event E,
     min_cell t(E) <= dist(E) <= max_cell t(E). Exhaustive over all 2^M - 2
@@ -166,8 +160,8 @@ def is_conglomerable(
     _check_single_player(structure)
     _check_dimension(structure, dist)
     m = structure.num_states
-    if m > max_states:
-        raise SizeCapError(f"{m} states exceeds the event enumeration cap {max_states}")
+    if m > EVENT_CAP:
+        raise SizeCapError(f"{m} states exceeds the event enumeration cap {EVENT_CAP}")
     cell_dists = structure.cell_types[0]
     p_e = ZERO
     t_e = [ZERO] * len(cell_dists)
@@ -195,19 +189,15 @@ def is_conglomerable(
     return True, None
 
 
-def disintegrable_by_definition(
-    structure: InformationStructure,
-    dist: Distribution,
-    max_states: int = 20,
-) -> bool:
+def disintegrable_by_definition(structure: InformationStructure, dist: Distribution) -> bool:
     """The literal product identity p(E n cell) == t_cell(E) * p(cell) over
     every event and cell. Exponential; exists purely as an independent oracle
     for the closed-form test above."""
     _check_single_player(structure)
     _check_dimension(structure, dist)
     m = structure.num_states
-    if m > max_states:
-        raise SizeCapError(f"{m} states exceeds the event enumeration cap {max_states}")
+    if m > DEFINITION_CAP:
+        raise SizeCapError(f"{m} states exceeds the event enumeration cap {DEFINITION_CAP}")
     cells = [structure.cell_states(0, c) for c in range(structure.num_cells(0))]
     types = [structure.type_of_cell(0, c) for c in range(structure.num_cells(0))]
     cell_mass = [dist.mass(cell) for cell in cells]

@@ -30,7 +30,6 @@ from prior_forge import (
     is_disintegrable,
     minimal_components,
     oracle_battery,
-    point_mass,
     pump_kind,
     rational,
     run_battery,
@@ -47,6 +46,10 @@ def q(text):
 
 def neg(f):
     return tuple(-rational(v) for v in f)
+
+
+def point_mass(state, size):
+    return Distribution(tuple(1 if i == state else 0 for i in range(size)))
 
 
 @pytest.fixture(scope="module")

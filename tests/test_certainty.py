@@ -20,6 +20,16 @@ from prior_forge import (
 from prior_forge.certainty import _condensation
 
 
+def singletons(m):
+    """One player whose cells are the m singleton states."""
+    return make_structure(
+        [f"w{k}" for k in range(m)],
+        ["P1"],
+        [[[w] for w in range(m)]],
+        [[[1 if v == w else 0 for v in range(m)] for w in range(m)]],
+    )
+
+
 def test_support_graph_union_of_supports(ex_pl1):
     adj = support_graph(ex_pl1)
     # At w2 Anne's side looks at {w2,w3} while the other player points back at w1.
@@ -64,9 +74,10 @@ def test_maximality_flags(ex_pl1):
 
 
 def test_component_family_cap():
-    s = make_structure(["a", "b"], ["P1"], [[[0], [1]]], [[(1, 0), (0, 1)]])
-    with pytest.raises(SizeCapError):
-        component_family(s, max_states=1)
+    one_cell = make_structure([f"w{k}" for k in range(20)], ["P1"], [[range(20)]], [[uniform(20)]])
+    assert component_family(one_cell) == (tuple(range(20)),)
+    with pytest.raises(SizeCapError, match="cap 20"):
+        component_family(singletons(21))
 
 
 def _component_family_by_mask_scan(structure):

@@ -239,6 +239,14 @@ def test_fuzz_bad_size_is_input_error(run):
     assert "generator sizes must be positive" in err
 
 
+def test_fuzz_negative_sample_count_is_input_error(run):
+    code, out, err = run("fuzz", "--seeds", "0..1", "--sample-count", "-5")
+    assert code == 2 and out == ""
+    assert "sample count must be non-negative" in err
+    code, _, _ = run("fuzz", "--seeds", "0..1", "--sample-count", "0")
+    assert code == 0
+
+
 # -- plumbing --------------------------------------------------------------------
 
 
@@ -274,6 +282,44 @@ def test_dump_lp_bytes_are_pinned(run, spath):
             _, _, err = run("--dump-lp", *command, spath(name))
             digest.update(err.encode())
     assert digest.hexdigest() == PINNED_DUMP
+
+
+# sha256 over exit code, stdout and stderr of every subcommand on every
+# fixture, in text and in --json: 12 invocations x 6 fixtures x 2 forms.
+PINNED_CLI = "9b70a71098052276af22ad2949a106f9cfc7f6a3d1ff1945b0bfd2004c5c8ad3"
+
+
+def test_cli_bytes_are_pinned(run, spath, tmp_path):
+    uniform_files = {}
+    for states in (3, 4, 5):
+        doc = {"dist": [f"1/{states}"] * states}
+        uniform_files[states] = write_json(tmp_path, f"u{states}.json", doc)
+    digest = hashlib.sha256()
+    runs = 0
+    for name, states in (
+        ("intro", 5), ("pl", 3), ("ex_pl1", 4), ("ex_pl2", 4), ("pl4", 4), ("ex_plbet4", 4)
+    ):
+        s, p = spath(name), uniform_files[states]
+        for command, *args in (
+            ("check",),
+            ("components", "--all"),
+            ("prior", "--kind", "common"),
+            ("prior", "--kind", "universal"),
+            ("prior", "--kind", "strong"),
+            ("prior", "--kind", "common", "--check", p),
+            ("trade", "--kind", "agreeable"),
+            ("trade", "--kind", "weak"),
+            ("trade", "--kind", "acceptable"),
+            ("pump", "--dist", p),
+            ("classify", "--dist", p),
+            ("report", "--all-components", "--dist", p),
+        ):
+            for json_flag in ((), ("--json",)):
+                code, out, err = run(command, *json_flag, *args, s)
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+                runs += 1
+    assert runs == 144
+    assert digest.hexdigest() == PINNED_CLI
 
 
 def test_constraint_rows_are_sparse_and_in_range():

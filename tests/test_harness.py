@@ -31,8 +31,6 @@ def test_config_validation():
         GeneratorConfig(max_states=0)
     with pytest.raises(PriorForgeError):
         GeneratorConfig(max_players=0)
-    with pytest.raises(PriorForgeError):
-        GeneratorConfig(zero_mass_rate=2)
 
 
 def test_structure_generation_deterministic():
@@ -63,7 +61,7 @@ def test_distribution_constraints(ex_pl1):
         d = random_distribution(ex_pl1, cfg, "strongly_maximal", rng)
         assert is_strongly_maximal(ex_pl1, d)
     with pytest.raises(PriorForgeError):
-        random_distribution(ex_pl1, cfg, "nonsense")
+        random_distribution(ex_pl1, cfg, "nonsense", rng)
 
 
 def test_distribution_deterministic(pl4):
@@ -122,6 +120,24 @@ def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypat
     monkeypatch.setattr(harness, "find_acceptable_trade", lambda structure: None)
     report = cross_check(s, minimize=False)
     assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
+
+
+@pytest.mark.parametrize(
+    "seed, states, players", [(9, ("w3", "w4"), ("P2", "P3")), (5, ("w1", "w2"), ("P1", "P2"))]
+)
+def test_failure_minimizer_shrinks_to_a_failing_core(monkeypatch, seed, states, players):
+    # With the agreeable-trade finder broken, every structure without a
+    # common prior fails; the greedy minimizer drops players and states while
+    # the failure persists.
+    monkeypatch.setattr(harness, "find_agreeable_trade", lambda structure: None)
+    structure = random_structure(GeneratorConfig(seed=seed))
+    report = cross_check(structure)
+    assert not report.passed
+    minimized = report.minimized
+    assert (minimized.states, minimized.players) == (states, players)
+    assert minimized.num_states < structure.num_states
+    again = cross_check(minimized, minimize=False)
+    assert not again.passed and again.minimized is None
 
 
 def test_battery_slice():

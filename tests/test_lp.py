@@ -202,7 +202,7 @@ def test_enumerate_caps():
         b.add_var(f"x{j}", lower=0)
     lp = b.build(maximize=False)
     with pytest.raises(SizeCapError):
-        enumerate_basic_solutions(lp, max_vars=12)
+        enumerate_basic_solutions(lp)
 
 
 def test_enumerate_infeasible_is_empty():

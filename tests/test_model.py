@@ -4,6 +4,7 @@ from prior_forge import (
     DimensionError,
     Distribution,
     EmptySetError,
+    InformationStructure,
     PartitionError,
     SchemaError,
     StochasticityError,
@@ -12,7 +13,6 @@ from prior_forge import (
     induced_substructure,
     make_structure,
     payoff_vector,
-    point_mass,
     single_player_view,
     uniform,
 )
@@ -46,8 +46,6 @@ def test_distribution_accepts_strings_and_ints():
 def test_uniform_and_point_mass():
     u = uniform(4)
     assert all(u[i] == u[0] for i in range(4))
-    pm = point_mass(1, 3)
-    assert pm[1] == 1 and pm.support() == (1,)
     with pytest.raises(EmptySetError):
         uniform(0)
 
@@ -102,6 +100,30 @@ def test_partition_must_cover_and_not_overlap():
         make_structure(
             ["w1", "w2"], ["P1"], [[[0, 1], [1]]], [[("1/2", "1/2"), (0, 1)]]
         )
+
+
+@pytest.mark.parametrize(
+    "cells, types, error, message",
+    [
+        (((), (0, 1)), ("a", "ab"), PartitionError, "empty cell"),
+        (((1, 0),), ("ab",), PartitionError, "not sorted"),
+        (((0, 1, 2),), ("ab",), PartitionError, "index 2 out of range"),
+        (((1,), (0,)), ("b", "a"), PartitionError, "not ordered by least state"),
+        (((0,), (1,)), ("a",), DimensionError, "1 types for 2 cells"),
+        (((0, 1),), ("abc",), DimensionError, "type for cell 0 has 3 entries, expected 2"),
+    ],
+)
+def test_direct_construction_rejects_defects(cells, types, error, message):
+    # make_structure sorts cells and their order; built directly, a
+    # structure must still refuse every malformed partition and type table.
+    table = {
+        "a": Distribution((1, 0)),
+        "b": Distribution((0, 1)),
+        "ab": Distribution(("1/2", "1/2")),
+        "abc": Distribution(("1/2", "1/2", 0)),
+    }
+    with pytest.raises(error, match=message):
+        InformationStructure(("a", "b"), ("P",), (cells,), (tuple(table[t] for t in types),))
 
 
 def test_duplicate_labels_rejected():

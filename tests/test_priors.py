@@ -18,8 +18,8 @@ from prior_forge import (
     hull_weights,
     is_conglomerable,
     is_disintegrable,
+    make_structure,
     rational,
-    single_player_prior,
     uniform,
 )
 from prior_forge.priors import common_prior_program
@@ -27,6 +27,16 @@ from prior_forge.priors import common_prior_program
 
 def q(text):
     return rational(text)
+
+
+def singletons(m):
+    """One player whose cells are the m singleton states."""
+    return make_structure(
+        [f"w{k}" for k in range(m)],
+        ["P1"],
+        [[[w] for w in range(m)]],
+        [[[1 if v == w else 0 for v in range(m)] for w in range(m)]],
+    )
 
 
 # -- single player ----------------------------------------------------------
@@ -40,7 +50,6 @@ def test_pl_conglomerable_not_disintegrable(pl):
     assert ok and violating is None
     holds, weights = is_disintegrable(pl, p)
     assert not holds and weights is None
-    assert not single_player_prior(pl, p)
 
 
 def test_pl_disintegrable_point(pl):
@@ -96,12 +105,11 @@ def test_single_player_guard(intro):
         is_conglomerable(intro, p)
 
 
-def test_event_enumeration_cap(pl):
-    p = Distribution((q("1/2"), ZERO, q("1/2")))
-    with pytest.raises(SizeCapError):
-        is_conglomerable(pl, p, max_states=2)
-    with pytest.raises(SizeCapError):
-        disintegrable_by_definition(pl, p, max_states=2)
+def test_event_enumeration_cap():
+    with pytest.raises(SizeCapError, match="cap 24"):
+        is_conglomerable(singletons(25), uniform(25))
+    with pytest.raises(SizeCapError, match="cap 20"):
+        disintegrable_by_definition(singletons(21), uniform(21))
 
 
 # -- hull membership --------------------------------------------------------

@@ -12,6 +12,7 @@ from prior_forge import (
     MoneyPumpWitness,
     SemiTrade,
     Trade,
+    VerificationError,
     ZERO,
     build_prior_report,
     classify_distribution,
@@ -29,7 +30,6 @@ from prior_forge import (
     is_disintegrable,
     make_structure,
     parse_structure,
-    point_mass,
     pump_kind,
     random_structure,
     rational,
@@ -48,6 +48,10 @@ def q(text):
 
 def neg(f):
     return tuple(-rational(v) for v in f)
+
+
+def point_mass(state, size):
+    return Distribution(tuple(1 if i == state else 0 for i in range(size)))
 
 
 # -- payoff containers -------------------------------------------------------
@@ -245,6 +249,35 @@ def test_single_pump_pinned_example(pl):
     manual.verify(pl)
     # The unscaled vector drains ten times as much per round.
     assert dot((rational(-1), rational(9), ZERO), p) == q("-1/10")
+
+
+def test_pump_witness_verify_rejects_defects(pl):
+    p = Distribution((q("1/10"), ZERO, q("9/10")))
+    f = (q("-1/9"), rational(1), ZERO)
+    MoneyPumpWitness(p, SemiTrade((f,)), q("-1/90"), "strong").verify(pl)
+    # p' = (0, 1, 0) misses the cell {w3}, a minimal component: a pump, but
+    # only a plain one.
+    p_plain = Distribution((ZERO, rational(1), ZERO))
+    f_plain = (q("1/9"), rational(-1), ZERO)
+    MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "plain").verify(pl)
+    for witness, message in (
+        (MoneyPumpWitness(p, SemiTrade((f, f)), q("-1/45"), "strong"), "wrong player count"),
+        (MoneyPumpWitness(p, SemiTrade(((0, 0),)), ZERO, "strong"), "wrong state count"),
+        (MoneyPumpWitness(p, SemiTrade(((-1, 0, 0),)), q("-1/10"), "strong"), "player 0 expects"),
+        (MoneyPumpWitness(p, SemiTrade((f,)), q("-1/45"), "strong"), "stored deficit -1/45"),
+        (MoneyPumpWitness(p, SemiTrade(((0, 0, 0),)), ZERO, "strong"), "is not negative"),
+        (MoneyPumpWitness(p, SemiTrade((f,)), q("-1/90"), "huge"), "unknown pump kind"),
+        (
+            MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "universal"),
+            "universal pump with non-maximal",
+        ),
+        (
+            MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "strong"),
+            "strong pump with non-strongly-maximal",
+        ),
+    ):
+        with pytest.raises(VerificationError, match=message):
+            witness.verify(pl)
 
 
 def test_single_pump_absent_for_priors(pl):
