@@ -322,6 +322,37 @@ def test_cli_bytes_are_pinned(run, spath, tmp_path):
     assert digest.hexdigest() == PINNED_CLI
 
 
+# sha256 over exit code, stdout and stderr of the paths PINNED_CLI leaves out,
+# on every fixture, in text and in --json: 7 invocations x 6 fixtures x 2 forms.
+PINNED_CLI_REST = "cf9368abf8abbaf2522eebce09471d7140f0ecde6083eadf1b9ff70f1e6022a4"
+
+
+def test_cli_remaining_paths_are_pinned(run, spath, tmp_path):
+    digest = hashlib.sha256()
+    runs = 0
+    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        s = spath(name)
+        doc = json.loads(open(s).read())
+        states, players = len(doc["states"]), len(doc["players"])
+        p = write_json(tmp_path, f"u{name}.json", {"dist": [f"1/{states}"] * states})
+        f = write_json(tmp_path, f"f{name}.json", {"payoffs": [[0] * states] * players})
+        for command, *args in (
+            ("components",),
+            ("classify", "--trade", f),
+            ("pump", "--require", "maximal", "--dist", p),
+            ("pump", "--require", "strong", "--dist", p),
+            ("prior", "--kind", "universal", "--check", p),
+            ("prior", "--kind", "strong", "--check", p),
+            ("report",),
+        ):
+            for json_flag in ((), ("--json",)):
+                code, out, err = run(command, *json_flag, *args, s)
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+                runs += 1
+    assert runs == 84
+    assert digest.hexdigest() == PINNED_CLI_REST
+
+
 def test_constraint_rows_are_sparse_and_in_range():
     builder = lp.LPBuilder()
     x = builder.add_var("x", lower=0)
