@@ -8,6 +8,10 @@ always a bug in this package, never in the input.
 
 Output is text by default; ``--json`` switches to the canonical JSON
 rendering, which is byte-identical across runs for identical inputs.
+
+Every document and text line of a prior notion, component list, distribution
+verdict or money pump is a rendering piece of ``report``. This module composes
+those pieces; it handles arguments, finder dispatch and exit codes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import sys
 from dataclasses import replace
 
 from . import lp
-from ._rational import format_rational, to_json_value
 from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
 from .harness import GeneratorConfig, cross_check, random_structure
@@ -32,8 +35,10 @@ from .jsonio import (
     structure_to_json,
 )
 from .priors import classify_prior, find_common_prior, find_strong_common_prior, find_universal_common_prior
-from .report import _payoff_lines, _state_set, _vector, _weight_lines, analyze
-from .report import prior_witness_json, pump_json, trade_json
+from .report import analyze, component_lines, components_json, digest_json
+from .report import notion_json, notion_lines, payoff_lines, prior_check_json
+from .report import prior_check_line, pump_json, pump_lines, trade_json
+from .report import verdict_json, verdict_line
 from .trades import (
     classify_distribution,
     classify_trade,
@@ -58,11 +63,12 @@ _DUAL_TRADE = {"common": "agreeable", "universal": "weak", "strong": "acceptable
 _PUMP_GRADES = {"maximal": ("universal", "strong"), "strong": ("strong",)}
 
 
-def _emit(args, doc: dict, text: str) -> None:
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    """Print ``doc`` under the schema tag with ``--json``, else the lines."""
     if args.json:
-        sys.stdout.write(dumps_canonical(doc))
+        sys.stdout.write(dumps_canonical({"schema": SCHEMA, **doc}))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _load_structure(path):
@@ -71,143 +77,75 @@ def _load_structure(path):
 
 def _cmd_check(args) -> int:
     structure = _load_structure(args.structure)
-    doc = {
-        "schema": SCHEMA,
-        "ok": True,
-        "states": structure.num_states,
-        "players": structure.num_players,
-        "partition_sizes": [
-            structure.num_cells(i) for i in range(structure.num_players)
-        ],
-    }
-    text = (
+    line = (
         f"ok: {structure.num_states} states, {structure.num_players} players, "
-        "all type rows are cell-supported distributions\n"
+        "all type rows are cell-supported distributions"
     )
-    _emit(args, doc, text)
+    _emit(args, {"ok": True, **digest_json(structure)}, [line])
     return 0
 
 
 def _cmd_components(args) -> int:
     structure = _load_structure(args.structure)
     minimal = minimal_components(structure)
-    family = None
-    if args.all:
-        family = component_family(structure)
-    doc = {
-        "schema": SCHEMA,
-        "minimal": [[structure.states[w] for w in comp] for comp in minimal],
-        "all": None
-        if family is None
-        else [[structure.states[w] for w in comp] for comp in family],
-    }
-    lines = ["minimal: " + " ".join(_state_set(structure, c) for c in minimal)]
-    if family is not None:
-        lines.append("all: " + " ".join(_state_set(structure, c) for c in family))
-    _emit(args, doc, "\n".join(lines) + "\n")
+    family = component_family(structure) if args.all else None
+    lines = component_lines(structure, minimal, family, "")
+    _emit(args, components_json(structure, minimal, family), lines)
     return 0
 
 
 def _cmd_prior(args) -> int:
     structure = _load_structure(args.structure)
+    kind, dual = args.kind, _DUAL_TRADE[args.kind]
     if args.check is not None:
         dist = parse_distribution(load_path(args.check), structure)
-        cls = classify_prior(structure, dist)
-        holds = {"common": cls.common, "universal": cls.universal, "strong": cls.strong}[
-            args.kind
-        ]
-        doc = {
-            "schema": SCHEMA,
-            "kind": args.kind,
-            "holds": holds,
-            "dist": [to_json_value(v) for v in dist],
-        }
-        word = "is" if holds else "is not"
-        _emit(args, doc, f"p = {_vector(dist)} {word} a {args.kind} prior\n")
+        holds = getattr(classify_prior(structure, dist), kind)
+        line = prior_check_line(kind, dist, holds)
+        _emit(args, prior_check_json(kind, dist, holds), [line])
         return 0 if holds else 3
-
-    witness = _PRIOR_FINDERS[args.kind](structure)
-    if witness is not None:
-        doc = {
-            "schema": SCHEMA,
-            "kind": args.kind,
-            "holds": True,
-            "witness": prior_witness_json(structure, witness),
-            "refutation": None,
-        }
-        lines = [f"{args.kind} prior: present", f"  p = {_vector(witness.prior)}"]
-        lines += _weight_lines(structure, witness.hull_weights, "  ")
-        _emit(args, doc, "\n".join(lines) + "\n")
-        return 0
-    refutation = _TRADE_FINDERS[_DUAL_TRADE[args.kind]](structure)
-    if refutation is None:
-        raise VerificationError(
-            f"no {args.kind} prior and no {_DUAL_TRADE[args.kind]} trade either"
-        )
-    doc = {
-        "schema": SCHEMA,
-        "kind": args.kind,
-        "holds": False,
-        "witness": None,
-        "refutation": trade_json(
-            structure, refutation.payoffs, classify_trade(structure, refutation.payoffs)
-        ),
-    }
-    lines = [f"{args.kind} prior: absent", f"  refuting trade ({_DUAL_TRADE[args.kind]}):"]
-    lines += _payoff_lines(structure, refutation.payoffs, "    ")
-    _emit(args, doc, "\n".join(lines) + "\n")
-    return 3
+    witness = _PRIOR_FINDERS[kind](structure)
+    refutation = cls = None
+    if witness is None:
+        refutation = _TRADE_FINDERS[dual](structure)
+        if refutation is None:
+            raise VerificationError(f"no {kind} prior and no {dual} trade either")
+        cls = classify_trade(structure, refutation.payoffs)
+    doc = {"kind": kind, **notion_json(structure, witness, refutation, cls)}
+    lines = notion_lines(structure, f"{kind} prior", witness, refutation, dual)
+    _emit(args, doc, lines)
+    return 0 if witness is not None else 3
 
 
 def _cmd_trade(args) -> int:
     structure = _load_structure(args.structure)
-    trade = _TRADE_FINDERS[args.kind](structure)
-    if trade is not None:
-        doc = {
-            "schema": SCHEMA,
-            "kind": args.kind,
-            "holds": True,
-            "trade": trade_json(
-                structure, trade.payoffs, classify_trade(structure, trade.payoffs)
-            ),
-        }
-        lines = [f"{args.kind} trade: present"]
-        lines += _payoff_lines(structure, trade.payoffs, "  ")
-        _emit(args, doc, "\n".join(lines) + "\n")
-        return 0
-    doc = {"schema": SCHEMA, "kind": args.kind, "holds": False, "trade": None}
-    _emit(args, doc, f"{args.kind} trade: absent\n")
-    return 3
+    kind = args.kind
+    trade = _TRADE_FINDERS[kind](structure)
+    if trade is None:
+        doc = {"kind": kind, "holds": False, "trade": None}
+        _emit(args, doc, [f"{kind} trade: absent"])
+        return 3
+    cls = classify_trade(structure, trade.payoffs)
+    found = trade_json(structure, trade.payoffs, cls)
+    doc = {"kind": kind, "holds": True, "trade": found}
+    lines = [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")]
+    _emit(args, doc, lines)
+    return 0
 
 
 def _cmd_pump(args) -> int:
     structure = _load_structure(args.structure)
     dist = parse_distribution(load_path(args.dist), structure)
     witness = find_multiplayer_money_pump(structure, dist)
-    required = _PUMP_GRADES[args.require] if args.require else None
     if witness is None:
-        doc = {"schema": SCHEMA, "holds": False, "pump": None}
-        _emit(args, doc, "no pump: p is a common prior\n")
+        _emit(args, {"holds": False, "pump": None}, ["no pump: p is a common prior"])
         return 3
-    if required is not None and witness.kind not in required:
-        doc = {
-            "schema": SCHEMA,
-            "holds": False,
-            "pump": pump_json(structure, witness),
-        }
-        _emit(
-            args,
-            doc,
-            f"pump exists but is only {witness.kind} (required {args.require})\n",
-        )
+    pump = pump_json(structure, witness)
+    if args.require and witness.kind not in _PUMP_GRADES[args.require]:
+        line = f"pump exists but is only {witness.kind} (required {args.require})"
+        _emit(args, {"holds": False, "pump": pump}, [line])
         return 3
-    doc = {"schema": SCHEMA, "holds": True, "pump": pump_json(structure, witness)}
-    lines = [
-        f"money pump: {witness.kind}",
-        f"  deficit = {format_rational(witness.deficit)}",
-        *_payoff_lines(structure, witness.semi_trade.payoffs, "  "),
-    ]
-    _emit(args, doc, "\n".join(lines) + "\n")
+    lines = [f"money pump: {witness.kind}", *pump_lines(structure, witness)]
+    _emit(args, {"holds": True, "pump": pump}, lines)
     return 0
 
 
@@ -216,7 +154,6 @@ def _cmd_classify(args) -> int:
     if args.trade is not None:
         payoffs = parse_payoffs(load_path(args.trade), structure)
         cls = classify_trade(structure, payoffs)
-        doc = {"schema": SCHEMA, "trade": trade_json(structure, payoffs, cls)}
         flags = [
             name
             for name, ok in (
@@ -228,25 +165,12 @@ def _cmd_classify(args) -> int:
             )
             if ok
         ]
-        text = "classification: " + (", ".join(flags) if flags else "none") + "\n"
-        _emit(args, doc, text)
+        line = "classification: " + (", ".join(flags) if flags else "none")
+        _emit(args, {"trade": trade_json(structure, payoffs, cls)}, [line])
         return 0
     dist = parse_distribution(load_path(args.dist), structure)
     verdict = classify_distribution(structure, dist)
-    doc = {
-        "schema": SCHEMA,
-        "base": verdict.base,
-        "universal": verdict.universal,
-        "strong": verdict.strong,
-        "prior_witness": None
-        if verdict.prior_witness is None
-        else prior_witness_json(structure, verdict.prior_witness),
-        "pump_witness": None
-        if verdict.pump_witness is None
-        else pump_json(structure, verdict.pump_witness),
-    }
-    held = [verdict.base] + [x for x in (verdict.universal, verdict.strong) if x]
-    _emit(args, doc, "verdict: " + ", ".join(held) + "\n")
+    _emit(args, verdict_json(structure, verdict), [verdict_line(verdict)])
     return 0
 
 
@@ -294,7 +218,7 @@ def _cmd_report(args) -> int:
     if args.dist is not None:
         dist = parse_distribution(load_path(args.dist), structure)
     rep = analyze(structure, dist, all_components=args.all_components)
-    _emit(args, rep.to_json(), rep.to_text())
+    sys.stdout.write(dumps_canonical(rep.to_json()) if args.json else rep.to_text())
     return 0
 
 

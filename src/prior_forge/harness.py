@@ -222,10 +222,10 @@ class CrossCheckReport:
 def structure_digest(structure: InformationStructure) -> int:
     """Content hash, stable across processes; seeds per-structure sampling."""
     parts = [",".join(structure.states), ",".join(structure.players)]
-    for i in range(structure.num_players):
-        for c in range(structure.num_cells(i)):
-            parts.append("|".join(map(str, structure.cell_states(i, c))))
-            parts.append("|".join(str(q) for q in structure.type_of_cell(i, c)))
+    for cells, types in zip(structure.partitions, structure.cell_types):
+        for cell, t in zip(cells, types):
+            parts.append("|".join(map(str, cell)))
+            parts.append("|".join(str(q) for q in t))
     blob = ";".join(parts).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
@@ -600,8 +600,8 @@ def _delete_player(structure: InformationStructure, player: int) -> InformationS
     return make_structure(
         structure.states,
         [structure.players[i] for i in keep],
-        [[list(structure.cell_states(i, c)) for c in range(structure.num_cells(i))] for i in keep],
-        [[structure.type_of_cell(i, c) for c in range(structure.num_cells(i))] for i in keep],
+        [[list(cell) for cell in structure.partitions[i]] for i in keep],
+        [list(structure.cell_types[i]) for i in keep],
     )
 
 
@@ -615,11 +615,10 @@ def _delete_state(structure: InformationStructure, state: int) -> InformationStr
     for i in range(structure.num_players):
         blocks = []
         types = []
-        for c in range(structure.num_cells(i)):
-            cell = [w for w in structure.cell_states(i, c) if w != state]
+        for old, t in zip(structure.partitions[i], structure.cell_types[i]):
+            cell = [w for w in old if w != state]
             if not cell:
                 continue
-            t = structure.type_of_cell(i, c)
             mass = sum((t[w] for w in cell), ZERO)
             if mass == ZERO:
                 return None  # renormalization impossible; skip this deletion

@@ -29,16 +29,22 @@ def _reject_float(text: str):
 
 
 def loads(text: str):
-    """``json.loads`` with float and NaN/Infinity literals turned into errors."""
+    """``json.loads`` with float and NaN/Infinity literals turned into errors.
+    Syntax errors, nesting past the recursion limit and integer literals past
+    the interpreter's digit limit are all ``SchemaError``s."""
     try:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
 def load_path(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    return loads(text)
 
 
 def dumps_canonical(obj) -> str:
@@ -157,11 +163,8 @@ def structure_to_json(structure: InformationStructure) -> dict:
             for cells in structure.partitions
         ],
         "types": [
-            [
-                [to_json_value(v) for v in structure.type_of_cell(i, c)]
-                for c in range(structure.num_cells(i))
-            ]
-            for i in range(structure.num_players)
+            [[to_json_value(v) for v in t] for t in types]
+            for types in structure.cell_types
         ],
     }
 

@@ -83,9 +83,7 @@ def expectation_table(
     player's payoff under their type. Constant on cells by construction."""
     table = []
     for i, f in enumerate(payoffs):
-        per_cell = [
-            dot(structure.type_of_cell(i, c).probs, f) for c in range(structure.num_cells(i))
-        ]
+        per_cell = [dot(t.probs, f) for t in structure.cell_types[i]]
         table.append(
             tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
         )
@@ -184,12 +182,6 @@ class InformationStructure:
     def num_cells(self, player: int) -> int:
         return len(self.partitions[player])
 
-    def cell_states(self, player: int, cell: int) -> tuple[int, ...]:
-        return self.partitions[player][cell]
-
-    def type_of_cell(self, player: int, cell: int) -> Distribution:
-        return self.cell_types[player][cell]
-
     def type_at(self, player: int, state: int) -> Distribution:
         return self.cell_types[player][self.cell_of(player, state)]
 
@@ -276,11 +268,10 @@ def induced_substructure(
     for i in range(structure.num_players):
         cells_out = []
         types_out = []
-        for c, cell in enumerate(structure.partitions[i]):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
             kept = tuple(reindex[s] for s in cell if s in reindex)
             if not kept:
                 continue
-            t = structure.type_of_cell(i, c)
             cells_out.append(kept)
             types_out.append(Distribution(tuple(t[s] for s in subset)))
         order = sorted(range(len(cells_out)), key=lambda k: cells_out[k][0])

@@ -95,9 +95,9 @@ class PriorReport:
     common_prior: PriorWitness | None
     universal_common_prior: PriorWitness | None
     strong_common_prior: PriorWitness | None
-    common_refutation: object | None = None
-    universal_refutation: object | None = None
-    strong_refutation: object | None = None
+    common_refutation: object | None
+    universal_refutation: object | None
+    strong_refutation: object | None
 
 
 def _check_single_player(structure: InformationStructure) -> None:
@@ -198,8 +198,7 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
     m = structure.num_states
     if m > DEFINITION_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {DEFINITION_CAP}")
-    cells = [structure.cell_states(0, c) for c in range(structure.num_cells(0))]
-    types = [structure.type_of_cell(0, c) for c in range(structure.num_cells(0))]
+    cells, types = structure.partitions[0], structure.cell_types[0]
     cell_mass = [dist.mass(cell) for cell in cells]
     for mask in range(1, 1 << m):
         event = [s for s in range(m) if mask & (1 << s)]

@@ -1,10 +1,15 @@
-"""Whole-structure analysis bundled for humans and machines.
+"""Whole-structure analysis, and the one renderer of the package.
 
 An AnalysisReport pulls every decision the package can make about one
 structure into a single value: size digest, component geometry, the three
 prior notions with witnesses or refuting trades, and optionally the verdict
 on one supplied distribution. Both renderings are deterministic: the same
 input yields byte-identical JSON and identical text.
+
+The renderings are built from module-level pieces, one JSON piece and one
+text piece per kind of result (a prior notion, the component lists, a
+distribution verdict, a money pump). The command line composes the same
+pieces, passing its own label where a subcommand's wording differs.
 
 Every witness is re-verified here, immediately before rendering, even though
 the finders verified it at construction. A report is the artifact that
@@ -34,6 +39,22 @@ from .trades import (
     DistributionVerdict,
 )
 
+# The three prior notions: JSON key, text label, and the flag of the dual
+# trade variant that refutes the notion when it fails. The PriorReport fields
+# are named after them: the label with underscores holds the witness,
+# ``<key>_refutation`` the refuting trade.
+NOTIONS = (
+    ("common", "common prior", "agreeable"),
+    ("universal", "universal common prior", "weakly_agreeable"),
+    ("strong", "strong common prior", "acceptable"),
+)
+
+
+def _notion(priors: PriorReport, key: str, label: str):
+    """The witness and the refutation that ``priors`` holds for one notion."""
+    witness = getattr(priors, label.replace(" ", "_"))
+    return witness, getattr(priors, f"{key}_refutation")
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -48,43 +69,25 @@ class AnalysisReport:
 
     def to_json(self) -> dict:
         s = self.structure
-        doc = {
-            "schema": SCHEMA,
-            "digest": {
-                "states": s.num_states,
-                "players": s.num_players,
-                "partition_sizes": [s.num_cells(i) for i in range(s.num_players)],
-            },
-            "structure": structure_to_json(s),
-            "components": {
-                "minimal": [_states_json(s, comp) for comp in self.minimal],
-                "all": None
-                if self.all_components is None
-                else [_states_json(s, comp) for comp in self.all_components],
-            },
-            "priors": {
-                "common": self._notion_json(
-                    self.priors.common_prior, self.priors.common_refutation
-                ),
-                "universal": self._notion_json(
-                    self.priors.universal_common_prior, self.priors.universal_refutation
-                ),
-                "strong": self._notion_json(
-                    self.priors.strong_common_prior, self.priors.strong_refutation
-                ),
-            },
-            "distribution": _verdict_json(s, self.dist, self.verdict),
-        }
-        return doc
-
-    def _notion_json(self, witness, refutation) -> dict:
-        s = self.structure
+        priors = {}
+        for key, label, _ in NOTIONS:
+            witness, refutation = _notion(self.priors, key, label)
+            cls = self.refutation_classes.get(refutation)
+            priors[key] = notion_json(s, witness, refutation, cls)
+        distribution = None
+        if self.dist is not None and self.verdict is not None:
+            distribution = {
+                "dist": distribution_to_json(self.dist)["dist"],
+                "classification": _classification_json(s, self.verdict),
+                **verdict_json(s, self.verdict),
+            }
         return {
-            "holds": witness is not None,
-            "witness": None if witness is None else prior_witness_json(s, witness),
-            "refutation": None
-            if refutation is None
-            else trade_json(s, refutation.payoffs, self.refutation_classes[refutation]),
+            "schema": SCHEMA,
+            "digest": digest_json(s),
+            "structure": structure_to_json(s),
+            "components": components_json(s, self.minimal, self.all_components),
+            "priors": priors,
+            "distribution": distribution,
         }
 
     def to_text(self) -> str:
@@ -92,52 +95,22 @@ class AnalysisReport:
         lines = [f"structure: {s.num_states} states, {s.num_players} players"]
         lines.append("  states: " + " ".join(s.states))
         for i, name in enumerate(s.players):
-            cells = " ".join(_state_set(s, cell) for cell in s.partitions[i])
-            lines.append(f"  player {name}: cells {cells}")
-            for c in range(s.num_cells(i)):
-                cell = s.partitions[i][c]
-                t = s.type_of_cell(i, c)
+            lines.append(f"  player {name}: cells {_state_sets(s, s.partitions[i])}")
+            for cell, t in zip(s.partitions[i], s.cell_types[i]):
                 lines.append(f"    type on {_state_set(s, cell)}: {_vector(t)}")
-        lines.append(
-            "minimal components: "
-            + " ".join(_state_set(s, comp) for comp in self.minimal)
-        )
-        if self.all_components is not None:
-            lines.append(
-                "all components: "
-                + " ".join(_state_set(s, comp) for comp in self.all_components)
-            )
-        for label, witness, refutation in (
-            ("common prior", self.priors.common_prior, self.priors.common_refutation),
-            (
-                "universal common prior",
-                self.priors.universal_common_prior,
-                self.priors.universal_refutation,
-            ),
-            (
-                "strong common prior",
-                self.priors.strong_common_prior,
-                self.priors.strong_refutation,
-            ),
-        ):
-            if witness is not None:
-                lines.append(f"{label}: present")
-                lines.append(f"  p = {_vector(witness.prior)}")
-                lines += _weight_lines(s, witness.hull_weights, "  ")
-            else:
-                lines.append(f"{label}: absent")
-                if refutation is not None:
-                    grade = _trade_grade(self.refutation_classes[refutation])
-                    lines.append(f"  refuting trade ({grade}):")
-                    lines += _payoff_lines(s, refutation.payoffs, "    ")
+        lines += component_lines(s, self.minimal, self.all_components, " components")
+        for key, label, _ in NOTIONS:
+            witness, refutation = _notion(self.priors, key, label)
+            grade = None
+            if refutation is not None:
+                grade = _trade_grade(self.refutation_classes[refutation])
+            lines += notion_lines(s, label, witness, refutation, grade)
         if self.dist is not None and self.verdict is not None:
             v = self.verdict
             lines.append(f"distribution p = {_vector(self.dist)}")
-            held = [v.base] + [x for x in (v.universal, v.strong) if x]
-            lines.append("  verdict: " + ", ".join(held))
+            lines.append("  " + verdict_line(v))
             if v.pump_witness is not None:
-                lines.append(f"  deficit = {format_rational(v.pump_witness.deficit)}")
-                lines += _payoff_lines(s, v.pump_witness.semi_trade.payoffs, "  ")
+                lines += pump_lines(s, v.pump_witness)
             if v.prior_witness is not None:
                 lines += _weight_lines(s, v.prior_witness.hull_weights, "  ")
         return "\n".join(lines) + "\n"
@@ -165,25 +138,17 @@ def _verify_report(
     """Re-verify every witness and re-grade every refuting trade; one trade
     may refute several notions and is classified once. Returns the
     classification of each distinct refuting trade."""
-    for witness in (
-        priors.common_prior,
-        priors.universal_common_prior,
-        priors.strong_common_prior,
-    ):
+    classes: dict[Trade, TradeClassification] = {}
+    for key, label, flag in NOTIONS:
+        witness, refutation = _notion(priors, key, label)
         if witness is not None:
             witness.verify(s)
-    classes: dict[Trade, TradeClassification] = {}
-    for refutation, grade in (
-        (priors.common_refutation, "agreeable"),
-        (priors.universal_refutation, "weakly_agreeable"),
-        (priors.strong_refutation, "acceptable"),
-    ):
         if refutation is not None:
             if refutation not in classes:
                 classes[refutation] = classify_trade(s, refutation.payoffs)
             cls = classes[refutation]
-            if not (cls.is_trade and getattr(cls, grade)):
-                raise VerificationError(f"refuting trade is not {grade}")
+            if not (cls.is_trade and getattr(cls, flag)):
+                raise VerificationError(f"refuting trade is not {flag}")
     if verdict is not None:
         if verdict.prior_witness is not None:
             verdict.prior_witness.verify(s)
@@ -199,6 +164,22 @@ def _states_json(s: InformationStructure, indices) -> list[str]:
     return [s.states[w] for w in indices]
 
 
+def digest_json(s: InformationStructure) -> dict:
+    return {
+        "states": s.num_states,
+        "players": s.num_players,
+        "partition_sizes": [s.num_cells(i) for i in range(s.num_players)],
+    }
+
+
+def components_json(s: InformationStructure, minimal, family) -> dict:
+    """The minimal components, and the whole family when it was enumerated."""
+    return {
+        "minimal": [_states_json(s, comp) for comp in minimal],
+        "all": None if family is None else [_states_json(s, comp) for comp in family],
+    }
+
+
 def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     return {
         "prior": [to_json_value(v) for v in witness.prior],
@@ -207,6 +188,22 @@ def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
             for i in range(s.num_players)
         ],
     }
+
+
+def notion_json(s: InformationStructure, witness, refutation, cls) -> dict:
+    """One prior notion: its witness, or the refuting trade graded by ``cls``."""
+    return {
+        "holds": witness is not None,
+        "witness": None if witness is None else prior_witness_json(s, witness),
+        "refutation": None
+        if refutation is None
+        else trade_json(s, refutation.payoffs, cls),
+    }
+
+
+def prior_check_json(kind: str, dist: Distribution, holds: bool) -> dict:
+    """Whether ``dist`` is a prior of the notion ``kind``."""
+    return {"kind": kind, "holds": holds, "dist": distribution_to_json(dist)["dist"]}
 
 
 def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> dict:
@@ -238,22 +235,21 @@ def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
     }
 
 
-def _verdict_json(s, dist, verdict) -> dict | None:
-    if dist is None or verdict is None:
-        return None
+def _classification_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
     cls = verdict.classification
     return {
-        "dist": distribution_to_json(dist)["dist"],
-        "classification": {
-            "prior_for": [
-                s.players[i] for i, ok in enumerate(cls.prior_for_player) if ok
-            ],
-            "common": cls.common,
-            "maximal": cls.maximal,
-            "strongly_maximal": cls.strongly_maximal,
-            "universal": cls.universal,
-            "strong": cls.strong,
-        },
+        "prior_for": [s.players[i] for i, ok in enumerate(cls.prior_for_player) if ok],
+        "common": cls.common,
+        "maximal": cls.maximal,
+        "strongly_maximal": cls.strongly_maximal,
+        "universal": cls.universal,
+        "strong": cls.strong,
+    }
+
+
+def verdict_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
+    """The graded verdict on a distribution with its prior or pump witness."""
+    return {
         "base": verdict.base,
         "universal": verdict.universal,
         "strong": verdict.strong,
@@ -277,12 +273,58 @@ def _state_set(s: InformationStructure, indices) -> str:
     return "{" + ",".join(s.states[w] for w in indices) + "}"
 
 
-def _payoff_lines(s: InformationStructure, payoffs, indent: str) -> list[str]:
+def _state_sets(s: InformationStructure, sets) -> str:
+    return " ".join(_state_set(s, indices) for indices in sets)
+
+
+def payoff_lines(s: InformationStructure, payoffs, indent: str) -> list[str]:
     return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, payoffs)]
 
 
 def _weight_lines(s: InformationStructure, weights, indent: str) -> list[str]:
     return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, weights)]
+
+
+def component_lines(s: InformationStructure, minimal, family, suffix: str) -> list[str]:
+    """``minimal<suffix>:`` and, when enumerated, ``all<suffix>:``."""
+    lines = [f"minimal{suffix}: " + _state_sets(s, minimal)]
+    if family is not None:
+        lines.append(f"all{suffix}: " + _state_sets(s, family))
+    return lines
+
+
+def notion_lines(
+    s: InformationStructure, label: str, witness, refutation, grade
+) -> list[str]:
+    """One prior notion under ``label``: the witness, or the refuting trade
+    introduced by its ``grade`` word."""
+    if witness is not None:
+        return [
+            f"{label}: present",
+            f"  p = {_vector(witness.prior)}",
+            *_weight_lines(s, witness.hull_weights, "  "),
+        ]
+    lines = [f"{label}: absent"]
+    if refutation is not None:
+        lines.append(f"  refuting trade ({grade}):")
+        lines += payoff_lines(s, refutation.payoffs, "    ")
+    return lines
+
+
+def prior_check_line(kind: str, dist: Distribution, holds: bool) -> str:
+    return f"p = {_vector(dist)} {'is' if holds else 'is not'} a {kind} prior"
+
+
+def verdict_line(verdict: DistributionVerdict) -> str:
+    held = [verdict.base] + [x for x in (verdict.universal, verdict.strong) if x]
+    return "verdict: " + ", ".join(held)
+
+
+def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
+    return [
+        f"  deficit = {format_rational(witness.deficit)}",
+        *payoff_lines(s, witness.semi_trade.payoffs, "  "),
+    ]
 
 
 def _trade_grade(cls: TradeClassification) -> str:

@@ -116,7 +116,6 @@ class TradeClassification:
     expectations: tuple[tuple, ...]  # [player][state], exact
     sum_violations: tuple[int, ...]  # states where the pointwise sum is > 0
     strict_states: tuple[tuple[int, int], ...]  # (player, state), expectation > 0
-    negative_states: tuple[tuple[int, int], ...]  # (player, state), expectation < 0
     agreeable_component: tuple[int, ...] | None
 
 
@@ -188,10 +187,7 @@ def classify_trade(
     strict = tuple(
         (i, w) for i in range(len(norm)) for w in range(m) if table[i][w] > ZERO
     )
-    negative = tuple(
-        (i, w) for i in range(len(norm)) for w in range(m) if table[i][w] < ZERO
-    )
-    is_semi = not negative
+    is_semi = all(e >= ZERO for row in table for e in row)
     agreeable = all(e > ZERO for row in table for e in row)
     component = None
     for comp in minimal_components(structure):
@@ -207,7 +203,6 @@ def classify_trade(
         expectations=table,
         sum_violations=sum_violations,
         strict_states=strict,
-        negative_states=negative,
         agreeable_component=component,
     )
 

@@ -61,6 +61,23 @@ def test_float_rejected(run, tmp_path):
     assert "float" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"states": ["\xff"]}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b"1" * 5000,  # an integer past the interpreter's digit limit
+    ],
+    ids=["not_utf8", "deep_nesting", "long_integer"],
+)
+def test_unreadable_json_is_input_error(run, tmp_path, content):
+    target = tmp_path / "s.json"
+    target.write_bytes(content)
+    code, _, err = run("check", str(target))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_wrong_schema_tag(run, tmp_path, spath):
     doc = json.loads(open(spath("pl")).read())
     doc["schema"] = "prior-forge/99"

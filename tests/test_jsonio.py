@@ -90,7 +90,7 @@ def test_state_types_dialect():
         "state_types": [[["1/2", "1/2"], ["1/2", "1/2"]]],
     }
     s = parse_structure(doc)
-    assert tuple(s.type_of_cell(0, 0)) == (rational("1/2"), rational("1/2"))
+    assert tuple(s.cell_types[0][0]) == (rational("1/2"), rational("1/2"))
 
 
 def test_state_types_must_agree_on_cells():

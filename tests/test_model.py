@@ -77,7 +77,7 @@ def test_make_structure_accessors():
     s = _pl_structure()
     assert s.num_states == 3 and s.num_players == 1
     assert s.cell_of(0, 1) == 0 and s.cell_of(0, 2) == 1
-    assert s.cell_states(0, 0) == (0, 1)
+    assert s.partitions[0][0] == (0, 1)
     assert s.num_cells(0) == 2
     assert s.type_at(0, 0) == s.type_at(0, 1)
     assert len(s.cell_types[0]) == s.num_cells(0)

@@ -68,8 +68,7 @@ def test_pl_conglomerability_violating_event(pl):
     assert violating is not None
     # The reported event really does break the sandwich.
     t_vals = [
-        sum((pl.type_of_cell(0, c)[w] for w in violating), ZERO)
-        for c in range(pl.num_cells(0))
+        sum((t[w] for w in violating), ZERO) for t in pl.cell_types[0]
     ]
     p_val = sum((p[w] for w in violating), ZERO)
     assert p_val < min(t_vals) or p_val > max(t_vals)
