@@ -33,17 +33,19 @@ def rational(value) -> "Rational":
 
 
 def _parse_str(text: str) -> "Rational":
-    body = text.strip()
-    num, sep, den = body.partition("/")
-    try:
-        if sep:
-            n, d = int(num), int(den)
-            if d == 0:
-                raise ValueError
-            return Rational(n, d)
-        return Rational(int(body))
-    except ValueError:
-        raise ValueError(f"malformed rational literal: {text!r}") from None
+    """``a`` or ``a/b``: ASCII digits, an optional leading minus on the
+    numerator only, and a nonzero denominator. Spaces, underscores, a plus
+    sign and other digit scripts, all of which ``int`` would take, are
+    rejected."""
+    num, sep, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (_is_ascii_digits(digits) and (not sep or _is_ascii_digits(den) and int(den))):
+        raise ValueError(f"malformed rational literal: {text!r}")
+    return Rational(int(num), int(den) if sep else 1)
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isdigit() and text.isascii()
 
 
 def format_rational(q) -> str:

@@ -7,9 +7,11 @@ independent code paths and any disagreement is a bug somewhere. cross_check
 runs all six on one structure, together with the single-player theory on
 every player's marginal view and the commonly-certain reformulations of the
 trade grades. Production reads every refuting trade off the common-prior
-program (its Farkas certificate, its optimal duals or its strictness
-margin); cross_check solves the trade LPs that production no longer runs
-and requires the same decisions from them. The joint common-prior
+program (its Farkas certificate or its optimal duals), and decides the
+strong prior in closed form without it; cross_check solves the trade LPs
+that production no longer runs and requires the same decisions from them,
+and it solves the common-prior program wherever the closed form found a
+strong prior, which must be that program's optimum. The joint common-prior
 formulation, with explicit hull weights, is the oracle of the projected
 program in ``oracle_battery``.
 
@@ -17,7 +19,8 @@ Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
 compositions with bounded denominators; supports are thinned, each state
 dropped with probability ``ZERO_MASS_RATE``, so sparse structures (rich
-component geometry) appear often.
+component geometry) appear often. ``planted_structure`` draws the other
+side at any size: a structure built around a chosen strong common prior.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .model import (
     single_player_view,
 )
 from .priors import (
+    _solve_common,
     classify_prior,
     common_prior_program,
     component_substructures,
@@ -66,6 +70,7 @@ from .priors import (
     hull_weights,
     is_conglomerable,
     is_disintegrable,
+    strong_prior,
 )
 from .trades import (
     classify_trade,
@@ -172,6 +177,43 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
             [_random_masses(b, m, cfg, rng) for b in blocks]
         )
     return make_structure(states, players, partitions, cell_types)
+
+
+def planted_structure(
+    m: int, n: int, blocks: int, rng: random.Random
+) -> tuple[InformationStructure, Distribution]:
+    """A structure with m states and n players built around a planted
+    full-support prior p, returned with it. p has weights 1..6, normalized;
+    the shuffled states are cut into ``blocks`` non-empty closed blocks;
+    each player's partition refines that split (a uniform set partition per
+    block), and each type is p conditioned on its cell. p is then a common
+    prior charging every cell, a strong one. The benchmark's planted inputs
+    follow the same rule."""
+    if not 1 <= blocks <= m:
+        raise InputError(f"cannot cut {m} states into {blocks} non-empty blocks")
+    weights = [rng.randint(1, 6) for _ in range(m)]
+    total = rational(sum(weights))
+    prior = [rational(v) / total for v in weights]
+    order = list(range(m))
+    rng.shuffle(order)
+    cuts = [0, *sorted(rng.sample(range(1, m), blocks - 1)), m]
+    split = [sorted(order[cuts[k] : cuts[k + 1]]) for k in range(blocks)]
+    partitions, cell_types = [], []
+    for _ in range(n):
+        cells = [cell for block in split for cell in _sample_set_partition(block, rng)]
+        rows = []
+        for cell in cells:
+            mass = sum((prior[w] for w in cell), ZERO)
+            row = [ZERO] * m
+            for w in cell:
+                row[w] = prior[w] / mass
+            rows.append(row)
+        partitions.append(cells)
+        cell_types.append(rows)
+    structure = make_structure(
+        [f"w{k + 1}" for k in range(m)], [f"P{k + 1}" for k in range(n)], partitions, cell_types
+    )
+    return structure, Distribution(tuple(prior))
 
 
 def random_distribution(
@@ -417,6 +459,33 @@ def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
         rec.check(f"oracle: {claim} the {trade_name} trade", decided == (trade is not None))
 
 
+def _check_strong_closed_form(rec: _Recorder, structure: InformationStructure) -> None:
+    """The closed-form strong prior must be the margin program's optimum, on
+    the structure and on the components the finders walked: in order, up to
+    the first with no common prior. Where the closed form found a prior, the
+    program is solved here, as production no longer does; elsewhere
+    production solved it, and its memoized outcome must be infeasible or
+    have margin 0."""
+    subs = [sub for _, sub in component_substructures(structure) if sub is not structure]
+    for sub in (structure, *subs):
+        closed = strong_prior(sub)
+        if closed is None:
+            outcome = _solve_common(sub)
+            ok = outcome.status == "infeasible" or outcome.objective_value == ZERO
+        else:
+            outcome = solve(common_prior_program(sub))
+            ok = outcome.status == "optimal" and (
+                tuple(outcome.primal[: sub.num_states]), outcome.objective_value
+            ) == (closed[0].probs, closed[1])
+        rec.check(
+            "oracle: closed-form strong prior equals the margin program's optimum",
+            ok,
+            "" if ok else f"states {sub.states}: closed form {closed}, program {outcome}",
+        )
+        if sub is not structure and outcome.status == "infeasible":
+            break
+
+
 def cross_check(
     structure: InformationStructure,
     sample_count: int = 2,
@@ -484,6 +553,8 @@ def cross_check(
             _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {label}")
     with rec.guard("oracle: trade programs"):
         _check_trade_oracles(rec, structure, (common, universal, strong), (agree, weak, accept))
+    with rec.guard("oracle: closed-form strong prior"):
+        _check_strong_closed_form(rec, structure)
 
     # Components sanity: minimal components are components; closures are
     # components containing their state.

@@ -11,21 +11,26 @@ their own cells, so distinct cells of one player always carry distinct types,
 and the convex weight of each type in any hull representation of p is forced
 to be the mass p puts on that type's cell. Hull membership therefore reduces
 to one exact linear identity per state, which also makes the set of common
-priors a polytope in p alone. One program over that polytope is solved per
-structure for what genuinely needs optimization (the strictness margin
-epsilon). It decides the common and the strong prior, and
+priors a polytope in p alone.
+
+The strong prior has a closed form (``strong_prior``): on each cell p is
+its mass times the cell's type, so a prior charging every cell fixes p up
+to one scalar per linked block of cells, and the epsilon-maximal mixture of
+the blocks is unique. A structure with a strong prior therefore solves no
+LP. Otherwise one program over the polytope is solved per structure, for
+what needs a vertex or a certificate: it decides the common prior, and
 ``refuting_payoffs`` maps its multipliers to every refuting trade by one
 formula: the Farkas certificate is the infeasible case, the optimal duals
 the zero-margin one. Only this module knows the program's row layout. The
-joint formulation with explicit hull weights is kept in ``harness`` as an
-oracle.
+program is the closed form's oracle in ``harness``, and the joint
+formulation with explicit hull weights the program's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import ONE, ZERO, rational
+from ._rational import ONE, ZERO, Rational, rational
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
 from .errors import (
     DimensionError,
@@ -245,7 +250,8 @@ def refuting_payoffs(structure: InformationStructure) -> tuple[tuple, ...] | Non
     """The refuting trade's payoffs, read off the common-prior program's
     multipliers u (the constructive half of the Samet / Morris separation):
     the Farkas certificate when the program is infeasible, the optimal duals
-    when the margin is 0, and None when it is positive (a strong prior).
+    when the margin is 0, and None when ``strong_prior`` finds a strong
+    prior, in which case no program is solved.
 
     With u_i player i's rows, u_0 that of ``sum p = 1`` and nu_d <= 0 that
     of cell set d, set h_i = T_i u_i - u_i - u_0/N + sum |nu_d| 1_d over the
@@ -258,13 +264,15 @@ def refuting_payoffs(structure: InformationStructure) -> tuple[tuple, ...] | Non
     certificate's negative rhs is u_0 and h is agreeable; optimal duals have
     u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
     acceptable."""
+    if strong_prior(structure) is not None:
+        return None
     outcome = _solve_common(structure)
     if outcome.status == "infeasible":
         u = outcome.certificate.constraint_multipliers
     elif outcome.objective_value == ZERO:
         u = outcome.duals
     else:
-        return None
+        raise VerificationError("positive margin, yet the closed form finds no strong prior")
     m, n = structure.num_states, structure.num_players
     rows = tuple(u[i * m : (i + 1) * m] for i in range(n))
     shift = u[n * m] / n
@@ -290,10 +298,68 @@ def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...],
 
 
 def _solve_common(structure: InformationStructure) -> LPOutcome:
-    """The common prior program's outcome, solved once per structure: the
-    common and the strong finders read it, and ``refuting_payoffs`` reads
-    every refuting trade off it."""
+    """The common prior program's outcome, solved once per structure and
+    only where ``strong_prior`` returned None: the common finder reads its
+    vertex, and ``refuting_payoffs`` every refuting trade."""
     return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
+
+
+def strong_prior(structure: InformationStructure) -> tuple[Distribution, Rational] | None:
+    """The epsilon-maximal strong common prior and its margin epsilon*, or
+    None when no common prior charges every cell; in closed form, memoized
+    on the structure.
+
+    On player i's cell c a common prior is p = lambda_c * t_c, lambda_c the
+    cell's mass. With every lambda positive, p_w > 0 exactly where t_i(w) >
+    0, so every state must be charged by all players' types or by none, and
+    a state charged by cells c and d forces lambda_d / lambda_c = t_c(w) /
+    t_d(w). Link cells through the states they charge: on each linked block
+    K the ratios must agree around every cycle, and then the common priors
+    are the mixtures sum_K mu_K q_K of one normalized q_K per block.
+    epsilon = min_K mu_K m_K, m_K the least cell mass under q_K, is largest
+    only at mu_K proportional to 1 / m_K: scale each block so that its
+    least cell has mass 1, and p is the sum normalized, epsilon* one over
+    the total. That optimum is unique, so it is the margin program's primal
+    and value."""
+    return structure.derived("strong_prior", _strong_prior)
+
+
+def _strong_prior(structure: InformationStructure) -> tuple[Distribution, Rational] | None:
+    m, n = structure.num_states, structure.num_players
+    for w in range(m):
+        charging = sum(1 for i in range(n) if structure.type_at(i, w)[w])
+        if charging not in (0, n):
+            return None
+    scale = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
+    value: list = [None] * m  # p on charged states, up to each block's scalar
+    total = ZERO
+    for root in ((i, c) for i in range(n) for c in range(structure.num_cells(i))):
+        if scale[root[0]][root[1]] is not None:
+            continue
+        scale[root[0]][root[1]] = ONE
+        cells, states = [root], []
+        for i, c in cells:  # the list grows while it is walked
+            lam, t = scale[i][c], structure.cell_types[i][c]
+            for w in structure.partitions[i][c]:
+                if not t[w]:
+                    continue
+                v = lam * t[w]
+                if value[w] is not None:
+                    if value[w] != v:
+                        return None  # the ratios disagree around a cycle
+                    continue
+                value[w] = v
+                states.append(w)
+                for j in range(n):
+                    d = structure.cell_of(j, w)
+                    if scale[j][d] is None:
+                        scale[j][d] = v / structure.cell_types[j][d][w]
+                        cells.append((j, d))
+        least = min(scale[i][c] for i, c in cells)
+        for w in states:
+            value[w] /= least
+            total += value[w]
+    return Distribution(tuple(v / total if v is not None else ZERO for v in value)), ONE / total
 
 
 def component_substructures(
@@ -329,7 +395,11 @@ def _witness_from_prior(
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
     """A common prior with hull weights, or None. The returned prior is the
     epsilon-maximal one, so it is as spread out over cells as the structure
-    allows; existence is unaffected by the objective."""
+    allows; existence is unaffected by the objective. The closed form gives
+    it when a strong prior exists, the common-prior program otherwise."""
+    strong = strong_prior(structure)
+    if strong is not None:
+        return _witness_from_prior(structure, strong[0])
     outcome = _solve_common(structure)
     if outcome.status == "infeasible":
         return None
@@ -338,14 +408,13 @@ def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
 
 
 def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """A common prior charging every cell of every player, decided by the
-    exact sign of the optimal strictness margin."""
-    outcome = _solve_common(structure)
-    if outcome.status == "infeasible" or outcome.objective_value == ZERO:
+    """A common prior charging every cell of every player, from the closed
+    form; no LP is solved."""
+    strong = strong_prior(structure)
+    if strong is None:
         return None
-    prior = Distribution(outcome.primal[: structure.num_states])
-    witness = _witness_from_prior(structure, prior)
-    if not is_strongly_maximal(structure, prior):
+    witness = _witness_from_prior(structure, strong[0])
+    if not is_strongly_maximal(structure, strong[0]):
         raise VerificationError("strong prior witness misses a cell")
     return witness
 

@@ -14,8 +14,9 @@ program's multipliers, the other half of the same separation argument:
 with no common prior it gives an agreeable trade, which also refutes the
 strong prior; with a common prior but a zero optimal margin, an acceptable
 trade; the weakly agreeable trade comes from the per-component programs
-that decide the universal prior. The trade LPs stay in ``harness`` as
-oracles.
+that decide the universal prior. Where the closed-form strong prior exists
+there is nothing to refute and no program is solved. The trade LPs stay in
+``harness`` as oracles.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
@@ -62,6 +63,7 @@ from .priors import (
     find_universal_common_prior,
     hull_weights,
     refuting_payoffs,
+    strong_prior,
 )
 
 PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
@@ -231,8 +233,8 @@ def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The trade read off the Farkas certificate of the common-prior program,
     or None when that program is feasible. No LP of its own is solved: the
     certificate is the one ``lp.solve`` verified when it decided the common
-    prior."""
-    if _solve_common(structure).status != "infeasible":
+    prior, and a structure with a closed-form strong prior needs none."""
+    if strong_prior(structure) is not None or _solve_common(structure).status != "infeasible":
         return None
     return structure.derived("refutation", _refutation)
 
@@ -258,9 +260,10 @@ def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
-    """Read off the common-prior program: with no common prior the agreeable
-    trade (agreeable implies acceptable); with a positive optimal margin (a
-    strong prior) none; with a zero margin the trade its optimal duals give."""
+    """With a closed-form strong prior none; otherwise read off the
+    common-prior program: with no common prior the agreeable trade
+    (agreeable implies acceptable), with a zero margin the trade its optimal
+    duals give."""
     return structure.derived("refutation", _refutation)
 
 

@@ -61,6 +61,19 @@ def test_float_rejected(run, tmp_path):
     assert "float" in err
 
 
+def test_loose_rational_literal_is_schema_error(run, tmp_path):
+    # Each entry would read as 1/2 if int() parsed it.
+    doc = {
+        "states": ["a", "b"],
+        "players": ["P"],
+        "partitions": [[["a", "b"]]],
+        "types": [[["5_0/1_00", " -1/-2 "]]],
+    }
+    code, out, err = run("check", write_json(tmp_path, "s.json", doc))
+    assert code == 2 and out == ""
+    assert "malformed rational literal" in err
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -267,16 +280,10 @@ def test_fuzz_negative_sample_count_is_input_error(run):
 # -- plumbing --------------------------------------------------------------------
 
 
-def test_dump_lp_flag(run, tmp_path, capsys):
-    doc = {
-        "states": ["a", "b", "c"],
-        "players": ["P1"],
-        "partitions": [[["a", "c"], ["b"]]],
-        "types": [[["1/3", 0, "2/3"], [0, 1, 0]]],
-    }
-    code, _, err = run(
-        "--dump-lp", "prior", "--kind", "common", write_json(tmp_path, "s.json", doc)
-    )
+def test_dump_lp_flag(run, spath, capsys):
+    # ex_pl2 has no common prior, so its program is solved and dumped, and
+    # the agreeable trade read off it exists.
+    code, _, err = run("--dump-lp", "trade", "--kind", "agreeable", spath("ex_pl2"))
     assert code == 0
     assert "maximize" in err and "subject to" in err
     # The flag holds for that one invocation only: nothing is dumped after.
@@ -288,16 +295,21 @@ def test_dump_lp_flag(run, tmp_path, capsys):
 
 # sha256 over the --dump-lp stderr of the common-prior and acceptable-trade
 # invocations on every fixture: the rendering of each program solved, term
-# order and hidden zeros included, and its outcome line.
-PINNED_DUMP = "746cf9dbc63a8a77c8dad0331447a72d91bdb85baa97c9ad1781c5c7066887d4"
+# order and hidden zeros included, and its outcome line. A structure with a
+# strong prior (intro, pl, ex_plbet4) solves no program, so dumps nothing.
+PINNED_DUMP = "d07a0c42a10b02ae63409b0e21c476aa9f34d4f88b6976a212d1f32db111bae6"
+STRONG_FIXTURES = ("intro", "pl", "ex_plbet4")
 
 
 def test_dump_lp_bytes_are_pinned(run, spath):
     digest = hashlib.sha256()
     for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        dumped = ""
         for command in (("prior", "--kind", "common"), ("trade", "--kind", "acceptable")):
             _, _, err = run("--dump-lp", *command, spath(name))
-            digest.update(err.encode())
+            dumped += err
+        assert (dumped == "") == (name in STRONG_FIXTURES), name
+        digest.update(dumped.encode())
     assert digest.hexdigest() == PINNED_DUMP
 
 

@@ -23,7 +23,7 @@ from prior_forge import (
     structure_digest,
 )
 from prior_forge import harness
-from prior_forge.priors import common_prior_program
+from prior_forge.priors import common_prior_program, strong_prior
 
 
 def test_config_validation():
@@ -109,6 +109,18 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     s.derived("common_prior", lambda _: replace(outcome, objective_value=ONE))
     report = cross_check(s, minimize=False)
     assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
+
+
+def test_cross_check_oracle_catches_a_wrong_closed_form(fixture_path):
+    # Plant a halved margin in the closed form's memo: the prior still
+    # verifies, so only the margin program objects.
+    prior, eps = strong_prior(_fresh(fixture_path, "ex_plbet4"))
+    s = _fresh(fixture_path, "ex_plbet4")
+    s.derived("strong_prior", lambda _: (prior, eps / 2))
+    report = cross_check(s, minimize=False)
+    assert [f.name for f in report.failures] == [
+        "oracle: closed-form strong prior equals the margin program's optimum"
+    ]
 
 
 def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypatch):

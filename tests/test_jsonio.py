@@ -52,7 +52,10 @@ def test_rational_values():
     assert parse_rational_value("1/3") == rational("1/3")
     assert parse_rational_value(2) == rational(2)
     assert parse_rational_value("-7/2") == rational("-7/2")
-    for bad in (True, None, [1], "1/0", "x"):
+    # int() would also take underscores, surrounding spaces, a plus sign
+    # and other digit scripts; the wire format takes -?[0-9]+(/[0-9]+)?.
+    loose = ("5_0/1_00", " -1/-2 ", "1/-2", " 1", "1 ", "+1", "\u0661", "1/", "/2", "")
+    for bad in (True, None, [1], "1/0", "x", *loose):
         with pytest.raises(SchemaError):
             parse_rational_value(bad)
 

@@ -1,5 +1,7 @@
 """Disintegrability, conglomerability, and the three common prior notions."""
 
+import random
+
 import pytest
 
 from prior_forge import (
@@ -22,7 +24,9 @@ from prior_forge import (
     rational,
     uniform,
 )
-from prior_forge.priors import common_prior_program
+from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
+from prior_forge.lp import solve
+from prior_forge.priors import common_prior_program, component_substructures, strong_prior
 
 
 def q(text):
@@ -253,3 +257,104 @@ def test_polytope_agrees_with_finder(intro, pl4, ex_pl1, ex_pl2):
     for s in (intro, pl4, ex_pl1, ex_pl2):
         has_vertex = bool(vertex_priors(s))
         assert has_vertex == (find_common_prior(s) is not None)
+
+
+# -- the closed-form strong prior ---------------------------------------------
+
+
+def closed_form_matches_program(structure):
+    """strong_prior against the margin program it replaces: the same primal
+    and epsilon, or None exactly where the program is infeasible or has
+    epsilon* = 0. Returns the closed form."""
+    closed = strong_prior(structure)
+    out = solve(common_prior_program(structure))
+    if closed is None:
+        assert out.status == "infeasible" or out.objective_value == ZERO
+    else:
+        prior, eps = closed
+        assert out.status == "optimal"
+        assert tuple(out.primal[: structure.num_states]) == prior.probs
+        assert out.objective_value == eps > ZERO
+    return closed
+
+
+def test_strong_prior_matches_program_on_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    found = {
+        name: closed_form_matches_program(s) is not None
+        for name, s in (
+            ("intro", intro), ("pl", pl), ("ex_pl1", ex_pl1),
+            ("ex_pl2", ex_pl2), ("pl4", pl4), ("ex_plbet4", ex_plbet4),
+        )
+    }
+    assert found == {
+        "intro": True, "pl": True, "ex_pl1": False,
+        "ex_pl2": False, "pl4": False, "ex_plbet4": True,
+    }
+
+
+def test_strong_prior_matches_program_on_generated_structures():
+    found = []
+    for seed in range(2000):
+        structure = random_structure(GeneratorConfig(seed=seed))
+        subs = [sub for _, sub in component_substructures(structure) if sub is not structure]
+        for sub in (structure, *subs):
+            found.append(closed_form_matches_program(sub) is not None)
+    # Both sides of the decision are exercised, each many times.
+    assert found.count(True) > 1000 and found.count(False) > 1000
+
+
+@pytest.mark.parametrize("m", (24, 48))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("blocks", (1, 2, 4))
+def test_strong_prior_on_planted_structures(m, n, blocks):
+    structure, planted = planted_structure(m, n, blocks, random.Random(f"{m}:{n}:{blocks}"))
+    assert closed_form_matches_program(structure) is not None
+    cls = classify_prior(structure, planted)
+    assert cls.common and cls.strong
+
+
+def test_strong_prior_none_on_mixed_charge():
+    # P1 charges a only; P2's cell {b} charges b. A common prior exists,
+    # (1, 0), but it leaves P2's cell {b} empty: epsilon* = 0.
+    s = make_structure(
+        ["a", "b"], ["P1", "P2"],
+        [[[0, 1]], [[0], [1]]],
+        [[[1, 0]], [[1, 0], [0, 1]]],
+    )
+    assert closed_form_matches_program(s) is None
+    assert solve(common_prior_program(s)).objective_value == ZERO
+
+
+def test_strong_prior_none_on_ratio_cycle():
+    # Every state is charged by both players, but the cycle of cells
+    # {a,b} - {b,d} - {c,d} - {a,c} gives lambda_{b,d} two values: 3/2 and
+    # 3/4 times lambda_{a,b}. No common prior exists at all.
+    half, third = q("1/2"), q("1/3")
+    s = make_structure(
+        ["a", "b", "c", "d"], ["P1", "P2"],
+        [[[0, 1], [2, 3]], [[0, 2], [1, 3]]],
+        [
+            [[half, half, 0, 0], [0, 0, half, half]],
+            [[half, 0, half, 0], [0, third, 0, 1 - third]],
+        ],
+    )
+    assert closed_form_matches_program(s) is None
+    assert solve(common_prior_program(s)).status == "infeasible"
+
+
+def test_strong_prior_mixes_closed_blocks_by_least_cell_mass():
+    # Blocks {a, b} and {c}. Under q_1 = (1/3, 2/3, 0) the least cell mass
+    # is m_1 = 1/3 (P2's {a}); under q_2 = (0, 0, 1) it is m_2 = 1. So
+    # mu is proportional to (3, 1) and epsilon* = 1 / (3 + 1).
+    s = make_structure(
+        ["a", "b", "c"], ["P1", "P2"],
+        [[[0, 1], [2]], [[0], [1], [2]]],
+        [
+            [[q("1/3"), q("2/3"), 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ],
+    )
+    prior, eps = closed_form_matches_program(s)
+    assert prior == Distribution((q("1/4"), q("1/2"), q("1/4")))
+    assert eps == q("1/4")
+    assert find_strong_common_prior(s).prior == prior
