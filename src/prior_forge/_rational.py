@@ -39,13 +39,12 @@ def _parse_str(text: str) -> "Rational":
     rejected."""
     num, sep, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
-    if not (_is_ascii_digits(digits) and (not sep or _is_ascii_digits(den) and int(den))):
-        raise ValueError(f"malformed rational literal: {text!r}")
-    return Rational(int(num), int(den) if sep else 1)
-
-
-def _is_ascii_digits(text: str) -> bool:
-    return text.isdigit() and text.isascii()
+    if digits.isdigit() and digits.isascii():
+        if not sep:
+            return Rational(int(num))
+        if den.isdigit() and den.isascii() and den.strip("0"):
+            return Rational(int(num), int(den))
+    raise ValueError(f"malformed rational literal: {text!r}")
 
 
 def format_rational(q) -> str:
