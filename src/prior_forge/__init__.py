@@ -3,8 +3,8 @@ multi-player information structures.
 
 Everything is computed in exact rational arithmetic and every positive
 answer ships a witness that has been re-verified against its definition;
-every negative answer is witnessed by the dual object (a trade, a pump, or
-a Farkas certificate). See the README for the notions and the CLI.
+every negative answer is witnessed by the dual object (a trade or a pump).
+See the README for the notions and the CLI.
 """
 
 from ._rational import Rational, ZERO, ONE, format_rational, rational

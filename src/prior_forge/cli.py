@@ -21,7 +21,6 @@ import json
 import sys
 from dataclasses import replace
 
-from . import lp
 from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
 from .harness import GeneratorConfig, cross_check, random_structure
@@ -228,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact decisions about priors, trades, and money pumps "
         "on finite information structures.",
     )
-    parser.add_argument(
-        "--dump-lp",
-        action="store_true",
-        help="dump every linear program solved to stderr",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, json_flag=True):
@@ -293,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with lp.dumping(sys.stderr if args.dump_lp else None):
-            return args.func(args)
+        return args.func(args)
     except VerificationError as exc:
         print(f"verification failure (this is a bug): {exc}", file=sys.stderr)
         return 4

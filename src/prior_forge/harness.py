@@ -6,14 +6,14 @@ makes them ideal property tests, because both sides are computed by
 independent code paths and any disagreement is a bug somewhere. cross_check
 runs all six on one structure, together with the single-player theory on
 every player's marginal view and the commonly-certain reformulations of the
-trade grades. Production reads every refuting trade off the common-prior
-program (its Farkas certificate or its optimal duals), and decides the
-strong prior in closed form without it; cross_check solves the trade LPs
-that production no longer runs and requires the same decisions from them,
-and it solves the common-prior program wherever the closed form found a
-strong prior, which must be that program's optimum. The joint common-prior
-formulation, with explicit hull weights, is the oracle of the projected
-program in ``oracle_battery``.
+trade grades. Production solves no LP: every prior verdict, the canonical
+prior and the one refuting trade come from the block walk
+(``priors.blocks``). The programs it replaced live here as its oracles.
+cross_check solves the common-prior program on the structure and on its
+components and requires the walk's verdicts, canonical prior and trade
+grades from it; it solves the trade LPs and requires the same decisions as
+the finders. The joint common-prior formulation, with explicit hull
+weights, is the oracle of the projected program in ``oracle_battery``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -45,6 +45,7 @@ from .errors import InputError, PriorForgeError, VerificationError
 from .lp import (
     LinearProgram,
     LPBuilder,
+    LPOutcome,
     enumerate_basic_solutions,
     feasibility_violations,
     solve,
@@ -53,24 +54,22 @@ from .model import (
     Distribution,
     InformationStructure,
     dot,
+    expectation_table,
     forward_closed,
+    induced_substructure,
     make_structure,
     single_player_view,
 )
 from .priors import (
-    _solve_common,
+    blocks,
     classify_prior,
-    common_prior_program,
-    component_substructures,
     disintegrable_by_definition,
-    distinct_cell_sets,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
     hull_weights,
     is_conglomerable,
     is_disintegrable,
-    strong_prior,
 )
 from .trades import (
     classify_trade,
@@ -337,6 +336,93 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     )
 
 
+# -- the common prior program ---------------------------------------------
+
+
+def common_prior_program(structure: InformationStructure) -> LinearProgram:
+    """The common priors, projected onto p alone, with the strictness margin
+    epsilon maximized. The forced-weight identity makes hull membership
+    linear in p. Feasible iff a common prior exists; optimal epsilon > 0 iff
+    a strong one does. The oracle of ``priors.blocks``.
+
+    Row order, which ``refuting_payoffs`` reads its multipliers by: for
+    each player i, the M rows ``p_w - t_i(w) * p(cell_i(w)) = 0``; next
+    ``sum p = 1``; last one row ``p(d) - eps >= 0`` per distinct cell set d
+    (``distinct_cell_sets``)."""
+    b = LPBuilder()
+    m = structure.num_states
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
+    eps = b.add_var("eps", lower=0, objective=1)
+    for i in range(structure.num_players):
+        for w in range(m):
+            t_w = structure.type_at(i, w)[w]
+            row = {p_vars[s]: -t_w for s in structure.partitions[i][structure.cell_of(i, w)]}
+            row[p_vars[w]] = ONE - t_w
+            b.add_constraint(row, "=", 0)
+    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
+    for cell_set in distinct_cell_sets(structure):
+        row = {p_vars[w]: 1 for w in cell_set}
+        row[eps] = -1
+        b.add_constraint(row, ">=", 0)
+    return b.build(maximize=True)
+
+
+def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tuple[tuple, ...] | None:
+    """The refuting trade's payoffs, read off the multipliers u of
+    ``outcome``, the common-prior program's (the constructive half of the
+    Samet / Morris separation): the Farkas certificate when the program is
+    infeasible, the optimal duals when the margin is 0, and None when the
+    margin is positive.
+
+    With u_i player i's rows, u_0 that of ``sum p = 1`` and nu_d <= 0 that
+    of cell set d, set h_i = T_i u_i - u_i - u_0/N + sum |nu_d| 1_d over the
+    d that i owns, T_i the expectation table, and box h into [-1, 1]. On
+    column p_s the row of player i carries (u_i - T_i u_i)(s), so the
+    column's cancellation (certificate) or dual feasibility (duals) gives
+    sum_i h_i <= 0. T_i is idempotent and types live on their cells, so
+    E_i[h_i | c] = -u_0/N + |nu_c| when i owns c, else -u_0/N. Only
+    ``sum p = 1`` has a nonzero rhs and every lower bound is 0, so a
+    certificate's negative rhs is u_0 and h is agreeable; optimal duals have
+    u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
+    acceptable."""
+    if outcome.status == "infeasible":
+        u = outcome.certificate.constraint_multipliers
+    elif outcome.objective_value == ZERO:
+        u = outcome.duals
+    else:
+        return None
+    m, n = structure.num_states, structure.num_players
+    rows = tuple(u[i * m : (i + 1) * m] for i in range(n))
+    shift = u[n * m] / n
+    h = [
+        [e - v - shift for e, v in zip(te, f)]
+        for te, f in zip(expectation_table(structure, rows), rows)
+    ]
+    for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), u[n * m + 1 :]):
+        for w in cell_set:
+            h[owner][w] -= nu
+    scale = max(abs(v) for hi in h for v in hi)
+    return tuple(tuple(v / scale for v in hi) for hi in h)
+
+
+def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
+    """Cell state-sets across players, deduplicated (mass constraints only
+    depend on the set of states), each with the first player owning it."""
+    seen: dict[tuple[int, ...], int] = {}
+    for i in range(structure.num_players):
+        for cell in structure.partitions[i]:
+            seen.setdefault(cell, i)
+    return seen
+
+
+def component_substructures(
+    structure: InformationStructure,
+) -> tuple[tuple[tuple[int, ...], InformationStructure], ...]:
+    """Each minimal component with its induced structure; ``cross_check``
+    builds them once and walks them in this order."""
+    return tuple((comp, induced_substructure(structure, comp)) for comp in minimal_components(structure))
+
+
 def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
     """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
     row per state (pointwise sum <= 0); return the variable indices."""
@@ -356,9 +442,8 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
     the worst conditional expectation over all (player, cell) pairs; an
-    agreeable trade exists iff the optimum is strictly positive. Production
-    reads the trade off the common-prior program's Farkas certificate
-    instead; this program is that path's oracle."""
+    agreeable trade exists iff the optimum is strictly positive. The oracle
+    of the block trade's agreeable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
     delta = b.add_var("delta", objective=1)
@@ -374,8 +459,7 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
     """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0 and no player ever
     expecting a loss, maximizing all conditional expectations summed over
     states; an acceptable trade exists iff the optimum is strictly positive.
-    The oracle of the trades production reads off the common-prior
-    program's certificate and optimal duals."""
+    The oracle of the block trade's acceptable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
     for i in range(structure.num_players):
@@ -392,7 +476,7 @@ def joint_common_prior_program(structure: InformationStructure) -> LinearProgram
     """The common priors as a joint program over (p, lambda per player and
     cell, epsilon): p matches every player's mixture of cell types, every
     cell's mass dominates epsilon, epsilon is maximized. The same decision
-    and optimum as ``priors.common_prior_program``, which drops the lambda
+    and optimum as ``common_prior_program``, which drops the lambda
     columns because the hull weights are forced to be the cell masses; kept
     as that projection's oracle."""
     b = LPBuilder()
@@ -431,18 +515,18 @@ def _trade_program_decides(program: LinearProgram) -> bool:
     return out.objective_value > ZERO
 
 
-def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
+def _check_trade_oracles(rec: _Recorder, structure, components, priors, trades) -> None:
     """Each trade LP decides its duality again, and must agree with both the
     prior finder and the trade finder; production solves none of them. Each
     runs at most once per (sub)structure: the agreeable one on the structure
-    and on the components the universal finder solved, the acceptable one on
-    the structure."""
+    and on the components in order up to the first that has a trade, the
+    acceptable one on the structure."""
     common, universal, strong = priors
     agree, weak, accept = trades
     agreeable = _trade_program_decides(agreeable_trade_program(structure))
     # Components in the finders' order, up to the first that has a trade.
     weakly = False
-    for _, sub in component_substructures(structure):
+    for _, sub in components:
         if sub is structure:
             weakly = agreeable
         else:
@@ -459,31 +543,56 @@ def _check_trade_oracles(rec: _Recorder, structure, priors, trades) -> None:
         rec.check(f"oracle: {claim} the {trade_name} trade", decided == (trade is not None))
 
 
-def _check_strong_closed_form(rec: _Recorder, structure: InformationStructure) -> None:
-    """The closed-form strong prior must be the margin program's optimum, on
-    the structure and on the components the finders walked: in order, up to
-    the first with no common prior. Where the closed form found a prior, the
-    program is solved here, as production no longer does; elsewhere
-    production solved it, and its memoized outcome must be infeasible or
-    have margin 0."""
-    subs = [sub for _, sub in component_substructures(structure) if sub is not structure]
-    for sub in (structure, *subs):
-        closed = strong_prior(sub)
-        if closed is None:
-            outcome = _solve_common(sub)
-            ok = outcome.status == "infeasible" or outcome.objective_value == ZERO
-        else:
-            outcome = solve(common_prior_program(sub))
-            ok = outcome.status == "optimal" and (
-                tuple(outcome.primal[: sub.num_states]), outcome.objective_value
-            ) == (closed[0].probs, closed[1])
+def _check_common_program(rec: _Recorder, structure, components) -> None:
+    """The common-prior program decides again what ``blocks`` decided: on
+    the structure, and on the components in order up to the first with no
+    common prior, where it must also agree with whether the structure's live
+    blocks meet the component. Where every block is live the canonical prior
+    and its margin must be the program's optimum. On the structure the
+    canonical prior must satisfy the program's rows, and where a block is
+    dead the program must give a trade, read off its certificate or duals,
+    that is a trade, acceptable and agreeable exactly as the block trade is
+    (weak agreeability is a per-component grade, which the component trade
+    programs check)."""
+    walk, program = blocks(structure), common_prior_program(structure)
+    top = solve(program)
+    subs = [(comp, sub) for comp, sub in components if sub is not structure]
+    for comp, sub in ((None, structure), *subs):
+        outcome = top if comp is None else solve(common_prior_program(sub))
+        feasible = outcome.status == "optimal"
+        positive = feasible and outcome.objective_value > ZERO
+        sub_walk = blocks(sub)
+        met = walk.common if comp is None else not walk.support.isdisjoint(comp)
+        rec.check(
+            "oracle: common-prior program decides as the blocks",
+            (feasible, positive) == (sub_walk.common, sub_walk.strong) and feasible == met,
+            f"states {sub.states}: program {outcome.status}, blocks {sub_walk.live}",
+        )
+        ok = positive == sub_walk.strong
+        if ok and positive:
+            optimum = (tuple(outcome.primal[: sub.num_states]), outcome.objective_value)
+            ok = optimum == (sub_walk.prior.probs, sub_walk.margin)
         rec.check(
             "oracle: closed-form strong prior equals the margin program's optimum",
             ok,
-            "" if ok else f"states {sub.states}: closed form {closed}, program {outcome}",
+            "" if ok else f"states {sub.states}: blocks {sub_walk}, program {outcome}",
         )
-        if sub is not structure and outcome.status == "infeasible":
+        if comp is not None and not feasible:
             break
+    if walk.common:
+        point = (*walk.prior.probs, walk.margin)
+        violations = feasibility_violations(program, point)
+        rec.check("oracle: canonical prior satisfies the common-prior program", not violations, str(violations))
+    if not walk.strong:
+        grades = []
+        for payoffs in (refuting_payoffs(structure, top), walk.payoffs):
+            cls = None if payoffs is None else classify_trade(structure, payoffs)
+            grades.append(cls and (cls.is_trade, cls.acceptable, cls.agreeable))
+        rec.check(
+            "oracle: program trade grades as the block trade",
+            grades[0] == grades[1] == (True, True, not walk.common),
+            f"program {grades[0]}, blocks {grades[1]}",
+        )
 
 
 def cross_check(
@@ -551,10 +660,11 @@ def cross_check(
     for trade, label in ((agree, "agreeable"), (weak, "weakly"), (accept, "acceptable")):
         if trade is not None:
             _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {label}")
+    components = component_substructures(structure)
     with rec.guard("oracle: trade programs"):
-        _check_trade_oracles(rec, structure, (common, universal, strong), (agree, weak, accept))
-    with rec.guard("oracle: closed-form strong prior"):
-        _check_strong_closed_form(rec, structure)
+        _check_trade_oracles(rec, structure, components, (common, universal, strong), (agree, weak, accept))
+    with rec.guard("oracle: common-prior program"):
+        _check_common_program(rec, structure, components)
 
     # Components sanity: minimal components are components; closures are
     # components containing their state.

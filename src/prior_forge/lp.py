@@ -3,8 +3,8 @@
 Two-phase primal simplex with Bland's anti-cycling rule. Every coefficient is
 an exact rational; there is no tolerance anywhere. A constraint is a sparse
 row, a map from variable index to nonzero coefficient, in one form from
-``LPBuilder.add_constraint`` through standardization, the verifiers and the
-dump to the tableau; only the objective is a dense tuple, and it fixes the
+``LPBuilder.add_constraint`` through standardization and the verifiers to
+the tableau; only the objective is a dense tuple, and it fixes the
 number of variables. The tableau is fraction-free (Edmonds 1967, Bareiss
 1968): each row is a sparse dict of integer numerators over one positive row
 denominator, kept in lowest terms, so a pivot costs integer multiplications
@@ -32,11 +32,9 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Sequence
 
 from ._rational import ONE, ZERO, Rational, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
@@ -49,22 +47,6 @@ _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
 ORACLE_MAX_VARS = 12
 ORACLE_MAX_CONSTRAINTS = 24
 ORACLE_MAX_BASES = 200_000
-
-# Debug stream that every program solved, and its outcome, is written to;
-# set only inside ``dumping``.
-_DUMP: ContextVar[IO[str] | None] = ContextVar("prior_forge_lp_dump", default=None)
-
-
-@contextmanager
-def dumping(stream: IO[str] | None) -> Iterator[None]:
-    """Within the block, write every program solved, and its outcome, to
-    ``stream`` (None: write nothing). The previous setting comes back on exit."""
-    token = _DUMP.set(stream)
-    try:
-        yield
-    finally:
-        _DUMP.reset(token)
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -245,34 +227,6 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
     if not rhs < ZERO:
         bad.append(f"combined right-hand side {format_rational(rhs)} is not negative")
     return bad
-
-
-def render_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering (used by the CLI --dump-lp debug flag)."""
-    out = ["maximize" if lp.maximize else "minimize"]
-    objective = ((j, c) for j, c in enumerate(lp.objective) if c)
-    out.append("  " + _render_row(objective, lp.names))
-    out.append("subject to")
-    for con in lp.constraints:
-        row = _render_row(sorted(con.coeffs.items()), lp.names)
-        out.append(f"  {row} {con.rel} {format_rational(con.rhs)}")
-    bounds = []
-    for j in range(lp.num_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is None and up is None:
-            continue
-        left = format_rational(lo) + " <= " if lo is not None else ""
-        right = " <= " + format_rational(up) if up is not None else ""
-        bounds.append(f"  {left}{lp.names[j]}{right}")
-    if bounds:
-        out.append("bounds")
-        out.extend(bounds)
-    return "\n".join(out) + "\n"
-
-
-def _render_row(terms: Iterable[tuple[int, Rational]], names: Sequence[str]) -> str:
-    """``terms``: (variable index, nonzero coefficient) pairs, in index order."""
-    return " + ".join(f"{format_rational(c)}*{names[j]}" for j, c in terms) or "0"
 
 
 # -- standardization -----------------------------------------------------
@@ -609,9 +563,6 @@ def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; outcomes are self-verified before being returned."""
-    dump = _DUMP.get()
-    if dump is not None:
-        dump.write(render_lp(lp))
     std = _standardize(lp)
     tab = _Tableau(std)
     if not tab.phase1():
@@ -619,11 +570,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
         problems = farkas_violations(lp, cert)
         if problems:
             raise VerificationError("bad Farkas certificate: " + "; ".join(problems))
-        _dump_status(dump, "infeasible")
         return LPOutcome("infeasible", None, None, cert)
     status = tab.phase2()
     if status == "unbounded":
-        _dump_status(dump, "unbounded")
         return LPOutcome("unbounded", None, None, None)
     x = std.to_original(lp, tab.primal_std())
     problems = feasibility_violations(lp, x)
@@ -637,13 +586,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
     duals = tuple(_row_multipliers(lp, tab, tab.row_duals(phase1=False))[0])
-    _dump_status(dump, f"optimal value={format_rational(value)}")
     return LPOutcome("optimal", x, value, None, duals)
-
-
-def _dump_status(dump: IO[str] | None, text: str) -> None:
-    if dump is not None:
-        dump.write(f"-> {text}\n\n")
 
 
 # -- independent oracle --------------------------------------------------

@@ -201,7 +201,13 @@ def make_structure(
     partitions: Sequence[Sequence[Sequence[int]]],
     cell_types: Sequence[Sequence[Distribution | Sequence]],
 ) -> InformationStructure:
-    """Index-based constructor; normalizes ordering, then validates."""
+    """Index-based constructor; checks the counts, normalizes ordering, then
+    validates."""
+    if len(partitions) != len(players) or len(cell_types) != len(players):
+        raise DimensionError("need one partition and one type table per player")
+    for player, cells, types in zip(players, partitions, cell_types):
+        if len(types) != len(cells):
+            raise DimensionError(f"player {player!r}: {len(types)} types for {len(cells)} cells")
     norm_parts = tuple(
         tuple(sorted((tuple(sorted(cell)) for cell in cells), key=lambda c: c[0] if c else -1))
         for cells in partitions
@@ -288,11 +294,3 @@ def single_player_view(structure: InformationStructure, player: int) -> Informat
         (structure.partitions[player],),
         (structure.cell_types[player],),
     )
-
-
-def zero_extend(values: Sequence, subset: Sequence[int], size: int) -> tuple:
-    """Embed a vector on ``subset`` into the full space, zero elsewhere."""
-    out = [ZERO] * size
-    for v, s in zip(values, subset):
-        out[s] = v
-    return tuple(out)

@@ -13,24 +13,20 @@ to be the mass p puts on that type's cell. Hull membership therefore reduces
 to one exact linear identity per state, which also makes the set of common
 priors a polytope in p alone.
 
-The strong prior has a closed form (``strong_prior``): on each cell p is
-its mass times the cell's type, so a prior charging every cell fixes p up
-to one scalar per linked block of cells, and the epsilon-maximal mixture of
-the blocks is unique. A structure with a strong prior therefore solves no
-LP. Otherwise one program over the polytope is solved per structure, for
-what needs a vertex or a certificate: it decides the common prior, and
-``refuting_payoffs`` maps its multipliers to every refuting trade by one
-formula: the Farkas certificate is the infeasible case, the optimal duals
-the zero-margin one. Only this module knows the program's row layout. The
-program is the closed form's oracle in ``harness``, and the joint
-formulation with explicit hull weights the program's.
+Every group verdict comes from one walk over linked cell blocks
+(``blocks``): on each cell p is its mass times the cell's type, so p is
+fixed up to one scalar per block of cells linked through the states they
+charge, and a block can carry mass or not. Which blocks are live decides all
+three notions, gives one canonical prior and, where a notion fails, one
+refuting trade. No LP is solved; the common-prior program stays in
+``harness`` as the walk's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import ONE, ZERO, Rational, rational
+from ._rational import ONE, ZERO, Rational
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
 from .errors import (
     DimensionError,
@@ -38,14 +34,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .lp import LinearProgram, LPBuilder, LPOutcome, solve
-from .model import (
-    Distribution,
-    InformationStructure,
-    expectation_table,
-    induced_substructure,
-    zero_extend,
-)
+from .model import Distribution, InformationStructure
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
@@ -215,165 +204,154 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
     return True
 
 
-# -- the common prior program ---------------------------------------------
+# -- linked cell blocks -----------------------------------------------------
 
 
-def common_prior_program(structure: InformationStructure) -> LinearProgram:
-    """The common priors, projected onto p alone, with the strictness margin
-    epsilon maximized. The forced-weight identity makes hull membership
-    linear in p. Feasible iff a common prior exists; optimal epsilon > 0 iff
-    a strong one does.
+@dataclass(frozen=True)
+class Blocks:
+    """The structure's linked cell blocks, walked once: a live flag per
+    block in walk order, the states live blocks charge, the canonical prior
+    with its least cell mass, and the one refuting trade. ``prior`` is None
+    when no block is live, ``payoffs`` when every block is."""
 
-    Row order, which ``refuting_payoffs`` reads its multipliers by: for
-    each player i, the M rows ``p_w - t_i(w) * p(cell_i(w)) = 0``; next
-    ``sum p = 1``; last one row ``p(d) - eps >= 0`` per distinct cell set d
-    (``distinct_cell_sets``)."""
-    b = LPBuilder()
-    m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
-    eps = b.add_var("eps", lower=0, objective=1)
-    for i in range(structure.num_players):
-        for w in range(m):
-            t_w = structure.type_at(i, w)[w]
-            row = {p_vars[s]: -t_w for s in structure.partitions[i][structure.cell_of(i, w)]}
-            row[p_vars[w]] = ONE - t_w
-            b.add_constraint(row, "=", 0)
-    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
-    for cell_set in distinct_cell_sets(structure):
-        row = {p_vars[w]: 1 for w in cell_set}
-        row[eps] = -1
-        b.add_constraint(row, ">=", 0)
-    return b.build(maximize=True)
+    live: tuple[bool, ...]
+    support: frozenset[int]
+    prior: Distribution | None
+    margin: Rational
+    universal: bool
+    payoffs: tuple[tuple, ...] | None
+
+    @property
+    def common(self) -> bool:
+        return any(self.live)
+
+    @property
+    def strong(self) -> bool:
+        return all(self.live)
 
 
-def refuting_payoffs(structure: InformationStructure) -> tuple[tuple, ...] | None:
-    """The refuting trade's payoffs, read off the common-prior program's
-    multipliers u (the constructive half of the Samet / Morris separation):
-    the Farkas certificate when the program is infeasible, the optimal duals
-    when the margin is 0, and None when ``strong_prior`` finds a strong
-    prior, in which case no program is solved.
-
-    With u_i player i's rows, u_0 that of ``sum p = 1`` and nu_d <= 0 that
-    of cell set d, set h_i = T_i u_i - u_i - u_0/N + sum |nu_d| 1_d over the
-    d that i owns, T_i the expectation table, and box h into [-1, 1]. On
-    column p_s the row of player i carries (u_i - T_i u_i)(s), so the
-    column's cancellation (certificate) or dual feasibility (duals) gives
-    sum_i h_i <= 0. T_i is idempotent and types live on their cells, so
-    E_i[h_i | c] = -u_0/N + |nu_c| when i owns c, else -u_0/N. Only
-    ``sum p = 1`` has a nonzero rhs and every lower bound is 0, so a
-    certificate's negative rhs is u_0 and h is agreeable; optimal duals have
-    u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
-    acceptable."""
-    if strong_prior(structure) is not None:
-        return None
-    outcome = _solve_common(structure)
-    if outcome.status == "infeasible":
-        u = outcome.certificate.constraint_multipliers
-    elif outcome.objective_value == ZERO:
-        u = outcome.duals
-    else:
-        raise VerificationError("positive margin, yet the closed form finds no strong prior")
-    m, n = structure.num_states, structure.num_players
-    rows = tuple(u[i * m : (i + 1) * m] for i in range(n))
-    shift = u[n * m] / n
-    h = [
-        [e - v - shift for e, v in zip(te, f)]
-        for te, f in zip(expectation_table(structure, rows), rows)
-    ]
-    for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), u[n * m + 1 :]):
-        for w in cell_set:
-            h[owner][w] -= nu
-    scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(v / scale for v in hi) for hi in h)
-
-
-def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
-    """Cell state-sets across players, deduplicated (mass constraints only
-    depend on the set of states), each with the first player owning it."""
-    seen: dict[tuple[int, ...], int] = {}
-    for i in range(structure.num_players):
-        for cell in structure.partitions[i]:
-            seen.setdefault(cell, i)
-    return seen
-
-
-def _solve_common(structure: InformationStructure) -> LPOutcome:
-    """The common prior program's outcome, solved once per structure and
-    only where ``strong_prior`` returned None: the common finder reads its
-    vertex, and ``refuting_payoffs`` every refuting trade."""
-    return structure.derived("common_prior", lambda s: solve(common_prior_program(s)))
-
-
-def strong_prior(structure: InformationStructure) -> tuple[Distribution, Rational] | None:
-    """The epsilon-maximal strong common prior and its margin epsilon*, or
-    None when no common prior charges every cell; in closed form, memoized
-    on the structure.
+def blocks(structure: InformationStructure) -> Blocks:
+    """Every prior verdict and the one refuting trade, from the cycle
+    condition on posteriors (Rodrigues-Neto 2009); memoized on the
+    structure.
 
     On player i's cell c a common prior is p = lambda_c * t_c, lambda_c the
-    cell's mass. With every lambda positive, p_w > 0 exactly where t_i(w) >
-    0, so every state must be charged by all players' types or by none, and
-    a state charged by cells c and d forces lambda_d / lambda_c = t_c(w) /
-    t_d(w). Link cells through the states they charge: on each linked block
-    K the ratios must agree around every cycle, and then the common priors
-    are the mixtures sum_K mu_K q_K of one normalized q_K per block.
-    epsilon = min_K mu_K m_K, m_K the least cell mass under q_K, is largest
-    only at mu_K proportional to 1 / m_K: scale each block so that its
-    least cell has mass 1, and p is the sum normalized, epsilon* one over
-    the total. That optimum is unique, so it is the margin program's primal
-    and value."""
-    return structure.derived("strong_prior", _strong_prior)
+    cell's mass, so a state w charged by cells c and d forces lambda_c t_c(w)
+    = lambda_d t_d(w). Link cells through the states they charge. Linked
+    cells are all empty or all charged, and a block can be charged (is
+    live) iff every state its cells charge is charged by every player's
+    cell there (no mixed charge) and the forced ratios agree around every
+    cycle. The equations never cross blocks, so the common priors are the
+    mixtures of one normalized q_K per live block K: a common prior exists
+    iff some block is live, a universal one iff the live blocks' states
+    meet every minimal component, a strong one iff every block is live.
+
+    The canonical prior scales each live block so that its least cell has
+    mass 1 and normalizes the sum. It charges every live cell, so it
+    witnesses each notion that holds; with every block live it is the
+    unique maximizer of the least cell mass, which is then ``margin``, 1
+    over the total, and otherwise 0.
+
+    The refuting trade sums one transfer family per dead block, built from
+    the first reason the walk finds it dead, at state w. Mixed charge: the
+    charging cell's owner takes 1 at w from the player whose cell does not
+    charge w. Ratio cycle: the cell whose lambda_c t_c(w) is the larger
+    takes 1 at w from the other. Either way the block's cells gain S > 0 in
+    sum, a cell's gain being lambda_c times its expectation. Each cell then
+    takes its subtree's shortfall against S / |K| across the tree edge
+    (parent cell, state s) that fixed its lambda: a transfer y at s moves y
+    times p's value at s from the parent's gain to the child's. Every
+    payoff column sums to 0, every dead cell expects strictly more than 0
+    and every live cell exactly 0, so boxed into [-1, 1] the trade is
+    acceptable whenever a block is dead, agreeable iff none is live, and
+    weakly agreeable iff some minimal component meets no live block
+    (Samet 1998)."""
+    return structure.derived("blocks", _walk_blocks)
 
 
-def _strong_prior(structure: InformationStructure) -> tuple[Distribution, Rational] | None:
+def _walk_blocks(structure: InformationStructure) -> Blocks:
     m, n = structure.num_states, structure.num_players
-    for w in range(m):
-        charging = sum(1 for i in range(n) if structure.type_at(i, w)[w])
-        if charging not in (0, n):
-            return None
+    types = structure.cell_types
     scale = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
-    value: list = [None] * m  # p on charged states, up to each block's scalar
+    value: list = [None] * m  # lambda_c t_c(w), the same for every charging c
+    setter: list = [None] * m  # the cell that first set value[w]
+    payoffs = [[ZERO] * m for _ in range(n)]
+    live, support = [], []
     total = ZERO
+
+    def gain(cell, w):  # lambda_c t_c(w), 0 off the walked cells
+        i, c = cell
+        return scale[i][c] * types[i][c][w] if scale[i][c] is not None else ZERO
+
+    def transfer(w, giver, taker, y):
+        payoffs[taker[0]][w] += y
+        payoffs[giver[0]][w] -= y
+
     for root in ((i, c) for i in range(n) for c in range(structure.num_cells(i))):
         if scale[root[0]][root[1]] is not None:
             continue
         scale[root[0]][root[1]] = ONE
-        cells, states = [root], []
-        for i, c in cells:  # the list grows while it is walked
-            lam, t = scale[i][c], structure.cell_types[i][c]
+        cells, states, tree, reason = [root], [], {}, None
+        for cell in cells:  # the list grows while it is walked
+            i, c = cell
+            lam, t = scale[i][c], types[i][c]
             for w in structure.partitions[i][c]:
                 if not t[w]:
                     continue
                 v = lam * t[w]
                 if value[w] is not None:
-                    if value[w] != v:
-                        return None  # the ratios disagree around a cycle
+                    if reason is None and value[w] != v:  # a ratio cycle
+                        reason = (w, cell, setter[w]) if v > value[w] else (w, setter[w], cell)
                     continue
-                value[w] = v
+                value[w], setter[w] = v, cell
                 states.append(w)
                 for j in range(n):
                     d = structure.cell_of(j, w)
-                    if scale[j][d] is None:
-                        scale[j][d] = v / structure.cell_types[j][d][w]
+                    if not types[j][d][w]:
+                        if reason is None:  # a mixed charge
+                            reason = (w, cell, (j, d))
+                    elif scale[j][d] is None:
+                        scale[j][d] = v / types[j][d][w]
+                        tree[(j, d)] = (cell, w)
                         cells.append((j, d))
-        least = min(scale[i][c] for i, c in cells)
-        for w in states:
-            value[w] /= least
-            total += value[w]
-    return Distribution(tuple(v / total if v is not None else ZERO for v in value)), ONE / total
+        live.append(reason is None)
+        if reason is None:
+            least = min(scale[i][c] for i, c in cells)
+            for w in states:
+                value[w] /= least
+                total += value[w]
+            support += states
+            continue
 
-
-def component_substructures(
-    structure: InformationStructure,
-) -> tuple[tuple[tuple[int, ...], InformationStructure], ...]:
-    """Each minimal component with its induced structure, built once per
-    structure. The universal-prior and weakly-agreeable-trade finders both
-    walk these objects, so each component's program is solved once."""
-    return structure.derived(
-        "component_substructures",
-        lambda s: tuple(
-            (comp, induced_substructure(s, comp)) for comp in minimal_components(s)
-        ),
+        w, taker, giver = reason
+        transfer(w, giver, taker, ONE)
+        sub = dict.fromkeys(cells, ZERO)  # each subtree's gain, before the tree transfers
+        sub[taker] += gain(taker, w)
+        if giver in sub:
+            sub[giver] -= gain(giver, w)
+        share = sum(sub.values(), ZERO) / len(cells)
+        size = dict.fromkeys(cells, 1)
+        for cell in reversed(cells[1:]):
+            parent, s = tree[cell]
+            transfer(s, parent, cell, (share * size[cell] - sub[cell]) / value[s])
+            size[parent] += size[cell]
+            sub[parent] += sub[cell]
+    prior = None
+    if support:
+        probs = [ZERO] * m
+        for w in support:
+            probs[w] = value[w] / total
+        prior = Distribution(tuple(probs))
+    charged = frozenset(support)
+    universal = prior is not None and all(
+        not charged.isdisjoint(comp) for comp in minimal_components(structure)
     )
+    boxed = None
+    if not all(live):
+        top = max(abs(v) for row in payoffs for v in row)
+        boxed = tuple(tuple(v / top for v in row) for row in payoffs)
+    margin = ONE / total if all(live) else ZERO
+    return Blocks(tuple(live), charged, prior, margin, universal, boxed)
 
 
 def _witness_from_prior(
@@ -393,54 +371,31 @@ def _witness_from_prior(
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """A common prior with hull weights, or None. The returned prior is the
-    epsilon-maximal one, so it is as spread out over cells as the structure
-    allows; existence is unaffected by the objective. The closed form gives
-    it when a strong prior exists, the common-prior program otherwise."""
-    strong = strong_prior(structure)
-    if strong is not None:
-        return _witness_from_prior(structure, strong[0])
-    outcome = _solve_common(structure)
-    if outcome.status == "infeasible":
-        return None
-    prior = Distribution(outcome.primal[: structure.num_states])
-    return _witness_from_prior(structure, prior)
+    """The canonical prior of ``blocks`` with hull weights, or None when no
+    block is live."""
+    prior = blocks(structure).prior
+    return None if prior is None else _witness_from_prior(structure, prior)
 
 
 def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """A common prior charging every cell of every player, from the closed
-    form; no LP is solved."""
-    strong = strong_prior(structure)
-    if strong is None:
+    """The canonical prior when every block is live: it charges every cell."""
+    walk = blocks(structure)
+    if not walk.strong:
         return None
-    witness = _witness_from_prior(structure, strong[0])
-    if not is_strongly_maximal(structure, strong[0]):
+    witness = _witness_from_prior(structure, walk.prior)
+    if not is_strongly_maximal(structure, walk.prior):
         raise VerificationError("strong prior witness misses a cell")
     return witness
 
 
 def find_universal_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """A common prior charging every common certainty component. Built from
-    the minimal components: each one's induced structure must admit a common
-    prior; the equal-weight mixture of their zero-extensions then charges
-    every component and stays in every hull (cross-component types put no
-    mass outside their own component)."""
-    parts = []
-    for comp, sub in component_substructures(structure):
-        witness = find_common_prior(sub)
-        if witness is None:
-            return None
-        parts.append((comp, witness.prior))
-    share = ONE / rational(len(parts))
-    mixed = [ZERO] * structure.num_states
-    for comp, sub_prior in parts:
-        extended = zero_extend(tuple(sub_prior), comp, structure.num_states)
-        for w in range(structure.num_states):
-            if extended[w]:
-                mixed[w] += share * extended[w]
-    prior = Distribution(tuple(mixed))
-    witness = _witness_from_prior(structure, prior)
-    if not is_maximal(structure, prior):
+    """The canonical prior when the live blocks' states meet every minimal
+    component: it charges every state of every live block."""
+    walk = blocks(structure)
+    if not walk.universal:
+        return None
+    witness = _witness_from_prior(structure, walk.prior)
+    if not is_maximal(structure, walk.prior):
         raise VerificationError("universal prior witness misses a component")
     return witness
 

@@ -8,14 +8,12 @@ ever loses in expectation, someone somewhere gains), weakly agreeable
 the synthesizers here are the constructive halves of those dualities: they
 either produce a graded trade or the prior side exists.
 
-No LP is solved here. Every refuting trade comes from
-``priors.refuting_payoffs``, one map from the memoized common-prior
-program's multipliers, the other half of the same separation argument:
-with no common prior it gives an agreeable trade, which also refutes the
-strong prior; with a common prior but a zero optimal margin, an acceptable
-trade; the weakly agreeable trade comes from the per-component programs
-that decide the universal prior. Where the closed-form strong prior exists
-there is nothing to refute and no program is solved. The trade LPs stay in
+No LP is solved here. The three refuting trades are one trade, built by
+``priors.blocks`` from the dead blocks of the same walk that decides the
+prior notions. It is graded once per structure, and each finder checks its
+grade before returning it: agreeable when no block is live, weakly
+agreeable when some minimal component meets no live block, acceptable when
+some block is dead. The trade LPs and the common-prior program stay in
 ``harness`` as oracles.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
@@ -49,21 +47,17 @@ from .model import (
     dot,
     expectation_table,
     payoff_vector,
-    zero_extend,
 )
 from .priors import (
     PriorClassification,
     PriorReport,
     PriorWitness,
-    _solve_common,
+    blocks,
     classify_prior,
-    component_substructures,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
     hull_weights,
-    refuting_payoffs,
-    strong_prior,
 )
 
 PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
@@ -212,59 +206,40 @@ def classify_trade(
 # -- synthesis ------------------------------------------------------------
 
 
-def _refutation(structure: InformationStructure) -> Trade | None:
-    """The trade ``priors.refuting_payoffs`` reads off the common-prior
-    program, re-verified: agreeable when the program is infeasible,
-    acceptable otherwise. The finders keep it in the structure's memo."""
-    payoffs = refuting_payoffs(structure)
-    if payoffs is None:
-        return None
-    trade = Trade(payoffs)
-    cls = classify_trade(structure, trade.payoffs)
-    if _solve_common(structure).status == "infeasible":
-        if not cls.agreeable:
-            raise VerificationError("certificate trade is not agreeable")
-    elif not cls.acceptable:
-        raise VerificationError("dual trade is not acceptable")
+def _graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
+    trade = Trade(blocks(structure).payoffs)
+    return trade, classify_trade(structure, trade.payoffs)
+
+
+def _block_trade(structure: InformationStructure, grade: str) -> Trade:
+    """The one refuting trade of ``priors.blocks``, graded once per
+    structure: it must carry the flag ``grade``."""
+    trade, cls = structure.derived("block_trade", _graded_block_trade)
+    if not getattr(cls, grade):
+        raise VerificationError(f"block trade is not {grade.replace('_', ' ')}")
     return trade
 
 
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    """The trade read off the Farkas certificate of the common-prior program,
-    or None when that program is feasible. No LP of its own is solved: the
-    certificate is the one ``lp.solve`` verified when it decided the common
-    prior, and a structure with a closed-form strong prior needs none."""
-    if strong_prior(structure) is not None or _solve_common(structure).status != "infeasible":
+    """The block trade when no block is live, else None."""
+    if blocks(structure).common:
         return None
-    return structure.derived("refutation", _refutation)
+    return _block_trade(structure, "agreeable")
 
 
 def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None:
-    """The agreeable trade of the first minimal component (by least state)
-    that has one, zero-extended to the full state space. The components are
-    the ones the universal-prior finder solved, so no LP runs here."""
-    for comp, sub in component_substructures(structure):
-        inner = find_agreeable_trade(sub)
-        if inner is None:
-            continue
-        if sub is structure:
-            return inner  # agreeable everywhere, hence on every component
-        payoffs = tuple(
-            zero_extend(f, comp, structure.num_states) for f in inner.payoffs
-        )
-        trade = Trade(payoffs)
-        if not classify_trade(structure, trade.payoffs).weakly_agreeable:
-            raise VerificationError("zero-extended trade lost weak agreeability")
-        return trade
-    return None
+    """The block trade when some minimal component meets no live block,
+    else None."""
+    if blocks(structure).universal:
+        return None
+    return _block_trade(structure, "weakly_agreeable")
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
-    """With a closed-form strong prior none; otherwise read off the
-    common-prior program: with no common prior the agreeable trade
-    (agreeable implies acceptable), with a zero margin the trade its optimal
-    duals give."""
-    return structure.derived("refutation", _refutation)
+    """The block trade when some block is dead, else None."""
+    if blocks(structure).strong:
+        return None
+    return _block_trade(structure, "acceptable")
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:

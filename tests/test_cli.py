@@ -280,42 +280,9 @@ def test_fuzz_negative_sample_count_is_input_error(run):
 # -- plumbing --------------------------------------------------------------------
 
 
-def test_dump_lp_flag(run, spath, capsys):
-    # ex_pl2 has no common prior, so its program is solved and dumped, and
-    # the agreeable trade read off it exists.
-    code, _, err = run("--dump-lp", "trade", "--kind", "agreeable", spath("ex_pl2"))
-    assert code == 0
-    assert "maximize" in err and "subject to" in err
-    # The flag holds for that one invocation only: nothing is dumped after.
-    builder = lp.LPBuilder()
-    builder.add_var("x", lower=0, upper=1, objective=1)
-    lp.solve(builder.build(maximize=True))
-    assert capsys.readouterr().err == ""
-
-
-# sha256 over the --dump-lp stderr of the common-prior and acceptable-trade
-# invocations on every fixture: the rendering of each program solved, term
-# order and hidden zeros included, and its outcome line. A structure with a
-# strong prior (intro, pl, ex_plbet4) solves no program, so dumps nothing.
-PINNED_DUMP = "d07a0c42a10b02ae63409b0e21c476aa9f34d4f88b6976a212d1f32db111bae6"
-STRONG_FIXTURES = ("intro", "pl", "ex_plbet4")
-
-
-def test_dump_lp_bytes_are_pinned(run, spath):
-    digest = hashlib.sha256()
-    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
-        dumped = ""
-        for command in (("prior", "--kind", "common"), ("trade", "--kind", "acceptable")):
-            _, _, err = run("--dump-lp", *command, spath(name))
-            dumped += err
-        assert (dumped == "") == (name in STRONG_FIXTURES), name
-        digest.update(dumped.encode())
-    assert digest.hexdigest() == PINNED_DUMP
-
-
 # sha256 over exit code, stdout and stderr of every subcommand on every
 # fixture, in text and in --json: 12 invocations x 6 fixtures x 2 forms.
-PINNED_CLI = "9b70a71098052276af22ad2949a106f9cfc7f6a3d1ff1945b0bfd2004c5c8ad3"
+PINNED_CLI = "a9e424f80e534c4daf97c008c67f7f7dd9b1c352d95992020feb308fc20d91c7"
 
 
 def test_cli_bytes_are_pinned(run, spath, tmp_path):
@@ -353,7 +320,7 @@ def test_cli_bytes_are_pinned(run, spath, tmp_path):
 
 # sha256 over exit code, stdout and stderr of the paths PINNED_CLI leaves out,
 # on every fixture, in text and in --json: 7 invocations x 6 fixtures x 2 forms.
-PINNED_CLI_REST = "cf9368abf8abbaf2522eebce09471d7140f0ecde6083eadf1b9ff70f1e6022a4"
+PINNED_CLI_REST = "f9f4f7d450a019997db45ab6ded9f0d8abd3f6a280879ddcf5ecc22c870e4e28"
 
 
 def test_cli_remaining_paths_are_pinned(run, spath, tmp_path):
@@ -382,6 +349,82 @@ def test_cli_remaining_paths_are_pinned(run, spath, tmp_path):
     assert digest.hexdigest() == PINNED_CLI_REST
 
 
+# sha256 over the verdicts alone of the PINNED_CLI and PINNED_CLI_REST
+# invocations: every exit code, and from each --json document the holds
+# flags, the distribution grades, and each trade's is_trade flag with the
+# grade flag it certifies (the dual grade of a refuted notion, the requested
+# kind of a synthesized trade, every flag of a supplied one). Witness and
+# trade bytes are left out, so this digest moves only when a decision does.
+PINNED_VERDICTS = "707bb4309ee06725f9c7782a5252fbdbe72ae329c0cf5edd448af5fe8ae22396"
+_DUAL_FLAG = {"common": "agreeable", "universal": "weakly_agreeable", "strong": "acceptable"}
+_TRADE_FLAG = {"agreeable": "agreeable", "weak": "weakly_agreeable", "acceptable": "acceptable"}
+
+
+def _graded(trade, flag):
+    return None if trade is None else (trade["flags"]["is_trade"], trade["flags"][flag])
+
+
+def _verdicts(command, doc):
+    """The decision content of one --json document, as a flat list."""
+    if command == "classify":
+        if "trade" in doc:
+            return sorted(doc["trade"]["flags"].items())
+        return [doc["base"], doc["universal"], doc["strong"]]
+    if command == "trade":
+        return [doc["holds"], _graded(doc["trade"], _TRADE_FLAG[doc["kind"]])]
+    if command == "report":
+        dist = doc["distribution"]
+        out = [] if dist is None else [dist["base"], dist["universal"], dist["strong"]]
+        notions = doc["priors"]
+    else:
+        out = [doc.get("holds")]
+        notions = {doc["kind"]: doc} if "refutation" in doc else {}
+    for key in sorted(notions):
+        notion = notions[key]
+        out += [key, notion["holds"], _graded(notion["refutation"], _DUAL_FLAG[key])]
+    return out
+
+
+def test_cli_verdicts_are_pinned(run, spath, tmp_path):
+    digest = hashlib.sha256()
+    runs = 0
+    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        s = spath(name)
+        doc = json.loads(open(s).read())
+        states, players = len(doc["states"]), len(doc["players"])
+        p = write_json(tmp_path, f"u{name}.json", {"dist": [f"1/{states}"] * states})
+        f = write_json(tmp_path, f"f{name}.json", {"payoffs": [[0] * states] * players})
+        for command, *args in (
+            ("check",),
+            ("components",),
+            ("components", "--all"),
+            ("prior", "--kind", "common"),
+            ("prior", "--kind", "universal"),
+            ("prior", "--kind", "strong"),
+            ("prior", "--kind", "common", "--check", p),
+            ("prior", "--kind", "universal", "--check", p),
+            ("prior", "--kind", "strong", "--check", p),
+            ("trade", "--kind", "agreeable"),
+            ("trade", "--kind", "weak"),
+            ("trade", "--kind", "acceptable"),
+            ("pump", "--dist", p),
+            ("pump", "--require", "maximal", "--dist", p),
+            ("pump", "--require", "strong", "--dist", p),
+            ("classify", "--dist", p),
+            ("classify", "--trade", f),
+            ("report",),
+            ("report", "--all-components", "--dist", p),
+        ):
+            code, _, _ = run(command, *args, s)
+            jcode, out, _ = run(command, "--json", *args, s)
+            verdicts = _verdicts(command, json.loads(out))
+            label = " ".join(a for a in args if a not in (p, f))
+            digest.update(f"{name} {command} {label} {code} {jcode} {verdicts}\n".encode())
+            runs += 2
+    assert runs == 228
+    assert digest.hexdigest() == PINNED_VERDICTS
+
+
 def test_constraint_rows_are_sparse_and_in_range():
     builder = lp.LPBuilder()
     x = builder.add_var("x", lower=0)
@@ -389,7 +432,6 @@ def test_constraint_rows_are_sparse_and_in_range():
     builder.add_constraint({y: 1, x: 0}, "<=", 1)
     program = builder.build(maximize=True)
     assert program.constraints[0].coeffs == {y: 1}
-    assert lp.render_lp(program).splitlines()[3] == "  1*y <= 1"
     with pytest.raises(DimensionError):
         lp.LinearProgram(
             (0, 0), True, (lp.Constraint({2: 1}, "<=", 1),), (0, 0), (None, None), ("x", "y")

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from prior_forge import (
-    ONE,
     ZERO,
     GeneratorConfig,
     PriorForgeError,
@@ -23,7 +22,8 @@ from prior_forge import (
     structure_digest,
 )
 from prior_forge import harness
-from prior_forge.priors import common_prior_program, strong_prior
+from prior_forge.harness import common_prior_program
+from prior_forge.priors import blocks
 
 
 def test_config_validation():
@@ -102,31 +102,46 @@ def test_cross_check_oracle_catches_a_wrong_trade_finder(fixture_path, monkeypat
 
 def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     s = _fresh(fixture_path, "ex_pl1")
-    outcome = solve(common_prior_program(s))
-    assert outcome.status == "optimal" and outcome.objective_value == ZERO
-    # Plant a positive strictness margin in the memo: production then reads
-    # "no acceptable trade" off it, and only the acceptable program objects.
-    s.derived("common_prior", lambda _: replace(outcome, objective_value=ONE))
+    walk = blocks(_fresh(fixture_path, "ex_pl1"))
+    assert walk.live == (True, False, True)
+    # Plant a walk that calls every block live: production then reads "no
+    # acceptable trade" off it, and the programs object.
+    s.derived("blocks", lambda _: replace(walk, live=(True,) * 3, payoffs=None))
     report = cross_check(s, minimize=False)
-    assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
+    failures = _oracle_failures(report)
+    assert "oracle: acceptable program matches the acceptable trade" in failures
+    assert "oracle: common-prior program decides as the blocks" in failures
 
 
 def test_cross_check_oracle_catches_a_wrong_closed_form(fixture_path):
-    # Plant a halved margin in the closed form's memo: the prior still
-    # verifies, so only the margin program objects.
-    prior, eps = strong_prior(_fresh(fixture_path, "ex_plbet4"))
+    # Plant a halved margin in the walk's memo: the prior still verifies and
+    # still satisfies the program's rows, so only the margin program objects.
+    walk = blocks(_fresh(fixture_path, "ex_plbet4"))
     s = _fresh(fixture_path, "ex_plbet4")
-    s.derived("strong_prior", lambda _: (prior, eps / 2))
+    s.derived("blocks", lambda _: replace(walk, margin=walk.margin / 2))
     report = cross_check(s, minimize=False)
     assert [f.name for f in report.failures] == [
         "oracle: closed-form strong prior equals the margin program's optimum"
     ]
 
 
+def test_cross_check_oracle_reports_a_dead_block_the_program_refutes(fixture_path):
+    # Plant a walk that calls one of ex_plbet4's blocks dead, with some
+    # payoffs: the program finds a positive margin and so no trade, which
+    # must be recorded as a failure, not raise.
+    walk = blocks(_fresh(fixture_path, "ex_plbet4"))
+    s = _fresh(fixture_path, "ex_plbet4")
+    dead = (False,) + walk.live[1:]
+    payoffs = ((ZERO,) * s.num_states,) * s.num_players
+    s.derived("blocks", lambda _: replace(walk, live=dead, margin=ZERO, payoffs=payoffs))
+    report = cross_check(s, minimize=False)
+    assert "oracle: program trade grades as the block trade" in _oracle_failures(report)
+
+
 def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypatch):
-    # pl4 has a common prior but no strong one (optimal margin 0): production
-    # reads its acceptable trade off the optimal duals, and the acceptable
-    # program still runs as the oracle.
+    # pl4 has a common prior but no strong one (optimal margin 0): the block
+    # trade is its acceptable trade, and the acceptable program still runs
+    # as the oracle.
     s = _fresh(fixture_path, "pl4")
     assert solve(common_prior_program(s)).objective_value == ZERO
     monkeypatch.setattr(harness, "find_acceptable_trade", lambda structure: None)

@@ -230,7 +230,7 @@ def _assert_optimal_duals(lp, out):
 
 def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     from prior_forge import GeneratorConfig, random_structure
-    from prior_forge.priors import common_prior_program
+    from prior_forge.harness import common_prior_program
 
     checked = 0
     fixtures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
@@ -287,9 +287,9 @@ def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     from prior_forge.harness import (
         acceptable_trade_program,
         agreeable_trade_program,
+        common_prior_program,
         joint_common_prior_program,
     )
-    from prior_forge.priors import common_prior_program
 
     builders = (
         common_prior_program,

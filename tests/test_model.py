@@ -17,7 +17,7 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.errors import NotAComponentError
-from prior_forge.model import dot, zero_extend
+from prior_forge.model import dot
 
 
 def restrict_distribution(d, subset):
@@ -126,6 +126,21 @@ def test_direct_construction_rejects_defects(cells, types, error, message):
         InformationStructure(("a", "b"), ("P",), (cells,), (tuple(table[t] for t in types),))
 
 
+@pytest.mark.parametrize(
+    "players, partitions, cell_types, message",
+    [
+        (["P"], [[[0]]], [[]], "0 types for 1 cells"),
+        (["P", "Q"], [[[0]], [[0]]], [[[1]]], "one partition and one type table per player"),
+        (["P"], [[[0]]], [[[1]], [[1]]], "one partition and one type table per player"),
+    ],
+)
+def test_make_structure_checks_counts_first(players, partitions, cell_types, message):
+    # A missing type row or type table is a dimension error, not an
+    # IndexError, and a spare type table is not silently dropped.
+    with pytest.raises(DimensionError, match=message):
+        make_structure(["a"], players, partitions, cell_types)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(SchemaError):
         make_structure(["w1", "w1"], ["P1"], [[[0, 1]]], [[("1/2", "1/2")]])
@@ -168,4 +183,3 @@ def test_single_player_view(ex_pl2):
 def test_restrict_and_zero_extend():
     d = Distribution(("1/2", 0, "1/2"))
     assert restrict_distribution(d, (0, 2)) == (d[0], d[2])
-    assert zero_extend((5, 7), (0, 2), 4) == (5, 0, 7, 0)

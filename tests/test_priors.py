@@ -1,5 +1,6 @@
 """Disintegrability, conglomerability, and the three common prior notions."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from prior_forge import (
     VerificationError,
     ZERO,
     classify_prior,
+    classify_trade,
     disintegrable_by_definition,
     enumerate_basic_solutions,
     find_common_prior,
@@ -24,9 +26,15 @@ from prior_forge import (
     rational,
     uniform,
 )
-from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
+from prior_forge.harness import (
+    GeneratorConfig,
+    common_prior_program,
+    component_substructures,
+    planted_structure,
+    random_structure,
+)
 from prior_forge.lp import solve
-from prior_forge.priors import common_prior_program, component_substructures, strong_prior
+from prior_forge.priors import blocks
 
 
 def q(text):
@@ -263,10 +271,12 @@ def test_polytope_agrees_with_finder(intro, pl4, ex_pl1, ex_pl2):
 
 
 def closed_form_matches_program(structure):
-    """strong_prior against the margin program it replaces: the same primal
-    and epsilon, or None exactly where the program is infeasible or has
-    epsilon* = 0. Returns the closed form."""
-    closed = strong_prior(structure)
+    """The canonical prior of ``blocks`` against the margin program it
+    replaces: where every block is live, the same primal and epsilon, and
+    None exactly where the program is infeasible or has epsilon* = 0.
+    Returns the closed form."""
+    walk = blocks(structure)
+    closed = (walk.prior, walk.margin) if walk.strong else None
     out = solve(common_prior_program(structure))
     if closed is None:
         assert out.status == "infeasible" or out.objective_value == ZERO
@@ -358,3 +368,96 @@ def test_strong_prior_mixes_closed_blocks_by_least_cell_mass():
     assert prior == Distribution((q("1/4"), q("1/2"), q("1/4")))
     assert eps == q("1/4")
     assert find_strong_common_prior(s).prior == prior
+
+
+# -- the block walk ----------------------------------------------------------
+
+
+def grades(structure, payoffs):
+    cls = classify_trade(structure, payoffs)
+    return cls.is_trade, cls.acceptable, cls.weakly_agreeable, cls.agreeable
+
+
+def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
+    # ex_pl1: P1's {w2,w3} charges w2 and w3, where P2's cells charge only
+    # w1 and w4: a mixed charge at w2 kills its block, and P1 takes 1 there
+    # from P2. The blocks in walk order are P1's {w1} with P2's first cell,
+    # P1's {w2,w3} alone, and P1's {w4} with P2's second cell; the two linked
+    # to a P2 cell are live and meet both minimal components: universal, not
+    # strong, and the trade is acceptable only.
+    walk = blocks(ex_pl1)
+    assert walk.live == (True, False, True)
+    assert walk.support == {0, 3} and walk.universal and walk.margin == ZERO
+    assert walk.prior == Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
+    assert walk.payoffs == ((0, 1, 0, 0), (0, -1, 0, 0))
+    assert grades(ex_pl1, walk.payoffs) == (True, True, False, False)
+    # ex_pl2: one block of all four cells; P2's {w2,w3} charges only w2, so
+    # the walk meets a mixed charge at w3 and no block is live: the trade is
+    # agreeable.
+    walk = blocks(ex_pl2)
+    assert walk.live == (False,) and walk.support == frozenset()
+    assert walk.prior is None and not walk.universal
+    assert grades(ex_pl2, walk.payoffs) == (True, True, True, True)
+    # pl4: two blocks, each one cell of P1 and one of P2. {w1,w2} is live;
+    # on {w3,w4} P2's type (1, 0) misses w4, a mixed charge. P1 takes 1 at
+    # w4 (gain 1/2), then pays P2 1/2 at w3 across the tree edge, so each
+    # dead cell gains 1/4. The live support misses the minimal component
+    # {w3,w4}: common, not universal, and the trade is weakly agreeable.
+    walk = blocks(pl4)
+    assert walk.live == (True, False)
+    assert walk.support == {0, 1} and not walk.universal
+    assert walk.payoffs == ((0, 0, q("-1/2"), 1), (0, 0, q("1/2"), -1))
+    assert grades(pl4, walk.payoffs) == (True, True, True, False)
+
+
+def linked_without(structure, cell):
+    """Labels of the state sets that the cells other than P1's ``cell``
+    link, as a list indexed by state."""
+    label = list(range(structure.num_states))
+    for i, cells in enumerate(structure.partitions):
+        for other in cells:
+            if (i, other) != (0, cell):
+                old = {label[w] for w in other}
+                label = [label[other[0]] if x in old else x for x in label]
+    return label
+
+
+def broken(structure, kind, rng):
+    """``structure`` with P1's type changed on two states a, b of one cell
+    that the other cells also link: b zeroed, its mass moved to a (a mixed
+    charge at b), or half of b's mass moved to a (a ratio cycle through the
+    cell and the link)."""
+    pairs = []
+    for c, cell in enumerate(structure.partitions[0]):
+        label = linked_without(structure, cell)
+        pairs += [(c, a, b) for a, b in itertools.combinations(cell, 2) if label[a] == label[b]]
+    c, a, b = rng.choice(pairs)
+    types = [list(row) for row in structure.cell_types]
+    t = types[0][c] = list(types[0][c])
+    moved = t[b] if kind == "mixed" else t[b] / 2
+    t[a], t[b] = t[a] + moved, t[b] - moved
+    return make_structure(structure.states, structure.players, structure.partitions, types)
+
+
+@pytest.mark.parametrize("m", (24, 48))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("kind", ("mixed", "cycle"))
+@pytest.mark.parametrize("planted", (1, 2))
+def test_blocks_match_the_program_on_broken_planted_structures(m, n, kind, planted):
+    rng = random.Random(f"{m}:{n}:{kind}:{planted}")
+    structure = broken(planted_structure(m, n, planted, rng)[0], kind, rng)
+    walk = blocks(structure)
+    assert not walk.strong
+    for comp, sub in component_substructures(structure):
+        out = solve(common_prior_program(sub))
+        feasible = out.status == "optimal"
+        assert feasible == (not walk.support.isdisjoint(comp))
+        assert (feasible, feasible and out.objective_value > ZERO) == (
+            blocks(sub).common, blocks(sub).strong
+        )
+    out = solve(common_prior_program(structure))
+    assert (out.status == "optimal") == walk.common
+    assert out.status == "infeasible" or out.objective_value == ZERO
+    assert grades(structure, walk.payoffs) == (
+        True, True, not walk.universal, not walk.common
+    )

@@ -1,15 +1,22 @@
 """AnalysisReport assembly and rendering."""
 
+import ast
+import pathlib
 from dataclasses import replace
 
 import pytest
 
+import prior_forge
 from prior_forge import (
     AnalysisReport,
     Distribution,
+    GeneratorConfig,
     Trade,
     VerificationError,
     analyze,
+    harness,
+    lp,
+    random_structure,
     rational,
     uniform,
 )
@@ -86,3 +93,36 @@ def test_report_verification_regrades_refutations(ex_pl2):
         forged = replace(report.priors, **{field: zero})
         with pytest.raises(VerificationError):
             _verify_report(ex_pl2, forged, None)
+
+
+def _lp_importers():
+    """The package modules that import the LP layer."""
+    found = []
+    for path in sorted(pathlib.Path(prior_forge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and (
+                node.module == "lp" or any(alias.name == "lp" for alias in node.names)
+            ):
+                found.append(path.name)
+                break
+    return found
+
+
+def test_analyze_solves_no_lp(monkeypatch, intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    # Only the oracles in the harness, and the package's exports, use the LP
+    # layer; production decides every verdict from the block walk.
+    assert _lp_importers() == ["__init__.py", "harness.py"]
+    calls = []
+    real = lp.solve
+
+    def counting_solve(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(harness, "solve", counting_solve)
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    for s in structures:
+        analyze(s, uniform(s.num_states))
+    assert calls == []

@@ -36,9 +36,8 @@ from prior_forge import (
     solve,
     uniform,
 )
-from prior_forge import priors, trades
-from prior_forge.harness import pump_piece_program
-from prior_forge.priors import component_substructures
+from prior_forge import lp, trades
+from prior_forge.harness import component_substructures, pump_piece_program
 from prior_forge.model import dot
 
 
@@ -171,26 +170,37 @@ def test_trade_chain(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
 def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name):
     # A freshly parsed structure, so no memo from another test applies.
     s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
-    find_common_prior(s)
-    find_universal_common_prior(s)
-    find_strong_common_prior(s)
     solved = []
 
     def counting_solve(program):
         solved.append(program)
         return solve(program)
 
-    # The trade layer has no solver of its own to patch.
-    assert not hasattr(trades, "solve")
-    monkeypatch.setattr(priors, "solve", counting_solve)
-    find_agreeable_trade(s)
-    assert find_weakly_agreeable_trade(s) is not None
-    assert find_acceptable_trade(s) is not None
+    graded = []
+
+    def counting_classify(structure, payoffs):
+        graded.append(payoffs)
+        return classify_trade(structure, payoffs)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(trades, "classify_trade", counting_classify)
+    find_common_prior(s)
+    find_universal_common_prior(s)
+    find_strong_common_prior(s)
+    # The trade finders read the same memoized block walk as the prior
+    # finders: one trade, walked once and graded once.
+    walk = s.derived("blocks", lambda _: None)
+    agreeable = find_agreeable_trade(s)
+    weak = find_weakly_agreeable_trade(s)
+    acceptable = find_acceptable_trade(s)
+    assert s.derived("blocks", lambda _: None) is walk is not None
     assert solved == []
-    # ex_pl2 has no common prior; pl4 has one but no strong one, and its
-    # acceptable trade comes from the optimal duals.
+    assert graded == [walk.payoffs]
+    # ex_pl2 has no common prior; pl4 has one but no universal one, and its
+    # weakly agreeable and acceptable trades are the same block trade.
     assert (find_common_prior(s) is None) == (name == "ex_pl2")
-    assert find_strong_common_prior(s) is None
+    assert (agreeable is None) == (name == "pl4")
+    assert weak.payoffs == acceptable.payoffs == walk.payoffs
 
 
 def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -207,7 +217,7 @@ def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbe
 
 # sha256 over the common, universal and strong refutations below, as
 # ``format_rational`` strings; any change of a refuting trade's bytes shows.
-PINNED_REFUTATIONS = "01a92cd2c3eb54d9570f522bf3074a6b78c4302f73c55b8e038c73beeac68ac7"
+PINNED_REFUTATIONS = "fe960194b08a2d88dd82d6798784f3146c95610f6f2364848e49c2c3548c833a"
 
 
 def test_refuting_trades_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
