@@ -76,7 +76,6 @@ from .model import (
 )
 from .priors import (
     PriorClassification,
-    PriorReport,
     PriorWitness,
     classify_prior,
     disintegrable_by_definition,
@@ -91,6 +90,7 @@ from .report import AnalysisReport, analyze
 from .trades import (
     DistributionVerdict,
     MoneyPumpWitness,
+    PriorReport,
     SemiTrade,
     Trade,
     TradeClassification,

@@ -11,7 +11,7 @@ rendering, which is byte-identical across runs for identical inputs.
 
 Every document and text line of a prior notion, component list, distribution
 verdict or money pump is a rendering piece of ``report``. This module composes
-those pieces; it handles arguments, finder dispatch and exit codes.
+those pieces; it handles arguments, dispatch and exit codes.
 """
 
 from __future__ import annotations
@@ -33,30 +33,13 @@ from .jsonio import (
     parse_structure,
     structure_to_json,
 )
-from .priors import classify_prior, find_common_prior, find_strong_common_prior, find_universal_common_prior
+from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
 from .report import notion_json, notion_lines, payoff_lines, prior_check_json
 from .report import prior_check_line, pump_json, pump_lines, trade_json
 from .report import verdict_json, verdict_line
-from .trades import (
-    classify_distribution,
-    classify_trade,
-    find_acceptable_trade,
-    find_agreeable_trade,
-    find_multiplayer_money_pump,
-    find_weakly_agreeable_trade,
-)
+from .trades import classify_distribution, classify_trade, find_multiplayer_money_pump
 
-_PRIOR_FINDERS = {
-    "common": find_common_prior,
-    "universal": find_universal_common_prior,
-    "strong": find_strong_common_prior,
-}
-_TRADE_FINDERS = {
-    "agreeable": find_agreeable_trade,
-    "weak": find_weakly_agreeable_trade,
-    "acceptable": find_acceptable_trade,
-}
 # Refuting a prior notion means synthesizing its dual trade grade.
 _DUAL_TRADE = {"common": "agreeable", "universal": "weak", "strong": "acceptable"}
 _PUMP_GRADES = {"maximal": ("universal", "strong"), "strong": ("strong",)}
@@ -102,14 +85,9 @@ def _cmd_prior(args) -> int:
         line = prior_check_line(kind, dist, holds)
         _emit(args, prior_check_json(kind, dist, holds), [line])
         return 0 if holds else 3
-    witness = _PRIOR_FINDERS[kind](structure)
-    refutation = cls = None
-    if witness is None:
-        refutation = _TRADE_FINDERS[dual](structure)
-        if refutation is None:
-            raise VerificationError(f"no {kind} prior and no {dual} trade either")
-        cls = classify_trade(structure, refutation.payoffs)
-    doc = {"kind": kind, **notion_json(structure, witness, refutation, cls)}
+    rep = analyze(structure)
+    witness, refutation = rep.priors.notion(kind)
+    doc = {"kind": kind, **notion_json(structure, witness, refutation, rep.trade_class)}
     lines = notion_lines(structure, f"{kind} prior", witness, refutation, dual)
     _emit(args, doc, lines)
     return 0 if witness is not None else 3
@@ -118,13 +96,14 @@ def _cmd_prior(args) -> int:
 def _cmd_trade(args) -> int:
     structure = _load_structure(args.structure)
     kind = args.kind
-    trade = _TRADE_FINDERS[kind](structure)
+    refuted = next(notion for notion, dual in _DUAL_TRADE.items() if dual == kind)
+    rep = analyze(structure)
+    trade = rep.priors.notion(refuted)[1]
     if trade is None:
         doc = {"kind": kind, "holds": False, "trade": None}
         _emit(args, doc, [f"{kind} trade: absent"])
         return 3
-    cls = classify_trade(structure, trade.payoffs)
-    found = trade_json(structure, trade.payoffs, cls)
+    found = trade_json(structure, trade.payoffs, rep.trade_class)
     doc = {"kind": kind, "holds": True, "trade": found}
     lines = [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")]
     _emit(args, doc, lines)

@@ -81,19 +81,6 @@ class PriorClassification:
     strong: bool
 
 
-@dataclass(frozen=True)
-class PriorReport:
-    """The three notions side by side; absent notions may carry a refutation
-    (a trade witness) supplied by the trade layer."""
-
-    common_prior: PriorWitness | None
-    universal_common_prior: PriorWitness | None
-    strong_common_prior: PriorWitness | None
-    common_refutation: object | None
-    universal_refutation: object | None
-    strong_refutation: object | None
-
-
 def _check_single_player(structure: InformationStructure) -> None:
     if structure.num_players != 1:
         raise PlayerCountError(
@@ -354,9 +341,16 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     return Blocks(tuple(live), charged, prior, margin, universal, boxed)
 
 
-def _witness_from_prior(
-    structure: InformationStructure, prior: Distribution
-) -> PriorWitness:
+def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
+    """The canonical prior of ``blocks`` with hull weights, or None when no
+    block is live; built and verified once per structure."""
+    return structure.derived("witness", _canonical_witness)
+
+
+def _canonical_witness(structure: InformationStructure) -> PriorWitness | None:
+    prior = blocks(structure).prior
+    if prior is None:
+        return None
     weight_rows = []
     for i in range(structure.num_players):
         weights = hull_weights(structure, i, prior)
@@ -370,20 +364,12 @@ def _witness_from_prior(
     return witness
 
 
-def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """The canonical prior of ``blocks`` with hull weights, or None when no
-    block is live."""
-    prior = blocks(structure).prior
-    return None if prior is None else _witness_from_prior(structure, prior)
-
-
 def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | None:
     """The canonical prior when every block is live: it charges every cell."""
-    walk = blocks(structure)
-    if not walk.strong:
+    if not blocks(structure).strong:
         return None
-    witness = _witness_from_prior(structure, walk.prior)
-    if not is_strongly_maximal(structure, walk.prior):
+    witness = find_common_prior(structure)
+    if not is_strongly_maximal(structure, witness.prior):
         raise VerificationError("strong prior witness misses a cell")
     return witness
 
@@ -391,11 +377,10 @@ def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | 
 def find_universal_common_prior(structure: InformationStructure) -> PriorWitness | None:
     """The canonical prior when the live blocks' states meet every minimal
     component: it charges every state of every live block."""
-    walk = blocks(structure)
-    if not walk.universal:
+    if not blocks(structure).universal:
         return None
-    witness = _witness_from_prior(structure, walk.prior)
-    if not is_maximal(structure, walk.prior):
+    witness = find_common_prior(structure)
+    if not is_maximal(structure, witness.prior):
         raise VerificationError("universal prior witness misses a component")
     return witness
 

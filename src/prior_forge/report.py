@@ -11,27 +11,29 @@ text piece per kind of result (a prior notion, the component lists, a
 distribution verdict, a money pump). The command line composes the same
 pieces, passing its own label where a subcommand's wording differs.
 
-Every witness is re-verified here, immediately before rendering, even though
-the finders verified it at construction. A report is the artifact that
-leaves the process; it must never carry a claim that was not re-checked.
-The classifications made by that re-check are kept on the report and are
-what the renderings print, so each refuting trade is graded once.
+The one canonical prior is re-verified here once, immediately before
+rendering, together with every notion it is claimed for (maximal for
+universal, strongly maximal for strong), even though the finders verified it
+at construction; the one refuting trade is graded once, and must carry the
+grade of every notion it refutes. A report is the artifact that leaves the
+process; it must never carry a claim that was not re-checked. The trade's
+classification from that re-check is kept on the report and is what the
+renderings print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ._rational import format_rational, to_json_value
-from .certainty import component_family, minimal_components
+from .certainty import component_family, is_maximal, is_strongly_maximal, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, distribution_to_json, structure_to_json
 from .model import Distribution, InformationStructure
-from .priors import PriorReport, PriorWitness
+from .priors import PriorWitness
 from .trades import (
     MoneyPumpWitness,
-    Trade,
+    PriorReport,
     TradeClassification,
     build_prior_report,
     classify_distribution,
@@ -39,21 +41,16 @@ from .trades import (
     DistributionVerdict,
 )
 
-# The three prior notions: JSON key, text label, and the flag of the dual
-# trade variant that refutes the notion when it fails. The PriorReport fields
-# are named after them: the label with underscores holds the witness,
-# ``<key>_refutation`` the refuting trade.
+# The three prior notions: JSON key (the key of ``PriorReport.notion``), text
+# label, and the flag of the dual trade variant that refutes the notion when
+# it fails.
 NOTIONS = (
     ("common", "common prior", "agreeable"),
     ("universal", "universal common prior", "weakly_agreeable"),
     ("strong", "strong common prior", "acceptable"),
 )
-
-
-def _notion(priors: PriorReport, key: str, label: str):
-    """The witness and the refutation that ``priors`` holds for one notion."""
-    witness = getattr(priors, label.replace(" ", "_"))
-    return witness, getattr(priors, f"{key}_refutation")
+# What the canonical prior must charge, beyond being common, for each notion.
+_CHARGES = {"universal": is_maximal, "strong": is_strongly_maximal}
 
 
 @dataclass(frozen=True)
@@ -64,16 +61,15 @@ class AnalysisReport:
     priors: PriorReport
     dist: Distribution | None
     verdict: DistributionVerdict | None
-    # The re-check's classification of each distinct refuting trade.
-    refutation_classes: Mapping[Trade, TradeClassification]
+    # The re-check's classification of the refuting trade, if there is one.
+    trade_class: TradeClassification | None
 
     def to_json(self) -> dict:
         s = self.structure
         priors = {}
-        for key, label, _ in NOTIONS:
-            witness, refutation = _notion(self.priors, key, label)
-            cls = self.refutation_classes.get(refutation)
-            priors[key] = notion_json(s, witness, refutation, cls)
+        for key, _, _ in NOTIONS:
+            witness, refutation = self.priors.notion(key)
+            priors[key] = notion_json(s, witness, refutation, self.trade_class)
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
@@ -99,12 +95,9 @@ class AnalysisReport:
             for cell, t in zip(s.partitions[i], s.cell_types[i]):
                 lines.append(f"    type on {_state_set(s, cell)}: {_vector(t)}")
         lines += component_lines(s, self.minimal, self.all_components, " components")
+        grade = None if self.trade_class is None else _trade_grade(self.trade_class)
         for key, label, _ in NOTIONS:
-            witness, refutation = _notion(self.priors, key, label)
-            grade = None
-            if refutation is not None:
-                grade = _trade_grade(self.refutation_classes[refutation])
-            lines += notion_lines(s, label, witness, refutation, grade)
+            lines += notion_lines(s, label, *self.priors.notion(key), grade)
         if self.dist is not None and self.verdict is not None:
             v = self.verdict
             lines.append(f"distribution p = {_vector(self.dist)}")
@@ -128,33 +121,36 @@ def analyze(
         family = component_family(structure)
     priors = build_prior_report(structure)
     verdict = classify_distribution(structure, dist) if dist is not None else None
-    classes = _verify_report(structure, priors, verdict)
-    return AnalysisReport(structure, minimal, family, priors, dist, verdict, classes)
+    trade_class = _verify_report(structure, priors, verdict)
+    return AnalysisReport(structure, minimal, family, priors, dist, verdict, trade_class)
 
 
 def _verify_report(
     s: InformationStructure, priors: PriorReport, verdict: DistributionVerdict | None
-) -> dict[Trade, TradeClassification]:
-    """Re-verify every witness and re-grade every refuting trade; one trade
-    may refute several notions and is classified once. Returns the
-    classification of each distinct refuting trade."""
-    classes: dict[Trade, TradeClassification] = {}
-    for key, label, flag in NOTIONS:
-        witness, refutation = _notion(priors, key, label)
-        if witness is not None:
-            witness.verify(s)
-        if refutation is not None:
-            if refutation not in classes:
-                classes[refutation] = classify_trade(s, refutation.payoffs)
-            cls = classes[refutation]
-            if not (cls.is_trade and getattr(cls, flag)):
-                raise VerificationError(f"refuting trade is not {flag}")
+) -> TradeClassification | None:
+    """Re-verify the witness once and grade the trade once, then check every
+    notion: where it holds the witness must charge what the notion asks,
+    where it fails the trade must carry the notion's grade. Returns the
+    trade's classification."""
+    witness, trade = priors.witness, priors.trade
+    if witness is not None:
+        witness.verify(s)
+    cls = None if trade is None else classify_trade(s, trade.payoffs)
+    for key, _, flag in NOTIONS:
+        if key in priors.holds:
+            if witness is None:
+                raise VerificationError(f"{key} prior claimed without a witness")
+            charges = _CHARGES.get(key)
+            if charges is not None and not charges(s, witness.prior):
+                raise VerificationError(f"{key} prior witness fails {charges.__name__}")
+        elif cls is None or not (cls.is_trade and getattr(cls, flag)):
+            raise VerificationError(f"{key} prior fails and no {flag} trade refutes it")
     if verdict is not None:
         if verdict.prior_witness is not None:
             verdict.prior_witness.verify(s)
         if verdict.pump_witness is not None:
             verdict.pump_witness.verify(s)
-    return classes
+    return cls
 
 
 # -- JSON pieces ------------------------------------------------------------

@@ -50,13 +50,10 @@ from .model import (
 )
 from .priors import (
     PriorClassification,
-    PriorReport,
     PriorWitness,
     blocks,
     classify_prior,
     find_common_prior,
-    find_strong_common_prior,
-    find_universal_common_prior,
     hull_weights,
 )
 
@@ -360,31 +357,35 @@ def classify_distribution(
     )
 
 
+@dataclass(frozen=True)
+class PriorReport:
+    """The three prior notions of one structure: the canonical prior, the
+    keys of the notions it witnesses (``report.NOTIONS`` order), and the one
+    block trade that refutes every other notion."""
+
+    witness: PriorWitness | None
+    holds: tuple[str, ...]
+    trade: Trade | None
+
+    def notion(self, key: str) -> tuple[PriorWitness | None, Trade | None]:
+        """(witness, refutation) for one notion: the canonical prior where the
+        notion holds, else the block trade."""
+        return (self.witness, None) if key in self.holds else (None, self.trade)
+
+    # Per-notion views, read by the correctness gate in perfbench/workloads.py.
+    common_prior = property(lambda self: self.notion("common")[0])
+    universal_common_prior = property(lambda self: self.notion("universal")[0])
+    strong_common_prior = property(lambda self: self.notion("strong")[0])
+    common_refutation = property(lambda self: self.notion("common")[1])
+    universal_refutation = property(lambda self: self.notion("universal")[1])
+    strong_refutation = property(lambda self: self.notion("strong")[1])
+
+
 def build_prior_report(structure: InformationStructure) -> PriorReport:
-    """All three prior notions with refuting trades for the absent ones. The
-    dualities guarantee a refutation exists whenever a notion fails; their
-    absence would be a bug."""
-    common = find_common_prior(structure)
-    universal = find_universal_common_prior(structure)
-    strong = find_strong_common_prior(structure)
-    if strong is not None and universal is None:
-        raise VerificationError("strong prior present but universal absent")
-    if universal is not None and common is None:
-        raise VerificationError("universal prior present but common absent")
-    refut_c = find_agreeable_trade(structure) if common is None else None
-    refut_u = find_weakly_agreeable_trade(structure) if universal is None else None
-    refut_s = find_acceptable_trade(structure) if strong is None else None
-    if common is None and refut_c is None:
-        raise VerificationError("no common prior and no agreeable trade")
-    if universal is None and refut_u is None:
-        raise VerificationError("no universal prior and no weakly agreeable trade")
-    if strong is None and refut_s is None:
-        raise VerificationError("no strong prior and no acceptable trade")
-    return PriorReport(
-        common_prior=common,
-        universal_common_prior=universal,
-        strong_common_prior=strong,
-        common_refutation=refut_c,
-        universal_refutation=refut_u,
-        strong_refutation=refut_s,
-    )
+    """The canonical prior, the notions it witnesses, and, unless every
+    notion holds, the block trade that refutes the others. The report's
+    re-check grades the trade against each notion it refutes."""
+    walk = blocks(structure)
+    flags = (("common", walk.common), ("universal", walk.universal), ("strong", walk.strong))
+    holds = tuple(key for key, ok in flags if ok)
+    return PriorReport(find_common_prior(structure), holds, find_acceptable_trade(structure))

@@ -1,6 +1,7 @@
 """AnalysisReport assembly and rendering."""
 
 import ast
+import json
 import pathlib
 from dataclasses import replace
 
@@ -11,13 +12,17 @@ from prior_forge import (
     AnalysisReport,
     Distribution,
     GeneratorConfig,
+    PriorWitness,
     Trade,
     VerificationError,
     analyze,
     harness,
     lp,
+    parse_structure,
+    priors,
     random_structure,
     rational,
+    trades,
     uniform,
 )
 from prior_forge.report import _verify_report
@@ -86,13 +91,53 @@ def test_rendering_deterministic(pl4):
     assert a.to_text() == b.to_text()
 
 
-def test_report_verification_regrades_refutations(ex_pl2):
-    report = analyze(ex_pl2)
-    zero = Trade(((0, 0, 0, 0), (0, 0, 0, 0)))
-    for field in ("common_refutation", "universal_refutation", "strong_refutation"):
-        forged = replace(report.priors, **{field: zero})
-        with pytest.raises(VerificationError):
-            _verify_report(ex_pl2, forged, None)
+def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
+    # The one trade must carry the grade of every notion that fails: a zero
+    # trade refutes neither ex_pl2's common prior (agreeable), nor pl4's
+    # universal one (weakly agreeable), nor ex_pl1's strong one (acceptable),
+    # and a missing trade refutes nothing.
+    for s, flag in ((ex_pl2, "agreeable"), (pl4, "weakly_agreeable"), (ex_pl1, "acceptable")):
+        priors = analyze(s).priors
+        zero = Trade(((0,) * s.num_states,) * s.num_players)
+        for trade in (zero, None):
+            with pytest.raises(VerificationError, match=f"no {flag} trade"):
+                _verify_report(s, replace(priors, trade=trade), None)
+
+
+def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
+    # ex_pl1's canonical prior misses a cell, so it is not strong; pl4's
+    # misses a minimal component, so it is not universal. Claiming either
+    # grade for it must fail the re-check.
+    strong = replace(analyze(ex_pl1).priors, holds=("common", "universal", "strong"), trade=None)
+    with pytest.raises(VerificationError, match="strong prior witness"):
+        _verify_report(ex_pl1, strong, None)
+    universal = replace(analyze(pl4).priors, holds=("common", "universal"))
+    with pytest.raises(VerificationError, match="universal prior witness"):
+        _verify_report(pl4, universal, None)
+
+
+@pytest.mark.parametrize("name", ["intro", "ex_plbet4"])
+def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch, name):
+    # A freshly parsed structure, so no memo from another test applies. Both
+    # fixtures have two players and a strong prior: one witness build asks
+    # each player's hull weights once, and the report verifies it once more.
+    s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+    calls = []
+    real_weights, real_verify = priors.hull_weights, PriorWitness.verify
+
+    def counting_weights(*args):
+        calls.append("hull_weights")
+        return real_weights(*args)
+
+    def counting_verify(self, structure):
+        calls.append("verify")
+        return real_verify(self, structure)
+
+    monkeypatch.setattr(priors, "hull_weights", counting_weights)
+    monkeypatch.setattr(trades, "hull_weights", counting_weights)
+    monkeypatch.setattr(PriorWitness, "verify", counting_verify)
+    analyze(s)
+    assert sorted(calls) == ["hull_weights"] * 2 + ["verify"] * 2
 
 
 def _lp_importers():

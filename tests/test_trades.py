@@ -39,6 +39,7 @@ from prior_forge import (
 from prior_forge import lp, trades
 from prior_forge.harness import component_substructures, pump_piece_program
 from prior_forge.model import dot
+from prior_forge.report import NOTIONS
 
 
 def q(text):
@@ -406,3 +407,27 @@ def test_build_prior_report_mixed(ex_pl1):
     assert report.common_refutation is None
     assert report.universal_refutation is None
     assert classify_trade(ex_pl1, report.strong_refutation.payoffs).acceptable
+
+
+def test_prior_report_matches_the_finders(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    # Notion by notion, the report's witness is the prior finder's and its
+    # refutation has the dual trade finder's payoffs.
+    finders = {
+        "common": (find_common_prior, find_agreeable_trade),
+        "universal": (find_universal_common_prior, find_weakly_agreeable_trade),
+        "strong": (find_strong_common_prior, find_acceptable_trade),
+    }
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    for s in structures:
+        report = build_prior_report(s)
+        for key, _, _ in NOTIONS:
+            witness, refutation = report.notion(key)
+            find_prior, find_trade = finders[key]
+            found, trade = find_prior(s), find_trade(s)
+            assert (witness is None) == (found is None)
+            if found is not None:
+                assert (witness.prior, witness.hull_weights) == (found.prior, found.hull_weights)
+            assert (refutation is None) == (trade is None)
+            if trade is not None:
+                assert refutation.payoffs == trade.payoffs
