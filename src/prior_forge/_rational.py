@@ -4,9 +4,13 @@ Everything in this package computes with exact rationals; floats are rejected
 at every parse boundary because rounding destroys the strict-vs-weak
 inequality distinctions the certificates rest on.
 
-The one backend is ``fractions.Fraction``. The simplex, where the arithmetic
-is heaviest, pivots on Python ints and builds rationals only where it reads
-results off (see ``lp``).
+The one backend is ``fractions.Fraction``, and the hot paths build as few
+of them as they can. The simplex pivots on Python ints and builds rationals
+only where it reads results off (see ``lp``). Each ``model.Distribution``
+carries integer numerators over its least common denominator, fixed at
+construction: hull checks and witness verification compare cross-multiplied
+ints, and masses, expectations, pump pieces and deficits sum ints and build
+one rational per result.
 """
 
 from __future__ import annotations

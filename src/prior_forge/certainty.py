@@ -25,13 +25,15 @@ def support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...
 
 
 def _support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
-    adj = []
-    for s in range(structure.num_states):
-        succ: set[int] = set()
-        for i in range(structure.num_players):
-            succ.update(structure.type_at(i, s).support())
-        adj.append(tuple(sorted(succ)))
-    return tuple(adj)
+    """Each cell's type support is read once and added to every state of
+    the cell."""
+    succ: list[set[int]] = [set() for _ in range(structure.num_states)]
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            support = t.support()
+            for s in cell:
+                succ[s].update(support)
+    return tuple(tuple(sorted(x)) for x in succ)
 
 
 def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:

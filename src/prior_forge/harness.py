@@ -41,7 +41,7 @@ from .certainty import (
     is_strongly_maximal,
     minimal_components,
 )
-from .errors import InputError, PriorForgeError, VerificationError
+from .errors import DimensionError, InputError, PriorForgeError, VerificationError
 from .lp import (
     LinearProgram,
     LPBuilder,
@@ -884,6 +884,78 @@ def pump_piece_program(
         if mass:
             b.add_objective(fvar[w], mass)
     return b.build(maximize=False)
+
+
+# -- dense-rational oracles of the integer paths -----------------------------
+#
+# Distributions carry integer numerators over one denominator, and the hull
+# checks, witness verification, expectations and pump pieces of ``model``,
+# ``priors`` and ``trades`` sum ints and build one rational per result. These
+# are the definitions they replaced, one Fraction operation per term, kept as
+# their oracles in the tests (not in ``cross_check``).
+
+
+def dense_dot(weights, values):
+    """sum_k weights[k] * values[k], term by term: the oracle of ``model.dot``."""
+    if len(weights) != len(values):
+        raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
+    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
+
+
+def dense_expectation_table(
+    structure: InformationStructure, payoffs: tuple[tuple, ...]
+) -> tuple[tuple, ...]:
+    """``dense_dot`` of every type with the player's payoff row over all M
+    states, read off per state: the oracle of ``model.expectation_table``."""
+    table = []
+    for i, f in enumerate(payoffs):
+        per_cell = [dense_dot(t.probs, f) for t in structure.cell_types[i]]
+        table.append(
+            tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
+        )
+    return tuple(table)
+
+
+def dense_mixture(structure: InformationStructure, player: int, weights) -> list:
+    """sum_c weights[c] * type_c, state by state. Types vanish off their own
+    cell and every state lies in exactly one cell, so each state's sum has
+    at most one nonzero term."""
+    mixed = [ZERO] * structure.num_states
+    for cell, tdist, lam in zip(structure.partitions[player], structure.cell_types[player], weights):
+        if lam:
+            for w in cell:
+                if tdist[w]:
+                    mixed[w] = lam * tdist[w]
+    return mixed
+
+
+def dense_hull_weights(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> tuple | None:
+    """The cell masses when their mixture of the types is ``dist``, else
+    None: the oracle of ``priors.hull_weights``."""
+    weights = [sum((dist[w] for w in cell), ZERO) for cell in structure.partitions[player]]
+    if dense_mixture(structure, player, weights) != list(dist.probs):
+        return None
+    return tuple(weights)
+
+
+def dense_pump_piece(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> tuple:
+    """The greedy knapsack of ``trades.pump_piece`` with rational ratios and
+    a rational running constraint: its oracle."""
+    f = [-ONE] * structure.num_states
+    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
+        need = ONE
+        for w in sorted((w for w in cell if t[w]), key=lambda w: (dist[w] / t[w], w)):
+            gain = 2 * t[w]
+            if gain >= need:
+                f[w] = need / t[w] - ONE
+                break
+            f[w] = ONE
+            need -= gain
+    return tuple(f)
 
 
 def oracle_battery(seeds) -> BatteryReport:

@@ -12,10 +12,12 @@ index-based (states ``0..M-1`` in declaration order, players likewise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from ._rational import ONE, ZERO, Rational, rational
+from ._rational import Rational, rational
 from .errors import (
     DimensionError,
     EmptySetError,
@@ -40,19 +42,36 @@ def payoff_vector(values: Sequence, size: int | None = None) -> PayoffVector:
     return vec
 
 
+def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)``: the least common denominator of exact rationals (or
+    ints) and their numerators over it, so ``nums[k] / den == values[k]``."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """An exact probability distribution over indexed states."""
+    """An exact probability distribution over indexed states.
+
+    Its integer form is fixed at construction: ``nums[w] / den == probs[w]``
+    with ``den`` the least common denominator. Validation, masses and
+    expectations read the ints and build one rational per result."""
 
     probs: tuple
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = tuple(rational(v) for v in self.probs)
+        den, nums = integer_form(probs)
         object.__setattr__(self, "probs", probs)
-        if any(v < ZERO for v in probs):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_support", tuple(w for w, a in enumerate(nums) if a))
+        if any(a < 0 for a in nums):
             raise StochasticityError("negative mass")
-        if sum(probs, ZERO) != ONE:
-            raise StochasticityError(f"masses sum to {sum(probs, ZERO)}, not 1")
+        if sum(nums) != den:
+            raise StochasticityError(f"masses sum to {Rational(sum(nums), den)}, not 1")
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -64,29 +83,48 @@ class Distribution:
         return iter(self.probs)
 
     def mass(self, states: Iterable[int]):
-        return sum((self.probs[s] for s in states), ZERO)
+        nums = self.nums
+        return Rational(sum(nums[s] for s in states), self.den)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.probs) if v)
+        return self._support  # type: ignore[attr-defined]
 
 
 def dot(weights: Sequence, values: Sequence):
+    """Exact inner product: one integer sum over a common denominator per
+    side, one rational. A ``Distribution`` side reads its own ints."""
     if len(weights) != len(values):
         raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
-    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
+    den, nums = integer_form(weights)
+    if isinstance(values, Distribution):
+        vden, vnums = values.den, values.nums
+    else:
+        vden, vnums = integer_form(values)
+    return Rational(sum(map(mul, nums, vnums)), den * vden)
 
 
 def expectation_table(
     structure: InformationStructure, payoffs: tuple[tuple, ...]
 ) -> tuple[tuple, ...]:
     """Per player, per state, the exact conditional expectation of that
-    player's payoff under their type. Constant on cells by construction."""
+    player's payoff under their type. Constant on cells by construction.
+
+    Each payoff row is put over one denominator once; a cell's expectation
+    is then one integer sum over its type's support, which lies in the cell,
+    so a player's row costs O(M)."""
+    m = structure.num_states
     table = []
     for i, f in enumerate(payoffs):
-        per_cell = [dot(t.probs, f) for t in structure.cell_types[i]]
-        table.append(
-            tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
-        )
+        if len(f) != m:
+            raise DimensionError(f"length mismatch: {m} vs {len(f)}")
+        fden, g = integer_form(f)
+        row = [None] * m
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            nums = t.nums
+            e = Rational(sum(nums[w] * g[w] for w in t.support()), t.den * fden)
+            for w in cell:
+                row[w] = e
+        table.append(tuple(row))
     return tuple(table)
 
 
@@ -158,7 +196,7 @@ class InformationStructure:
                     raise DimensionError(
                         f"player {player!r}: type for cell {c} has {len(t)} entries, expected {m}"
                     )
-                if t.mass(cells[c]) != ONE:
+                if sum(t.nums[w] for w in cells[c]) != t.den:
                     raise SupportError(
                         f"player {player!r}: type for cell {cells[c]} puts mass outside the cell"
                     )

@@ -34,7 +34,7 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-from .model import Distribution, InformationStructure
+from .model import Distribution, InformationStructure, integer_form
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
@@ -49,31 +49,38 @@ class PriorWitness:
     hull_weights: tuple[tuple, ...]
 
     def verify(self, structure: InformationStructure) -> None:
-        """Exact re-multiplication; raises VerificationError on any defect."""
+        """Exact re-multiplication; raises VerificationError on any defect.
+        The prior need not be a ``Distribution``: a plain tuple of rationals
+        is checked the same way."""
         if len(self.hull_weights) != structure.num_players:
             raise VerificationError("witness has wrong number of weight vectors")
         if len(self.prior) != structure.num_states:
             raise VerificationError("witness prior has wrong dimension")
+        prior = self.prior
+        if isinstance(prior, Distribution):
+            den, nums = prior.den, prior.nums
+        else:
+            den, nums = integer_form(prior)
         for i in range(structure.num_players):
             weights = self.hull_weights[i]
-            types = structure.cell_types[i]
-            if len(weights) != len(types):
+            if len(weights) != structure.num_cells(i):
                 raise VerificationError(f"player {i} weight vector has wrong length")
-            if any(w < ZERO for w in weights):
+            wden, wnums = integer_form(weights)
+            if any(u < 0 for u in wnums):
                 raise VerificationError(f"player {i} has a negative hull weight")
-            if sum(weights, ZERO) != ONE:
+            if sum(wnums) != wden:
                 raise VerificationError(f"player {i} hull weights do not sum to 1")
-            mixed = _mixture(structure, i, weights)
-            for w in range(structure.num_states):
-                if mixed[w] != self.prior[w]:
-                    raise VerificationError(
-                        f"player {i} weights fail to reconstruct the prior at state {w}"
-                    )
+            off = _off_mixture(structure, i, wden, wnums, den, nums)
+            if off:
+                raise VerificationError(
+                    f"player {i} weights fail to reconstruct the prior at state {min(off)}"
+                )
 
 
 @dataclass(frozen=True)
 class PriorClassification:
     prior_for_player: tuple[bool, ...]
+    hull_weights: tuple[tuple | None, ...]  # per player, None outside the hull
     common: bool
     maximal: bool
     strongly_maximal: bool
@@ -102,23 +109,25 @@ def hull_weights(
     cells' types, or None when dist is outside the hull. Weights are forced
     to be the cell masses, so this is a direct exact check, not a search."""
     _check_dimension(structure, dist)
-    weights = [dist.mass(cell) for cell in structure.partitions[player]]
-    if _mixture(structure, player, weights) != list(dist.probs):
+    den, nums = dist.den, dist.nums
+    masses = [sum(nums[w] for w in cell) for cell in structure.partitions[player]]
+    if _off_mixture(structure, player, den, masses, den, nums):
         return None
-    return tuple(weights)
+    return tuple(Rational(a, den) for a in masses)
 
 
-def _mixture(structure: InformationStructure, player: int, weights) -> list:
-    """sum_c weights[c] * type_c, state by state. Types vanish off their own
-    cell and every state lies in exactly one cell, so each state's sum has
-    at most one nonzero term."""
-    mixed = [ZERO] * structure.num_states
-    for cell, tdist, lam in zip(structure.partitions[player], structure.cell_types[player], weights):
-        if lam:
-            for w in cell:
-                if tdist[w]:
-                    mixed[w] = lam * tdist[w]
-    return mixed
+def _off_mixture(
+    structure: InformationStructure, player: int, wden: int, wnums, den: int, nums
+) -> list[int]:
+    """The states where sum_c (wnums[c] / wden) * type_c differs from
+    nums / den. Types vanish off their own cell and every state lies in
+    exactly one cell, so on cell c with type b / E the mixture is right at w
+    iff wnums[c] * den * b[w] == nums[w] * wden * E: ints only."""
+    off = []
+    for cell, t, u in zip(structure.partitions[player], structure.cell_types[player], wnums):
+        lhs, rhs, b = u * den, wden * t.den, t.nums
+        off += [w for w in cell if lhs * b[w] != nums[w] * rhs]
+    return off
 
 
 def is_disintegrable(
@@ -391,15 +400,14 @@ def classify_prior(
     """Exact flags for a given distribution: per-player hull membership plus
     the positivity grades that upgrade a common prior to universal/strong."""
     _check_dimension(structure, dist)
-    per_player = tuple(
-        hull_weights(structure, i, dist) is not None
-        for i in range(structure.num_players)
-    )
+    rows = tuple(hull_weights(structure, i, dist) for i in range(structure.num_players))
+    per_player = tuple(row is not None for row in rows)
     common = all(per_player)
     maximal = is_maximal(structure, dist)
     strongly = is_strongly_maximal(structure, dist)
     return PriorClassification(
         prior_for_player=per_player,
+        hull_weights=rows,
         common=common,
         maximal=maximal,
         strongly_maximal=strongly,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import ONE, ZERO
+from ._rational import ONE, ZERO, Rational
 from .certainty import is_maximal, is_strongly_maximal, minimal_components
 from .errors import (
     DimensionError,
@@ -54,7 +54,6 @@ from .priors import (
     blocks,
     classify_prior,
     find_common_prior,
-    hull_weights,
 )
 
 PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
@@ -133,8 +132,7 @@ class MoneyPumpWitness:
                     raise VerificationError(
                         f"not a semi-trade: player {i} expects {e} < 0 at state {w}"
                     )
-        total = [sum((f[w] for f in payoffs), ZERO) for w in range(structure.num_states)]
-        deficit = dot(total, self.distribution)
+        deficit = sum((dot(f, self.distribution) for f in payoffs), ZERO)
         if deficit != self.deficit:
             raise VerificationError(
                 f"stored deficit {self.deficit} differs from recomputed {deficit}"
@@ -262,14 +260,19 @@ def pump_piece(
     at -1, then raise the states with t_w > 0 to +1 in ascending p_w / t_w,
     lower state index first on ties, until the constraint reaches 0. The
     last state raised may stop at a fractional value.
+
+    The greedy runs on the integer forms: the ratios p_w / t_w order as
+    the numerator ratios do, and the constraint is counted in units of the
+    type's denominator, so each cell builds at most one fractional entry.
     """
     f = [-ONE] * structure.num_states
-    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
-        need = ONE
-        for w in sorted((w for w in cell if t[w]), key=lambda w: (dist[w] / t[w], w)):
-            gain = 2 * t[w]  # of raising f_w from -1 to +1
+    a = dist.nums
+    for t in structure.cell_types[player]:
+        b, need = t.nums, t.den
+        for w in sorted(t.support(), key=lambda w: (Rational(a[w], b[w]), w)):
+            gain = 2 * b[w]  # of raising f_w from -1 to +1
             if gain >= need:
-                f[w] = need / t[w] - ONE
+                f[w] = Rational(need - b[w], b[w])
                 break
             f[w] = ONE
             need -= gain
@@ -280,7 +283,7 @@ def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    total = sum((dot(f, dist.probs) for f in payoffs), ZERO)
+    total = sum((dot(f, dist) for f in payoffs), ZERO)
     if not total < ZERO:
         return None
     witness = MoneyPumpWitness(
@@ -328,10 +331,7 @@ def classify_distribution(
     prior_witness = None
     pump_witness = None
     if cls.common:
-        weights = tuple(
-            hull_weights(structure, i, dist) for i in range(structure.num_players)
-        )
-        prior_witness = PriorWitness(dist, weights)
+        prior_witness = PriorWitness(dist, cls.hull_weights)
         prior_witness.verify(structure)
         base = "common_prior"
     else:

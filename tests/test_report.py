@@ -22,7 +22,6 @@ from prior_forge import (
     priors,
     random_structure,
     rational,
-    trades,
     uniform,
 )
 from prior_forge.report import _verify_report
@@ -134,7 +133,6 @@ def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch,
         return real_verify(self, structure)
 
     monkeypatch.setattr(priors, "hull_weights", counting_weights)
-    monkeypatch.setattr(trades, "hull_weights", counting_weights)
     monkeypatch.setattr(PriorWitness, "verify", counting_verify)
     analyze(s)
     assert sorted(calls) == ["hull_weights"] * 2 + ["verify"] * 2

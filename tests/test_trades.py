@@ -36,7 +36,7 @@ from prior_forge import (
     solve,
     uniform,
 )
-from prior_forge import lp, trades
+from prior_forge import lp, priors, trades
 from prior_forge.harness import component_substructures, pump_piece_program
 from prior_forge.model import dot
 from prior_forge.report import NOTIONS
@@ -371,6 +371,20 @@ def test_classify_distribution_prior_side(intro):
     assert verdict.universal == "universal_common_prior"
     assert verdict.strong == "strong_common_prior"
     assert verdict.prior_witness is not None and verdict.pump_witness is None
+
+
+def test_classify_distribution_asks_each_players_hull_weights_once(intro, monkeypatch):
+    calls = []
+    real = priors.hull_weights
+
+    def counting(structure, player, dist):
+        calls.append(player)
+        return real(structure, player, dist)
+
+    monkeypatch.setattr(priors, "hull_weights", counting)
+    verdict = classify_distribution(intro, uniform(5))
+    assert sorted(calls) == [0, 1]
+    assert verdict.prior_witness.hull_weights == verdict.classification.hull_weights
 
 
 def test_classify_distribution_pump_side(pl4):
