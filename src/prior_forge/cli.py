@@ -157,9 +157,12 @@ def _parse_seed_range(spec: str) -> range:
     try:
         if not sep:
             raise ValueError
-        return range(int(lo), int(hi))
+        seeds = range(int(lo), int(hi))
     except ValueError:
         raise InputError(f"--seeds wants a..b (end exclusive), got {spec!r}") from None
+    if not seeds:
+        raise InputError(f"--seeds range {spec!r} is empty (end exclusive)")
+    return seeds
 
 
 def _cmd_fuzz(args) -> int:
@@ -178,6 +181,7 @@ def _cmd_fuzz(args) -> int:
             "states": structure.num_states,
             "players": structure.num_players,
             "checks": rep.checks_run,
+            "skipped": rep.skipped,
             "failures": [
                 {"name": f.name, "details": f.details} for f in rep.failures
             ],

@@ -61,6 +61,9 @@ from .model import (
     single_player_view,
 )
 from .priors import (
+    DEFINITION_CAP,
+    EVENT_CAP,
+    NOTIONS,
     blocks,
     classify_prior,
     disintegrable_by_definition,
@@ -254,6 +257,7 @@ class CrossCheckReport:
     checks_run: int
     failures: tuple[CheckFailure, ...]
     minimized: InformationStructure | None = None
+    skipped: int = 0  # checks left out because the structure exceeds their cap
 
     @property
     def passed(self) -> bool:
@@ -274,6 +278,7 @@ def structure_digest(structure: InformationStructure) -> int:
 class _Recorder:
     def __init__(self) -> None:
         self.count = 0
+        self.skipped = 0
         self.failures: list[CheckFailure] = []
 
     def check(self, name: str, ok: bool, details: str = "") -> None:
@@ -521,8 +526,6 @@ def _check_trade_oracles(rec: _Recorder, structure, components, priors, trades) 
     runs at most once per (sub)structure: the agreeable one on the structure
     and on the components in order up to the first that has a trade, the
     acceptable one on the structure."""
-    common, universal, strong = priors
-    agree, weak, accept = trades
     agreeable = _trade_program_decides(agreeable_trade_program(structure))
     # Components in the finders' order, up to the first that has a trade.
     weakly = False
@@ -534,13 +537,10 @@ def _check_trade_oracles(rec: _Recorder, structure, components, priors, trades) 
         if weakly:
             break
     acceptable = _trade_program_decides(acceptable_trade_program(structure))
-    for claim, decided, prior, prior_name, trade, trade_name in (
-        ("agreeable program matches", agreeable, common, "common", agree, "agreeable"),
-        ("component agreeable programs match", weakly, universal, "universal", weak, "weakly agreeable"),
-        ("acceptable program matches", acceptable, strong, "strong", accept, "acceptable"),
-    ):
-        rec.check(f"oracle: {claim} the {prior_name} prior", decided == (prior is None))
-        rec.check(f"oracle: {claim} the {trade_name} trade", decided == (trade is not None))
+    for notion, decided, prior, trade in zip(NOTIONS, (agreeable, weakly, acceptable), priors, trades):
+        claim = f"oracle: {notion.trade} program matches the"
+        rec.check(f"{claim} {notion.key} prior", decided == (prior is None))
+        rec.check(f"{claim} {notion.trade} trade", decided == (trade is not None))
 
 
 def _check_common_program(rec: _Recorder, structure, components) -> None:
@@ -613,56 +613,43 @@ def cross_check(
     rec = _Recorder()
     rng = random.Random(structure_digest(structure))
 
-    common = universal = strong = None
-    agree = weak = accept = None
+    # Per notion, in ``NOTIONS`` order: the prior finder's witness and the
+    # dual trade finder's trade.
+    priors = trades = (None,) * len(NOTIONS)
     with rec.guard("prior finders"):
-        common = find_common_prior(structure)
-        universal = find_universal_common_prior(structure)
-        strong = find_strong_common_prior(structure)
-    with rec.guard("trade finders"):
-        agree = find_agreeable_trade(structure)
-        weak = find_weakly_agreeable_trade(structure)
-        accept = find_acceptable_trade(structure)
-
-    rec.check(
-        "duality: common prior xor agreeable trade",
-        (common is None) != (agree is None),
-    )
-    rec.check(
-        "duality: universal prior xor weakly agreeable trade",
-        (universal is None) != (weak is None),
-    )
-    rec.check(
-        "duality: strong prior xor acceptable trade",
-        (strong is None) != (accept is None),
-    )
-    rec.check(
-        "chain: strong => universal => common",
-        (strong is None or universal is not None)
-        and (universal is None or common is not None),
-    )
-    rec.check(
-        "chain: agreeable => weakly => acceptable (synthesized)",
-        (agree is None or weak is not None)
-        and (weak is None or accept is not None),
-    )
-    for witness, name in ((common, "common"), (universal, "universal"), (strong, "strong")):
-        if witness is not None:
-            with rec.guard(f"{name} prior witness re-verifies"):
-                witness.verify(structure)
-    if universal is not None:
-        rec.check("universal witness is maximal", is_maximal(structure, universal.prior))
-    if strong is not None:
-        rec.check(
-            "strong witness is strongly maximal",
-            is_strongly_maximal(structure, strong.prior),
+        priors = (
+            find_common_prior(structure),
+            find_universal_common_prior(structure),
+            find_strong_common_prior(structure),
         )
-    for trade, label in ((agree, "agreeable"), (weak, "weakly"), (accept, "acceptable")):
+    with rec.guard("trade finders"):
+        trades = (
+            find_agreeable_trade(structure),
+            find_weakly_agreeable_trade(structure),
+            find_acceptable_trade(structure),
+        )
+    for notion, witness, trade in zip(NOTIONS, priors, trades):
+        rec.check(
+            f"duality: {notion.key} prior xor {notion.trade.replace('_', ' ')} trade",
+            (witness is None) != (trade is None),
+        )
+        if witness is not None:
+            with rec.guard(f"{notion.key} prior witness re-verifies"):
+                witness.verify(structure)
+            if notion.charges is not None:
+                rec.check(
+                    f"{notion.key} witness passes {notion.charges.__name__}",
+                    notion.charges(structure, witness.prior),
+                )
         if trade is not None:
-            _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {label}")
+            _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {notion.trade}")
+    held = [witness is not None for witness in priors]
+    found = [trade is not None for trade in trades]
+    rec.check("chain: strong => universal => common", held == sorted(held, reverse=True))
+    rec.check("chain: agreeable => weakly => acceptable (synthesized)", found == sorted(found))
     components = component_substructures(structure)
     with rec.guard("oracle: trade programs"):
-        _check_trade_oracles(rec, structure, components, (common, universal, strong), (agree, weak, accept))
+        _check_trade_oracles(rec, structure, components, priors, trades)
     with rec.guard("oracle: common-prior program"):
         _check_common_program(rec, structure, components)
 
@@ -679,16 +666,14 @@ def cross_check(
             w in cl and forward_closed(structure, cl),
         )
 
-    # Distribution-level dualities on sampled distributions.
-    samples = [
-        (random_distribution(structure, cfg, "any", rng), "any"),
-        (random_distribution(structure, cfg, "maximal", rng), "maximal"),
-        (random_distribution(structure, cfg, "strongly_maximal", rng), "strongly_maximal"),
-    ]
+    # Distribution-level dualities: one sample drawn to pass each notion's
+    # charge test, then sample_count - 1 more unconstrained ones.
+    drawn = zip(("any", "maximal", "strongly_maximal"), NOTIONS)
+    samples = [(random_distribution(structure, cfg, c, rng), n) for c, n in drawn]
     for _ in range(sample_count - 1):
-        samples.append((random_distribution(structure, cfg, "any", rng), "any"))
+        samples.append((random_distribution(structure, cfg, "any", rng), NOTIONS[0]))
     sample_pumps = []
-    for dist, kind in samples:
+    for dist, notion in samples:
         cls = classify_prior(structure, dist)
         pump = None
         with rec.guard("pump finder"):
@@ -697,27 +682,21 @@ def cross_check(
         rec.check(
             "duality: common prior xor money pump",
             cls.common != (pump is not None),
-            f"p={tuple(dist)} kind={kind}",
+            f"p={tuple(dist)} drawn for {notion.key}",
         )
         if pump is not None:
             with rec.guard("pump witness re-verifies"):
                 pump.verify(structure)
-        if kind == "maximal":
-            rec.check("sampled maximal is maximal", cls.maximal)
+        if notion.charges is not None:
+            charged = notion.charges(structure, dist)
+            rec.check(f"sampled {notion.key} distribution passes {notion.charges.__name__}", charged)
             rec.check(
-                "duality: universal prior xor universal pump (maximal p)",
-                cls.universal != (pump is not None and cls.maximal),
-                f"p={tuple(dist)}",
-            )
-        if kind == "strongly_maximal":
-            rec.check("sampled strongly maximal is strongly maximal", cls.strongly_maximal)
-            rec.check(
-                "duality: strong prior xor strong pump (strongly maximal p)",
-                cls.strong != (pump is not None and cls.strongly_maximal),
+                f"duality: {notion.key} prior xor {notion.pump} pump",
+                getattr(cls, notion.key) != (pump is not None and charged),
                 f"p={tuple(dist)}",
             )
         # When no common prior exists anywhere, every distribution pumps.
-        if common is None:
+        if priors[0] is None:
             rec.check(
                 "no common prior => every distribution pumps",
                 pump is not None,
@@ -729,17 +708,22 @@ def cross_check(
         view = single_player_view(structure, i)
         for k, (dist, _) in enumerate(samples):
             disintegrable, weights = is_disintegrable(view, dist)
-            rec.check(
-                "closed-form disintegrability matches definitional oracle",
-                disintegrable == disintegrable_by_definition(view, dist),
-                f"player {i} p={tuple(dist)}",
-            )
+            if view.num_states > DEFINITION_CAP:
+                rec.skipped += 1
+            else:
+                rec.check(
+                    "closed-form disintegrability matches definitional oracle",
+                    disintegrable == disintegrable_by_definition(view, dist),
+                    f"player {i} p={tuple(dist)}",
+                )
             rec.check(
                 "view membership matches full-structure hull membership",
                 disintegrable == (hull_weights(structure, i, dist) is not None),
                 f"player {i}",
             )
-            if disintegrable:
+            if disintegrable and view.num_states > EVENT_CAP:
+                rec.skipped += 1
+            elif disintegrable:
                 conglomerable, _ = is_conglomerable(view, dist)
                 rec.check(
                     "disintegrable => conglomerable",
@@ -763,7 +747,7 @@ def cross_check(
     minimized = None
     if rec.failures and minimize:
         minimized = _minimize_failure(structure, sample_count, cfg)
-    return CrossCheckReport(structure, rec.count, tuple(rec.failures), minimized)
+    return CrossCheckReport(structure, rec.count, tuple(rec.failures), minimized, rec.skipped)
 
 
 def _still_fails(structure: InformationStructure, sample_count: int, cfg: GeneratorConfig) -> bool:

@@ -25,9 +25,10 @@ refuting trade. No LP is solved; the common-prior program stays in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ._rational import ONE, ZERO, Rational
-from .certainty import is_maximal, is_strongly_maximal, minimal_components
+from .certainty import is_maximal, is_strongly_maximal
 from .errors import (
     DimensionError,
     PlayerCountError,
@@ -38,6 +39,31 @@ from .model import Distribution, InformationStructure, integer_form
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
+
+
+@dataclass(frozen=True)
+class Notion:
+    """A common-prior notion: JSON key, text label, what its prior must
+    charge beyond being common (None: nothing more), the flag of the trade
+    grade that refutes it, and the kind of the money pump that matches it."""
+
+    key: str
+    label: str
+    charges: Callable[[InformationStructure, Distribution], bool] | None
+    trade: str
+    pump: str
+
+    def charged_by(self, structure: InformationStructure, dist: Distribution) -> bool:
+        """Whether ``dist`` charges what the notion asks of its prior."""
+        return self.charges is None or self.charges(structure, dist)
+
+
+# The three notions, strongest refuting trade first (Samet 1998).
+NOTIONS = (
+    Notion("common", "common prior", None, "agreeable", "plain"),
+    Notion("universal", "universal common prior", is_maximal, "weakly_agreeable", "universal"),
+    Notion("strong", "strong common prior", is_strongly_maximal, "acceptable", "strong"),
+)
 
 
 @dataclass(frozen=True)
@@ -207,14 +233,15 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
 class Blocks:
     """The structure's linked cell blocks, walked once: a live flag per
     block in walk order, the states live blocks charge, the canonical prior
-    with its least cell mass, and the one refuting trade. ``prior`` is None
-    when no block is live, ``payoffs`` when every block is."""
+    with its hull weights (per player, the mass of each cell) and its least
+    cell mass, and the one refuting trade. ``prior`` and ``hull_weights``
+    are None when no block is live, ``payoffs`` when every block is."""
 
     live: tuple[bool, ...]
     support: frozenset[int]
     prior: Distribution | None
+    hull_weights: tuple[tuple, ...] | None
     margin: Rational
-    universal: bool
     payoffs: tuple[tuple, ...] | None
 
     @property
@@ -243,10 +270,11 @@ def blocks(structure: InformationStructure) -> Blocks:
     meet every minimal component, a strong one iff every block is live.
 
     The canonical prior scales each live block so that its least cell has
-    mass 1 and normalizes the sum. It charges every live cell, so it
-    witnesses each notion that holds; with every block live it is the
-    unique maximizer of the least cell mass, which is then ``margin``, 1
-    over the total, and otherwise 0.
+    mass 1 and normalizes the sum; its hull weights are those cell masses,
+    0 on dead cells. It charges every state of every live block and nothing
+    else, so it witnesses each notion that holds; with every block live it
+    is the unique maximizer of the least cell mass, which is then
+    ``margin``, 1 over the total, and otherwise 0.
 
     The refuting trade sums one transfer family per dead block, built from
     the first reason the walk finds it dead, at state w. Mixed charge: the
@@ -313,6 +341,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
         live.append(reason is None)
         if reason is None:
             least = min(scale[i][c] for i, c in cells)
+            for i, c in cells:
+                scale[i][c] /= least
             for w in states:
                 value[w] /= least
                 total += value[w]
@@ -332,22 +362,21 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
             transfer(s, parent, cell, (share * size[cell] - sub[cell]) / value[s])
             size[parent] += size[cell]
             sub[parent] += sub[cell]
-    prior = None
+        for i, c in cells:  # a dead cell carries no mass
+            scale[i][c] = ZERO
+    prior = weights = None
     if support:
         probs = [ZERO] * m
         for w in support:
             probs[w] = value[w] / total
         prior = Distribution(tuple(probs))
-    charged = frozenset(support)
-    universal = prior is not None and all(
-        not charged.isdisjoint(comp) for comp in minimal_components(structure)
-    )
+        weights = tuple(tuple(lam / total for lam in row) for row in scale)
     boxed = None
     if not all(live):
         top = max(abs(v) for row in payoffs for v in row)
         boxed = tuple(tuple(v / top for v in row) for row in payoffs)
     margin = ONE / total if all(live) else ZERO
-    return Blocks(tuple(live), charged, prior, margin, universal, boxed)
+    return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
@@ -357,41 +386,32 @@ def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
 
 
 def _canonical_witness(structure: InformationStructure) -> PriorWitness | None:
-    prior = blocks(structure).prior
-    if prior is None:
+    walk = blocks(structure)
+    if walk.prior is None:
         return None
-    weight_rows = []
-    for i in range(structure.num_players):
-        weights = hull_weights(structure, i, prior)
-        if weights is None:
-            raise VerificationError(
-                f"claimed common prior is outside player {i}'s type hull"
-            )
-        weight_rows.append(weights)
-    witness = PriorWitness(prior, tuple(weight_rows))
+    witness = PriorWitness(walk.prior, walk.hull_weights)
     witness.verify(structure)
     return witness
 
 
-def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """The canonical prior when every block is live: it charges every cell."""
-    if not blocks(structure).strong:
-        return None
+def find_prior(structure: InformationStructure, notion: Notion) -> PriorWitness | None:
+    """The canonical prior when it charges what ``notion`` asks, else None.
+    It charges every state of every live block, so it passes the charge
+    test exactly when some prior of the notion exists."""
     witness = find_common_prior(structure)
-    if not is_strongly_maximal(structure, witness.prior):
-        raise VerificationError("strong prior witness misses a cell")
+    if witness is None or not notion.charged_by(structure, witness.prior):
+        return None
     return witness
 
 
 def find_universal_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """The canonical prior when the live blocks' states meet every minimal
-    component: it charges every state of every live block."""
-    if not blocks(structure).universal:
-        return None
-    witness = find_common_prior(structure)
-    if not is_maximal(structure, witness.prior):
-        raise VerificationError("universal prior witness misses a component")
-    return witness
+    """The canonical prior when it is maximal, else None."""
+    return find_prior(structure, NOTIONS[1])
+
+
+def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | None:
+    """The canonical prior when it is strongly maximal, else None."""
+    return find_prior(structure, NOTIONS[2])
 
 
 def classify_prior(

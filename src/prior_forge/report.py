@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._rational import format_rational, to_json_value
-from .certainty import component_family, is_maximal, is_strongly_maximal, minimal_components
+from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, distribution_to_json, structure_to_json
 from .model import Distribution, InformationStructure
-from .priors import PriorWitness
+from .priors import NOTIONS, PriorWitness
 from .trades import (
     MoneyPumpWitness,
     PriorReport,
@@ -40,17 +40,6 @@ from .trades import (
     classify_trade,
     DistributionVerdict,
 )
-
-# The three prior notions: JSON key (the key of ``PriorReport.notion``), text
-# label, and the flag of the dual trade variant that refutes the notion when
-# it fails.
-NOTIONS = (
-    ("common", "common prior", "agreeable"),
-    ("universal", "universal common prior", "weakly_agreeable"),
-    ("strong", "strong common prior", "acceptable"),
-)
-# What the canonical prior must charge, beyond being common, for each notion.
-_CHARGES = {"universal": is_maximal, "strong": is_strongly_maximal}
 
 
 @dataclass(frozen=True)
@@ -67,9 +56,9 @@ class AnalysisReport:
     def to_json(self) -> dict:
         s = self.structure
         priors = {}
-        for key, _, _ in NOTIONS:
-            witness, refutation = self.priors.notion(key)
-            priors[key] = notion_json(s, witness, refutation, self.trade_class)
+        for notion in NOTIONS:
+            witness, refutation = self.priors.notion(notion.key)
+            priors[notion.key] = notion_json(s, witness, refutation, self.trade_class)
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
@@ -96,8 +85,8 @@ class AnalysisReport:
                 lines.append(f"    type on {_state_set(s, cell)}: {_vector(t)}")
         lines += component_lines(s, self.minimal, self.all_components, " components")
         grade = None if self.trade_class is None else _trade_grade(self.trade_class)
-        for key, label, _ in NOTIONS:
-            lines += notion_lines(s, label, *self.priors.notion(key), grade)
+        for notion in NOTIONS:
+            lines += notion_lines(s, notion.label, *self.priors.notion(notion.key), grade)
         if self.dist is not None and self.verdict is not None:
             v = self.verdict
             lines.append(f"distribution p = {_vector(self.dist)}")
@@ -136,15 +125,14 @@ def _verify_report(
     if witness is not None:
         witness.verify(s)
     cls = None if trade is None else classify_trade(s, trade.payoffs)
-    for key, _, flag in NOTIONS:
-        if key in priors.holds:
+    for n in NOTIONS:
+        if n.key in priors.holds:
             if witness is None:
-                raise VerificationError(f"{key} prior claimed without a witness")
-            charges = _CHARGES.get(key)
-            if charges is not None and not charges(s, witness.prior):
-                raise VerificationError(f"{key} prior witness fails {charges.__name__}")
-        elif cls is None or not (cls.is_trade and getattr(cls, flag)):
-            raise VerificationError(f"{key} prior fails and no {flag} trade refutes it")
+                raise VerificationError(f"{n.key} prior claimed without a witness")
+            if not n.charged_by(s, witness.prior):
+                raise VerificationError(f"{n.key} prior witness fails {n.charges.__name__}")
+        elif cls is None or not (cls.is_trade and getattr(cls, n.trade)):
+            raise VerificationError(f"{n.key} prior fails and no {n.trade} trade refutes it")
     if verdict is not None:
         if verdict.prior_witness is not None:
             verdict.prior_witness.verify(s)
@@ -324,10 +312,6 @@ def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
 
 
 def _trade_grade(cls: TradeClassification) -> str:
-    if cls.agreeable:
-        return "agreeable"
-    if cls.weakly_agreeable:
-        return "weakly agreeable"
-    if cls.acceptable:
-        return "acceptable"
-    return "trade"
+    """The strongest grade the trade carries, in words."""
+    grades = (n.trade for n in NOTIONS if getattr(cls, n.trade))
+    return next(grades, "trade").replace("_", " ")

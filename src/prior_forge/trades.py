@@ -10,11 +10,11 @@ either produce a graded trade or the prior side exists.
 
 No LP is solved here. The three refuting trades are one trade, built by
 ``priors.blocks`` from the dead blocks of the same walk that decides the
-prior notions. It is graded once per structure, and each finder checks its
-grade before returning it: agreeable when no block is live, weakly
-agreeable when some minimal component meets no live block, acceptable when
-some block is dead. The trade LPs and the common-prior program stay in
-``harness`` as oracles.
+prior notions, graded once per structure. Each finder returns it exactly
+when its dual prior finder returns None, after checking the notion's grade
+in ``priors.NOTIONS``: agreeable when no block is live, weakly agreeable
+when some minimal component meets no live block, acceptable when some block
+is dead. The trade LPs and the common-prior program stay in ``harness``.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._rational import ONE, ZERO, Rational
-from .certainty import is_maximal, is_strongly_maximal, minimal_components
+from .certainty import minimal_components
 from .errors import (
     DimensionError,
     InconsistencyError,
@@ -49,14 +49,15 @@ from .model import (
     payoff_vector,
 )
 from .priors import (
+    NOTIONS,
+    Notion,
     PriorClassification,
     PriorWitness,
     blocks,
     classify_prior,
     find_common_prior,
+    find_prior,
 )
-
-PLAIN, UNIVERSAL, STRONG = "plain", "universal", "strong"
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,11 @@ class MoneyPumpWitness:
             )
         if not deficit < ZERO:
             raise VerificationError(f"deficit {deficit} is not negative")
-        if self.kind not in (PLAIN, UNIVERSAL, STRONG):
+        notion = next((n for n in NOTIONS if n.pump == self.kind), None)
+        if notion is None:
             raise VerificationError(f"unknown pump kind {self.kind!r}")
-        if self.kind == UNIVERSAL and not is_maximal(structure, self.distribution):
-            raise VerificationError("universal pump with non-maximal distribution")
-        if self.kind == STRONG and not is_strongly_maximal(structure, self.distribution):
-            raise VerificationError("strong pump with non-strongly-maximal distribution")
+        if not notion.charged_by(structure, self.distribution):
+            raise VerificationError(f"{self.kind} pump distribution fails {notion.charges.__name__}")
 
 
 @dataclass(frozen=True)
@@ -175,25 +175,30 @@ def classify_trade(
     table = expectation_table(structure, norm)
     sums = [sum((f[w] for f in norm), ZERO) for w in range(m)]
     sum_violations = tuple(w for w in range(m) if sums[w] > ZERO)
-    strict = tuple(
-        (i, w) for i in range(len(norm)) for w in range(m) if table[i][w] > ZERO
+    # One pass over the table: the strictly positive entries in (player,
+    # state) order, a negative one, and how many players gain at each state.
+    strict, is_semi, gainers = [], True, [0] * m
+    for i, row in enumerate(table):
+        for w, e in enumerate(row):
+            if e > ZERO:
+                strict.append((i, w))
+                gainers[w] += 1
+            elif e < ZERO:
+                is_semi = False
+    everyone = [k == len(norm) for k in gainers]
+    component = next(
+        (comp for comp in minimal_components(structure) if all(everyone[w] for w in comp)),
+        None,
     )
-    is_semi = all(e >= ZERO for row in table for e in row)
-    agreeable = all(e > ZERO for row in table for e in row)
-    component = None
-    for comp in minimal_components(structure):
-        if all(table[i][w] > ZERO for i in range(len(norm)) for w in comp):
-            component = comp
-            break
     return TradeClassification(
         is_trade=not sum_violations,
         is_semi_trade=is_semi,
         acceptable=is_semi and bool(strict),
         weakly_agreeable=component is not None,
-        agreeable=agreeable,
+        agreeable=all(everyone),
         expectations=table,
         sum_violations=sum_violations,
-        strict_states=strict,
+        strict_states=tuple(strict),
         agreeable_component=component,
     )
 
@@ -202,49 +207,45 @@ def classify_trade(
 
 
 def _graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
-    trade = Trade(blocks(structure).payoffs)
+    payoffs = blocks(structure).payoffs
+    if payoffs is None:
+        raise VerificationError("a prior notion fails, yet every block is live")
+    trade = Trade(payoffs)
     return trade, classify_trade(structure, trade.payoffs)
 
 
-def _block_trade(structure: InformationStructure, grade: str) -> Trade:
-    """The one refuting trade of ``priors.blocks``, graded once per
-    structure: it must carry the flag ``grade``."""
+def _refutation(structure: InformationStructure, notion: Notion) -> Trade | None:
+    """The one refuting trade of ``priors.blocks`` when ``notion`` has no
+    prior, else None. Graded once per structure, it must carry the notion's
+    dual grade."""
+    if find_prior(structure, notion) is not None:
+        return None
     trade, cls = structure.derived("block_trade", _graded_block_trade)
-    if not getattr(cls, grade):
-        raise VerificationError(f"block trade is not {grade.replace('_', ' ')}")
+    if not getattr(cls, notion.trade):
+        raise VerificationError(f"block trade is not {notion.trade.replace('_', ' ')}")
     return trade
 
 
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when no block is live, else None."""
-    if blocks(structure).common:
-        return None
-    return _block_trade(structure, "agreeable")
+    return _refutation(structure, NOTIONS[0])
 
 
 def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when some minimal component meets no live block,
     else None."""
-    if blocks(structure).universal:
-        return None
-    return _block_trade(structure, "weakly_agreeable")
+    return _refutation(structure, NOTIONS[1])
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when some block is dead, else None."""
-    if blocks(structure).strong:
-        return None
-    return _block_trade(structure, "acceptable")
+    return _refutation(structure, NOTIONS[2])
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
-    """Strongest pump definition the distribution satisfies by its support:
-    strong needs every cell charged, universal every minimal component."""
-    if is_strongly_maximal(structure, dist):
-        return STRONG
-    if is_maximal(structure, dist):
-        return UNIVERSAL
-    return PLAIN
+    """Strongest pump kind the distribution allows by its support: strong
+    needs every cell charged, universal every minimal component."""
+    return next(n.pump for n in reversed(NOTIONS) if n.charged_by(structure, dist))
 
 
 def pump_piece(
@@ -360,7 +361,7 @@ def classify_distribution(
 @dataclass(frozen=True)
 class PriorReport:
     """The three prior notions of one structure: the canonical prior, the
-    keys of the notions it witnesses (``report.NOTIONS`` order), and the one
+    keys of the notions it witnesses (``priors.NOTIONS`` order), and the one
     block trade that refutes every other notion."""
 
     witness: PriorWitness | None
@@ -382,10 +383,8 @@ class PriorReport:
 
 
 def build_prior_report(structure: InformationStructure) -> PriorReport:
-    """The canonical prior, the notions it witnesses, and, unless every
-    notion holds, the block trade that refutes the others. The report's
-    re-check grades the trade against each notion it refutes."""
-    walk = blocks(structure)
-    flags = (("common", walk.common), ("universal", walk.universal), ("strong", walk.strong))
-    holds = tuple(key for key, ok in flags if ok)
+    """The canonical prior, the notions whose charge test it passes, and,
+    unless every notion holds, the block trade that refutes the others. The
+    report's re-check grades the trade against each notion it refutes."""
+    holds = tuple(n.key for n in NOTIONS if find_prior(structure, n) is not None)
     return PriorReport(find_common_prior(structure), holds, find_acceptable_trade(structure))

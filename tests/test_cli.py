@@ -261,6 +261,22 @@ def test_fuzz_bad_range(run):
     code, _, err = run("fuzz", "--seeds", "5")
     assert code == 2
     assert "a..b" in err
+    for spec in ("5..3", "0..0"):
+        code, out, err = run("fuzz", "--seeds", spec)
+        assert code == 2 and out == ""
+        assert "is empty" in err
+
+
+def test_fuzz_beyond_the_caps_counts_skipped_checks(run):
+    # Seed 0 draws 25 states: past the definitional disintegrability cap (20)
+    # and the event enumeration cap (24), so those checks are skipped and
+    # counted, not run into a SizeCapError.
+    code, out, _ = run("fuzz", "--seeds", "0..2", "--max-states", "40")
+    assert code == 0
+    docs = [json.loads(line) for line in out.strip().split("\n")]
+    assert [doc["states"] for doc in docs] == [25, 9]
+    assert [doc["skipped"] for doc in docs] == [8, 0]
+    assert all(doc["failures"] == [] for doc in docs)
 
 
 def test_fuzz_bad_size_is_input_error(run):

@@ -22,7 +22,10 @@ from prior_forge import (
     hull_weights,
     is_conglomerable,
     is_disintegrable,
+    is_maximal,
+    is_strongly_maximal,
     make_structure,
+    minimal_components,
     rational,
     uniform,
 )
@@ -387,7 +390,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # strong, and the trade is acceptable only.
     walk = blocks(ex_pl1)
     assert walk.live == (True, False, True)
-    assert walk.support == {0, 3} and walk.universal and walk.margin == ZERO
+    assert walk.support == {0, 3} and is_maximal(ex_pl1, walk.prior) and walk.margin == ZERO
     assert walk.prior == Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
     assert walk.payoffs == ((0, 1, 0, 0), (0, -1, 0, 0))
     assert grades(ex_pl1, walk.payoffs) == (True, True, False, False)
@@ -396,7 +399,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # agreeable.
     walk = blocks(ex_pl2)
     assert walk.live == (False,) and walk.support == frozenset()
-    assert walk.prior is None and not walk.universal
+    assert walk.prior is None and find_universal_common_prior(ex_pl2) is None
     assert grades(ex_pl2, walk.payoffs) == (True, True, True, True)
     # pl4: two blocks, each one cell of P1 and one of P2. {w1,w2} is live;
     # on {w3,w4} P2's type (1, 0) misses w4, a mixed charge. P1 takes 1 at
@@ -405,7 +408,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # {w3,w4}: common, not universal, and the trade is weakly agreeable.
     walk = blocks(pl4)
     assert walk.live == (True, False)
-    assert walk.support == {0, 1} and not walk.universal
+    assert walk.support == {0, 1} and not is_maximal(pl4, walk.prior)
     assert walk.payoffs == ((0, 0, q("-1/2"), 1), (0, 0, q("1/2"), -1))
     assert grades(pl4, walk.payoffs) == (True, True, True, False)
 
@@ -458,6 +461,32 @@ def test_blocks_match_the_program_on_broken_planted_structures(m, n, kind, plant
     out = solve(common_prior_program(structure))
     assert (out.status == "optimal") == walk.common
     assert out.status == "infeasible" or out.objective_value == ZERO
-    assert grades(structure, walk.payoffs) == (
-        True, True, not walk.universal, not walk.common
+    universal = find_universal_common_prior(structure) is not None
+    assert grades(structure, walk.payoffs) == (True, True, not universal, not walk.common)
+
+
+def charge_grade_is_the_walks_verdict(structure):
+    """The walk decides common, universal and strong by its live blocks; the
+    canonical prior's charge grade must decide them the same way."""
+    walk = blocks(structure)
+    meets = all(not walk.support.isdisjoint(comp) for comp in minimal_components(structure))
+    assert (walk.prior is not None) == any(walk.live)
+    if walk.prior is None:
+        assert not meets and not all(walk.live)
+        return
+    assert is_maximal(structure, walk.prior) == meets
+    assert is_strongly_maximal(structure, walk.prior) == all(walk.live)
+    assert find_universal_common_prior(structure) is (find_common_prior(structure) if meets else None)
+    assert find_strong_common_prior(structure) is (
+        find_common_prior(structure) if all(walk.live) else None
     )
+
+
+def test_charge_grade_is_the_walks_verdict(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    for m, n, kind, planted in itertools.product((24, 48), (2, 3), ("mixed", "cycle"), (1, 2)):
+        rng = random.Random(f"{m}:{n}:{kind}:{planted}")
+        structures.append(broken(planted_structure(m, n, planted, rng)[0], kind, rng))
+    for structure in structures:
+        charge_grade_is_the_walks_verdict(structure)

@@ -118,8 +118,9 @@ def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
 @pytest.mark.parametrize("name", ["intro", "ex_plbet4"])
 def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch, name):
     # A freshly parsed structure, so no memo from another test applies. Both
-    # fixtures have two players and a strong prior: one witness build asks
-    # each player's hull weights once, and the report verifies it once more.
+    # fixtures have a strong prior: the walk gives its hull weights, so no
+    # hull_weights call is needed; the witness is verified once when it is
+    # built and once more by the report.
     s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
     calls = []
     real_weights, real_verify = priors.hull_weights, PriorWitness.verify
@@ -135,7 +136,7 @@ def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch,
     monkeypatch.setattr(priors, "hull_weights", counting_weights)
     monkeypatch.setattr(PriorWitness, "verify", counting_verify)
     analyze(s)
-    assert sorted(calls) == ["hull_weights"] * 2 + ["verify"] * 2
+    assert sorted(calls) == ["verify"] * 2
 
 
 def _lp_importers():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from prior_forge import (
     format_rational,
     is_disintegrable,
     make_structure,
+    minimal_components,
     parse_structure,
     pump_kind,
     random_structure,
@@ -37,9 +39,13 @@ from prior_forge import (
     uniform,
 )
 from prior_forge import lp, priors, trades
-from prior_forge.harness import component_substructures, pump_piece_program
+from prior_forge.harness import (
+    component_substructures,
+    dense_expectation_table,
+    pump_piece_program,
+)
 from prior_forge.model import dot
-from prior_forge.report import NOTIONS
+from prior_forge.priors import NOTIONS
 
 
 def q(text):
@@ -126,6 +132,30 @@ def test_classification_flags_independent(ex_pl1):
     assert cls.is_semi_trade and cls.agreeable
 
 
+def test_classify_trade_flags_match_their_definitions(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    # Every flag read entry by entry off the term-by-term expectation table,
+    # on random payoff families whose entries start at -2, 0 or 1, so that
+    # negative, zero and strictly positive expectations all occur.
+    rng = random.Random(14)
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    for s in structures:
+        n, m = s.num_players, s.num_states
+        for lo in (-2, 0, 1):
+            payoffs = [[rng.randint(lo, 2) for _ in range(m)] for _ in range(n)]
+            table = dense_expectation_table(s, payoffs)
+            strict = tuple((i, w) for i in range(n) for w in range(m) if table[i][w] > ZERO)
+            semi = all(e >= ZERO for row in table for e in row)
+            positive = [all(table[i][w] > ZERO for i in range(n)) for w in range(m)]
+            comp = next((c for c in minimal_components(s) if all(positive[w] for w in c)), None)
+            cls = classify_trade(s, payoffs)
+            assert cls.expectations == tuple(map(tuple, table))
+            assert cls.strict_states == strict
+            assert (cls.is_semi_trade, cls.acceptable) == (semi, semi and bool(strict))
+            assert (cls.agreeable, cls.weakly_agreeable) == (all(positive), comp is not None)
+            assert cls.agreeable_component == comp
+
+
 # -- trade synthesis ---------------------------------------------------------
 
 
@@ -156,6 +186,17 @@ def test_acceptable_finder(intro, ex_pl1, ex_pl2, pl4, ex_plbet4):
     assert find_acceptable_trade(ex_pl2) is not None
     for s in (intro, ex_plbet4):
         assert find_acceptable_trade(s) is None
+
+
+def test_trade_finders_raise_on_a_missing_block_trade(fixture_path, monkeypatch):
+    # intro has a strong prior, so every block is live and the walk builds no
+    # trade. A trade finder whose prior finder (wrongly) returned None must
+    # fail verification, not crash on the missing payoffs.
+    s = parse_structure(json.loads(fixture_path("intro").read_text(encoding="utf-8")))
+    monkeypatch.setattr(trades, "find_prior", lambda structure, notion: None)
+    for finder in (find_agreeable_trade, find_weakly_agreeable_trade, find_acceptable_trade):
+        with pytest.raises(VerificationError, match="every block is live"):
+            finder(s)
 
 
 def test_trade_chain(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -280,11 +321,11 @@ def test_pump_witness_verify_rejects_defects(pl):
         (MoneyPumpWitness(p, SemiTrade((f,)), q("-1/90"), "huge"), "unknown pump kind"),
         (
             MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "universal"),
-            "universal pump with non-maximal",
+            "universal pump distribution fails is_maximal",
         ),
         (
             MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "strong"),
-            "strong pump with non-strongly-maximal",
+            "strong pump distribution fails is_strongly_maximal",
         ),
     ):
         with pytest.raises(VerificationError, match=message):
@@ -435,9 +476,9 @@ def test_prior_report_matches_the_finders(intro, pl, ex_pl1, ex_pl2, pl4, ex_plb
     structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
     for s in structures:
         report = build_prior_report(s)
-        for key, _, _ in NOTIONS:
-            witness, refutation = report.notion(key)
-            find_prior, find_trade = finders[key]
+        for notion in NOTIONS:
+            witness, refutation = report.notion(notion.key)
+            find_prior, find_trade = finders[notion.key]
             found, trade = find_prior(s), find_trade(s)
             assert (witness is None) == (found is None)
             if found is not None:
