@@ -10,7 +10,11 @@ only where it reads results off (see ``lp``). Each ``model.Distribution``
 carries integer numerators over its least common denominator, fixed at
 construction: hull checks and witness verification compare cross-multiplied
 ints, and masses, expectations, pump pieces and deficits sum ints and build
-one rational per result.
+one rational per result. The block walk of ``priors`` runs on the types'
+integer forms: every cell mass, state value and transfer is a reduced pair
+of ints, compared by cross-multiplication, and rationals are built only for
+its results (the prior, its hull weights, the margin and the boxed trade).
+A money pump's semi-trade condition is one integer sign per player and cell.
 """
 
 from __future__ import annotations
@@ -59,5 +63,5 @@ def format_rational(q) -> str:
 def to_json_value(q):
     """JSON form: plain int when integral, ``"a/b"`` string otherwise."""
     if q.denominator == 1:
-        return int(q)
+        return q.numerator
     return str(q)

@@ -8,12 +8,22 @@ rest of the package promises, and silently rounding them would poison every
 certificate downstream.
 
 Serialization is canonical: keys in fixed order, two-space indent, a single
-trailing newline. Identical inputs produce byte-identical documents.
+trailing newline. Identical inputs produce byte-identical documents. The
+bytes are exactly those of ``json.dumps(obj, indent=2, ensure_ascii=False)``
+plus the newline (``harness.dense_dumps``, the writer's oracle), but with an
+indent the stdlib falls back to its pure-Python encoder, so
+``dumps_canonical`` is its own one-pass writer, dispatched on exact types.
+It accepts only what the documents hold (dicts with string keys, lists,
+tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
+else, floats and ``Fraction``s included. Type rows are dense on the wire but
+filled from each type's support, so a rational is rendered once per nonzero
+entry.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 from ._rational import rational, to_json_value
 from .errors import DimensionError, SchemaError
@@ -48,7 +58,62 @@ def load_path(path):
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """``obj`` as canonical text: exactly the bytes of ``json.dumps(obj,
+    indent=2, ensure_ascii=False) + "\\n"``, in one pass.
+
+    Only ``dict`` (with ``str`` keys), ``list``, ``tuple``, ``str``, ``int``,
+    ``bool`` and ``None`` are accepted; anything else, a float or a
+    ``Fraction`` included, raises ``TypeError``. Strings are escaped by the
+    stdlib's C ``encode_basestring`` and ints rendered by ``int.__repr__``,
+    as the stdlib encoder does; a list of scalars is rendered with one
+    ``join``."""
+    return _render(obj, "\n") + "\n"
+
+
+def _null(_) -> str:
+    return "null"
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+# Scalar renderers by exact type; bool is not looked up as int, so ``repr``
+# only ever meets exact ints, where it is ``int.__repr__``.
+_SCALARS = {
+    str: encode_basestring,
+    int: repr,
+    bool: _bool,
+    type(None): _null,
+}
+
+
+def _render(obj, brk: str) -> str:
+    """``obj`` at the depth whose line break and indent is ``brk``."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = brk + "  "
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring(key) + ": " + _render(value, inner))
+        return "{" + inner + ("," + inner).join(items) + brk + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = brk + "  "
+        try:
+            items = [_SCALARS[type(v)](v) for v in obj]
+        except KeyError:  # a container, or what the writer rejects
+            items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + brk + "]"
+    render = _SCALARS.get(kind)
+    if render is None:
+        raise TypeError(f"Object of type {kind.__name__} is not canonical JSON")
+    return render(obj)
 
 
 def check_schema(doc: dict) -> None:
@@ -162,11 +227,17 @@ def structure_to_json(structure: InformationStructure) -> dict:
             [[structure.states[w] for w in cell] for cell in cells]
             for cells in structure.partitions
         ],
-        "types": [
-            [[to_json_value(v) for v in t] for t in types]
-            for types in structure.cell_types
-        ],
+        "types": [[type_row(t) for t in types] for types in structure.cell_types],
     }
+
+
+def type_row(t: Distribution) -> list:
+    """A type's JSON row: 0 off its support, filled from the support alone."""
+    row = [0] * len(t)
+    probs = t.probs
+    for w in t.support():
+        row[w] = to_json_value(probs[w])
+    return row
 
 
 def parse_distribution(doc, structure: InformationStructure) -> Distribution:

@@ -117,15 +117,24 @@ def expectation_table(
     for i, f in enumerate(payoffs):
         if len(f) != m:
             raise DimensionError(f"length mismatch: {m} vs {len(f)}")
-        fden, g = integer_form(f)
         row = [None] * m
-        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            nums = t.nums
-            e = Rational(sum(nums[w] * g[w] for w in t.support()), t.den * fden)
+        for cell, num, den in cell_expectations(structure, i, f):
+            e = Rational(num, den)
             for w in cell:
                 row[w] = e
         table.append(tuple(row))
     return tuple(table)
+
+
+def cell_expectations(structure: InformationStructure, player: int, f: Sequence) -> list:
+    """Per cell of ``player``, ``(cell, num, den)``: the expectation of the
+    payoff row ``f`` under the cell's type is ``num / den``, an integer sum
+    over the type's support with ``den > 0``, so its sign is ``num``'s."""
+    fden, g = integer_form(f)
+    return [
+        (cell, sum(t.nums[w] * g[w] for w in t.support()), t.den * fden)
+        for cell, t in zip(structure.partitions[player], structure.cell_types[player])
+    ]
 
 
 def uniform(size: int) -> Distribution:

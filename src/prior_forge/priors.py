@@ -25,9 +25,10 @@ refuting trade. No LP is solved; the common-prior program stays in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Callable
 
-from ._rational import ONE, ZERO, Rational
+from ._rational import ZERO, Rational
 from .certainty import is_maximal, is_strongly_maximal
 from .errors import (
     DimensionError,
@@ -294,88 +295,129 @@ def blocks(structure: InformationStructure) -> Blocks:
 
 
 def _walk_blocks(structure: InformationStructure) -> Blocks:
+    """The walk of ``blocks`` on the types' integer forms. Cell c's type is
+    b / E (``t.nums`` over ``t.den``); each lambda, state value, gain and
+    transfer is a reduced pair (numerator, positive denominator), and
+    comparisons cross-multiply. Rationals are built once per result: the
+    prior, its hull weights, the margin and the boxed payoffs."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
-    scale = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
+    lam = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
     value: list = [None] * m  # lambda_c t_c(w), the same for every charging c
     setter: list = [None] * m  # the cell that first set value[w]
-    payoffs = [[ZERO] * m for _ in range(n)]
-    live, support = [], []
-    total = ZERO
+    pay: dict = {}  # (player, state): the unboxed payoff
+    live, lives = [], []  # a flag per block; each live block with its least lambda
 
-    def gain(cell, w):  # lambda_c t_c(w), 0 off the walked cells
-        i, c = cell
-        return scale[i][c] * types[i][c][w] if scale[i][c] is not None else ZERO
-
-    def transfer(w, giver, taker, y):
-        payoffs[taker[0]][w] += y
-        payoffs[giver[0]][w] -= y
+    def transfer(w, giver, taker, num, den):
+        for key, y in (((taker[0], w), num), ((giver[0], w), -num)):
+            on, od = pay.get(key, (0, 1))
+            y, d = y * od + on * den, den * od
+            g = gcd(y, d)
+            pay[key] = (y // g, d // g)
 
     for root in ((i, c) for i in range(n) for c in range(structure.num_cells(i))):
-        if scale[root[0]][root[1]] is not None:
+        if lam[root[0]][root[1]] is not None:
             continue
-        scale[root[0]][root[1]] = ONE
+        lam[root[0]][root[1]] = (1, 1)
         cells, states, tree, reason = [root], [], {}, None
         for cell in cells:  # the list grows while it is walked
             i, c = cell
-            lam, t = scale[i][c], types[i][c]
-            for w in structure.partitions[i][c]:
-                if not t[w]:
-                    continue
-                v = lam * t[w]
-                if value[w] is not None:
-                    if reason is None and value[w] != v:  # a ratio cycle
-                        reason = (w, cell, setter[w]) if v > value[w] else (w, setter[w], cell)
+            ln, ld = lam[i][c]
+            t = types[i][c]
+            b, ld = t.nums, ld * t.den
+            for w in t.support():
+                vn = ln * b[w]
+                g = gcd(vn, ld)
+                v = (vn // g, ld // g)
+                old = value[w]
+                if old is not None:
+                    if reason is None and old != v:  # a ratio cycle
+                        if v[0] * old[1] > old[0] * v[1]:
+                            reason = (w, cell, v, setter[w], old)
+                        else:
+                            reason = (w, setter[w], old, cell, v)
                     continue
                 value[w], setter[w] = v, cell
                 states.append(w)
                 for j in range(n):
                     d = structure.cell_of(j, w)
-                    if not types[j][d][w]:
+                    u = types[j][d]
+                    bj = u.nums[w]
+                    if not bj:
                         if reason is None:  # a mixed charge
-                            reason = (w, cell, (j, d))
-                    elif scale[j][d] is None:
-                        scale[j][d] = v / types[j][d][w]
+                            reason = (w, cell, v, (j, d), (0, 1))
+                    elif lam[j][d] is None:
+                        num, den = v[0] * u.den, v[1] * bj
+                        g = gcd(num, den)
+                        lam[j][d] = (num // g, den // g)
                         tree[(j, d)] = (cell, w)
                         cells.append((j, d))
         live.append(reason is None)
         if reason is None:
-            least = min(scale[i][c] for i, c in cells)
+            an, ad = lam[root[0]][root[1]]
             for i, c in cells:
-                scale[i][c] /= least
-            for w in states:
-                value[w] /= least
-                total += value[w]
-            support += states
+                xn, xd = lam[i][c]
+                if xn * ad < an * xd:
+                    an, ad = xn, xd
+            lives.append((cells, states, an, ad))
             continue
 
-        w, taker, giver = reason
-        transfer(w, giver, taker, ONE)
-        sub = dict.fromkeys(cells, ZERO)  # each subtree's gain, before the tree transfers
-        sub[taker] += gain(taker, w)
+        # The taker gains tn / td at w and the giver hn / hd (0 on a mixed
+        # charge). Subtree gains are numerators over g = lcm(td, hd), the
+        # share S / |K| is total / (g k), so each transfer is one int pair.
+        w, taker, (tn, td), giver, (hn, hd) = reason
+        transfer(w, giver, taker, 1, 1)
+        g = lcm(td, hd)
+        sub = dict.fromkeys(cells, 0)  # each subtree's gain over g
+        sub[taker] += tn * (g // td)
         if giver in sub:
-            sub[giver] -= gain(giver, w)
-        share = sum(sub.values(), ZERO) / len(cells)
+            sub[giver] -= hn * (g // hd)
+        k, total = len(cells), sum(sub.values())
         size = dict.fromkeys(cells, 1)
         for cell in reversed(cells[1:]):
             parent, s = tree[cell]
-            transfer(s, parent, cell, (share * size[cell] - sub[cell]) / value[s])
+            vn, vd = value[s]
+            transfer(s, parent, cell, (total * size[cell] - k * sub[cell]) * vd, g * k * vn)
             size[parent] += size[cell]
             sub[parent] += sub[cell]
         for i, c in cells:  # a dead cell carries no mass
-            scale[i][c] = ZERO
+            lam[i][c] = (0, 1)
+
     prior = weights = None
-    if support:
+    margin = ZERO
+    support = [w for _, states, _, _ in lives for w in states]
+    if lives:
+        # Scaled so that its least cell has mass 1, block K sums to
+        # sum(value) * ad / an; the prior is each value over the total.
+        sn, sd = 0, 1
+        for _, states, an, ad in lives:
+            den = lcm(*(value[w][1] for w in states))
+            num = sum(value[w][0] * (den // value[w][1]) for w in states)
+            sn, sd = sn * den * an + num * ad * sd, sd * den * an
+            g = gcd(sn, sd)
+            sn, sd = sn // g, sd // g
         probs = [ZERO] * m
-        for w in support:
-            probs[w] = value[w] / total
+        rows = [[ZERO] * len(row) for row in lam]
+        for cells, states, an, ad in lives:
+            fn, fd = ad * sd, an * sn
+            for w in states:
+                probs[w] = Rational(value[w][0] * fn, value[w][1] * fd)
+            for i, c in cells:
+                rows[i][c] = Rational(lam[i][c][0] * fn, lam[i][c][1] * fd)
         prior = Distribution(tuple(probs))
-        weights = tuple(tuple(lam / total for lam in row) for row in scale)
+        weights = tuple(map(tuple, rows))
+        if all(live):
+            margin = Rational(sd, sn)
     boxed = None
     if not all(live):
-        top = max(abs(v) for row in payoffs for v in row)
-        boxed = tuple(tuple(v / top for v in row) for row in payoffs)
-    margin = ONE / total if all(live) else ZERO
+        top_n, top_d = 0, 1
+        for pn, pd in pay.values():
+            if abs(pn) * top_d > top_n * pd:
+                top_n, top_d = abs(pn), pd
+        rows = [[ZERO] * m for _ in range(n)]
+        for (i, w), (pn, pd) in pay.items():
+            rows[i][w] = Rational(pn * top_d, pd * top_n)
+        boxed = tuple(map(tuple, rows))
     return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
 
 

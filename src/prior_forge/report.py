@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ._rational import format_rational, to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
-from .jsonio import SCHEMA, distribution_to_json, structure_to_json
+from .jsonio import SCHEMA, distribution_to_json, structure_to_json, type_row
 from .model import Distribution, InformationStructure
 from .priors import NOTIONS, PriorWitness
 from .trades import (
@@ -82,7 +82,7 @@ class AnalysisReport:
         for i, name in enumerate(s.players):
             lines.append(f"  player {name}: cells {_state_sets(s, s.partitions[i])}")
             for cell, t in zip(s.partitions[i], s.cell_types[i]):
-                lines.append(f"    type on {_state_set(s, cell)}: {_vector(t)}")
+                lines.append(f"    type on {_state_set(s, cell)}: {_vector(type_row(t))}")
         lines += component_lines(s, self.minimal, self.all_components, " components")
         grade = None if self.trade_class is None else _trade_grade(self.trade_class)
         for notion in NOTIONS:

@@ -44,6 +44,7 @@ from .errors import (
 from .model import (
     Distribution,
     InformationStructure,
+    cell_expectations,
     dot,
     expectation_table,
     payoff_vector,
@@ -126,12 +127,15 @@ class MoneyPumpWitness:
             raise VerificationError("pump witness has wrong player count")
         if len(payoffs[0]) != structure.num_states or len(self.distribution) != structure.num_states:
             raise VerificationError("pump witness has wrong state count")
-        table = expectation_table(structure, payoffs)
-        for i, row in enumerate(table):
-            for w, e in enumerate(row):
-                if e < ZERO:
+        # One sign test per (player, cell); cells are ordered by least
+        # state, so the first failing cell holds the player's least failing
+        # state.
+        for i, f in enumerate(payoffs):
+            for cell, num, den in cell_expectations(structure, i, f):
+                if num < 0:
                     raise VerificationError(
-                        f"not a semi-trade: player {i} expects {e} < 0 at state {w}"
+                        f"not a semi-trade: player {i} expects {Rational(num, den)} < 0 "
+                        f"at state {cell[0]}"
                     )
         deficit = sum((dot(f, self.distribution) for f in payoffs), ZERO)
         if deficit != self.deficit:

@@ -2,12 +2,14 @@
 
 Distributions carry ``nums`` over one ``den``; hull weights, witness
 verification, expectation tables, pump pieces and pump deficits sum ints and
-build one rational per result. Each is compared, exactly, with the
-term-by-term ``Fraction`` definition it replaced (kept in ``harness``), on
-the six fixtures, generator seeds 0..199 and planted structures at
-M in {24, 48}.
+build one rational per result, and the block walk runs on reduced int
+pairs. Each is compared, exactly, with the term-by-term ``Fraction``
+definition it replaced (kept in ``harness``), on the six fixtures, generator
+seeds 0..199 and planted structures at M in {24, 48}, broken ones for the
+walk.
 """
 
+import itertools
 import json
 import math
 import random
@@ -26,6 +28,7 @@ from prior_forge import (
     parse_structure,
     random_structure,
 )
+from prior_forge import jsonio
 from prior_forge.certainty import support_graph
 from prior_forge.harness import (
     dense_dot,
@@ -33,12 +36,18 @@ from prior_forge.harness import (
     dense_hull_weights,
     dense_mixture,
     dense_pump_piece,
+    dense_walk_blocks,
     planted_structure,
     random_distribution,
 )
 from prior_forge.model import dot
-from prior_forge.priors import blocks, hull_weights
-from prior_forge.trades import find_multiplayer_money_pump, pump_piece
+from prior_forge.priors import _walk_blocks, blocks, hull_weights
+from prior_forge.trades import (
+    MoneyPumpWitness,
+    SemiTrade,
+    find_multiplayer_money_pump,
+    pump_piece,
+)
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
 SEEDS = range(200)
@@ -97,11 +106,21 @@ def _dense_defect(structure, prior, rows):
     return None
 
 
-def _verify_message(structure, prior, rows):
+def _message(witness, structure):
     try:
-        PriorWitness(prior, rows).verify(structure)
+        witness.verify(structure)
     except VerificationError as err:
         return str(err)
+    return None
+
+
+def _dense_semi_trade_defect(structure, payoffs):
+    """The message ``MoneyPumpWitness.verify`` must raise on a family that
+    is not a semi-trade, by the dense table, or None."""
+    for i, row in enumerate(dense_expectation_table(structure, payoffs)):
+        for w, e in enumerate(row):
+            if e < 0:
+                return f"not a semi-trade: player {i} expects {e} < 0 at state {w}"
     return None
 
 
@@ -147,7 +166,7 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
                 forged.append((dist, masses[:i] + (tuple(swapped),) + masses[i + 1 :]))
         for prior, weight_rows in forged:
             expected = _dense_defect(structure, prior, weight_rows)
-            assert _verify_message(structure, prior, weight_rows) == expected
+            assert _message(PriorWitness(prior, weight_rows), structure) == expected
 
         pieces = tuple(pump_piece(structure, i, dist) for i in range(n))
         assert pieces == tuple(dense_pump_piece(structure, i, dist) for i in range(n))
@@ -161,6 +180,13 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             assert expectation_table(structure, payoffs) == dense_expectation_table(structure, payoffs)
             for f in payoffs:
                 assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
+            deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
+            message = _message(MoneyPumpWitness(dist, SemiTrade(payoffs), deficit, "plain"), structure)
+            defect = _dense_semi_trade_defect(structure, payoffs)
+            if defect is not None:
+                assert message == defect
+            else:
+                assert message is None or not message.startswith("not a semi-trade")
 
     trade = blocks(structure).payoffs
     if trade is not None:
@@ -182,3 +208,54 @@ def test_distribution_errors_keep_their_messages():
 def test_expectation_table_rejects_a_short_row(intro):
     with pytest.raises(DimensionError, match="^length mismatch: 5 vs 4$"):
         expectation_table(intro, ((0, 0, 0, 0), (0, 0, 0, 0, 0)))
+
+
+BLOCK_FIELDS = ("live", "support", "prior", "hull_weights", "margin", "payoffs")
+
+
+def _rational_types(value):
+    """The types of every number in a walk field, flattened."""
+    if isinstance(value, Distribution):
+        return [type(v) for v in value.probs]
+    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+        return [type(v) for row in value for v in row]
+    return [type(value)]
+
+
+def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_planted):
+    structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
+    structures += [random_structure(GeneratorConfig(seed=seed)) for seed in SEEDS]
+    for key in itertools.product((24, 48), (2, 3), ("mixed", "cycle"), (1, 2)):
+        structures.append(broken_planted(*key))
+    seen = set()
+    for structure in structures:
+        walk, dense = _walk_blocks(structure), dense_walk_blocks(structure)
+        for name in BLOCK_FIELDS:
+            ours, theirs = getattr(walk, name), getattr(dense, name)
+            assert ours == theirs, name
+            if name in ("prior", "hull_weights", "margin", "payoffs") and theirs is not None:
+                assert _rational_types(ours) == _rational_types(theirs), name
+        seen.add((walk.common, walk.strong))
+    # Every verdict occurs: no block live, some live, all live.
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_structure_rows_read_each_support_entry_once(monkeypatch, fixture_path):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return to_json_value(q)
+
+    to_json_value = jsonio.to_json_value
+    monkeypatch.setattr(jsonio, "to_json_value", counted)
+    structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
+    structures += [_build("planted", key, fixture_path)[0] for key in PLANTED]
+    for structure in structures:
+        calls.clear()
+        doc = jsonio.structure_to_json(structure)
+        entries = sum(len(t.support()) for types in structure.cell_types for t in types)
+        assert len(calls) <= entries
+        assert doc["types"] == [
+            [[to_json_value(v) for v in t] for t in types] for types in structure.cell_types
+        ]

@@ -1,6 +1,9 @@
-"""Wire format: float rejection, schema tags, round trips."""
+"""Wire format: float rejection, schema tags, round trips, and the
+canonical writer against the stdlib encoder."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +19,12 @@ from prior_forge import (
     structure_to_json,
 )
 from prior_forge._rational import to_json_value
+from prior_forge.harness import (
+    GeneratorConfig,
+    dense_dumps,
+    planted_structure,
+    random_structure,
+)
 from prior_forge.jsonio import (
     check_schema,
     distribution_to_json,
@@ -23,6 +32,8 @@ from prior_forge.jsonio import (
     loads,
     parse_rational_value,
 )
+from prior_forge.model import uniform
+from prior_forge.report import analyze
 
 
 def payoffs_to_json(payoffs):
@@ -178,3 +189,61 @@ def test_canonical_formatting():
     assert json.loads(text) == {"b": 1, "a": [1, 2]}
     # Key order is preserved, not sorted: emitters control their layout.
     assert text.index('"b"') < text.index('"a"')
+
+
+FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
+
+
+def _same_bytes(doc):
+    text = dumps_canonical(doc)
+    assert text == dense_dumps(doc)
+    return text
+
+
+@pytest.mark.parametrize("seeds", [range(k, k + 100) for k in range(0, 400, 100)])
+def test_writer_matches_the_stdlib_on_reports(seeds, fixture_path):
+    structures = [random_structure(GeneratorConfig(seed=seed)) for seed in seeds]
+    if seeds.start == 0:
+        structures += [parse_structure(load_path(fixture_path(name))) for name in FIXTURES]
+    for s in structures:
+        _same_bytes(analyze(s).to_json())
+        _same_bytes(analyze(s, uniform(s.num_states), all_components=True).to_json())
+
+
+@pytest.mark.parametrize("m", (24, 48))
+def test_writer_matches_the_stdlib_on_planted_reports(m):
+    for n, blocks in ((2, 1), (3, 2)):
+        s, prior = planted_structure(m, n, blocks, random.Random(f"writer:{m}:{n}:{blocks}"))
+        _same_bytes(analyze(s, prior).to_json())
+        _same_bytes(analyze(s, uniform(m)).to_json())
+
+
+def test_writer_matches_the_stdlib_on_hand_made_documents():
+    controls = "".join(chr(k) for k in range(0x20))
+    labels = [
+        "caf\u00e9", "\u03c0 \u2192 \u221e", "\U0001f600", '"', "\\", "\n", controls,
+        "\u2028\u2029", 'a", "b', '", "', "",
+    ]
+    docs = [
+        {label: [label, {label: label}] for label in labels},
+        {"states": labels, "nested": [[[]], [{}], {"x": []}, {"y": {}}]},
+        [[], {}, [[], {}], {"a": [], "b": {}, "c": [[{}]]}],
+        [True, 1, False, 0, None, -7, 10**30],
+        {"flags": {"t": True, "f": False}, "n": None, "i": 2, "row": [0, "1/2", 1, True]},
+        ("tuple", (1, ("nested", ())), [()]),
+        [], {}, (), "", "text", 0, -1, True, False, None,
+    ]
+    for doc in docs:
+        _same_bytes(doc)
+
+
+NOT_CANONICAL = [
+    0.5, 1.0, Fraction(1, 2), [0, "1/2", Fraction(1, 3)], {"a": [0, 0.25]},
+    [[{"b": Fraction(3)}]], {1: "x"}, {None: 1}, {"a": {2: 0}}, {1, 2}, b"x",
+]
+
+
+@pytest.mark.parametrize("bad", NOT_CANONICAL)
+def test_writer_rejects_what_is_not_canonical_json(bad):
+    with pytest.raises(TypeError):
+        dumps_canonical(bad)

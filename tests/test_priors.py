@@ -413,42 +413,14 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     assert grades(pl4, walk.payoffs) == (True, True, True, False)
 
 
-def linked_without(structure, cell):
-    """Labels of the state sets that the cells other than P1's ``cell``
-    link, as a list indexed by state."""
-    label = list(range(structure.num_states))
-    for i, cells in enumerate(structure.partitions):
-        for other in cells:
-            if (i, other) != (0, cell):
-                old = {label[w] for w in other}
-                label = [label[other[0]] if x in old else x for x in label]
-    return label
-
-
-def broken(structure, kind, rng):
-    """``structure`` with P1's type changed on two states a, b of one cell
-    that the other cells also link: b zeroed, its mass moved to a (a mixed
-    charge at b), or half of b's mass moved to a (a ratio cycle through the
-    cell and the link)."""
-    pairs = []
-    for c, cell in enumerate(structure.partitions[0]):
-        label = linked_without(structure, cell)
-        pairs += [(c, a, b) for a, b in itertools.combinations(cell, 2) if label[a] == label[b]]
-    c, a, b = rng.choice(pairs)
-    types = [list(row) for row in structure.cell_types]
-    t = types[0][c] = list(types[0][c])
-    moved = t[b] if kind == "mixed" else t[b] / 2
-    t[a], t[b] = t[a] + moved, t[b] - moved
-    return make_structure(structure.states, structure.players, structure.partitions, types)
-
-
 @pytest.mark.parametrize("m", (24, 48))
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("kind", ("mixed", "cycle"))
 @pytest.mark.parametrize("planted", (1, 2))
-def test_blocks_match_the_program_on_broken_planted_structures(m, n, kind, planted):
-    rng = random.Random(f"{m}:{n}:{kind}:{planted}")
-    structure = broken(planted_structure(m, n, planted, rng)[0], kind, rng)
+def test_blocks_match_the_program_on_broken_planted_structures(
+    m, n, kind, planted, broken_planted
+):
+    structure = broken_planted(m, n, kind, planted)
     walk = blocks(structure)
     assert not walk.strong
     for comp, sub in component_substructures(structure):
@@ -482,11 +454,12 @@ def charge_grade_is_the_walks_verdict(structure):
     )
 
 
-def test_charge_grade_is_the_walks_verdict(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+def test_charge_grade_is_the_walks_verdict(
+    intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4, broken_planted
+):
     structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
     structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
-    for m, n, kind, planted in itertools.product((24, 48), (2, 3), ("mixed", "cycle"), (1, 2)):
-        rng = random.Random(f"{m}:{n}:{kind}:{planted}")
-        structures.append(broken(planted_structure(m, n, planted, rng)[0], kind, rng))
+    for key in itertools.product((24, 48), (2, 3), ("mixed", "cycle"), (1, 2)):
+        structures.append(broken_planted(*key))
     for structure in structures:
         charge_grade_is_the_walks_verdict(structure)
