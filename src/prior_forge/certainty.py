@@ -170,17 +170,23 @@ def component_family(structure: InformationStructure) -> tuple[tuple[int, ...], 
 def is_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every component (equivalently, on every minimal one)."""
     _check_dist(structure, p)
-    return all(any(p[w] for w in comp) for comp in minimal_components(structure))
+    charged = _charged(p)
+    return all(not charged.isdisjoint(comp) for comp in minimal_components(structure))
 
 
 def is_strongly_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every cell of every player."""
     _check_dist(structure, p)
-    return all(
-        any(p[w] for w in cell)
-        for i in range(structure.num_players)
-        for cell in structure.partitions[i]
-    )
+    charged = _charged(p)
+    return all(not charged.isdisjoint(cell) for cells in structure.partitions for cell in cells)
+
+
+def _charged(p) -> frozenset[int]:
+    """The states p charges: a ``Distribution``'s support, or the nonzero
+    entries of a plain tuple of rationals."""
+    if isinstance(p, Distribution):
+        return frozenset(p.support())
+    return frozenset(w for w, v in enumerate(p) if v)
 
 
 def _check_dist(structure: InformationStructure, p: Distribution) -> None:

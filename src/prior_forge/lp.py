@@ -2,25 +2,32 @@
 
 Two-phase primal simplex with Bland's anti-cycling rule. Every coefficient is
 an exact rational; there is no tolerance anywhere. A constraint is a sparse
-row, a map from variable index to nonzero coefficient, in one form from
-``LPBuilder.add_constraint`` through standardization and the verifiers to
-the tableau; only the objective is a dense tuple, and it fixes the
-number of variables. The tableau is fraction-free (Edmonds 1967, Bareiss
-1968): each row is a sparse dict of integer numerators over one positive row
-denominator, kept in lowest terms, so a pivot costs integer multiplications
-and one gcd per changed row instead of a normalized rational per entry.
-Pivots follow the same rule on the same exact values, so bases, points,
-certificates and duals are those of a rational tableau; rationals are built
-only where results are read off.
+row, a map from variable index to nonzero coefficient, and it fixes its
+integer form at construction: int numerators over one positive denominator,
+in lowest terms. Rows carry that form from ``LPBuilder.add_constraint``
+through standardization and the self-checks to the tableau; only the
+objective is a dense tuple, and it fixes the number of variables.
+Standardizing shifts integer lower bounds in ints (a fractional bound takes
+a general path) and writes each upper bound as a row of ``+-den`` entries.
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row is a
+sparse dict of integer numerators over one positive row denominator, kept in
+lowest terms, so a pivot costs integer multiplications and one gcd per
+changed row instead of a normalized rational per entry. Pivots follow the
+same rule on the same exact values, so bases, points, certificates and duals
+are those of a rational tableau; rationals are built only where results are
+read off.
 Outcomes are verified before they are returned: optimal points are
 re-substituted into every constraint and bound, and infeasibility comes with
-a Farkas certificate whose contradiction is re-multiplied from scratch. A
-failed internal check raises ``VerificationError`` and always indicates a
-bug, never bad input.
+a Farkas certificate whose contradiction is re-multiplied from scratch. Both
+checks put the point or each multiplier vector over one denominator once and
+compare integer dot products with the rows' integer forms; rationals are
+built only for failure messages. A failed internal check raises
+``VerificationError`` and always indicates a bug, never bad input.
 
 ``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
 solutions of the standardized system by brute-force basis selection with exact
-Gaussian elimination. It shares no code path with the simplex iteration and is
+Gaussian elimination. It standardizes term by term in rationals
+(``_standardize``), shares no code path with the simplex iteration and is
 capped because its work is combinatorial.
 
 Variables are free unless bounds say otherwise; nothing is implicitly
@@ -32,13 +39,14 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from ._rational import ONE, ZERO, Rational, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
-from .model import dot
+from .model import dot, integer_form
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
@@ -51,18 +59,33 @@ ORACLE_MAX_BASES = 200_000
 @dataclass(frozen=True)
 class Constraint:
     """The row ``sum_j coeffs[j] * x_j  rel  rhs``. ``coeffs`` maps variable
-    indices to nonzero rationals; zero coefficients are dropped here."""
+    indices to nonzero rationals; zero coefficients are dropped here.
+
+    Its integer form is fixed at construction, as a ``Distribution``'s is:
+    ``nums[j] / den == coeffs[j]`` and ``rhs_num / den == rhs``, with ``den``
+    the least common denominator of the coefficients and the rhs, so the row
+    is in lowest terms. The simplex and the self-checks read the ints."""
 
     coeffs: dict
     rel: str
     rhs: object
+    den: int = field(init=False, repr=False, compare=False)
+    nums: dict = field(init=False, repr=False, compare=False)
+    rhs_num: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rel not in (LESS, EQUAL, GREATER):
             raise DimensionError(f"unknown relation {self.rel!r}")
         coeffs = {j: q for j, c in self.coeffs.items() if (q := rational(c))}
+        rhs = rational(self.rhs)
+        den = math.lcm(rhs.denominator, *(q.denominator for q in coeffs.values()))
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rational(self.rhs))
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(
+            self, "nums", {j: q.numerator * (den // q.denominator) for j, q in coeffs.items()}
+        )
+        object.__setattr__(self, "rhs_num", rhs.numerator * (den // rhs.denominator))
 
 
 @dataclass(frozen=True)
@@ -163,69 +186,90 @@ class LPOutcome:
 
 
 def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
-    """Human-readable list of constraint/bound violations of ``x`` (exact)."""
-    bad = []
+    """Human-readable list of constraint/bound violations of ``x`` (exact).
+    ``x`` is put over one denominator once; each row compares its integer
+    dot product with its rhs, and each bound cross-multiplies."""
     if len(x) != lp.num_vars:
         return [f"point has {len(x)} coordinates, expected {lp.num_vars}"]
+    xden, xnums = integer_form(x)
+    bad = []
     for k, con in enumerate(lp.constraints):
-        lhs = sum((a * x[j] for j, a in con.coeffs.items()), ZERO)
-        ok = lhs <= con.rhs if con.rel == LESS else lhs >= con.rhs if con.rel == GREATER else lhs == con.rhs
+        nums = con.nums
+        lhs = sum(map(mul, nums.values(), map(xnums.__getitem__, nums)))
+        rhs = con.rhs_num * xden
+        ok = lhs <= rhs if con.rel == LESS else lhs >= rhs if con.rel == GREATER else lhs == rhs
         if not ok:
-            bad.append(f"constraint {k}: {format_rational(lhs)} {con.rel} {format_rational(con.rhs)} fails")
-    for j in range(lp.num_vars):
-        if lp.lower[j] is not None and x[j] < lp.lower[j]:
+            shown = format_rational(Rational(lhs, con.den * xden))
+            bad.append(f"constraint {k}: {shown} {con.rel} {format_rational(con.rhs)} fails")
+    for j, (lo, up, v) in enumerate(zip(lp.lower, lp.upper, xnums)):
+        if lo is not None and v * lo.denominator < lo.numerator * xden:
             bad.append(f"variable {lp.names[j]} below lower bound")
-        if lp.upper[j] is not None and x[j] > lp.upper[j]:
+        if up is not None and v * up.denominator > up.numerator * xden:
             bad.append(f"variable {lp.names[j]} above upper bound")
     return bad
 
 
-def _combine(lp: LinearProgram, mus: Sequence) -> tuple[list, object]:
-    """sum_k mus[k] * row_k over nonzero multipliers: the combined
-    coefficient of each variable, and the combined rhs."""
-    coeffs = [ZERO] * lp.num_vars
-    rhs = ZERO
-    for mu, con in zip(mus, lp.constraints):
-        if not mu:
-            continue
-        for j, a in con.coeffs.items():
-            coeffs[j] += mu * a
-        if con.rhs:
-            rhs += mu * con.rhs
-    return coeffs, rhs
+def _combine(lp: LinearProgram, mus: Sequence) -> tuple[int, list, int]:
+    """sum_k mus[k] * row_k over nonzero multipliers, on integer forms: the
+    multipliers are numerators over a shared denominator ``d``, and the
+    result is ``(den, coeffs, rhs)`` with ``coeffs[j] / (den * d)`` the
+    combined coefficient of variable j and ``rhs / (den * d)`` the combined
+    rhs; ``den`` is the lcm of the used rows' denominators."""
+    used = [(mu, con) for mu, con in zip(mus, lp.constraints) if mu]
+    den = math.lcm(*(con.den for _, con in used))
+    coeffs = [0] * lp.num_vars
+    rhs = 0
+    for mu, con in used:
+        scale = mu * (den // con.den)
+        for j, a in con.nums.items():
+            coeffs[j] += scale * a
+        rhs += scale * con.rhs_num
+    return den, coeffs, rhs
 
 
 def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
-    """Check a Farkas certificate by exact re-multiplication."""
+    """Check a Farkas certificate by exact re-multiplication. Each multiplier
+    vector is put over one denominator once; signs, cancellation and the
+    combined rhs are then integer tests."""
     bad = []
     mus = cert.constraint_multipliers
     los = cert.lower_multipliers
     ups = cert.upper_multipliers
     if len(mus) != len(lp.constraints) or len(los) != lp.num_vars or len(ups) != lp.num_vars:
         return ["certificate shape mismatch"]
-    for k, con in enumerate(lp.constraints):
-        if con.rel == LESS and mus[k] < ZERO:
+    mden, mnums = integer_form(mus)
+    lden, lnums = integer_form(los)
+    uden, unums = integer_form(ups)
+    for k, (con, mu) in enumerate(zip(lp.constraints, mnums)):
+        if con.rel == LESS and mu < 0:
             bad.append(f"multiplier {k} negative on a <= row")
-        if con.rel == GREATER and mus[k] > ZERO:
+        if con.rel == GREATER and mu > 0:
             bad.append(f"multiplier {k} positive on a >= row")
-    for j in range(lp.num_vars):
-        if los[j] > ZERO:
+    for j, (lo, up) in enumerate(zip(lnums, unums)):
+        if lo > 0:
             bad.append(f"lower multiplier {j} positive")
-        if ups[j] < ZERO:
+        if up < 0:
             bad.append(f"upper multiplier {j} negative")
-        if los[j] != ZERO and lp.lower[j] is None:
+        if lo and lp.lower[j] is None:
             bad.append(f"lower multiplier {j} used without a bound")
-        if ups[j] != ZERO and lp.upper[j] is None:
+        if up and lp.upper[j] is None:
             bad.append(f"upper multiplier {j} used without a bound")
-    combo, rhs = _combine(lp, mus)
-    for j in range(lp.num_vars):
-        residual = combo[j] + los[j] + ups[j]
-        if residual != ZERO:
-            bad.append(f"variable {lp.names[j]} does not cancel (residual {format_rational(residual)})")
-    rhs += sum((los[j] * lp.lower[j] for j in range(lp.num_vars) if los[j] != ZERO), ZERO)
-    rhs += sum((ups[j] * lp.upper[j] for j in range(lp.num_vars) if ups[j] != ZERO), ZERO)
-    if not rhs < ZERO:
-        bad.append(f"combined right-hand side {format_rational(rhs)} is not negative")
+    den, combo, rhs = _combine(lp, mnums)
+    den *= mden
+    common = math.lcm(den, lden, uden)
+    cs, ls, us = common // den, common // lden, common // uden
+    for j, (c, lo, up) in enumerate(zip(combo, lnums, unums)):
+        residual = c * cs + lo * ls + up * us
+        if residual:
+            shown = format_rational(Rational(residual, common))
+            bad.append(f"variable {lp.names[j]} does not cancel (residual {shown})")
+    terms = [(rhs, den)]
+    for nums, d, bounds in ((lnums, lden, lp.lower), (unums, uden, lp.upper)):
+        terms += [(u * b.numerator, d * b.denominator) for u, b in zip(nums, bounds) if u and b is not None]
+    total = math.lcm(*(d for _, d in terms))
+    rhs = sum(n * (total // d) for n, d in terms)
+    if not rhs < 0:
+        bad.append(f"combined right-hand side {format_rational(Rational(rhs, total))} is not negative")
     return bad
 
 
@@ -235,11 +279,30 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
 # without one split into a positive and a negative part, and every finite
 # upper bound becomes an extra <= row over the variable's columns. Row
 # bookkeeping keeps enough structure to translate phase-1 duals back into an
-# original-space Farkas certificate.
+# original-space Farkas certificate. The simplex reads the form off the
+# constraints' integer forms (``_int_standardize``); ``_standardize`` builds
+# it term by term in rationals for ``enumerate_basic_solutions`` alone, so
+# the oracle shares no standardization with the simplex.
 
 
-@dataclass
-class _StdForm:
+def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tuple:
+    """A point over the std columns, mapped back to the original variables."""
+    x = [ZERO] * lp.num_vars
+    for col, (tag, j) in enumerate(col_kind):
+        v = xstd[col]
+        if tag == "shift":
+            x[j] = lp.lower[j] + v
+        elif tag == "pos":
+            x[j] = x[j] + v
+        else:
+            x[j] = x[j] - v
+    return tuple(x)
+
+
+class _StdForm(NamedTuple):
+    """The standard form in rationals, term by term: the form that
+    ``enumerate_basic_solutions`` enumerates."""
+
     ncols: int
     col_kind: list[tuple]         # per std column: ("shift", j) | ("pos", j) | ("neg", j)
     rows: list[dict]              # transformed coefficient rows (sparse), pre-negation
@@ -249,18 +312,104 @@ class _StdForm:
     cost_const: object
     costs: dict                   # minimization costs over std columns
 
-    def to_original(self, lp: LinearProgram, xstd: Sequence) -> tuple:
-        x = [ZERO] * lp.num_vars
-        for col, kind in enumerate(self.col_kind):
-            tag, j = kind
-            v = xstd[col]
-            if tag == "shift":
-                x[j] = lp.lower[j] + v
-            elif tag == "pos":
-                x[j] = x[j] + v
-            else:
-                x[j] = x[j] - v
-        return tuple(x)
+
+class _IntStdForm(NamedTuple):
+    """The same standard form on ints, the simplex's input: std row r is
+    ``rows[r][col] / dens[r]`` with rhs ``row_rhs[r] / dens[r]``, in lowest
+    terms, and the costs are ``costs[col] / cost_den``."""
+
+    ncols: int
+    col_kind: list[tuple]
+    rows: list[dict]
+    dens: list[int]
+    row_rel: list[str]
+    row_rhs: list[int]
+    row_origin: list[tuple]
+    cost_const: object
+    costs: dict
+    cost_den: int
+
+
+def _int_standardize(lp: LinearProgram) -> _IntStdForm:
+    """The standard form read off the constraints' integer forms. Integer
+    lower bounds shift a row's rhs numerator; a fractional one takes the
+    general path, which puts the row over the lcm of its coefficients' and
+    its shifted rhs's denominators. An upper-bound row is ``+-den`` entries
+    over the denominator of its rhs."""
+    lower = lp.lower
+    col_kind: list[tuple] = []
+    cols: list[tuple] = []  # per variable: (shifted column,) | (pos column, neg column)
+    shift: list = []  # per variable: its lower bound if integral (0 if none), else None
+    for j, lo in enumerate(lower):
+        col = len(col_kind)
+        if lo is None:
+            col_kind += [("pos", j), ("neg", j)]
+            cols.append((col, col + 1))
+            shift.append(0)
+        else:
+            col_kind.append(("shift", j))
+            cols.append((col,))
+            shift.append(lo.numerator if lo.denominator == 1 else None)
+
+    rows: list[dict] = []
+    dens: list[int] = []
+    row_rel: list[str] = []
+    row_rhs: list[int] = []
+    row_origin: list[tuple] = []
+    for k, con in enumerate(lp.constraints):
+        row: dict = {}
+        den, rhs = con.den, con.rhs_num
+        fractional = []
+        for j, a in con.nums.items():
+            c = cols[j]
+            row[c[0]] = a
+            if len(c) == 2:
+                row[c[1]] = -a
+            elif shift[j] is None:
+                fractional.append(j)
+            elif shift[j]:
+                rhs -= a * shift[j]
+        if fractional:
+            q = Rational(rhs, den) - sum(con.coeffs[j] * lower[j] for j in fractional)
+            new = math.lcm(q.denominator, *(v.denominator for v in con.coeffs.values()))
+            row = {c: v * new // den for c, v in row.items()}
+            den, rhs = new, q.numerator * (new // q.denominator)
+        rows.append(row)
+        dens.append(den)
+        row_rel.append(con.rel)
+        row_rhs.append(rhs)
+        row_origin.append(("user", k))
+    for j, up in enumerate(lp.upper):
+        if up is None:
+            continue
+        if shift[j] is None:
+            bound = up - lower[j]
+            d, rhs = bound.denominator, bound.numerator
+        else:
+            d = up.denominator
+            rhs = up.numerator - shift[j] * d
+        rows.append({cols[j][0]: d, cols[j][1]: -d} if len(cols[j]) == 2 else {cols[j][0]: d})
+        dens.append(d)
+        row_rel.append(LESS)
+        row_rhs.append(rhs)
+        row_origin.append(("upper", j))
+
+    sign = -1 if lp.maximize else 1
+    cost_den = math.lcm(*(c.denominator for c in lp.objective))
+    costs: dict = {}
+    cost_const = ZERO
+    for j, c in enumerate(lp.objective):
+        if not c:
+            continue
+        if lower[j]:
+            cost_const += sign * c * lower[j]
+        n = sign * c.numerator * (cost_den // c.denominator)
+        costs[cols[j][0]] = n
+        if len(cols[j]) == 2:
+            costs[cols[j][1]] = -n
+    return _IntStdForm(
+        len(col_kind), col_kind, rows, dens, row_rel, row_rhs, row_origin, cost_const, costs, cost_den
+    )
 
 
 def _standardize(lp: LinearProgram) -> _StdForm:
@@ -322,13 +471,6 @@ def _standardize(lp: LinearProgram) -> _StdForm:
 # the whole tableau would rescale every row on every pivot.
 
 
-def _to_ints(row: dict) -> tuple[dict, int]:
-    """An exact rational row as int numerators over the lcm of its entries'
-    denominators, which is already in lowest terms."""
-    den = math.lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}, den
-
-
 def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
     """Subtract ``row[c]`` times the pivot row, whose entry at ``c`` is 1
     (``prow[c] == pden``), from ``row`` in place: ``row * pden - m * prow``
@@ -356,18 +498,16 @@ class _Tableau:
     """Sparse fraction-free simplex tableau; row key -1 holds the rhs. The
     objective row ``obj`` over ``obj_den`` has the same form."""
 
-    def __init__(self, std: _StdForm) -> None:
+    def __init__(self, std: _IntStdForm) -> None:
         self.std = std
         self.rows: list[dict] = []
-        self.dens: list[int] = []
+        self.dens: list[int] = std.dens[:]
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each std row
         self.negated: list[bool] = []  # std row multiplied by -1 to make rhs >= 0
         ncols = std.ncols
         artificials: set[int] = set()
-        for r, base_row in enumerate(std.rows):
-            rel, rhs = std.row_rel[r], std.row_rhs[r]
-            row = dict(base_row)
+        for base_row, den, rel, rhs in zip(std.rows, std.dens, std.row_rel, std.row_rhs):
             if rel == LESS:
                 slack_sign = 1
             elif rel == GREATER:
@@ -377,14 +517,16 @@ class _Tableau:
             # Negating >= rows with rhs 0 turns their slack into a valid
             # starting basis column; many callers' programs then need no
             # phase 1 at all.
-            negate = rhs < ZERO or (rhs == ZERO and slack_sign == -1)
+            negate = rhs < 0 or (rhs == 0 and slack_sign == -1)
             if negate:
-                row = {j: -v for j, v in row.items()}
+                row = {j: -v for j, v in base_row.items()}
                 rhs = -rhs
                 if slack_sign is not None:
                     slack_sign = -slack_sign
+            else:
+                row = dict(base_row)
             if slack_sign is not None:
-                row[ncols] = slack_sign
+                row[ncols] = slack_sign * den
                 slack_col = ncols
                 ncols += 1
             else:
@@ -392,15 +534,13 @@ class _Tableau:
             if slack_col is not None and slack_sign == 1:
                 ident = slack_col
             else:
-                row[ncols] = 1
+                row[ncols] = den
                 artificials.add(ncols)
                 ident = ncols
                 ncols += 1
             if rhs:
                 row[_RHS] = rhs
-            nums, den = _to_ints(row)
-            self.rows.append(nums)
-            self.dens.append(den)
+            self.rows.append(row)
             self.basis.append(ident)
             self.init_col.append(ident)
             self.negated.append(negate)
@@ -500,7 +640,7 @@ class _Tableau:
         self.barred.update(self.artificials)
 
     def phase2(self) -> str:
-        self.obj, self.obj_den = _to_ints(self.std.costs)
+        self.obj, self.obj_den = dict(self.std.costs), self.std.cost_den
         # price out the basic columns; remaining negative reduced costs
         # drive the iteration
         for r in range(len(self.rows)):
@@ -521,22 +661,25 @@ class _Tableau:
         return x
 
     def row_duals(self, phase1: bool) -> list:
-        """The multipliers y of the rows as the tableau holds them. The
-        objective row is c - yA and B^-1 sits under the rows' initial
-        identity columns, so y = c - (objective row) there; c is 1 on the
-        artificial columns in phase 1 and 0 on every identity column in
-        phase 2 (a row dropped as redundant held a zero-cost artificial)."""
+        """The multipliers y of the rows as the tableau holds them, as
+        numerators over ``obj_den``. The objective row is c - yA and B^-1
+        sits under the rows' initial identity columns, so y = c - (objective
+        row) there; c is 1 on the artificial columns in phase 1 and 0 on
+        every identity column in phase 2 (a row dropped as redundant held a
+        zero-cost artificial)."""
+        den, obj, artificials = self.obj_den, self.obj, self.artificials
         return [
-            (ONE if phase1 and col in self.artificials else ZERO) - self.objective_entry(col)
+            (den if phase1 and col in artificials else 0) - obj.get(col, 0)
             for col in self.init_col
         ]
 
 
 def _row_multipliers(lp: LinearProgram, tab: _Tableau, y: list) -> tuple[list, list]:
     """Minimization multipliers ``y`` of the std rows, mapped to max-form
-    multipliers of the user's constraints and of the variables' upper bounds."""
-    mus = [ZERO] * len(lp.constraints)
-    uppers = [ZERO] * lp.num_vars
+    multipliers of the user's constraints and of the variables' upper
+    bounds; all are numerators over the objective row's denominator."""
+    mus = [0] * len(lp.constraints)
+    uppers = [0] * lp.num_vars
     for k, origin in enumerate(tab.std.row_origin):
         # y applies to the rows as the tableau holds them, after negation.
         mult = y[k] if tab.negated[k] else -y[k]
@@ -548,22 +691,23 @@ def _row_multipliers(lp: LinearProgram, tab: _Tableau, y: list) -> tuple[list, l
 
 
 def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
+    den = tab.obj_den
     mus, uppers = _row_multipliers(lp, tab, tab.row_duals(phase1=True))
-    combo, _ = _combine(lp, mus)
+    cden, combo, _ = _combine(lp, mus)
     lowers = [ZERO] * lp.num_vars
-    for j in range(lp.num_vars):
-        residual = combo[j] + uppers[j]
-        if residual == ZERO:
-            continue
-        if lp.lower[j] is not None:
-            lowers[j] = -residual
+    for j, (c, up) in enumerate(zip(combo, uppers)):
+        residual = c + up * cden  # over cden * den
         # split variables must already cancel; the verifier catches it if not
-    return FarkasCertificate(tuple(mus), tuple(lowers), tuple(uppers))
+        if residual and lp.lower[j] is not None:
+            lowers[j] = Rational(-residual, cden * den)
+    return FarkasCertificate(
+        tuple(Rational(v, den) for v in mus), tuple(lowers), tuple(Rational(v, den) for v in uppers)
+    )
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; outcomes are self-verified before being returned."""
-    std = _standardize(lp)
+    std = _int_standardize(lp)
     tab = _Tableau(std)
     if not tab.phase1():
         cert = _extract_farkas(lp, tab)
@@ -574,7 +718,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     status = tab.phase2()
     if status == "unbounded":
         return LPOutcome("unbounded", None, None, None)
-    x = std.to_original(lp, tab.primal_std())
+    x = _to_original(lp, std.col_kind, tab.primal_std())
     problems = feasibility_violations(lp, x)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
@@ -585,8 +729,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
-    duals = tuple(_row_multipliers(lp, tab, tab.row_duals(phase1=False))[0])
-    return LPOutcome("optimal", x, value, None, duals)
+    mus, _ = _row_multipliers(lp, tab, tab.row_duals(phase1=False))
+    return LPOutcome("optimal", x, value, None, tuple(Rational(v, tab.obj_den) for v in mus))
 
 
 # -- independent oracle --------------------------------------------------
@@ -634,7 +778,7 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
     if rank == 0:
         # No binding equalities: the only basic solution is the origin.
         zero = tuple([ZERO] * ncols)
-        return (std.to_original(lp, zero),)
+        return (_to_original(lp, std.col_kind, zero),)
     if math.comb(ncols, rank) > ORACLE_MAX_BASES:
         raise SizeCapError(
             f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"
@@ -646,7 +790,7 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
             continue
         if any(v < ZERO for v in solution):
             continue
-        point = std.to_original(lp, solution[: std.ncols])
+        point = _to_original(lp, std.col_kind, solution[: std.ncols])
         seen.add(point)
     return tuple(sorted(seen))
 

@@ -118,7 +118,7 @@ def expectation_table(
         if len(f) != m:
             raise DimensionError(f"length mismatch: {m} vs {len(f)}")
         row = [None] * m
-        for cell, num, den in cell_expectations(structure, i, f):
+        for cell, num, den in cell_expectations(structure, i, integer_form(f)):
             e = Rational(num, den)
             for w in cell:
                 row[w] = e
@@ -126,11 +126,14 @@ def expectation_table(
     return tuple(table)
 
 
-def cell_expectations(structure: InformationStructure, player: int, f: Sequence) -> list:
+def cell_expectations(
+    structure: InformationStructure, player: int, form: tuple[int, tuple[int, ...]]
+) -> list:
     """Per cell of ``player``, ``(cell, num, den)``: the expectation of the
-    payoff row ``f`` under the cell's type is ``num / den``, an integer sum
-    over the type's support with ``den > 0``, so its sign is ``num``'s."""
-    fden, g = integer_form(f)
+    payoff row whose ``integer_form`` is ``form`` under the cell's type is
+    ``num / den``, an integer sum over the type's support with ``den > 0``,
+    so its sign is ``num``'s."""
+    fden, g = form
     return [
         (cell, sum(t.nums[w] * g[w] for w in t.support()), t.den * fden)
         for cell, t in zip(structure.partitions[player], structure.cell_types[player])

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable
+from operator import mul
+from typing import Callable, Iterator
 
 from ._rational import ZERO, Rational
 from .certainty import is_maximal, is_strongly_maximal
@@ -167,63 +168,84 @@ def is_disintegrable(
     return (weights is not None), weights
 
 
+def _gray_steps(m: int) -> Iterator[tuple[int, int, int]]:
+    """The Gray-code walk over the non-empty subsets of ``range(m)``: per
+    step, the event as a bit mask, the state toggled, and +1 if it entered
+    the event or -1 if it left."""
+    prev = 0
+    for k in range(1, 1 << m):
+        gray = k ^ (k >> 1)
+        bit = (gray ^ prev).bit_length() - 1
+        yield gray, bit, 1 if gray >> bit & 1 else -1
+        prev = gray
+
+
 def is_conglomerable(
     structure: InformationStructure, dist: Distribution
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Single-player sandwich property: for every proper non-empty event E,
     min_cell t(E) <= dist(E) <= max_cell t(E). Exhaustive over all 2^M - 2
-    events (a Gray-code walk keeps the running sums incremental); returns a
-    violating event when the answer is no."""
+    events on a Gray-code walk; returns a violating event when the answer is
+    no. The running sums are ints over one common denominator of dist and
+    every type, so each step adds ints and compares ints."""
     _check_single_player(structure)
     _check_dimension(structure, dist)
     m = structure.num_states
     if m > EVENT_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {EVENT_CAP}")
-    cell_dists = structure.cell_types[0]
-    p_e = ZERO
-    t_e = [ZERO] * len(cell_dists)
+    types = structure.cell_types[0]
+    den = lcm(dist.den, *(t.den for t in types))
+    p_step = [a * (den // dist.den) for a in dist.nums]
+    # per state, (cell, scaled type mass) for every type that charges it
+    t_step = [
+        [(c, t.nums[w] * (den // t.den)) for c, t in enumerate(types) if t.nums[w]]
+        for w in range(m)
+    ]
+    p_e = 0
+    t_e = [0] * len(types)
     full = (1 << m) - 1
-    prev = 0
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        if gray & (1 << bit):
-            p_e += dist[bit]
-            for c, td in enumerate(cell_dists):
-                if td[bit]:
-                    t_e[c] += td[bit]
-        else:
-            p_e -= dist[bit]
-            for c, td in enumerate(cell_dists):
-                if td[bit]:
-                    t_e[c] -= td[bit]
-        prev = gray
+    for gray, bit, sign in _gray_steps(m):
+        p_e += sign * p_step[bit]
+        for c, a in t_step[bit]:
+            t_e[c] += sign * a
         if gray == full:
             continue
         if p_e < min(t_e) or p_e > max(t_e):
-            event = tuple(s for s in range(m) if gray & (1 << s))
-            return False, event
+            return False, tuple(s for s in range(m) if gray & (1 << s))
     return True, None
 
 
 def disintegrable_by_definition(structure: InformationStructure, dist: Distribution) -> bool:
-    """The literal product identity p(E n cell) == t_cell(E) * p(cell) over
-    every event and cell. Exponential; exists purely as an independent oracle
-    for the closed-form test above."""
+    """The literal product identity p(E n cell) == t_cell(E) * p(cell) at
+    every non-empty event E and every cell, on a Gray-code walk with running
+    integer sums: with p = nums / den, ``inter[c]`` the numerator of
+    p(E n c), ``tev[c]`` that of t_c(E) over t_c's denominator and
+    ``mass[c]`` that of p(c), the identity reads
+    ``inter[c] * t_c.den == tev[c] * mass[c]``. Exponential; exists purely
+    as an independent oracle for the closed-form test above, and shares no
+    code with ``hull_weights``."""
     _check_single_player(structure)
     _check_dimension(structure, dist)
     m = structure.num_states
     if m > DEFINITION_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {DEFINITION_CAP}")
     cells, types = structure.partitions[0], structure.cell_types[0]
-    cell_mass = [dist.mass(cell) for cell in cells]
-    for mask in range(1, 1 << m):
-        event = [s for s in range(m) if mask & (1 << s)]
-        for c, cell in enumerate(cells):
-            inter = sum((dist[s] for s in event if s in cell), ZERO)
-            t_event = sum((types[c][s] for s in event), ZERO)
-            if inter != t_event * cell_mass[c]:
-                return False
+    nums = dist.nums
+    t_dens = [t.den for t in types]
+    mass = [sum(nums[s] for s in cell) for cell in cells]
+    home = [0] * m  # the cell holding each state
+    for c, cell in enumerate(cells):
+        for s in cell:
+            home[s] = c
+    t_step = [[(c, t.nums[s]) for c, t in enumerate(types) if t.nums[s]] for s in range(m)]
+    inter = [0] * len(cells)
+    tev = [0] * len(cells)
+    for _, bit, sign in _gray_steps(m):
+        inter[home[bit]] += sign * nums[bit]
+        for c, a in t_step[bit]:
+            tev[c] += sign * a
+        if list(map(mul, inter, t_dens)) != list(map(mul, tev, mass)):
+            return False
     return True
 
 

@@ -32,6 +32,8 @@ raise VerificationError and mean a bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from ._rational import ONE, ZERO, Rational
 from .certainty import minimal_components
@@ -47,6 +49,7 @@ from .model import (
     cell_expectations,
     dot,
     expectation_table,
+    integer_form,
     payoff_vector,
 )
 from .priors import (
@@ -127,17 +130,23 @@ class MoneyPumpWitness:
             raise VerificationError("pump witness has wrong player count")
         if len(payoffs[0]) != structure.num_states or len(self.distribution) != structure.num_states:
             raise VerificationError("pump witness has wrong state count")
-        # One sign test per (player, cell); cells are ordered by least
-        # state, so the first failing cell holds the player's least failing
-        # state.
-        for i, f in enumerate(payoffs):
-            for cell, num, den in cell_expectations(structure, i, f):
+        # Each payoff row is put over one denominator once. One sign test
+        # per (player, cell); cells are ordered by least state, so the first
+        # failing cell holds the player's least failing state.
+        forms = [integer_form(f) for f in payoffs]
+        for i, form in enumerate(forms):
+            for cell, num, den in cell_expectations(structure, i, form):
                 if num < 0:
                     raise VerificationError(
                         f"not a semi-trade: player {i} expects {Rational(num, den)} < 0 "
                         f"at state {cell[0]}"
                     )
-        deficit = sum((dot(f, self.distribution) for f in payoffs), ZERO)
+        # The deficit: every row over the lcm of the rows' denominators, one
+        # integer dot product per row with p's numerators, one rational.
+        a = self.distribution.nums
+        fden = lcm(*(d for d, _ in forms))
+        num = sum((fden // d) * sum(map(mul, g, a)) for d, g in forms)
+        deficit = Rational(num, fden * self.distribution.den)
         if deficit != self.deficit:
             raise VerificationError(
                 f"stored deficit {self.deficit} differs from recomputed {deficit}"

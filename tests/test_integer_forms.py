@@ -1,4 +1,4 @@
-"""The integer distribution layer against its dense-rational oracles.
+"""The integer paths against their dense-rational oracles.
 
 Distributions carry ``nums`` over one ``den``; hull weights, witness
 verification, expectation tables, pump pieces and pump deficits sum ints and
@@ -7,6 +7,16 @@ pairs. Each is compared, exactly, with the term-by-term ``Fraction``
 definition it replaced (kept in ``harness``), on the six fixtures, generator
 seeds 0..199 and planted structures at M in {24, 48}, broken ones for the
 walk.
+
+LP constraints carry ``nums`` over one ``den`` as well, and the simplex's
+standard form and self-checks read them; the two exponential event walks of
+the single-player theory keep running integer sums. Their term-by-term
+``Fraction`` definitions live in this file as their oracles: the standard
+form against ``lp._standardize`` on every program the pinned-outcome test
+builds, the point and certificate checks against ``dense_feasibility_violations``
+and ``dense_farkas_violations``, and the walks against
+``dense_is_conglomerable`` and ``dense_disintegrable_by_definition`` on every
+player view of seeds 0..1999 and the fixtures.
 """
 
 import itertools
@@ -21,6 +31,7 @@ from prior_forge import (
     DimensionError,
     Distribution,
     GeneratorConfig,
+    LPBuilder,
     PriorWitness,
     StochasticityError,
     VerificationError,
@@ -40,8 +51,29 @@ from prior_forge.harness import (
     planted_structure,
     random_distribution,
 )
-from prior_forge.model import dot
-from prior_forge.priors import _walk_blocks, blocks, hull_weights
+from prior_forge.harness import (
+    acceptable_trade_program,
+    agreeable_trade_program,
+    common_prior_program,
+    joint_common_prior_program,
+)
+from prior_forge.lp import (
+    FarkasCertificate,
+    _int_standardize,
+    _standardize,
+    enumerate_basic_solutions,
+    farkas_violations,
+    feasibility_violations,
+    solve,
+)
+from prior_forge.model import dot, single_player_view
+from prior_forge.priors import (
+    _walk_blocks,
+    blocks,
+    disintegrable_by_definition,
+    hull_weights,
+    is_conglomerable,
+)
 from prior_forge.trades import (
     MoneyPumpWitness,
     SemiTrade,
@@ -259,3 +291,293 @@ def test_structure_rows_read_each_support_entry_once(monkeypatch, fixture_path):
         assert doc["types"] == [
             [[to_json_value(v) for v in t] for t in types] for types in structure.cell_types
         ]
+
+
+# -- LP rows on integer forms ---------------------------------------------
+
+
+def dense_feasibility_violations(lp, x):
+    """``lp.feasibility_violations`` term by term in rationals: its oracle."""
+    bad = []
+    if len(x) != lp.num_vars:
+        return [f"point has {len(x)} coordinates, expected {lp.num_vars}"]
+    for k, con in enumerate(lp.constraints):
+        lhs = sum((a * x[j] for j, a in con.coeffs.items()), Fraction(0))
+        ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
+        if not ok:
+            bad.append(f"constraint {k}: {lhs} {con.rel} {con.rhs} fails")
+    for j in range(lp.num_vars):
+        if lp.lower[j] is not None and x[j] < lp.lower[j]:
+            bad.append(f"variable {lp.names[j]} below lower bound")
+        if lp.upper[j] is not None and x[j] > lp.upper[j]:
+            bad.append(f"variable {lp.names[j]} above upper bound")
+    return bad
+
+
+def dense_farkas_violations(lp, cert):
+    """``lp.farkas_violations`` term by term in rationals: its oracle."""
+    bad = []
+    mus = cert.constraint_multipliers
+    los = cert.lower_multipliers
+    ups = cert.upper_multipliers
+    if len(mus) != len(lp.constraints) or len(los) != lp.num_vars or len(ups) != lp.num_vars:
+        return ["certificate shape mismatch"]
+    for k, con in enumerate(lp.constraints):
+        if con.rel == "<=" and mus[k] < 0:
+            bad.append(f"multiplier {k} negative on a <= row")
+        if con.rel == ">=" and mus[k] > 0:
+            bad.append(f"multiplier {k} positive on a >= row")
+    for j in range(lp.num_vars):
+        if los[j] > 0:
+            bad.append(f"lower multiplier {j} positive")
+        if ups[j] < 0:
+            bad.append(f"upper multiplier {j} negative")
+        if los[j] != 0 and lp.lower[j] is None:
+            bad.append(f"lower multiplier {j} used without a bound")
+        if ups[j] != 0 and lp.upper[j] is None:
+            bad.append(f"upper multiplier {j} used without a bound")
+    combo = [Fraction(0)] * lp.num_vars
+    rhs = Fraction(0)
+    for mu, con in zip(mus, lp.constraints):
+        if mu:
+            for j, a in con.coeffs.items():
+                combo[j] += mu * a
+            rhs += mu * con.rhs
+    for j in range(lp.num_vars):
+        residual = combo[j] + los[j] + ups[j]
+        if residual != 0:
+            bad.append(f"variable {lp.names[j]} does not cancel (residual {residual})")
+    rhs += sum((los[j] * lp.lower[j] for j in range(lp.num_vars) if los[j] != 0), Fraction(0))
+    rhs += sum((ups[j] * lp.upper[j] for j in range(lp.num_vars) if ups[j] != 0), Fraction(0))
+    if not rhs < 0:
+        bad.append(f"combined right-hand side {rhs} is not negative")
+    return bad
+
+
+def _fractional_bound_programs():
+    """Programs whose bounds are not integers: fractional lower bounds (a
+    shifted rhs off the row's denominator), fractional upper bounds on a
+    shifted and on a free variable, and an infeasible variant of each."""
+    programs = []
+    for infeasible in (False, True):
+        b = LPBuilder()
+        x = b.add_var("x", lower=Fraction(1, 3), objective=2)
+        y = b.add_var("y", lower=Fraction(-5, 2), objective=Fraction(-1, 4))
+        z = b.add_var("z", lower=Fraction(7, 6))
+        b.add_constraint({x: Fraction(3, 4), y: 1, z: Fraction(-2, 5)}, "<=", Fraction(9, 2))
+        b.add_constraint({x: 1, y: Fraction(1, 3)}, ">=", Fraction(-1, 6))
+        b.add_constraint({x: Fraction(1, 2), z: Fraction(3, 2)}, "<=", 4)
+        b.add_constraint({y: 1, z: 1}, "=", Fraction(5, 3))
+        if infeasible:
+            b.add_constraint({x: 1, z: 1}, "<=", Fraction(4, 3))
+        programs.append(b.build(maximize=True))
+
+        b = LPBuilder()
+        x = b.add_var("x", lower=Fraction(1, 3), upper=Fraction(7, 4), objective=1)
+        y = b.add_var("y", upper=Fraction(5, 3), objective=Fraction(2, 3))
+        w = b.add_var("w", lower=0, upper=Fraction(9, 8), objective=-1)
+        b.add_constraint({x: 1, y: 1, w: Fraction(1, 2)}, "<=", Fraction(11, 4))
+        b.add_constraint({y: 1, w: -1}, ">=", Fraction(-3, 2))
+        if infeasible:
+            b.add_constraint({x: 1, y: 1}, ">=", 4)
+        programs.append(b.build(maximize=True))
+    return programs
+
+
+@pytest.fixture(scope="module")
+def programs(fixture_path):
+    """Every program ``test_simplex_outcomes_are_pinned`` solves, then the
+    fractional-bound ones, each with its outcome."""
+    builders = (
+        common_prior_program,
+        joint_common_prior_program,
+        agreeable_trade_program,
+        acceptable_trade_program,
+    )
+    structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
+    structures += [random_structure(GeneratorConfig(seed=seed)) for seed in SEEDS]
+    found = [build(s) for s in structures for build in builders] + _fractional_bound_programs()
+    return [(lp, solve(lp)) for lp in found]
+
+
+def test_fractional_bounds_solve_to_enumerated_vertices():
+    outcomes = []
+    for lp in _fractional_bound_programs():
+        out = solve(lp)
+        outcomes.append(out.status)
+        if out.status == "optimal":
+            assert feasibility_violations(lp, out.primal) == []
+            best = max(dot(lp.objective, point) for point in enumerate_basic_solutions(lp))
+            assert out.objective_value == best
+        else:
+            assert enumerate_basic_solutions(lp) == ()
+            assert farkas_violations(lp, out.certificate) == []
+    assert outcomes == ["optimal", "optimal", "infeasible", "infeasible"]
+
+
+def test_integer_standard_form_matches_the_rational_one(programs):
+    fractional = 0
+    for lp, _ in programs:
+        ours, theirs = _int_standardize(lp), _standardize(lp)
+        assert ours.ncols == theirs.ncols
+        assert ours.col_kind == theirs.col_kind
+        assert ours.row_rel == theirs.row_rel
+        assert ours.row_origin == theirs.row_origin
+        assert ours.cost_const == theirs.cost_const
+        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == len(theirs.rows)
+        for row, den, rhs, dense_row, dense_rhs in zip(
+            ours.rows, ours.dens, ours.row_rhs, theirs.rows, theirs.row_rhs
+        ):
+            assert den > 0
+            assert {j: Fraction(v, den) for j, v in row.items()} == dense_row
+            assert Fraction(rhs, den) == dense_rhs
+            # lowest terms: the rows the tableau starts from are unique
+            assert math.gcd(den, rhs, *row.values()) == 1
+            fractional += den > 1
+        assert ours.cost_den > 0
+        assert {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()} == theirs.costs
+        assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
+    assert fractional
+
+
+def _row_breaking(lp, x, k):
+    """``x`` moved along the first variable of row k so that the row fails."""
+    con = lp.constraints[k]
+    j, a = next(iter(con.coeffs.items()))
+    lhs = sum((c * x[i] for i, c in con.coeffs.items()), Fraction(0))
+    target = {"<=": con.rhs + Fraction(1, 3), ">=": con.rhs - Fraction(1, 3), "=": lhs + Fraction(1, 3)}
+    moved = list(x)
+    moved[j] += (target[con.rel] - lhs) / a
+    return tuple(moved)
+
+
+def test_feasibility_violations_match_the_term_by_term_check(programs):
+    seen = {"constraint": 0, "below": 0, "above": 0}
+    for lp, out in programs:
+        if out.status != "optimal":
+            continue
+        x = out.primal
+        assert feasibility_violations(lp, x) == dense_feasibility_violations(lp, x) == []
+        rows = [k for k, con in enumerate(lp.constraints) if con.coeffs]
+        points = [_row_breaking(lp, x, k) for k in rows[:2] + rows[-1:]]
+        for bounds, step in ((lp.lower, Fraction(-1, 3)), (lp.upper, Fraction(1, 3))):
+            held = [j for j, bound in enumerate(bounds) if bound is not None]
+            points += [x[:j] + (bounds[j] + step,) + x[j + 1 :] for j in held[:1] + held[-1:]]
+        for point in points:
+            messages = feasibility_violations(lp, point)
+            assert messages and messages == dense_feasibility_violations(lp, point)
+            for key in seen:
+                seen[key] += any(key in message for message in messages)
+        assert feasibility_violations(lp, x + (Fraction(0),)) == dense_feasibility_violations(
+            lp, x + (Fraction(0),)
+        )
+    assert all(seen.values()), seen
+
+
+def _tampered(lp, cert):
+    """Certificates that must fail: the multiplier of a non-empty row
+    doubled, every multiplier negated, and one bound multiplier moved off
+    its value."""
+    mus, los, ups = (
+        list(cert.constraint_multipliers),
+        list(cert.lower_multipliers),
+        list(cert.upper_multipliers),
+    )
+    k = next(k for k, mu in enumerate(mus) if mu and lp.constraints[k].coeffs)
+    doubled = mus[:k] + [2 * mus[k]] + mus[k + 1 :]
+    found = [
+        FarkasCertificate(tuple(doubled), tuple(los), tuple(ups)),
+        FarkasCertificate(tuple(-v for v in mus), tuple(-v for v in los), tuple(-v for v in ups)),
+    ]
+    j = next((j for j, lo in enumerate(lp.lower) if lo is not None), None)
+    if j is not None:
+        moved = los[:j] + [los[j] - Fraction(1, 5)] + los[j + 1 :]
+        found.append(FarkasCertificate(tuple(mus), tuple(moved), tuple(ups)))
+    return found
+
+
+def test_farkas_violations_match_the_term_by_term_check(programs):
+    infeasible = 0
+    for lp, out in programs:
+        if out.status != "infeasible":
+            continue
+        infeasible += 1
+        cert = out.certificate
+        assert farkas_violations(lp, cert) == dense_farkas_violations(lp, cert) == []
+        for forged in _tampered(lp, cert):
+            messages = farkas_violations(lp, forged)
+            assert messages and messages == dense_farkas_violations(lp, forged)
+    assert infeasible > 50
+
+
+# -- the exponential event walks -------------------------------------------
+
+
+def dense_is_conglomerable(structure, dist):
+    """``priors.is_conglomerable``'s Gray-code walk with ``Fraction``
+    running sums: its oracle."""
+    m = structure.num_states
+    cell_dists = structure.cell_types[0]
+    p_e = Fraction(0)
+    t_e = [Fraction(0)] * len(cell_dists)
+    full = (1 << m) - 1
+    prev = 0
+    for k in range(1, 1 << m):
+        gray = k ^ (k >> 1)
+        bit = (gray ^ prev).bit_length() - 1
+        if gray & (1 << bit):
+            p_e += dist[bit]
+            for c, td in enumerate(cell_dists):
+                if td[bit]:
+                    t_e[c] += td[bit]
+        else:
+            p_e -= dist[bit]
+            for c, td in enumerate(cell_dists):
+                if td[bit]:
+                    t_e[c] -= td[bit]
+        prev = gray
+        if gray == full:
+            continue
+        if p_e < min(t_e) or p_e > max(t_e):
+            event = tuple(s for s in range(m) if gray & (1 << s))
+            return False, event
+    return True, None
+
+
+def dense_disintegrable_by_definition(structure, dist):
+    """p(E n cell) == t_cell(E) * p(cell) over every event in mask order,
+    every sum term by term: the oracle of
+    ``priors.disintegrable_by_definition``."""
+    m = structure.num_states
+    cells, types = structure.partitions[0], structure.cell_types[0]
+    cell_mass = [sum((dist[s] for s in cell), Fraction(0)) for cell in cells]
+    for mask in range(1, 1 << m):
+        event = [s for s in range(m) if mask & (1 << s)]
+        for c, cell in enumerate(cells):
+            inter = sum((dist[s] for s in event if s in cell), Fraction(0))
+            t_event = sum((types[c][s] for s in event), Fraction(0))
+            if inter != t_event * cell_mass[c]:
+                return False
+    return True
+
+
+def test_event_walks_match_their_fraction_versions(fixture_path):
+    """Two samples per structure, drawn as ``cross_check`` draws its first
+    and its strongly maximal one, on every player view."""
+    structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
+    structures += [random_structure(GeneratorConfig(seed=seed)) for seed in range(2000)]
+    seen = set()
+    for k, structure in enumerate(structures):
+        rng = random.Random(f"walks:{k}")
+        cfg = GeneratorConfig(max_states=structure.num_states)
+        samples = [random_distribution(structure, cfg, grade, rng) for grade in ("any", "strongly_maximal")]
+        for i in range(structure.num_players):
+            view = single_player_view(structure, i)
+            for dist in samples:
+                definitional = disintegrable_by_definition(view, dist)
+                assert definitional == dense_disintegrable_by_definition(view, dist)
+                conglomerable = is_conglomerable(view, dist)
+                assert conglomerable == dense_is_conglomerable(view, dist)
+                seen.add((definitional, conglomerable[0]))
+    # Both verdicts of both walks occur, so violating events are compared.
+    assert seen == {(True, True), (False, False), (False, True)}

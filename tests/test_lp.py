@@ -16,6 +16,7 @@ from prior_forge import (
     rational,
     solve,
 )
+from prior_forge.lp import FarkasCertificate
 
 
 def test_optimal_simple():
@@ -341,3 +342,21 @@ def test_coefficients_beyond_64_bits():
     out = solve(lp)
     assert out.status == "infeasible"
     assert farkas_violations(lp, out.certificate) == []
+
+
+def test_farkas_multiplier_on_a_missing_bound_is_reported():
+    # x free, x >= 1 and x <= 0. A lower multiplier on x, which has no lower
+    # bound, is named, not multiplied into the right-hand side.
+    b = LPBuilder()
+    x = b.add_var("x")
+    b.add_constraint({x: 1}, ">=", 1)
+    b.add_constraint({x: 1}, "<=", 0)
+    lp = b.build(maximize=False)
+    out = solve(lp)
+    assert out.status == "infeasible"
+    assert farkas_violations(lp, out.certificate) == []
+    cert = FarkasCertificate(out.certificate.constraint_multipliers, (rational(-1),), (ZERO,))
+    assert farkas_violations(lp, cert) == [
+        "lower multiplier 0 used without a bound",
+        "variable x does not cancel (residual -1)",
+    ]
