@@ -8,16 +8,20 @@ The one backend is ``fractions.Fraction``, and the hot paths build as few
 of them as they can. Each ``lp.Constraint`` fixes its integer form at
 construction; the simplex standardizes, pivots and checks its own points and
 Farkas certificates on those ints and builds rationals only where it reads
-results off (see ``lp``). Each ``model.Distribution``
-carries integer numerators over its least common denominator, fixed at
-construction: hull checks and witness verification compare cross-multiplied
-ints, and masses, expectations, pump pieces and deficits sum ints and build
-one rational per result. The block walk of ``priors`` runs on the types'
+results off (see ``lp``). Each ``model.Distribution`` is built from its
+nonzero entries alone (``Distribution.from_support``): the parser skips the
+literals ``0`` and ``"0"`` before ``rational``, the generators draw only the
+support, and the dense rows hold the shared ``ZERO`` and ``0`` off it. It
+carries integer numerators over its least common denominator, the lcm over
+its support, fixed at construction: hull checks and witness verification
+compare cross-multiplied ints, and masses, expectations, pump pieces and
+deficits sum ints and build one rational per result. The block walk of ``priors`` runs on the types'
 integer forms: every cell mass, state value and transfer is a reduced pair
 of ints, compared by cross-multiplication, and rationals are built only for
 its results (the prior, its hull weights, the margin and the boxed trade).
 A money pump's semi-trade condition is one integer sign per player and
-cell, and its deficit one integer sum, from one integer form per payoff row.
+cell, and its deficit one integer sum, from one integer form per payoff row,
+both in the search and, independently, in the witness's ``verify``.
 The exponential single-player oracles (``priors.is_conglomerable`` and
 ``priors.disintegrable_by_definition``) walk the events in Gray-code order
 with running integer sums.

@@ -31,7 +31,6 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._rational import ONE, ZERO, rational
@@ -107,11 +106,24 @@ class GeneratorConfig:
             raise InputError("generator sizes must be positive")
 
 
-@lru_cache(maxsize=None)
+# The Bell numbers found so far and the last row of the Bell triangle, whose
+# first entry is the last of them; ``_bell`` extends both on demand.
+_BELL = ([1], [1])
+
+
 def _bell(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(math.comb(n - 1, k) * _bell(k) for k in range(n))
+    """The Bell number B_n, by the Bell triangle: each row starts with the
+    last entry of the row above, and each further entry is its left
+    neighbour plus the entry above that neighbour, one big-int addition per
+    entry. Row n starts with B_n."""
+    bells, row = _BELL
+    while len(bells) <= n:
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row[:] = nxt
+        bells.append(nxt[0])
+    return bells[n]
 
 
 def _sample_set_partition(items: list[int], rng: random.Random) -> list[list[int]]:
@@ -131,7 +143,8 @@ def _sample_set_partition(items: list[int], rng: random.Random) -> list[list[int
     rest = items[1:]
     mates = sorted(rng.sample(rest, size - 1))
     block = [items[0], *mates]
-    remaining = [x for x in rest if x not in set(mates)]
+    taken = set(mates)
+    remaining = [x for x in rest if x not in taken]
     return [block, *_sample_set_partition(remaining, rng)]
 
 
@@ -148,20 +161,17 @@ def _positive_composition(total: int, parts: int, rng: random.Random) -> list[in
     return [edges[k + 1] - edges[k] for k in range(parts)]
 
 
-def _random_masses(states: Sequence[int], size: int, cfg: GeneratorConfig, rng: random.Random) -> list:
-    """Masses over ``size`` states summing to 1 on a thinned, never empty,
-    subset of ``states``: a uniform composition of a random denominator."""
+def _random_masses(states: Sequence[int], cfg: GeneratorConfig, rng: random.Random) -> dict:
+    """{state: mass}, masses summing to 1 on a thinned, never empty, subset
+    of ``states``: a uniform composition of a random denominator."""
     support = [s for s in states if not _drop(rng)]
     if not support:
         support = [states[rng.randrange(len(states))]]
     k = len(support)
     d = rng.randint(k, max(cfg.denominator_bound, k))
     parts = _positive_composition(d, k, rng)
-    masses = [ZERO] * size
     dq = rational(d)
-    for s, part in zip(support, parts):
-        masses[s] = rational(part) / dq
-    return masses
+    return {s: rational(part) / dq for s, part in zip(support, parts)}
 
 
 def random_structure(cfg: GeneratorConfig) -> InformationStructure:
@@ -178,7 +188,7 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
         blocks = sorted([sorted(b) for b in blocks])
         partitions.append(blocks)
         cell_types.append(
-            [_random_masses(b, m, cfg, rng) for b in blocks]
+            [Distribution.from_support(m, _random_masses(b, cfg, rng)) for b in blocks]
         )
     return make_structure(states, players, partitions, cell_types)
 
@@ -208,10 +218,7 @@ def planted_structure(
         rows = []
         for cell in cells:
             mass = sum((prior[w] for w in cell), ZERO)
-            row = [ZERO] * m
-            for w in cell:
-                row[w] = prior[w] / mass
-            rows.append(row)
+            rows.append(Distribution.from_support(m, {w: prior[w] / mass for w in cell}))
         partitions.append(cells)
         cell_types.append(rows)
     structure = make_structure(
@@ -232,7 +239,7 @@ def random_distribution(
         raise PriorForgeError(f"unknown constraint {constraint!r}")
     m = structure.num_states
     for _ in range(REJECTION_CAP):
-        dist = Distribution(tuple(_random_masses(range(m), m, cfg, rng)))
+        dist = Distribution.from_support(m, _random_masses(range(m), cfg, rng))
         if constraint == "any":
             return dist
         if constraint == "maximal" and is_maximal(structure, dist):

@@ -15,9 +15,10 @@ indent the stdlib falls back to its pure-Python encoder, so
 ``dumps_canonical`` is its own one-pass writer, dispatched on exact types.
 It accepts only what the documents hold (dicts with string keys, lists,
 tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
-else, floats and ``Fraction``s included. Type rows are dense on the wire but
-filled from each type's support, so a rational is rendered once per nonzero
-entry.
+else, floats and ``Fraction``s included. Type rows are dense on the wire, but
+parsing skips the zero literals ``0`` and ``"0"`` and builds each type from
+its support, and rendering fills a row from the support, so a rational is
+parsed and rendered once per nonzero entry.
 """
 
 from __future__ import annotations
@@ -159,12 +160,31 @@ def _rational_row(values, length: int, what: str) -> tuple:
     return tuple(parse_rational_value(v) for v in values)
 
 
+def _support_row(values, length: int, what: str) -> dict:
+    """A type row as {state: nonzero rational}. The literals ``0`` (an exact
+    int) and ``"0"`` are skipped before ``parse_rational_value``; every other
+    literal keeps the strict grammar, and one that evaluates to zero is
+    dropped."""
+    if not isinstance(values, list) or len(values) != length:
+        raise SchemaError(f"{what} must be a list of {length} rationals")
+    row = {}
+    for w, v in enumerate(values):
+        if (type(v) is int and not v) or v == "0":
+            continue
+        q = parse_rational_value(v)
+        if q:
+            row[w] = q
+    return row
+
+
 def parse_structure(doc) -> InformationStructure:
     """Build a structure from its document form.
 
     ``partitions`` lists each player's cells as state labels. Types come
     either per cell (``types``, aligned with the cells) or per state
-    (``state_types``, one row per state, constant within each cell).
+    (``state_types``, one row per state, constant within each cell). Every
+    row's literals are parsed before any type is built; each type is then
+    built from its support alone (``Distribution.from_support``).
     """
     data = _mapping(doc, "structure document")
     check_schema(data)
@@ -204,7 +224,7 @@ def parse_structure(doc) -> InformationStructure:
         if not isinstance(rows, list) or len(rows) != (m if per_state else len(cells)):
             unit = "state_types row per state" if per_state else "type row per cell"
             raise SchemaError(f"player {players[i]!r} needs one {unit}")
-        parsed = [_rational_row(row, m, f"type row for player {players[i]!r}") for row in rows]
+        parsed = [_support_row(row, m, f"type row for player {players[i]!r}") for row in rows]
         if per_state:
             for cell in cells:
                 if any(parsed[w] != parsed[cell[0]] for w in cell[1:]):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from ._rational import Rational, rational
+from ._rational import ZERO, Rational, rational
 from .errors import (
     DimensionError,
     EmptySetError,
@@ -55,23 +55,52 @@ class Distribution:
 
     Its integer form is fixed at construction: ``nums[w] / den == probs[w]``
     with ``den`` the least common denominator. Validation, masses and
-    expectations read the ints and build one rational per result."""
+    expectations read the ints and build one rational per result.
+
+    Every distribution is filled and checked from its nonzero entries alone,
+    by the routine behind ``from_support``; ``probs`` and ``nums`` stay dense
+    tuples, with the shared ``ZERO`` and ``0`` off the support."""
 
     probs: tuple
     den: int = field(init=False, repr=False, compare=False)
     nums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        probs = tuple(rational(v) for v in self.probs)
-        den, nums = integer_form(probs)
-        object.__setattr__(self, "probs", probs)
+        probs = tuple(map(rational, self.probs))
+        self._fill(len(probs), {w: q for w, q in enumerate(probs) if q})
+
+    @classmethod
+    def from_support(cls, size: int, entries: dict) -> "Distribution":
+        """The distribution over ``size`` states with ``entries``, a map
+        {state: rational}, on its support and 0 elsewhere. Zero entries are
+        dropped."""
+        dist = object.__new__(cls)
+        masses = map(rational, entries.values())
+        dist._fill(size, {w: q for w, q in zip(entries, masses) if q})
+        return dist
+
+    def _fill(self, size: int, entries: dict) -> None:
+        """Dense rows from the nonzero ``entries``, with ``den`` the lcm over
+        the support; then the negative-mass and sum-to-1 checks on the
+        support."""
+        support = tuple(sorted(entries))
+        if support and not (0 <= support[0] and support[-1] < size):
+            raise DimensionError(f"support {support} outside states 0..{size - 1}")
+        den = math.lcm(*(q.denominator for q in entries.values()))
+        probs = [ZERO] * size
+        nums = [0] * size
+        for w, q in entries.items():
+            probs[w] = q
+            nums[w] = q.numerator * (den // q.denominator)
+        object.__setattr__(self, "probs", tuple(probs))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_support", tuple(w for w, a in enumerate(nums) if a))
-        if any(a < 0 for a in nums):
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "_support", support)
+        if any(nums[w] < 0 for w in support):
             raise StochasticityError("negative mass")
-        if sum(nums) != den:
-            raise StochasticityError(f"masses sum to {Rational(sum(nums), den)}, not 1")
+        total = sum(nums[w] for w in support)
+        if total != den:
+            raise StochasticityError(f"masses sum to {Rational(total, den)}, not 1")
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -249,10 +278,11 @@ def make_structure(
     states: Sequence[str],
     players: Sequence[str],
     partitions: Sequence[Sequence[Sequence[int]]],
-    cell_types: Sequence[Sequence[Distribution | Sequence]],
+    cell_types: Sequence[Sequence[Distribution | dict | Sequence]],
 ) -> InformationStructure:
     """Index-based constructor; checks the counts, normalizes ordering, then
-    validates."""
+    validates. A type is a ``Distribution``, a {state: rational} map of its
+    support (built by ``Distribution.from_support``) or a dense row."""
     if len(partitions) != len(players) or len(cell_types) != len(players):
         raise DimensionError("need one partition and one type table per player")
     for player, cells, types in zip(players, partitions, cell_types):
@@ -266,7 +296,7 @@ def make_structure(
     norm_types = []
     for i, cells in enumerate(partitions):
         keyed = {
-            tuple(sorted(cell)): _as_distribution(cell_types[i][c])
+            tuple(sorted(cell)): _as_distribution(cell_types[i][c], len(states))
             for c, cell in enumerate(cells)
         }
         if len(keyed) != len(cells):
@@ -275,8 +305,14 @@ def make_structure(
     return InformationStructure(tuple(states), tuple(players), norm_parts, tuple(norm_types))
 
 
-def _as_distribution(obj) -> Distribution:
-    return obj if isinstance(obj, Distribution) else Distribution(tuple(obj))
+def _as_distribution(obj, size: int) -> Distribution:
+    """A type as given: a ``Distribution``, a {state: rational} map of its
+    support, or a dense row."""
+    if isinstance(obj, Distribution):
+        return obj
+    if isinstance(obj, dict):
+        return Distribution.from_support(size, obj)
+    return Distribution(tuple(obj))
 
 
 # -- substructures ------------------------------------------------------
@@ -329,7 +365,8 @@ def induced_substructure(
             if not kept:
                 continue
             cells_out.append(kept)
-            types_out.append(Distribution(tuple(t[s] for s in subset)))
+            support = {reindex[w]: t.probs[w] for w in t.support()}
+            types_out.append(Distribution.from_support(len(subset), support))
         order = sorted(range(len(cells_out)), key=lambda k: cells_out[k][0])
         partitions.append(tuple(cells_out[k] for k in order))
         types.append(tuple(types_out[k] for k in order))

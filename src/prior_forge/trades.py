@@ -47,7 +47,6 @@ from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
-    dot,
     expectation_table,
     integer_form,
     payoff_vector,
@@ -297,13 +296,17 @@ def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    total = sum((dot(f, dist) for f in payoffs), ZERO)
-    if not total < ZERO:
+    # The deficit from the pieces' integer forms: one integer dot product
+    # per piece with p's numerators, over the lcm of the pieces' denominators.
+    forms = [integer_form(f) for f in payoffs]
+    fden = lcm(*(d for d, _ in forms))
+    num = sum((fden // d) * sum(map(mul, g, dist.nums)) for d, g in forms)
+    if not num < 0:
         return None
     witness = MoneyPumpWitness(
         distribution=dist,
         semi_trade=SemiTrade(payoffs),
-        deficit=total,
+        deficit=Rational(num, fden * dist.den),
         kind=pump_kind(structure, dist),
     )
     witness.verify(structure)

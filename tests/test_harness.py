@@ -1,6 +1,7 @@
 """Generator determinism and the executable-theorem battery."""
 
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -192,3 +193,16 @@ def test_oracle_battery_slice():
     report = oracle_battery(range(25))
     assert report.passed, report.failures
     assert report.structures_checked == 25
+
+
+def _bell_by_recurrence(n, memo={0: 1}):
+    """B_n = sum_k C(n-1, k) B_k: the recurrence the Bell triangle replaced."""
+    if n not in memo:
+        memo[n] = sum(math.comb(n - 1, k) * _bell_by_recurrence(k) for k in range(n))
+    return memo[n]
+
+
+def test_bell_triangle_matches_the_recurrence():
+    for n in range(101):
+        assert harness._bell(n) == _bell_by_recurrence(n)
+    assert [harness._bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]

@@ -1,7 +1,9 @@
 """Wire format: float rejection, schema tags, round trips, and the
 canonical writer against the stdlib encoder."""
 
+import importlib.util
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from prior_forge import (
     DimensionError,
     SCHEMA,
     SchemaError,
+    StochasticityError,
     dumps_canonical,
     parse_distribution,
     parse_payoffs,
@@ -32,7 +35,8 @@ from prior_forge.jsonio import (
     loads,
     parse_rational_value,
 )
-from prior_forge.model import uniform
+from prior_forge import jsonio
+from prior_forge.model import make_structure, uniform
 from prior_forge.report import analyze
 
 
@@ -247,3 +251,125 @@ NOT_CANONICAL = [
 def test_writer_rejects_what_is_not_canonical_json(bad):
     with pytest.raises(TypeError):
         dumps_canonical(bad)
+
+
+# -- support-built types against the dense parse -------------------------
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def dense_parse_structure(doc):
+    """The parse before types were built from their support: every literal
+    through ``parse_rational_value``, dense rows into ``make_structure``."""
+    index = {s: k for k, s in enumerate(doc["states"])}
+    m = len(index)
+    partitions = [[tuple(index[s] for s in cell) for cell in cells] for cells in doc["partitions"]]
+    per_state = "state_types" in doc
+    cell_types = []
+    for cells, rows in zip(partitions, doc["state_types" if per_state else "types"]):
+        parsed = [tuple(parse_rational_value(v) for v in row) for row in rows]
+        assert all(len(row) == m for row in parsed)
+        cell_types.append([parsed[cell[0]] for cell in cells] if per_state else parsed)
+    return make_structure(doc["states"], doc["players"], partitions, cell_types)
+
+
+def _bench_docs():
+    gen = _bench_gen()
+    for m in (10, 32, 44):
+        for n in (2, 3):
+            yield gen.random_doc(m, n, gen.rng_for("sparse", m, n))
+            yield gen.planted_doc(m, n, 2, gen.rng_for("sparse", m, n))[0]
+
+
+def _assert_same_types(sparse, dense):
+    assert sparse == dense
+    for row, dense_row in zip(sparse.cell_types, dense.cell_types):
+        for t, d in zip(row, dense_row):
+            assert t.probs == d.probs
+            assert t.den == d.den
+            assert t.nums == d.nums
+            assert t.support() == d.support()
+
+
+def test_sparse_parse_matches_the_dense_rows(fixture_path):
+    docs = [
+        json.loads(fixture_path(name).read_text(encoding="utf-8"))
+        for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
+    ]
+    docs += list(_bench_docs())
+    docs.append(
+        {
+            "states": ["a", "b", "c"],
+            "players": ["P1"],
+            "partitions": [[["a", "b"], ["c"]]],
+            "state_types": [[["1/3", "2/3", "0"], ["1/3", "2/3", 0], [0, "0/7", 1]]],
+        }
+    )
+    for doc in docs:
+        _assert_same_types(parse_structure(doc), dense_parse_structure(doc))
+
+
+def _one_literal_doc(literal):
+    return {
+        "states": ["a", "b", "c"],
+        "players": ["P1"],
+        "partitions": [[["a", "b"], ["c"]]],
+        "types": [[["1/2", "1/2", literal], [0, "0", 1]]],
+    }
+
+
+@pytest.mark.parametrize("literal", [False, 0.0, " 0", "+0", "0/0", None, [0]])
+def test_zero_fast_path_keeps_the_grammar(literal):
+    with pytest.raises(SchemaError) as expected:
+        parse_rational_value(literal)
+    with pytest.raises(SchemaError) as got:
+        parse_structure(_one_literal_doc(literal))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("literal", [0, "0", "00", "-0", "0/5"])
+def test_zero_literals_leave_the_support(literal):
+    s = parse_structure(_one_literal_doc(literal))
+    _assert_same_types(s, dense_parse_structure(_one_literal_doc(literal)))
+    assert s.cell_types[0][0].support() == (0, 1)
+
+
+def test_every_literal_is_parsed_before_any_type_is_built():
+    doc = {
+        "states": ["a", "b"],
+        "players": ["P1", "P2"],
+        "partitions": [[["a", "b"]], [["a"], ["b"]]],
+        "types": [[["1/2", "1/3"]], [[1, 0], ["0", "one"]]],
+    }
+    for parse in (parse_structure, dense_parse_structure):
+        with pytest.raises(SchemaError, match="malformed rational literal: 'one'"):
+            parse(doc)
+    doc["types"][1][1][1] = 1
+    for parse in (parse_structure, dense_parse_structure):
+        with pytest.raises(StochasticityError, match="masses sum to 5/6, not 1"):
+            parse(doc)
+
+
+def test_parse_rational_value_runs_once_per_nonzero_literal(monkeypatch, fixture_path):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return parse_rational_value(v)
+
+    monkeypatch.setattr(jsonio, "parse_rational_value", counted)
+    docs = [json.loads(fixture_path("ex_plbet4").read_text(encoding="utf-8"))]
+    docs += list(_bench_docs())
+    for doc in docs:
+        calls.clear()
+        parse_structure(doc)
+        literals = [v for rows in doc["types"] for row in rows for v in row]
+        assert calls == [v for v in literals if v != 0 and v != "0"]
+        assert len(calls) < len(literals)

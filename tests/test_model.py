@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from prior_forge import (
@@ -41,6 +43,22 @@ def test_distribution_accepts_strings_and_ints():
     d = Distribution(("1/2", "1/2", 0))
     assert d.support() == (0, 1)
     assert d.mass((0, 2)) == d[0]
+
+
+def test_from_support_fills_the_dense_rows():
+    d = Distribution.from_support(5, {3: "1/3", 1: Fraction(2, 3), 4: 0})
+    dense = Distribution((0, "2/3", 0, "1/3", 0))
+    assert d == dense
+    assert (d.probs, d.den, d.nums, d.support()) == (dense.probs, 3, (0, 2, 0, 1, 0), (1, 3))
+    with pytest.raises(StochasticityError, match="negative mass"):
+        Distribution.from_support(3, {0: "-1/2", 1: "3/2"})
+    with pytest.raises(StochasticityError, match="masses sum to 5/6, not 1"):
+        Distribution.from_support(3, {0: "1/2", 2: "1/3"})
+    with pytest.raises(StochasticityError, match="masses sum to 0, not 1"):
+        Distribution.from_support(3, {})
+    for state in (-1, 3):
+        with pytest.raises(DimensionError):
+            Distribution.from_support(3, {state: 1})
 
 
 def test_uniform_and_point_mass():

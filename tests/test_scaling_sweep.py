@@ -1,0 +1,23 @@
+"""``scripts/scaling_sweep.py`` runs end to end at one tiny size."""
+
+import pathlib
+import subprocess
+import sys
+
+SWEEP = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "scaling_sweep.py"
+
+
+def test_sweep_runs_at_one_tiny_size():
+    proc = subprocess.run(
+        [sys.executable, str(SWEEP), "--states", "6", "--players", "2"],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    header, row = proc.stdout.splitlines()
+    assert header.split() == [
+        "M", "N", "cells", "nonzeros", "build_ms", "parse_ms", "analyze_ms", "render_ms",
+    ]
+    m, n, cells, nonzeros, *times = row.split()
+    assert (m, n) == ("6", "2")
+    # Every type is the planted full-support prior on its cell.
+    assert 4 <= int(cells) <= 12 and int(nonzeros) == 12
+    assert all(float(t) >= 0 for t in times)
