@@ -13,7 +13,9 @@ cross_check solves the common-prior program on the structure and on its
 components and requires the walk's verdicts, canonical prior and trade
 grades from it; it solves the trade LPs and requires the same decisions as
 the finders. The joint common-prior formulation, with explicit hull
-weights, is the oracle of the projected program in ``oracle_battery``.
+weights, is the oracle of the projected program in ``oracle_battery``. The
+term-by-term ``Fraction`` oracles of the integer paths live with the tests,
+in ``tests/oracles.py``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -26,7 +28,6 @@ side at any size: a structure built around a chosen strong common prior.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from contextlib import contextmanager
@@ -34,14 +35,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from ._rational import ONE, ZERO, rational
-from .certainty import (
-    closure,
-    is_commonly_certain,
-    is_maximal,
-    is_strongly_maximal,
-    minimal_components,
-)
-from .errors import DimensionError, InputError, PriorForgeError, VerificationError
+from .certainty import closure, is_commonly_certain, minimal_components
+from .errors import InputError, PriorForgeError, VerificationError
 from .lp import (
     LinearProgram,
     LPBuilder,
@@ -62,9 +57,9 @@ from .model import (
 )
 from .priors import (
     DEFINITION_CAP,
-    Blocks,
     EVENT_CAP,
     NOTIONS,
+    Notion,
     blocks,
     classify_prior,
     disintegrable_by_definition,
@@ -230,21 +225,16 @@ def planted_structure(
 def random_distribution(
     structure: InformationStructure,
     cfg: GeneratorConfig,
-    constraint: str,
+    notion: Notion,
     rng: random.Random,
 ) -> Distribution:
-    """Rejection-samples a distribution satisfying the constraint; after the
-    attempt cap falls back to a perturbed uniform, which always qualifies."""
-    if constraint not in ("any", "maximal", "strongly_maximal"):
-        raise PriorForgeError(f"unknown constraint {constraint!r}")
+    """Rejection-samples a distribution that charges what ``notion`` asks of
+    its prior; after the attempt cap falls back to a perturbed uniform, which
+    always qualifies."""
     m = structure.num_states
     for _ in range(REJECTION_CAP):
         dist = Distribution.from_support(m, _random_masses(range(m), cfg, rng))
-        if constraint == "any":
-            return dist
-        if constraint == "maximal" and is_maximal(structure, dist):
-            return dist
-        if constraint == "strongly_maximal" and is_strongly_maximal(structure, dist):
+        if notion.charged_by(structure, dist):
             return dist
     weights = [1 + rng.randrange(cfg.denominator_bound + 1) for _ in range(m)]
     total = rational(sum(weights))
@@ -613,8 +603,8 @@ def cross_check(
     """All six exactly-one dualities, the presence chains, the single-player
     theory on each player's view, and the commonly-certain reformulations,
     on one structure. Deterministic: sampling is seeded by a content digest.
-    The distribution-level checks run on one maximal, one strongly maximal
-    and max(sample_count, 1) unconstrained samples."""
+    The distribution-level checks run on one sample per notion and
+    sample_count - 1 more unconstrained ones."""
     if sample_count < 0:
         raise InputError(f"sample count must be non-negative, got {sample_count}")
     if cfg is None:
@@ -642,16 +632,18 @@ def cross_check(
             f"duality: {notion.key} prior xor {notion.trade.replace('_', ' ')} trade",
             (witness is None) != (trade is None),
         )
-        if witness is not None:
-            with rec.guard(f"{notion.key} prior witness re-verifies"):
-                witness.verify(structure)
-            if notion.charges is not None:
-                rec.check(
-                    f"{notion.key} witness passes {notion.charges.__name__}",
-                    notion.charges(structure, witness.prior),
-                )
-        if trade is not None:
-            _check_trade_forms(rec, structure, trade.payoffs, f"synthesized {notion.trade}")
+        if witness is not None and notion.charges is not None:
+            rec.check(
+                f"{notion.key} witness passes {notion.charges.__name__}",
+                notion.charges(structure, witness.prior),
+            )
+    # One witness or trade may answer several notions: each distinct object,
+    # by identity, is checked once.
+    for witness in {id(w): w for w in priors if w is not None}.values():
+        with rec.guard("prior witness re-verifies"):
+            witness.verify(structure)
+    for trade in {id(t): t for t in trades if t is not None}.values():
+        _check_trade_forms(rec, structure, trade.payoffs, "synthesized trade")
     held = [witness is not None for witness in priors]
     found = [trade is not None for trade in trades]
     rec.check("chain: strong => universal => common", held == sorted(held, reverse=True))
@@ -676,11 +668,10 @@ def cross_check(
         )
 
     # Distribution-level dualities: one sample drawn to pass each notion's
-    # charge test, then sample_count - 1 more unconstrained ones.
-    drawn = zip(("any", "maximal", "strongly_maximal"), NOTIONS)
-    samples = [(random_distribution(structure, cfg, c, rng), n) for c, n in drawn]
-    for _ in range(sample_count - 1):
-        samples.append((random_distribution(structure, cfg, "any", rng), NOTIONS[0]))
+    # charge test, then sample_count - 1 more for the common notion, which
+    # charges nothing.
+    drawn = (*NOTIONS, *[NOTIONS[0]] * (sample_count - 1))
+    samples = [(random_distribution(structure, cfg, n, rng), n) for n in drawn]
     sample_pumps = []
     for dist, notion in samples:
         cls = classify_prior(structure, dist)
@@ -879,175 +870,6 @@ def pump_piece_program(
     return b.build(maximize=False)
 
 
-# -- dense-rational oracles of the integer paths -----------------------------
-#
-# Distributions carry integer numerators over one denominator, and the hull
-# checks, witness verification, expectations, pump pieces and the block walk
-# of ``model``, ``priors`` and ``trades`` compute on ints and build one
-# rational per result. These are the definitions they replaced, one Fraction
-# operation per term, kept as their oracles in the tests (not in
-# ``cross_check``), beside the stdlib encoder that ``jsonio``'s canonical
-# writer replaced.
-
-
-def dense_dumps(obj) -> str:
-    """``json.dumps`` with a two-space indent, non-ASCII kept, and one
-    trailing newline: the oracle of ``jsonio.dumps_canonical``."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-
-
-def dense_dot(weights, values):
-    """sum_k weights[k] * values[k], term by term: the oracle of ``model.dot``."""
-    if len(weights) != len(values):
-        raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
-    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
-
-
-def dense_expectation_table(
-    structure: InformationStructure, payoffs: tuple[tuple, ...]
-) -> tuple[tuple, ...]:
-    """``dense_dot`` of every type with the player's payoff row over all M
-    states, read off per state: the oracle of ``model.expectation_table``."""
-    table = []
-    for i, f in enumerate(payoffs):
-        per_cell = [dense_dot(t.probs, f) for t in structure.cell_types[i]]
-        table.append(
-            tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
-        )
-    return tuple(table)
-
-
-def dense_mixture(structure: InformationStructure, player: int, weights) -> list:
-    """sum_c weights[c] * type_c, state by state. Types vanish off their own
-    cell and every state lies in exactly one cell, so each state's sum has
-    at most one nonzero term."""
-    mixed = [ZERO] * structure.num_states
-    for cell, tdist, lam in zip(structure.partitions[player], structure.cell_types[player], weights):
-        if lam:
-            for w in cell:
-                if tdist[w]:
-                    mixed[w] = lam * tdist[w]
-    return mixed
-
-
-def dense_hull_weights(
-    structure: InformationStructure, player: int, dist: Distribution
-) -> tuple | None:
-    """The cell masses when their mixture of the types is ``dist``, else
-    None: the oracle of ``priors.hull_weights``."""
-    weights = [sum((dist[w] for w in cell), ZERO) for cell in structure.partitions[player]]
-    if dense_mixture(structure, player, weights) != list(dist.probs):
-        return None
-    return tuple(weights)
-
-
-def dense_pump_piece(
-    structure: InformationStructure, player: int, dist: Distribution
-) -> tuple:
-    """The greedy knapsack of ``trades.pump_piece`` with rational ratios and
-    a rational running constraint: its oracle."""
-    f = [-ONE] * structure.num_states
-    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
-        need = ONE
-        for w in sorted((w for w in cell if t[w]), key=lambda w: (dist[w] / t[w], w)):
-            gain = 2 * t[w]
-            if gain >= need:
-                f[w] = need / t[w] - ONE
-                break
-            f[w] = ONE
-            need -= gain
-    return tuple(f)
-
-
-def dense_walk_blocks(structure: InformationStructure) -> Blocks:
-    """The walk of ``priors.blocks`` in ``Fraction`` arithmetic, one
-    operation per charged state and transfer: the oracle of the walk on
-    integer forms."""
-    m, n = structure.num_states, structure.num_players
-    types = structure.cell_types
-    scale = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
-    value: list = [None] * m  # lambda_c t_c(w), the same for every charging c
-    setter: list = [None] * m  # the cell that first set value[w]
-    payoffs = [[ZERO] * m for _ in range(n)]
-    live, support = [], []
-    total = ZERO
-
-    def gain(cell, w):  # lambda_c t_c(w), 0 off the walked cells
-        i, c = cell
-        return scale[i][c] * types[i][c][w] if scale[i][c] is not None else ZERO
-
-    def transfer(w, giver, taker, y):
-        payoffs[taker[0]][w] += y
-        payoffs[giver[0]][w] -= y
-
-    for root in ((i, c) for i in range(n) for c in range(structure.num_cells(i))):
-        if scale[root[0]][root[1]] is not None:
-            continue
-        scale[root[0]][root[1]] = ONE
-        cells, states, tree, reason = [root], [], {}, None
-        for cell in cells:  # the list grows while it is walked
-            i, c = cell
-            lam, t = scale[i][c], types[i][c]
-            for w in structure.partitions[i][c]:
-                if not t[w]:
-                    continue
-                v = lam * t[w]
-                if value[w] is not None:
-                    if reason is None and value[w] != v:  # a ratio cycle
-                        reason = (w, cell, setter[w]) if v > value[w] else (w, setter[w], cell)
-                    continue
-                value[w], setter[w] = v, cell
-                states.append(w)
-                for j in range(n):
-                    d = structure.cell_of(j, w)
-                    if not types[j][d][w]:
-                        if reason is None:  # a mixed charge
-                            reason = (w, cell, (j, d))
-                    elif scale[j][d] is None:
-                        scale[j][d] = v / types[j][d][w]
-                        tree[(j, d)] = (cell, w)
-                        cells.append((j, d))
-        live.append(reason is None)
-        if reason is None:
-            least = min(scale[i][c] for i, c in cells)
-            for i, c in cells:
-                scale[i][c] /= least
-            for w in states:
-                value[w] /= least
-                total += value[w]
-            support += states
-            continue
-
-        w, taker, giver = reason
-        transfer(w, giver, taker, ONE)
-        sub = dict.fromkeys(cells, ZERO)  # each subtree's gain, before the tree transfers
-        sub[taker] += gain(taker, w)
-        if giver in sub:
-            sub[giver] -= gain(giver, w)
-        share = sum(sub.values(), ZERO) / len(cells)
-        size = dict.fromkeys(cells, 1)
-        for cell in reversed(cells[1:]):
-            parent, s = tree[cell]
-            transfer(s, parent, cell, (share * size[cell] - sub[cell]) / value[s])
-            size[parent] += size[cell]
-            sub[parent] += sub[cell]
-        for i, c in cells:  # a dead cell carries no mass
-            scale[i][c] = ZERO
-    prior = weights = None
-    if support:
-        probs = [ZERO] * m
-        for w in support:
-            probs[w] = value[w] / total
-        prior = Distribution(tuple(probs))
-        weights = tuple(tuple(lam / total for lam in row) for row in scale)
-    boxed = None
-    if not all(live):
-        top = max(abs(v) for row in payoffs for v in row)
-        boxed = tuple(tuple(v / top for v in row) for row in payoffs)
-    margin = ONE / total if all(live) else ZERO
-    return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
-
-
 def oracle_battery(seeds) -> BatteryReport:
     """Simplex vs exhaustive basis enumeration on the common-prior program,
     feasibility and strictness-margin objective, exactly; the joint
@@ -1085,7 +907,7 @@ def oracle_battery(seeds) -> BatteryReport:
                 "oracle: joint formulation agrees on infeasibility",
                 joint.status == "infeasible",
             )
-        dist = random_distribution(structure, cfg, "any", random.Random(seed))
+        dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
         for i in range(structure.num_players):
             piece = pump_piece(structure, i, dist)
             program = pump_piece_program(structure, i, dist)

@@ -10,8 +10,8 @@ certificate downstream.
 Serialization is canonical: keys in fixed order, two-space indent, a single
 trailing newline. Identical inputs produce byte-identical documents. The
 bytes are exactly those of ``json.dumps(obj, indent=2, ensure_ascii=False)``
-plus the newline (``harness.dense_dumps``, the writer's oracle), but with an
-indent the stdlib falls back to its pure-Python encoder, so
+plus the newline (the writer's oracle in the tests), but with an indent the
+stdlib falls back to its pure-Python encoder, so
 ``dumps_canonical`` is its own one-pass writer, dispatched on exact types.
 It accepts only what the documents hold (dicts with string keys, lists,
 tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
@@ -28,7 +28,7 @@ from json.encoder import encode_basestring
 
 from ._rational import rational, to_json_value
 from .errors import DimensionError, SchemaError
-from .model import Distribution, InformationStructure, make_structure, payoff_vector
+from .model import Distribution, InformationStructure, make_structure
 
 SCHEMA = "prior-forge/1"
 
@@ -295,10 +295,4 @@ def parse_payoffs(doc, structure: InformationStructure) -> tuple:
         raise DimensionError(
             f"{len(rows)} payoff rows for {structure.num_players} players"
         )
-    return tuple(
-        payoff_vector(
-            _rational_row(row, structure.num_states, "payoff row"),
-            structure.num_states,
-        )
-        for row in rows
-    )
+    return tuple(_rational_row(row, structure.num_states, "payoff row") for row in rows)

@@ -219,9 +219,8 @@ class InformationStructure:
                     if not 0 <= s < m:
                         raise PartitionError(f"player {player!r}: state index {s} out of range")
                     if seen[s] != -1:
-                        raise PartitionError(
-                            f"player {player!r}: state {self.states[s]!r} appears in two cells"
-                        )
+                        where = "is listed twice in one cell" if seen[s] == c else "appears in two cells"
+                        raise PartitionError(f"player {player!r}: state {self.states[s]!r} {where}")
                     seen[s] = c
             if any(c == -1 for c in seen):
                 missing = self.states[seen.index(-1)]
@@ -300,7 +299,7 @@ def make_structure(
             for c, cell in enumerate(cells)
         }
         if len(keyed) != len(cells):
-            raise PartitionError(f"player index {i}: duplicate cells")
+            raise PartitionError(f"player {players[i]!r}: duplicate cells")
         norm_types.append(tuple(keyed[cell] for cell in norm_parts[i]))
     return InformationStructure(tuple(states), tuple(players), norm_parts, tuple(norm_types))
 

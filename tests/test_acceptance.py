@@ -155,7 +155,7 @@ def test_criterion_6_strong_prior_and_zero_margin(ex_plbet4):
 def test_criterion_7_duality_battery(duality_battery):
     assert duality_battery.structures_checked == 10_000
     # Pinned: a check that stops running, or a new one, shows here.
-    assert duality_battery.checks_run == 824_491
+    assert duality_battery.checks_run == 795_927
     assert duality_battery.failures == ()
 
 

@@ -30,6 +30,11 @@ def write_json(tmp_path, name, doc):
     return str(target)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 # -- check -------------------------------------------------------------------
 
 
@@ -92,7 +97,7 @@ def test_unreadable_json_is_input_error(run, tmp_path, content):
 
 
 def test_wrong_schema_tag(run, tmp_path, spath):
-    doc = json.loads(open(spath("pl")).read())
+    doc = read_json(spath("pl"))
     doc["schema"] = "prior-forge/99"
     code, _, err = run("check", write_json(tmp_path, "s.json", doc))
     assert code == 2
@@ -344,7 +349,7 @@ def test_cli_remaining_paths_are_pinned(run, spath, tmp_path):
     runs = 0
     for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
         s = spath(name)
-        doc = json.loads(open(s).read())
+        doc = read_json(s)
         states, players = len(doc["states"]), len(doc["players"])
         p = write_json(tmp_path, f"u{name}.json", {"dist": [f"1/{states}"] * states})
         f = write_json(tmp_path, f"f{name}.json", {"payoffs": [[0] * states] * players})
@@ -406,7 +411,7 @@ def test_cli_verdicts_are_pinned(run, spath, tmp_path):
     runs = 0
     for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
         s = spath(name)
-        doc = json.loads(open(s).read())
+        doc = read_json(s)
         states, players = len(doc["states"]), len(doc["players"])
         p = write_json(tmp_path, f"u{name}.json", {"dist": [f"1/{states}"] * states})
         f = write_json(tmp_path, f"f{name}.json", {"payoffs": [[0] * states] * players})

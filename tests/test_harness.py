@@ -1,7 +1,9 @@
 """Generator determinism and the executable-theorem battery."""
 
+import ast
 import json
 import math
+import pathlib
 import random
 from dataclasses import replace
 
@@ -9,11 +11,11 @@ import pytest
 
 from prior_forge import (
     ZERO,
+    Distribution,
     GeneratorConfig,
     PriorForgeError,
     cross_check,
-    is_maximal,
-    is_strongly_maximal,
+    find_strong_common_prior,
     oracle_battery,
     random_distribution,
     random_structure,
@@ -24,7 +26,7 @@ from prior_forge import (
 )
 from prior_forge import harness
 from prior_forge.harness import common_prior_program
-from prior_forge.priors import blocks
+from prior_forge.priors import NOTIONS, blocks
 
 
 def test_config_validation():
@@ -57,18 +59,15 @@ def test_distribution_constraints(ex_pl1):
     cfg = GeneratorConfig(seed=3)
     rng = random.Random(99)
     for _ in range(20):
-        d = random_distribution(ex_pl1, cfg, "maximal", rng)
-        assert is_maximal(ex_pl1, d)
-        d = random_distribution(ex_pl1, cfg, "strongly_maximal", rng)
-        assert is_strongly_maximal(ex_pl1, d)
-    with pytest.raises(PriorForgeError):
-        random_distribution(ex_pl1, cfg, "nonsense", rng)
+        for notion in NOTIONS:
+            d = random_distribution(ex_pl1, cfg, notion, rng)
+            assert notion.charged_by(ex_pl1, d)
 
 
 def test_distribution_deterministic(pl4):
     cfg = GeneratorConfig(seed=5)
-    a = random_distribution(pl4, cfg, "any", random.Random(1))
-    b = random_distribution(pl4, cfg, "any", random.Random(1))
+    a = random_distribution(pl4, cfg, NOTIONS[0], random.Random(1))
+    b = random_distribution(pl4, cfg, NOTIONS[0], random.Random(1))
     assert a == b
 
 
@@ -92,6 +91,31 @@ def _fresh(fixture_path, name):
 
 def _oracle_failures(report):
     return [f.name for f in report.failures if f.name.startswith("oracle:")]
+
+
+def test_cross_check_verifies_a_forged_witness(fixture_path, monkeypatch):
+    # ex_plbet4 has a strong common prior, so all three prior finders return
+    # the one canonical witness. A strong finder returning a different
+    # object, its prior bumped at one state, is verified on its own.
+    s = _fresh(fixture_path, "ex_plbet4")
+    witness = find_strong_common_prior(s)
+    probs = list(witness.prior.probs)
+    probs[0] += probs[1]
+    probs[1] = ZERO
+    forged = replace(witness, prior=Distribution(tuple(probs)))
+    monkeypatch.setattr(harness, "find_strong_common_prior", lambda structure: forged)
+    report = cross_check(s, minimize=False)
+    assert "prior witness re-verifies" in [f.name for f in report.failures]
+
+
+def test_harness_holds_no_dense_oracles_and_no_json():
+    # The dense-rational oracles live beside their tests, in oracles.py.
+    tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert "json" not in imported
+    assert [name for name in dir(harness) if name.startswith("dense_")] == []
 
 
 def test_cross_check_oracle_catches_a_wrong_trade_finder(fixture_path, monkeypatch):

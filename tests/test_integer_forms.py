@@ -4,7 +4,7 @@ Distributions carry ``nums`` over one ``den``; hull weights, witness
 verification, expectation tables, pump pieces and pump deficits sum ints and
 build one rational per result, and the block walk runs on reduced int
 pairs. Each is compared, exactly, with the term-by-term ``Fraction``
-definition it replaced (kept in ``harness``), on the six fixtures, generator
+definition it replaced (kept in ``oracles``), on the six fixtures, generator
 seeds 0..199 and planted structures at M in {24, 48}, broken ones for the
 walk.
 
@@ -41,16 +41,7 @@ from prior_forge import (
 )
 from prior_forge import jsonio
 from prior_forge.certainty import support_graph
-from prior_forge.harness import (
-    dense_dot,
-    dense_expectation_table,
-    dense_hull_weights,
-    dense_mixture,
-    dense_pump_piece,
-    dense_walk_blocks,
-    planted_structure,
-    random_distribution,
-)
+from prior_forge.harness import planted_structure, random_distribution
 from prior_forge.harness import (
     acceptable_trade_program,
     agreeable_trade_program,
@@ -68,6 +59,7 @@ from prior_forge.lp import (
 )
 from prior_forge.model import dot, single_player_view
 from prior_forge.priors import (
+    NOTIONS,
     _walk_blocks,
     blocks,
     disintegrable_by_definition,
@@ -79,6 +71,15 @@ from prior_forge.trades import (
     SemiTrade,
     find_multiplayer_money_pump,
     pump_piece,
+)
+
+from oracles import (
+    dense_dot,
+    dense_expectation_table,
+    dense_hull_weights,
+    dense_mixture,
+    dense_pump_piece,
+    dense_walk_blocks,
 )
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
@@ -109,8 +110,7 @@ def _distributions(structure, planted, rng):
     every positivity grade."""
     cfg = GeneratorConfig(max_states=structure.num_states)
     found = [blocks(structure).prior, planted]
-    grades = ("any", "maximal", "strongly_maximal")
-    found += [random_distribution(structure, cfg, grade, rng) for grade in grades]
+    found += [random_distribution(structure, cfg, notion, rng) for notion in NOTIONS]
     return [d for d in found if d is not None]
 
 
@@ -570,7 +570,7 @@ def test_event_walks_match_their_fraction_versions(fixture_path):
     for k, structure in enumerate(structures):
         rng = random.Random(f"walks:{k}")
         cfg = GeneratorConfig(max_states=structure.num_states)
-        samples = [random_distribution(structure, cfg, grade, rng) for grade in ("any", "strongly_maximal")]
+        samples = [random_distribution(structure, cfg, n, rng) for n in (NOTIONS[0], NOTIONS[2])]
         for i in range(structure.num_players):
             view = single_player_view(structure, i)
             for dist in samples:

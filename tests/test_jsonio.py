@@ -22,12 +22,7 @@ from prior_forge import (
     structure_to_json,
 )
 from prior_forge._rational import to_json_value
-from prior_forge.harness import (
-    GeneratorConfig,
-    dense_dumps,
-    planted_structure,
-    random_structure,
-)
+from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
 from prior_forge.jsonio import (
     check_schema,
     distribution_to_json,
@@ -200,7 +195,7 @@ FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
 
 def _same_bytes(doc):
     text = dumps_canonical(doc)
-    assert text == dense_dumps(doc)
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     return text
 
 

@@ -129,6 +129,7 @@ def test_partition_must_cover_and_not_overlap():
         (((1,), (0,)), ("b", "a"), PartitionError, "not ordered by least state"),
         (((0,), (1,)), ("a",), DimensionError, "1 types for 2 cells"),
         (((0, 1),), ("abc",), DimensionError, "type for cell 0 has 3 entries, expected 2"),
+        (((0, 0), (1,)), ("a", "b"), PartitionError, "state 'a' is listed twice in one cell"),
     ],
 )
 def test_direct_construction_rejects_defects(cells, types, error, message):
@@ -157,6 +158,11 @@ def test_make_structure_checks_counts_first(players, partitions, cell_types, mes
     # IndexError, and a spare type table is not silently dropped.
     with pytest.raises(DimensionError, match=message):
         make_structure(["a"], players, partitions, cell_types)
+
+
+def test_duplicate_cells_name_the_player_by_label():
+    with pytest.raises(PartitionError, match="player 'P': duplicate cells"):
+        make_structure(["a", "b"], ["P"], [[[0], [0], [1]]], [[(1, 0), (1, 0), (0, 1)]])
 
 
 def test_duplicate_labels_rejected():

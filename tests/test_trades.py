@@ -39,13 +39,11 @@ from prior_forge import (
     uniform,
 )
 from prior_forge import lp, priors, trades
-from prior_forge.harness import (
-    component_substructures,
-    dense_expectation_table,
-    pump_piece_program,
-)
+from prior_forge.harness import component_substructures, pump_piece_program
 from prior_forge.model import dot
 from prior_forge.priors import NOTIONS
+
+from oracles import dense_expectation_table
 
 
 def q(text):
