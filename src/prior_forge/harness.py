@@ -32,9 +32,9 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ._rational import ONE, ZERO, rational
+from ._rational import ONE, ZERO, Rational, rational
 from .certainty import closure, is_commonly_certain, minimal_components
 from .errors import InputError, PriorForgeError, VerificationError
 from .lp import (
@@ -82,6 +82,7 @@ from .trades import (
 
 REJECTION_CAP = 1000
 ZERO_MASS_RATE = rational("1/4")
+NEG_ONE = -ONE  # payoffs live in [NEG_ONE, ONE]
 
 
 @dataclass(frozen=True)
@@ -280,10 +281,12 @@ class _Recorder:
         self.skipped = 0
         self.failures: list[CheckFailure] = []
 
-    def check(self, name: str, ok: bool, details: str = "") -> None:
+    def check(self, name: str, ok: bool, details: Callable[[], str] | None = None) -> None:
+        """Count one check; ``details`` builds the failure text, so a check
+        that passes formats nothing."""
         self.count += 1
         if not ok:
-            self.failures.append(CheckFailure(name, details))
+            self.failures.append(CheckFailure(name, details() if details else ""))
 
     @contextmanager
     def guard(self, name: str) -> Iterator[None]:
@@ -323,12 +326,12 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     rec.check(
         f"{label}: agreeable == commonly-certain-everywhere",
         cls.agreeable == cc_everywhere,
-        f"payoffs {payoffs}",
+        lambda: f"payoffs {payoffs}",
     )
     rec.check(
         f"{label}: weakly == commonly-certain-somewhere",
         cls.weakly_agreeable == cc_somewhere,
-        f"payoffs {payoffs}",
+        lambda: f"payoffs {payoffs}",
     )
     semi_cc = all(
         is_commonly_certain(structure, nonneg, w) for w in range(m)
@@ -336,7 +339,7 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     rec.check(
         f"{label}: semi-trade == commonly-certain non-negative",
         cls.is_semi_trade == semi_cc,
-        f"payoffs {payoffs}",
+        lambda: f"payoffs {payoffs}",
     )
 
 
@@ -355,20 +358,26 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     (``distinct_cell_sets``)."""
     b = LPBuilder()
     m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
-    eps = b.add_var("eps", lower=0, objective=1)
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
+    eps = b.add_var("eps", lower=ZERO, objective=ONE)
     for i in range(structure.num_players):
         for w in range(m):
-            t_w = structure.type_at(i, w)[w]
+            t = structure.type_at(i, w)
+            t_w = t.nums[w]
             row = {p_vars[s]: -t_w for s in structure.partitions[i][structure.cell_of(i, w)]}
-            row[p_vars[w]] = ONE - t_w
-            b.add_constraint(row, "=", 0)
-    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
+            row[p_vars[w]] = t.den - t_w
+            b.add_integer_constraint(row, t.den, "=")
+    _add_mass_rows(b, structure, p_vars, eps)
+    return b.build(maximize=True)
+
+
+def _add_mass_rows(b: LPBuilder, structure: InformationStructure, p_vars: list[int], eps: int) -> None:
+    """``sum p = 1``, then ``p(d) - eps >= 0`` per distinct cell set d."""
+    b.add_integer_constraint(dict.fromkeys(p_vars, 1), 1, "=", 1)
     for cell_set in distinct_cell_sets(structure):
         row = {p_vars[w]: 1 for w in cell_set}
         row[eps] = -1
-        b.add_constraint(row, ">=", 0)
-    return b.build(maximize=True)
+        b.add_integer_constraint(row, 1, ">=")
 
 
 def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tuple[tuple, ...] | None:
@@ -433,14 +442,20 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
     m = structure.num_states
     fvar = [
         [
-            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=NEG_ONE, upper=ONE)
             for w in range(m)
         ]
         for i in range(structure.num_players)
     ]
     for w in range(m):
-        b.add_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, "<=", 0)
+        b.add_integer_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, 1, "<=")
     return fvar
+
+
+def _type_row(fvar: list[int], cell: tuple[int, ...], t: Distribution) -> dict:
+    """A cell's expectation of the payoffs ``fvar``, as numerators over
+    ``t.den``."""
+    return {fvar[w]: t.nums[w] for w in cell if t.nums[w]}
 
 
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
@@ -450,12 +465,12 @@ def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     of the block trade's agreeable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
-    delta = b.add_var("delta", objective=1)
+    delta = b.add_var("delta", objective=ONE)
     for i in range(structure.num_players):
         for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = {fvar[i][w]: t[w] for w in cell if t[w]}
-            row[delta] = -ONE
-            b.add_constraint(row, ">=", 0)
+            row = _type_row(fvar[i], cell, t)
+            row[delta] = -t.den
+            b.add_integer_constraint(row, t.den, ">=")
     return b.build(maximize=True)
 
 
@@ -468,11 +483,10 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
     fvar = trade_variables(b, structure)
     for i in range(structure.num_players):
         for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = {fvar[i][w]: t[w] for w in cell if t[w]}
-            b.add_constraint(row, ">=", 0)
-            weight = rational(len(cell))
+            row = _type_row(fvar[i], cell, t)
+            b.add_integer_constraint(row, t.den, ">=")
             for var, coeff in row.items():
-                b.add_objective(var, weight * coeff)
+                b.add_objective(var, Rational(len(cell) * coeff, t.den))
     return b.build(maximize=True)
 
 
@@ -485,29 +499,26 @@ def joint_common_prior_program(structure: InformationStructure) -> LinearProgram
     as that projection's oracle."""
     b = LPBuilder()
     m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
     lam_vars: list[list[int]] = []
     for i in range(structure.num_players):
         lam_vars.append(
             [
-                b.add_var(f"w[{structure.players[i]},{v}]", lower=0)
+                b.add_var(f"w[{structure.players[i]},{v}]", lower=ZERO)
                 for v in range(structure.num_cells(i))
             ]
         )
-    eps = b.add_var("eps", lower=0, objective=1)
+    eps = b.add_var("eps", lower=ZERO, objective=ONE)
     for i in range(structure.num_players):
         for w in range(m):
-            row = {p_vars[w]: 1}
-            for v, tdist in enumerate(structure.cell_types[i]):
-                if tdist[w]:
-                    row[lam_vars[i][v]] = -tdist[w]
-            b.add_constraint(row, "=", 0)
-        b.add_constraint({lv: 1 for lv in lam_vars[i]}, "=", 1)
-    b.add_constraint({pv: 1 for pv in p_vars}, "=", 1)
-    for cell_set in distinct_cell_sets(structure):
-        row = {p_vars[w]: 1 for w in cell_set}
-        row[eps] = -1
-        b.add_constraint(row, ">=", 0)
+            held = [(v, t) for v, t in enumerate(structure.cell_types[i]) if t.nums[w]]
+            den = math.lcm(*(t.den for _, t in held))
+            row = {p_vars[w]: den}
+            for v, t in held:
+                row[lam_vars[i][v]] = -t.nums[w] * (den // t.den)
+            b.add_integer_constraint(row, den, "=")
+        b.add_integer_constraint(dict.fromkeys(lam_vars[i], 1), 1, "=", 1)
+    _add_mass_rows(b, structure, p_vars, eps)
     return b.build(maximize=True)
 
 
@@ -565,7 +576,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         rec.check(
             "oracle: common-prior program decides as the blocks",
             (feasible, positive) == (sub_walk.common, sub_walk.strong) and feasible == met,
-            f"states {sub.states}: program {outcome.status}, blocks {sub_walk.live}",
+            lambda: f"states {sub.states}: program {outcome.status}, blocks {sub_walk.live}",
         )
         ok = positive == sub_walk.strong
         if ok and positive:
@@ -574,14 +585,14 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         rec.check(
             "oracle: closed-form strong prior equals the margin program's optimum",
             ok,
-            "" if ok else f"states {sub.states}: blocks {sub_walk}, program {outcome}",
+            lambda: f"states {sub.states}: blocks {sub_walk}, program {outcome}",
         )
         if comp is not None and not feasible:
             break
     if walk.common:
         point = (*walk.prior.probs, walk.margin)
         violations = feasibility_violations(program, point)
-        rec.check("oracle: canonical prior satisfies the common-prior program", not violations, str(violations))
+        rec.check("oracle: canonical prior satisfies the common-prior program", not violations, lambda: str(violations))
     if not walk.strong:
         grades = []
         for payoffs in (refuting_payoffs(structure, top), walk.payoffs):
@@ -590,7 +601,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         rec.check(
             "oracle: program trade grades as the block trade",
             grades[0] == grades[1] == (True, True, not walk.common),
-            f"program {grades[0]}, blocks {grades[1]}",
+            lambda: f"program {grades[0]}, blocks {grades[1]}",
         )
 
 
@@ -682,7 +693,7 @@ def cross_check(
         rec.check(
             "duality: common prior xor money pump",
             cls.common != (pump is not None),
-            f"p={tuple(dist)} drawn for {notion.key}",
+            lambda: f"p={tuple(dist)} drawn for {notion.key}",
         )
         if pump is not None:
             with rec.guard("pump witness re-verifies"):
@@ -693,14 +704,14 @@ def cross_check(
             rec.check(
                 f"duality: {notion.key} prior xor {notion.pump} pump",
                 getattr(cls, notion.key) != (pump is not None and charged),
-                f"p={tuple(dist)}",
+                lambda: f"p={tuple(dist)}",
             )
         # When no common prior exists anywhere, every distribution pumps.
         if priors[0] is None:
             rec.check(
                 "no common prior => every distribution pumps",
                 pump is not None,
-                f"p={tuple(dist)}",
+                lambda: f"p={tuple(dist)}",
             )
 
     # Single-player theory on each player's marginal view.
@@ -714,12 +725,12 @@ def cross_check(
                 rec.check(
                     "closed-form disintegrability matches definitional oracle",
                     disintegrable == disintegrable_by_definition(view, dist),
-                    f"player {i} p={tuple(dist)}",
+                    lambda: f"player {i} p={tuple(dist)}",
                 )
             rec.check(
                 "view membership matches full-structure hull membership",
                 disintegrable == (hull_weights(structure, i, dist) is not None),
-                f"player {i}",
+                lambda: f"player {i}",
             )
             if disintegrable and view.num_states > EVENT_CAP:
                 rec.skipped += 1
@@ -728,7 +739,7 @@ def cross_check(
                 rec.check(
                     "disintegrable => conglomerable",
                     conglomerable,
-                    f"player {i} p={tuple(dist)}",
+                    lambda: f"player {i} p={tuple(dist)}",
                 )
             # A one-player structure is its own view: reuse the pump found
             # above.
@@ -741,7 +752,7 @@ def cross_check(
             rec.check(
                 "duality: disintegrable xor single-player pump",
                 disintegrable != (pump is not None),
-                f"player {i} p={tuple(dist)}",
+                lambda: f"player {i} p={tuple(dist)}",
             )
 
     minimized = None
@@ -861,9 +872,9 @@ def pump_piece_program(
     in [-1, 1] per state, a non-negative conditional expectation at every
     cell, the p-expectation minimized. Kept as that closed form's oracle."""
     b = LPBuilder()
-    fvar = [b.add_var(f"f[{w}]", lower=-1, upper=1) for w in range(structure.num_states)]
+    fvar = [b.add_var(f"f[{w}]", lower=NEG_ONE, upper=ONE) for w in range(structure.num_states)]
     for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
-        b.add_constraint({fvar[w]: t[w] for w in cell if t[w]}, ">=", 0)
+        b.add_integer_constraint(_type_row(fvar, cell, t), t.den, ">=")
     for w, mass in enumerate(dist):
         if mass:
             b.add_objective(fvar[w], mass)
@@ -896,7 +907,7 @@ def oracle_battery(seeds) -> BatteryReport:
             rec.check(
                 "oracle: margin optimum equals best vertex",
                 out_eps.objective_value == best,
-                f"lp={out_eps.objective_value} vertices={best}",
+                lambda: f"lp={out_eps.objective_value} vertices={best}",
             )
             rec.check(
                 "oracle: joint formulation matches projected margin",
@@ -917,7 +928,7 @@ def oracle_battery(seeds) -> BatteryReport:
                 not feasibility_violations(program, piece)
                 and out_pump.status == "optimal"
                 and out_pump.objective_value == dot(piece, dist.probs),
-                f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
+                lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
             )
         checked += 1
         checks += rec.count

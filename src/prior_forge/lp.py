@@ -1,14 +1,28 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule. Every coefficient is
-an exact rational; there is no tolerance anywhere. A constraint is a sparse
-row, a map from variable index to nonzero coefficient, and it fixes its
-integer form at construction: int numerators over one positive denominator,
-in lowest terms. Rows carry that form from ``LPBuilder.add_constraint``
-through standardization and the self-checks to the tableau; only the
-objective is a dense tuple, and it fixes the number of variables.
-Standardizing shifts integer lower bounds in ints (a fractional bound takes
-a general path) and writes each upper bound as a row of ``+-den`` entries.
+Two-phase bounded-variable primal simplex (Dantzig 1955) with Bland's
+anti-cycling rule. Every coefficient is an exact rational; there is no
+tolerance anywhere. A constraint is a sparse row, a map from variable index
+to nonzero coefficient, and it fixes its integer form at construction: int
+numerators over one positive denominator, in lowest terms. Builders that
+hold ints already hand them over as they are
+(``LPBuilder.add_integer_constraint``) and no rational is made per
+coefficient. Rows carry that form through standardization and the
+self-checks to the tableau; only the objective is a dense tuple, and it
+fixes the number of variables.
+
+Bounds never become rows. Standardizing shifts a variable with a lower bound
+onto it, substitutes x = u - x' for a variable with only an upper bound u,
+and splits a free variable into a positive and a negative part; a finite
+upper bound of a shifted variable stays a bound of its column. A nonbasic
+column sits at either bound: moving it to its upper bound complements it
+(x = u - x') on the rows, so every nonbasic column reads 0. The ratio test
+also stops where a basic variable reaches its upper bound, which is
+complemented before it leaves, or where the entering column reaches its
+own, which flips it without a pivot. Bland's rule covers both: among tied
+candidates the smallest variable index leaves, the entering column's own
+flip under its own index.
+
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row is a
 sparse dict of integer numerators over one positive row denominator, kept in
 lowest terms, so a pivot costs integer multiplications and one gcd per
@@ -16,19 +30,20 @@ changed row instead of a normalized rational per entry. Pivots follow the
 same rule on the same exact values, so bases, points, certificates and duals
 are those of a rational tableau; rationals are built only where results are
 read off.
-Outcomes are verified before they are returned: optimal points are
-re-substituted into every constraint and bound, and infeasibility comes with
-a Farkas certificate whose contradiction is re-multiplied from scratch. Both
-checks put the point or each multiplier vector over one denominator once and
-compare integer dot products with the rows' integer forms; rationals are
-built only for failure messages. A failed internal check raises
-``VerificationError`` and always indicates a bug, never bad input.
+Outcomes are verified before they are returned: optimal points are read off
+as numerators over one denominator and re-substituted into every constraint
+and bound, and infeasibility comes with a Farkas certificate whose
+contradiction is re-multiplied from scratch. Both checks compare integer dot
+products with the rows' integer forms; rationals are built once for the
+returned point and otherwise only for failure messages. A failed internal
+check raises ``VerificationError`` and always indicates a bug, never bad
+input.
 
 ``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
 solutions of the standardized system by brute-force basis selection with exact
 Gaussian elimination. It standardizes term by term in rationals
-(``_standardize``), shares no code path with the simplex iteration and is
-capped because its work is combinatorial.
+(``_standardize``), with every upper bound a row, shares no code path with
+the simplex iteration and is capped because its work is combinatorial.
 
 Variables are free unless bounds say otherwise; nothing is implicitly
 non-negative. Callers are expected to keep their programs bounded via explicit
@@ -39,14 +54,15 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from ._rational import ONE, ZERO, Rational, format_rational, rational
 from .errors import DimensionError, SizeCapError, VerificationError
-from .model import dot, integer_form
+from .model import integer_form
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
@@ -56,7 +72,6 @@ ORACLE_MAX_VARS = 12
 ORACLE_MAX_CONSTRAINTS = 24
 ORACLE_MAX_BASES = 200_000
 
-@dataclass(frozen=True)
 class Constraint:
     """The row ``sum_j coeffs[j] * x_j  rel  rhs``. ``coeffs`` maps variable
     indices to nonzero rationals; zero coefficients are dropped here.
@@ -64,28 +79,29 @@ class Constraint:
     Its integer form is fixed at construction, as a ``Distribution``'s is:
     ``nums[j] / den == coeffs[j]`` and ``rhs_num / den == rhs``, with ``den``
     the least common denominator of the coefficients and the rhs, so the row
-    is in lowest terms. The simplex and the self-checks read the ints."""
+    is in lowest terms. The simplex and the self-checks read the ints; a row
+    built by ``LPBuilder.add_integer_constraint`` makes ``coeffs`` and
+    ``rhs`` only when they are read."""
 
-    coeffs: dict
-    rel: str
-    rhs: object
-    den: int = field(init=False, repr=False, compare=False)
-    nums: dict = field(init=False, repr=False, compare=False)
-    rhs_num: int = field(init=False, repr=False, compare=False)
+    def __init__(self, coeffs: dict, rel: str, rhs) -> None:
+        self.coeffs = {j: q for j, c in coeffs.items() if (q := rational(c))}
+        self.rhs = rational(rhs)
+        den = math.lcm(self.rhs.denominator, *(q.denominator for q in self.coeffs.values()))
+        nums = {j: q.numerator * (den // q.denominator) for j, q in self.coeffs.items()}
+        self._fix(nums, den, rel, self.rhs.numerator * (den // self.rhs.denominator))
 
-    def __post_init__(self) -> None:
-        if self.rel not in (LESS, EQUAL, GREATER):
-            raise DimensionError(f"unknown relation {self.rel!r}")
-        coeffs = {j: q for j, c in self.coeffs.items() if (q := rational(c))}
-        rhs = rational(self.rhs)
-        den = math.lcm(rhs.denominator, *(q.denominator for q in coeffs.values()))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(
-            self, "nums", {j: q.numerator * (den // q.denominator) for j, q in coeffs.items()}
-        )
-        object.__setattr__(self, "rhs_num", rhs.numerator * (den // rhs.denominator))
+    def _fix(self, nums: dict, den: int, rel: str, rhs_num: int) -> None:
+        if rel not in (LESS, EQUAL, GREATER):
+            raise DimensionError(f"unknown relation {rel!r}")
+        self.nums, self.den, self.rel, self.rhs_num = nums, den, rel, rhs_num
+
+    @cached_property
+    def coeffs(self) -> dict:
+        return {j: Rational(a, self.den) for j, a in self.nums.items()}
+
+    @cached_property
+    def rhs(self):
+        return Rational(self.rhs_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -110,7 +126,7 @@ class LinearProgram:
             self, "upper", tuple(None if b is None else rational(b) for b in self.upper)
         )
         for con in self.constraints:
-            if not all(0 <= j < n for j in con.coeffs):
+            if not all(0 <= j < n for j in con.nums):
                 raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
 
     @property
@@ -128,7 +144,7 @@ class LPBuilder:
         self._objective: list = []
         self._rows: list[Constraint] = []
 
-    def add_var(self, name: str, lower=None, upper=None, objective=0) -> int:
+    def add_var(self, name: str, lower=None, upper=None, objective=ZERO) -> int:
         self._names.append(name)
         self._lower.append(lower)
         self._upper.append(upper)
@@ -137,6 +153,15 @@ class LPBuilder:
 
     def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
         self._rows.append(Constraint(coeffs, rel, rhs))
+
+    def add_integer_constraint(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
+        """``add_constraint`` from an integer form, ints over a positive
+        ``den``: the row is reduced to lowest terms by one gcd, and its
+        ``coeffs`` and ``rhs`` are made only when they are read."""
+        g = math.gcd(den, rhs_num, *nums.values())
+        con = Constraint.__new__(Constraint)
+        con._fix({j: a // g for j, a in nums.items() if a}, den // g, rel, rhs_num // g)
+        self._rows.append(con)
 
     def add_objective(self, var: int, coeff) -> None:
         """Accumulate into a variable's objective coefficient."""
@@ -187,11 +212,17 @@ class LPOutcome:
 
 def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
     """Human-readable list of constraint/bound violations of ``x`` (exact).
-    ``x`` is put over one denominator once; each row compares its integer
-    dot product with its rhs, and each bound cross-multiplies."""
+    ``x`` is put over one denominator once and checked on ints
+    (``_violations``)."""
     if len(x) != lp.num_vars:
         return [f"point has {len(x)} coordinates, expected {lp.num_vars}"]
-    xden, xnums = integer_form(x)
+    return _violations(lp, *integer_form(x))
+
+
+def _violations(lp: LinearProgram, xden: int, xnums: Sequence[int]) -> list[str]:
+    """``feasibility_violations`` of the point ``xnums / xden``: each row
+    compares its integer dot product with its rhs, and each bound
+    cross-multiplies."""
     bad = []
     for k, con in enumerate(lp.constraints):
         nums = con.nums
@@ -275,14 +306,12 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
 
 # -- standardization -----------------------------------------------------
 #
-# Internal form: A x' = b with x' >= 0. Finite lower bounds shift, variables
-# without one split into a positive and a negative part, and every finite
-# upper bound becomes an extra <= row over the variable's columns. Row
-# bookkeeping keeps enough structure to translate phase-1 duals back into an
-# original-space Farkas certificate. The simplex reads the form off the
-# constraints' integer forms (``_int_standardize``); ``_standardize`` builds
-# it term by term in rationals for ``enumerate_basic_solutions`` alone, so
-# the oracle shares no standardization with the simplex.
+# Internal form: A x' = b with 0 <= x' <= u, u finite or not. The simplex
+# reads it off the constraints' integer forms (``_int_standardize``): std row
+# k is constraint k, and bounds stay on the columns. ``_standardize`` builds
+# the oracle's form term by term in rationals, free variables split and
+# every upper bound a row, for ``enumerate_basic_solutions`` alone, so the
+# oracle shares no standardization with the simplex.
 
 
 def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tuple:
@@ -300,7 +329,8 @@ def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tu
 
 
 class _StdForm(NamedTuple):
-    """The standard form in rationals, term by term: the form that
+    """The oracle's standard form in rationals, term by term, with every
+    finite upper bound a ``<=`` row: the form that
     ``enumerate_basic_solutions`` enumerates."""
 
     ncols: int
@@ -314,85 +344,75 @@ class _StdForm(NamedTuple):
 
 
 class _IntStdForm(NamedTuple):
-    """The same standard form on ints, the simplex's input: std row r is
-    ``rows[r][col] / dens[r]`` with rhs ``row_rhs[r] / dens[r]``, in lowest
-    terms, and the costs are ``costs[col] / cost_den``."""
+    """The simplex's input on ints: std row k is ``rows[k][col] / dens[k]``
+    with rhs ``row_rhs[k] / dens[k]``, in lowest terms; a bounded column
+    col is bounded above by ``col_upper[col]``, a ``(num, den)`` pair; the
+    costs are ``costs[col] / cost_den``."""
 
     ncols: int
-    col_kind: list[tuple]
+    col_kind: list[tuple]         # per std column: ("shift" | "mirror" | "pos" | "neg", j)
+    col_upper: dict
     rows: list[dict]
     dens: list[int]
     row_rel: list[str]
     row_rhs: list[int]
-    row_origin: list[tuple]
     cost_const: object
     costs: dict
     cost_den: int
 
 
 def _int_standardize(lp: LinearProgram) -> _IntStdForm:
-    """The standard form read off the constraints' integer forms. Integer
-    lower bounds shift a row's rhs numerator; a fractional one takes the
-    general path, which puts the row over the lcm of its coefficients' and
-    its shifted rhs's denominators. An upper-bound row is ``+-den`` entries
-    over the denominator of its rhs."""
-    lower = lp.lower
+    """The standard form read off the constraints' integer forms. A variable
+    with a lower bound l is shifted, x = l + x', and keeps u - l as its
+    column's bound; one with only an upper bound u is mirrored, x = u - x';
+    a free one is split. An integral offset moves a row's rhs numerator; a
+    fractional one takes the general path, which puts the row over the lcm
+    of its coefficients' and its shifted rhs's denominators."""
     col_kind: list[tuple] = []
-    cols: list[tuple] = []  # per variable: (shifted column,) | (pos column, neg column)
-    shift: list = []  # per variable: its lower bound if integral (0 if none), else None
-    for j, lo in enumerate(lower):
+    col_upper: dict = {}
+    # per variable: (column, sign, offset, offset's numerator if integral
+    # else None) | (pos column, neg column)
+    cols: list[tuple] = []
+    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
         col = len(col_kind)
-        if lo is None:
+        if lo is None and up is None:
             col_kind += [("pos", j), ("neg", j)]
             cols.append((col, col + 1))
-            shift.append(0)
-        else:
-            col_kind.append(("shift", j))
-            cols.append((col,))
-            shift.append(lo.numerator if lo.denominator == 1 else None)
+            continue
+        off, sign = (up, -1) if lo is None else (lo, 1)
+        col_kind.append(("mirror" if lo is None else "shift", j))
+        cols.append((col, sign, off, off.numerator if off.denominator == 1 else None))
+        if lo is not None and up is not None:
+            width = up - lo
+            col_upper[col] = (width.numerator, width.denominator)
 
     rows: list[dict] = []
     dens: list[int] = []
-    row_rel: list[str] = []
     row_rhs: list[int] = []
-    row_origin: list[tuple] = []
-    for k, con in enumerate(lp.constraints):
+    for con in lp.constraints:
         row: dict = {}
         den, rhs = con.den, con.rhs_num
         fractional = []
         for j, a in con.nums.items():
             c = cols[j]
-            row[c[0]] = a
             if len(c) == 2:
+                row[c[0]] = a
                 row[c[1]] = -a
-            elif shift[j] is None:
+                continue
+            col, sign, _, shift = c
+            row[col] = sign * a
+            if shift is None:
                 fractional.append(j)
-            elif shift[j]:
-                rhs -= a * shift[j]
+            elif shift:
+                rhs -= a * shift
         if fractional:
-            q = Rational(rhs, den) - sum(con.coeffs[j] * lower[j] for j in fractional)
+            q = Rational(rhs, den) - sum(con.coeffs[j] * cols[j][2] for j in fractional)
             new = math.lcm(q.denominator, *(v.denominator for v in con.coeffs.values()))
             row = {c: v * new // den for c, v in row.items()}
             den, rhs = new, q.numerator * (new // q.denominator)
         rows.append(row)
         dens.append(den)
-        row_rel.append(con.rel)
         row_rhs.append(rhs)
-        row_origin.append(("user", k))
-    for j, up in enumerate(lp.upper):
-        if up is None:
-            continue
-        if shift[j] is None:
-            bound = up - lower[j]
-            d, rhs = bound.denominator, bound.numerator
-        else:
-            d = up.denominator
-            rhs = up.numerator - shift[j] * d
-        rows.append({cols[j][0]: d, cols[j][1]: -d} if len(cols[j]) == 2 else {cols[j][0]: d})
-        dens.append(d)
-        row_rel.append(LESS)
-        row_rhs.append(rhs)
-        row_origin.append(("upper", j))
 
     sign = -1 if lp.maximize else 1
     cost_den = math.lcm(*(c.denominator for c in lp.objective))
@@ -401,14 +421,17 @@ def _int_standardize(lp: LinearProgram) -> _IntStdForm:
     for j, c in enumerate(lp.objective):
         if not c:
             continue
-        if lower[j]:
-            cost_const += sign * c * lower[j]
         n = sign * c.numerator * (cost_den // c.denominator)
-        costs[cols[j][0]] = n
         if len(cols[j]) == 2:
-            costs[cols[j][1]] = -n
+            costs[cols[j][0]], costs[cols[j][1]] = n, -n
+        else:
+            col, s, off, shift = cols[j]
+            costs[col] = s * n
+            if off:
+                cost_const += sign * c * off
     return _IntStdForm(
-        len(col_kind), col_kind, rows, dens, row_rel, row_rhs, row_origin, cost_const, costs, cost_den
+        len(col_kind), col_kind, col_upper, rows, dens,
+        [con.rel for con in lp.constraints], row_rhs, cost_const, costs, cost_den,
     )
 
 
@@ -468,13 +491,16 @@ def _standardize(lp: LinearProgram) -> _StdForm:
 # numerators (zeros never stored) and a positive int denominator sharing no
 # common factor with them. Pivoting touches only the rows that hold the
 # entering column, so rows keep their own denominators; one denominator for
-# the whole tableau would rescale every row on every pivot.
+# the whole tableau would rescale every row on every pivot. Every nonbasic
+# column reads 0: a column at its upper bound u is held complemented,
+# x = u - x', so the rhs column is always the basic values.
 
 
 def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
-    """Subtract ``row[c]`` times the pivot row, whose entry at ``c`` is 1
-    (``prow[c] == pden``), from ``row`` in place: ``row * pden - m * prow``
-    over ``den * pden``, reduced by the gcd. Returns the new denominator."""
+    """Subtract ``m = row[c]`` times the row ``prow / pden`` from ``row`` in
+    place: ``row * pden - m * prow`` over ``den * pden``, reduced by the gcd.
+    A pivot row has entry 1 at ``c`` (``prow[c] == pden``), so the entry
+    goes to 0. Returns the new denominator."""
     m = row[c]
     if pden != 1:
         for j in row:
@@ -494,9 +520,20 @@ def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
     return den
 
 
+def _complement(row: dict, den: int, c: int, bound: tuple[int, int]) -> int:
+    """Substitute x_c = u - x'_c, u = un / ud, in ``row`` over ``den`` in
+    place, x'_c taking column c: subtracting ``row[c]`` times the row
+    2 x_c = u negates the entry and takes entry * u off the rhs. Returns the
+    new denominator."""
+    un, ud = bound
+    return _eliminate(row, den, {c: 2 * ud, _RHS: un} if un else {c: 2 * ud}, ud, c)
+
+
 class _Tableau:
     """Sparse fraction-free simplex tableau; row key -1 holds the rhs. The
-    objective row ``obj`` over ``obj_den`` has the same form."""
+    objective row ``obj`` over ``obj_den`` has the same form. ``upper``
+    holds the bounded columns' bounds and ``flipped`` the columns now held
+    complemented."""
 
     def __init__(self, std: _IntStdForm) -> None:
         self.std = std
@@ -505,6 +542,8 @@ class _Tableau:
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each std row
         self.negated: list[bool] = []  # std row multiplied by -1 to make rhs >= 0
+        self.upper = std.col_upper
+        self.flipped: set[int] = set()
         ncols = std.ncols
         artificials: set[int] = set()
         for base_row, den, rel, rhs in zip(std.rows, std.dens, std.row_rel, std.row_rhs):
@@ -567,6 +606,17 @@ class _Tableau:
                 dens[rr] = _eliminate(row, dens[rr], prow, pden, c)
         self.basis[r] = c
 
+    def flip(self, c: int) -> None:
+        """Move column c to its other bound: complement it in every row
+        that holds it and in the objective row."""
+        bound = self.upper[c]
+        for r, row in enumerate(self.rows):
+            if c in row:
+                self.dens[r] = _complement(row, self.dens[r], c, bound)
+        if c in self.obj:
+            self.obj_den = _complement(self.obj, self.obj_den, c, bound)
+        self.flipped ^= {c}
+
     def _price_out(self, r: int) -> None:
         """Zero the objective's entry at row r's basic column."""
         b = self.basis[r]
@@ -574,31 +624,46 @@ class _Tableau:
             self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[r], self.dens[r], b)
 
     def _iterate(self) -> str:
-        rows, basis, obj = self.rows, self.basis, self.obj
+        rows, dens, basis, upper = self.rows, self.dens, self.basis, self.upper
         while True:
             entering = None
-            for j, v in obj.items():
+            for j, v in self.obj.items():
                 if j >= 0 and v < 0 and j not in self.barred:
                     if entering is None or j < entering:
                         entering = j
             if entering is None:
                 return "optimal"
-            # Smallest ratio rhs / a, ties to the smaller basis index; both
-            # numerators share the row's denominator, so it cancels.
-            leaving_row = None
+            # The smallest step t = num / den (den > 0) at which the
+            # entering column reaches its own bound or a basic variable
+            # reaches 0 or its upper bound; ties go to the smaller variable
+            # index. Rows compare rhs / a, their denominator cancelling.
+            best = (*upper[entering], entering) if entering in upper else None
+            leaving_row = to_upper = None
             for r, row in enumerate(rows):
                 a = row.get(entering)
-                if a is None or a <= 0:
+                if a is None:
+                    continue
+                b = basis[r]
+                if a < 0 and b not in upper:
                     continue
                 rhs = row.get(_RHS, 0)
-                if leaving_row is not None:
-                    diff = rhs * best_a - best_rhs * a
-                    if diff > 0 or (diff == 0 and basis[r] > basis[leaving_row]):
-                        continue
-                leaving_row, best_rhs, best_a = r, rhs, a
-            if leaving_row is None:
+                if a > 0:
+                    step = (rhs, a, b)
+                else:
+                    un, ud = upper[b]
+                    step = (un * dens[r] - ud * rhs, -a * ud, b)
+                if best is None or (diff := step[0] * best[1] - best[0] * step[1]) < 0 or (
+                    diff == 0 and b < best[2]
+                ):
+                    leaving_row, to_upper, best = r, a < 0, step
+            if best is None:
                 return "unbounded"
+            if leaving_row is None:
+                self.flip(entering)
+                continue
             leaving_col = basis[leaving_row]
+            if to_upper:
+                self.flip(leaving_col)
             self.pivot(leaving_row, entering)
             self._price_out(leaving_row)
             if leaving_col in self.artificials:
@@ -641,68 +706,64 @@ class _Tableau:
 
     def phase2(self) -> str:
         self.obj, self.obj_den = dict(self.std.costs), self.std.cost_den
-        # price out the basic columns; remaining negative reduced costs
-        # drive the iteration
+        # the costs of the columns phase 1 left complemented, then the basic
+        # columns priced out; remaining negative reduced costs drive the
+        # iteration
+        for c in self.flipped:
+            if c in self.obj:
+                self.obj_den = _complement(self.obj, self.obj_den, c, self.upper[c])
         for r in range(len(self.rows)):
             self._price_out(r)
         return self._iterate()
 
-    def objective_entry(self, j: int):
-        """Entry j of the objective row as a rational (key -1: its rhs)."""
-        n = self.obj.get(j)
-        return ZERO if n is None else Rational(n, self.obj_den)
+    def point(self, lp: LinearProgram) -> tuple[int, list[int]]:
+        """The current point in the original variables as ``(den, nums)``,
+        ``nums[j] / den == x_j``: each variable's terms (its offset and its
+        columns' values, a complemented column's read back off its bound)
+        are summed over their lcm."""
+        value = {b: (row.get(_RHS, 0), d) for row, d, b in zip(self.rows, self.dens, self.basis)}
+        terms = [[] for _ in range(lp.num_vars)]
+        for col, (tag, j) in enumerate(self.std.col_kind):
+            n, d = value.get(col, (0, 1))
+            if col in self.flipped:
+                un, ud = self.upper[col]
+                n, d = un * d - n * ud, ud * d
+            terms[j].append((-n if tag in ("mirror", "neg") else n, d))
+            if tag in ("shift", "mirror"):
+                off = lp.lower[j] if tag == "shift" else lp.upper[j]
+                terms[j].append((off.numerator, off.denominator))
+        den = math.lcm(*(d for t in terms for _, d in t))
+        return den, [sum(n * (den // d) for n, d in t) for t in terms]
 
-    def primal_std(self) -> list:
-        x = [ZERO] * self.std.ncols
-        for r, b in enumerate(self.basis):
-            n = self.rows[r].get(_RHS)
-            if n is not None and b < self.std.ncols:
-                x[b] = Rational(n, self.dens[r])
-        return x
-
-    def row_duals(self, phase1: bool) -> list:
-        """The multipliers y of the rows as the tableau holds them, as
-        numerators over ``obj_den``. The objective row is c - yA and B^-1
-        sits under the rows' initial identity columns, so y = c - (objective
-        row) there; c is 1 on the artificial columns in phase 1 and 0 on
-        every identity column in phase 2 (a row dropped as redundant held a
-        zero-cost artificial)."""
+    def multipliers(self, phase1: bool) -> list:
+        """Max-form multipliers of the user's constraints, as numerators
+        over ``obj_den``. The objective row is c - yA and B^-1 sits under
+        the rows' initial identity columns, so the rows' multipliers are
+        y = c - (objective row) there; c is 1 on the artificial columns in
+        phase 1 and 0 on every identity column in phase 2 (a row dropped as
+        redundant held a zero-cost artificial). y applies to the rows as the
+        tableau holds them, after negation."""
         den, obj, artificials = self.obj_den, self.obj, self.artificials
         return [
-            (den if phase1 and col in artificials else 0) - obj.get(col, 0)
-            for col in self.init_col
+            (1 if negated else -1) * ((den if phase1 and col in artificials else 0) - obj.get(col, 0))
+            for col, negated in zip(self.init_col, self.negated)
         ]
 
 
-def _row_multipliers(lp: LinearProgram, tab: _Tableau, y: list) -> tuple[list, list]:
-    """Minimization multipliers ``y`` of the std rows, mapped to max-form
-    multipliers of the user's constraints and of the variables' upper
-    bounds; all are numerators over the objective row's denominator."""
-    mus = [0] * len(lp.constraints)
-    uppers = [0] * lp.num_vars
-    for k, origin in enumerate(tab.std.row_origin):
-        # y applies to the rows as the tableau holds them, after negation.
-        mult = y[k] if tab.negated[k] else -y[k]
-        if origin[0] == "user":
-            mus[origin[1]] = mult
-        else:
-            uppers[origin[1]] += mult
-    return mus, uppers
-
-
 def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
+    """The certificate of phase 1's duals: the rows' multipliers, and what
+    they leave of each variable cancelled by a bound multiplier, its sign
+    naming the bound (a positive residual the lower, a negative one the
+    upper). The verifier catches a residual on a variable without that
+    bound."""
     den = tab.obj_den
-    mus, uppers = _row_multipliers(lp, tab, tab.row_duals(phase1=True))
+    mus = tab.multipliers(phase1=True)
     cden, combo, _ = _combine(lp, mus)
-    lowers = [ZERO] * lp.num_vars
-    for j, (c, up) in enumerate(zip(combo, uppers)):
-        residual = c + up * cden  # over cden * den
-        # split variables must already cancel; the verifier catches it if not
-        if residual and lp.lower[j] is not None:
-            lowers[j] = Rational(-residual, cden * den)
-    return FarkasCertificate(
-        tuple(Rational(v, den) for v in mus), tuple(lowers), tuple(Rational(v, den) for v in uppers)
-    )
+    bounds = ([ZERO] * lp.num_vars, [ZERO] * lp.num_vars)
+    for j, c in enumerate(combo):
+        if c:
+            bounds[c < 0][j] = Rational(-c, cden * den)
+    return FarkasCertificate(tuple(Rational(v, den) for v in mus), *map(tuple, bounds))
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -718,19 +779,21 @@ def solve(lp: LinearProgram) -> LPOutcome:
     status = tab.phase2()
     if status == "unbounded":
         return LPOutcome("unbounded", None, None, None)
-    x = _to_original(lp, std.col_kind, tab.primal_std())
-    problems = feasibility_violations(lp, x)
+    xden, xnums = tab.point(lp)
+    problems = _violations(lp, xden, xnums)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
-    value = dot(lp.objective, x)
-    tableau_min = -tab.objective_entry(_RHS) + std.cost_const
+    cden, cnums = integer_form(lp.objective)
+    value = Rational(sum(map(mul, cnums, xnums)), cden * xden)
+    tableau_min = std.cost_const - Rational(tab.obj.get(_RHS, 0), tab.obj_den)
     claimed = -tableau_min if lp.maximize else tableau_min
     if claimed != value:
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
-    mus, _ = _row_multipliers(lp, tab, tab.row_duals(phase1=False))
-    return LPOutcome("optimal", x, value, None, tuple(Rational(v, tab.obj_den) for v in mus))
+    x = tuple(Rational(n, xden) for n in xnums)
+    duals = tuple(Rational(v, tab.obj_den) for v in tab.multipliers(phase1=False))
+    return LPOutcome("optimal", x, value, None, duals)
 
 
 # -- independent oracle --------------------------------------------------

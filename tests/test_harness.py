@@ -108,6 +108,22 @@ def test_cross_check_verifies_a_forged_witness(fixture_path, monkeypatch):
     assert "prior witness re-verifies" in [f.name for f in report.failures]
 
 
+def test_failed_checks_keep_their_details(fixture_path, monkeypatch):
+    # A check formats its details only when it fails, with the text it
+    # always had. ex_pl2 has no common prior, so a pump finder that finds
+    # nothing fails the pump duality on every sample cross_check draws.
+    s = _fresh(fixture_path, "ex_pl2")
+    monkeypatch.setattr(harness, "find_multiplayer_money_pump", lambda structure, dist: None)
+    report = cross_check(s, minimize=False)
+    rng = random.Random(structure_digest(s))
+    drawn = (*NOTIONS, NOTIONS[0])
+    dists = [random_distribution(s, GeneratorConfig(), notion, rng) for notion in drawn]
+    details = [f.details for f in report.failures if f.name == "duality: common prior xor money pump"]
+    assert details == [f"p={tuple(d)} drawn for {n.key}" for d, n in zip(dists, drawn)]
+    details = [f.details for f in report.failures if f.name == "no common prior => every distribution pumps"]
+    assert details == [f"p={tuple(d)}" for d in dists]
+
+
 def test_harness_holds_no_dense_oracles_and_no_json():
     # The dense-rational oracles live beside their tests, in oracles.py.
     tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))

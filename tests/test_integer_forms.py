@@ -357,7 +357,10 @@ def dense_farkas_violations(lp, cert):
 def _fractional_bound_programs():
     """Programs whose bounds are not integers: fractional lower bounds (a
     shifted rhs off the row's denominator), fractional upper bounds on a
-    shifted and on a free variable, and an infeasible variant of each."""
+    shifted variable and on one with only an upper bound, a boxed program
+    whose optimum holds x, y and z (only bounded above) at their upper
+    bounds, and an infeasible variant of each; the boxed one's certificate
+    needs upper multipliers on the column bounds of x and y."""
     programs = []
     for infeasible in (False, True):
         b = LPBuilder()
@@ -378,6 +381,17 @@ def _fractional_bound_programs():
         w = b.add_var("w", lower=0, upper=Fraction(9, 8), objective=-1)
         b.add_constraint({x: 1, y: 1, w: Fraction(1, 2)}, "<=", Fraction(11, 4))
         b.add_constraint({y: 1, w: -1}, ">=", Fraction(-3, 2))
+        if infeasible:
+            b.add_constraint({x: 1, y: 1}, ">=", 4)
+        programs.append(b.build(maximize=True))
+
+        b = LPBuilder()
+        x = b.add_var("x", lower=Fraction(-1, 2), upper=Fraction(3, 2), objective=3)
+        y = b.add_var("y", lower=0, upper=2, objective=2)
+        z = b.add_var("z", upper=Fraction(4, 3), objective=1)
+        w = b.add_var("w", lower=0, objective=1)
+        b.add_constraint({x: 1, y: 1, w: 1}, "<=", 4)
+        b.add_constraint({z: 1, y: -1}, ">=", -3)
         if infeasible:
             b.add_constraint({x: 1, y: 1}, ">=", 4)
         programs.append(b.build(maximize=True))
@@ -402,8 +416,8 @@ def programs(fixture_path):
 
 def test_fractional_bounds_solve_to_enumerated_vertices():
     outcomes = []
-    for lp in _fractional_bound_programs():
-        out = solve(lp)
+    solved = [(lp, solve(lp)) for lp in _fractional_bound_programs()]
+    for lp, out in solved:
         outcomes.append(out.status)
         if out.status == "optimal":
             assert feasibility_violations(lp, out.primal) == []
@@ -412,32 +426,81 @@ def test_fractional_bounds_solve_to_enumerated_vertices():
         else:
             assert enumerate_basic_solutions(lp) == ()
             assert farkas_violations(lp, out.certificate) == []
-    assert outcomes == ["optimal", "optimal", "infeasible", "infeasible"]
+    assert outcomes == ["optimal"] * 3 + ["infeasible"] * 3
+    lp, out = solved[2]
+    assert [n for n, v, up in zip(lp.names, out.primal, lp.upper) if v == up] == ["x", "y", "z"]
+    assert out.objective_value == Fraction(31, 3)
+    lp, out = solved[5]
+    uppers = out.certificate.upper_multipliers
+    assert [n for n, u, lo in zip(lp.names, uppers, lp.lower) if u and lo is not None] == ["x", "y"]
 
 
 def test_integer_standard_form_matches_the_rational_one(programs):
-    fractional = 0
+    """The simplex's form against the oracle's, which splits every variable
+    without a lower bound and writes every upper bound as a row. The user
+    rows agree column by column, except that a mirrored variable (only an
+    upper bound u, x = u - x') has the negated coefficient of the oracle's
+    positive part and moves the rhs by its coefficient times u. Each
+    ``("upper", j)`` row of the oracle's form appears as an equal column
+    bound, or, for a mirrored variable, as its offset."""
+    fractional = mirrored = bounded = 0
     for lp, _ in programs:
         ours, theirs = _int_standardize(lp), _standardize(lp)
-        assert ours.ncols == theirs.ncols
-        assert ours.col_kind == theirs.col_kind
-        assert ours.row_rel == theirs.row_rel
-        assert ours.row_origin == theirs.row_origin
-        assert ours.cost_const == theirs.cost_const
-        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == len(theirs.rows)
-        for row, den, rhs, dense_row, dense_rhs in zip(
-            ours.rows, ours.dens, ours.row_rhs, theirs.rows, theirs.row_rhs
+        our_cols, their_cols = {}, {}
+        for cols, form in ((our_cols, ours), (their_cols, theirs)):
+            for col, (_, j) in enumerate(form.col_kind):
+                cols.setdefault(j, []).append(col)
+        mirror = {j: lp.upper[j] for tag, j in ours.col_kind if tag == "mirror"}
+        mirrored += len(mirror)
+        for j in range(lp.num_vars):
+            kinds = [theirs.col_kind[col][0] for col in their_cols[j]]
+            expected = ["mirror"] if j in mirror else kinds
+            assert [ours.col_kind[col][0] for col in our_cols[j]] == expected
+        assert ours.ncols == theirs.ncols - len(mirror)
+
+        def translated(dense):
+            out = {}
+            for col, v in dense.items():
+                tag, j = theirs.col_kind[col]
+                if j not in mirror:
+                    out[our_cols[j][their_cols[j].index(col)]] = v
+                elif tag == "pos":
+                    out[our_cols[j][0]] = -v
+            return out
+
+        user = list(range(len(lp.constraints)))
+        assert [k for k, origin in enumerate(theirs.row_origin) if origin[0] == "user"] == user
+        assert ours.row_rel == theirs.row_rel[: len(user)]
+        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == len(user)
+        for con, row, den, rhs, dense_row, dense_rhs in zip(
+            lp.constraints, ours.rows, ours.dens, ours.row_rhs, theirs.rows, theirs.row_rhs
         ):
             assert den > 0
-            assert {j: Fraction(v, den) for j, v in row.items()} == dense_row
-            assert Fraction(rhs, den) == dense_rhs
+            assert {j: Fraction(v, den) for j, v in row.items()} == translated(dense_row)
+            moved = sum((con.coeffs.get(j, 0) * u for j, u in mirror.items()), Fraction(0))
+            assert Fraction(rhs, den) == dense_rhs - moved
             # lowest terms: the rows the tableau starts from are unique
             assert math.gcd(den, rhs, *row.values()) == 1
             fractional += den > 1
+        bounds = {}
+        for origin, dense_row, dense_rhs in zip(theirs.row_origin, theirs.rows, theirs.row_rhs):
+            if origin[0] == "upper":
+                j = origin[1]
+                assert translated(dense_row) == {our_cols[j][0]: -1 if j in mirror else 1}
+                if j in mirror:
+                    assert dense_rhs == mirror[j]
+                else:
+                    bounds[our_cols[j][0]] = dense_rhs
+                    bounded += 1
+        assert {col: Fraction(*b) for col, b in ours.col_upper.items()} == bounds
         assert ours.cost_den > 0
-        assert {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()} == theirs.costs
+        costs = {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()}
+        assert costs == translated(theirs.costs)
         assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
-    assert fractional
+        sign = -1 if lp.maximize else 1
+        moved = sum((sign * lp.objective[j] * u for j, u in mirror.items()), Fraction(0))
+        assert ours.cost_const == theirs.cost_const + moved
+    assert fractional and mirrored and bounded
 
 
 def _row_breaking(lp, x, k):

@@ -130,22 +130,26 @@ def test_unbounded():
 
 def test_beale_cycling_instance_terminates():
     # Classic degenerate instance that cycles under most-negative pivoting.
-    # Bland's rule must terminate at value -1/20.
-    b = LPBuilder()
-    x4 = b.add_var("x4", lower=0)
-    x5 = b.add_var("x5", lower=0)
-    x6 = b.add_var("x6", lower=0)
-    x7 = b.add_var("x7", lower=0)
-    b.add_objective(x4, rational("-3/4"))
-    b.add_objective(x5, 150)
-    b.add_objective(x6, rational("-1/50"))
-    b.add_objective(x7, 6)
-    b.add_constraint({x4: rational("1/4"), x5: -60, x6: rational("-1/25"), x7: 9}, "<=", 0)
-    b.add_constraint({x4: rational("1/2"), x5: -90, x6: rational("-1/50"), x7: 3}, "<=", 0)
-    b.add_constraint({x6: 1}, "<=", 1)
-    out = solve(b.build(maximize=False))
-    assert out.status == "optimal"
-    assert out.objective_value == rational("-1/20")
+    # Bland's rule must terminate at value -1/20, also when x6 <= 1 is a
+    # column bound, where bound flips join the ties.
+    for bounded in (False, True):
+        b = LPBuilder()
+        x4 = b.add_var("x4", lower=0)
+        x5 = b.add_var("x5", lower=0)
+        x6 = b.add_var("x6", lower=0, upper=1 if bounded else None)
+        x7 = b.add_var("x7", lower=0)
+        b.add_objective(x4, rational("-3/4"))
+        b.add_objective(x5, 150)
+        b.add_objective(x6, rational("-1/50"))
+        b.add_objective(x7, 6)
+        b.add_constraint({x4: rational("1/4"), x5: -60, x6: rational("-1/25"), x7: 9}, "<=", 0)
+        b.add_constraint({x4: rational("1/2"), x5: -90, x6: rational("-1/50"), x7: 3}, "<=", 0)
+        if not bounded:
+            b.add_constraint({x6: 1}, "<=", 1)
+        out = solve(b.build(maximize=False))
+        assert out.status == "optimal"
+        assert out.objective_value == rational("-1/20")
+        assert out.primal == (rational("1/25"), ZERO, rational(1), ZERO)
 
 
 def test_feasibility_violations_reports():
@@ -278,9 +282,21 @@ def _outcome_text(out):
     return ";".join(parts)
 
 
-# sha256 over every outcome below, recorded with the Fraction-based tableau;
-# any change of pivots shows up as a changed point, certificate or dual.
-PINNED_OUTCOMES = "9515ab73592fcd95eb2b881687fa43c47f9cdd33fdf054483701be6ad1d14d55"
+def _decision_text(out):
+    return out.status + ";" + ("-" if out.objective_value is None else format_rational(out.objective_value))
+
+
+# sha256 digests over the programs below, per structure in builder order.
+# The decisions (status and optimum) of every program were recorded before
+# bounds left the tableau, and so were the full outcomes of the two
+# common-prior programs, which have no upper bounds. The trade programs'
+# full outcomes were re-pinned when bounds became column bounds: points and
+# duals moved on 19 of 206 agreeable and 71 of 206 acceptable programs,
+# with every decision and optimum unchanged. Any change of pivots shows up
+# as a changed point, certificate or dual.
+PINNED_DECISIONS = "658ff1974b2b1587664cde30fec585c9cbd9133eccb729e85b86e2cc137cdb9f"
+PINNED_PRIOR_OUTCOMES = "8b31d55018e0aa4b3f6ac3303556169648c59612b5571fc7950a744a244c4c92"
+PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed81ccb7011"
 
 
 def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -300,11 +316,18 @@ def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     )
     structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
     structures += [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
-    digest = hashlib.sha256()
-    for s in structures:
-        for build in builders:
-            digest.update(_outcome_text(solve(build(s))).encode() + b"\n")
-    assert digest.hexdigest() == PINNED_OUTCOMES
+    outcomes = [[solve(build(s)) for build in builders] for s in structures]
+
+    def digest(text, kinds):
+        h = hashlib.sha256()
+        for row in outcomes:
+            for k in kinds:
+                h.update(text(row[k]).encode() + b"\n")
+        return h.hexdigest()
+
+    assert digest(_decision_text, range(4)) == PINNED_DECISIONS
+    assert digest(_outcome_text, (0, 1)) == PINNED_PRIOR_OUTCOMES
+    assert digest(_outcome_text, (2, 3)) == PINNED_TRADE_OUTCOMES
 
 
 def test_bland_ties_leave_on_the_smaller_basis_index():

@@ -31,6 +31,8 @@ from prior_forge import (
 )
 from prior_forge.harness import (
     GeneratorConfig,
+    acceptable_trade_program,
+    agreeable_trade_program,
     common_prior_program,
     component_substructures,
     planted_structure,
@@ -433,6 +435,8 @@ def test_blocks_match_the_program_on_broken_planted_structures(
     out = solve(common_prior_program(structure))
     assert (out.status == "optimal") == walk.common
     assert out.status == "infeasible" or out.objective_value == ZERO
+    assert (solve(agreeable_trade_program(structure)).objective_value > ZERO) == (not walk.common)
+    assert solve(acceptable_trade_program(structure)).objective_value > ZERO
     universal = find_universal_common_prior(structure) is not None
     assert grades(structure, walk.payoffs) == (True, True, not universal, not walk.common)
 
