@@ -7,7 +7,9 @@ directory, so the repository's own git state is left untouched. For every
 workload declared in ``BENCHMARK.json`` the script runs
 ``perfbench/run.py`` in 10 alternating pairs (base first in even pairs, the
 working tree first in odd ones), each run with the same seed and the run
-length ``BENCHMARK.json`` fixes, and writes ``BENCH_<pr>.json`` at the repository root: every run's metrics,
+length ``BENCHMARK.json`` fixes, and writes ``BENCH_<pr>.json`` (seed 1) or
+``BENCH_<pr>_seed<k>.json`` (any other seed k) at the repository root, so
+runs with different seeds keep their own files: every run's metrics,
 operation counts and output digest, and per end-to-end metric each side's
 median and quartiles, the base's interquartile range, the number of pairs
 the working tree won (ties count for neither side), and how far the working
@@ -40,6 +42,11 @@ def export(rev: str, target: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(target, filter="data")
     return sha
+
+
+def output_name(pr: int, seed: int) -> str:
+    """The BENCH file a run with this PR number and seed writes."""
+    return f"BENCH_{pr}.json" if seed == 1 else f"BENCH_{pr}_seed{seed}.json"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -128,7 +135,7 @@ def main(argv=None) -> int:
                 "failed": {side: sum(run[side]["failed"] for run in runs) for side in ("base", "change")},
                 "metrics": {m["name"]: summarize(runs, m) for m in spec["end_to_end"]},
             }
-    target = ROOT / f"BENCH_{args.pr}.json"
+    target = ROOT / output_name(args.pr, args.seed)
     target.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {target}")
     return 0

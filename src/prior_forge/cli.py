@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
-from .harness import GeneratorConfig, cross_check, random_structure
+from .harness import GeneratorConfig, cross_check, minimize_failure, random_structure
 from .jsonio import (
     SCHEMA,
     dumps_canonical,
@@ -186,8 +186,8 @@ def _cmd_fuzz(args) -> int:
                 {"name": f.name, "details": f.details} for f in rep.failures
             ],
             "minimized": None
-            if rep.minimized is None
-            else structure_to_json(rep.minimized),
+            if rep.passed
+            else structure_to_json(minimize_failure(structure, args.sample_count, cfg)),
         }
         sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
         all_passed = all_passed and rep.passed

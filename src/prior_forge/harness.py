@@ -15,7 +15,8 @@ grades from it; it solves the trade LPs and requires the same decisions as
 the finders. The joint common-prior formulation, with explicit hull
 weights, is the oracle of the projected program in ``oracle_battery``. The
 term-by-term ``Fraction`` oracles of the integer paths live with the tests,
-in ``tests/oracles.py``.
+in ``tests/oracles.py``. cross_check and run_battery report failures
+unshrunk; ``minimize_failure`` shrinks one for ``prior-forge fuzz``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -23,6 +24,7 @@ compositions with bounded denominators; supports are thinned, each state
 dropped with probability ``ZERO_MASS_RATE``, so sparse structures (rich
 component geometry) appear often. ``planted_structure`` draws the other
 side at any size: a structure built around a chosen strong common prior.
+No state outlives a call: the Bell numbers are built once per structure.
 """
 
 from __future__ import annotations
@@ -102,38 +104,33 @@ class GeneratorConfig:
             raise InputError("generator sizes must be positive")
 
 
-# The Bell numbers found so far and the last row of the Bell triangle, whose
-# first entry is the last of them; ``_bell`` extends both on demand.
-_BELL = ([1], [1])
-
-
-def _bell(n: int) -> int:
-    """The Bell number B_n, by the Bell triangle: each row starts with the
-    last entry of the row above, and each further entry is its left
-    neighbour plus the entry above that neighbour, one big-int addition per
-    entry. Row n starts with B_n."""
-    bells, row = _BELL
+def _bell_numbers(n: int) -> list[int]:
+    """B_0..B_n, by the Bell triangle: each row starts with the last entry
+    of the row above, and each further entry is its left neighbour plus the
+    entry above that neighbour, one big-int addition per entry. Row k
+    starts with B_k."""
+    bells, row = [1], [1]
     while len(bells) <= n:
         nxt = [row[-1]]
         for above in row:
             nxt.append(nxt[-1] + above)
-        row[:] = nxt
-        bells.append(nxt[0])
-    return bells[n]
+        row = nxt
+        bells.append(row[0])
+    return bells
 
 
-def _sample_set_partition(items: list[int], rng: random.Random) -> list[list[int]]:
+def _sample_set_partition(items: list[int], rng: random.Random, bells: list[int]) -> list[list[int]]:
     """Uniform over all set partitions: pick the size of the block holding
     the first item with the exact Bell-recurrence probabilities, then its
-    members, then recurse."""
+    members, then recurse. ``bells`` holds B_0 up to at least B_len(items)
+    (``_bell_numbers``)."""
     if not items:
         return []
     n = len(items)
-    total = _bell(n)
-    pick = rng.randrange(total)
+    pick = rng.randrange(bells[n])
     acc = 0
     for size in range(1, n + 1):
-        acc += math.comb(n - 1, size - 1) * _bell(n - size)
+        acc += math.comb(n - 1, size - 1) * bells[n - size]
         if pick < acc:
             break
     rest = items[1:]
@@ -141,7 +138,7 @@ def _sample_set_partition(items: list[int], rng: random.Random) -> list[list[int
     block = [items[0], *mates]
     taken = set(mates)
     remaining = [x for x in rest if x not in taken]
-    return [block, *_sample_set_partition(remaining, rng)]
+    return [block, *_sample_set_partition(remaining, rng, bells)]
 
 
 def _drop(rng: random.Random) -> bool:
@@ -177,10 +174,11 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
     n = rng.randint(1, cfg.max_players)
     states = [f"w{k + 1}" for k in range(m)]
     players = [f"P{k + 1}" for k in range(n)]
+    bells = _bell_numbers(m)
     partitions = []
     cell_types = []
     for _ in range(n):
-        blocks = _sample_set_partition(list(range(m)), rng)
+        blocks = _sample_set_partition(list(range(m)), rng, bells)
         blocks = sorted([sorted(b) for b in blocks])
         partitions.append(blocks)
         cell_types.append(
@@ -208,9 +206,10 @@ def planted_structure(
     rng.shuffle(order)
     cuts = [0, *sorted(rng.sample(range(1, m), blocks - 1)), m]
     split = [sorted(order[cuts[k] : cuts[k + 1]]) for k in range(blocks)]
+    bells = _bell_numbers(max(map(len, split)))
     partitions, cell_types = [], []
     for _ in range(n):
-        cells = [cell for block in split for cell in _sample_set_partition(block, rng)]
+        cells = [cell for block in split for cell in _sample_set_partition(block, rng, bells)]
         rows = []
         for cell in cells:
             mass = sum((prior[w] for w in cell), ZERO)
@@ -256,7 +255,6 @@ class CrossCheckReport:
     structure: InformationStructure
     checks_run: int
     failures: tuple[CheckFailure, ...]
-    minimized: InformationStructure | None = None
     skipped: int = 0  # checks left out because the structure exceeds their cap
 
     @property
@@ -313,16 +311,9 @@ def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
     positive = _event_set(table, lambda e: e > ZERO)
     nonneg = _event_set(table, lambda e: e >= ZERO)
     m = structure.num_states
-    if positive:
-        cc_everywhere = all(
-            is_commonly_certain(structure, positive, w) for w in range(m)
-        )
-        cc_somewhere = any(
-            is_commonly_certain(structure, positive, w) for w in range(m)
-        )
-    else:
-        cc_everywhere = False
-        cc_somewhere = False
+    # With no positive state neither grade holds: [False] answers both.
+    certain = [is_commonly_certain(structure, positive, w) for w in range(m)] if positive else [False]
+    cc_everywhere, cc_somewhere = all(certain), any(certain)
     rec.check(
         f"{label}: agreeable == commonly-certain-everywhere",
         cls.agreeable == cc_everywhere,
@@ -609,7 +600,6 @@ def cross_check(
     structure: InformationStructure,
     sample_count: int = 2,
     cfg: GeneratorConfig | None = None,
-    minimize: bool = True,
 ) -> CrossCheckReport:
     """All six exactly-one dualities, the presence chains, the single-player
     theory on each player's view, and the commonly-certain reformulations,
@@ -755,23 +745,18 @@ def cross_check(
                 lambda: f"player {i} p={tuple(dist)}",
             )
 
-    minimized = None
-    if rec.failures and minimize:
-        minimized = _minimize_failure(structure, sample_count, cfg)
-    return CrossCheckReport(structure, rec.count, tuple(rec.failures), minimized, rec.skipped)
+    return CrossCheckReport(structure, rec.count, tuple(rec.failures), rec.skipped)
 
 
-def _still_fails(structure: InformationStructure, sample_count: int, cfg: GeneratorConfig) -> bool:
+def _still_fails(structure: InformationStructure, sample_count: int, cfg: GeneratorConfig | None) -> bool:
     try:
-        report = cross_check(structure, sample_count, cfg, minimize=False)
+        report = cross_check(structure, sample_count, cfg)
     except PriorForgeError:
         return True
     return not report.passed
 
 
-def _delete_player(structure: InformationStructure, player: int) -> InformationStructure | None:
-    if structure.num_players <= 1:
-        return None
+def _delete_player(structure: InformationStructure, player: int) -> InformationStructure:
     keep = [i for i in range(structure.num_players) if i != player]
     return make_structure(
         structure.states,
@@ -782,8 +767,8 @@ def _delete_player(structure: InformationStructure, player: int) -> InformationS
 
 
 def _delete_state(structure: InformationStructure, state: int) -> InformationStructure | None:
-    if structure.num_states <= 1:
-        return None
+    """``structure`` without ``state``, each type renormalized on what its
+    support keeps; None when a cell keeps states but no mass."""
     keep = [w for w in range(structure.num_states) if w != state]
     index = {w: k for k, w in enumerate(keep)}
     partitions = []
@@ -795,11 +780,12 @@ def _delete_state(structure: InformationStructure, state: int) -> InformationStr
             cell = [w for w in old if w != state]
             if not cell:
                 continue
-            mass = sum((t[w] for w in cell), ZERO)
-            if mass == ZERO:
+            support = [w for w in t.support() if w != state]
+            if not support:
                 return None  # renormalization impossible; skip this deletion
+            mass = t.mass(support)
             blocks.append([index[w] for w in cell])
-            types.append([t[w] / mass for w in keep])
+            types.append({index[w]: t[w] / mass for w in support})
         partitions.append(blocks)
         cell_types.append(types)
     return make_structure(
@@ -810,33 +796,33 @@ def _delete_state(structure: InformationStructure, state: int) -> InformationStr
     )
 
 
-def _minimize_failure(
-    structure: InformationStructure, sample_count: int, cfg: GeneratorConfig
-) -> InformationStructure:
-    """Greedy shrinking: drop players, then states (renormalizing types),
-    keeping every deletion that preserves failure."""
-    current = structure
-    changed = True
-    while changed:
-        changed = False
-        for i in range(current.num_players):
-            candidate = _delete_player(current, i)
-            if candidate is not None and _still_fails(candidate, sample_count, cfg):
-                current = candidate
-                changed = True
-                break
-        if changed:
-            continue
-        for w in range(current.num_states):
+def _one_smaller(structure: InformationStructure) -> Iterator[InformationStructure]:
+    """Every player deletion, then every state deletion, in index order."""
+    if structure.num_players > 1:
+        for i in range(structure.num_players):
+            yield _delete_player(structure, i)
+    if structure.num_states > 1:
+        for w in range(structure.num_states):
             try:
-                candidate = _delete_state(current, w)
+                candidate = _delete_state(structure, w)
             except PriorForgeError:
-                candidate = None
-            if candidate is not None and _still_fails(candidate, sample_count, cfg):
-                current = candidate
-                changed = True
-                break
-    return current
+                continue
+            if candidate is not None:
+                yield candidate
+
+
+def minimize_failure(
+    structure: InformationStructure, sample_count: int, cfg: GeneratorConfig | None
+) -> InformationStructure:
+    """Greedy shrinking of a structure that fails ``cross_check`` with these
+    arguments: move to the first one-smaller candidate that still fails,
+    until none does."""
+    current = structure
+    while True:
+        smaller = next((c for c in _one_smaller(current) if _still_fails(c, sample_count, cfg)), None)
+        if smaller is None:
+            return current
+        current = smaller
 
 
 @dataclass(frozen=True)

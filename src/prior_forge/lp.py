@@ -329,18 +329,15 @@ def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tu
 
 
 class _StdForm(NamedTuple):
-    """The oracle's standard form in rationals, term by term, with every
-    finite upper bound a ``<=`` row: the form that
-    ``enumerate_basic_solutions`` enumerates."""
+    """The oracle's standard form in rationals, term by term: the user rows
+    in order, then one ``<=`` row per finite upper bound in variable order.
+    The form that ``enumerate_basic_solutions`` enumerates."""
 
     ncols: int
     col_kind: list[tuple]         # per std column: ("shift", j) | ("pos", j) | ("neg", j)
     rows: list[dict]              # transformed coefficient rows (sparse), pre-negation
     row_rel: list[str]
     row_rhs: list
-    row_origin: list[tuple]       # ("user", k) | ("upper", j)
-    cost_const: object
-    costs: dict                   # minimization costs over std columns
 
 
 class _IntStdForm(NamedTuple):
@@ -451,8 +448,7 @@ def _standardize(lp: LinearProgram) -> _StdForm:
     rows: list[dict] = []
     row_rel: list[str] = []
     row_rhs: list = []
-    row_origin: list[tuple] = []
-    for k, con in enumerate(lp.constraints):
+    for con in lp.constraints:
         row: dict = {}
         rhs = con.rhs
         for j, a in con.coeffs.items():
@@ -463,26 +459,13 @@ def _standardize(lp: LinearProgram) -> _StdForm:
         rows.append(row)
         row_rel.append(con.rel)
         row_rhs.append(rhs)
-        row_origin.append(("user", k))
     for j, up in enumerate(lp.upper):
         if up is None:
             continue
         rows.append({col: ONE if sign == 1 else -ONE for col, sign in col_of_var[j]})
         row_rel.append(LESS)
         row_rhs.append(up - lp.lower[j] if lp.lower[j] else up)
-        row_origin.append(("upper", j))
-
-    raw_costs = lp.objective if not lp.maximize else tuple(-c for c in lp.objective)
-    costs: dict = {}
-    cost_const = ZERO
-    for j, c in enumerate(raw_costs):
-        if not c:
-            continue
-        if lp.lower[j]:
-            cost_const += c * lp.lower[j]
-        for col, sign in col_of_var[j]:
-            costs[col] = c if sign == 1 else -c
-    return _StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs, row_origin, cost_const, costs)
+    return _StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs)
 
 
 # -- simplex -------------------------------------------------------------

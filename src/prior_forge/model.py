@@ -332,7 +332,7 @@ def forward_closed(structure: InformationStructure, states: Iterable[int]) -> bo
         raise DimensionError("state index out of range")
     for i in range(structure.num_players):
         for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            if not inside.isdisjoint(cell) and not inside.issuperset(w for w in cell if t[w]):
+            if not inside.isdisjoint(cell) and not inside.issuperset(t.support()):
                 return False
     return True
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from prior_forge import SCHEMA, DimensionError, dumps_canonical, lp
+from prior_forge import SCHEMA, DimensionError, dumps_canonical, harness, lp
 from prior_forge.cli import main
 
 
@@ -296,6 +296,23 @@ def test_fuzz_negative_sample_count_is_input_error(run):
     assert "sample count must be non-negative" in err
     code, _, _ = run("fuzz", "--seeds", "0..1", "--sample-count", "0")
     assert code == 0
+
+
+# sha256 over exit code, stdout and stderr of fuzz over seeds 0..40 with the
+# agreeable-trade finder broken, so that every seed without a common prior
+# fails and its line carries the shrunk structure.
+PINNED_FUZZ_FAILURES = "a9d3499fb3395c6615b839bf192005ed5b41903b973e028808ba48d1c7e808d5"
+
+
+def test_fuzz_shrinks_each_failing_seed(run, monkeypatch):
+    monkeypatch.setattr(harness, "find_agreeable_trade", lambda structure: None)
+    code, out, err = run("fuzz", "--seeds", "0..40")
+    assert code == 3
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [doc["minimized"] is None for doc in docs] == [not doc["failures"] for doc in docs]
+    assert sum(doc["minimized"] is not None for doc in docs) == 9
+    digest = hashlib.sha256(f"{code}\n{out}\n{err}\n".encode()).hexdigest()
+    assert digest == PINNED_FUZZ_FAILURES
 
 
 # -- plumbing --------------------------------------------------------------------

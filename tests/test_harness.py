@@ -5,6 +5,8 @@ import json
 import math
 import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -25,7 +27,7 @@ from prior_forge import (
     structure_digest,
 )
 from prior_forge import harness
-from prior_forge.harness import common_prior_program
+from prior_forge.harness import common_prior_program, minimize_failure
 from prior_forge.priors import NOTIONS, blocks
 
 
@@ -81,7 +83,6 @@ def test_cross_check_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
         report = cross_check(s, sample_count=3, cfg=GeneratorConfig())
         assert report.passed, report.failures
         assert report.checks_run > 0
-        assert report.minimized is None
 
 
 def _fresh(fixture_path, name):
@@ -104,7 +105,7 @@ def test_cross_check_verifies_a_forged_witness(fixture_path, monkeypatch):
     probs[1] = ZERO
     forged = replace(witness, prior=Distribution(tuple(probs)))
     monkeypatch.setattr(harness, "find_strong_common_prior", lambda structure: forged)
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     assert "prior witness re-verifies" in [f.name for f in report.failures]
 
 
@@ -114,7 +115,7 @@ def test_failed_checks_keep_their_details(fixture_path, monkeypatch):
     # nothing fails the pump duality on every sample cross_check draws.
     s = _fresh(fixture_path, "ex_pl2")
     monkeypatch.setattr(harness, "find_multiplayer_money_pump", lambda structure, dist: None)
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     rng = random.Random(structure_digest(s))
     drawn = (*NOTIONS, NOTIONS[0])
     dists = [random_distribution(s, GeneratorConfig(), notion, rng) for notion in drawn]
@@ -137,7 +138,7 @@ def test_harness_holds_no_dense_oracles_and_no_json():
 def test_cross_check_oracle_catches_a_wrong_trade_finder(fixture_path, monkeypatch):
     s = _fresh(fixture_path, "ex_pl2")
     monkeypatch.setattr(harness, "find_agreeable_trade", lambda structure: None)
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     assert "oracle: agreeable program matches the agreeable trade" in _oracle_failures(report)
 
 
@@ -148,7 +149,7 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     # Plant a walk that calls every block live: production then reads "no
     # acceptable trade" off it, and the programs object.
     s.derived("blocks", lambda _: replace(walk, live=(True,) * 3, payoffs=None))
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     failures = _oracle_failures(report)
     assert "oracle: acceptable program matches the acceptable trade" in failures
     assert "oracle: common-prior program decides as the blocks" in failures
@@ -160,7 +161,7 @@ def test_cross_check_oracle_catches_a_wrong_closed_form(fixture_path):
     walk = blocks(_fresh(fixture_path, "ex_plbet4"))
     s = _fresh(fixture_path, "ex_plbet4")
     s.derived("blocks", lambda _: replace(walk, margin=walk.margin / 2))
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     assert [f.name for f in report.failures] == [
         "oracle: closed-form strong prior equals the margin program's optimum"
     ]
@@ -175,7 +176,7 @@ def test_cross_check_oracle_reports_a_dead_block_the_program_refutes(fixture_pat
     dead = (False,) + walk.live[1:]
     payoffs = ((ZERO,) * s.num_states,) * s.num_players
     s.derived("blocks", lambda _: replace(walk, live=dead, margin=ZERO, payoffs=payoffs))
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     assert "oracle: program trade grades as the block trade" in _oracle_failures(report)
 
 
@@ -186,7 +187,7 @@ def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypat
     s = _fresh(fixture_path, "pl4")
     assert solve(common_prior_program(s)).objective_value == ZERO
     monkeypatch.setattr(harness, "find_acceptable_trade", lambda structure: None)
-    report = cross_check(s, minimize=False)
+    report = cross_check(s)
     assert "oracle: acceptable program matches the acceptable trade" in _oracle_failures(report)
 
 
@@ -199,13 +200,11 @@ def test_failure_minimizer_shrinks_to_a_failing_core(monkeypatch, seed, states, 
     # the failure persists.
     monkeypatch.setattr(harness, "find_agreeable_trade", lambda structure: None)
     structure = random_structure(GeneratorConfig(seed=seed))
-    report = cross_check(structure)
-    assert not report.passed
-    minimized = report.minimized
+    assert not cross_check(structure).passed
+    minimized = minimize_failure(structure, 2, GeneratorConfig())
     assert (minimized.states, minimized.players) == (states, players)
     assert minimized.num_states < structure.num_states
-    again = cross_check(minimized, minimize=False)
-    assert not again.passed and again.minimized is None
+    assert not cross_check(minimized).passed
 
 
 def test_battery_slice():
@@ -243,6 +242,50 @@ def _bell_by_recurrence(n, memo={0: 1}):
 
 
 def test_bell_triangle_matches_the_recurrence():
-    for n in range(101):
-        assert harness._bell(n) == _bell_by_recurrence(n)
-    assert [harness._bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert harness._bell_numbers(100) == [_bell_by_recurrence(n) for n in range(101)]
+    for n in range(8):
+        assert harness._bell_numbers(n) == [1, 1, 2, 5, 15, 52, 203, 877][: n + 1]
+
+
+# Run in a fresh interpreter, so that no earlier test has already grown a
+# module-level memo: every ``prior_forge`` global that is not a module, a
+# routine or a class is snapshotted by its repr, before and after a round
+# of generation, battery and analysis.
+_GLOBALS_GUARD = """
+import importlib, inspect, pkgutil, random
+import prior_forge
+from prior_forge import analyze, cross_check
+from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
+
+modules = [prior_forge] + [
+    importlib.import_module(f"prior_forge.{info.name}") for info in pkgutil.iter_modules(prior_forge.__path__)
+]
+
+def snapshot():
+    return {
+        (module.__name__, name): repr(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not (inspect.ismodule(value) or inspect.isroutine(value) or inspect.isclass(value))
+    }
+
+before = snapshot()
+structures = [random_structure(GeneratorConfig(seed=seed)) for seed in range(50)]
+for s in structures:
+    cross_check(s)
+    analyze(s)
+analyze(planted_structure(200, 2, 2, random.Random(0))[0])
+after = snapshot()
+print(len(before))
+print(sorted(key for key in before.keys() | after.keys() if before.get(key) != after.get(key)))
+"""
+
+
+def test_no_module_state_changes_across_calls():
+    proc = subprocess.run(
+        [sys.executable, "-c", _GLOBALS_GUARD], check=True, capture_output=True, text=True, timeout=300
+    )
+    count, changed = proc.stdout.splitlines()
+    assert int(count) > 20  # the snapshot sees the package's constants
+    assert changed == "[]"

@@ -440,9 +440,12 @@ def test_integer_standard_form_matches_the_rational_one(programs):
     without a lower bound and writes every upper bound as a row. The user
     rows agree column by column, except that a mirrored variable (only an
     upper bound u, x = u - x') has the negated coefficient of the oracle's
-    positive part and moves the rhs by its coefficient times u. Each
-    ``("upper", j)`` row of the oracle's form appears as an equal column
-    bound, or, for a mirrored variable, as its offset."""
+    positive part and moves the rhs by its coefficient times u. The
+    oracle's rows after the user rows, one per finite upper bound in
+    variable order, each appear as an equal column bound, or, for a mirrored
+    variable, as its offset. The simplex's costs and cost constant are the
+    objective's, signed for minimization, moved through the same columns
+    and offsets."""
     fractional = mirrored = bounded = 0
     for lp, _ in programs:
         ours, theirs = _int_standardize(lp), _standardize(lp)
@@ -469,7 +472,8 @@ def test_integer_standard_form_matches_the_rational_one(programs):
             return out
 
         user = list(range(len(lp.constraints)))
-        assert [k for k, origin in enumerate(theirs.row_origin) if origin[0] == "user"] == user
+        upper = [j for j, up in enumerate(lp.upper) if up is not None]
+        assert len(theirs.rows) == len(theirs.row_rel) == len(theirs.row_rhs) == len(user) + len(upper)
         assert ours.row_rel == theirs.row_rel[: len(user)]
         assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == len(user)
         for con, row, den, rhs, dense_row, dense_rhs in zip(
@@ -483,23 +487,28 @@ def test_integer_standard_form_matches_the_rational_one(programs):
             assert math.gcd(den, rhs, *row.values()) == 1
             fractional += den > 1
         bounds = {}
-        for origin, dense_row, dense_rhs in zip(theirs.row_origin, theirs.rows, theirs.row_rhs):
-            if origin[0] == "upper":
-                j = origin[1]
-                assert translated(dense_row) == {our_cols[j][0]: -1 if j in mirror else 1}
-                if j in mirror:
-                    assert dense_rhs == mirror[j]
-                else:
-                    bounds[our_cols[j][0]] = dense_rhs
-                    bounded += 1
+        tail = zip(upper, theirs.rows[len(user) :], theirs.row_rel[len(user) :], theirs.row_rhs[len(user) :])
+        for j, dense_row, rel, dense_rhs in tail:
+            assert rel == "<="
+            assert translated(dense_row) == {our_cols[j][0]: -1 if j in mirror else 1}
+            if j in mirror:
+                assert dense_rhs == mirror[j]
+            else:
+                bounds[our_cols[j][0]] = dense_rhs
+                bounded += 1
         assert {col: Fraction(*b) for col, b in ours.col_upper.items()} == bounds
         assert ours.cost_den > 0
         costs = {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()}
-        assert costs == translated(theirs.costs)
-        assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
         sign = -1 if lp.maximize else 1
-        moved = sum((sign * lp.objective[j] * u for j, u in mirror.items()), Fraction(0))
-        assert ours.cost_const == theirs.cost_const + moved
+        signed = {
+            col: sign * lp.objective[j] * (-1 if tag == "neg" else 1)
+            for col, (tag, j) in enumerate(theirs.col_kind)
+            if lp.objective[j]
+        }
+        assert costs == translated(signed)
+        assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
+        offsets = {j: lo for j, lo in enumerate(lp.lower) if lo is not None} | mirror
+        assert ours.cost_const == sum((sign * lp.objective[j] * off for j, off in offsets.items()), Fraction(0))
     assert fractional and mirrored and bounded
 
 
