@@ -91,7 +91,6 @@ from .trades import (
     DistributionVerdict,
     MoneyPumpWitness,
     PriorReport,
-    SemiTrade,
     Trade,
     TradeClassification,
     build_prior_report,

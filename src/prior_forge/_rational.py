@@ -4,27 +4,11 @@ Everything in this package computes with exact rationals; floats are rejected
 at every parse boundary because rounding destroys the strict-vs-weak
 inequality distinctions the certificates rest on.
 
-The one backend is ``fractions.Fraction``, and the hot paths build as few
-of them as they can. Each ``lp.Constraint`` fixes its integer form at
-construction; the simplex standardizes, pivots and checks its own points and
-Farkas certificates on those ints and builds rationals only where it reads
-results off (see ``lp``). Each ``model.Distribution`` is built from its
-nonzero entries alone (``Distribution.from_support``): the parser skips the
-literals ``0`` and ``"0"`` before ``rational``, the generators draw only the
-support, and the dense rows hold the shared ``ZERO`` and ``0`` off it. It
-carries integer numerators over its least common denominator, the lcm over
-its support, fixed at construction: hull checks and witness verification
-compare cross-multiplied ints, and masses, expectations, pump pieces and
-deficits sum ints and build one rational per result. The block walk of ``priors`` runs on the types'
-integer forms: every cell mass, state value and transfer is a reduced pair
-of ints, compared by cross-multiplication, and rationals are built only for
-its results (the prior, its hull weights, the margin and the boxed trade).
-A money pump's semi-trade condition is one integer sign per player and
-cell, and its deficit one integer sum, from one integer form per payoff row,
-both in the search and, independently, in the witness's ``verify``.
-The exponential single-player oracles (``priors.is_conglomerable`` and
-``priors.disintegrable_by_definition``) walk the events in Gray-code order
-with running integer sums.
+The one backend is ``fractions.Fraction``. ``rational`` coerces ints,
+Fractions and the strict literal grammar ``a`` / ``a/b`` (ASCII digits, a
+minus sign on the numerator only, a nonzero denominator), and rejects floats
+and booleans. ``format_rational`` renders a rational as text and
+``to_json_value`` as a JSON value.
 """
 
 from __future__ import annotations

@@ -38,23 +38,19 @@ def _support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ..
 
 def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
     """The smallest component containing ``state``: itself plus everything
-    reachable from it in the support graph. Each state's closure is walked
-    once per structure and kept in a table on it, filled on demand: the
-    commonly-certain checks ask for the same few closures many times."""
+    reachable from it in the support graph, walked afresh on each call over
+    the structure's memoized support graph."""
     if not 0 <= state < structure.num_states:
         raise DimensionError(f"state index {state} out of range")
-    table = structure.derived("closures", lambda s: [None] * s.num_states)
-    if table[state] is None:
-        adj = support_graph(structure)
-        seen = {state}
-        stack = [state]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        table[state] = tuple(sorted(seen))
-    return table[state]
+    adj = support_graph(structure)
+    seen = {state}
+    stack = [state]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return tuple(sorted(seen))
 
 
 def is_commonly_certain(structure: InformationStructure, event: Iterable[int], state: int) -> bool:

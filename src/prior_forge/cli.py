@@ -36,7 +36,7 @@ from .jsonio import (
 from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
 from .report import notion_json, notion_lines, payoff_lines, prior_check_json
-from .report import prior_check_line, pump_json, pump_lines, trade_json
+from .report import prior_check_line, pump_json, pump_lines, trade_flags_line, trade_json
 from .report import verdict_json, verdict_line
 from .trades import classify_distribution, classify_trade, find_multiplayer_money_pump
 
@@ -132,19 +132,7 @@ def _cmd_classify(args) -> int:
     if args.trade is not None:
         payoffs = parse_payoffs(load_path(args.trade), structure)
         cls = classify_trade(structure, payoffs)
-        flags = [
-            name
-            for name, ok in (
-                ("trade", cls.is_trade),
-                ("semi-trade", cls.is_semi_trade),
-                ("acceptable", cls.acceptable),
-                ("weakly agreeable", cls.weakly_agreeable),
-                ("agreeable", cls.agreeable),
-            )
-            if ok
-        ]
-        line = "classification: " + (", ".join(flags) if flags else "none")
-        _emit(args, {"trade": trade_json(structure, payoffs, cls)}, [line])
+        _emit(args, {"trade": trade_json(structure, payoffs, cls)}, [trade_flags_line(cls)])
         return 0
     dist = parse_distribution(load_path(args.dist), structure)
     verdict = classify_distribution(structure, dist)
@@ -255,7 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=6)
     p.add_argument("--max-players", type=int, default=3)
     p.add_argument("--denominator-bound", type=int, default=6)
-    p.add_argument("--sample-count", type=int, default=2)
+    p.add_argument(
+        "--sample-count",
+        type=int,
+        default=2,
+        help="one distribution per prior notion plus SAMPLE_COUNT - 1 unconstrained "
+        "ones; 0 and 1 both draw one per notion",
+    )
 
     p = add("report", _cmd_report, "run every analysis on one structure")
     p.add_argument("--dist", metavar="P_JSON", help="also classify this distribution")

@@ -252,7 +252,6 @@ class CheckFailure:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    structure: InformationStructure
     checks_run: int
     failures: tuple[CheckFailure, ...]
     skipped: int = 0  # checks left out because the structure exceeds their cap
@@ -605,7 +604,8 @@ def cross_check(
     theory on each player's view, and the commonly-certain reformulations,
     on one structure. Deterministic: sampling is seeded by a content digest.
     The distribution-level checks run on one sample per notion and
-    sample_count - 1 more unconstrained ones."""
+    sample_count - 1 more unconstrained ones, so sample counts 0 and 1 both
+    draw one sample per notion and nothing more."""
     if sample_count < 0:
         raise InputError(f"sample count must be non-negative, got {sample_count}")
     if cfg is None:
@@ -669,8 +669,8 @@ def cross_check(
         )
 
     # Distribution-level dualities: one sample drawn to pass each notion's
-    # charge test, then sample_count - 1 more for the common notion, which
-    # charges nothing.
+    # charge test, then sample_count - 1 more (none for 0 or 1) for the
+    # common notion, which charges nothing.
     drawn = (*NOTIONS, *[NOTIONS[0]] * (sample_count - 1))
     samples = [(random_distribution(structure, cfg, n, rng), n) for n in drawn]
     sample_pumps = []
@@ -745,7 +745,7 @@ def cross_check(
                 lambda: f"player {i} p={tuple(dist)}",
             )
 
-    return CrossCheckReport(structure, rec.count, tuple(rec.failures), rec.skipped)
+    return CrossCheckReport(rec.count, tuple(rec.failures), rec.skipped)
 
 
 def _still_fails(structure: InformationStructure, sample_count: int, cfg: GeneratorConfig | None) -> bool:
@@ -919,5 +919,5 @@ def oracle_battery(seeds) -> BatteryReport:
         checked += 1
         checks += rec.count
         if rec.failures:
-            failures.append((seed, CrossCheckReport(structure, rec.count, tuple(rec.failures))))
+            failures.append((seed, CrossCheckReport(rec.count, tuple(rec.failures))))
     return BatteryReport(checked, checks, tuple(failures))

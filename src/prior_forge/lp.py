@@ -831,9 +831,14 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
         )
     seen = set()
     for cols in combinations(range(ncols), rank):
-        solution = _solve_square(reduced, cols, ncols)
-        if solution is None:
-            continue
+        # Nonbasic columns fixed to zero: a basis reduces to the identity,
+        # with the basic values in the last column.
+        square, _ = _row_reduce([[row[c] for c in cols] + [row[-1]] for row in reduced], rank)
+        if len(square) < rank:
+            continue  # singular: not a basis
+        solution = [ZERO] * ncols
+        for c, row in zip(cols, square):
+            solution[c] = row[-1]
         if any(v < ZERO for v in solution):
             continue
         point = _to_original(lp, std.col_kind, solution[: std.ncols])
@@ -845,7 +850,6 @@ def _row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
     """Gauss-Jordan over the augmented matrix; drops dependent rows."""
     rows = [list(r) for r in dense]
     kept: list[list] = []
-    pivot_cols: list[int] = []
     for col in range(ncols):
         target = None
         for row in rows:
@@ -858,7 +862,6 @@ def _row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
         inv = ONE / target[col]
         target = [v * inv for v in target]
         kept.append(target)
-        pivot_cols.append(col)
         for other in [*rows, *kept[:-1]]:
             f = other[col]
             if f:
@@ -869,29 +872,3 @@ def _row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
         if row[-1]:
             return [], False
     return kept, True
-
-
-def _solve_square(reduced: list[list], cols: tuple[int, ...], ncols: int) -> list | None:
-    """Solve the reduced system with nonbasic columns fixed to zero."""
-    r = len(reduced)
-    mat = [[row[c] for c in cols] + [row[-1]] for row in reduced]
-    # Forward elimination with exact pivots.
-    for i in range(r):
-        pivot_row = None
-        for k in range(i, r):
-            if mat[k][i]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            return None  # singular: not a basis
-        mat[i], mat[pivot_row] = mat[pivot_row], mat[i]
-        inv = ONE / mat[i][i]
-        mat[i] = [v * inv for v in mat[i]]
-        for k in range(r):
-            if k != i and mat[k][i]:
-                f = mat[k][i]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[i])]
-    solution = [ZERO] * ncols
-    for i, c in enumerate(cols):
-        solution[c] = mat[i][r]
-    return solution

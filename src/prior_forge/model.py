@@ -30,12 +30,10 @@ from .errors import (
 
 T = TypeVar("T")
 
-# A payoff vector is a plain tuple of exact rationals, one entry per state.
-PayoffVector = tuple
 
-
-def payoff_vector(values: Sequence, size: int | None = None) -> PayoffVector:
-    """Coerce a sequence into a payoff vector, rejecting floats."""
+def payoff_vector(values: Sequence, size: int | None = None) -> tuple:
+    """Coerce a sequence into a payoff vector, a plain tuple of exact
+    rationals with one entry per state, rejecting floats."""
     vec = tuple(rational(v) for v in values)
     if size is not None and len(vec) != size:
         raise DimensionError(f"payoff vector has {len(vec)} entries, expected {size}")
@@ -121,14 +119,11 @@ class Distribution:
 
 def dot(weights: Sequence, values: Sequence):
     """Exact inner product: one integer sum over a common denominator per
-    side, one rational. A ``Distribution`` side reads its own ints."""
+    side, one rational."""
     if len(weights) != len(values):
         raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
     den, nums = integer_form(weights)
-    if isinstance(values, Distribution):
-        vden, vnums = values.den, values.nums
-    else:
-        vden, vnums = integer_form(values)
+    vden, vnums = integer_form(values)
     return Rational(sum(map(mul, nums, vnums)), den * vden)
 
 

@@ -190,17 +190,22 @@ def prior_check_json(kind: str, dist: Distribution, holds: bool) -> dict:
     return {"kind": kind, "holds": holds, "dist": distribution_to_json(dist)["dist"]}
 
 
+# The flags of a ``TradeClassification`` in rendering order: the attribute,
+# which is also the JSON key, and the word the text rendering prints.
+TRADE_FLAGS = (
+    ("is_trade", "trade"),
+    ("is_semi_trade", "semi-trade"),
+    ("acceptable", "acceptable"),
+    ("weakly_agreeable", "weakly agreeable"),
+    ("agreeable", "agreeable"),
+)
+
+
 def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> dict:
     """A payoff family with its classification attached."""
     return {
         "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
-        "flags": {
-            "is_trade": cls.is_trade,
-            "is_semi_trade": cls.is_semi_trade,
-            "acceptable": cls.acceptable,
-            "weakly_agreeable": cls.weakly_agreeable,
-            "agreeable": cls.agreeable,
-        },
+        "flags": {attr: getattr(cls, attr) for attr, _ in TRADE_FLAGS},
         "expectations": [[to_json_value(v) for v in row] for row in cls.expectations],
         "agreeable_component": None
         if cls.agreeable_component is None
@@ -211,9 +216,7 @@ def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> di
 def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
     return {
         "dist": [to_json_value(v) for v in witness.distribution],
-        "payoffs": [
-            [to_json_value(v) for v in row] for row in witness.semi_trade.payoffs
-        ],
+        "payoffs": [[to_json_value(v) for v in row] for row in witness.payoffs],
         "deficit": to_json_value(witness.deficit),
         "kind": witness.kind,
     }
@@ -307,8 +310,14 @@ def verdict_line(verdict: DistributionVerdict) -> str:
 def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
     return [
         f"  deficit = {format_rational(witness.deficit)}",
-        *payoff_lines(s, witness.semi_trade.payoffs, "  "),
+        *payoff_lines(s, witness.payoffs, "  "),
     ]
+
+
+def trade_flags_line(cls: TradeClassification) -> str:
+    """The words of every flag the classification carries."""
+    flags = [word for attr, word in TRADE_FLAGS if getattr(cls, attr)]
+    return "classification: " + (", ".join(flags) if flags else "none")
 
 
 def _trade_grade(cls: TradeClassification) -> str:

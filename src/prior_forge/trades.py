@@ -79,18 +79,7 @@ class Trade:
                 )
 
 
-@dataclass(frozen=True)
-class SemiTrade:
-    """Per-player payoffs; the defining expectation conditions depend on a
-    structure, so they are checked by MoneyPumpWitness.verify, not here."""
-
-    payoffs: tuple[tuple, ...]
-
-    def __post_init__(self) -> None:
-        _payoff_rows(self, "a semi-trade")
-
-
-def _payoff_rows(family: Trade | SemiTrade, what: str) -> tuple[tuple, ...]:
+def _payoff_rows(family: Trade | MoneyPumpWitness, what: str) -> tuple[tuple, ...]:
     """Coerce ``family.payoffs`` in place to exact rows, one per player and
     all of one length, and return them."""
     norm = tuple(payoff_vector(f) for f in family.payoffs)
@@ -110,21 +99,26 @@ class TradeClassification:
     weakly_agreeable: bool
     agreeable: bool
     expectations: tuple[tuple, ...]  # [player][state], exact
-    sum_violations: tuple[int, ...]  # states where the pointwise sum is > 0
-    strict_states: tuple[tuple[int, int], ...]  # (player, state), expectation > 0
     agreeable_component: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
 class MoneyPumpWitness:
+    """A distribution, the semi-trade that pumps it, and the deficit. The
+    semi-trade condition depends on a structure, so ``verify`` checks it;
+    construction only coerces the payoff rows."""
+
     distribution: Distribution
-    semi_trade: SemiTrade
+    payoffs: tuple[tuple, ...]
     deficit: object
     kind: str
 
+    def __post_init__(self) -> None:
+        _payoff_rows(self, "a semi-trade")
+
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
-        payoffs = self.semi_trade.payoffs
+        payoffs = self.payoffs
         if len(payoffs) != structure.num_players:
             raise VerificationError("pump witness has wrong player count")
         if len(payoffs[0]) != structure.num_states or len(self.distribution) != structure.num_states:
@@ -185,15 +179,12 @@ def classify_trade(
         )
     m = structure.num_states
     table = expectation_table(structure, norm)
-    sums = [sum((f[w] for f in norm), ZERO) for w in range(m)]
-    sum_violations = tuple(w for w in range(m) if sums[w] > ZERO)
-    # One pass over the table: the strictly positive entries in (player,
-    # state) order, a negative one, and how many players gain at each state.
-    strict, is_semi, gainers = [], True, [0] * m
-    for i, row in enumerate(table):
+    # One pass over the table: a negative entry, and how many players gain
+    # at each state.
+    is_semi, gainers = True, [0] * m
+    for row in table:
         for w, e in enumerate(row):
             if e > ZERO:
-                strict.append((i, w))
                 gainers[w] += 1
             elif e < ZERO:
                 is_semi = False
@@ -203,14 +194,12 @@ def classify_trade(
         None,
     )
     return TradeClassification(
-        is_trade=not sum_violations,
+        is_trade=all(sum((f[w] for f in norm), ZERO) <= ZERO for w in range(m)),
         is_semi_trade=is_semi,
-        acceptable=is_semi and bool(strict),
+        acceptable=is_semi and any(gainers),
         weakly_agreeable=component is not None,
         agreeable=all(everyone),
         expectations=table,
-        sum_violations=sum_violations,
-        strict_states=tuple(strict),
         agreeable_component=component,
     )
 
@@ -305,7 +294,7 @@ def _pump_search(
         return None
     witness = MoneyPumpWitness(
         distribution=dist,
-        semi_trade=SemiTrade(payoffs),
+        payoffs=payoffs,
         deficit=Rational(num, fden * dist.den),
         kind=pump_kind(structure, dist),
     )

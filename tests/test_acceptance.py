@@ -12,7 +12,6 @@ import pytest
 from prior_forge import (
     Distribution,
     MoneyPumpWitness,
-    SemiTrade,
     ZERO,
     classify_distribution,
     classify_prior,
@@ -77,7 +76,7 @@ def test_criterion_1_single_player_pump(pl):
     f = (q("-1/9"), rational(1), ZERO)
     manual = MoneyPumpWitness(
         distribution=p,
-        semi_trade=SemiTrade((f,)),
+        payoffs=(f,),
         deficit=q("-1/90"),
         kind=pump_kind(pl, p),
     )

@@ -68,7 +68,6 @@ from prior_forge.priors import (
 )
 from prior_forge.trades import (
     MoneyPumpWitness,
-    SemiTrade,
     find_multiplayer_money_pump,
     pump_piece,
 )
@@ -213,7 +212,7 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             for f in payoffs:
                 assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
             deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
-            message = _message(MoneyPumpWitness(dist, SemiTrade(payoffs), deficit, "plain"), structure)
+            message = _message(MoneyPumpWitness(dist, payoffs, deficit, "plain"), structure)
             defect = _dense_semi_trade_defect(structure, payoffs)
             if defect is not None:
                 assert message == defect

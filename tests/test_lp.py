@@ -218,6 +218,28 @@ def test_enumerate_infeasible_is_empty():
     assert enumerate_basic_solutions(b.build(maximize=False)) == ()
 
 
+# sha256 over the vertex sets of the common-prior and joint programs of the
+# oracle battery's generator (M <= 4, N <= 2, d <= 5), seeds 0..399, recorded
+# while the enumerator still solved each basis with its own elimination
+# routine instead of ``_row_reduce``.
+PINNED_VERTEX_SETS = "90ed1b0a7a3a3711f6862a90677b1002300df33b3c17aa6e5f9b53c7b2a9b954"
+
+
+def test_enumerated_vertex_sets_are_pinned():
+    from dataclasses import replace
+
+    from prior_forge import GeneratorConfig, random_structure
+    from prior_forge.harness import common_prior_program, joint_common_prior_program
+
+    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
+    h = hashlib.sha256()
+    for seed in range(400):
+        s = random_structure(replace(cfg, seed=seed))
+        for build in (common_prior_program, joint_common_prior_program):
+            h.update(repr(enumerate_basic_solutions(build(s))).encode() + b"\n")
+    assert h.hexdigest() == PINNED_VERTEX_SETS
+
+
 def _assert_optimal_duals(lp, out):
     # Max form, every variable bounded below by 0 and nothing else: the
     # duals are dual-feasible (A^T u >= c, u <= 0 on >= rows) and close the

@@ -11,7 +11,6 @@ from prior_forge import (
     GeneratorConfig,
     InconsistencyError,
     MoneyPumpWitness,
-    SemiTrade,
     Trade,
     VerificationError,
     ZERO,
@@ -69,8 +68,10 @@ def test_trade_rejects_positive_sum():
 
 
 def test_semi_trade_allows_any_sum():
-    st = SemiTrade(((1, 0), (1, 0)))
-    assert st.payoffs[0] == (rational(1), ZERO)
+    # A pump witness's rows are a semi-trade: no sum constraint, so rows
+    # summing to 2 > 0 at the first state are coerced, not rejected.
+    witness = MoneyPumpWitness(uniform(2), ((1, 0), (1, 0)), ZERO, "plain")
+    assert witness.payoffs[0] == (rational(1), ZERO)
 
 
 def test_trade_dimension_checks():
@@ -101,7 +102,7 @@ def test_acceptable_not_weakly_agreeable(ex_pl1):
     assert cls.acceptable
     assert not cls.weakly_agreeable and cls.agreeable_component is None
     assert not cls.agreeable
-    assert (0, 1) in cls.strict_states
+    assert cls.expectations[0][1] > 0
 
 
 def test_agreeable_family(ex_pl2):
@@ -126,7 +127,6 @@ def test_classification_flags_independent(ex_pl1):
     f1 = (1, 1, 1, 1)
     cls = classify_trade(ex_pl1, (f1, f1))
     assert not cls.is_trade
-    assert cls.sum_violations == (0, 1, 2, 3)
     assert cls.is_semi_trade and cls.agreeable
 
 
@@ -142,14 +142,14 @@ def test_classify_trade_flags_match_their_definitions(intro, pl, ex_pl1, ex_pl2,
         for lo in (-2, 0, 1):
             payoffs = [[rng.randint(lo, 2) for _ in range(m)] for _ in range(n)]
             table = dense_expectation_table(s, payoffs)
-            strict = tuple((i, w) for i in range(n) for w in range(m) if table[i][w] > ZERO)
+            gain = any(e > ZERO for row in table for e in row)
             semi = all(e >= ZERO for row in table for e in row)
             positive = [all(table[i][w] > ZERO for i in range(n)) for w in range(m)]
             comp = next((c for c in minimal_components(s) if all(positive[w] for w in c)), None)
             cls = classify_trade(s, payoffs)
             assert cls.expectations == tuple(map(tuple, table))
-            assert cls.strict_states == strict
-            assert (cls.is_semi_trade, cls.acceptable) == (semi, semi and bool(strict))
+            assert cls.is_trade == all(sum(f[w] for f in payoffs) <= 0 for w in range(m))
+            assert (cls.is_semi_trade, cls.acceptable) == (semi, semi and gain)
             assert (cls.agreeable, cls.weakly_agreeable) == (all(positive), comp is not None)
             assert cls.agreeable_component == comp
 
@@ -292,7 +292,7 @@ def test_single_pump_pinned_example(pl):
     f = (q("-1/9"), rational(1), ZERO)
     manual = MoneyPumpWitness(
         distribution=p,
-        semi_trade=SemiTrade((f,)),
+        payoffs=(f,),
         deficit=q("-1/90"),
         kind=pump_kind(pl, p),
     )
@@ -304,25 +304,25 @@ def test_single_pump_pinned_example(pl):
 def test_pump_witness_verify_rejects_defects(pl):
     p = Distribution((q("1/10"), ZERO, q("9/10")))
     f = (q("-1/9"), rational(1), ZERO)
-    MoneyPumpWitness(p, SemiTrade((f,)), q("-1/90"), "strong").verify(pl)
+    MoneyPumpWitness(p, (f,), q("-1/90"), "strong").verify(pl)
     # p' = (0, 1, 0) misses the cell {w3}, a minimal component: a pump, but
     # only a plain one.
     p_plain = Distribution((ZERO, rational(1), ZERO))
     f_plain = (q("1/9"), rational(-1), ZERO)
-    MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "plain").verify(pl)
+    MoneyPumpWitness(p_plain, (f_plain,), rational(-1), "plain").verify(pl)
     for witness, message in (
-        (MoneyPumpWitness(p, SemiTrade((f, f)), q("-1/45"), "strong"), "wrong player count"),
-        (MoneyPumpWitness(p, SemiTrade(((0, 0),)), ZERO, "strong"), "wrong state count"),
-        (MoneyPumpWitness(p, SemiTrade(((-1, 0, 0),)), q("-1/10"), "strong"), "player 0 expects"),
-        (MoneyPumpWitness(p, SemiTrade((f,)), q("-1/45"), "strong"), "stored deficit -1/45"),
-        (MoneyPumpWitness(p, SemiTrade(((0, 0, 0),)), ZERO, "strong"), "is not negative"),
-        (MoneyPumpWitness(p, SemiTrade((f,)), q("-1/90"), "huge"), "unknown pump kind"),
+        (MoneyPumpWitness(p, (f, f), q("-1/45"), "strong"), "wrong player count"),
+        (MoneyPumpWitness(p, ((0, 0),), ZERO, "strong"), "wrong state count"),
+        (MoneyPumpWitness(p, ((-1, 0, 0),), q("-1/10"), "strong"), "player 0 expects"),
+        (MoneyPumpWitness(p, (f,), q("-1/45"), "strong"), "stored deficit -1/45"),
+        (MoneyPumpWitness(p, ((0, 0, 0),), ZERO, "strong"), "is not negative"),
+        (MoneyPumpWitness(p, (f,), q("-1/90"), "huge"), "unknown pump kind"),
         (
-            MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "universal"),
+            MoneyPumpWitness(p_plain, (f_plain,), rational(-1), "universal"),
             "universal pump distribution fails is_maximal",
         ),
         (
-            MoneyPumpWitness(p_plain, SemiTrade((f_plain,)), rational(-1), "strong"),
+            MoneyPumpWitness(p_plain, (f_plain,), rational(-1), "strong"),
             "strong pump distribution fails is_strongly_maximal",
         ),
     ):
@@ -365,7 +365,7 @@ def test_closed_form_pump_ties_and_fractional_stop():
     )
     p = Distribution((q("3/8"), q("3/8"), q("1/8"), q("1/8")))
     witness = find_single_money_pump(s, p)
-    assert witness.semi_trade.payoffs == ((1, -1, -1, q("1/3")),)
+    assert witness.payoffs == ((1, -1, -1, q("1/3")),)
     assert witness.deficit == q("-1/12")
     oracle = solve(pump_piece_program(s, 0, p))
     assert oracle.objective_value == witness.deficit
