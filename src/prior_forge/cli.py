@@ -87,7 +87,10 @@ def _cmd_prior(args) -> int:
         return 0 if holds else 3
     rep = analyze(structure)
     witness, refutation = rep.priors.notion(kind)
-    doc = {"kind": kind, **notion_json(structure, witness, refutation, rep.trade_class)}
+    refuting = None
+    if refutation is not None:
+        refuting = trade_json(structure, refutation.payoffs, rep.trade_class)
+    doc = {"kind": kind, **notion_json(structure, witness, refuting)}
     lines = notion_lines(structure, f"{kind} prior", witness, refutation, dual)
     _emit(args, doc, lines)
     return 0 if witness is not None else 3

@@ -43,8 +43,9 @@ def payoff_vector(values: Sequence, size: int | None = None) -> tuple:
 def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """``(den, nums)``: the least common denominator of exact rationals (or
     ints) and their numerators over it, so ``nums[k] / den == values[k]``."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return den, tuple(v.numerator * (den // d) for v, d in zip(values, dens))
 
 
 @dataclass(frozen=True)
@@ -132,22 +133,37 @@ def expectation_table(
 ) -> tuple[tuple, ...]:
     """Per player, per state, the exact conditional expectation of that
     player's payoff under their type. Constant on cells by construction.
-
-    Each payoff row is put over one denominator once; a cell's expectation
-    is then one integer sum over its type's support, which lies in the cell,
-    so a player's row costs O(M)."""
+    Each payoff row is put over one denominator once."""
     m = structure.num_states
-    table = []
-    for i, f in enumerate(payoffs):
+    for f in payoffs:
         if len(f) != m:
             raise DimensionError(f"length mismatch: {m} vs {len(f)}")
-        row = [None] * m
-        for cell, num, den in cell_expectations(structure, i, integer_form(f)):
-            e = Rational(num, den)
-            for w in cell:
-                row[w] = e
+    return signed_expectations(structure, [integer_form(f) for f in payoffs])[0]
+
+
+def signed_expectations(
+    structure: InformationStructure, forms: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+    """``(table, signs)`` for the payoff rows whose integer forms are
+    ``forms``, one per player: per player, per state, the exact conditional
+    expectation under the player's type, and its sign as -1, 0 or 1.
+
+    A cell's expectation is one integer sum over its type's support, which
+    lies in the cell, so a player's row costs O(M) and builds one rational
+    per cell with a nonzero expectation; the sign is its numerator's."""
+    m = structure.num_states
+    table, signs = [], []
+    for i, form in enumerate(forms):
+        row, sign = [ZERO] * m, [0] * m
+        for cell, num, den in cell_expectations(structure, i, form):
+            if num:
+                e, s = Rational(num, den), 1 if num > 0 else -1
+                for w in cell:
+                    row[w] = e
+                    sign[w] = s
         table.append(tuple(row))
-    return tuple(table)
+        signs.append(tuple(sign))
+    return tuple(table), tuple(signs)
 
 
 def cell_expectations(

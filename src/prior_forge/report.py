@@ -55,10 +55,14 @@ class AnalysisReport:
 
     def to_json(self) -> dict:
         s = self.structure
+        # The one refuting trade is rendered once and shared by every notion
+        # it refutes.
+        trade = self.priors.trade
+        refuting = None if trade is None else trade_json(s, trade.payoffs, self.trade_class)
         priors = {}
         for notion in NOTIONS:
             witness, refutation = self.priors.notion(notion.key)
-            priors[notion.key] = notion_json(s, witness, refutation, self.trade_class)
+            priors[notion.key] = notion_json(s, witness, None if refutation is None else refuting)
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
@@ -174,14 +178,13 @@ def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     }
 
 
-def notion_json(s: InformationStructure, witness, refutation, cls) -> dict:
-    """One prior notion: its witness, or the refuting trade graded by ``cls``."""
+def notion_json(s: InformationStructure, witness, refuting: dict | None) -> dict:
+    """One prior notion: its witness, or ``refuting``, the ``trade_json``
+    piece of the trade that refutes it."""
     return {
         "holds": witness is not None,
         "witness": None if witness is None else prior_witness_json(s, witness),
-        "refutation": None
-        if refutation is None
-        else trade_json(s, refutation.payoffs, cls),
+        "refutation": refuting,
     }
 
 

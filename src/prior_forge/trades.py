@@ -31,7 +31,7 @@ raise VerificationError and mean a bug, not bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from operator import mul
 
@@ -47,9 +47,9 @@ from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
-    expectation_table,
     integer_form,
     payoff_vector,
+    signed_expectations,
 )
 from .priors import (
     NOTIONS,
@@ -65,30 +65,51 @@ from .priors import (
 
 @dataclass(frozen=True)
 class Trade:
-    """Per-player payoffs with pointwise sum <= 0 (zero-sum with slack)."""
+    """Per-player payoffs with pointwise sum <= 0 (zero-sum with slack).
+
+    Like a ``Distribution``, a payoff family fixes its integer form at
+    construction: ``forms[i]`` is ``integer_form(payoffs[i])``."""
 
     payoffs: tuple[tuple, ...]
+    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        norm = _payoff_rows(self, "a trade")
-        for w in range(len(norm[0])):
-            total = sum((f[w] for f in norm), ZERO)
-            if total > ZERO:
+        _payoff_rows(self, "a trade")
+        den, sums = _column_sums(self.forms)
+        for w, total in enumerate(sums):
+            if total > 0:
                 raise InconsistencyError(
-                    f"payoffs sum to {total} > 0 at state index {w}; not a trade"
+                    f"payoffs sum to {Rational(total, den)} > 0 at state index {w}; not a trade"
                 )
 
 
-def _payoff_rows(family: Trade | MoneyPumpWitness, what: str) -> tuple[tuple, ...]:
+def _payoff_rows(family: Trade | MoneyPumpWitness, what: str) -> None:
     """Coerce ``family.payoffs`` in place to exact rows, one per player and
-    all of one length, and return them."""
+    all of one length, and fix their integer forms as ``family.forms``."""
     norm = tuple(payoff_vector(f) for f in family.payoffs)
     if not norm:
         raise DimensionError(f"{what} needs at least one player")
     if any(len(f) != len(norm[0]) for f in norm):
         raise DimensionError("payoff vectors differ in length")
     object.__setattr__(family, "payoffs", norm)
-    return norm
+    object.__setattr__(family, "forms", tuple(integer_form(f) for f in norm))
+
+
+def _column_sums(forms) -> tuple[int, list[int]]:
+    """``(den, sums)``: the pointwise sums of the rows whose integer forms
+    are ``forms``, as numerators over ``den``, the lcm of the rows'
+    denominators."""
+    den = lcm(*(d for d, _ in forms))
+    rows = [g if d == den else [(den // d) * x for x in g] for d, g in forms]
+    return den, list(map(sum, zip(*rows)))
+
+
+def _deficit(forms, dist: Distribution):
+    """The p-expectation of the summed rows whose integer forms are
+    ``forms``: one integer dot product of their column sums with p's
+    numerators, one rational."""
+    den, sums = _column_sums(forms)
+    return Rational(sum(map(mul, sums, dist.nums)), den * dist.den)
 
 
 @dataclass(frozen=True)
@@ -106,12 +127,14 @@ class TradeClassification:
 class MoneyPumpWitness:
     """A distribution, the semi-trade that pumps it, and the deficit. The
     semi-trade condition depends on a structure, so ``verify`` checks it;
-    construction only coerces the payoff rows."""
+    construction only coerces the payoff rows and fixes their integer forms,
+    as a ``Trade`` does."""
 
     distribution: Distribution
     payoffs: tuple[tuple, ...]
     deficit: object
     kind: str
+    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _payoff_rows(self, "a semi-trade")
@@ -123,23 +146,17 @@ class MoneyPumpWitness:
             raise VerificationError("pump witness has wrong player count")
         if len(payoffs[0]) != structure.num_states or len(self.distribution) != structure.num_states:
             raise VerificationError("pump witness has wrong state count")
-        # Each payoff row is put over one denominator once. One sign test
-        # per (player, cell); cells are ordered by least state, so the first
-        # failing cell holds the player's least failing state.
-        forms = [integer_form(f) for f in payoffs]
-        for i, form in enumerate(forms):
+        # One sign test per (player, cell) on the fixed integer forms; cells
+        # are ordered by least state, so the first failing cell holds the
+        # player's least failing state.
+        for i, form in enumerate(self.forms):
             for cell, num, den in cell_expectations(structure, i, form):
                 if num < 0:
                     raise VerificationError(
                         f"not a semi-trade: player {i} expects {Rational(num, den)} < 0 "
                         f"at state {cell[0]}"
                     )
-        # The deficit: every row over the lcm of the rows' denominators, one
-        # integer dot product per row with p's numerators, one rational.
-        a = self.distribution.nums
-        fden = lcm(*(d for d, _ in forms))
-        num = sum((fden // d) * sum(map(mul, g, a)) for d, g in forms)
-        deficit = Rational(num, fden * self.distribution.den)
+        deficit = _deficit(self.forms, self.distribution)
         if deficit != self.deficit:
             raise VerificationError(
                 f"stored deficit {self.deficit} differs from recomputed {deficit}"
@@ -171,32 +188,26 @@ def classify_trade(
 ) -> TradeClassification:
     """Exact flags for an arbitrary payoff family. Flags are independent
     evaluations of the defining conditions; in particular expectation flags
-    are reported even when the family is not a trade."""
-    norm = tuple(payoff_vector(f, structure.num_states) for f in payoffs)
-    if len(norm) != structure.num_players:
+    are reported even when the family is not a trade.
+
+    Each row is put over one denominator once; the signs of the
+    expectations and of the pointwise sums are read off integers."""
+    forms = [integer_form(payoff_vector(f, structure.num_states)) for f in payoffs]
+    if len(forms) != structure.num_players:
         raise DimensionError(
-            f"{len(norm)} payoff vectors for {structure.num_players} players"
+            f"{len(forms)} payoff vectors for {structure.num_players} players"
         )
-    m = structure.num_states
-    table = expectation_table(structure, norm)
-    # One pass over the table: a negative entry, and how many players gain
-    # at each state.
-    is_semi, gainers = True, [0] * m
-    for row in table:
-        for w, e in enumerate(row):
-            if e > ZERO:
-                gainers[w] += 1
-            elif e < ZERO:
-                is_semi = False
-    everyone = [k == len(norm) for k in gainers]
+    table, signs = signed_expectations(structure, forms)
+    is_semi = min(map(min, signs)) >= 0
+    everyone = [min(col) > 0 for col in zip(*signs)]
     component = next(
         (comp for comp in minimal_components(structure) if all(everyone[w] for w in comp)),
         None,
     )
     return TradeClassification(
-        is_trade=all(sum((f[w] for f in norm), ZERO) <= ZERO for w in range(m)),
+        is_trade=max(_column_sums(forms)[1]) <= 0,
         is_semi_trade=is_semi,
-        acceptable=is_semi and any(gainers),
+        acceptable=is_semi and max(map(max, signs)) > 0,
         weakly_agreeable=component is not None,
         agreeable=all(everyone),
         expectations=table,
@@ -263,15 +274,18 @@ def pump_piece(
     lower state index first on ties, until the constraint reaches 0. The
     last state raised may stop at a fractional value.
 
-    The greedy runs on the integer forms: the ratios p_w / t_w order as
-    the numerator ratios do, and the constraint is counted in units of the
+    The greedy runs on the integer forms: with L the lcm of the type's
+    numerators on its support, p_w / t_w orders as the int a_w * (L / b_w)
+    does (a and b the numerators of p and t), a stable sort keeps the lower
+    state first on ties, and the constraint is counted in units of the
     type's denominator, so each cell builds at most one fractional entry.
     """
     f = [-ONE] * structure.num_states
     a = dist.nums
     for t in structure.cell_types[player]:
-        b, need = t.nums, t.den
-        for w in sorted(t.support(), key=lambda w: (Rational(a[w], b[w]), w)):
+        b, need, support = t.nums, t.den, t.support()
+        scale = lcm(*(b[w] for w in support))
+        for w in sorted(support, key=lambda w: a[w] * (scale // b[w])):
             gain = 2 * b[w]  # of raising f_w from -1 to +1
             if gain >= need:
                 f[w] = Rational(need - b[w], b[w])
@@ -285,19 +299,13 @@ def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    # The deficit from the pieces' integer forms: one integer dot product
-    # per piece with p's numerators, over the lcm of the pieces' denominators.
-    forms = [integer_form(f) for f in payoffs]
-    fden = lcm(*(d for d, _ in forms))
-    num = sum((fden // d) * sum(map(mul, g, dist.nums)) for d, g in forms)
-    if not num < 0:
+    witness = MoneyPumpWitness(dist, payoffs, None, pump_kind(structure, dist))
+    # The deficit is read off the integer forms the witness fixed, and set
+    # once, before the witness leaves this function.
+    deficit = _deficit(witness.forms, dist)
+    if not deficit < ZERO:
         return None
-    witness = MoneyPumpWitness(
-        distribution=dist,
-        payoffs=payoffs,
-        deficit=Rational(num, fden * dist.den),
-        kind=pump_kind(structure, dist),
-    )
+    object.__setattr__(witness, "deficit", deficit)
     witness.verify(structure)
     return witness
 

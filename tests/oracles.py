@@ -1,9 +1,9 @@
 """Dense-rational oracles of the integer paths.
 
-Distributions carry integer numerators over one denominator, and the hull
-checks, witness verification, expectations, pump pieces and the block walk
-of ``model``, ``priors`` and ``trades`` compute on ints and build one
-rational per result. These are the definitions they replaced, one Fraction
+Distributions and payoff families carry integer numerators over one
+denominator, and the hull checks, witness verification, expectations, trade
+grades, pump pieces and the block walk of ``model``, ``priors`` and
+``trades`` compute on ints and build one rational per result. These are the definitions they replaced, one Fraction
 operation per term, kept here as their oracles for the tests. Pytest does
 not collect this file; the tests import it as ``oracles``.
 """
@@ -11,9 +11,11 @@ not collect this file; the tests import it as ``oracles``.
 from __future__ import annotations
 
 from prior_forge._rational import ONE, ZERO
+from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
-from prior_forge.model import Distribution, InformationStructure
+from prior_forge.model import Distribution, InformationStructure, payoff_vector
 from prior_forge.priors import Blocks
+from prior_forge.trades import TradeClassification
 
 
 def dense_dot(weights, values):
@@ -35,6 +37,38 @@ def dense_expectation_table(
             tuple(per_cell[structure.cell_of(i, w)] for w in range(structure.num_states))
         )
     return tuple(table)
+
+
+def dense_classify_trade(structure: InformationStructure, payoffs) -> TradeClassification:
+    """The flags of ``trades.classify_trade`` from ``payoff_vector`` rows,
+    ``dense_expectation_table`` and per-state ``Fraction`` column sums: its
+    oracle."""
+    norm = tuple(payoff_vector(f, structure.num_states) for f in payoffs)
+    if len(norm) != structure.num_players:
+        raise DimensionError(f"{len(norm)} payoff vectors for {structure.num_players} players")
+    m = structure.num_states
+    table = dense_expectation_table(structure, norm)
+    is_semi, gainers = True, [0] * m
+    for row in table:
+        for w, e in enumerate(row):
+            if e > ZERO:
+                gainers[w] += 1
+            elif e < ZERO:
+                is_semi = False
+    everyone = [k == len(norm) for k in gainers]
+    component = next(
+        (comp for comp in minimal_components(structure) if all(everyone[w] for w in comp)),
+        None,
+    )
+    return TradeClassification(
+        is_trade=all(sum((f[w] for f in norm), ZERO) <= ZERO for w in range(m)),
+        is_semi_trade=is_semi,
+        acceptable=is_semi and any(gainers),
+        weakly_agreeable=component is not None,
+        agreeable=all(everyone),
+        expectations=table,
+        agreeable_component=component,
+    )
 
 
 def dense_mixture(structure: InformationStructure, player: int, weights) -> list:

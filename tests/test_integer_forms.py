@@ -1,12 +1,12 @@
 """The integer paths against their dense-rational oracles.
 
-Distributions carry ``nums`` over one ``den``; hull weights, witness
-verification, expectation tables, pump pieces and pump deficits sum ints and
-build one rational per result, and the block walk runs on reduced int
-pairs. Each is compared, exactly, with the term-by-term ``Fraction``
-definition it replaced (kept in ``oracles``), on the six fixtures, generator
-seeds 0..199 and planted structures at M in {24, 48}, broken ones for the
-walk.
+Distributions carry ``nums`` over one ``den``, and so does every row of a
+payoff family; hull weights, witness verification, expectation tables, trade
+grades, pump pieces and pump deficits sum ints and build one rational per
+result, and the block walk runs on reduced int pairs. Each is compared,
+exactly, with the term-by-term ``Fraction`` definition it replaced (kept in
+``oracles``), on the six fixtures, generator seeds 0..199 and planted
+structures at M in {24, 48}, broken ones for the walk.
 
 LP constraints carry ``nums`` over one ``den`` as well, and the simplex's
 standard form and self-checks read them; the two exponential event walks of
@@ -31,11 +31,15 @@ from prior_forge import (
     DimensionError,
     Distribution,
     GeneratorConfig,
+    InconsistencyError,
     LPBuilder,
     PriorWitness,
     StochasticityError,
+    Trade,
     VerificationError,
+    classify_trade,
     expectation_table,
+    make_structure,
     parse_structure,
     random_structure,
 )
@@ -73,6 +77,7 @@ from prior_forge.trades import (
 )
 
 from oracles import (
+    dense_classify_trade,
     dense_dot,
     dense_expectation_table,
     dense_hull_weights,
@@ -120,6 +125,30 @@ def _random_row(m, rng):
         Fraction(rng.randint(-6, 6), rng.randint(1, 7)) if rng.randrange(4) else Fraction(0)
         for _ in range(m)
     )
+
+
+def _graded_families(structure, rng):
+    """Payoff families to grade: random rows, which are seldom trades; a
+    zero-sum trade; that trade pushed over 0 at one state; and rows whose
+    every cell expectation is exactly 0, one per player, with nonzero
+    entries wherever a cell's type charges two states."""
+    m, n = structure.num_states, structure.num_players
+    found = [tuple(_random_row(m, rng) for _ in range(n))]
+    rows = [list(_random_row(m, rng)) for _ in range(n - 1)]
+    rows.append([-sum(col, Fraction(0)) for col in zip(*rows)] if rows else [Fraction(0)] * m)
+    found.append(tuple(map(tuple, rows)))
+    rows[0][rng.randrange(m)] += Fraction(1, 7)
+    found.append(tuple(map(tuple, rows)))
+    for i in range(n):
+        row = [Fraction(0)] * m
+        for t in structure.cell_types[i]:
+            if len(t.support()) > 1:
+                v, w = t.support()[:2]
+                row[v], row[w] = t[w], -t[v]
+        family = [_random_row(m, rng) for _ in range(n)]
+        family[i] = tuple(row)
+        found.append(tuple(family))
+    return found
 
 
 def _dense_defect(structure, prior, rows):
@@ -174,6 +203,16 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         for s in range(m)
     )
     assert support_graph(structure) == dense_graph
+
+    families = _graded_families(structure, random.Random(f"grades:{kind}:{key}"))
+    trade = blocks(structure).payoffs
+    if trade is not None:
+        families.append(trade)
+    grades = [classify_trade(structure, payoffs) for payoffs in families]
+    assert grades == [dense_classify_trade(structure, payoffs) for payoffs in families]
+    assert [g.is_trade for g in grades[1:3]] == [True, False]
+    for i in range(n):
+        assert set(grades[3 + i].expectations[i]) == {0}
 
     for dist in _distributions(structure, planted, rng):
         _check_integer_form(dist)
@@ -234,6 +273,28 @@ def test_distribution_errors_keep_their_messages():
     d = Distribution(("1/6", 0, "1/3", "1/2"))
     assert (d.den, d.nums, d.support()) == (6, (1, 0, 2, 3), (0, 2, 3))
     assert d.mass((0, 3)) == Fraction(2, 3)
+
+
+def test_trade_rejects_a_tiny_positive_sum():
+    """The pointwise sum is tested on ints over the rows' common
+    denominator; the message prints it as the reduced rational."""
+    tiny = Fraction(1, 10**40)
+    Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3))))
+    with pytest.raises(
+        InconsistencyError,
+        match=f"^payoffs sum to 1/1{'0' * 40} > 0 at state index 1; not a trade$",
+    ):
+        Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3) + tiny)))
+
+
+def test_pump_piece_breaks_ties_toward_the_lower_state():
+    """In cell {a, b} the ratios p/t are 1/2 at both states, with p's
+    numerators (1, 2) over 6 and t's (1, 2) over 3: a is raised first, to
+    +1, and b stops at -1/2. Raising b first would give (-1, 1/2)."""
+    s = make_structure(["a", "b", "c"], ["P"], [[[0, 1], [2]]], [[{0: "1/3", 1: "2/3"}, {2: 1}]])
+    p = Distribution(("1/6", "2/6", "3/6"))
+    expected = (Fraction(1), Fraction(-1, 2), Fraction(0))
+    assert pump_piece(s, 0, p) == dense_pump_piece(s, 0, p) == expected
 
 
 def test_expectation_table_rejects_a_short_row(intro):
