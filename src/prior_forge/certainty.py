@@ -179,7 +179,7 @@ def is_strongly_maximal(structure: InformationStructure, p: Distribution) -> boo
 
 def _charged(p) -> frozenset[int]:
     """The states p charges: a ``Distribution``'s support, or the nonzero
-    entries of a plain tuple of rationals."""
+    entries of a plain sequence (rationals, or 0/1 marks of a support)."""
     if isinstance(p, Distribution):
         return frozenset(p.support())
     return frozenset(w for w, v in enumerate(p) if v)

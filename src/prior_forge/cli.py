@@ -35,7 +35,7 @@ from .jsonio import (
 )
 from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
-from .report import notion_json, notion_lines, payoff_lines, prior_check_json
+from .report import notion_json, notion_lines, payoff_lines, prior_check_json, prior_witness_json
 from .report import prior_check_line, pump_json, pump_lines, trade_flags_line, trade_json
 from .report import verdict_json, verdict_line
 from .trades import classify_distribution, classify_trade, find_multiplayer_money_pump
@@ -90,7 +90,8 @@ def _cmd_prior(args) -> int:
     refuting = None
     if refutation is not None:
         refuting = trade_json(structure, refutation.payoffs, rep.trade_class)
-    doc = {"kind": kind, **notion_json(structure, witness, refuting)}
+    witnessing = None if witness is None else prior_witness_json(structure, witness)
+    doc = {"kind": kind, **notion_json(witnessing, refuting)}
     lines = notion_lines(structure, f"{kind} prior", witness, refutation, dual)
     _emit(args, doc, lines)
     return 0 if witness is not None else 3

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -50,10 +49,11 @@ from .lp import (
 from .model import (
     Distribution,
     InformationStructure,
+    cell_expectations,
     dot,
-    expectation_table,
     forward_closed,
     induced_substructure,
+    integer_form,
     make_structure,
     single_player_view,
 )
@@ -73,6 +73,7 @@ from .priors import (
     is_disintegrable,
 )
 from .trades import (
+    Trade,
     classify_trade,
     find_acceptable_trade,
     find_agreeable_trade,
@@ -154,17 +155,23 @@ def _positive_composition(total: int, parts: int, rng: random.Random) -> list[in
     return [edges[k + 1] - edges[k] for k in range(parts)]
 
 
-def _random_masses(states: Sequence[int], cfg: GeneratorConfig, rng: random.Random) -> dict:
-    """{state: mass}, masses summing to 1 on a thinned, never empty, subset
-    of ``states``: a uniform composition of a random denominator."""
+def _random_composition(
+    states: Sequence[int], cfg: GeneratorConfig, rng: random.Random
+) -> tuple[list[int], int, list[int]]:
+    """``(support, d, parts)``: a thinned, never empty, subset of ``states``
+    and a uniform composition of a random denominator d over it, so that
+    ``parts[k] / d`` is the mass of ``support[k]``."""
     support = [s for s in states if not _drop(rng)]
     if not support:
         support = [states[rng.randrange(len(states))]]
     k = len(support)
     d = rng.randint(k, max(cfg.denominator_bound, k))
-    parts = _positive_composition(d, k, rng)
-    dq = rational(d)
-    return {s: rational(part) / dq for s, part in zip(support, parts)}
+    return support, d, _positive_composition(d, k, rng)
+
+
+def _masses(support: list[int], d: int, parts: list[int]) -> dict:
+    """{state: mass} of a ``_random_composition``."""
+    return {s: Rational(part, d) for s, part in zip(support, parts)}
 
 
 def random_structure(cfg: GeneratorConfig) -> InformationStructure:
@@ -182,7 +189,7 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
         blocks = sorted([sorted(b) for b in blocks])
         partitions.append(blocks)
         cell_types.append(
-            [Distribution.from_support(m, _random_masses(b, cfg, rng)) for b in blocks]
+            [Distribution.from_support(m, _masses(*_random_composition(b, cfg, rng))) for b in blocks]
         )
     return make_structure(states, players, partitions, cell_types)
 
@@ -233,9 +240,14 @@ def random_distribution(
     always qualifies."""
     m = structure.num_states
     for _ in range(REJECTION_CAP):
-        dist = Distribution.from_support(m, _random_masses(range(m), cfg, rng))
-        if notion.charged_by(structure, dist):
-            return dist
+        # The charge test reads only the drawn support, so the masses are
+        # built for the kept draw alone.
+        support, d, parts = _random_composition(range(m), cfg, rng)
+        marks = [0] * m
+        for w in support:
+            marks[w] = 1
+        if notion.charged_by(structure, marks):
+            return Distribution.from_support(m, _masses(support, d, parts))
     weights = [1 + rng.randrange(cfg.denominator_bound + 1) for _ in range(m)]
     total = rational(sum(weights))
     return Distribution(tuple(rational(w) / total for w in weights))
@@ -285,16 +297,27 @@ class _Recorder:
         if not ok:
             self.failures.append(CheckFailure(name, details() if details else ""))
 
-    @contextmanager
-    def guard(self, name: str) -> Iterator[None]:
+    def guard(self, name: str) -> _Guard:
         """Count one check; a ``PriorForgeError`` raised inside is recorded as
         its failure rather than aborting the battery."""
-        try:
-            yield
-        except PriorForgeError as exc:
-            self.failures.append(CheckFailure(name, f"raised {exc!r}"))
-        finally:
-            self.count += 1
+        return _Guard(self, name)
+
+
+class _Guard:
+    """The context of ``_Recorder.guard``."""
+
+    def __init__(self, rec: _Recorder, name: str) -> None:
+        self.rec, self.name = rec, name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        self.rec.count += 1
+        if isinstance(exc, PriorForgeError):
+            self.rec.failures.append(CheckFailure(self.name, f"raised {exc!r}"))
+            return True
+        return False
 
 
 def _event_set(table, relation) -> tuple[int, ...]:
@@ -303,9 +326,10 @@ def _event_set(table, relation) -> tuple[int, ...]:
     return tuple(w for w in states if all(relation(table[i][w]) for i in players))
 
 
-def _check_trade_forms(rec: _Recorder, structure, payoffs, label: str) -> None:
+def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> None:
     """The pointwise trade grades must match their commonly-certain forms."""
-    cls = classify_trade(structure, payoffs)
+    cls = classify_trade(structure, trade)
+    payoffs = trade.payoffs
     table = cls.expectations
     positive = _event_set(table, lambda e: e > ZERO)
     nonneg = _event_set(table, lambda e: e >= ZERO)
@@ -387,25 +411,34 @@ def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tup
     ``sum p = 1`` has a nonzero rhs and every lower bound is 0, so a
     certificate's negative rhs is u_0 and h is agreeable; optimal duals have
     u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
-    acceptable."""
+    acceptable.
+
+    On ints: with u = U / D and L (``types_den``) the lcm of the types'
+    denominators, every term is a numerator over D * N * L, and the box
+    divides by the largest one."""
     if outcome.status == "infeasible":
-        u = outcome.certificate.constraint_multipliers
+        _, u = integer_form(outcome.certificate.constraint_multipliers)
     elif outcome.objective_value == ZERO:
-        u = outcome.duals
+        u = outcome.dual_form[1]
     else:
         return None
     m, n = structure.num_states, structure.num_players
-    rows = tuple(u[i * m : (i + 1) * m] for i in range(n))
-    shift = u[n * m] / n
-    h = [
-        [e - v - shift for e, v in zip(te, f)]
-        for te, f in zip(expectation_table(structure, rows), rows)
-    ]
+    types_den = math.lcm(*(t.den for types in structure.cell_types for t in types))
+    shift = u[n * m] * types_den
+    h = []
+    for i in range(n):
+        ui = u[i * m : (i + 1) * m]
+        hi = [-v * n * types_den - shift for v in ui]
+        for cell, num, den in cell_expectations(structure, i, (1, ui)):
+            e = num * n * (types_den // den)
+            for w in cell:
+                hi[w] += e
+        h.append(hi)
     for (cell_set, owner), nu in zip(distinct_cell_sets(structure).items(), u[n * m + 1 :]):
         for w in cell_set:
-            h[owner][w] -= nu
+            h[owner][w] -= nu * n * types_den
     scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(v / scale for v in hi) for hi in h)
+    return tuple(tuple(Rational(v, scale) for v in hi) for hi in h)
 
 
 def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
@@ -644,7 +677,7 @@ def cross_check(
         with rec.guard("prior witness re-verifies"):
             witness.verify(structure)
     for trade in {id(t): t for t in trades if t is not None}.values():
-        _check_trade_forms(rec, structure, trade.payoffs, "synthesized trade")
+        _check_trade_forms(rec, structure, trade, "synthesized trade")
     held = [witness is not None for witness in priors]
     found = [trade is not None for trade in trades]
     rec.check("chain: strong => universal => common", held == sorted(held, reverse=True))

@@ -67,8 +67,10 @@ def dumps_canonical(obj) -> str:
     ``Fraction`` included, raises ``TypeError``. Strings are escaped by the
     stdlib's C ``encode_basestring`` and ints rendered by ``int.__repr__``,
     as the stdlib encoder does; a list of scalars is rendered with one
-    ``join``."""
-    return _render(obj, "\n") + "\n"
+    ``join``. A dict that appears more than once at the same depth, the
+    same object each time, such as a report piece shared by several
+    notions, is rendered once."""
+    return _render(obj, "\n", {}) + "\n"
 
 
 def _null(_) -> str:
@@ -89,19 +91,26 @@ _SCALARS = {
 }
 
 
-def _render(obj, brk: str) -> str:
-    """``obj`` at the depth whose line break and indent is ``brk``."""
+def _render(obj, brk: str, done: dict) -> str:
+    """``obj`` at the depth whose line break and indent is ``brk``. ``done``
+    maps the id of each dict rendered so far in this call to its depth and
+    text; the root holds every dict, so no id is reused within the call."""
     kind = type(obj)
     if kind is dict:
         if not obj:
             return "{}"
+        seen = done.get(id(obj))
+        if seen is not None and seen[0] == brk:
+            return seen[1]
         inner = brk + "  "
         items = []
         for key, value in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring(key) + ": " + _render(value, inner))
-        return "{" + inner + ("," + inner).join(items) + brk + "}"
+            items.append(encode_basestring(key) + ": " + _render(value, inner, done))
+        text = "{" + inner + ("," + inner).join(items) + brk + "}"
+        done[id(obj)] = (brk, text)
+        return text
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
@@ -109,7 +118,7 @@ def _render(obj, brk: str) -> str:
         try:
             items = [_SCALARS[type(v)](v) for v in obj]
         except KeyError:  # a container, or what the writer rejects
-            items = [_render(v, inner) for v in obj]
+            items = [_render(v, inner, done) for v in obj]
         return "[" + inner + ("," + inner).join(items) + brk + "]"
     render = _SCALARS.get(kind)
     if render is None:

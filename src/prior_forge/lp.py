@@ -7,9 +7,10 @@ to nonzero coefficient, and it fixes its integer form at construction: int
 numerators over one positive denominator, in lowest terms. Builders that
 hold ints already hand them over as they are
 (``LPBuilder.add_integer_constraint``) and no rational is made per
-coefficient. Rows carry that form through standardization and the
-self-checks to the tableau; only the objective is a dense tuple, and it
-fixes the number of variables.
+coefficient. A program fixes the integer forms of its objective and bounds
+the same way. Standardization, the tableau and the self-checks read only
+these ints; only the objective is a dense tuple, and it fixes the number of
+variables.
 
 Bounds never become rows. Standardizing shifts a variable with a lower bound
 onto it, substitutes x = u - x' for a variable with only an upper bound u,
@@ -32,12 +33,14 @@ are those of a rational tableau; rationals are built only where results are
 read off.
 Outcomes are verified before they are returned: optimal points are read off
 as numerators over one denominator and re-substituted into every constraint
-and bound, and infeasibility comes with a Farkas certificate whose
-contradiction is re-multiplied from scratch. Both checks compare integer dot
-products with the rows' integer forms; rationals are built once for the
-returned point and otherwise only for failure messages. A failed internal
-check raises ``VerificationError`` and always indicates a bug, never bad
-input.
+and bound, the optimum is derived again from the costs by one
+cross-multiplication, and infeasibility comes with a Farkas certificate
+whose contradiction is re-multiplied from scratch. The checks compare
+integer dot products with the rows' integer forms. An optimal outcome keeps
+its point and duals as integer forms and builds their rationals on first
+read; otherwise rationals are built for the certificate and for failure
+messages. A failed internal check raises ``VerificationError`` and always
+indicates a bug, never bad input.
 
 ``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
 solutions of the standardized system by brute-force basis selection with exact
@@ -54,7 +57,7 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -106,32 +109,50 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """A program over ``len(objective)`` variables. Like its rows, it fixes
+    its integer forms at construction: ``cost_nums[j] / cost_den ==
+    objective[j]``, and each bound in ``lower_forms`` and ``upper_forms``
+    is a ``(num, den)`` pair, or None where ``lower`` or ``upper`` is. The
+    simplex and the self-checks read only these ints."""
+
     objective: tuple
     maximize: bool
     constraints: tuple[Constraint, ...]
     lower: tuple  # per-variable lower bound or None
     upper: tuple  # per-variable upper bound or None
     names: tuple[str, ...]
+    cost_den: int = field(init=False, repr=False, compare=False)
+    cost_nums: tuple = field(init=False, repr=False, compare=False)
+    lower_forms: tuple = field(init=False, repr=False, compare=False)
+    upper_forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        object.__setattr__(self, "objective", tuple(rational(c) for c in self.objective))
-        for field in ("lower", "upper", "names"):
-            if len(getattr(self, field)) != n:
-                raise DimensionError(f"{field} must have one entry per variable")
-        object.__setattr__(
-            self, "lower", tuple(None if b is None else rational(b) for b in self.lower)
-        )
-        object.__setattr__(
-            self, "upper", tuple(None if b is None else rational(b) for b in self.upper)
-        )
-        for con in self.constraints:
-            if not all(0 <= j < n for j in con.nums):
-                raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
+        for name in ("lower", "upper", "names"):
+            if len(getattr(self, name)) != n:
+                raise DimensionError(f"{name} must have one entry per variable")
+        used = set().union(*(con.nums for con in self.constraints))
+        if used and not (0 <= min(used) and max(used) < n):
+            raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
+        objective = tuple(map(rational, self.objective))
+        lower = tuple([None if b is None else rational(b) for b in self.lower])
+        upper = tuple([None if b is None else rational(b) for b in self.upper])
+        cost_den, cost_nums = integer_form(objective)
+        for name, value in (
+            ("objective", objective), ("lower", lower), ("upper", upper),
+            ("cost_den", cost_den), ("cost_nums", cost_nums),
+            ("lower_forms", _bound_forms(lower)), ("upper_forms", _bound_forms(upper)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
+
+
+def _bound_forms(bounds: tuple) -> tuple:
+    """Each bound as a ``(num, den)`` pair, None kept."""
+    return tuple([None if b is None else b.as_integer_ratio() for b in bounds])
 
 
 class LPBuilder:
@@ -157,15 +178,19 @@ class LPBuilder:
     def add_integer_constraint(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         """``add_constraint`` from an integer form, ints over a positive
         ``den``: the row is reduced to lowest terms by one gcd, and its
-        ``coeffs`` and ``rhs`` are made only when they are read."""
+        ``coeffs`` and ``rhs`` are made only when they are read. The row
+        keeps ``nums`` itself when it is in lowest terms with no zero."""
         g = math.gcd(den, rhs_num, *nums.values())
+        if g != 1 or 0 in nums.values():
+            nums = {j: a // g for j, a in nums.items() if a}
         con = Constraint.__new__(Constraint)
-        con._fix({j: a // g for j, a in nums.items() if a}, den // g, rel, rhs_num // g)
+        con._fix(nums, den // g, rel, rhs_num // g)
         self._rows.append(con)
 
     def add_objective(self, var: int, coeff) -> None:
         """Accumulate into a variable's objective coefficient."""
-        self._objective[var] = rational(self._objective[var]) + rational(coeff)
+        current = self._objective[var]
+        self._objective[var] = rational(current) + rational(coeff) if current else rational(coeff)
 
     def build(self, maximize: bool) -> LinearProgram:
         return LinearProgram(
@@ -197,17 +222,37 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """``duals`` (optimal outcomes only): one multiplier u_k per constraint,
-    in max form (objective negated when minimizing), sign rules as in
+    """``primal`` (optimal outcomes only): the optimal point. ``duals``
+    (optimal outcomes only): one multiplier u_k per constraint, in max form
+    (objective negated when minimizing), sign rules as in
     ``FarkasCertificate``. The reduced costs c - A^T u are priced by the
     variables' bounds; with every variable bounded below by 0 and nothing
-    else, A^T u >= c and b.u = c.x."""
+    else, A^T u >= c and b.u = c.x.
+
+    Both are kept as integer forms, ``point`` and ``dual_form``, each a
+    ``(den, nums)`` pair, and their rationals are built on first read."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
-    primal: tuple | None
     objective_value: object | None
     certificate: FarkasCertificate | None
-    duals: tuple | None = None
+    point: tuple | None = None
+    dual_form: tuple | None = None
+
+    @cached_property
+    def primal(self) -> tuple | None:
+        return _rationals(self.point)
+
+    @cached_property
+    def duals(self) -> tuple | None:
+        return _rationals(self.dual_form)
+
+
+def _rationals(form: tuple | None) -> tuple | None:
+    """The rationals of an integer form ``(den, nums)``, or None."""
+    if form is None:
+        return None
+    den, nums = form
+    return tuple(Rational(n, den) for n in nums)
 
 
 def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
@@ -232,10 +277,10 @@ def _violations(lp: LinearProgram, xden: int, xnums: Sequence[int]) -> list[str]
         if not ok:
             shown = format_rational(Rational(lhs, con.den * xden))
             bad.append(f"constraint {k}: {shown} {con.rel} {format_rational(con.rhs)} fails")
-    for j, (lo, up, v) in enumerate(zip(lp.lower, lp.upper, xnums)):
-        if lo is not None and v * lo.denominator < lo.numerator * xden:
+    for j, (lo, up, v) in enumerate(zip(lp.lower_forms, lp.upper_forms, xnums)):
+        if lo is not None and v * lo[1] < lo[0] * xden:
             bad.append(f"variable {lp.names[j]} below lower bound")
-        if up is not None and v * up.denominator > up.numerator * xden:
+        if up is not None and v * up[1] > up[0] * xden:
             bad.append(f"variable {lp.names[j]} above upper bound")
     return bad
 
@@ -295,8 +340,8 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
             shown = format_rational(Rational(residual, common))
             bad.append(f"variable {lp.names[j]} does not cancel (residual {shown})")
     terms = [(rhs, den)]
-    for nums, d, bounds in ((lnums, lden, lp.lower), (unums, uden, lp.upper)):
-        terms += [(u * b.numerator, d * b.denominator) for u, b in zip(nums, bounds) if u and b is not None]
+    for nums, d, bounds in ((lnums, lden, lp.lower_forms), (unums, uden, lp.upper_forms)):
+        terms += [(u * b[0], d * b[1]) for u, b in zip(nums, bounds) if u and b is not None]
     total = math.lcm(*(d for _, d in terms))
     rhs = sum(n * (total // d) for n, d in terms)
     if not rhs < 0:
@@ -344,91 +389,123 @@ class _IntStdForm(NamedTuple):
     """The simplex's input on ints: std row k is ``rows[k][col] / dens[k]``
     with rhs ``row_rhs[k] / dens[k]``, in lowest terms; a bounded column
     col is bounded above by ``col_upper[col]``, a ``(num, den)`` pair; the
-    costs are ``costs[col] / cost_den``."""
+    costs are ``costs[col] / cost_den``, and the offsets add the constant
+    ``cost_const``, a ``(num, den)`` pair. ``offsets`` maps each variable
+    with a nonzero offset (its lower bound, or a mirrored one's upper bound)
+    to it as a ``(num, den)`` pair."""
 
     ncols: int
     col_kind: list[tuple]         # per std column: ("shift" | "mirror" | "pos" | "neg", j)
     col_upper: dict
+    offsets: dict
     rows: list[dict]
     dens: list[int]
     row_rel: list[str]
     row_rhs: list[int]
-    cost_const: object
+    cost_const: tuple[int, int]
     costs: dict
     cost_den: int
 
 
 def _int_standardize(lp: LinearProgram) -> _IntStdForm:
-    """The standard form read off the constraints' integer forms. A variable
+    """The standard form read off the program's integer forms. A variable
     with a lower bound l is shifted, x = l + x', and keeps u - l as its
-    column's bound; one with only an upper bound u is mirrored, x = u - x';
-    a free one is split. An integral offset moves a row's rhs numerator; a
-    fractional one takes the general path, which puts the row over the lcm
-    of its coefficients' and its shifted rhs's denominators."""
+    column's bound; one with only an upper bound u is mirrored, x = u - x',
+    and negates its coefficients; a free one is split, its negative part
+    taking the next column. An offset o moves each row's rhs by its
+    coefficient times o: on the rhs numerator when o is an integer, else
+    over the row's denominator times the lcm of the fractional offsets'
+    denominators, then reduced to lowest terms. A row whose every variable
+    keeps its index as its column, unsigned, is the constraint's own
+    ``nums``, which nothing writes."""
     col_kind: list[tuple] = []
     col_upper: dict = {}
-    # per variable: (column, sign, offset, offset's numerator if integral
-    # else None) | (pos column, neg column)
-    cols: list[tuple] = []
-    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
+    colmap: list[int] = []  # per variable: its column (a free one's positive part)
+    free: set = set()
+    mirrored: set = set()
+    moved: set = set()      # variables that do not keep their index as their column
+    offsets: dict = {}      # variable: its offset, a (num, den) pair, when nonzero
+    for j, (lo, up) in enumerate(zip(lp.lower_forms, lp.upper_forms)):
         col = len(col_kind)
+        colmap.append(col)
+        if col != j:
+            moved.add(j)
         if lo is None and up is None:
             col_kind += [("pos", j), ("neg", j)]
-            cols.append((col, col + 1))
+            free.add(j)
             continue
-        off, sign = (up, -1) if lo is None else (lo, 1)
-        col_kind.append(("mirror" if lo is None else "shift", j))
-        cols.append((col, sign, off, off.numerator if off.denominator == 1 else None))
-        if lo is not None and up is not None:
-            width = up - lo
-            col_upper[col] = (width.numerator, width.denominator)
+        if lo is None:
+            col_kind.append(("mirror", j))
+            mirrored.add(j)
+            off = up
+        else:
+            col_kind.append(("shift", j))
+            off = lo
+            if up is not None:
+                (ln, ld), (un, ud) = lo, up
+                num, den = un * ld - ln * ud, ud * ld
+                g = math.gcd(num, den)
+                col_upper[col] = (num // g, den // g)
+        if off[0]:
+            offsets[j] = off
+    moved |= free | mirrored
+    shift = [0] * len(colmap)  # integral offsets' numerators
+    fractional = {}
+    for j, (on, od) in offsets.items():
+        if od == 1:
+            shift[j] = on
+        else:
+            fractional[j] = (on, od)
 
     rows: list[dict] = []
     dens: list[int] = []
     row_rhs: list[int] = []
     for con in lp.constraints:
-        row: dict = {}
+        nums = con.nums
+        if moved.isdisjoint(nums):
+            row = nums
+        else:
+            row = {}
+            for j, a in nums.items():
+                col = colmap[j]
+                row[col] = -a if j in mirrored else a
+                if j in free:
+                    row[col + 1] = -a
         den, rhs = con.den, con.rhs_num
-        fractional = []
-        for j, a in con.nums.items():
-            c = cols[j]
-            if len(c) == 2:
-                row[c[0]] = a
-                row[c[1]] = -a
-                continue
-            col, sign, _, shift = c
-            row[col] = sign * a
-            if shift is None:
-                fractional.append(j)
-            elif shift:
-                rhs -= a * shift
-        if fractional:
-            q = Rational(rhs, den) - sum(con.coeffs[j] * cols[j][2] for j in fractional)
-            new = math.lcm(q.denominator, *(v.denominator for v in con.coeffs.values()))
-            row = {c: v * new // den for c, v in row.items()}
-            den, rhs = new, q.numerator * (new // q.denominator)
+        if offsets:
+            rhs -= sum(map(mul, nums.values(), map(shift.__getitem__, nums)))
+        terms = [(nums[j] * on, od) for j, (on, od) in fractional.items() if j in nums]
+        if terms:
+            scale = math.lcm(*(od for _, od in terms))
+            rhs = rhs * scale - sum(n * (scale // od) for n, od in terms)
+            den *= scale
+            g = math.gcd(den, rhs, *(v * scale for v in row.values()))
+            row = {c: v * scale // g for c, v in row.items()}
+            den, rhs = den // g, rhs // g
         rows.append(row)
         dens.append(den)
         row_rhs.append(rhs)
 
+    # Costs signed for minimization; the offsets' costs sum to the constant.
     sign = -1 if lp.maximize else 1
-    cost_den = math.lcm(*(c.denominator for c in lp.objective))
     costs: dict = {}
-    cost_const = ZERO
-    for j, c in enumerate(lp.objective):
-        if not c:
+    const_terms = []
+    for j, n in enumerate(lp.cost_nums):
+        if not n:
             continue
-        n = sign * c.numerator * (cost_den // c.denominator)
-        if len(cols[j]) == 2:
-            costs[cols[j][0]], costs[cols[j][1]] = n, -n
-        else:
-            col, s, off, shift = cols[j]
-            costs[col] = s * n
-            if off:
-                cost_const += sign * c * off
+        n *= sign
+        col = colmap[j]
+        costs[col] = -n if j in mirrored else n
+        if j in free:
+            costs[col + 1] = -n
+        elif j in offsets:
+            on, od = offsets[j]
+            const_terms.append((n * on, od))
+    const_den = math.lcm(*(od for _, od in const_terms))
+    const_num = sum(n * (const_den // od) for n, od in const_terms)
     return _IntStdForm(
-        len(col_kind), col_kind, col_upper, rows, dens,
-        [con.rel for con in lp.constraints], row_rhs, cost_const, costs, cost_den,
+        len(col_kind), col_kind, col_upper, offsets, rows, dens, [con.rel for con in lp.constraints],
+        row_rhs, (const_num, const_den * lp.cost_den), costs, lp.cost_den,
     )
 
 
@@ -600,6 +677,22 @@ class _Tableau:
             self.obj_den = _complement(self.obj, self.obj_den, c, bound)
         self.flipped ^= {c}
 
+    def _set_objective(self, obj: dict, den: int) -> None:
+        """Make ``obj`` over ``den`` the objective row, every basic column
+        priced out at once. A basic column holds entry 1 in its own row and
+        none in the others, so pricing out is subtracting, per basic column
+        b that ``obj`` holds, obj[b] times b's row; the sum is put over the
+        lcm of the denominators and reduced."""
+        held = [(obj[b], row, d) for row, d, b in zip(self.rows, self.dens, self.basis) if b in obj]
+        total = den * math.lcm(*(d for _, _, d in held))
+        out = {j: v * (total // den) for j, v in obj.items()}
+        for c, row, d in held:
+            scale = c * (total // (den * d))
+            for j, v in row.items():
+                out[j] = out.get(j, 0) - v * scale
+        g = math.gcd(total, *out.values())
+        self.obj, self.obj_den = {j: v // g for j, v in out.items() if v}, total // g
+
     def _price_out(self, r: int) -> None:
         """Zero the objective's entry at row r's basic column."""
         b = self.basis[r]
@@ -655,10 +748,7 @@ class _Tableau:
     def phase1(self) -> bool:
         if not self.artificials:
             return True
-        self.obj, self.obj_den = {a: 1 for a in self.artificials}, 1
-        for r, b in enumerate(self.basis):
-            if b in self.artificials:
-                self._price_out(r)
+        self._set_objective({a: 1 for a in self.artificials}, 1)
         status = self._iterate()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded below
             raise VerificationError("phase 1 reported unbounded")
@@ -688,35 +778,39 @@ class _Tableau:
         self.barred.update(self.artificials)
 
     def phase2(self) -> str:
-        self.obj, self.obj_den = dict(self.std.costs), self.std.cost_den
+        obj, den = dict(self.std.costs), self.std.cost_den
         # the costs of the columns phase 1 left complemented, then the basic
         # columns priced out; remaining negative reduced costs drive the
         # iteration
         for c in self.flipped:
-            if c in self.obj:
-                self.obj_den = _complement(self.obj, self.obj_den, c, self.upper[c])
-        for r in range(len(self.rows)):
-            self._price_out(r)
+            if c in obj:
+                den = _complement(obj, den, c, self.upper[c])
+        self._set_objective(obj, den)
         return self._iterate()
 
     def point(self, lp: LinearProgram) -> tuple[int, list[int]]:
         """The current point in the original variables as ``(den, nums)``,
-        ``nums[j] / den == x_j``: each variable's terms (its offset and its
-        columns' values, a complemented column's read back off its bound)
-        are summed over their lcm."""
-        value = {b: (row.get(_RHS, 0), d) for row, d, b in zip(self.rows, self.dens, self.basis)}
-        terms = [[] for _ in range(lp.num_vars)]
-        for col, (tag, j) in enumerate(self.std.col_kind):
-            n, d = value.get(col, (0, 1))
-            if col in self.flipped:
-                un, ud = self.upper[col]
-                n, d = un * d - n * ud, ud * d
-            terms[j].append((-n if tag in ("mirror", "neg") else n, d))
-            if tag in ("shift", "mirror"):
-                off = lp.lower[j] if tag == "shift" else lp.upper[j]
-                terms[j].append((off.numerator, off.denominator))
-        den = math.lcm(*(d for t in terms for _, d in t))
-        return den, [sum(n * (den // d) for n, d in t) for t in terms]
+        ``nums[j] / den == x_j``: every nonzero term, the offsets and the
+        std columns' values (a complemented column's read back off its
+        bound, negated for a mirrored variable or a negative part), is put
+        over the lcm of their denominators."""
+        std, upper = self.std, self.upper
+        ncols = std.ncols
+        value = {b: (row.get(_RHS, 0), d) for row, d, b in zip(self.rows, self.dens, self.basis) if b < ncols}
+        for c in self.flipped:
+            n, d = value.get(c, (0, 1))
+            un, ud = upper[c]
+            value[c] = (un * d - n * ud, ud * d)
+        terms = [(j, n, d) for j, (n, d) in std.offsets.items()]
+        for c, (n, d) in value.items():
+            if n:
+                tag, j = std.col_kind[c]
+                terms.append((j, -n if tag == "mirror" or tag == "neg" else n, d))
+        den = math.lcm(*(d for _, _, d in terms))
+        nums = [0] * lp.num_vars
+        for j, n, d in terms:
+            nums[j] += n * (den // d)
+        return den, nums
 
     def multipliers(self, phase1: bool) -> list:
         """Max-form multipliers of the user's constraints, as numerators
@@ -758,25 +852,29 @@ def solve(lp: LinearProgram) -> LPOutcome:
         problems = farkas_violations(lp, cert)
         if problems:
             raise VerificationError("bad Farkas certificate: " + "; ".join(problems))
-        return LPOutcome("infeasible", None, None, cert)
+        return LPOutcome("infeasible", None, cert)
     status = tab.phase2()
     if status == "unbounded":
-        return LPOutcome("unbounded", None, None, None)
+        return LPOutcome("unbounded", None, None)
     xden, xnums = tab.point(lp)
     problems = _violations(lp, xden, xnums)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
-    cden, cnums = integer_form(lp.objective)
-    value = Rational(sum(map(mul, cnums, xnums)), cden * xden)
-    tableau_min = std.cost_const - Rational(tab.obj.get(_RHS, 0), tab.obj_den)
-    claimed = -tableau_min if lp.maximize else tableau_min
-    if claimed != value:
+    # The optimum derived again from the costs, c.x = num / (cost_den *
+    # xden), against the tableau's: its minimum is the cost constant less
+    # the objective row's rhs, negated for a maximum. One cross-multiplication.
+    num, den = sum(map(mul, lp.cost_nums, xnums)), lp.cost_den * xden
+    (kn, kd), rhs, rhs_den = std.cost_const, tab.obj.get(_RHS, 0), tab.obj_den
+    claimed_num, claimed_den = kn * rhs_den - rhs * kd, kd * rhs_den
+    if lp.maximize:
+        claimed_num = -claimed_num
+    if claimed_num * den != num * claimed_den:
+        claimed, value = Rational(claimed_num, claimed_den), Rational(num, den)
         raise VerificationError(
             f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
         )
-    x = tuple(Rational(n, xden) for n in xnums)
-    duals = tuple(Rational(v, tab.obj_den) for v in tab.multipliers(phase1=False))
-    return LPOutcome("optimal", x, value, None, duals)
+    duals = (tab.obj_den, tab.multipliers(phase1=False))
+    return LPOutcome("optimal", Rational(num, den), None, (xden, xnums), duals)
 
 
 # -- independent oracle --------------------------------------------------

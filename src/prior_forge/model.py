@@ -34,7 +34,7 @@ T = TypeVar("T")
 def payoff_vector(values: Sequence, size: int | None = None) -> tuple:
     """Coerce a sequence into a payoff vector, a plain tuple of exact
     rationals with one entry per state, rejecting floats."""
-    vec = tuple(rational(v) for v in values)
+    vec = tuple(map(rational, values))
     if size is not None and len(vec) != size:
         raise DimensionError(f"payoff vector has {len(vec)} entries, expected {size}")
     return vec
@@ -45,7 +45,9 @@ def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     ints) and their numerators over it, so ``nums[k] / den == values[k]``."""
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
-    return den, tuple(v.numerator * (den // d) for v, d in zip(values, dens))
+    if den == 1:
+        return 1, tuple([v.numerator for v in values])
+    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,17 @@ class AnalysisReport:
 
     def to_json(self) -> dict:
         s = self.structure
-        # The one refuting trade is rendered once and shared by every notion
-        # it refutes.
-        trade = self.priors.trade
+        # The one canonical prior and the one refuting trade are each built
+        # into a piece once, shared by every notion it witnesses or refutes.
+        witness, trade = self.priors.witness, self.priors.trade
+        witnessing = None if witness is None else prior_witness_json(s, witness)
         refuting = None if trade is None else trade_json(s, trade.payoffs, self.trade_class)
         priors = {}
         for notion in NOTIONS:
-            witness, refutation = self.priors.notion(notion.key)
-            priors[notion.key] = notion_json(s, witness, None if refutation is None else refuting)
+            held, refutation = self.priors.notion(notion.key)
+            priors[notion.key] = notion_json(
+                None if held is None else witnessing, None if refutation is None else refuting
+            )
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
@@ -128,7 +131,7 @@ def _verify_report(
     witness, trade = priors.witness, priors.trade
     if witness is not None:
         witness.verify(s)
-    cls = None if trade is None else classify_trade(s, trade.payoffs)
+    cls = None if trade is None else classify_trade(s, trade)
     for n in NOTIONS:
         if n.key in priors.holds:
             if witness is None:
@@ -178,14 +181,11 @@ def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     }
 
 
-def notion_json(s: InformationStructure, witness, refuting: dict | None) -> dict:
-    """One prior notion: its witness, or ``refuting``, the ``trade_json``
-    piece of the trade that refutes it."""
-    return {
-        "holds": witness is not None,
-        "witness": None if witness is None else prior_witness_json(s, witness),
-        "refutation": refuting,
-    }
+def notion_json(witnessing: dict | None, refuting: dict | None) -> dict:
+    """One prior notion: ``witnessing``, the ``prior_witness_json`` piece of
+    its witness, or ``refuting``, the ``trade_json`` piece of the trade that
+    refutes it."""
+    return {"holds": witnessing is not None, "witness": witnessing, "refutation": refuting}
 
 
 def prior_check_json(kind: str, dist: Distribution, holds: bool) -> dict:

@@ -186,13 +186,22 @@ class DistributionVerdict:
 def classify_trade(
     structure: InformationStructure, payoffs
 ) -> TradeClassification:
-    """Exact flags for an arbitrary payoff family. Flags are independent
-    evaluations of the defining conditions; in particular expectation flags
-    are reported even when the family is not a trade.
+    """Exact flags for an arbitrary payoff family, or for a ``Trade``.
+    Flags are independent evaluations of the defining conditions; in
+    particular expectation flags are reported even when the family is not a
+    trade.
 
-    Each row is put over one denominator once; the signs of the
-    expectations and of the pointwise sums are read off integers."""
-    forms = [integer_form(payoff_vector(f, structure.num_states)) for f in payoffs]
+    Each row is put over one denominator once, or, for a ``Trade``, its
+    fixed integer forms are read; the signs of the expectations and of the
+    pointwise sums are read off integers."""
+    m = structure.num_states
+    if isinstance(payoffs, Trade):
+        size = len(payoffs.payoffs[0])
+        if size != m:
+            raise DimensionError(f"payoff vector has {size} entries, expected {m}")
+        forms = payoffs.forms
+    else:
+        forms = [integer_form(payoff_vector(f, m)) for f in payoffs]
     if len(forms) != structure.num_players:
         raise DimensionError(
             f"{len(forms)} payoff vectors for {structure.num_players} players"
@@ -223,7 +232,7 @@ def _graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeCl
     if payoffs is None:
         raise VerificationError("a prior notion fails, yet every block is live")
     trade = Trade(payoffs)
-    return trade, classify_trade(structure, trade.payoffs)
+    return trade, classify_trade(structure, trade)
 
 
 def _refutation(structure: InformationStructure, notion: Notion) -> Trade | None:
@@ -299,13 +308,15 @@ def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    witness = MoneyPumpWitness(dist, payoffs, None, pump_kind(structure, dist))
-    # The deficit is read off the integer forms the witness fixed, and set
-    # once, before the witness leaves this function.
+    witness = MoneyPumpWitness(dist, payoffs, None, None)
+    # The deficit is read off the integer forms the witness fixed; it and
+    # the kind are set once, before the witness leaves this function, and
+    # the kind only for a search that pumps.
     deficit = _deficit(witness.forms, dist)
     if not deficit < ZERO:
         return None
     object.__setattr__(witness, "deficit", deficit)
+    object.__setattr__(witness, "kind", pump_kind(structure, dist))
     witness.verify(structure)
     return witness
 

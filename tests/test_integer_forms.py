@@ -568,7 +568,7 @@ def test_integer_standard_form_matches_the_rational_one(programs):
         assert costs == translated(signed)
         assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
         offsets = {j: lo for j, lo in enumerate(lp.lower) if lo is not None} | mirror
-        assert ours.cost_const == sum((sign * lp.objective[j] * off for j, off in offsets.items()), Fraction(0))
+        assert Fraction(*ours.cost_const) == sum((sign * lp.objective[j] * off for j, off in offsets.items()), Fraction(0))
     assert fractional and mirrored and bounded
 
 

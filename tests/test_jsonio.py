@@ -242,6 +242,26 @@ NOT_CANONICAL = [
 ]
 
 
+def test_writer_renders_a_shared_dict_once_per_depth(monkeypatch):
+    flags = {"is_trade": True}
+    shared = {"payoffs": [[1, "-1/2"], [0, 1]], "flags": flags}
+    # Two depths: "a" and "b" one level down, "c"'s entry and "d"'s "e" two.
+    doc = {"a": shared, "b": shared, "c": [shared], "d": {"e": shared}}
+    asked = {id(shared): 0, id(flags): 0}
+    render = jsonio._render
+
+    def counted(obj, brk, done):
+        if id(obj) in asked:
+            asked[id(obj)] += 1
+        return render(obj, brk, done)
+
+    monkeypatch.setattr(jsonio, "_render", counted)
+    _same_bytes(doc)
+    # Asked for four times; its body, and so its "flags", is built once per
+    # depth.
+    assert asked == {id(shared): 4, id(flags): 2}
+
+
 @pytest.mark.parametrize("bad", NOT_CANONICAL)
 def test_writer_rejects_what_is_not_canonical_json(bad):
     with pytest.raises(TypeError):

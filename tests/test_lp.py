@@ -8,6 +8,7 @@ from prior_forge import (
     DimensionError,
     LPBuilder,
     SizeCapError,
+    VerificationError,
     ZERO,
     enumerate_basic_solutions,
     farkas_violations,
@@ -16,6 +17,7 @@ from prior_forge import (
     rational,
     solve,
 )
+from prior_forge import lp
 from prior_forge.lp import FarkasCertificate
 
 
@@ -271,6 +273,33 @@ def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
         else:
             assert out.duals is None
     assert checked > 50
+
+
+def test_solve_derives_the_optimum_again_from_the_costs(monkeypatch):
+    # max x + y/2 on x in [1/3, 2], y in [-1, 1] with x + y <= 2: the
+    # offsets put 1/3 - 1/2 into the cost constant, and a tableau whose
+    # constant is off by 1/6 must fail the integer cross-check.
+    b = LPBuilder()
+    x = b.add_var("x", lower=rational("1/3"), upper=2, objective=1)
+    y = b.add_var("y", lower=-1, upper=1, objective=rational("1/2"))
+    b.add_constraint({x: 1, y: 1}, "<=", 2)
+    program = b.build(maximize=True)
+    out = solve(program)
+    # The point and duals are integer forms until first read.
+    assert "primal" not in vars(out) and "duals" not in vars(out)
+    assert (out.objective_value, out.primal) == (rational(2), (rational(2), ZERO))
+    den, nums = out.dual_form
+    assert out.duals == tuple(rational(f"{n}/{den}") for n in nums)
+    standardize = lp._int_standardize
+
+    def shifted(p):
+        std = standardize(p)
+        num, den = std.cost_const
+        return std._replace(cost_const=(num * 6 + den, den * 6))
+
+    monkeypatch.setattr(lp, "_int_standardize", shifted)
+    with pytest.raises(VerificationError, match="objective mismatch"):
+        solve(program)
 
 
 def test_duals_of_a_bounded_minimization():

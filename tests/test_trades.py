@@ -7,6 +7,7 @@ import random
 import pytest
 
 from prior_forge import (
+    DimensionError,
     Distribution,
     GeneratorConfig,
     InconsistencyError,
@@ -235,12 +236,26 @@ def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name)
     acceptable = find_acceptable_trade(s)
     assert s.derived("blocks", lambda _: None) is walk is not None
     assert solved == []
-    assert graded == [walk.payoffs]
+    # Graded once, from the fixed forms of the finders' one Trade.
+    assert len(graded) == 1 and graded[0] is acceptable
+    assert acceptable.payoffs == walk.payoffs
     # ex_pl2 has no common prior; pl4 has one but no universal one, and its
     # weakly agreeable and acceptable trades are the same block trade.
     assert (find_common_prior(s) is None) == (name == "ex_pl2")
     assert (agreeable is None) == (name == "pl4")
     assert weak.payoffs == acceptable.payoffs == walk.payoffs
+
+
+def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    graded = 0
+    for s in (intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+        trade = find_acceptable_trade(s)
+        if trade is not None:
+            assert classify_trade(s, trade) == classify_trade(s, trade.payoffs)
+            graded += 1
+    assert graded == 3
+    with pytest.raises(DimensionError):
+        classify_trade(pl, Trade(((0, 0), (0, 0))))
 
 
 def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -392,6 +407,29 @@ def test_no_pump_for_common_priors(ex_pl1, intro):
     ends = Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
     assert find_multiplayer_money_pump(ex_pl1, ends) is None
     assert find_multiplayer_money_pump(intro, uniform(5)) is None
+
+
+def test_pump_kind_is_read_only_for_a_search_that_pumps(
+    intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4, monkeypatch
+):
+    calls = []
+
+    def counted(structure, dist):
+        calls.append(dist)
+        return pump_kind(structure, dist)
+
+    monkeypatch.setattr(trades, "pump_kind", counted)
+    held = 0
+    for s in (intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+        witness = find_common_prior(s)
+        if witness is not None:
+            held += 1
+            assert find_multiplayer_money_pump(s, witness.prior) is None
+    assert held == 5
+    assert calls == []
+    pump = find_multiplayer_money_pump(ex_pl2, uniform(4))
+    assert pump is not None and pump.kind == "strong"
+    assert calls == [uniform(4)]
 
 
 def test_pump_kind_grades(ex_pl1, pl):
