@@ -23,7 +23,6 @@ from dataclasses import replace
 
 from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
-from .harness import GeneratorConfig, cross_check, minimize_failure, random_structure
 from .jsonio import (
     SCHEMA,
     dumps_canonical,
@@ -158,6 +157,9 @@ def _parse_seed_range(spec: str) -> range:
 
 
 def _cmd_fuzz(args) -> int:
+    # The only command that needs the oracle layer, so the only one that loads it.
+    from .harness import GeneratorConfig, cross_check, minimize_failure, random_structure
+
     seeds = _parse_seed_range(args.seeds)
     cfg = GeneratorConfig(
         max_states=args.max_states,

@@ -80,6 +80,7 @@ from .trades import (
     find_multiplayer_money_pump,
     find_single_money_pump,
     find_weakly_agreeable_trade,
+    graded_block_trade,
     pump_piece,
 )
 
@@ -585,8 +586,8 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
     canonical prior must satisfy the program's rows, and where a block is
     dead the program must give a trade, read off its certificate or duals,
     that is a trade, acceptable and agreeable exactly as the block trade is
-    (weak agreeability is a per-component grade, which the component trade
-    programs check)."""
+    by the grades ``trades`` keeps with it (weak agreeability is a
+    per-component grade, which the component trade programs check)."""
     walk, program = blocks(structure), common_prior_program(structure)
     top = solve(program)
     subs = [(comp, sub) for comp, sub in components if sub is not structure]
@@ -617,10 +618,12 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         violations = feasibility_violations(program, point)
         rec.check("oracle: canonical prior satisfies the common-prior program", not violations, lambda: str(violations))
     if not walk.strong:
-        grades = []
-        for payoffs in (refuting_payoffs(structure, top), walk.payoffs):
-            cls = None if payoffs is None else classify_trade(structure, payoffs)
-            grades.append(cls and (cls.is_trade, cls.acceptable, cls.agreeable))
+        payoffs = refuting_payoffs(structure, top)
+        classes = (
+            None if payoffs is None else classify_trade(structure, payoffs),
+            graded_block_trade(structure)[1],
+        )
+        grades = [cls and (cls.is_trade, cls.acceptable, cls.agreeable) for cls in classes]
         rec.check(
             "oracle: program trade grades as the block trade",
             grades[0] == grades[1] == (True, True, not walk.common),

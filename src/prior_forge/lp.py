@@ -135,13 +135,13 @@ class LinearProgram:
         if used and not (0 <= min(used) and max(used) < n):
             raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
         objective = tuple(map(rational, self.objective))
-        lower = tuple([None if b is None else rational(b) for b in self.lower])
-        upper = tuple([None if b is None else rational(b) for b in self.upper])
         cost_den, cost_nums = integer_form(objective)
+        lower, lower_forms = _bounds(self.lower)
+        upper, upper_forms = _bounds(self.upper)
         for name, value in (
             ("objective", objective), ("lower", lower), ("upper", upper),
             ("cost_den", cost_den), ("cost_nums", cost_nums),
-            ("lower_forms", _bound_forms(lower)), ("upper_forms", _bound_forms(upper)),
+            ("lower_forms", lower_forms), ("upper_forms", upper_forms),
         ):
             object.__setattr__(self, name, value)
 
@@ -150,9 +150,20 @@ class LinearProgram:
         return len(self.objective)
 
 
-def _bound_forms(bounds: tuple) -> tuple:
-    """Each bound as a ``(num, den)`` pair, None kept."""
-    return tuple([None if b is None else b.as_integer_ratio() for b in bounds])
+def _bounds(bounds: tuple) -> tuple[tuple, tuple]:
+    """The bounds as rationals and as ``(num, den)`` pairs, None kept. A run
+    of variables sharing one bound object, as every block of an oracle
+    program does, derives its forms once."""
+    rationals, forms = [], []
+    last = q = form = None
+    for b in bounds:
+        if b is not last:
+            last = b
+            q = None if b is None else rational(b)
+            form = None if q is None else q.as_integer_ratio()
+        rationals.append(q)
+        forms.append(form)
+    return tuple(rationals), tuple(forms)
 
 
 class LPBuilder:

@@ -227,7 +227,7 @@ def classify_trade(
 # -- synthesis ------------------------------------------------------------
 
 
-def _graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
+def _grade_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
     payoffs = blocks(structure).payoffs
     if payoffs is None:
         raise VerificationError("a prior notion fails, yet every block is live")
@@ -235,13 +235,18 @@ def _graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeCl
     return trade, classify_trade(structure, trade)
 
 
+def graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
+    """The refuting trade of ``priors.blocks`` and its grades, built and
+    graded once per structure; raises when every block is live."""
+    return structure.derived("block_trade", _grade_block_trade)
+
+
 def _refutation(structure: InformationStructure, notion: Notion) -> Trade | None:
     """The one refuting trade of ``priors.blocks`` when ``notion`` has no
-    prior, else None. Graded once per structure, it must carry the notion's
-    dual grade."""
+    prior, else None. It must carry the notion's dual grade."""
     if find_prior(structure, notion) is not None:
         return None
-    trade, cls = structure.derived("block_trade", _graded_block_trade)
+    trade, cls = graded_block_trade(structure)
     if not getattr(cls, notion.trade):
         raise VerificationError(f"block trade is not {notion.trade.replace('_', ' ')}")
     return trade
