@@ -54,7 +54,6 @@ from .jsonio import (
 from .model import (
     Distribution,
     InformationStructure,
-    expectation_table,
     forward_closed,
     induced_substructure,
     make_structure,

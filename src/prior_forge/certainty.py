@@ -165,14 +165,14 @@ def component_family(structure: InformationStructure) -> tuple[tuple[int, ...], 
 
 def is_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every component (equivalently, on every minimal one)."""
-    _check_dist(structure, p)
+    check_dimension(structure, p)
     charged = _charged(p)
     return all(not charged.isdisjoint(comp) for comp in minimal_components(structure))
 
 
 def is_strongly_maximal(structure: InformationStructure, p: Distribution) -> bool:
     """Positive mass on every cell of every player."""
-    _check_dist(structure, p)
+    check_dimension(structure, p)
     charged = _charged(p)
     return all(not charged.isdisjoint(cell) for cells in structure.partitions for cell in cells)
 
@@ -185,6 +185,9 @@ def _charged(p) -> frozenset[int]:
     return frozenset(w for w, v in enumerate(p) if v)
 
 
-def _check_dist(structure: InformationStructure, p: Distribution) -> None:
+def check_dimension(structure: InformationStructure, p: Distribution) -> None:
+    """The one length check of a distribution against a structure's states."""
     if len(p) != structure.num_states:
-        raise DimensionError(f"distribution has {len(p)} entries, expected {structure.num_states}")
+        raise DimensionError(
+            f"distribution has {len(p)} entries, structure has {structure.num_states} states"
+        )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from ._rational import ONE, ZERO, Rational, rational
@@ -872,19 +872,24 @@ class BatteryReport:
         return not self.failures
 
 
-def run_battery(seeds) -> BatteryReport:
-    """cross_check, with its default sampling, over the default generator on
-    a seed range; deterministic and mergeable."""
-    checked = 0
-    checks = 0
+def _battery(seeds, check: Callable[[int], CrossCheckReport]) -> BatteryReport:
+    """``check`` on every seed, its counts summed and its failures kept by
+    seed."""
+    checked = checks = 0
     failures = []
     for seed in seeds:
-        report = cross_check(random_structure(GeneratorConfig(seed=seed)))
+        report = check(seed)
         checked += 1
         checks += report.checks_run
         if not report.passed:
             failures.append((seed, report))
     return BatteryReport(checked, checks, tuple(failures))
+
+
+def run_battery(seeds) -> BatteryReport:
+    """cross_check, with its default sampling, over the default generator on
+    a seed range; deterministic and mergeable."""
+    return _battery(seeds, lambda seed: cross_check(random_structure(GeneratorConfig(seed=seed))))
 
 
 def pump_piece_program(
@@ -909,51 +914,48 @@ def oracle_battery(seeds) -> BatteryReport:
     formulation vs the projected one; and the closed-form pump piece vs the
     simplex on its program, per player, for one sampled distribution. The
     structures are small (M <= 4, N <= 2) so that enumeration stays cheap."""
-    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
-    checked = 0
-    checks = 0
-    failures = []
-    for seed in seeds:
-        structure = random_structure(replace(cfg, seed=seed))
-        rec = _Recorder()
-        eps_lp = common_prior_program(structure)
-        out_eps = solve(eps_lp)
-        vertices_eps = enumerate_basic_solutions(eps_lp)
+    return _battery(seeds, _oracle_check)
+
+
+def _oracle_check(seed: int) -> CrossCheckReport:
+    """The checks of ``oracle_battery`` on one seed."""
+    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5, seed=seed)
+    structure = random_structure(cfg)
+    rec = _Recorder()
+    eps_lp = common_prior_program(structure)
+    out_eps = solve(eps_lp)
+    vertices_eps = enumerate_basic_solutions(eps_lp)
+    rec.check(
+        "oracle: margin program feasibility agrees",
+        (out_eps.status == "optimal") == bool(vertices_eps),
+    )
+    joint = solve(joint_common_prior_program(structure))
+    if out_eps.status == "optimal":
+        best = max(v[-1] for v in vertices_eps)
         rec.check(
-            "oracle: margin program feasibility agrees",
-            (out_eps.status == "optimal") == bool(vertices_eps),
+            "oracle: margin optimum equals best vertex",
+            out_eps.objective_value == best,
+            lambda: f"lp={out_eps.objective_value} vertices={best}",
         )
-        joint = solve(joint_common_prior_program(structure))
-        if out_eps.status == "optimal":
-            best = max(v[-1] for v in vertices_eps)
-            rec.check(
-                "oracle: margin optimum equals best vertex",
-                out_eps.objective_value == best,
-                lambda: f"lp={out_eps.objective_value} vertices={best}",
-            )
-            rec.check(
-                "oracle: joint formulation matches projected margin",
-                joint.status == "optimal" and joint.objective_value == out_eps.objective_value,
-            )
-        else:
-            rec.check(
-                "oracle: joint formulation agrees on infeasibility",
-                joint.status == "infeasible",
-            )
-        dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
-        for i in range(structure.num_players):
-            piece = pump_piece(structure, i, dist)
-            program = pump_piece_program(structure, i, dist)
-            out_pump = solve(program)
-            rec.check(
-                "oracle: closed-form pump piece is feasible and LP-optimal",
-                not feasibility_violations(program, piece)
-                and out_pump.status == "optimal"
-                and out_pump.objective_value == dot(piece, dist.probs),
-                lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
-            )
-        checked += 1
-        checks += rec.count
-        if rec.failures:
-            failures.append((seed, CrossCheckReport(rec.count, tuple(rec.failures))))
-    return BatteryReport(checked, checks, tuple(failures))
+        rec.check(
+            "oracle: joint formulation matches projected margin",
+            joint.status == "optimal" and joint.objective_value == out_eps.objective_value,
+        )
+    else:
+        rec.check(
+            "oracle: joint formulation agrees on infeasibility",
+            joint.status == "infeasible",
+        )
+    dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
+    for i in range(structure.num_players):
+        piece = pump_piece(structure, i, dist)
+        program = pump_piece_program(structure, i, dist)
+        out_pump = solve(program)
+        rec.check(
+            "oracle: closed-form pump piece is feasible and LP-optimal",
+            not feasibility_violations(program, piece)
+            and out_pump.status == "optimal"
+            and out_pump.objective_value == dot(piece, dist.probs),
+            lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
+        )
+    return CrossCheckReport(rec.count, tuple(rec.failures))

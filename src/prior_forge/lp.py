@@ -3,9 +3,10 @@
 Two-phase bounded-variable primal simplex (Dantzig 1955) with Bland's
 anti-cycling rule. Every coefficient is an exact rational; there is no
 tolerance anywhere. A constraint is a sparse row, a map from variable index
-to nonzero coefficient, and it fixes its integer form at construction: int
-numerators over one positive denominator, in lowest terms. Builders that
-hold ints already hand them over as they are
+to nonzero int numerator over one positive denominator, in lowest terms,
+and it is built from that integer form alone. A row given in rationals is
+put over its least common denominator first (``LPBuilder.add_constraint``);
+builders that hold ints hand them over as they are
 (``LPBuilder.add_integer_constraint``) and no rational is made per
 coefficient. A program fixes the integer forms of its objective and bounds
 the same way. Standardization, the tableau and the self-checks read only
@@ -76,27 +77,22 @@ ORACLE_MAX_CONSTRAINTS = 24
 ORACLE_MAX_BASES = 200_000
 
 class Constraint:
-    """The row ``sum_j coeffs[j] * x_j  rel  rhs``. ``coeffs`` maps variable
-    indices to nonzero rationals; zero coefficients are dropped here.
+    """The row ``sum_j nums[j] * x_j  rel  rhs_num``, over one positive
+    ``den``: ``nums`` maps variable indices to int numerators. It is built
+    from this integer form alone, as a ``Distribution`` is from its support:
+    the row is reduced to lowest terms by one gcd, zero numerators are
+    dropped, and ``nums`` is kept as given when it is in lowest terms with
+    no zero. The simplex and the self-checks read the ints; the rationals
+    ``coeffs[j] == nums[j] / den`` and ``rhs == rhs_num / den`` are made
+    only when they are read."""
 
-    Its integer form is fixed at construction, as a ``Distribution``'s is:
-    ``nums[j] / den == coeffs[j]`` and ``rhs_num / den == rhs``, with ``den``
-    the least common denominator of the coefficients and the rhs, so the row
-    is in lowest terms. The simplex and the self-checks read the ints; a row
-    built by ``LPBuilder.add_integer_constraint`` makes ``coeffs`` and
-    ``rhs`` only when they are read."""
-
-    def __init__(self, coeffs: dict, rel: str, rhs) -> None:
-        self.coeffs = {j: q for j, c in coeffs.items() if (q := rational(c))}
-        self.rhs = rational(rhs)
-        den = math.lcm(self.rhs.denominator, *(q.denominator for q in self.coeffs.values()))
-        nums = {j: q.numerator * (den // q.denominator) for j, q in self.coeffs.items()}
-        self._fix(nums, den, rel, self.rhs.numerator * (den // self.rhs.denominator))
-
-    def _fix(self, nums: dict, den: int, rel: str, rhs_num: int) -> None:
+    def __init__(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         if rel not in (LESS, EQUAL, GREATER):
             raise DimensionError(f"unknown relation {rel!r}")
-        self.nums, self.den, self.rel, self.rhs_num = nums, den, rel, rhs_num
+        g = math.gcd(den, rhs_num, *nums.values())
+        if g != 1 or 0 in nums.values():
+            nums = {j: a // g for j, a in nums.items() if a}
+        self.nums, self.den, self.rel, self.rhs_num = nums, den // g, rel, rhs_num // g
 
     @cached_property
     def coeffs(self) -> dict:
@@ -184,19 +180,18 @@ class LPBuilder:
         return len(self._names) - 1
 
     def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
-        self._rows.append(Constraint(coeffs, rel, rhs))
+        """The row ``sum_j coeffs[j] * x_j  rel  rhs`` in exact rationals,
+        put over their least common denominator."""
+        rhs = rational(rhs)
+        coeffs = {j: rational(c) for j, c in coeffs.items()}
+        den = math.lcm(rhs.denominator, *(q.denominator for q in coeffs.values()))
+        nums = {j: q.numerator * (den // q.denominator) for j, q in coeffs.items()}
+        self.add_integer_constraint(nums, den, rel, rhs.numerator * (den // rhs.denominator))
 
     def add_integer_constraint(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         """``add_constraint`` from an integer form, ints over a positive
-        ``den``: the row is reduced to lowest terms by one gcd, and its
-        ``coeffs`` and ``rhs`` are made only when they are read. The row
-        keeps ``nums`` itself when it is in lowest terms with no zero."""
-        g = math.gcd(den, rhs_num, *nums.values())
-        if g != 1 or 0 in nums.values():
-            nums = {j: a // g for j, a in nums.items() if a}
-        con = Constraint.__new__(Constraint)
-        con._fix(nums, den // g, rel, rhs_num // g)
-        self._rows.append(con)
+        ``den``; see ``Constraint``."""
+        self._rows.append(Constraint(nums, den, rel, rhs_num))
 
     def add_objective(self, var: int, coeff) -> None:
         """Accumulate into a variable's objective coefficient."""

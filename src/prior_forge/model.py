@@ -130,44 +130,6 @@ def dot(weights: Sequence, values: Sequence):
     return Rational(sum(map(mul, nums, vnums)), den * vden)
 
 
-def expectation_table(
-    structure: InformationStructure, payoffs: tuple[tuple, ...]
-) -> tuple[tuple, ...]:
-    """Per player, per state, the exact conditional expectation of that
-    player's payoff under their type. Constant on cells by construction.
-    Each payoff row is put over one denominator once."""
-    m = structure.num_states
-    for f in payoffs:
-        if len(f) != m:
-            raise DimensionError(f"length mismatch: {m} vs {len(f)}")
-    return signed_expectations(structure, [integer_form(f) for f in payoffs])[0]
-
-
-def signed_expectations(
-    structure: InformationStructure, forms: Sequence[tuple[int, tuple[int, ...]]]
-) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
-    """``(table, signs)`` for the payoff rows whose integer forms are
-    ``forms``, one per player: per player, per state, the exact conditional
-    expectation under the player's type, and its sign as -1, 0 or 1.
-
-    A cell's expectation is one integer sum over its type's support, which
-    lies in the cell, so a player's row costs O(M) and builds one rational
-    per cell with a nonzero expectation; the sign is its numerator's."""
-    m = structure.num_states
-    table, signs = [], []
-    for i, form in enumerate(forms):
-        row, sign = [ZERO] * m, [0] * m
-        for cell, num, den in cell_expectations(structure, i, form):
-            if num:
-                e, s = Rational(num, den), 1 if num > 0 else -1
-                for w in cell:
-                    row[w] = e
-                    sign[w] = s
-        table.append(tuple(row))
-        signs.append(tuple(sign))
-    return tuple(table), tuple(signs)
-
-
 def cell_expectations(
     structure: InformationStructure, player: int, form: tuple[int, tuple[int, ...]]
 ) -> list:

@@ -30,13 +30,8 @@ from operator import mul
 from typing import Callable, Iterator
 
 from ._rational import ZERO, Rational
-from .certainty import is_maximal, is_strongly_maximal
-from .errors import (
-    DimensionError,
-    PlayerCountError,
-    SizeCapError,
-    VerificationError,
-)
+from .certainty import check_dimension, is_maximal, is_strongly_maximal
+from .errors import PlayerCountError, SizeCapError, VerificationError
 from .model import Distribution, InformationStructure, integer_form
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
@@ -116,17 +111,10 @@ class PriorClassification:
     strong: bool
 
 
-def _check_single_player(structure: InformationStructure) -> None:
+def check_single_player(structure: InformationStructure) -> None:
     if structure.num_players != 1:
         raise PlayerCountError(
             f"operation needs exactly one player, structure has {structure.num_players}"
-        )
-
-
-def _check_dimension(structure: InformationStructure, dist: Distribution) -> None:
-    if len(dist) != structure.num_states:
-        raise DimensionError(
-            f"distribution has {len(dist)} entries, structure has {structure.num_states} states"
         )
 
 
@@ -136,7 +124,7 @@ def hull_weights(
     """Convex weights over the player's cells reconstructing dist from the
     cells' types, or None when dist is outside the hull. Weights are forced
     to be the cell masses, so this is a direct exact check, not a search."""
-    _check_dimension(structure, dist)
+    check_dimension(structure, dist)
     den, nums = dist.den, dist.nums
     masses = [sum(nums[w] for w in cell) for cell in structure.partitions[player]]
     if _off_mixture(structure, player, den, masses, den, nums):
@@ -163,7 +151,7 @@ def is_disintegrable(
 ) -> tuple[bool, tuple | None]:
     """Single-player: does dist disintegrate over the partition via the type
     function? Equivalent to membership in the convex hull of the types."""
-    _check_single_player(structure)
+    check_single_player(structure)
     weights = hull_weights(structure, 0, dist)
     return (weights is not None), weights
 
@@ -188,8 +176,8 @@ def is_conglomerable(
     events on a Gray-code walk; returns a violating event when the answer is
     no. The running sums are ints over one common denominator of dist and
     every type, so each step adds ints and compares ints."""
-    _check_single_player(structure)
-    _check_dimension(structure, dist)
+    check_single_player(structure)
+    check_dimension(structure, dist)
     m = structure.num_states
     if m > EVENT_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {EVENT_CAP}")
@@ -224,8 +212,8 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
     ``inter[c] * t_c.den == tev[c] * mass[c]``. Exponential; exists purely
     as an independent oracle for the closed-form test above, and shares no
     code with ``hull_weights``."""
-    _check_single_player(structure)
-    _check_dimension(structure, dist)
+    check_single_player(structure)
+    check_dimension(structure, dist)
     m = structure.num_states
     if m > DEFINITION_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {DEFINITION_CAP}")
@@ -483,7 +471,7 @@ def classify_prior(
 ) -> PriorClassification:
     """Exact flags for a given distribution: per-player hull membership plus
     the positivity grades that upgrade a common prior to universal/strong."""
-    _check_dimension(structure, dist)
+    check_dimension(structure, dist)
     rows = tuple(hull_weights(structure, i, dist) for i in range(structure.num_players))
     per_player = tuple(row is not None for row in rows)
     common = all(per_player)

@@ -36,20 +36,14 @@ from math import lcm
 from operator import mul
 
 from ._rational import ONE, ZERO, Rational
-from .certainty import minimal_components
-from .errors import (
-    DimensionError,
-    InconsistencyError,
-    PlayerCountError,
-    VerificationError,
-)
+from .certainty import check_dimension, minimal_components
+from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
     integer_form,
     payoff_vector,
-    signed_expectations,
 )
 from .priors import (
     NOTIONS,
@@ -57,6 +51,7 @@ from .priors import (
     PriorClassification,
     PriorWitness,
     blocks,
+    check_single_player,
     classify_prior,
     find_common_prior,
     find_prior,
@@ -74,8 +69,10 @@ class Trade:
     forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _payoff_rows(self, "a trade")
-        den, sums = _column_sums(self.forms)
+        rows, forms = _payoff_rows(self.payoffs, "a trade")
+        object.__setattr__(self, "payoffs", rows)
+        object.__setattr__(self, "forms", forms)
+        den, sums = _column_sums(forms)
         for w, total in enumerate(sums):
             if total > 0:
                 raise InconsistencyError(
@@ -83,16 +80,15 @@ class Trade:
                 )
 
 
-def _payoff_rows(family: Trade | MoneyPumpWitness, what: str) -> None:
-    """Coerce ``family.payoffs`` in place to exact rows, one per player and
-    all of one length, and fix their integer forms as ``family.forms``."""
-    norm = tuple(payoff_vector(f) for f in family.payoffs)
-    if not norm:
+def _payoff_rows(payoffs, what: str) -> tuple[tuple, tuple]:
+    """``(rows, forms)``: ``payoffs`` coerced to exact rows, one per player
+    and all of one length, and their integer forms."""
+    rows = tuple(payoff_vector(f) for f in payoffs)
+    if not rows:
         raise DimensionError(f"{what} needs at least one player")
-    if any(len(f) != len(norm[0]) for f in norm):
+    if any(len(f) != len(rows[0]) for f in rows):
         raise DimensionError("payoff vectors differ in length")
-    object.__setattr__(family, "payoffs", norm)
-    object.__setattr__(family, "forms", tuple(integer_form(f) for f in norm))
+    return rows, tuple(integer_form(f) for f in rows)
 
 
 def _column_sums(forms) -> tuple[int, list[int]]:
@@ -137,7 +133,9 @@ class MoneyPumpWitness:
     forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _payoff_rows(self, "a semi-trade")
+        rows, forms = _payoff_rows(self.payoffs, "a semi-trade")
+        object.__setattr__(self, "payoffs", rows)
+        object.__setattr__(self, "forms", forms)
 
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
@@ -192,8 +190,10 @@ def classify_trade(
     trade.
 
     Each row is put over one denominator once, or, for a ``Trade``, its
-    fixed integer forms are read; the signs of the expectations and of the
-    pointwise sums are read off integers."""
+    fixed integer forms are read. Per player, a cell's expectation is one
+    integer sum from ``cell_expectations`` and one rational when nonzero;
+    the signs of the expectations and of the pointwise sums are read off
+    integers."""
     m = structure.num_states
     if isinstance(payoffs, Trade):
         size = len(payoffs.payoffs[0])
@@ -206,7 +206,17 @@ def classify_trade(
         raise DimensionError(
             f"{len(forms)} payoff vectors for {structure.num_players} players"
         )
-    table, signs = signed_expectations(structure, forms)
+    table, signs = [], []
+    for i, form in enumerate(forms):
+        row, sign = [ZERO] * m, [0] * m
+        for cell, num, den in cell_expectations(structure, i, form):
+            if num:
+                e, s = Rational(num, den), 1 if num > 0 else -1
+                for w in cell:
+                    row[w] = e
+                    sign[w] = s
+        table.append(tuple(row))
+        signs.append(sign)
     is_semi = min(map(min, signs)) >= 0
     everyone = [min(col) > 0 for col in zip(*signs)]
     component = next(
@@ -219,7 +229,7 @@ def classify_trade(
         acceptable=is_semi and max(map(max, signs)) > 0,
         weakly_agreeable=component is not None,
         agreeable=all(everyone),
-        expectations=table,
+        expectations=tuple(table),
         agreeable_component=component,
     )
 
@@ -312,16 +322,14 @@ def pump_piece(
 def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
+    """The semi-trade of ``pump_piece`` rows and its witness, built once and
+    verified, when its deficit is negative; else None."""
+    check_dimension(structure, dist)
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    witness = MoneyPumpWitness(dist, payoffs, None, None)
-    # The deficit is read off the integer forms the witness fixed; it and
-    # the kind are set once, before the witness leaves this function, and
-    # the kind only for a search that pumps.
-    deficit = _deficit(witness.forms, dist)
+    deficit = _deficit([integer_form(f) for f in payoffs], dist)
     if not deficit < ZERO:
         return None
-    object.__setattr__(witness, "deficit", deficit)
-    object.__setattr__(witness, "kind", pump_kind(structure, dist))
+    witness = MoneyPumpWitness(dist, payoffs, deficit, pump_kind(structure, dist))
     witness.verify(structure)
     return witness
 
@@ -332,10 +340,7 @@ def find_single_money_pump(
     """Single-player pump: a payoff with non-negative conditional expectation
     at every state whose p-expectation is negative. Exists iff p fails to
     disintegrate."""
-    if structure.num_players != 1:
-        raise PlayerCountError(
-            f"single-player pump on a {structure.num_players}-player structure"
-        )
+    check_single_player(structure)
     return _pump_search(structure, dist)
 
 
@@ -345,8 +350,6 @@ def find_multiplayer_money_pump(
     """Minimize the p-expectation of the summed payoffs over all semi-trades;
     a witness exists iff the minimum is negative, iff p is not a common
     prior."""
-    if len(dist) != structure.num_states:
-        raise DimensionError("distribution dimension does not match structure")
     return _pump_search(structure, dist)
 
 

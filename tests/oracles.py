@@ -29,7 +29,8 @@ def dense_expectation_table(
     structure: InformationStructure, payoffs: tuple[tuple, ...]
 ) -> tuple[tuple, ...]:
     """``dense_dot`` of every type with the player's payoff row over all M
-    states, read off per state: the oracle of ``model.expectation_table``."""
+    states, read off per state: the oracle of ``trades.classify_trade``'s
+    ``expectations``."""
     table = []
     for i, f in enumerate(payoffs):
         per_cell = [dense_dot(t.probs, f) for t in structure.cell_types[i]]

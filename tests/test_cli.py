@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from prior_forge import SCHEMA, DimensionError, dumps_canonical, harness, lp
+from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report
 from prior_forge.cli import main
 
 
@@ -472,7 +472,7 @@ def test_constraint_rows_are_sparse_and_in_range():
     assert program.constraints[0].coeffs == {y: 1}
     with pytest.raises(DimensionError):
         lp.LinearProgram(
-            (0, 0), True, (lp.Constraint({2: 1}, "<=", 1),), (0, 0), (None, None), ("x", "y")
+            (0, 0), True, (lp.Constraint({2: 1}, 1, "<=", 1),), (0, 0), (None, None), ("x", "y")
         )
 
 
@@ -480,3 +480,16 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "structure.json"])  # missing --trade/--dist
     assert exc.value.code == 2
+
+
+def test_verification_failure_exits_four(run, spath, monkeypatch):
+    """A certificate that fails its re-check is a bug in the package: the
+    command stops with exit code 4 and says so on stderr."""
+
+    def broken(*args):
+        raise VerificationError("forged defect")
+
+    monkeypatch.setattr(report, "_verify_report", broken)
+    code, out, err = run("report", spath("intro"))
+    assert (code, out) == (4, "")
+    assert err == "verification failure (this is a bug): forged defect\n"

@@ -19,6 +19,7 @@ from prior_forge import (
     PriorForgeError,
     cross_check,
     find_strong_common_prior,
+    make_structure,
     oracle_battery,
     random_distribution,
     random_structure,
@@ -72,6 +73,30 @@ def test_distribution_deterministic(pl4):
     a = random_distribution(pl4, cfg, NOTIONS[0], random.Random(1))
     b = random_distribution(pl4, cfg, NOTIONS[0], random.Random(1))
     assert a == b
+
+
+def test_distribution_falls_back_to_a_perturbed_uniform(monkeypatch):
+    """One player with forty singleton cells: a strong draw must keep every
+    state, which a thinned draw does with probability (3/4)^40, so all
+    ``REJECTION_CAP`` draws fail and the perturbed uniform is returned."""
+    m = 40
+    s = make_structure(
+        [f"w{w}" for w in range(m)], ["P"], [[[w] for w in range(m)]], [[{w: 1} for w in range(m)]]
+    )
+    draws = []
+    compose = harness._random_composition
+
+    def counted(*args):
+        draws.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(harness, "_random_composition", counted)
+    cfg = GeneratorConfig()
+    d = random_distribution(s, cfg, NOTIONS[2], random.Random(3))
+    assert len(draws) == harness.REJECTION_CAP
+    assert d.support() == tuple(range(m))
+    assert NOTIONS[2].charged_by(s, d)
+    assert d == random_distribution(s, cfg, NOTIONS[2], random.Random(3))
 
 
 # sha256 over the sampled distributions of generator seeds 0..299: per

@@ -38,7 +38,6 @@ from prior_forge import (
     Trade,
     VerificationError,
     classify_trade,
-    expectation_table,
     make_structure,
     parse_structure,
     random_structure,
@@ -247,7 +246,8 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         else:
             assert pump.deficit == dense_deficit < 0
         for payoffs in (pieces, tuple(_random_row(m, rng) for _ in range(n))):
-            assert expectation_table(structure, payoffs) == dense_expectation_table(structure, payoffs)
+            table = classify_trade(structure, payoffs).expectations
+            assert table == dense_expectation_table(structure, payoffs)
             for f in payoffs:
                 assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
             deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
@@ -260,7 +260,8 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
 
     trade = blocks(structure).payoffs
     if trade is not None:
-        assert expectation_table(structure, trade) == dense_expectation_table(structure, trade)
+        table = classify_trade(structure, trade).expectations
+        assert table == dense_expectation_table(structure, trade)
 
 
 def test_distribution_errors_keep_their_messages():
@@ -298,8 +299,8 @@ def test_pump_piece_breaks_ties_toward_the_lower_state():
 
 
 def test_expectation_table_rejects_a_short_row(intro):
-    with pytest.raises(DimensionError, match="^length mismatch: 5 vs 4$"):
-        expectation_table(intro, ((0, 0, 0, 0), (0, 0, 0, 0, 0)))
+    with pytest.raises(DimensionError, match="^payoff vector has 4 entries, expected 5$"):
+        classify_trade(intro, ((0, 0, 0, 0), (0, 0, 0, 0, 0)))
 
 
 BLOCK_FIELDS = ("live", "support", "prior", "hull_weights", "margin", "payoffs")
@@ -458,10 +459,65 @@ def _fractional_bound_programs():
     return programs
 
 
+def _shifted_column_programs(count=60):
+    """Random programs whose first variable is free, so its negative part
+    takes column 1 and every later variable's column is one past its index:
+    a mirrored variable (only an upper bound) and a shifted one, whose lower
+    bound, and upper bound when it has one, are small fractions. A shifted
+    variable keeps no sign change, so a row over it alone is still
+    rewritten, into its column."""
+    rng = random.Random(26)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    programs = []
+    for _ in range(count):
+        b = LPBuilder()
+        lower = frac()
+        upper = rng.choice((None, lower + rng.randint(0, 3)))
+        variables = [
+            b.add_var("free", objective=frac()),
+            b.add_var("mirrored", upper=frac(), objective=frac()),
+            b.add_var("shifted", lower=lower, upper=upper, objective=frac()),
+        ]
+        for _ in range(rng.randint(2, 3)):
+            picked = rng.sample(variables, rng.randint(1, len(variables)))
+            b.add_constraint({j: frac() or 1 for j in picked}, rng.choice(("<=", ">=", "=")), frac())
+        programs.append(b.build(maximize=rng.random() < 0.5))
+    return programs
+
+
+def test_shifted_columns_solve_as_the_enumerated_vertices():
+    """Each of ``_shifted_column_programs`` has a shifted variable whose
+    column is not its index, and the simplex agrees with the basis
+    enumeration: the optimum is the best enumerated vertex, an infeasible
+    program has no vertex and a Farkas certificate, and an unbounded one
+    has a vertex."""
+    statuses = []
+    for lp in _shifted_column_programs():
+        form = _int_standardize(lp)
+        assert any(tag == "shift" and col != j for col, (tag, j) in enumerate(form.col_kind))
+        out = solve(lp)
+        statuses.append(out.status)
+        vertices = enumerate_basic_solutions(lp)
+        if out.status == "optimal":
+            assert feasibility_violations(lp, out.primal) == []
+            values = [dot(lp.objective, point) for point in vertices]
+            assert out.objective_value == (max(values) if lp.maximize else min(values))
+        elif out.status == "infeasible":
+            assert vertices == ()
+            assert farkas_violations(lp, out.certificate) == []
+        else:
+            assert vertices
+    assert min(map(statuses.count, ("optimal", "infeasible", "unbounded"))) >= 10
+
+
 @pytest.fixture(scope="module")
 def programs(fixture_path):
     """Every program ``test_simplex_outcomes_are_pinned`` solves, then the
-    fractional-bound ones, each with its outcome."""
+    fractional-bound ones and ``_shifted_column_programs``, each with its
+    outcome."""
     builders = (
         common_prior_program,
         joint_common_prior_program,
@@ -470,7 +526,8 @@ def programs(fixture_path):
     )
     structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
     structures += [random_structure(GeneratorConfig(seed=seed)) for seed in SEEDS]
-    found = [build(s) for s in structures for build in builders] + _fractional_bound_programs()
+    found = [build(s) for s in structures for build in builders]
+    found += _fractional_bound_programs() + _shifted_column_programs()
     return [(lp, solve(lp)) for lp in found]
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from prior_forge import (
+    DimensionError,
     Distribution,
     PlayerCountError,
     PriorWitness,
@@ -17,6 +18,8 @@ from prior_forge import (
     disintegrable_by_definition,
     enumerate_basic_solutions,
     find_common_prior,
+    find_multiplayer_money_pump,
+    find_single_money_pump,
     find_strong_common_prior,
     find_universal_common_prior,
     hull_weights,
@@ -115,10 +118,27 @@ def test_disintegrable_implies_conglomerable(pl):
 
 def test_single_player_guard(intro):
     p = uniform(intro.num_states)
-    with pytest.raises(PlayerCountError):
-        is_disintegrable(intro, p)
-    with pytest.raises(PlayerCountError):
-        is_conglomerable(intro, p)
+    for guarded in (is_disintegrable, is_conglomerable, find_single_money_pump):
+        with pytest.raises(PlayerCountError, match="^operation needs exactly one player, structure has 2$"):
+            guarded(intro, p)
+
+
+def test_distribution_length_guard(intro, pl):
+    """One length check, with one message, behind every function that takes
+    a distribution on a structure."""
+    guarded = (
+        classify_prior,
+        is_maximal,
+        is_strongly_maximal,
+        find_multiplayer_money_pump,
+        lambda s, p: hull_weights(s, 0, p),
+    )
+    for check in guarded:
+        with pytest.raises(DimensionError, match="^distribution has 6 entries, structure has 5 states$"):
+            check(intro, uniform(6))
+    for check in (is_disintegrable, is_conglomerable, find_single_money_pump):
+        with pytest.raises(DimensionError, match="^distribution has 4 entries, structure has 3 states$"):
+            check(pl, uniform(4))
 
 
 def test_event_enumeration_cap():

@@ -18,7 +18,7 @@ from prior_forge import (
     build_prior_report,
     classify_distribution,
     classify_trade,
-    expectation_table,
+    cross_check,
     find_acceptable_trade,
     find_agreeable_trade,
     find_common_prior,
@@ -86,7 +86,7 @@ def test_trade_dimension_checks():
 
 def test_expectation_table(ex_pl1):
     f1 = (0, 1, 1, 0)
-    table = expectation_table(ex_pl1, (f1, neg(f1)))
+    table = classify_trade(ex_pl1, (f1, neg(f1))).expectations
     # Player 1 expects 1 inside the middle cell, 0 at the endpoints.
     assert table[0] == (ZERO, rational(1), rational(1), ZERO)
     # Player 2's point-mass types only see the endpoint payoffs, both 0.
@@ -430,6 +430,32 @@ def test_pump_kind_is_read_only_for_a_search_that_pumps(
     pump = find_multiplayer_money_pump(ex_pl2, uniform(4))
     assert pump is not None and pump.kind == "strong"
     assert calls == [uniform(4)]
+
+
+def test_a_pump_search_builds_its_witness_only_when_it_pumps(monkeypatch):
+    """Over battery seeds 1000..1099, ``cross_check`` makes 1,088 pump
+    searches and 712 of them pump: each pumping search builds the one
+    witness it returns, and a search that does not pump builds none."""
+    built, found = [], []
+
+    class Counted(MoneyPumpWitness):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    search = trades._pump_search
+
+    def spied(structure, dist):
+        found.append(search(structure, dist))
+        return found[-1]
+
+    monkeypatch.setattr(trades, "MoneyPumpWitness", Counted)
+    monkeypatch.setattr(trades, "_pump_search", spied)
+    for seed in range(1000, 1100):
+        assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed
+    pumped = [w for w in found if w is not None]
+    assert (len(found), len(pumped), len(built)) == (1088, 712, 712)
+    assert all(a is b for a, b in zip(built, pumped))
 
 
 def test_pump_kind_grades(ex_pl1, pl):
