@@ -13,8 +13,10 @@ it back as JSON, then times, in wall-clock milliseconds:
 * analyze: ``report.analyze`` on the parsed structure;
 * render: ``AnalysisReport.to_json`` and ``jsonio.dumps_canonical``.
 
-Each row also gives the cell count over all players and the number of
-nonzero type entries. The package is imported from this checkout's ``src``.
+Each row also gives the cell count over all players, the number of nonzero
+type entries and ``peak_rss_mb``, the measuring interpreter's peak resident
+set size (``ru_maxrss``) in MB once the row is measured. The package is
+imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -32,7 +35,9 @@ STATES = (96, 192, 384, 768, 1536)
 PLAYERS = (2, 3, 4)
 BLOCKS = 2
 SEED = 1
-COLUMNS = ("M", "N", "cells", "nonzeros", "build_ms", "parse_ms", "analyze_ms", "render_ms")
+COLUMNS = (
+    "M", "N", "cells", "nonzeros", "build_ms", "parse_ms", "analyze_ms", "render_ms", "peak_rss_mb",
+)
 
 
 def _timed(fn, *args):
@@ -73,7 +78,9 @@ def main(argv=None) -> int:
     ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        print(json.dumps(measure(args.states[0], args.players[0])))
+        row = measure(args.states[0], args.players[0])
+        row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        print(json.dumps(row))
         return 0
     print(" ".join(f"{c:>10}" for c in COLUMNS))
     for m in args.states:

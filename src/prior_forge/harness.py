@@ -275,12 +275,18 @@ class CrossCheckReport:
 
 
 def structure_digest(structure: InformationStructure) -> int:
-    """Content hash, stable across processes; seeds per-structure sampling."""
+    """Content hash, stable across processes; seeds per-structure sampling.
+    A type's text is each mass in lowest terms, "0" off its support, written
+    from its numerators."""
     parts = [",".join(structure.states), ",".join(structure.players)]
     for cells, types in zip(structure.partitions, structure.cell_types):
         for cell, t in zip(cells, types):
             parts.append("|".join(map(str, cell)))
-            parts.append("|".join(str(q) for q in t))
+            row = ["0"] * len(t)
+            for w, a in t.items():
+                g = math.gcd(a, t.den)
+                row[w] = f"{a // g}/{t.den // g}" if g < t.den else str(a // g)
+            parts.append("|".join(row))
     blob = ";".join(parts).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
@@ -376,9 +382,9 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
     eps = b.add_var("eps", lower=ZERO, objective=ONE)
     for i in range(structure.num_players):
+        own = structure.own_nums(i)
         for w in range(m):
-            t = structure.type_at(i, w)
-            t_w = t.nums[w]
+            t, t_w = structure.type_at(i, w), own[w]
             row = {p_vars[s]: -t_w for s in structure.partitions[i][structure.cell_of(i, w)]}
             row[p_vars[w]] = t.den - t_w
             b.add_integer_constraint(row, t.den, "=")
@@ -476,10 +482,10 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
     return fvar
 
 
-def _type_row(fvar: list[int], cell: tuple[int, ...], t: Distribution) -> dict:
+def _type_row(fvar: list[int], t: Distribution) -> dict:
     """A cell's expectation of the payoffs ``fvar``, as numerators over
     ``t.den``."""
-    return {fvar[w]: t.nums[w] for w in cell if t.nums[w]}
+    return {fvar[w]: a for w, a in t.items()}
 
 
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
@@ -491,8 +497,8 @@ def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     fvar = trade_variables(b, structure)
     delta = b.add_var("delta", objective=ONE)
     for i in range(structure.num_players):
-        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = _type_row(fvar[i], cell, t)
+        for t in structure.cell_types[i]:
+            row = _type_row(fvar[i], t)
             row[delta] = -t.den
             b.add_integer_constraint(row, t.den, ">=")
     return b.build(maximize=True)
@@ -507,7 +513,7 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
     fvar = trade_variables(b, structure)
     for i in range(structure.num_players):
         for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = _type_row(fvar[i], cell, t)
+            row = _type_row(fvar[i], t)
             b.add_integer_constraint(row, t.den, ">=")
             for var, coeff in row.items():
                 b.add_objective(var, Rational(len(cell) * coeff, t.den))
@@ -534,12 +540,15 @@ def joint_common_prior_program(structure: InformationStructure) -> LinearProgram
         )
     eps = b.add_var("eps", lower=ZERO, objective=ONE)
     for i in range(structure.num_players):
+        held: list[list] = [[] for _ in range(m)]  # per state, every type that charges it
+        for v, t in enumerate(structure.cell_types[i]):
+            for w, a in t.items():
+                held[w].append((v, t.den, a))
         for w in range(m):
-            held = [(v, t) for v, t in enumerate(structure.cell_types[i]) if t.nums[w]]
-            den = math.lcm(*(t.den for _, t in held))
+            den = math.lcm(*(d for _, d, _ in held[w]))
             row = {p_vars[w]: den}
-            for v, t in held:
-                row[lam_vars[i][v]] = -t.nums[w] * (den // t.den)
+            for v, d, a in held[w]:
+                row[lam_vars[i][v]] = -a * (den // d)
             b.add_integer_constraint(row, den, "=")
         b.add_integer_constraint(dict.fromkeys(lam_vars[i], 1), 1, "=", 1)
     _add_mass_rows(b, structure, p_vars, eps)
@@ -816,12 +825,12 @@ def _delete_state(structure: InformationStructure, state: int) -> InformationStr
             cell = [w for w in old if w != state]
             if not cell:
                 continue
-            support = [w for w in t.support() if w != state]
-            if not support:
+            kept = {index[w]: a for w, a in t.items() if w != state}
+            if not kept:
                 return None  # renormalization impossible; skip this deletion
-            mass = t.mass(support)
+            mass = sum(kept.values())
             blocks.append([index[w] for w in cell])
-            types.append({index[w]: t[w] / mass for w in support})
+            types.append({k: Rational(a, mass) for k, a in kept.items()})
         partitions.append(blocks)
         cell_types.append(types)
     return make_structure(
@@ -900,11 +909,10 @@ def pump_piece_program(
     cell, the p-expectation minimized. Kept as that closed form's oracle."""
     b = LPBuilder()
     fvar = [b.add_var(f"f[{w}]", lower=NEG_ONE, upper=ONE) for w in range(structure.num_states)]
-    for cell, t in zip(structure.partitions[player], structure.cell_types[player]):
-        b.add_integer_constraint(_type_row(fvar, cell, t), t.den, ">=")
-    for w, mass in enumerate(dist):
-        if mass:
-            b.add_objective(fvar[w], mass)
+    for t in structure.cell_types[player]:
+        b.add_integer_constraint(_type_row(fvar, t), t.den, ">=")
+    for w, a in dist.items():
+        b.add_objective(fvar[w], Rational(a, dist.den))
     return b.build(maximize=False)
 
 

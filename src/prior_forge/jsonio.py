@@ -16,17 +16,19 @@ stdlib falls back to its pure-Python encoder, so
 It accepts only what the documents hold (dicts with string keys, lists,
 tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
 else, floats and ``Fraction``s included. Type rows are dense on the wire, but
-parsing skips the zero literals ``0`` and ``"0"`` and builds each type from
-its support, and rendering fills a row from the support, so a rational is
-parsed and rendered once per nonzero entry.
+a ``Distribution`` holds only its support: parsing skips the zero literals
+``0`` and ``"0"`` and builds each type from its support, and rendering fills
+a row of zeros from the support's integer numerators, so a rational is parsed
+once per nonzero entry and none is built to render one.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
+from math import gcd
 
-from ._rational import rational, to_json_value
+from ._rational import rational
 from .errors import DimensionError, SchemaError
 from .model import Distribution, InformationStructure, make_structure
 
@@ -261,11 +263,14 @@ def structure_to_json(structure: InformationStructure) -> dict:
 
 
 def type_row(t: Distribution) -> list:
-    """A type's JSON row: 0 off its support, filled from the support alone."""
+    """The JSON row of a type, or of any distribution: 0 off its support,
+    and on it each numerator over ``t.den`` in lowest terms, as
+    ``to_json_value`` writes it (an int when whole, else ``"a/b"``)."""
     row = [0] * len(t)
-    probs = t.probs
-    for w in t.support():
-        row[w] = to_json_value(probs[w])
+    den = t.den
+    for w, a in t.items():
+        g = gcd(a, den)
+        row[w] = a // g if g == den else f"{a // g}/{den // g}"
     return row
 
 
@@ -288,7 +293,7 @@ def parse_distribution(doc, structure: InformationStructure) -> Distribution:
 
 
 def distribution_to_json(dist: Distribution) -> dict:
-    return {"schema": SCHEMA, "dist": [to_json_value(v) for v in dist]}
+    return {"schema": SCHEMA, "dist": type_row(dist)}
 
 
 def parse_payoffs(doc, structure: InformationStructure) -> tuple:

@@ -65,7 +65,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from ._rational import ONE, ZERO, Rational, format_rational, rational
-from .errors import DimensionError, SizeCapError, VerificationError
+from .errors import DimensionError, InputError, SizeCapError, VerificationError
 from .model import integer_form
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
@@ -134,6 +134,11 @@ class LinearProgram:
         cost_den, cost_nums = integer_form(objective)
         lower, lower_forms = _bounds(self.lower)
         upper, upper_forms = _bounds(self.upper)
+        for j, (lo, hi) in enumerate(zip(lower_forms, upper_forms)):
+            if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
+                raise InputError(
+                    f"variable {self.names[j]} has lower bound {lower[j]} above upper bound {upper[j]}"
+                )
         for name, value in (
             ("objective", objective), ("lower", lower), ("upper", upper),
             ("cost_den", cost_den), ("cost_nums", cost_nums),

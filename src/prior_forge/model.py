@@ -13,7 +13,8 @@ index-based (states ``0..M-1`` in declaration order, players likewise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
 from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -50,24 +51,24 @@ def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """An exact probability distribution over indexed states.
+    """An exact probability distribution over ``size`` indexed states, held
+    on its support.
 
-    Its integer form is fixed at construction: ``nums[w] / den == probs[w]``
-    with ``den`` the least common denominator. Validation, masses and
-    expectations read the ints and build one rational per result.
+    It keeps ``size``, ``den``, the least common denominator of its masses,
+    the sorted support, and one integer numerator over ``den`` per support
+    state (``items()`` pairs them), and nothing per state off the support,
+    so a type costs its nonzero entries, not the state count. Validation,
+    masses and expectations read those ints and build one rational per
+    result. Indexing, iteration and ``probs`` give the dense values, 0 off
+    the support, and build them when read. Instances are immutable;
+    equality and ``repr`` are those of the dense ``probs``, and equal
+    distributions hash alike."""
 
-    Every distribution is filled and checked from its nonzero entries alone,
-    by the routine behind ``from_support``; ``probs`` and ``nums`` stay dense
-    tuples, with the shared ``ZERO`` and ``0`` off the support."""
+    __slots__ = ("size", "den", "_support", "_nums")
 
-    probs: tuple
-    den: int = field(init=False, repr=False, compare=False)
-    nums: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        probs = tuple(map(rational, self.probs))
+    def __init__(self, probs) -> None:
+        probs = tuple(map(rational, probs))
         self._fill(len(probs), {w: q for w, q in enumerate(probs) if q})
 
     @classmethod
@@ -81,43 +82,88 @@ class Distribution:
         return dist
 
     def _fill(self, size: int, entries: dict) -> None:
-        """Dense rows from the nonzero ``entries``, with ``den`` the lcm over
-        the support; then the negative-mass and sum-to-1 checks on the
-        support."""
+        """The support form from the nonzero ``entries``, with ``den`` the
+        lcm over the support; then the negative-mass and sum-to-1 checks."""
         support = tuple(sorted(entries))
         if support and not (0 <= support[0] and support[-1] < size):
             raise DimensionError(f"support {support} outside states 0..{size - 1}")
         den = math.lcm(*(q.denominator for q in entries.values()))
-        probs = [ZERO] * size
-        nums = [0] * size
-        for w, q in entries.items():
-            probs[w] = q
-            nums[w] = q.numerator * (den // q.denominator)
-        object.__setattr__(self, "probs", tuple(probs))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "_support", support)
-        if any(nums[w] < 0 for w in support):
+        nums = tuple([entries[w].numerator * (den // entries[w].denominator) for w in support])
+        for name, value in (("size", size), ("den", den), ("_support", support), ("_nums", nums)):
+            object.__setattr__(self, name, value)
+        if any(a < 0 for a in nums):
             raise StochasticityError("negative mass")
-        total = sum(nums[w] for w in support)
-        if total != den:
-            raise StochasticityError(f"masses sum to {Rational(total, den)}, not 1")
+        if sum(nums) != den:
+            raise StochasticityError(f"masses sum to {Rational(sum(nums), den)}, not 1")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.den, self._support, self._nums) == (
+            other.size, other.den, other._support, other._nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.den, self._support, self._nums))
+
+    def __repr__(self) -> str:
+        return f"Distribution(probs={self.probs!r})"
+
+    def __reduce__(self):
+        # Slots refuse assignment, so copies and pickles rebuild from the support.
+        return self.from_support, (self.size, {w: Rational(a, self.den) for w, a in self.items()})
+
+    @property
+    def probs(self) -> tuple:
+        """The dense masses, built on each read, with ``ZERO`` off the
+        support: for messages, tests and oracles."""
+        probs = [ZERO] * self.size
+        for w, a in self.items():
+            probs[w] = Rational(a, self.den)
+        return tuple(probs)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return self.size
 
-    def __getitem__(self, i: int):
-        return self.probs[i]
+    def __getitem__(self, w: int):
+        if not -self.size <= w < self.size:
+            raise IndexError("distribution index out of range")
+        w %= self.size
+        k = bisect_left(self._support, w)
+        if k < len(self._support) and self._support[k] == w:
+            return Rational(self._nums[k], self.den)
+        return ZERO
 
     def __iter__(self):
         return iter(self.probs)
 
+    def items(self):
+        """``(state, numerator)`` for each support state in increasing
+        order; the state's mass is ``numerator / den``."""
+        return zip(self._support, self._nums)
+
     def mass(self, states: Iterable[int]):
-        nums = self.nums
-        return Rational(sum(nums[s] for s in states), self.den)
+        inside = set(states)
+        return Rational(sum(a for w, a in self.items() if w in inside), self.den)
 
     def support(self) -> tuple[int, ...]:
-        return self._support  # type: ignore[attr-defined]
+        return self._support
+
+
+def state_nums(dist: Distribution) -> list[int]:
+    """``dist``'s numerators over ``dist.den``, one per state, 0 off its
+    support: the row of a prior or sampled distribution, one per structure,
+    for the checks that read it at every state of every cell."""
+    nums = [0] * dist.size
+    for w, a in dist.items():
+        nums[w] = a
+    return nums
 
 
 def dot(weights: Sequence, values: Sequence):
@@ -139,7 +185,7 @@ def cell_expectations(
     so its sign is ``num``'s."""
     fden, g = form
     return [
-        (cell, sum(t.nums[w] * g[w] for w in t.support()), t.den * fden)
+        (cell, sum(a * g[w] for w, a in t.items()), t.den * fden)
         for cell, t in zip(structure.partitions[player], structure.cell_types[player])
     ]
 
@@ -159,7 +205,9 @@ class InformationStructure:
     by smallest contained state. ``cell_types[i][c]`` is the type shared by all
     states of cell ``c``. Construction validates every invariant; instances are
     immutable afterwards, apart from the ``derived`` memo of values computed
-    from them.
+    from them. Beside the types, construction keeps one state-indexed row
+    per player, ``own_nums``, so that "player i's type at w, at w" is one
+    lookup and no type is read densely.
     """
 
     states: tuple[str, ...]
@@ -181,7 +229,7 @@ class InformationStructure:
         if len(self.partitions) != len(self.players) or len(self.cell_types) != len(self.players):
             raise DimensionError("need one partition and one type table per player")
 
-        cell_of = []
+        cell_of, own = [], []
         for i, player in enumerate(self.players):
             cells = self.partitions[i]
             seen = [-1] * m
@@ -206,17 +254,22 @@ class InformationStructure:
             types = self.cell_types[i]
             if len(types) != len(cells):
                 raise DimensionError(f"player {player!r}: {len(types)} types for {len(cells)} cells")
+            row = [0] * m
             for c, t in enumerate(types):
                 if len(t) != m:
                     raise DimensionError(
                         f"player {player!r}: type for cell {c} has {len(t)} entries, expected {m}"
                     )
-                if sum(t.nums[w] for w in cells[c]) != t.den:
-                    raise SupportError(
-                        f"player {player!r}: type for cell {cells[c]} puts mass outside the cell"
-                    )
+                for w, a in t.items():
+                    if seen[w] != c:
+                        raise SupportError(
+                            f"player {player!r}: type for cell {cells[c]} puts mass outside the cell"
+                        )
+                    row[w] = a
             cell_of.append(tuple(seen))
+            own.append(tuple(row))
         object.__setattr__(self, "_cell_of", tuple(cell_of))
+        object.__setattr__(self, "_own_nums", tuple(own))
         object.__setattr__(self, "_derived", {})
 
     # -- indexed access -------------------------------------------------
@@ -237,6 +290,12 @@ class InformationStructure:
 
     def type_at(self, player: int, state: int) -> Distribution:
         return self.cell_types[player][self.cell_of(player, state)]
+
+    def own_nums(self, player: int) -> tuple[int, ...]:
+        """Per state w, the numerator over ``type_at(player, w).den`` of the
+        mass that the player's type at w puts on w itself. A type lives on
+        its own cell, so this row holds every type entry of the player."""
+        return self._own_nums[player]  # type: ignore[attr-defined]
 
     def derived(self, key: str, compute: Callable[["InformationStructure"], T]) -> T:
         """``compute(self)``, evaluated on the first request for ``key`` and
@@ -339,7 +398,7 @@ def induced_substructure(
             if not kept:
                 continue
             cells_out.append(kept)
-            support = {reindex[w]: t.probs[w] for w in t.support()}
+            support = {reindex[w]: Rational(a, t.den) for w, a in t.items()}
             types_out.append(Distribution.from_support(len(subset), support))
         order = sorted(range(len(cells_out)), key=lambda k: cells_out[k][0])
         partitions.append(tuple(cells_out[k] for k in order))

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 from ._rational import ZERO, Rational
 from .certainty import check_dimension, is_maximal, is_strongly_maximal
 from .errors import PlayerCountError, SizeCapError, VerificationError
-from .model import Distribution, InformationStructure, integer_form
+from .model import Distribution, InformationStructure, integer_form, state_nums
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
@@ -81,7 +81,7 @@ class PriorWitness:
             raise VerificationError("witness prior has wrong dimension")
         prior = self.prior
         if isinstance(prior, Distribution):
-            den, nums = prior.den, prior.nums
+            den, nums = prior.den, state_nums(prior)
         else:
             den, nums = integer_form(prior)
         for i in range(structure.num_players):
@@ -125,7 +125,7 @@ def hull_weights(
     cells' types, or None when dist is outside the hull. Weights are forced
     to be the cell masses, so this is a direct exact check, not a search."""
     check_dimension(structure, dist)
-    den, nums = dist.den, dist.nums
+    den, nums = dist.den, state_nums(dist)
     masses = [sum(nums[w] for w in cell) for cell in structure.partitions[player]]
     if _off_mixture(structure, player, den, masses, den, nums):
         return None
@@ -138,11 +138,13 @@ def _off_mixture(
     """The states where sum_c (wnums[c] / wden) * type_c differs from
     nums / den. Types vanish off their own cell and every state lies in
     exactly one cell, so on cell c with type b / E the mixture is right at w
-    iff wnums[c] * den * b[w] == nums[w] * wden * E: ints only."""
+    iff wnums[c] * den * b[w] == nums[w] * wden * E, with b[w] the player's
+    ``own_nums`` entry: ints only."""
+    own = structure.own_nums(player)
     off = []
     for cell, t, u in zip(structure.partitions[player], structure.cell_types[player], wnums):
-        lhs, rhs, b = u * den, wden * t.den, t.nums
-        off += [w for w in cell if lhs * b[w] != nums[w] * rhs]
+        lhs, rhs = u * den, wden * t.den
+        off += [w for w in cell if lhs * own[w] != nums[w] * rhs]
     return off
 
 
@@ -183,19 +185,19 @@ def is_conglomerable(
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {EVENT_CAP}")
     types = structure.cell_types[0]
     den = lcm(dist.den, *(t.den for t in types))
-    p_step = [a * (den // dist.den) for a in dist.nums]
-    # per state, (cell, scaled type mass) for every type that charges it
+    p_step = [a * (den // dist.den) for a in state_nums(dist)]
+    # per state, its cell and the scaled mass the cell's type puts on it
+    own = structure.own_nums(0)
     t_step = [
-        [(c, t.nums[w] * (den // t.den)) for c, t in enumerate(types) if t.nums[w]]
-        for w in range(m)
+        (structure.cell_of(0, w), own[w] * (den // structure.type_at(0, w).den)) for w in range(m)
     ]
     p_e = 0
     t_e = [0] * len(types)
     full = (1 << m) - 1
     for gray, bit, sign in _gray_steps(m):
         p_e += sign * p_step[bit]
-        for c, a in t_step[bit]:
-            t_e[c] += sign * a
+        c, a = t_step[bit]
+        t_e[c] += sign * a
         if gray == full:
             continue
         if p_e < min(t_e) or p_e > max(t_e):
@@ -218,14 +220,17 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
     if m > DEFINITION_CAP:
         raise SizeCapError(f"{m} states exceeds the event enumeration cap {DEFINITION_CAP}")
     cells, types = structure.partitions[0], structure.cell_types[0]
-    nums = dist.nums
+    nums = state_nums(dist)
     t_dens = [t.den for t in types]
     mass = [sum(nums[s] for s in cell) for cell in cells]
     home = [0] * m  # the cell holding each state
     for c, cell in enumerate(cells):
         for s in cell:
             home[s] = c
-    t_step = [[(c, t.nums[s]) for c, t in enumerate(types) if t.nums[s]] for s in range(m)]
+    t_step: list[list] = [[] for _ in range(m)]  # per state, (cell, type mass) where charged
+    for c, t in enumerate(types):
+        for s, a in t.items():
+            t_step[s].append((c, a))
     inter = [0] * len(cells)
     tev = [0] * len(cells)
     for _, bit, sign in _gray_steps(m):
@@ -306,12 +311,14 @@ def blocks(structure: InformationStructure) -> Blocks:
 
 def _walk_blocks(structure: InformationStructure) -> Blocks:
     """The walk of ``blocks`` on the types' integer forms. Cell c's type is
-    b / E (``t.nums`` over ``t.den``); each lambda, state value, gain and
+    b / E (the numerators of ``t.items()`` over ``t.den``), and player j's
+    type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
     comparisons cross-multiply. Rationals are built once per result: the
     prior, its hull weights, the margin and the boxed payoffs."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
+    own = [structure.own_nums(j) for j in range(n)]
     lam = [[None] * structure.num_cells(i) for i in range(n)]  # lambda per cell
     value: list = [None] * m  # lambda_c t_c(w), the same for every charging c
     setter: list = [None] * m  # the cell that first set value[w]
@@ -334,9 +341,9 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
             i, c = cell
             ln, ld = lam[i][c]
             t = types[i][c]
-            b, ld = t.nums, ld * t.den
-            for w in t.support():
-                vn = ln * b[w]
+            ld *= t.den
+            for w, bw in t.items():
+                vn = ln * bw
                 g = gcd(vn, ld)
                 v = (vn // g, ld // g)
                 old = value[w]
@@ -352,7 +359,7 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
                 for j in range(n):
                     d = structure.cell_of(j, w)
                     u = types[j][d]
-                    bj = u.nums[w]
+                    bj = own[j][w]
                     if not bj:
                         if reason is None:  # a mixed charge
                             reason = (w, cell, v, (j, d), (0, 1))

@@ -173,7 +173,7 @@ def components_json(s: InformationStructure, minimal, family) -> dict:
 
 def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     return {
-        "prior": [to_json_value(v) for v in witness.prior],
+        "prior": type_row(witness.prior),
         "hull_weights": [
             [to_json_value(v) for v in witness.hull_weights[i]]
             for i in range(s.num_players)
@@ -218,7 +218,7 @@ def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> di
 
 def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
     return {
-        "dist": [to_json_value(v) for v in witness.distribution],
+        "dist": type_row(witness.distribution),
         "payoffs": [[to_json_value(v) for v in row] for row in witness.payoffs],
         "deficit": to_json_value(witness.deficit),
         "kind": witness.kind,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import mul
 
 from ._rational import ONE, ZERO, Rational
 from .certainty import check_dimension, minimal_components
@@ -44,6 +43,7 @@ from .model import (
     cell_expectations,
     integer_form,
     payoff_vector,
+    state_nums,
 )
 from .priors import (
     NOTIONS,
@@ -102,10 +102,10 @@ def _column_sums(forms) -> tuple[int, list[int]]:
 
 def _deficit(forms, dist: Distribution):
     """The p-expectation of the summed rows whose integer forms are
-    ``forms``: one integer dot product of their column sums with p's
-    numerators, one rational."""
+    ``forms``: one integer sum of their column sums times p's numerators
+    over p's support, one rational."""
     den, sums = _column_sums(forms)
-    return Rational(sum(map(mul, sums, dist.nums)), den * dist.den)
+    return Rational(sum(sums[w] * a for w, a in dist.items()), den * dist.den)
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,20 @@ class MoneyPumpWitness:
     """A distribution, the semi-trade that pumps it, and the deficit. The
     semi-trade condition depends on a structure, so ``verify`` checks it;
     construction only coerces the payoff rows and fixes their integer forms,
-    as a ``Trade`` does."""
+    as a ``Trade`` does. A pumping search, which derived the forms of its
+    rows to test the deficit, hands them over as ``forms`` instead."""
 
     distribution: Distribution
     payoffs: tuple[tuple, ...]
     deficit: object
     kind: str
-    forms: tuple = field(init=False, repr=False, compare=False)
+    forms: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows, forms = _payoff_rows(self.payoffs, "a semi-trade")
-        object.__setattr__(self, "payoffs", rows)
-        object.__setattr__(self, "forms", forms)
+        if self.forms is None:
+            rows, forms = _payoff_rows(self.payoffs, "a semi-trade")
+            object.__setattr__(self, "payoffs", rows)
+            object.__setattr__(self, "forms", forms)
 
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
@@ -305,9 +307,9 @@ def pump_piece(
     type's denominator, so each cell builds at most one fractional entry.
     """
     f = [-ONE] * structure.num_states
-    a = dist.nums
+    a, b = state_nums(dist), structure.own_nums(player)
     for t in structure.cell_types[player]:
-        b, need, support = t.nums, t.den, t.support()
+        need, support = t.den, t.support()
         scale = lcm(*(b[w] for w in support))
         for w in sorted(support, key=lambda w: a[w] * (scale // b[w])):
             gain = 2 * b[w]  # of raising f_w from -1 to +1
@@ -323,13 +325,15 @@ def _pump_search(
     structure: InformationStructure, dist: Distribution
 ) -> MoneyPumpWitness | None:
     """The semi-trade of ``pump_piece`` rows and its witness, built once and
-    verified, when its deficit is negative; else None."""
+    verified, when its deficit is negative; else None. Each row's integer
+    form is derived once, for the deficit, and the witness keeps it."""
     check_dimension(structure, dist)
     payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    deficit = _deficit([integer_form(f) for f in payoffs], dist)
+    forms = tuple(integer_form(f) for f in payoffs)
+    deficit = _deficit(forms, dist)
     if not deficit < ZERO:
         return None
-    witness = MoneyPumpWitness(dist, payoffs, deficit, pump_kind(structure, dist))
+    witness = MoneyPumpWitness(dist, payoffs, deficit, pump_kind(structure, dist), forms)
     witness.verify(structure)
     return witness
 

@@ -43,6 +43,7 @@ from prior_forge import (
     random_structure,
 )
 from prior_forge import jsonio
+from prior_forge._rational import to_json_value
 from prior_forge.certainty import support_graph
 from prior_forge.harness import planted_structure, random_distribution
 from prior_forge.harness import (
@@ -185,8 +186,9 @@ def _dense_semi_trade_defect(structure, payoffs):
 
 def _check_integer_form(dist):
     assert dist.den == math.lcm(*(v.denominator for v in dist.probs))
-    assert all(Fraction(a, dist.den) == v for a, v in zip(dist.nums, dist.probs))
+    assert [Fraction(a, dist.den) for _, a in dist.items()] == [v for v in dist.probs if v]
     assert dist.support() == tuple(w for w, v in enumerate(dist.probs) if v)
+    assert dist.support() == tuple(w for w, _ in dist.items())
 
 
 @pytest.mark.parametrize("kind,key", CASES, ids=CASE_IDS)
@@ -272,7 +274,7 @@ def test_distribution_errors_keep_their_messages():
     with pytest.raises(StochasticityError, match="^masses sum to 0, not 1$"):
         Distribution(())
     d = Distribution(("1/6", 0, "1/3", "1/2"))
-    assert (d.den, d.nums, d.support()) == (6, (1, 0, 2, 3), (0, 2, 3))
+    assert (d.den, tuple(d.items()), d.support()) == (6, ((0, 1), (2, 2), (3, 3)), (0, 2, 3))
     assert d.mass((0, 3)) == Fraction(2, 3)
 
 
@@ -334,21 +336,22 @@ def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_pl
 
 
 def test_structure_rows_read_each_support_entry_once(monkeypatch, fixture_path):
+    # A row is written from the support's integer numerators: one gcd per
+    # nonzero entry, and no rational built.
     calls = []
 
-    def counted(q):
-        calls.append(q)
-        return to_json_value(q)
+    def counted(a, b):
+        calls.append(a)
+        return math.gcd(a, b)
 
-    to_json_value = jsonio.to_json_value
-    monkeypatch.setattr(jsonio, "to_json_value", counted)
+    monkeypatch.setattr(jsonio, "gcd", counted)
     structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
     structures += [_build("planted", key, fixture_path)[0] for key in PLANTED]
     for structure in structures:
         calls.clear()
         doc = jsonio.structure_to_json(structure)
         entries = sum(len(t.support()) for types in structure.cell_types for t in types)
-        assert len(calls) <= entries
+        assert len(calls) == entries
         assert doc["types"] == [
             [[to_json_value(v) for v in t] for t in types] for types in structure.cell_types
         ]

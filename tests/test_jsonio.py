@@ -309,7 +309,7 @@ def _assert_same_types(sparse, dense):
         for t, d in zip(row, dense_row):
             assert t.probs == d.probs
             assert t.den == d.den
-            assert t.nums == d.nums
+            assert tuple(t.items()) == tuple(d.items())
             assert t.support() == d.support()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from prior_forge import (
     DimensionError,
+    InputError,
     LPBuilder,
     SizeCapError,
     VerificationError,
@@ -32,6 +33,23 @@ def test_optimal_simple():
     assert out.status == "optimal"
     assert out.objective_value == 1
     assert sum(out.primal) == 1
+
+
+def test_crossed_bounds_are_input_errors():
+    # x in [8, 3]: rejected at construction, not solved into a bug report.
+    b = LPBuilder()
+    b.add_var("x", lower=8, upper=3, objective=1)
+    with pytest.raises(InputError, match="^variable x has lower bound 8 above upper bound 3$"):
+        b.build(maximize=True)
+    # One crossed bound among several variables, compared exactly: 1/3 > 33/100.
+    b = LPBuilder()
+    x = b.add_var("x", lower=0, upper=1)
+    b.add_var("y", lower=-1)
+    b.add_var("z", lower="1/3", upper="33/100")
+    b.add_var("u", lower="1/3", upper="1/3")
+    b.add_constraint({x: 1}, "<=", 1)
+    with pytest.raises(InputError, match="^variable z has lower bound 1/3 above upper bound 33/100$"):
+        b.build(maximize=False)
 
 
 def test_optimal_exact_fractions():

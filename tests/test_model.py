@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import json
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +24,11 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.errors import NotAComponentError
+from prior_forge.harness import GeneratorConfig, random_structure
+from prior_forge.jsonio import parse_structure
 from prior_forge.model import dot
+
+FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
 
 
 def restrict_distribution(d, subset):
@@ -45,11 +54,17 @@ def test_distribution_accepts_strings_and_ints():
     assert d.mass((0, 2)) == d[0]
 
 
-def test_from_support_fills_the_dense_rows():
+def test_from_support_holds_the_support_only():
     d = Distribution.from_support(5, {3: "1/3", 1: Fraction(2, 3), 4: 0})
     dense = Distribution((0, "2/3", 0, "1/3", 0))
     assert d == dense
-    assert (d.probs, d.den, d.nums, d.support()) == (dense.probs, 3, (0, 2, 0, 1, 0), (1, 3))
+    assert (d.size, d.den, tuple(d.items()), d.support()) == (5, 3, ((1, 2), (3, 1)), (1, 3))
+    # The dense view is built when read, 0 off the support.
+    assert d.probs == dense.probs == tuple(d) == (0, Fraction(2, 3), 0, Fraction(1, 3), 0)
+    assert (len(d), d[0], d[1], d[-2], d[4]) == (5, 0, Fraction(2, 3), Fraction(1, 3), 0)
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            d[index]
     with pytest.raises(StochasticityError, match="negative mass"):
         Distribution.from_support(3, {0: "-1/2", 1: "3/2"})
     with pytest.raises(StochasticityError, match="masses sum to 5/6, not 1"):
@@ -59,6 +74,52 @@ def test_from_support_fills_the_dense_rows():
     for state in (-1, 3):
         with pytest.raises(DimensionError):
             Distribution.from_support(3, {state: 1})
+
+
+def test_a_type_costs_its_support_not_its_states():
+    t = Distribution.from_support(10**6, {0: 1})
+    assert not hasattr(t, "__dict__")
+    assert all(sys.getsizeof(getattr(t, name)) < 1024 for name in Distribution.__slots__)
+    assert (len(t), t[0], t[999_999], t.support()) == (10**6, 1, 0, (0,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.den = 2
+    s = make_structure(["a", "b"], ["P"], [[[0], [1]]], [[{0: 1}, {1: 1}]])
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(t)) == t
+
+
+def _dense_repr(t) -> str:
+    """The text of the dense dataclass ``repr``: the masses as a tuple of
+    ``Fraction``s."""
+    return f"Distribution(probs={tuple(Fraction(v) for v in t)!r})"
+
+
+def test_equality_hash_and_repr_follow_the_dense_masses(fixture_path):
+    types = [
+        t
+        for seed in range(300)
+        for row in random_structure(GeneratorConfig(seed=seed)).cell_types
+        for t in row
+    ]
+    for name in FIXTURES:
+        doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+        types += [t for row in parse_structure(doc).cell_types for t in row]
+    groups: dict = {}
+    for t in types:
+        assert repr(t) == _dense_repr(t)
+        groups.setdefault(tuple(t), []).append(t)
+    for same in groups.values():
+        assert all(t == same[0] and hash(t) == hash(same[0]) for t in same)
+    # Distinct dense masses, distinct types: in a set, and pair by pair
+    # among the first types of each length.
+    assert len(set(types)) == len(groups)
+    by_size: dict = {}
+    for dense in groups:
+        by_size.setdefault(len(dense), []).append(dense)
+    for denses in by_size.values():
+        firsts = [groups[d][0] for d in denses[:80]]
+        for a in firsts:
+            assert [a == b for b in firsts] == [tuple(a) == tuple(b) for b in firsts]
+    assert Distribution((1,)) != Distribution((1, 0)) and Distribution((1,)) != (Fraction(1),)
 
 
 def test_uniform_and_point_mass():

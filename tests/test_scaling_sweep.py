@@ -15,9 +15,13 @@ def test_sweep_runs_at_one_tiny_size():
     header, row = proc.stdout.splitlines()
     assert header.split() == [
         "M", "N", "cells", "nonzeros", "build_ms", "parse_ms", "analyze_ms", "render_ms",
+        "peak_rss_mb",
     ]
-    m, n, cells, nonzeros, *times = row.split()
+    m, n, cells, nonzeros, *times, peak = row.split()
     assert (m, n) == ("6", "2")
     # Every type is the planted full-support prior on its cell.
     assert 4 <= int(cells) <= 12 and int(nonzeros) == 12
     assert all(float(t) >= 0 for t in times)
+    # The measuring interpreter has imported the package, so it holds
+    # more than a megabyte.
+    assert float(peak) > 1

@@ -458,6 +458,32 @@ def test_a_pump_search_builds_its_witness_only_when_it_pumps(monkeypatch):
     assert all(a is b for a, b in zip(built, pumped))
 
 
+def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
+    """Over battery seeds 1000..1099, every pumping search derives the
+    integer form of each of its rows once: for the deficit, and the witness
+    keeps that form instead of deriving it again."""
+    derived, counts = [], []
+    form, search = trades.integer_form, trades._pump_search
+
+    def counted_form(values):
+        derived.append(values)
+        return form(values)
+
+    def spied(structure, dist):
+        derived.clear()
+        witness = search(structure, dist)
+        if witness is not None:
+            counts.append((len(derived), structure.num_players))
+        return witness
+
+    monkeypatch.setattr(trades, "integer_form", counted_form)
+    monkeypatch.setattr(trades, "_pump_search", spied)
+    for seed in range(1000, 1100):
+        assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed
+    assert len(counts) == 712
+    assert all(rows == players for rows, players in counts)
+
+
 def test_pump_kind_grades(ex_pl1, pl):
     ends = Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
     assert pump_kind(ex_pl1, ends) == "universal"
