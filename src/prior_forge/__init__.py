@@ -11,14 +11,15 @@ Load policy: the analysis modules (``certainty``, ``errors``, ``model``,
 oracle layer, ``harness`` (the generator and the cross-check battery) and
 ``lp`` (the exact simplex the battery's oracles solve), loads on first use:
 each is registered in ``sys.modules`` through ``importlib.util.LazyLoader``,
-so its body runs on its first attribute access, and the names re-exported
-from it resolve through the module-level ``__getattr__``. Registration,
-rather than a ``__getattr__`` that imports, keeps both modules in
-``sys.modules`` from the start for code that looks them up there, such as a
-tracer that wraps the package's functions before any of them runs.
+so its body runs on its first attribute access. Their names are read on
+the modules themselves (``prior_forge.harness.cross_check``,
+``prior_forge.lp.solve``). Registration, rather than a ``__getattr__`` that
+imports, keeps both modules in ``sys.modules`` from the start for code that
+looks them up there, such as a tracer that wraps the package's functions
+before any of them runs.
 """
 
-from ._rational import Rational, ZERO, ONE, format_rational, rational
+from ._rational import ONE, ZERO, rational
 from .certainty import (
     closure,
     component_family,
@@ -109,51 +110,6 @@ def _load_on_first_use(name: str):
 harness = _load_on_first_use("harness")
 lp = _load_on_first_use("lp")
 
-# The names re-exported from the modules loaded on first use, by module name.
-_ON_FIRST_USE = {
-    **dict.fromkeys(
-        (
-            "BatteryReport",
-            "CheckFailure",
-            "CrossCheckReport",
-            "GeneratorConfig",
-            "cross_check",
-            "oracle_battery",
-            "random_distribution",
-            "random_structure",
-            "run_battery",
-            "structure_digest",
-        ),
-        "harness",
-    ),
-    **dict.fromkeys(
-        (
-            "Constraint",
-            "FarkasCertificate",
-            "LinearProgram",
-            "LPBuilder",
-            "LPOutcome",
-            "enumerate_basic_solutions",
-            "farkas_violations",
-            "feasibility_violations",
-            "solve",
-        ),
-        "lp",
-    ),
-}
-
-
-def __getattr__(name: str):
-    module = _ON_FIRST_USE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[module], name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_ON_FIRST_USE})
-
-
 __version__ = "0.1.0"
 
-__all__ = sorted(name for name in {*dir(), *_ON_FIRST_USE} if not name.startswith("_"))
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,11 +33,13 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from ._rational import ONE, ZERO, Rational, rational
+from ._rational import ONE, ZERO, rational
 from .certainty import closure, is_commonly_certain, minimal_components
 from .errors import InputError, PriorForgeError, VerificationError
+from .jsonio import type_row
 from .lp import (
     LinearProgram,
     LPBuilder,
@@ -172,7 +174,7 @@ def _random_composition(
 
 def _masses(support: list[int], d: int, parts: list[int]) -> dict:
     """{state: mass} of a ``_random_composition``."""
-    return {s: Rational(part, d) for s, part in zip(support, parts)}
+    return {s: Fraction(part, d) for s, part in zip(support, parts)}
 
 
 def random_structure(cfg: GeneratorConfig) -> InformationStructure:
@@ -276,17 +278,13 @@ class CrossCheckReport:
 
 def structure_digest(structure: InformationStructure) -> int:
     """Content hash, stable across processes; seeds per-structure sampling.
-    A type's text is each mass in lowest terms, "0" off its support, written
-    from its numerators."""
+    A type's text is its JSON row (``jsonio.type_row``): each mass in lowest
+    terms, "0" off its support."""
     parts = [",".join(structure.states), ",".join(structure.players)]
     for cells, types in zip(structure.partitions, structure.cell_types):
         for cell, t in zip(cells, types):
             parts.append("|".join(map(str, cell)))
-            row = ["0"] * len(t)
-            for w, a in t.items():
-                g = math.gcd(a, t.den)
-                row[w] = f"{a // g}/{t.den // g}" if g < t.den else str(a // g)
-            parts.append("|".join(row))
+            parts.append("|".join(map(str, type_row(t))))
     blob = ";".join(parts).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
@@ -445,7 +443,7 @@ def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tup
         for w in cell_set:
             h[owner][w] -= nu * n * types_den
     scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(Rational(v, scale) for v in hi) for hi in h)
+    return tuple(tuple(Fraction(v, scale) for v in hi) for hi in h)
 
 
 def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:
@@ -516,7 +514,7 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
             row = _type_row(fvar[i], t)
             b.add_integer_constraint(row, t.den, ">=")
             for var, coeff in row.items():
-                b.add_objective(var, Rational(len(cell) * coeff, t.den))
+                b.add_objective(var, Fraction(len(cell) * coeff, t.den))
     return b.build(maximize=True)
 
 
@@ -830,7 +828,7 @@ def _delete_state(structure: InformationStructure, state: int) -> InformationStr
                 return None  # renormalization impossible; skip this deletion
             mass = sum(kept.values())
             blocks.append([index[w] for w in cell])
-            types.append({k: Rational(a, mass) for k, a in kept.items()})
+            types.append({k: Fraction(a, mass) for k, a in kept.items()})
         partitions.append(blocks)
         cell_types.append(types)
     return make_structure(
@@ -912,7 +910,7 @@ def pump_piece_program(
     for t in structure.cell_types[player]:
         b.add_integer_constraint(_type_row(fvar, t), t.den, ">=")
     for w, a in dist.items():
-        b.add_objective(fvar[w], Rational(a, dist.den))
+        b.add_objective(fvar[w], Fraction(a, dist.den))
     return b.build(maximize=False)
 
 

@@ -59,12 +59,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._rational import ONE, ZERO, Rational, format_rational, rational
+from ._rational import ONE, ZERO, rational
 from .errors import DimensionError, InputError, SizeCapError, VerificationError
 from .model import integer_form
 
@@ -96,11 +97,11 @@ class Constraint:
 
     @cached_property
     def coeffs(self) -> dict:
-        return {j: Rational(a, self.den) for j, a in self.nums.items()}
+        return {j: Fraction(a, self.den) for j, a in self.nums.items()}
 
     @cached_property
     def rhs(self):
-        return Rational(self.rhs_num, self.den)
+        return Fraction(self.rhs_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def _rationals(form: tuple | None) -> tuple | None:
     if form is None:
         return None
     den, nums = form
-    return tuple(Rational(n, den) for n in nums)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
@@ -286,8 +287,8 @@ def _violations(lp: LinearProgram, xden: int, xnums: Sequence[int]) -> list[str]
         rhs = con.rhs_num * xden
         ok = lhs <= rhs if con.rel == LESS else lhs >= rhs if con.rel == GREATER else lhs == rhs
         if not ok:
-            shown = format_rational(Rational(lhs, con.den * xden))
-            bad.append(f"constraint {k}: {shown} {con.rel} {format_rational(con.rhs)} fails")
+            shown = Fraction(lhs, con.den * xden)
+            bad.append(f"constraint {k}: {shown} {con.rel} {con.rhs} fails")
     for j, (lo, up, v) in enumerate(zip(lp.lower_forms, lp.upper_forms, xnums)):
         if lo is not None and v * lo[1] < lo[0] * xden:
             bad.append(f"variable {lp.names[j]} below lower bound")
@@ -348,7 +349,7 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
     for j, (c, lo, up) in enumerate(zip(combo, lnums, unums)):
         residual = c * cs + lo * ls + up * us
         if residual:
-            shown = format_rational(Rational(residual, common))
+            shown = Fraction(residual, common)
             bad.append(f"variable {lp.names[j]} does not cancel (residual {shown})")
     terms = [(rhs, den)]
     for nums, d, bounds in ((lnums, lden, lp.lower_forms), (unums, uden, lp.upper_forms)):
@@ -356,7 +357,7 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
     total = math.lcm(*(d for _, d in terms))
     rhs = sum(n * (total // d) for n, d in terms)
     if not rhs < 0:
-        bad.append(f"combined right-hand side {format_rational(Rational(rhs, total))} is not negative")
+        bad.append(f"combined right-hand side {Fraction(rhs, total)} is not negative")
     return bad
 
 
@@ -850,8 +851,8 @@ def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
     bounds = ([ZERO] * lp.num_vars, [ZERO] * lp.num_vars)
     for j, c in enumerate(combo):
         if c:
-            bounds[c < 0][j] = Rational(-c, cden * den)
-    return FarkasCertificate(tuple(Rational(v, den) for v in mus), *map(tuple, bounds))
+            bounds[c < 0][j] = Fraction(-c, cden * den)
+    return FarkasCertificate(tuple(Fraction(v, den) for v in mus), *map(tuple, bounds))
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -880,12 +881,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
     if lp.maximize:
         claimed_num = -claimed_num
     if claimed_num * den != num * claimed_den:
-        claimed, value = Rational(claimed_num, claimed_den), Rational(num, den)
+        claimed, value = Fraction(claimed_num, claimed_den), Fraction(num, den)
         raise VerificationError(
-            f"objective mismatch: tableau {format_rational(claimed)}, recomputed {format_rational(value)}"
+            f"objective mismatch: tableau {claimed}, recomputed {value}"
         )
     duals = (tab.obj_den, tab.multipliers(phase1=False))
-    return LPOutcome("optimal", Rational(num, den), None, (xden, xnums), duals)
+    return LPOutcome("optimal", Fraction(num, den), None, (xden, xnums), duals)
 
 
 # -- independent oracle --------------------------------------------------

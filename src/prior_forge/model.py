@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
-from operator import mul
+from fractions import Fraction
+from operator import index, mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from ._rational import ZERO, Rational, rational
+from ._rational import ZERO, rational
 from .errors import (
     DimensionError,
     EmptySetError,
@@ -94,7 +95,7 @@ class Distribution:
         if any(a < 0 for a in nums):
             raise StochasticityError("negative mass")
         if sum(nums) != den:
-            raise StochasticityError(f"masses sum to {Rational(sum(nums), den)}, not 1")
+            raise StochasticityError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -117,7 +118,7 @@ class Distribution:
 
     def __reduce__(self):
         # Slots refuse assignment, so copies and pickles rebuild from the support.
-        return self.from_support, (self.size, {w: Rational(a, self.den) for w, a in self.items()})
+        return self.from_support, (self.size, {w: Fraction(a, self.den) for w, a in self.items()})
 
     @property
     def probs(self) -> tuple:
@@ -125,19 +126,22 @@ class Distribution:
         support: for messages, tests and oracles."""
         probs = [ZERO] * self.size
         for w, a in self.items():
-            probs[w] = Rational(a, self.den)
+            probs[w] = Fraction(a, self.den)
         return tuple(probs)
 
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, w: int):
+    def __getitem__(self, w):
+        if isinstance(w, slice):
+            return self.probs[w]
+        w = index(w)
         if not -self.size <= w < self.size:
             raise IndexError("distribution index out of range")
         w %= self.size
         k = bisect_left(self._support, w)
         if k < len(self._support) and self._support[k] == w:
-            return Rational(self._nums[k], self.den)
+            return Fraction(self._nums[k], self.den)
         return ZERO
 
     def __iter__(self):
@@ -150,7 +154,10 @@ class Distribution:
 
     def mass(self, states: Iterable[int]):
         inside = set(states)
-        return Rational(sum(a for w, a in self.items() if w in inside), self.den)
+        outside = sorted(w for w in inside if not 0 <= w < self.size)
+        if outside:
+            raise DimensionError(f"states {outside} outside 0..{self.size - 1}")
+        return Fraction(sum(a for w, a in self.items() if w in inside), self.den)
 
     def support(self) -> tuple[int, ...]:
         return self._support
@@ -173,7 +180,7 @@ def dot(weights: Sequence, values: Sequence):
         raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
     den, nums = integer_form(weights)
     vden, vnums = integer_form(values)
-    return Rational(sum(map(mul, nums, vnums)), den * vden)
+    return Fraction(sum(map(mul, nums, vnums)), den * vden)
 
 
 def cell_expectations(
@@ -193,7 +200,7 @@ def cell_expectations(
 def uniform(size: int) -> Distribution:
     if size <= 0:
         raise EmptySetError("cannot build a distribution over no states")
-    w = Rational(1, size)
+    w = Fraction(1, size)
     return Distribution((w,) * size)
 
 
@@ -398,7 +405,7 @@ def induced_substructure(
             if not kept:
                 continue
             cells_out.append(kept)
-            support = {reindex[w]: Rational(a, t.den) for w, a in t.items()}
+            support = {reindex[w]: Fraction(a, t.den) for w, a in t.items()}
             types_out.append(Distribution.from_support(len(subset), support))
         order = sorted(range(len(cells_out)), key=lambda k: cells_out[k][0])
         partitions.append(tuple(cells_out[k] for k in order))

@@ -25,11 +25,12 @@ refuting trade. No LP is solved; the common-prior program stays in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator
 
-from ._rational import ZERO, Rational
+from ._rational import ZERO
 from .certainty import check_dimension, is_maximal, is_strongly_maximal
 from .errors import PlayerCountError, SizeCapError, VerificationError
 from .model import Distribution, InformationStructure, integer_form, state_nums
@@ -129,7 +130,7 @@ def hull_weights(
     masses = [sum(nums[w] for w in cell) for cell in structure.partitions[player]]
     if _off_mixture(structure, player, den, masses, den, nums):
         return None
-    return tuple(Rational(a, den) for a in masses)
+    return tuple(Fraction(a, den) for a in masses)
 
 
 def _off_mixture(
@@ -257,7 +258,7 @@ class Blocks:
     support: frozenset[int]
     prior: Distribution | None
     hull_weights: tuple[tuple, ...] | None
-    margin: Rational
+    margin: Fraction
     payoffs: tuple[tuple, ...] | None
 
     @property
@@ -418,13 +419,13 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
         for cells, states, an, ad in lives:
             fn, fd = ad * sd, an * sn
             for w in states:
-                probs[w] = Rational(value[w][0] * fn, value[w][1] * fd)
+                probs[w] = Fraction(value[w][0] * fn, value[w][1] * fd)
             for i, c in cells:
-                rows[i][c] = Rational(lam[i][c][0] * fn, lam[i][c][1] * fd)
+                rows[i][c] = Fraction(lam[i][c][0] * fn, lam[i][c][1] * fd)
         prior = Distribution(tuple(probs))
         weights = tuple(map(tuple, rows))
         if all(live):
-            margin = Rational(sd, sn)
+            margin = Fraction(sd, sn)
     boxed = None
     if not all(live):
         top_n, top_d = 0, 1
@@ -433,7 +434,7 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
                 top_n, top_d = abs(pn), pd
         rows = [[ZERO] * m for _ in range(n)]
         for (i, w), (pn, pd) in pay.items():
-            rows[i][w] = Rational(pn * top_d, pd * top_n)
+            rows[i][w] = Fraction(pn * top_d, pd * top_n)
         boxed = tuple(map(tuple, rows))
     return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
 

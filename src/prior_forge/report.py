@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import format_rational, to_json_value
+from ._rational import to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, distribution_to_json, structure_to_json, type_row
@@ -256,7 +256,7 @@ def verdict_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
 
 
 def _vector(values) -> str:
-    return "(" + ", ".join(format_rational(v) for v in values) + ")"
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def _state_set(s: InformationStructure, indices) -> str:
@@ -312,7 +312,7 @@ def verdict_line(verdict: DistributionVerdict) -> str:
 
 def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
     return [
-        f"  deficit = {format_rational(witness.deficit)}",
+        f"  deficit = {witness.deficit}",
         *payoff_lines(s, witness.payoffs, "  "),
     ]
 

@@ -32,9 +32,10 @@ raise VerificationError and mean a bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 
-from ._rational import ONE, ZERO, Rational
+from ._rational import ONE, ZERO
 from .certainty import check_dimension, minimal_components
 from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
@@ -76,7 +77,7 @@ class Trade:
         for w, total in enumerate(sums):
             if total > 0:
                 raise InconsistencyError(
-                    f"payoffs sum to {Rational(total, den)} > 0 at state index {w}; not a trade"
+                    f"payoffs sum to {Fraction(total, den)} > 0 at state index {w}; not a trade"
                 )
 
 
@@ -105,7 +106,7 @@ def _deficit(forms, dist: Distribution):
     ``forms``: one integer sum of their column sums times p's numerators
     over p's support, one rational."""
     den, sums = _column_sums(forms)
-    return Rational(sum(sums[w] * a for w, a in dist.items()), den * dist.den)
+    return Fraction(sum(sums[w] * a for w, a in dist.items()), den * dist.den)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class MoneyPumpWitness:
             for cell, num, den in cell_expectations(structure, i, form):
                 if num < 0:
                     raise VerificationError(
-                        f"not a semi-trade: player {i} expects {Rational(num, den)} < 0 "
+                        f"not a semi-trade: player {i} expects {Fraction(num, den)} < 0 "
                         f"at state {cell[0]}"
                     )
         deficit = _deficit(self.forms, self.distribution)
@@ -213,7 +214,7 @@ def classify_trade(
         row, sign = [ZERO] * m, [0] * m
         for cell, num, den in cell_expectations(structure, i, form):
             if num:
-                e, s = Rational(num, den), 1 if num > 0 else -1
+                e, s = Fraction(num, den), 1 if num > 0 else -1
                 for w in cell:
                     row[w] = e
                     sign[w] = s
@@ -314,7 +315,7 @@ def pump_piece(
         for w in sorted(support, key=lambda w: a[w] * (scale // b[w])):
             gain = 2 * b[w]  # of raising f_w from -1 to +1
             if gain >= need:
-                f[w] = Rational(need - b[w], b[w])
+                f[w] = Fraction(need - b[w], b[w])
                 break
             f[w] = ONE
             need -= gain

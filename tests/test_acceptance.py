@@ -17,7 +17,6 @@ from prior_forge import (
     classify_prior,
     classify_trade,
     component_family,
-    enumerate_basic_solutions,
     find_acceptable_trade,
     find_agreeable_trade,
     find_common_prior,
@@ -28,14 +27,13 @@ from prior_forge import (
     is_conglomerable,
     is_disintegrable,
     minimal_components,
-    oracle_battery,
     pump_kind,
     rational,
-    run_battery,
     uniform,
 )
 from prior_forge.cli import main as cli_main
-from prior_forge.harness import common_prior_program
+from prior_forge.harness import common_prior_program, oracle_battery, run_battery
+from prior_forge.lp import enumerate_basic_solutions
 from prior_forge.model import dot
 
 

@@ -3,7 +3,6 @@ import pytest
 from prior_forge import (
     Distribution,
     EmptySetError,
-    GeneratorConfig,
     SizeCapError,
     closure,
     component_family,
@@ -13,11 +12,11 @@ from prior_forge import (
     is_strongly_maximal,
     make_structure,
     minimal_components,
-    random_structure,
     support_graph,
     uniform,
 )
 from prior_forge.certainty import _condensation
+from prior_forge.harness import GeneratorConfig, random_structure
 
 
 def singletons(m):

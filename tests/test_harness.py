@@ -15,21 +15,24 @@ import pytest
 from prior_forge import (
     ZERO,
     Distribution,
-    GeneratorConfig,
     PriorForgeError,
-    cross_check,
     find_strong_common_prior,
     make_structure,
+    parse_structure,
+)
+from prior_forge import harness
+from prior_forge.harness import (
+    GeneratorConfig,
+    common_prior_program,
+    cross_check,
+    minimize_failure,
     oracle_battery,
     random_distribution,
     random_structure,
-    parse_structure,
     run_battery,
-    solve,
     structure_digest,
 )
-from prior_forge import harness
-from prior_forge.harness import common_prior_program, minimize_failure
+from prior_forge.lp import solve
 from prior_forge.priors import NOTIONS, blocks
 
 
@@ -122,6 +125,19 @@ def test_sampled_distributions_are_pinned():
 def test_digest_separates_structures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     digests = {structure_digest(s) for s in (intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4)}
     assert len(digests) == 6
+
+
+# sha256 over the digests of generator seeds 0..199 and then of the fixtures
+# in file-name order, one decimal per line. Every sampled distribution of
+# the battery is seeded by a digest, so a moved digest moves the checks.
+PINNED_STRUCTURE_DIGESTS = "85a1fbd56d4784db89b53863f8ac2dcd16ff8609f5bb39c13a557e7017ef8232"
+
+
+def test_structure_digests_are_pinned(ex_pl1, ex_pl2, ex_plbet4, intro, pl, pl4):
+    structures = [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
+    structures += [ex_pl1, ex_pl2, ex_plbet4, intro, pl, pl4]
+    text = "\n".join(str(structure_digest(s)) for s in structures)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STRUCTURE_DIGESTS
 
 
 def test_cross_check_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -300,8 +316,8 @@ def test_bell_triangle_matches_the_recurrence():
 _GLOBALS_GUARD = """
 import importlib, inspect, pkgutil, random
 import prior_forge
-from prior_forge import analyze, cross_check
-from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
+from prior_forge import analyze
+from prior_forge.harness import GeneratorConfig, cross_check, planted_structure, random_structure
 
 modules = [prior_forge] + [
     importlib.import_module(f"prior_forge.{info.name}") for info in pkgutil.iter_modules(prior_forge.__path__)

@@ -30,9 +30,7 @@ import pytest
 from prior_forge import (
     DimensionError,
     Distribution,
-    GeneratorConfig,
     InconsistencyError,
-    LPBuilder,
     PriorWitness,
     StochasticityError,
     Trade,
@@ -40,20 +38,22 @@ from prior_forge import (
     classify_trade,
     make_structure,
     parse_structure,
-    random_structure,
 )
 from prior_forge import jsonio
 from prior_forge._rational import to_json_value
 from prior_forge.certainty import support_graph
 from prior_forge.harness import planted_structure, random_distribution
 from prior_forge.harness import (
+    GeneratorConfig,
     acceptable_trade_program,
     agreeable_trade_program,
     common_prior_program,
     joint_common_prior_program,
+    random_structure,
 )
 from prior_forge.lp import (
     FarkasCertificate,
+    LPBuilder,
     _int_standardize,
     _standardize,
     enumerate_basic_solutions,

@@ -1,6 +1,7 @@
 """The package loads its oracle layer, ``harness`` and ``lp``, on first use:
 importing ``prior_forge``, analysing a structure and every CLI command but
-``fuzz`` leave both module bodies unexecuted."""
+``fuzz`` leave both module bodies unexecuted. The package names the oracle
+layer only through those two modules."""
 
 import json
 import pathlib
@@ -10,7 +11,6 @@ import sys
 import pytest
 
 import prior_forge
-from prior_forge import harness, lp
 
 # Run in a fresh interpreter: an audit hook records the file of every code
 # object that ``exec`` runs, module bodies included.
@@ -49,7 +49,7 @@ for path in sorted(fixtures.glob("*.json")):
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main([*argv, str(path)])
 before = oracle_layer_ran()
-prior_forge.cross_check
+prior_forge.harness.cross_check
 print(json.dumps([before, oracle_layer_ran()]))
 """
 
@@ -67,7 +67,9 @@ def test_analysis_path_never_runs_the_oracle_layer(fixture_path, tmp_path):
     assert after == ["harness.py", "lp.py"]
 
 
-_ON_FIRST_USE = {
+# The oracle layer's public names, by module: each is read on its module,
+# never through the package.
+_ORACLE_NAMES = {
     "harness": [
         "BatteryReport",
         "CheckFailure",
@@ -95,18 +97,103 @@ _ON_FIRST_USE = {
 
 
 @pytest.mark.parametrize(
-    "module, name", [(module, name) for module, names in _ON_FIRST_USE.items() for name in names]
+    "module, name", [(module, name) for module, names in _ORACLE_NAMES.items() for name in names]
 )
 def test_reexported_names_resolve_to_their_modules(module, name):
-    assert getattr(prior_forge, name) is getattr(getattr(prior_forge, module), name)
-    assert name in prior_forge.__all__
-    assert name in dir(prior_forge)
+    assert callable(getattr(getattr(prior_forge, module), name))
+    assert not hasattr(prior_forge, name)
+    assert name not in prior_forge.__all__
+    assert name not in dir(prior_forge)
+    with pytest.raises(ImportError, match=name):
+        exec(f"from prior_forge import {name}", {})
 
 
 def test_reexports_import_by_name_and_unknown_names_raise():
-    from prior_forge import GeneratorConfig, solve
-
-    assert (GeneratorConfig, solve) == (harness.GeneratorConfig, lp.solve)
     assert {"harness", "lp"} <= set(prior_forge.__all__)
+    with pytest.raises(ImportError, match="solve"):
+        from prior_forge import solve
     with pytest.raises(AttributeError, match="no_such_name"):
         prior_forge.no_such_name
+
+
+# One name per object: the analysis API, its modules and the two oracle
+# modules, and no second name for anything.
+PINNED_EXPORTS = [
+    "AnalysisReport",
+    "DimensionError",
+    "Distribution",
+    "DistributionVerdict",
+    "EmptySetError",
+    "InconsistencyError",
+    "InformationStructure",
+    "InputError",
+    "MoneyPumpWitness",
+    "NotAComponentError",
+    "ONE",
+    "PartitionError",
+    "PlayerCountError",
+    "PriorClassification",
+    "PriorForgeError",
+    "PriorReport",
+    "PriorWitness",
+    "SCHEMA",
+    "SchemaError",
+    "SizeCapError",
+    "StochasticityError",
+    "SupportError",
+    "Trade",
+    "TradeClassification",
+    "VerificationError",
+    "ZERO",
+    "analyze",
+    "build_prior_report",
+    "certainty",
+    "classify_distribution",
+    "classify_prior",
+    "classify_trade",
+    "closure",
+    "component_family",
+    "disintegrable_by_definition",
+    "dumps_canonical",
+    "errors",
+    "find_acceptable_trade",
+    "find_agreeable_trade",
+    "find_common_prior",
+    "find_multiplayer_money_pump",
+    "find_single_money_pump",
+    "find_strong_common_prior",
+    "find_universal_common_prior",
+    "find_weakly_agreeable_trade",
+    "forward_closed",
+    "harness",
+    "hull_weights",
+    "induced_substructure",
+    "is_commonly_certain",
+    "is_conglomerable",
+    "is_disintegrable",
+    "is_maximal",
+    "is_strongly_maximal",
+    "jsonio",
+    "lp",
+    "make_structure",
+    "minimal_components",
+    "model",
+    "parse_distribution",
+    "parse_payoffs",
+    "parse_structure",
+    "payoff_vector",
+    "priors",
+    "pump_kind",
+    "rational",
+    "report",
+    "single_player_view",
+    "structure_to_json",
+    "support_graph",
+    "trades",
+    "uniform",
+]
+
+
+def test_package_exports_are_pinned():
+    assert PINNED_EXPORTS == sorted(PINNED_EXPORTS)
+    assert prior_forge.__all__ == PINNED_EXPORTS

@@ -7,19 +7,20 @@ import pytest
 from prior_forge import (
     DimensionError,
     InputError,
-    LPBuilder,
     SizeCapError,
     VerificationError,
     ZERO,
+    rational,
+)
+from prior_forge import lp
+from prior_forge.lp import (
+    FarkasCertificate,
+    LPBuilder,
     enumerate_basic_solutions,
     farkas_violations,
     feasibility_violations,
-    format_rational,
-    rational,
     solve,
 )
-from prior_forge import lp
-from prior_forge.lp import FarkasCertificate
 
 
 def test_optimal_simple():
@@ -248,8 +249,12 @@ PINNED_VERTEX_SETS = "90ed1b0a7a3a3711f6862a90677b1002300df33b3c17aa6e5f9b53c7b2
 def test_enumerated_vertex_sets_are_pinned():
     from dataclasses import replace
 
-    from prior_forge import GeneratorConfig, random_structure
-    from prior_forge.harness import common_prior_program, joint_common_prior_program
+    from prior_forge.harness import (
+        GeneratorConfig,
+        common_prior_program,
+        joint_common_prior_program,
+        random_structure,
+    )
 
     cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
     h = hashlib.sha256()
@@ -276,8 +281,7 @@ def _assert_optimal_duals(lp, out):
 
 
 def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
-    from prior_forge import GeneratorConfig, random_structure
-    from prior_forge.harness import common_prior_program
+    from prior_forge.harness import GeneratorConfig, common_prior_program, random_structure
 
     checked = 0
     fixtures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
@@ -336,13 +340,13 @@ def test_duals_of_a_bounded_minimization():
 
 def _outcome_text(out):
     def row(values):
-        return "-" if values is None else ",".join(format_rational(v) for v in values)
+        return "-" if values is None else ",".join(map(str, values))
 
     cert = out.certificate
     parts = [
         out.status,
         row(out.primal),
-        "-" if out.objective_value is None else format_rational(out.objective_value),
+        "-" if out.objective_value is None else str(out.objective_value),
         "-" if cert is None else "|".join(
             row(m) for m in (cert.constraint_multipliers, cert.lower_multipliers, cert.upper_multipliers)
         ),
@@ -352,7 +356,7 @@ def _outcome_text(out):
 
 
 def _decision_text(out):
-    return out.status + ";" + ("-" if out.objective_value is None else format_rational(out.objective_value))
+    return out.status + ";" + ("-" if out.objective_value is None else str(out.objective_value))
 
 
 # sha256 digests over the programs below, per structure in builder order.
@@ -369,12 +373,13 @@ PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed
 
 
 def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
-    from prior_forge import GeneratorConfig, random_structure
     from prior_forge.harness import (
+        GeneratorConfig,
         acceptable_trade_program,
         agreeable_trade_program,
         common_prior_program,
         joint_common_prior_program,
+        random_structure,
     )
 
     builders = (

@@ -76,6 +76,22 @@ def test_from_support_holds_the_support_only():
             Distribution.from_support(3, {state: 1})
 
 
+def test_indexing_and_mass_take_states_only():
+    d = Distribution(("1/4", "1/4", "1/2", 0))
+    # An index is an integer; a slice reads the dense masses.
+    for index in (1.5, Fraction(1, 2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            d[index]
+    assert d[True] == d[1]
+    assert d[1:3] == (Fraction(1, 4), Fraction(1, 2))
+    assert d[::-1] == tuple(reversed(d.probs))
+    # ``mass`` reads states 0..M-1 and refuses any other.
+    assert d.mass([0, 2, 3]) == Fraction(3, 4) and d.mass([]) == 0
+    for states in ([7], [-1], [0, 4]):
+        with pytest.raises(DimensionError, match="outside 0..3"):
+            d.mass(states)
+
+
 def test_a_type_costs_its_support_not_its_states():
     t = Distribution.from_support(10**6, {0: 1})
     assert not hasattr(t, "__dict__")

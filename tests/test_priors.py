@@ -16,7 +16,6 @@ from prior_forge import (
     classify_prior,
     classify_trade,
     disintegrable_by_definition,
-    enumerate_basic_solutions,
     find_common_prior,
     find_multiplayer_money_pump,
     find_single_money_pump,
@@ -41,7 +40,7 @@ from prior_forge.harness import (
     planted_structure,
     random_structure,
 )
-from prior_forge.lp import solve
+from prior_forge.lp import enumerate_basic_solutions, solve
 from prior_forge.priors import blocks
 
 

@@ -13,7 +13,6 @@ import prior_forge
 from prior_forge import (
     AnalysisReport,
     Distribution,
-    GeneratorConfig,
     PriorWitness,
     Trade,
     VerificationError,
@@ -22,11 +21,10 @@ from prior_forge import (
     lp,
     parse_structure,
     priors,
-    random_structure,
     rational,
     uniform,
 )
-from prior_forge.harness import random_distribution
+from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
 from prior_forge.jsonio import dumps_canonical
 from prior_forge.report import _verify_report
 
@@ -163,8 +161,8 @@ def _lp_importers():
 
 def test_analyze_solves_no_lp(monkeypatch, intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     # Only the oracles in the harness import the LP layer; the package root
-    # re-exports it on first use, and production decides every verdict from
-    # the block walk.
+    # registers it to load on first use, and production decides every
+    # verdict from the block walk.
     assert _lp_importers() == ["harness.py"]
     calls = []
     real = lp.solve

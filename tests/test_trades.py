@@ -9,7 +9,6 @@ import pytest
 from prior_forge import (
     DimensionError,
     Distribution,
-    GeneratorConfig,
     InconsistencyError,
     MoneyPumpWitness,
     Trade,
@@ -18,7 +17,6 @@ from prior_forge import (
     build_prior_report,
     classify_distribution,
     classify_trade,
-    cross_check,
     find_acceptable_trade,
     find_agreeable_trade,
     find_common_prior,
@@ -27,19 +25,23 @@ from prior_forge import (
     find_strong_common_prior,
     find_universal_common_prior,
     find_weakly_agreeable_trade,
-    format_rational,
     is_disintegrable,
     make_structure,
     minimal_components,
     parse_structure,
     pump_kind,
-    random_structure,
     rational,
-    solve,
     uniform,
 )
 from prior_forge import lp, priors, trades
-from prior_forge.harness import component_substructures, pump_piece_program
+from prior_forge.harness import (
+    GeneratorConfig,
+    component_substructures,
+    cross_check,
+    pump_piece_program,
+    random_structure,
+)
+from prior_forge.lp import solve
 from prior_forge.model import dot
 from prior_forge.priors import NOTIONS
 
@@ -270,8 +272,8 @@ def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbe
     assert refuted >= 2  # ex_pl2, and pl4's component {w3, w4}
 
 
-# sha256 over the common, universal and strong refutations below, as
-# ``format_rational`` strings; any change of a refuting trade's bytes shows.
+# sha256 over the common, universal and strong refutations below, each
+# rational written by ``str``; any change of a refuting trade's bytes shows.
 PINNED_REFUTATIONS = "fe960194b08a2d88dd82d6798784f3146c95610f6f2364848e49c2c3548c833a"
 
 
@@ -287,7 +289,7 @@ def test_refuting_trades_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
             report.strong_refutation,
         ):
             text = "-" if trade is None else "|".join(
-                ",".join(format_rational(v) for v in f) for f in trade.payoffs
+                ",".join(map(str, f)) for f in trade.payoffs
             )
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == PINNED_REFUTATIONS
