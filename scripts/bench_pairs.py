@@ -10,10 +10,12 @@ working tree first in odd ones), each run with the same seed and the run
 length ``BENCHMARK.json`` fixes, and writes ``BENCH_<pr>.json`` (seed 1) or
 ``BENCH_<pr>_seed<k>.json`` (any other seed k) at the repository root, so
 runs with different seeds keep their own files: every run's metrics,
-operation counts and output digest, and per end-to-end metric each side's
-median and quartiles, the base's interquartile range, the number of pairs
-the working tree won (ties count for neither side), and how far the working
-tree's median is worse than the base's, against the metric's bound.
+operation counts and output digest; per workload, whether every run of
+each side was correct (``correct``) and whether both sides printed the same
+set of output digests (``outputs_equal``); and per end-to-end metric each
+side's median and quartiles, the base's interquartile range, the number of
+pairs the working tree won (ties count for neither side), and how far the
+working tree's median is worse than the base's, against the metric's bound.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "sha256": digest[0] if digest else None,
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def agreement(runs: list[dict]) -> dict:
+    """Whether every run of each side was correct, and whether the two
+    sides printed the same set of output digests."""
+    digests = {side: {run[side]["sha256"] for run in runs} for side in ("base", "change")}
+    return {
+        "correct": {side: all(run[side]["correct"] for run in runs) for side in ("base", "change")},
+        "outputs_equal": digests["base"] == digests["change"],
     }
 
 
@@ -132,6 +144,7 @@ def main(argv=None) -> int:
                 runs.append(run)
             out["workloads"][workload] = {
                 "runs": runs,
+                **agreement(runs),
                 "failed": {side: sum(run[side]["failed"] for run in runs) for side in ("base", "change")},
                 "metrics": {m["name"]: summarize(runs, m) for m in spec["end_to_end"]},
             }

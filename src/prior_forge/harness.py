@@ -16,7 +16,8 @@ the finders. The joint common-prior formulation, with explicit hull
 weights, is the oracle of the projected program in ``oracle_battery``. The
 term-by-term ``Fraction`` oracles of the integer paths live with the tests,
 in ``tests/oracles.py``. cross_check and run_battery report failures
-unshrunk; ``minimize_failure`` shrinks one for ``prior-forge fuzz``.
+unshrunk, a guarded step that raises ``PriorForgeError`` among them;
+``minimize_failure`` shrinks one for ``prior-forge fuzz``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -302,27 +304,16 @@ class _Recorder:
         if not ok:
             self.failures.append(CheckFailure(name, details() if details else ""))
 
-    def guard(self, name: str) -> _Guard:
+    @contextmanager
+    def guard(self, name: str) -> Iterator[None]:
         """Count one check; a ``PriorForgeError`` raised inside is recorded as
         its failure rather than aborting the battery."""
-        return _Guard(self, name)
-
-
-class _Guard:
-    """The context of ``_Recorder.guard``."""
-
-    def __init__(self, rec: _Recorder, name: str) -> None:
-        self.rec, self.name = rec, name
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        self.rec.count += 1
-        if isinstance(exc, PriorForgeError):
-            self.rec.failures.append(CheckFailure(self.name, f"raised {exc!r}"))
-            return True
-        return False
+        try:
+            yield
+        except PriorForgeError as exc:
+            self.failures.append(CheckFailure(name, f"raised {exc!r}"))
+        finally:
+            self.count += 1
 
 
 def _event_set(table, relation) -> tuple[int, ...]:

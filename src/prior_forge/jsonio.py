@@ -274,17 +274,20 @@ def type_row(t: Distribution) -> list:
     return row
 
 
+def _envelope(doc, key: str, what: str) -> list:
+    """The list under ``key`` of a tagged object, or a bare list."""
+    if isinstance(doc, dict):
+        check_schema(doc)
+        return _list_field(doc, key)
+    if isinstance(doc, list):
+        return doc
+    raise SchemaError(f"{what} document must be an object or a list")
+
+
 def parse_distribution(doc, structure: InformationStructure) -> Distribution:
     """Accepts ``{"dist": [...]}`` or a bare list of rationals, one per state
     of ``structure``."""
-    if isinstance(doc, dict):
-        check_schema(doc)
-        values = _list_field(doc, "dist")
-    elif isinstance(doc, list):
-        values = doc
-    else:
-        raise SchemaError("distribution document must be an object or a list")
-    masses = tuple(parse_rational_value(v) for v in values)
+    masses = tuple(parse_rational_value(v) for v in _envelope(doc, "dist", "distribution"))
     if len(masses) != structure.num_states:
         raise DimensionError(
             f"distribution has {len(masses)} entries for {structure.num_states} states"
@@ -298,13 +301,7 @@ def distribution_to_json(dist: Distribution) -> dict:
 
 def parse_payoffs(doc, structure: InformationStructure) -> tuple:
     """Per-player payoff rows from ``{"payoffs": [...]}`` or a bare list."""
-    if isinstance(doc, dict):
-        check_schema(doc)
-        rows = _list_field(doc, "payoffs")
-    elif isinstance(doc, list):
-        rows = doc
-    else:
-        raise SchemaError("payoff document must be an object or a list")
+    rows = _envelope(doc, "payoffs", "payoff")
     if len(rows) != structure.num_players:
         raise DimensionError(
             f"{len(rows)} payoff rows for {structure.num_players} players"

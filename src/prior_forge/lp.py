@@ -25,13 +25,13 @@ own, which flips it without a pivot. Bland's rule covers both: among tied
 candidates the smallest variable index leaves, the entering column's own
 flip under its own index.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row is a
-sparse dict of integer numerators over one positive row denominator, kept in
-lowest terms, so a pivot costs integer multiplications and one gcd per
-changed row instead of a normalized rational per entry. Pivots follow the
-same rule on the same exact values, so bases, points, certificates and duals
-are those of a rational tableau; rationals are built only where results are
-read off.
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
+objective's too, is a sparse dict of integer numerators over one positive
+denominator, in lowest terms, and one pivot updates every row that holds its
+column, the objective's included, with integer multiplications and one gcd
+per changed row. Pivots follow the same rule on the same exact values, so
+bases, points, certificates and duals are those of a rational tableau;
+rationals are built only where results are read off.
 Outcomes are verified before they are returned: optimal points are read off
 as numerators over one denominator and re-substituted into every constraint
 and bound, the optimum is derived again from the costs by one
@@ -79,17 +79,19 @@ ORACLE_MAX_BASES = 200_000
 
 class Constraint:
     """The row ``sum_j nums[j] * x_j  rel  rhs_num``, over one positive
-    ``den``: ``nums`` maps variable indices to int numerators. It is built
-    from this integer form alone, as a ``Distribution`` is from its support:
-    the row is reduced to lowest terms by one gcd, zero numerators are
-    dropped, and ``nums`` is kept as given when it is in lowest terms with
-    no zero. The simplex and the self-checks read the ints; the rationals
-    ``coeffs[j] == nums[j] / den`` and ``rhs == rhs_num / den`` are made
-    only when they are read."""
+    ``den`` (any other is an ``InputError``): ``nums`` maps variable
+    indices to int numerators. It is built from this integer form alone,
+    as a ``Distribution`` is from its support: the row is reduced to lowest
+    terms by one gcd, zero numerators are dropped, and ``nums`` is kept as
+    given when it is in lowest terms with no zero. The simplex and the
+    self-checks read the ints; the rationals ``coeffs[j] == nums[j] / den``
+    and ``rhs == rhs_num / den`` are made only when they are read."""
 
     def __init__(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         if rel not in (LESS, EQUAL, GREATER):
             raise DimensionError(f"unknown relation {rel!r}")
+        if den <= 0:
+            raise InputError(f"row denominator {den} is not positive")
         g = math.gcd(den, rhs_num, *nums.values())
         if g != 1 or 0 in nums.values():
             nums = {j: a // g for j, a in nums.items() if a}
@@ -133,8 +135,10 @@ class LinearProgram:
             raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
         objective = tuple(map(rational, self.objective))
         cost_den, cost_nums = integer_form(objective)
-        lower, lower_forms = _bounds(self.lower)
-        upper, upper_forms = _bounds(self.upper)
+        lower = tuple(None if b is None else rational(b) for b in self.lower)
+        upper = tuple(None if b is None else rational(b) for b in self.upper)
+        lower_forms = tuple(None if q is None else q.as_integer_ratio() for q in lower)
+        upper_forms = tuple(None if q is None else q.as_integer_ratio() for q in upper)
         for j, (lo, hi) in enumerate(zip(lower_forms, upper_forms)):
             if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
                 raise InputError(
@@ -150,22 +154,6 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return len(self.objective)
-
-
-def _bounds(bounds: tuple) -> tuple[tuple, tuple]:
-    """The bounds as rationals and as ``(num, den)`` pairs, None kept. A run
-    of variables sharing one bound object, as every block of an oracle
-    program does, derives its forms once."""
-    rationals, forms = [], []
-    last = q = form = None
-    for b in bounds:
-        if b is not last:
-            last = b
-            q = None if b is None else rational(b)
-            form = None if q is None else q.as_integer_ratio()
-        rationals.append(q)
-        forms.append(form)
-    return tuple(rationals), tuple(forms)
 
 
 class LPBuilder:
@@ -188,11 +176,8 @@ class LPBuilder:
     def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
         """The row ``sum_j coeffs[j] * x_j  rel  rhs`` in exact rationals,
         put over their least common denominator."""
-        rhs = rational(rhs)
-        coeffs = {j: rational(c) for j, c in coeffs.items()}
-        den = math.lcm(rhs.denominator, *(q.denominator for q in coeffs.values()))
-        nums = {j: q.numerator * (den // q.denominator) for j, q in coeffs.items()}
-        self.add_integer_constraint(nums, den, rel, rhs.numerator * (den // rhs.denominator))
+        den, nums = integer_form([*map(rational, coeffs.values()), rational(rhs)])
+        self.add_integer_constraint(dict(zip(coeffs, nums)), den, rel, nums[-1])
 
     def add_integer_constraint(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         """``add_constraint`` from an integer form, ints over a positive
@@ -424,12 +409,12 @@ def _int_standardize(lp: LinearProgram) -> _IntStdForm:
     with a lower bound l is shifted, x = l + x', and keeps u - l as its
     column's bound; one with only an upper bound u is mirrored, x = u - x',
     and negates its coefficients; a free one is split, its negative part
-    taking the next column. An offset o moves each row's rhs by its
-    coefficient times o: on the rhs numerator when o is an integer, else
-    over the row's denominator times the lcm of the fractional offsets'
-    denominators, then reduced to lowest terms. A row whose every variable
-    keeps its index as its column, unsigned, is the constraint's own
-    ``nums``, which nothing writes."""
+    taking the next column. Each row moves its rhs by the sum of a_j * o_j
+    over the offsets o_j of its variables, over their lcm, and is reduced
+    to lowest terms only when that lcm is not 1: the row's gcd divides
+    every a_j * o_j of an integral shift. A row whose every variable keeps
+    its index as its column, unsigned, is the constraint's own ``nums``,
+    which nothing writes."""
     col_kind: list[tuple] = []
     col_upper: dict = {}
     colmap: list[int] = []  # per variable: its column (a free one's positive part)
@@ -461,13 +446,6 @@ def _int_standardize(lp: LinearProgram) -> _IntStdForm:
         if off[0]:
             offsets[j] = off
     moved |= free | mirrored
-    shift = [0] * len(colmap)  # integral offsets' numerators
-    fractional = {}
-    for j, (on, od) in offsets.items():
-        if od == 1:
-            shift[j] = on
-        else:
-            fractional[j] = (on, od)
 
     rows: list[dict] = []
     dens: list[int] = []
@@ -484,16 +462,15 @@ def _int_standardize(lp: LinearProgram) -> _IntStdForm:
                 if j in free:
                     row[col + 1] = -a
         den, rhs = con.den, con.rhs_num
-        if offsets:
-            rhs -= sum(map(mul, nums.values(), map(shift.__getitem__, nums)))
-        terms = [(nums[j] * on, od) for j, (on, od) in fractional.items() if j in nums]
+        terms = [(a * off[0], off[1]) for j, a in nums.items() if (off := offsets.get(j))]
         if terms:
             scale = math.lcm(*(od for _, od in terms))
             rhs = rhs * scale - sum(n * (scale // od) for n, od in terms)
-            den *= scale
-            g = math.gcd(den, rhs, *(v * scale for v in row.values()))
-            row = {c: v * scale // g for c, v in row.items()}
-            den, rhs = den // g, rhs // g
+            if scale != 1:
+                den *= scale
+                g = math.gcd(den, rhs, *(v * scale for v in row.values()))
+                row = {c: v * scale // g for c, v in row.items()}
+                den, rhs = den // g, rhs // g
         rows.append(row)
         dens.append(den)
         row_rhs.append(rhs)
@@ -663,7 +640,7 @@ class _Tableau:
     def pivot(self, r: int, c: int) -> None:
         """Scale row r to entry 1 at column c (its numerators, made coprime
         and positive at c, over the denominator ``prow[c]``) and eliminate c
-        from every other row that holds it."""
+        from every other row that holds it, the objective row included."""
         rows, dens = self.rows, self.dens
         prow = rows[r]
         g = math.gcd(*prow.values())
@@ -676,6 +653,8 @@ class _Tableau:
         for rr, row in enumerate(rows):
             if rr != r and c in row:
                 dens[rr] = _eliminate(row, dens[rr], prow, pden, c)
+        if c in self.obj:
+            self.obj_den = _eliminate(self.obj, self.obj_den, prow, pden, c)
         self.basis[r] = c
 
     def flip(self, c: int) -> None:
@@ -704,12 +683,6 @@ class _Tableau:
                 out[j] = out.get(j, 0) - v * scale
         g = math.gcd(total, *out.values())
         self.obj, self.obj_den = {j: v // g for j, v in out.items() if v}, total // g
-
-    def _price_out(self, r: int) -> None:
-        """Zero the objective's entry at row r's basic column."""
-        b = self.basis[r]
-        if b in self.obj:
-            self.obj_den = _eliminate(self.obj, self.obj_den, self.rows[r], self.dens[r], b)
 
     def _iterate(self) -> str:
         rows, dens, basis, upper = self.rows, self.dens, self.basis, self.upper
@@ -753,7 +726,6 @@ class _Tableau:
             if to_upper:
                 self.flip(leaving_col)
             self.pivot(leaving_row, entering)
-            self._price_out(leaving_row)
             if leaving_col in self.artificials:
                 self.barred.add(leaving_col)
 
@@ -898,8 +870,8 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
 
     For a pointed feasible region this is exactly the vertex set. Brute force
     by construction: every size-rank column subset is tried with exact
-    Gaussian elimination. Raises ``SizeCapError`` when the instance exceeds
-    the caps.
+    Gaussian elimination, the empty one at rank 0, whose solution is the
+    origin. Raises ``SizeCapError`` when the instance exceeds the caps.
     """
     if lp.num_vars > ORACLE_MAX_VARS:
         raise SizeCapError(f"{lp.num_vars} variables exceeds oracle cap {ORACLE_MAX_VARS}")
@@ -931,10 +903,6 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
     if not consistent:
         return ()
     rank = len(reduced)
-    if rank == 0:
-        # No binding equalities: the only basic solution is the origin.
-        zero = tuple([ZERO] * ncols)
-        return (_to_original(lp, std.col_kind, zero),)
     if math.comb(ncols, rank) > ORACLE_MAX_BASES:
         raise SizeCapError(
             f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"

@@ -3,8 +3,8 @@
 A structure is a finite state space, one partition per player, and one type
 (posterior distribution) per player and cell. Types must be probability
 distributions supported inside their own cell and constant across the cell.
-All model objects are immutable once validated and every operation on them is
-a pure function.
+Both model objects are frozen dataclasses, immutable once validated, and
+every operation on them is a pure function.
 
 State and player labels are strings at the boundary; internally everything is
 index-based (states ``0..M-1`` in declaration order, players likewise).
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -52,6 +52,7 @@ def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Distribution:
     """An exact probability distribution over ``size`` indexed states, held
     on its support.
@@ -62,11 +63,14 @@ class Distribution:
     so a type costs its nonzero entries, not the state count. Validation,
     masses and expectations read those ints and build one rational per
     result. Indexing, iteration and ``probs`` give the dense values, 0 off
-    the support, and build them when read. Instances are immutable;
-    equality and ``repr`` are those of the dense ``probs``, and equal
-    distributions hash alike."""
+    the support, and build them when read. Instances are frozen; equality
+    and the hash are those of the four fields, so of the dense ``probs``,
+    and ``repr`` shows ``probs``."""
 
-    __slots__ = ("size", "den", "_support", "_nums")
+    size: int
+    den: int
+    _support: tuple
+    _nums: tuple
 
     def __init__(self, probs) -> None:
         probs = tuple(map(rational, probs))
@@ -83,13 +87,12 @@ class Distribution:
         return dist
 
     def _fill(self, size: int, entries: dict) -> None:
-        """The support form from the nonzero ``entries``, with ``den`` the
-        lcm over the support; then the negative-mass and sum-to-1 checks."""
+        """The support form from the nonzero ``entries``, over their
+        ``integer_form``; then the negative-mass and sum-to-1 checks."""
         support = tuple(sorted(entries))
         if support and not (0 <= support[0] and support[-1] < size):
             raise DimensionError(f"support {support} outside states 0..{size - 1}")
-        den = math.lcm(*(q.denominator for q in entries.values()))
-        nums = tuple([entries[w].numerator * (den // entries[w].denominator) for w in support])
+        den, nums = integer_form([entries[w] for w in support])
         for name, value in (("size", size), ("den", den), ("_support", support), ("_nums", nums)):
             object.__setattr__(self, name, value)
         if any(a < 0 for a in nums):
@@ -97,27 +100,11 @@ class Distribution:
         if sum(nums) != den:
             raise StochasticityError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.den, self._support, self._nums) == (
-            other.size, other.den, other._support, other._nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.den, self._support, self._nums))
-
     def __repr__(self) -> str:
         return f"Distribution(probs={self.probs!r})"
 
     def __reduce__(self):
-        # Slots refuse assignment, so copies and pickles rebuild from the support.
+        # Frozen slots refuse assignment, so copies and pickles rebuild from the support.
         return self.from_support, (self.size, {w: Fraction(a, self.den) for w, a in self.items()})
 
     @property

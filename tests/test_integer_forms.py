@@ -16,9 +16,11 @@ form against ``lp._standardize`` on every program the pinned-outcome test
 builds, the point and certificate checks against ``dense_feasibility_violations``
 and ``dense_farkas_violations``, and the walks against
 ``dense_is_conglomerable`` and ``dense_disintegrable_by_definition`` on every
-player view of seeds 0..1999 and the fixtures.
+player view of seeds 0..1999 and the fixtures. The simplex's pivots and flips
+on those programs are pinned by a digest.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -54,6 +56,7 @@ from prior_forge.harness import (
 from prior_forge.lp import (
     FarkasCertificate,
     LPBuilder,
+    _Tableau,
     _int_standardize,
     _standardize,
     enumerate_basic_solutions,
@@ -700,6 +703,41 @@ def test_farkas_violations_match_the_term_by_term_check(programs):
             messages = farkas_violations(lp, forged)
             assert messages and messages == dense_farkas_violations(lp, forged)
     assert infeasible > 50
+
+
+# The count of ``_Tableau.pivot(r, c)`` and ``flip(c)`` calls made in
+# re-solving the ``programs`` fixture, and a sha256 over them: one line per
+# program, its events in order.
+PINNED_SIMPLEX_PATH = (
+    6700,
+    "2524fd29b75468d8f4b21e399d3eac8774ee6ec375379906c5d4e0be029fa2ff",
+)
+
+
+def test_simplex_path_is_pinned(programs, monkeypatch):
+    """The outcome pins compare points and certificates; this one pins the
+    pivots and flips that reach them, so a change to the simplex that
+    reaches the same outcomes by other steps shows."""
+    events = []
+    pivot, flip = _Tableau.pivot, _Tableau.flip
+
+    def spy_pivot(tab, r, c):
+        events.append(f"p{r},{c}")
+        pivot(tab, r, c)
+
+    def spy_flip(tab, c):
+        events.append(f"f{c}")
+        flip(tab, c)
+
+    monkeypatch.setattr(_Tableau, "pivot", spy_pivot)
+    monkeypatch.setattr(_Tableau, "flip", spy_flip)
+    digest, count = hashlib.sha256(), 0
+    for lp, out in programs:
+        assert solve(lp).status == out.status
+        digest.update((" ".join(events) + "\n").encode())
+        count += len(events)
+        events.clear()
+    assert (count, digest.hexdigest()) == PINNED_SIMPLEX_PATH
 
 
 # -- the exponential event walks -------------------------------------------

@@ -99,7 +99,7 @@ _ORACLE_NAMES = {
 @pytest.mark.parametrize(
     "module, name", [(module, name) for module, names in _ORACLE_NAMES.items() for name in names]
 )
-def test_reexported_names_resolve_to_their_modules(module, name):
+def test_oracle_names_live_only_on_their_modules(module, name):
     assert callable(getattr(getattr(prior_forge, module), name))
     assert not hasattr(prior_forge, name)
     assert name not in prior_forge.__all__
@@ -108,7 +108,7 @@ def test_reexported_names_resolve_to_their_modules(module, name):
         exec(f"from prior_forge import {name}", {})
 
 
-def test_reexports_import_by_name_and_unknown_names_raise():
+def test_package_forwards_no_names_and_unknown_names_raise():
     assert {"harness", "lp"} <= set(prior_forge.__all__)
     with pytest.raises(ImportError, match="solve"):
         from prior_forge import solve

@@ -53,6 +53,18 @@ def test_crossed_bounds_are_input_errors():
         b.build(maximize=False)
 
 
+@pytest.mark.parametrize("den", [-1, 0])
+def test_row_denominators_must_be_positive(den):
+    # x <= 1 written over a denominator that is not positive: rejected at
+    # construction, not solved into a bug report or a KeyError.
+    b = LPBuilder()
+    x = b.add_var("x", lower=0, upper=5, objective=1)
+    with pytest.raises(InputError, match=f"^row denominator {den} is not positive$"):
+        b.add_integer_constraint({x: 1}, den, "<=", 1)
+    with pytest.raises(InputError, match=f"^row denominator {den} is not positive$"):
+        lp.Constraint({x: 1}, den, "<=", 1)
+
+
 def test_optimal_exact_fractions():
     # max 2x + 3y  s.t.  x/3 + y/7 <= 1, x <= 2
     b = LPBuilder()
