@@ -221,21 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
 
     p = add("prior", _cmd_prior, "decide a prior notion, with witness")
-    p.add_argument("--kind", choices=("common", "universal", "strong"), required=True)
+    p.add_argument("--kind", choices=_DUAL_TRADE, required=True)
     p.add_argument("--check", metavar="P_JSON", help="test this distribution instead")
     p.add_argument("structure")
 
     p = add("trade", _cmd_trade, "synthesize a graded trade")
-    p.add_argument("--kind", choices=("agreeable", "weak", "acceptable"), required=True)
+    p.add_argument("--kind", choices=_DUAL_TRADE.values(), required=True)
     p.add_argument("structure")
 
     p = add("pump", _cmd_pump, "find a money pump for a distribution")
     p.add_argument("--dist", metavar="P_JSON", required=True)
-    p.add_argument(
-        "--require",
-        choices=("maximal", "strong"),
-        help="demand at least this pump grade",
-    )
+    p.add_argument("--require", choices=_PUMP_GRADES, help="demand at least this pump grade")
     p.add_argument("structure")
 
     p = add("classify", _cmd_classify, "classify a trade or a distribution")
@@ -274,10 +270,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure (this is a bug): {exc}", file=sys.stderr)
         return 4
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,11 +33,12 @@ class StochasticityError(InputError):
 
 
 class InconsistencyError(InputError):
-    """A type function is not constant on a cell."""
+    """Payoffs offered as a trade sum to more than 0 at some state."""
 
 
 class DimensionError(InputError):
-    """Vector length does not match the state space or player count."""
+    """Vector length does not match the state space or player count, or an
+    LP row names an unknown relation."""
 
 
 class PlayerCountError(InputError):
@@ -53,7 +54,8 @@ class NotAComponentError(InputError):
 
 
 class SizeCapError(InputError):
-    """Instance exceeds an enumeration cap (events or LP bases)."""
+    """Instance exceeds an enumeration cap: events, the component family, or
+    the LP oracle's variables, rows or bases."""
 
 
 class VerificationError(PriorForgeError):

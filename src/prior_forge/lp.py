@@ -23,7 +23,9 @@ also stops where a basic variable reaches its upper bound, which is
 complemented before it leaves, or where the entering column reaches its
 own, which flips it without a pivot. Bland's rule covers both: among tied
 candidates the smallest variable index leaves, the entering column's own
-flip under its own index.
+flip under its own index. The starting basis takes each row's slack where,
+once the row is negated to a nonnegative rhs (a ``>=`` row with rhs 0 too),
+the slack's sign is +1, and a new artificial for every other row.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective's too, is a sparse dict of integer numerators over one positive
@@ -589,49 +591,35 @@ class _Tableau:
         self.rows: list[dict] = []
         self.dens: list[int] = std.dens[:]
         self.basis: list[int] = []
-        self.init_col: list[int] = []  # identity column of each std row
         self.negated: list[bool] = []  # std row multiplied by -1 to make rhs >= 0
         self.upper = std.col_upper
         self.flipped: set[int] = set()
         ncols = std.ncols
         artificials: set[int] = set()
         for base_row, den, rel, rhs in zip(std.rows, std.dens, std.row_rel, std.row_rhs):
-            if rel == LESS:
-                slack_sign = 1
-            elif rel == GREATER:
-                slack_sign = -1
-            else:
-                slack_sign = None
+            sign = (rel == LESS) - (rel == GREATER)  # the slack's sign; 0: no slack
             # Negating >= rows with rhs 0 turns their slack into a valid
             # starting basis column; many callers' programs then need no
             # phase 1 at all.
-            negate = rhs < 0 or (rhs == 0 and slack_sign == -1)
+            negate = rhs < 0 or (rhs == 0 and sign == -1)
             if negate:
                 row = {j: -v for j, v in base_row.items()}
-                rhs = -rhs
-                if slack_sign is not None:
-                    slack_sign = -slack_sign
+                rhs, sign = -rhs, -sign
             else:
                 row = dict(base_row)
-            if slack_sign is not None:
-                row[ncols] = slack_sign * den
-                slack_col = ncols
+            if sign:
+                row[ncols] = sign * den
                 ncols += 1
-            else:
-                slack_col = None
-            if slack_col is not None and slack_sign == 1:
-                ident = slack_col
-            else:
+            if sign != 1:
                 row[ncols] = den
                 artificials.add(ncols)
-                ident = ncols
                 ncols += 1
             if rhs:
                 row[_RHS] = rhs
             self.rows.append(row)
-            self.basis.append(ident)
-            self.init_col.append(ident)
+            self.basis.append(ncols - 1)
             self.negated.append(negate)
+        self.init_col = self.basis[:]  # the starting basis: each std row's identity column
         self.artificials = artificials
         self.barred: set[int] = set()
         self.obj: dict = {}
@@ -880,24 +868,19 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
             f"{len(lp.constraints)} constraints exceeds oracle cap {ORACLE_MAX_CONSTRAINTS}"
         )
     std = _standardize(lp)
-    # Dense copy of the standardized equality system (slack per inequality).
-    ncols = std.ncols
+    # Dense copy of the standardized equality system: a slack column per
+    # inequality after the structural columns, then the rhs.
+    ncols = std.ncols + sum(rel != EQUAL for rel in std.row_rel)
     dense: list[list] = []
-    for k, row in enumerate(std.rows):
-        rel, rhs = std.row_rel[k], std.row_rhs[k]
-        line = [ZERO] * ncols
+    slack = std.ncols
+    for row, rel, rhs in zip(std.rows, std.row_rel, std.row_rhs):
+        line = [ZERO] * ncols + [rhs]
         for j, v in row.items():
             line[j] = v
-        if rel == LESS:
-            line.append(ONE)
-            ncols += 1
-        elif rel == GREATER:
-            line.append(-ONE)
-            ncols += 1
-        line.append(rhs)
+        if rel != EQUAL:
+            line[slack] = ONE if rel == LESS else -ONE
+            slack += 1
         dense.append(line)
-    for line in dense:
-        line[-1:-1] = [ZERO] * (ncols - (len(line) - 1))
 
     reduced, consistent = _row_reduce(dense, ncols)
     if not consistent:

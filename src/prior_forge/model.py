@@ -52,7 +52,7 @@ def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Distribution:
     """An exact probability distribution over ``size`` indexed states, held
     on its support.
@@ -67,6 +67,9 @@ class Distribution:
     and the hash are those of the four fields, so of the dense ``probs``,
     and ``repr`` shows ``probs``."""
 
+    # Declared here, not by ``slots=True``: that replaces the class, and the
+    # generated ``__setattr__`` of a non-field name then fails on the old one.
+    __slots__ = ("size", "den", "_support", "_nums")
     size: int
     den: int
     _support: tuple

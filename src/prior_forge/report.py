@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ._rational import to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
-from .jsonio import SCHEMA, distribution_to_json, structure_to_json, type_row
+from .jsonio import SCHEMA, structure_to_json, type_row
 from .model import Distribution, InformationStructure
 from .priors import NOTIONS, PriorWitness
 from .trades import (
@@ -69,7 +69,7 @@ class AnalysisReport:
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
-                "dist": distribution_to_json(self.dist)["dist"],
+                "dist": type_row(self.dist),
                 "classification": _classification_json(s, self.verdict),
                 **verdict_json(s, self.verdict),
             }
@@ -190,7 +190,7 @@ def notion_json(witnessing: dict | None, refuting: dict | None) -> dict:
 
 def prior_check_json(kind: str, dist: Distribution, holds: bool) -> dict:
     """Whether ``dist`` is a prior of the notion ``kind``."""
-    return {"kind": kind, "holds": holds, "dist": distribution_to_json(dist)["dist"]}
+    return {"kind": kind, "holds": holds, "dist": type_row(dist)}
 
 
 # The flags of a ``TradeClassification`` in rendering order: the attribute,

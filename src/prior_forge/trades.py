@@ -379,19 +379,13 @@ def classify_distribution(
                 "distribution is neither a common prior nor a money pump"
             )
         base = "money_pump"
-    universal = None
-    if cls.maximal:
-        universal = "universal_common_prior" if cls.common else "universal_money_pump"
-    strong = None
-    if cls.strongly_maximal:
-        strong = "strong_common_prior" if cls.common else "strong_money_pump"
     return DistributionVerdict(
         classification=cls,
         prior_witness=prior_witness,
         pump_witness=pump_witness,
         base=base,
-        universal=universal,
-        strong=strong,
+        universal=f"universal_{base}" if cls.maximal else None,
+        strong=f"strong_{base}" if cls.strongly_maximal else None,
     )
 
 

@@ -251,6 +251,33 @@ def test_enumerate_infeasible_is_empty():
     assert enumerate_basic_solutions(b.build(maximize=False)) == ()
 
 
+def test_starting_tableau_is_pinned():
+    """Each relation with a positive, zero and negative rhs, so every
+    set-up branch runs: the starting basis, the negated rows, the
+    artificials, and each row's slack and artificial entries, its
+    denominator signed."""
+    b = LPBuilder()
+    x = b.add_var("x", lower=0)
+    y = b.add_var("y", lower=0)
+    b.add_objective(x, 1)
+    for rel in ("<=", ">=", "="):
+        b.add_constraint({x: "1/2", y: 1}, rel, "1/2")
+        b.add_constraint({x: 1, y: -1}, rel, 0)
+        b.add_constraint({x: 1, y: "1/3"}, rel, -2)
+    std = lp._int_standardize(b.build(maximize=True))
+    tab = lp._Tableau(std)
+    assert std.ncols == 2 and tab.dens == [2, 1, 3] * 3
+    assert tab.basis == tab.init_col == [2, 3, 5, 7, 8, 9, 10, 11, 12]
+    assert tab.negated == [False, False, True, False, True, True, False, False, True]
+    assert sorted(tab.artificials) == [5, 7, 10, 11, 12]
+    added = [{c: v for c, v in row.items() if c >= std.ncols} for row in tab.rows]
+    assert added == [
+        {2: 2}, {3: 1}, {4: -3, 5: 3},
+        {6: -2, 7: 2}, {8: 1}, {9: 3},
+        {10: 2}, {11: 1}, {12: 3},
+    ]
+
+
 # sha256 over the vertex sets of the common-prior and joint programs of the
 # oracle battery's generator (M <= 4, N <= 2, d <= 5), seeds 0..399, recorded
 # while the enumerator still solved each basis with its own elimination

@@ -103,6 +103,19 @@ def test_a_type_costs_its_support_not_its_states():
     assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(t)) == t
 
 
+def test_frozen_errors_name_any_attribute():
+    # Fields and other names alike: assignment and deletion raise the
+    # dataclass's own error, not one from the class it replaced.
+    d = Distribution.from_support(3, {1: 1})
+    for name in ("den", "x"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(d, name, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(d, name)
+    assert not hasattr(d, "__dict__") and d.__sizeof__() == 48
+    assert copy.deepcopy(d) == d == pickle.loads(pickle.dumps(d))
+
+
 def _dense_repr(t) -> str:
     """The text of the dense dataclass ``repr``: the masses as a tuple of
     ``Fraction``s."""
