@@ -7,16 +7,43 @@ inequality distinctions the certificates rest on.
 The one backend is ``fractions.Fraction``. ``rational`` coerces ints,
 Fractions and the strict literal grammar ``a`` / ``a/b`` (ASCII digits, a
 minus sign on the numerator only, a nonzero denominator), and rejects floats
-and booleans. ``str`` renders a rational as text (``a/b``, or ``a`` when
-the denominator is 1) and ``to_json_value`` as a JSON value.
+and booleans. ``parse_literal`` is that grammar, the one place it lives: it
+reads a literal straight to a reduced ``(num, den)`` pair of ints.
+``rational_text`` renders a rational as text (``a/b``, or ``a`` when the
+denominator is 1) and ``to_json_value`` as a JSON value.
+
+Ints of any length convert to and from decimal text: ``int_text`` and
+``text_int`` use ``str`` and ``int``, and only past the interpreter's digit
+limit (``sys.get_int_max_str_digits()``) the exact ``decimal.Decimal``
+conversion, which has no such limit. The limit itself is never changed.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def int_text(n: int) -> str:
+    """The decimal text of ``n``, at any length."""
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit
+        return str(Decimal(n))
+
+
+def text_int(digits: str) -> int:
+    """The int of decimal text, at any length: the inverse of ``int_text``.
+    ``Decimal`` also takes spaces, underscores and exponents, so ``digits``
+    must already have passed a grammar check."""
+    try:
+        return int(digits)
+    except ValueError:  # past the digit limit
+        return int(Decimal(digits))
 
 
 def rational(value) -> Fraction:
@@ -29,27 +56,39 @@ def rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return _parse_str(value)
+        return Fraction(*parse_literal(value))
     raise TypeError(f"not a rational: {value!r} (floats are rejected; use 'a/b' strings)")
 
 
-def _parse_str(text: str) -> Fraction:
-    """``a`` or ``a/b``: ASCII digits, an optional leading minus on the
-    numerator only, and a nonzero denominator. Spaces, underscores, a plus
-    sign and other digit scripts, all of which ``int`` would take, are
-    rejected."""
+def parse_literal(text: str) -> tuple[int, int]:
+    """``a`` or ``a/b`` as ``(num, den)`` in lowest terms with ``den > 0``:
+    ASCII digits, an optional leading minus on the numerator only, and a
+    nonzero denominator, of any length. Spaces, underscores, a plus sign and
+    other digit scripts, all of which ``int`` would take, are rejected."""
     num, sep, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if digits.isdigit() and digits.isascii():
         if not sep:
-            return Fraction(int(num))
+            return text_int(num), 1
         if den.isdigit() and den.isascii() and den.strip("0"):
-            return Fraction(int(num), int(den))
+            a, b = text_int(num), text_int(den)
+            g = gcd(a, b)
+            return a // g, b // g
     raise ValueError(f"malformed rational literal: {text!r}")
+
+
+def rational_text(q) -> str:
+    """``a/b`` in lowest terms, or ``a`` when the denominator is 1, at any
+    length: ``str(q)``, or past the digit limit its ``int_text`` parts."""
+    try:
+        return str(q)
+    except ValueError:  # past the digit limit
+        num, den = q.numerator, q.denominator
+        return int_text(num) if den == 1 else int_text(num) + "/" + int_text(den)
 
 
 def to_json_value(q):
     """JSON form: plain int when integral, ``"a/b"`` string otherwise."""
     if q.denominator == 1:
         return q.numerator
-    return str(q)
+    return rational_text(q)

@@ -37,8 +37,7 @@ class InconsistencyError(InputError):
 
 
 class DimensionError(InputError):
-    """Vector length does not match the state space or player count, or an
-    LP row names an unknown relation."""
+    """Vector length does not match the state space or player count."""
 
 
 class PlayerCountError(InputError):

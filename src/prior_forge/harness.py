@@ -25,6 +25,7 @@ compositions with bounded denominators; supports are thinned, each state
 dropped with probability ``ZERO_MASS_RATE``, so sparse structures (rich
 component geometry) appear often. ``planted_structure`` draws the other
 side at any size: a structure built around a chosen strong common prior.
+``chain_structure`` builds inputs whose witnesses grow in bits, not states.
 No state outlives a call: the Bell numbers are built once per structure.
 """
 
@@ -232,6 +233,31 @@ def planted_structure(
         [f"w{k + 1}" for k in range(m)], [f"P{k + 1}" for k in range(n)], partitions, cell_types
     )
     return structure, Distribution(tuple(prior))
+
+
+def chain_structure(m: int, k: int) -> InformationStructure:
+    """The two-player chain on states w1..wm: P1's cells are {w1, w2},
+    {w3, w4}, ..., P2's are {w1}, {w2, w3}, ..., so the cells link every
+    state to the next, and every two-state type puts 1/(k+1) on its first
+    state and k/(k+1) on its second. Its one common prior is proportional
+    to k**j on state w(j+1), so the prior's bits, not the state count, grow
+    with m: at k = 2**64 - 1 and m = 256 they pass the interpreter's digit
+    limit for int-to-text conversion."""
+    if m < 1 or k < 1:
+        raise InputError(f"a chain needs m >= 1 states and k >= 1, got m={m}, k={k}")
+    low, high = Fraction(1, k + 1), Fraction(k, k + 1)
+
+    def cells(first: int) -> tuple:
+        pairs = [(w, w + 1) for w in range(first, m - 1, 2)]
+        ends = [(0,)] * first + [(m - 1,)] * ((m - first) % 2)
+        return tuple(sorted(ends + pairs))
+
+    partitions = (cells(0), cells(1))
+    cell_types = [
+        [{c[0]: ONE} if len(c) == 1 else {c[0]: low, c[1]: high} for c in part]
+        for part in partitions
+    ]
+    return make_structure([f"w{j + 1}" for j in range(m)], ["P1", "P2"], partitions, cell_types)
 
 
 def random_distribution(

@@ -17,18 +17,26 @@ It accepts only what the documents hold (dicts with string keys, lists,
 tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
 else, floats and ``Fraction``s included. Type rows are dense on the wire, but
 a ``Distribution`` holds only its support: parsing skips the zero literals
-``0`` and ``"0"`` and builds each type from its support, and rendering fills
-a row of zeros from the support's integer numerators, so a rational is parsed
-once per nonzero entry and none is built to render one.
+``0`` and ``"0"``, parses each nonzero entry once to a ``(num, den)`` pair of
+ints in lowest terms, and builds each type from the integer form of those
+pairs, and rendering fills a row of zeros from the support's integer
+numerators, so no ``Fraction`` is built to parse or to render a type.
+
+Numbers have no length limit on either side: the writers render ints with
+``int_text`` and the parsers read them with ``text_int`` (see ``loads``), so
+a report whose witness runs past the interpreter's digit limit is written,
+and read back, exactly.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring
-from math import gcd
+from math import gcd, lcm
 
-from ._rational import rational
+from ._rational import int_text, parse_literal, text_int
 from .errors import DimensionError, SchemaError
 from .model import Distribution, InformationStructure, make_structure
 
@@ -43,10 +51,23 @@ def _reject_float(text: str):
 
 def loads(text: str):
     """``json.loads`` with float and NaN/Infinity literals turned into errors.
-    Syntax errors, nesting past the recursion limit and integer literals past
-    the interpreter's digit limit are all ``SchemaError``s."""
+    Syntax errors and nesting past the recursion limit are ``SchemaError``s.
+
+    Literals of any length are read exactly. An integer literal past the
+    interpreter's digit limit (``sys.get_int_max_str_digits()``) makes the
+    stdlib parser stop with a plain ``ValueError``; the text is then read
+    again with ``text_int`` for the integer literals, which is slower per
+    literal and so only used then. ``"a/b"`` strings of any length are read
+    by ``parse_literal``. So whatever a writer of this package emits, this
+    function and the parsers read back."""
+    hooks = {"parse_float": _reject_float, "parse_constant": _reject_float}
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        try:
+            return json.loads(text, **hooks)
+        except ValueError as exc:
+            if isinstance(exc, json.JSONDecodeError):
+                raise
+            return json.loads(text, parse_int=text_int, **hooks)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
@@ -68,10 +89,11 @@ def dumps_canonical(obj) -> str:
     ``bool`` and ``None`` are accepted; anything else, a float or a
     ``Fraction`` included, raises ``TypeError``. Strings are escaped by the
     stdlib's C ``encode_basestring`` and ints rendered by ``int.__repr__``,
-    as the stdlib encoder does; a list of scalars is rendered with one
-    ``join``. A dict that appears more than once at the same depth, the
-    same object each time, such as a report piece shared by several
-    notions, is rendered once."""
+    as the stdlib encoder does, or by ``int_text`` past the interpreter's
+    digit limit; a list of scalars is rendered with one ``join``. A dict
+    that appears more than once at the same depth, the same object each
+    time, such as a report piece shared by several notions, is rendered
+    once."""
     return _render(obj, "\n", {}) + "\n"
 
 
@@ -84,7 +106,8 @@ def _bool(value: bool) -> str:
 
 
 # Scalar renderers by exact type; bool is not looked up as int, so ``repr``
-# only ever meets exact ints, where it is ``int.__repr__``.
+# only ever meets exact ints, where it is ``int.__repr__``. Past the digit
+# limit it raises ``ValueError``, and ``_render`` falls back to ``int_text``.
 _SCALARS = {
     str: encode_basestring,
     int: repr,
@@ -119,9 +142,11 @@ def _render(obj, brk: str, done: dict) -> str:
         inner = brk + "  "
         try:
             items = [_SCALARS[type(v)](v) for v in obj]
-        except KeyError:  # a container, or what the writer rejects
+        except (KeyError, ValueError):  # a container, what the writer rejects, or a long int
             items = [_render(v, inner, done) for v in obj]
         return "[" + inner + ("," + inner).join(items) + brk + "]"
+    if kind is int:  # any length, where ``repr`` stops at the digit limit
+        return int_text(obj)
     render = _SCALARS.get(kind)
     if render is None:
         raise TypeError(f"Object of type {kind.__name__} is not canonical JSON")
@@ -134,13 +159,24 @@ def check_schema(doc: dict) -> None:
         raise SchemaError(f"unsupported schema tag {tag!r}; this tool reads {SCHEMA!r}")
 
 
-def parse_rational_value(v):
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise SchemaError(f"expected an integer or 'a/b' string, got {v!r}")
-    try:
-        return rational(v)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
+def parse_rational_pair(v) -> tuple[int, int]:
+    """A document's rational literal, an int or an ``"a/b"`` string, as a
+    pair ``(num, den)`` in lowest terms with ``den > 0`` (``parse_literal``
+    reads the strings). Anything else, a bool or a malformed string
+    included, is a ``SchemaError``."""
+    if isinstance(v, str):
+        try:
+            return parse_literal(v)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    raise SchemaError(f"expected an integer or 'a/b' string, got {v!r}")
+
+
+def parse_rational_value(v) -> Fraction:
+    """A document's rational literal as a ``Fraction``."""
+    return Fraction(*parse_rational_pair(v))
 
 
 def _mapping(doc, what: str) -> dict:
@@ -171,21 +207,41 @@ def _rational_row(values, length: int, what: str) -> tuple:
     return tuple(parse_rational_value(v) for v in values)
 
 
-def _support_row(values, length: int, what: str) -> dict:
-    """A type row as {state: nonzero rational}. The literals ``0`` (an exact
-    int) and ``"0"`` are skipped before ``parse_rational_value``; every other
-    literal keeps the strict grammar, and one that evaluates to zero is
-    dropped."""
+def _support_row(values, length: int, what: str) -> tuple:
+    """A type row of ``length`` literals as ``_support_pairs`` reads it."""
     if not isinstance(values, list) or len(values) != length:
         raise SchemaError(f"{what} must be a list of {length} rationals")
-    row = {}
+    return _support_pairs(values)
+
+
+def _support_pairs(values) -> tuple:
+    """``(support, nums, dens)``: the states of the nonzero literals in
+    ``values``, in order, and each literal's pair (``parse_rational_pair``).
+    The literals ``0`` (an exact int) and ``"0"`` are skipped unparsed;
+    every other literal keeps the strict grammar, and one that evaluates to
+    zero is dropped. The pairs are in lowest terms, so two rows are equal
+    exactly when their rationals are."""
+    support, nums, dens = [], [], []
     for w, v in enumerate(values):
         if (type(v) is int and not v) or v == "0":
             continue
-        q = parse_rational_value(v)
-        if q:
-            row[w] = q
-    return row
+        a, d = parse_rational_pair(v)
+        if a:
+            support.append(w)
+            nums.append(a)
+            dens.append(d)
+    return tuple(support), tuple(nums), tuple(dens)
+
+
+def _distribution(size: int, row: tuple) -> Distribution:
+    """The distribution of a ``_support_pairs`` row over ``size`` states,
+    from its integer form: the lcm of the reduced denominators is the least
+    common one."""
+    support, nums, dens = row
+    den = lcm(*dens)
+    if den != 1:
+        nums = tuple([a * (den // d) for a, d in zip(nums, dens)])
+    return Distribution.from_integer_form(size, support, den, nums)
 
 
 def parse_structure(doc) -> InformationStructure:
@@ -194,8 +250,9 @@ def parse_structure(doc) -> InformationStructure:
     ``partitions`` lists each player's cells as state labels. Types come
     either per cell (``types``, aligned with the cells) or per state
     (``state_types``, one row per state, constant within each cell). Every
-    row's literals are parsed before any type is built; each type is then
-    built from its support alone (``Distribution.from_support``).
+    row's literals are parsed before any type is built; ``make_structure``
+    then builds each type, in its own order, from its support's integer form
+    (``Distribution.from_integer_form``).
     """
     data = _mapping(doc, "structure document")
     check_schema(data)
@@ -229,7 +286,7 @@ def parse_structure(doc) -> InformationStructure:
     raw_types = _list_field(data, "state_types" if per_state else "types")
     if len(raw_types) != len(players):
         raise SchemaError("need one type table per player")
-    cell_types = []
+    cell_rows = []
     for i, rows in enumerate(raw_types):
         cells = partitions[i]
         if not isinstance(rows, list) or len(rows) != (m if per_state else len(cells)):
@@ -244,8 +301,9 @@ def parse_structure(doc) -> InformationStructure:
                         f"cell {[states[w] for w in cell]}"
                     )
             parsed = [parsed[cell[0]] for cell in cells]
-        cell_types.append(tuple(parsed))
+        cell_rows.append(parsed)
 
+    cell_types = [[partial(_distribution, m, row) for row in rows] for rows in cell_rows]
     return make_structure(states, players, partitions, cell_types)
 
 
@@ -270,7 +328,13 @@ def type_row(t: Distribution) -> list:
     den = t.den
     for w, a in t.items():
         g = gcd(a, den)
-        row[w] = a // g if g == den else f"{a // g}/{den // g}"
+        if g == den:
+            row[w] = a // g
+            continue
+        try:
+            row[w] = f"{a // g}/{den // g}"
+        except ValueError:  # past the digit limit
+            row[w] = int_text(a // g) + "/" + int_text(den // g)
     return row
 
 
@@ -287,12 +351,13 @@ def _envelope(doc, key: str, what: str) -> list:
 def parse_distribution(doc, structure: InformationStructure) -> Distribution:
     """Accepts ``{"dist": [...]}`` or a bare list of rationals, one per state
     of ``structure``."""
-    masses = tuple(parse_rational_value(v) for v in _envelope(doc, "dist", "distribution"))
-    if len(masses) != structure.num_states:
+    values = _envelope(doc, "dist", "distribution")
+    row = _support_pairs(values)
+    if len(values) != structure.num_states:
         raise DimensionError(
-            f"distribution has {len(masses)} entries for {structure.num_states} states"
+            f"distribution has {len(values)} entries for {structure.num_states} states"
         )
-    return Distribution(masses)
+    return _distribution(len(values), row)
 
 
 def distribution_to_json(dist: Distribution) -> dict:

@@ -81,7 +81,8 @@ ORACLE_MAX_BASES = 200_000
 
 class Constraint:
     """The row ``sum_j nums[j] * x_j  rel  rhs_num``, over one positive
-    ``den`` (any other is an ``InputError``): ``nums`` maps variable
+    ``den``; another ``den``, or a ``rel`` other than ``<=``, ``=`` and
+    ``>=``, is an ``InputError``. ``nums`` maps variable
     indices to int numerators. It is built from this integer form alone,
     as a ``Distribution`` is from its support: the row is reduced to lowest
     terms by one gcd, zero numerators are dropped, and ``nums`` is kept as
@@ -91,7 +92,7 @@ class Constraint:
 
     def __init__(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         if rel not in (LESS, EQUAL, GREATER):
-            raise DimensionError(f"unknown relation {rel!r}")
+            raise InputError(f"unknown relation {rel!r}")
         if den <= 0:
             raise InputError(f"row denominator {den} is not positive")
         g = math.gcd(den, rhs_num, *nums.values())

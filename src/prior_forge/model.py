@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import index, mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from ._rational import ZERO, rational
+from ._rational import ZERO, rational, rational_text
 from .errors import (
     DimensionError,
     EmptySetError,
@@ -60,12 +60,17 @@ class Distribution:
     It keeps ``size``, ``den``, the least common denominator of its masses,
     the sorted support, and one integer numerator over ``den`` per support
     state (``items()`` pairs them), and nothing per state off the support,
-    so a type costs its nonzero entries, not the state count. Validation,
-    masses and expectations read those ints and build one rational per
-    result. Indexing, iteration and ``probs`` give the dense values, 0 off
-    the support, and build them when read. Instances are frozen; equality
-    and the hash are those of the four fields, so of the dense ``probs``,
-    and ``repr`` shows ``probs``."""
+    so a type costs its nonzero entries, not the state count. Every
+    constructor ends in one integer-form core, ``from_integer_form``, which
+    checks the support's range, a negative mass and the sum to 1 on those
+    ints: ``Distribution(probs)`` and ``from_support`` first derive the
+    integer form of their rationals (``integer_form``), while the document
+    parser, substructures and copies hand theirs over as they have it, with
+    no rational per entry. Validation, masses and expectations read those
+    ints and build one rational per result. Indexing, iteration and
+    ``probs`` give the dense values, 0 off the support, and build them when
+    read. Instances are frozen; equality and the hash are those of the four
+    fields, so of the dense ``probs``, and ``repr`` shows ``probs``."""
 
     # Declared here, not by ``slots=True``: that replaces the class, and the
     # generated ``__setattr__`` of a non-field name then fails on the old one.
@@ -77,38 +82,49 @@ class Distribution:
 
     def __init__(self, probs) -> None:
         probs = tuple(map(rational, probs))
-        self._fill(len(probs), {w: q for w, q in enumerate(probs) if q})
+        support = tuple(w for w, q in enumerate(probs) if q)
+        self._fill(len(probs), support, *integer_form([probs[w] for w in support]))
 
     @classmethod
     def from_support(cls, size: int, entries: dict) -> "Distribution":
         """The distribution over ``size`` states with ``entries``, a map
         {state: rational}, on its support and 0 elsewhere. Zero entries are
         dropped."""
-        dist = object.__new__(cls)
         masses = map(rational, entries.values())
-        dist._fill(size, {w: q for w, q in zip(entries, masses) if q})
+        nonzero = {w: q for w, q in zip(entries, masses) if q}
+        support = tuple(sorted(nonzero))
+        return cls.from_integer_form(size, support, *integer_form([nonzero[w] for w in support]))
+
+    @classmethod
+    def from_integer_form(cls, size: int, support: tuple, den: int, nums: tuple) -> "Distribution":
+        """The distribution over ``size`` states with mass ``nums[k] / den``
+        at ``support[k]`` and 0 elsewhere. The caller guarantees the form:
+        ``support`` strictly increasing, no zero in ``nums``, and ``den > 0``
+        the least common denominator, so ``gcd(den, *nums) == 1``; the
+        support's range, the signs and the sum are checked here."""
+        dist = object.__new__(cls)
+        dist._fill(size, support, den, nums)
         return dist
 
-    def _fill(self, size: int, entries: dict) -> None:
-        """The support form from the nonzero ``entries``, over their
-        ``integer_form``; then the negative-mass and sum-to-1 checks."""
-        support = tuple(sorted(entries))
+    def _fill(self, size: int, support: tuple, den: int, nums: tuple) -> None:
+        """The one core: store the integer form, then the negative-mass and
+        sum-to-1 checks."""
         if support and not (0 <= support[0] and support[-1] < size):
             raise DimensionError(f"support {support} outside states 0..{size - 1}")
-        den, nums = integer_form([entries[w] for w in support])
         for name, value in (("size", size), ("den", den), ("_support", support), ("_nums", nums)):
             object.__setattr__(self, name, value)
         if any(a < 0 for a in nums):
             raise StochasticityError("negative mass")
         if sum(nums) != den:
-            raise StochasticityError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
+            total = rational_text(Fraction(sum(nums), den))
+            raise StochasticityError(f"masses sum to {total}, not 1")
 
     def __repr__(self) -> str:
         return f"Distribution(probs={self.probs!r})"
 
     def __reduce__(self):
-        # Frozen slots refuse assignment, so copies and pickles rebuild from the support.
-        return self.from_support, (self.size, {w: Fraction(a, self.den) for w, a in self.items()})
+        # Frozen slots refuse assignment, so copies and pickles rebuild from the integer form.
+        return self.from_integer_form, (self.size, self._support, self.den, self._nums)
 
     @property
     def probs(self) -> tuple:
@@ -312,7 +328,10 @@ def make_structure(
 ) -> InformationStructure:
     """Index-based constructor; checks the counts, normalizes ordering, then
     validates. A type is a ``Distribution``, a {state: rational} map of its
-    support (built by ``Distribution.from_support``) or a dense row."""
+    support (built by ``Distribution.from_support``), a dense row, or a
+    function of no arguments that builds the ``Distribution``; types are
+    built player by player, each player's before its duplicate-cell check,
+    so a type given as a function fails where a map or row would."""
     if len(partitions) != len(players) or len(cell_types) != len(players):
         raise DimensionError("need one partition and one type table per player")
     for player, cells, types in zip(players, partitions, cell_types):
@@ -337,11 +356,13 @@ def make_structure(
 
 def _as_distribution(obj, size: int) -> Distribution:
     """A type as given: a ``Distribution``, a {state: rational} map of its
-    support, or a dense row."""
+    support, a dense row, or a function of no arguments that builds it."""
     if isinstance(obj, Distribution):
         return obj
     if isinstance(obj, dict):
         return Distribution.from_support(size, obj)
+    if callable(obj):
+        return obj()
     return Distribution(tuple(obj))
 
 
@@ -374,7 +395,8 @@ def induced_substructure(
     """Restriction to a common certainty component.
 
     Types are restricted without renormalization; on a component they keep
-    full mass, so the result is again a valid structure. Raises
+    full mass, so the result is again a valid structure, and each keeps its
+    ``den`` and numerators, reindexed (``from_integer_form``). Raises
     ``NotAComponentError`` otherwise. The whole state space gives back
     ``structure`` itself, derived memo included.
     """
@@ -395,8 +417,8 @@ def induced_substructure(
             if not kept:
                 continue
             cells_out.append(kept)
-            support = {reindex[w]: Fraction(a, t.den) for w, a in t.items()}
-            types_out.append(Distribution.from_support(len(subset), support))
+            support = tuple(reindex[w] for w in t.support())
+            types_out.append(Distribution.from_integer_form(len(subset), support, t.den, t._nums))
         order = sorted(range(len(cells_out)), key=lambda k: cells_out[k][0])
         partitions.append(tuple(cells_out[k] for k in order))
         types.append(tuple(types_out[k] for k in order))

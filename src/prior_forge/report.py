@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import to_json_value
+from ._rational import rational_text, to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, structure_to_json, type_row
@@ -256,7 +256,8 @@ def verdict_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
 
 
 def _vector(values) -> str:
-    return "(" + ", ".join(map(str, values)) + ")"
+    """Rationals, or a ``type_row``'s ints and strings, as ``(a, b/c, ...)``."""
+    return "(" + ", ".join(v if type(v) is str else rational_text(v) for v in values) + ")"
 
 
 def _state_set(s: InformationStructure, indices) -> str:
@@ -312,7 +313,7 @@ def verdict_line(verdict: DistributionVerdict) -> str:
 
 def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
     return [
-        f"  deficit = {witness.deficit}",
+        f"  deficit = {rational_text(witness.deficit)}",
         *payoff_lines(s, witness.payoffs, "  "),
     ]
 

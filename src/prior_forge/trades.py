@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from ._rational import ONE, ZERO
+from ._rational import ONE, ZERO, rational_text
 from .certainty import check_dimension, minimal_components
 from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
@@ -77,7 +77,7 @@ class Trade:
         for w, total in enumerate(sums):
             if total > 0:
                 raise InconsistencyError(
-                    f"payoffs sum to {Fraction(total, den)} > 0 at state index {w}; not a trade"
+                    f"payoffs sum to {rational_text(Fraction(total, den))} > 0 at state index {w}; not a trade"
                 )
 
 
@@ -154,16 +154,16 @@ class MoneyPumpWitness:
             for cell, num, den in cell_expectations(structure, i, form):
                 if num < 0:
                     raise VerificationError(
-                        f"not a semi-trade: player {i} expects {Fraction(num, den)} < 0 "
+                        f"not a semi-trade: player {i} expects {rational_text(Fraction(num, den))} < 0 "
                         f"at state {cell[0]}"
                     )
         deficit = _deficit(self.forms, self.distribution)
         if deficit != self.deficit:
             raise VerificationError(
-                f"stored deficit {self.deficit} differs from recomputed {deficit}"
+                f"stored deficit {rational_text(self.deficit)} differs from recomputed {rational_text(deficit)}"
             )
         if not deficit < ZERO:
-            raise VerificationError(f"deficit {deficit} is not negative")
+            raise VerificationError(f"deficit {rational_text(deficit)} is not negative")
         notion = next((n for n in NOTIONS if n.pump == self.kind), None)
         if notion is None:
             raise VerificationError(f"unknown pump kind {self.kind!r}")

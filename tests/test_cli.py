@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report
 from prior_forge.cli import main
+from prior_forge.jsonio import loads, parse_distribution, parse_rational_value, parse_structure
+from prior_forge.priors import PriorWitness
 
 
 @pytest.fixture()
@@ -84,7 +87,7 @@ def test_loose_rational_literal_is_schema_error(run, tmp_path):
     [
         b'{"states": ["\xff"]}',  # not UTF-8
         b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
-        b"1" * 5000,  # an integer past the interpreter's digit limit
+        b"1" * 5000,  # read exactly, past the digit limit, but not a structure
     ],
     ids=["not_utf8", "deep_nesting", "long_integer"],
 )
@@ -461,6 +464,64 @@ def test_cli_verdicts_are_pinned(run, spath, tmp_path):
             runs += 2
     assert runs == 228
     assert digest.hexdigest() == PINNED_VERDICTS
+
+
+# -- numbers past the interpreter's digit limit -----------------------------------
+
+
+def chain_doc(m, k):
+    """The two-player chain on an even number m of states: P1's cells are
+    {w1, w2}, {w3, w4}, ..., P2's are {w1}, {w2, w3}, ..., {wm}, and every
+    two-state type is (1/(k+1), k/(k+1))."""
+    states = [f"w{j + 1}" for j in range(m)]
+    p1 = [[j, j + 1] for j in range(0, m, 2)]
+    p2 = [[0], *([j, j + 1] for j in range(1, m - 1, 2)), [m - 1]]
+
+    def row(cell):
+        masses = [0] * m
+        masses[cell[0]] = 1
+        if len(cell) == 2:
+            masses[cell[0]], masses[cell[1]] = f"1/{k + 1}", f"{k}/{k + 1}"
+        return masses
+
+    return {
+        "states": states,
+        "players": ["P1", "P2"],
+        "partitions": [[[states[w] for w in cell] for cell in p] for p in (p1, p2)],
+        "types": [[row(cell) for cell in p] for p in (p1, p2)],
+    }
+
+
+def test_a_witness_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
+    # The chain's common prior is proportional to k**j at state w(j+1), so at
+    # k = 2**64 - 1 its masses have about 4,930 decimal digits, past the
+    # interpreter's limit of int-to-text conversion (4,300 by default).
+    doc = chain_doc(256, 2**64 - 1)
+    structure = parse_structure(doc)
+    path = write_json(tmp_path, "chain.json", doc)
+    code, out, err = run("prior", "--json", "--kind", "common", path)
+    assert (code, err) == (0, "")
+    witness = loads(out)["witness"]
+    assert max(map(len, witness["prior"])) > 2 * sys.get_int_max_str_digits()
+    prior = parse_distribution(witness["prior"], structure)
+    weights = tuple(tuple(map(parse_rational_value, row)) for row in witness["hull_weights"])
+    PriorWitness(prior, weights).verify(structure)
+    # Every command once: the witness is rendered as text and in a report,
+    # and the uniform distribution, no prior here, is pumped and classified.
+    uniform = write_json(tmp_path, "uniform.json", {"dist": ["1/256"] * 256})
+    commands = [
+        ("check",),
+        ("components",),
+        ("prior", "--kind", "strong"),
+        ("trade", "--kind", "agreeable"),
+        ("pump", "--json", "--dist", uniform),
+        ("classify", "--json", "--dist", uniform),
+        ("report", "--json"),
+    ]
+    for argv in commands:
+        code, out, err = run(*argv, path)
+        assert code in (0, 3) and err == "", argv
+    assert structure == harness.chain_structure(256, 2**64 - 1)
 
 
 def test_constraint_rows_are_sparse_and_in_range():

@@ -5,12 +5,15 @@ import importlib.util
 import json
 import pathlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from prior_forge import (
     DimensionError,
+    Distribution,
+    InputError,
     SCHEMA,
     SchemaError,
     StochasticityError,
@@ -21,13 +24,20 @@ from prior_forge import (
     rational,
     structure_to_json,
 )
-from prior_forge._rational import to_json_value
+from prior_forge._rational import (
+    int_text,
+    parse_literal,
+    rational_text,
+    text_int,
+    to_json_value,
+)
 from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
 from prior_forge.jsonio import (
     check_schema,
     distribution_to_json,
     load_path,
     loads,
+    parse_rational_pair,
     parse_rational_value,
 )
 from prior_forge import jsonio
@@ -68,6 +78,26 @@ def test_rational_values():
     for bad in (True, None, [1], "1/0", "x", *loose):
         with pytest.raises(SchemaError):
             parse_rational_value(bad)
+
+
+def test_numbers_of_any_length_round_trip():
+    big = 3**20_000  # 9,543 decimal digits, past the interpreter's default limit
+    text = int_text(big)
+    assert text == str(Decimal(big)) and len(text) == 9_543
+    assert int(text[-40:]) == big % 10**40 and int(text[:40]) == big // 10 ** (9_543 - 40)
+    assert int_text(-big) == "-" + text and int_text(12) == "12" and int_text(0) == "0"
+    assert text_int(text) == big and text_int("-" + text) == -big and text_int("-0") == 0
+    assert parse_rational_pair(f"{text}/3") == (big // 3, 1)
+    assert parse_rational_pair(f"-2/{text}") == (-2, big)
+    assert rational(f"1/{text}") == Fraction(1, big)
+    assert rational_text(Fraction(-2, big)) == f"-2/{text}"
+    doc = {"n": big, "row": [1, -big], "q": to_json_value(Fraction(1, big))}
+    written = dumps_canonical(doc)
+    assert written == f'{{\n  "n": {text},\n  "row": [\n    1,\n    -{text}\n  ],\n  "q": "1/{text}"\n}}\n'
+    assert loads(written) == doc
+    for bad in (f"{text}_1", f"{text}/-1", f"{text}e1", f" {text}"):
+        with pytest.raises(SchemaError, match="malformed rational literal"):
+            parse_rational_pair(bad)
 
 
 def test_schema_tag():
@@ -280,19 +310,73 @@ def _bench_gen():
     return gen
 
 
+def fraction_literal(v):
+    """The literal parse before pairs, kept here as the oracle: the strict
+    grammar straight to a ``Fraction``, with the parser's messages."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise SchemaError(f"expected an integer or 'a/b' string, got {v!r}")
+    if isinstance(v, int):
+        return Fraction(v)
+    num, sep, den = v.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isdigit() and digits.isascii():
+        if not sep:
+            return Fraction(int(num))
+        if den.isdigit() and den.isascii() and den.strip("0"):
+            return Fraction(int(num), int(den))
+    raise SchemaError(f"malformed rational literal: {v!r}")
+
+
 def dense_parse_structure(doc):
     """The parse before types were built from their support: every literal
-    through ``parse_rational_value``, dense rows into ``make_structure``."""
+    through ``fraction_literal``, player by player, with the ``state_types``
+    rows of a cell compared as rationals, then dense rows into
+    ``make_structure``."""
     index = {s: k for k, s in enumerate(doc["states"])}
     m = len(index)
     partitions = [[tuple(index[s] for s in cell) for cell in cells] for cells in doc["partitions"]]
     per_state = "state_types" in doc
     cell_types = []
-    for cells, rows in zip(partitions, doc["state_types" if per_state else "types"]):
-        parsed = [tuple(parse_rational_value(v) for v in row) for row in rows]
+    for player, cells, rows in zip(doc["players"], partitions, doc["state_types" if per_state else "types"]):
+        parsed = [tuple(fraction_literal(v) for v in row) for row in rows]
         assert all(len(row) == m for row in parsed)
+        if per_state:
+            for cell in cells:
+                if any(parsed[w] != parsed[cell[0]] for w in cell[1:]):
+                    raise SchemaError(
+                        f"player {player!r} has differing types inside "
+                        f"cell {[doc['states'][w] for w in cell]}"
+                    )
         cell_types.append([parsed[cell[0]] for cell in cells] if per_state else parsed)
     return make_structure(doc["states"], doc["players"], partitions, cell_types)
+
+
+def dense_parse_distribution(doc, structure):
+    """``parse_distribution`` before pairs: every literal to a ``Fraction``,
+    then the dense row into ``Distribution``."""
+    values = doc["dist"] if isinstance(doc, dict) else doc
+    masses = tuple(fraction_literal(v) for v in values)
+    if len(masses) != structure.num_states:
+        raise DimensionError(
+            f"distribution has {len(masses)} entries for {structure.num_states} states"
+        )
+    return Distribution(masses)
+
+
+def state_layout(doc):
+    """``doc`` with its ``types`` rewritten as ``state_types``: each state
+    gets the row of its cell."""
+    index = {s: k for k, s in enumerate(doc["states"])}
+    state_types = []
+    for cells, rows in zip(doc["partitions"], doc["types"]):
+        by_state = [None] * len(index)
+        for cell, row in zip(cells, rows):
+            for s in cell:
+                by_state[index[s]] = row
+        state_types.append(by_state)
+    out = {k: v for k, v in doc.items() if k != "types"}
+    out["state_types"] = state_types
+    return out
 
 
 def _bench_docs():
@@ -324,11 +408,28 @@ def test_sparse_parse_matches_the_dense_rows(fixture_path):
             "states": ["a", "b", "c"],
             "players": ["P1"],
             "partitions": [[["a", "b"], ["c"]]],
-            "state_types": [[["1/3", "2/3", "0"], ["1/3", "2/3", 0], [0, "0/7", 1]]],
+            "state_types": [[["1/3", "2/3", "0"], ["2/6", "4/6", 0], [0, "0/7", 1]]],
         }
     )
     for doc in docs:
-        _assert_same_types(parse_structure(doc), dense_parse_structure(doc))
+        s = parse_structure(doc)
+        _assert_same_types(s, dense_parse_structure(doc))
+        if "types" in doc:
+            in_states = state_layout(doc)
+            _assert_same_types(parse_structure(in_states), dense_parse_structure(in_states))
+            _assert_same_types(parse_structure(in_states), s)
+        m = s.num_states
+        rows = [
+            [to_json_value(Fraction(1, m))] * m,
+            [0] * (m - 1) + ["1"],
+            ["0", *([f"2/{2 * (m - 1)}"] * (m - 1))] if m > 1 else [1],
+            [to_json_value(q) for q in s.cell_types[0][0]],
+        ]
+        for row in rows:
+            dist = parse_distribution({"dist": row}, s)
+            dense = dense_parse_distribution(row, s)
+            assert dist == dense and dist.den == dense.den
+            assert tuple(dist.items()) == tuple(dense.items())
 
 
 def _one_literal_doc(literal):
@@ -372,19 +473,125 @@ def test_every_literal_is_parsed_before_any_type_is_built():
             parse(doc)
 
 
-def test_parse_rational_value_runs_once_per_nonzero_literal(monkeypatch, fixture_path):
-    calls = []
+def _dist_docs(fixture_path):
+    """Each of the six fixtures and ``_bench_docs()`` with a distribution
+    document over its states."""
+    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+        m = len(doc["states"])
+        yield doc, {"dist": ["0", *([f"1/{m - 1}"] * (m - 1))]}
+    for doc in _bench_docs():
+        m = len(doc["states"])
+        yield doc, {"dist": [f"{k + 1}/{m * (m + 1) // 2}" for k in range(m)]}
 
-    def counted(v):
-        calls.append(v)
-        return parse_rational_value(v)
 
-    monkeypatch.setattr(jsonio, "parse_rational_value", counted)
-    docs = [json.loads(fixture_path("ex_plbet4").read_text(encoding="utf-8"))]
-    docs += list(_bench_docs())
-    for doc in docs:
-        calls.clear()
-        parse_structure(doc)
+def test_literals_parse_once_to_pairs_and_no_fraction_is_built(monkeypatch, fixture_path):
+    pairs, literals_parsed, fractions_built = [], [], []
+
+    def counted_pair(v):
+        pairs.append(v)
+        return parse_rational_pair(v)
+
+    def counted_literal(text):
+        literals_parsed.append(text)
+        return parse_literal(text)
+
+    fraction_new = Fraction.__new__
+
+    def counted_fraction(cls, *args, **kwargs):
+        fractions_built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    docs = list(_dist_docs(fixture_path))
+    monkeypatch.setattr(jsonio, "parse_rational_pair", counted_pair)
+    monkeypatch.setattr(jsonio, "parse_literal", counted_literal)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_fraction))
+    for doc, dist_doc in docs:
+        pairs.clear()
+        literals_parsed.clear()
+        structure = parse_structure(doc)
         literals = [v for rows in doc["types"] for row in rows for v in row]
-        assert calls == [v for v in literals if v != 0 and v != "0"]
-        assert len(calls) < len(literals)
+        nonzero = [v for v in literals if v != 0 and v != "0"]
+        assert pairs == nonzero
+        assert literals_parsed == [v for v in nonzero if type(v) is str]
+        assert len(pairs) < len(literals)
+        parse_distribution(dist_doc, structure)
+    monkeypatch.undo()
+    assert fractions_built == []
+    # The counter sees what it should: the oracle parse builds Fractions.
+    dense_parse_structure(docs[0][0])
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_fraction))
+    dense_parse_structure(docs[0][0])
+    monkeypatch.undo()
+    assert fractions_built
+
+
+def _two_state_doc(rows, layout="types"):
+    """Players P1 with cells {a, b}, {c} and P2 with {a}, {b, c}; ``rows``
+    replaces the type rows (or, for ``state_types``, the per-state rows)."""
+    doc = {
+        "states": ["a", "b", "c"],
+        "players": ["P1", "P2"],
+        "partitions": [[["a", "b"], ["c"]], [["a"], ["b", "c"]]],
+        "types": [[["1/2", "1/2", 0], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "2/3"]]],
+    }
+    if layout == "state_types":
+        doc = state_layout(doc)
+        doc["state_types"] = rows
+    elif rows is not None:
+        doc["types"] = rows
+    return doc
+
+
+MALFORMED = {
+    "bad literal": _two_state_doc([[["1/2", "1/2", 0], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "2/3 "]]]),
+    "bool": _two_state_doc([[["1/2", "1/2", 0], [0, 0, True]], [[1, 0, 0], [0, "1/3", "2/3"]]]),
+    "negative mass": _two_state_doc([[["3/2", "-1/2", 0], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "2/3"]]]),
+    "sum not 1": _two_state_doc([[["1/2", "1/3", 0], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "2/3"]]]),
+    "mass outside the cell": _two_state_doc([[["1/2", "1/4", "1/4"], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "2/3"]]]),
+    "state rows differ in a cell": _two_state_doc(
+        [
+            [["1/2", "1/2", 0], ["1/2", "1/2", 0], [0, 0, 1]],
+            [[1, 0, 0], [0, "1/3", "2/3"], [0, "1/4", "3/4"]],
+        ],
+        "state_types",
+    ),
+    # P1 lists a cell twice and P2 has a mass sum of 1/2: the duplicate
+    # cell is found first, as make_structure builds and checks player by
+    # player.
+    "duplicate cell before mass": {
+        "states": ["a", "b"],
+        "players": ["P1", "P2"],
+        "partitions": [[["a", "b"], ["b", "a"]], [["a"], ["b"]]],
+        "types": [[["1/2", "1/2"], ["1/2", "1/2"]], [["1/2", 0], [0, 1]]],
+    },
+    # A literal is malformed in P2 and a mass negative in P1: every literal
+    # is parsed before any type is built.
+    "literal before mass": _two_state_doc([[["3/2", "-1/2", 0], [0, 0, 1]], [[1, 0, 0], [0, "1/3", "x"]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_fail_as_the_fraction_parse_does(case):
+    doc = MALFORMED[case]
+    with pytest.raises(InputError) as expected:
+        dense_parse_structure(doc)
+    with pytest.raises(InputError) as got:
+        parse_structure(doc)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [["1/2", "1/2", "x"], ["1/2", False, "1/2"], ["3/2", "-1/2", 0], ["1/2", "1/3", "0"], ["1/2", "1/2"]],
+    ids=["bad literal", "bool", "negative mass", "sum not 1", "length"],
+)
+def test_malformed_distributions_fail_as_the_fraction_parse_does(row):
+    structure = parse_structure(_two_state_doc(None))
+    with pytest.raises(InputError) as expected:
+        dense_parse_distribution(row, structure)
+    with pytest.raises(InputError) as got:
+        parse_distribution(row, structure)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)

@@ -5,7 +5,6 @@ import hashlib
 import pytest
 
 from prior_forge import (
-    DimensionError,
     InputError,
     SizeCapError,
     VerificationError,
@@ -197,10 +196,13 @@ def test_feasibility_violations_reports():
 
 
 def test_bad_relation_rejected():
+    # A relation other than <=, = and >= is bad input, as a non-positive row
+    # denominator is, not a dimension mismatch.
     b = LPBuilder()
     x = b.add_var("x")
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="^unknown relation '<'$") as bad:
         b.add_constraint({x: 1}, "<", 0)
+    assert type(bad.value) is InputError
 
 
 def test_enumerate_simplex_vertices():

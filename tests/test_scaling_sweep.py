@@ -25,3 +25,17 @@ def test_sweep_runs_at_one_tiny_size():
     # The measuring interpreter has imported the package, so it holds
     # more than a megabyte.
     assert float(peak) > 1
+
+
+def test_sweep_runs_one_tiny_chain_row():
+    proc = subprocess.run(
+        [sys.executable, str(SWEEP), "--family", "chain", "--states", "6", "--k", "3"],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    header, row = proc.stdout.splitlines()
+    assert header.split()[:4] == ["M", "N", "cells", "nonzeros"]
+    m, n, cells, nonzeros, *times, peak = row.split()
+    # P1's cells are {w1, w2}, {w3, w4}, {w5, w6}; P2's are {w1}, {w2, w3},
+    # {w4, w5}, {w6}.
+    assert (m, n, cells, nonzeros) == ("6", "2", "7", "12")
+    assert all(float(t) >= 0 for t in times) and float(peak) > 1
