@@ -11,8 +11,8 @@ document and loads it back as JSON. The ``planted`` family (the default) is
 ``chain`` family is ``harness.chain_structure(M, K)``, N = 2, whose common
 prior has bits that grow with M and with K (``--k``): there the bit length
 of the numbers, not the state count, sets the cost of the walk and of
-rendering, and past the interpreter's digit limit the writers convert
-through ``decimal``. The row then times, in wall-clock milliseconds:
+rendering, and past the interpreter's digit limit the writers convert by
+splitting the numbers in halves at a power of ten. The row then times, in wall-clock milliseconds:
 
 * build: ``planted_structure`` or ``chain_structure``;
 * parse: ``jsonio.parse_structure`` on the loaded document;

@@ -14,13 +14,13 @@ denominator is 1) and ``to_json_value`` as a JSON value.
 
 Ints of any length convert to and from decimal text: ``int_text`` and
 ``text_int`` use ``str`` and ``int``, and only past the interpreter's digit
-limit (``sys.get_int_max_str_digits()``) the exact ``decimal.Decimal``
-conversion, which has no such limit. The limit itself is never changed.
+limit (``sys.get_int_max_str_digits()``) split the number in halves at a
+power of ten, recursively, until each piece is within it. The limit itself
+is never changed.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -29,21 +29,29 @@ ONE = Fraction(1)
 
 
 def int_text(n: int) -> str:
-    """The decimal text of ``n``, at any length."""
+    """The decimal text of ``n``, at any length: past the digit limit, the
+    texts of ``divmod(|n|, 10**k)`` for k about half its digits, the low
+    half zero-padded to k digits."""
     try:
         return str(n)
     except ValueError:  # past the digit limit
-        return str(Decimal(n))
+        k = n.bit_length() * 3 // 20  # log10(2) < 0.302: half the digits, or a little less
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + int_text(hi) + int_text(lo).zfill(k)
 
 
 def text_int(digits: str) -> int:
     """The int of decimal text, at any length: the inverse of ``int_text``.
-    ``Decimal`` also takes spaces, underscores and exponents, so ``digits``
-    must already have passed a grammar check."""
+    Past the digit limit it reads the text's two halves, the high one with
+    the sign, and joins them as ``hi * 10**k +/- lo``. A piece such as
+    ``-5`` inside the text would be taken as a number, so ``digits`` must
+    already have passed a grammar check."""
     try:
         return int(digits)
     except ValueError:  # past the digit limit
-        return int(Decimal(digits))
+        k = len(digits) // 2
+        hi, lo = text_int(digits[:-k]), text_int(digits[-k:])
+        return hi * 10**k + (-lo if digits[0] == "-" else lo)
 
 
 def rational(value) -> Fraction:

@@ -11,7 +11,8 @@ rendering, which is byte-identical across runs for identical inputs.
 
 Every document and text line of a prior notion, component list, distribution
 verdict or money pump is a rendering piece of ``report``. This module composes
-those pieces; it handles arguments, dispatch and exit codes.
+those pieces, only those of the form it prints; it handles arguments,
+dispatch and exit codes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import Callable
 
 from .certainty import component_family, minimal_components
 from .errors import InputError, VerificationError
@@ -44,12 +46,13 @@ _DUAL_TRADE = {"common": "agreeable", "universal": "weak", "strong": "acceptable
 _PUMP_GRADES = {"maximal": ("universal", "strong"), "strong": ("strong",)}
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
-    """Print ``doc`` under the schema tag with ``--json``, else the lines."""
+def _emit(args, doc: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
+    """Print ``doc()`` under the schema tag with ``--json``, else ``lines()``:
+    only the form that is printed is built."""
     if args.json:
-        sys.stdout.write(dumps_canonical({"schema": SCHEMA, **doc}))
+        sys.stdout.write(dumps_canonical({"schema": SCHEMA, **doc()}))
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines()) + "\n")
 
 
 def _load_structure(path):
@@ -62,7 +65,7 @@ def _cmd_check(args) -> int:
         f"ok: {structure.num_states} states, {structure.num_players} players, "
         "all type rows are cell-supported distributions"
     )
-    _emit(args, {"ok": True, **digest_json(structure)}, [line])
+    _emit(args, lambda: {"ok": True, **digest_json(structure)}, lambda: [line])
     return 0
 
 
@@ -70,8 +73,11 @@ def _cmd_components(args) -> int:
     structure = _load_structure(args.structure)
     minimal = minimal_components(structure)
     family = component_family(structure) if args.all else None
-    lines = component_lines(structure, minimal, family, "")
-    _emit(args, components_json(structure, minimal, family), lines)
+    _emit(
+        args,
+        lambda: components_json(structure, minimal, family),
+        lambda: component_lines(structure, minimal, family, ""),
+    )
     return 0
 
 
@@ -81,18 +87,23 @@ def _cmd_prior(args) -> int:
     if args.check is not None:
         dist = parse_distribution(load_path(args.check), structure)
         holds = getattr(classify_prior(structure, dist), kind)
-        line = prior_check_line(kind, dist, holds)
-        _emit(args, prior_check_json(kind, dist, holds), [line])
+        _emit(
+            args,
+            lambda: prior_check_json(kind, dist, holds),
+            lambda: [prior_check_line(kind, dist, holds)],
+        )
         return 0 if holds else 3
-    rep = analyze(structure)
-    witness, refutation = rep.priors.notion(kind)
-    refuting = None
-    if refutation is not None:
-        refuting = trade_json(structure, refutation.payoffs, rep.trade_class)
-    witnessing = None if witness is None else prior_witness_json(structure, witness)
-    doc = {"kind": kind, **notion_json(witnessing, refuting)}
-    lines = notion_lines(structure, f"{kind} prior", witness, refutation, dual)
-    _emit(args, doc, lines)
+    priors = analyze(structure).priors
+    witness, refutation = priors.notion(kind)
+
+    def doc():
+        refuting = None
+        if refutation is not None:
+            refuting = trade_json(structure, refutation.payoffs, priors.trade_class)
+        witnessing = None if witness is None else prior_witness_json(structure, witness)
+        return {"kind": kind, **notion_json(witnessing, refuting)}
+
+    _emit(args, doc, lambda: notion_lines(structure, f"{kind} prior", witness, refutation, dual))
     return 0 if witness is not None else 3
 
 
@@ -100,16 +111,21 @@ def _cmd_trade(args) -> int:
     structure = _load_structure(args.structure)
     kind = args.kind
     refuted = next(notion for notion, dual in _DUAL_TRADE.items() if dual == kind)
-    rep = analyze(structure)
-    trade = rep.priors.notion(refuted)[1]
+    priors = analyze(structure).priors
+    trade = priors.notion(refuted)[1]
     if trade is None:
         doc = {"kind": kind, "holds": False, "trade": None}
-        _emit(args, doc, [f"{kind} trade: absent"])
+        _emit(args, lambda: doc, lambda: [f"{kind} trade: absent"])
         return 3
-    found = trade_json(structure, trade.payoffs, rep.trade_class)
-    doc = {"kind": kind, "holds": True, "trade": found}
-    lines = [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")]
-    _emit(args, doc, lines)
+    _emit(
+        args,
+        lambda: {
+            "kind": kind,
+            "holds": True,
+            "trade": trade_json(structure, trade.payoffs, priors.trade_class),
+        },
+        lambda: [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")],
+    )
     return 0
 
 
@@ -118,15 +134,18 @@ def _cmd_pump(args) -> int:
     dist = parse_distribution(load_path(args.dist), structure)
     witness = find_multiplayer_money_pump(structure, dist)
     if witness is None:
-        _emit(args, {"holds": False, "pump": None}, ["no pump: p is a common prior"])
+        line = "no pump: p is a common prior"
+        _emit(args, lambda: {"holds": False, "pump": None}, lambda: [line])
         return 3
-    pump = pump_json(structure, witness)
     if args.require and witness.kind not in _PUMP_GRADES[args.require]:
         line = f"pump exists but is only {witness.kind} (required {args.require})"
-        _emit(args, {"holds": False, "pump": pump}, [line])
+        _emit(args, lambda: {"holds": False, "pump": pump_json(structure, witness)}, lambda: [line])
         return 3
-    lines = [f"money pump: {witness.kind}", *pump_lines(structure, witness)]
-    _emit(args, {"holds": True, "pump": pump}, lines)
+    _emit(
+        args,
+        lambda: {"holds": True, "pump": pump_json(structure, witness)},
+        lambda: [f"money pump: {witness.kind}", *pump_lines(structure, witness)],
+    )
     return 0
 
 
@@ -135,11 +154,15 @@ def _cmd_classify(args) -> int:
     if args.trade is not None:
         payoffs = parse_payoffs(load_path(args.trade), structure)
         cls = classify_trade(structure, payoffs)
-        _emit(args, {"trade": trade_json(structure, payoffs, cls)}, [trade_flags_line(cls)])
+        _emit(
+            args,
+            lambda: {"trade": trade_json(structure, payoffs, cls)},
+            lambda: [trade_flags_line(cls)],
+        )
         return 0
     dist = parse_distribution(load_path(args.dist), structure)
     verdict = classify_distribution(structure, dist)
-    _emit(args, verdict_json(structure, verdict), [verdict_line(verdict)])
+    _emit(args, lambda: verdict_json(structure, verdict), lambda: [verdict_line(verdict)])
     return 0
 
 

@@ -315,8 +315,9 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     b / E (the numerators of ``t.items()`` over ``t.den``), and player j's
     type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
-    comparisons cross-multiply. Rationals are built once per result: the
-    prior, its hull weights, the margin and the boxed payoffs."""
+    comparisons cross-multiply. The prior is built from its integer form
+    (``_read_off``); rationals are built once per result: the hull weights,
+    the margin and the boxed payoffs."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
     own = [structure.own_nums(j) for j in range(n)]
@@ -377,7 +378,7 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
                 xn, xd = lam[i][c]
                 if xn * ad < an * xd:
                     an, ad = xn, xd
-            lives.append((cells, states, an, ad))
+            lives.append((states, an, ad))
             continue
 
         # The taker gains tn / td at w and the giver hn / hd (0 on a mixed
@@ -401,31 +402,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
         for i, c in cells:  # a dead cell carries no mass
             lam[i][c] = (0, 1)
 
-    prior = weights = None
-    margin = ZERO
-    support = [w for _, states, _, _ in lives for w in states]
-    if lives:
-        # Scaled so that its least cell has mass 1, block K sums to
-        # sum(value) * ad / an; the prior is each value over the total.
-        sn, sd = 0, 1
-        for _, states, an, ad in lives:
-            den = lcm(*(value[w][1] for w in states))
-            num = sum(value[w][0] * (den // value[w][1]) for w in states)
-            sn, sd = sn * den * an + num * ad * sd, sd * den * an
-            g = gcd(sn, sd)
-            sn, sd = sn // g, sd // g
-        probs = [ZERO] * m
-        rows = [[ZERO] * len(row) for row in lam]
-        for cells, states, an, ad in lives:
-            fn, fd = ad * sd, an * sn
-            for w in states:
-                probs[w] = Fraction(value[w][0] * fn, value[w][1] * fd)
-            for i, c in cells:
-                rows[i][c] = Fraction(lam[i][c][0] * fn, lam[i][c][1] * fd)
-        prior = Distribution(tuple(probs))
-        weights = tuple(map(tuple, rows))
-        if all(live):
-            margin = Fraction(sd, sn)
+    support = frozenset(w for states, _, _ in lives for w in states)
+    prior, weights, margin = _read_off(structure, value, lives, all(live))
     boxed = None
     if not all(live):
         top_n, top_d = 0, 1
@@ -436,7 +414,47 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
         for (i, w), (pn, pd) in pay.items():
             rows[i][w] = Fraction(pn * top_d, pd * top_n)
         boxed = tuple(map(tuple, rows))
-    return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
+    return Blocks(tuple(live), support, prior, weights, margin, boxed)
+
+
+def _read_off(
+    structure: InformationStructure, value: list, lives: list, strong: bool
+) -> tuple[Distribution | None, tuple[tuple, ...] | None, Fraction]:
+    """The canonical prior, its hull weights and its margin, as an integer
+    form: each live block's (states, an, ad) in ``lives`` takes numerators
+    over the lcm of its ``value`` denominators, scaled by ``ad / (lcm * an)``
+    so that its least cell has mass 1 (over the lcm of those scales' own
+    denominators when several blocks are live), and one gcd over the
+    support reduces them. A hull weight is its cell's mass; the margin,
+    with every block live, is the least one."""
+    if not lives:
+        return None, None, ZERO
+    nums = [0] * structure.num_states
+    factors = []
+    for states, an, ad in lives:
+        den = lcm(*(value[w][1] for w in states))
+        for w in states:
+            vn, vd = value[w]
+            nums[w] = vn * (den // vd)
+        factors.append((states, ad, den * an))
+    if len(factors) > 1:
+        top = lcm(*(fd for _, _, fd in factors))
+        for states, fn, fd in factors:
+            scale = fn * (top // fd)
+            for w in states:
+                nums[w] *= scale
+    support = sorted(w for states, _, _ in factors for w in states)
+    g = gcd(*(nums[w] for w in support))
+    if g > 1:
+        nums = [a // g for a in nums]
+    den = sum(nums)
+    prior = Distribution.from_integer_form(
+        structure.num_states, tuple(support), den, tuple(nums[w] for w in support)
+    )
+    masses = [[sum(nums[w] for w in cell) for cell in cells] for cells in structure.partitions]
+    weights = tuple(tuple(Fraction(a, den) for a in row) for row in masses)
+    margin = Fraction(min(map(min, masses)), den) if strong else ZERO
+    return prior, weights, margin
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:

@@ -11,14 +11,16 @@ text piece per kind of result (a prior notion, the component lists, a
 distribution verdict, a money pump). The command line composes the same
 pieces, passing its own label where a subcommand's wording differs.
 
-The one canonical prior is re-verified here once, immediately before
-rendering, together with every notion it is claimed for (maximal for
-universal, strongly maximal for strong), even though the finders verified it
-at construction; the one refuting trade is graded once, and must carry the
-grade of every notion it refutes. A report is the artifact that leaves the
-process; it must never carry a claim that was not re-checked. The trade's
-classification from that re-check is kept on the report and is what the
-renderings print.
+Each certificate is verified once, when it is built: the canonical prior
+and a distribution's prior witness by ``PriorWitness.verify``, a money pump
+by ``MoneyPumpWitness.verify``, and the one refuting trade is graded once by
+``classify_trade``. The report re-checks every claim against those
+certificates before any caller sees it: where a notion holds, the canonical
+prior must charge what the notion asks (maximal for universal, strongly
+maximal for strong); where it fails, the trade's classification must carry
+the notion's grade. A report is the artifact that leaves the process; it
+must never carry a claim that was not checked. The trade's classification
+is what the renderings print.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .trades import (
     TradeClassification,
     build_prior_report,
     classify_distribution,
-    classify_trade,
     DistributionVerdict,
 )
 
@@ -50,8 +51,6 @@ class AnalysisReport:
     priors: PriorReport
     dist: Distribution | None
     verdict: DistributionVerdict | None
-    # The re-check's classification of the refuting trade, if there is one.
-    trade_class: TradeClassification | None
 
     def to_json(self) -> dict:
         s = self.structure
@@ -59,7 +58,7 @@ class AnalysisReport:
         # into a piece once, shared by every notion it witnesses or refutes.
         witness, trade = self.priors.witness, self.priors.trade
         witnessing = None if witness is None else prior_witness_json(s, witness)
-        refuting = None if trade is None else trade_json(s, trade.payoffs, self.trade_class)
+        refuting = None if trade is None else trade_json(s, trade.payoffs, self.priors.trade_class)
         priors = {}
         for notion in NOTIONS:
             held, refutation = self.priors.notion(notion.key)
@@ -91,7 +90,8 @@ class AnalysisReport:
             for cell, t in zip(s.partitions[i], s.cell_types[i]):
                 lines.append(f"    type on {_state_set(s, cell)}: {_vector(type_row(t))}")
         lines += component_lines(s, self.minimal, self.all_components, " components")
-        grade = None if self.trade_class is None else _trade_grade(self.trade_class)
+        cls = self.priors.trade_class
+        grade = None if cls is None else _trade_grade(cls)
         for notion in NOTIONS:
             lines += notion_lines(s, notion.label, *self.priors.notion(notion.key), grade)
         if self.dist is not None and self.verdict is not None:
@@ -110,28 +110,24 @@ def analyze(
     dist: Distribution | None = None,
     all_components: bool = False,
 ) -> AnalysisReport:
-    """Run every decision and re-verify all embedded witnesses."""
+    """Run every decision and check every claim against its certificate."""
     minimal = minimal_components(structure)
     family = None
     if all_components:
         family = component_family(structure)
     priors = build_prior_report(structure)
+    _verify_report(structure, priors)
     verdict = classify_distribution(structure, dist) if dist is not None else None
-    trade_class = _verify_report(structure, priors, verdict)
-    return AnalysisReport(structure, minimal, family, priors, dist, verdict, trade_class)
+    return AnalysisReport(structure, minimal, family, priors, dist, verdict)
 
 
-def _verify_report(
-    s: InformationStructure, priors: PriorReport, verdict: DistributionVerdict | None
-) -> TradeClassification | None:
-    """Re-verify the witness once and grade the trade once, then check every
-    notion: where it holds the witness must charge what the notion asks,
-    where it fails the trade must carry the notion's grade. Returns the
-    trade's classification."""
-    witness, trade = priors.witness, priors.trade
-    if witness is not None:
-        witness.verify(s)
-    cls = None if trade is None else classify_trade(s, trade)
+def _verify_report(s: InformationStructure, priors: PriorReport) -> None:
+    """Check every notion's claim against the report's certificates: where
+    it holds the canonical prior must charge what the notion asks, where it
+    fails the refuting trade's classification must carry the notion's
+    grade."""
+    witness = priors.witness
+    cls = None if priors.trade is None else priors.trade_class
     for n in NOTIONS:
         if n.key in priors.holds:
             if witness is None:
@@ -140,12 +136,6 @@ def _verify_report(
                 raise VerificationError(f"{n.key} prior witness fails {n.charges.__name__}")
         elif cls is None or not (cls.is_trade and getattr(cls, n.trade)):
             raise VerificationError(f"{n.key} prior fails and no {n.trade} trade refutes it")
-    if verdict is not None:
-        if verdict.prior_witness is not None:
-            verdict.prior_witness.verify(s)
-        if verdict.pump_witness is not None:
-            verdict.pump_witness.verify(s)
-    return cls
 
 
 # -- JSON pieces ------------------------------------------------------------

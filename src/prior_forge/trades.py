@@ -393,11 +393,12 @@ def classify_distribution(
 class PriorReport:
     """The three prior notions of one structure: the canonical prior, the
     keys of the notions it witnesses (``priors.NOTIONS`` order), and the one
-    block trade that refutes every other notion."""
+    block trade that refutes every other notion, with its classification."""
 
     witness: PriorWitness | None
     holds: tuple[str, ...]
     trade: Trade | None
+    trade_class: TradeClassification | None
 
     def notion(self, key: str) -> tuple[PriorWitness | None, Trade | None]:
         """(witness, refutation) for one notion: the canonical prior where the
@@ -415,7 +416,10 @@ class PriorReport:
 
 def build_prior_report(structure: InformationStructure) -> PriorReport:
     """The canonical prior, the notions whose charge test it passes, and,
-    unless every notion holds, the block trade that refutes the others. The
-    report's re-check grades the trade against each notion it refutes."""
+    unless every notion holds, the block trade that refutes the others with
+    the classification ``graded_block_trade`` made for it. The report checks
+    that classification against each notion the trade refutes."""
     holds = tuple(n.key for n in NOTIONS if find_prior(structure, n) is not None)
-    return PriorReport(find_common_prior(structure), holds, find_acceptable_trade(structure))
+    trade = find_acceptable_trade(structure)
+    cls = None if trade is None else graded_block_trade(structure)[1]
+    return PriorReport(find_common_prior(structure), holds, trade, cls)

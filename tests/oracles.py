@@ -10,6 +10,9 @@ not collect this file; the tests import it as ``oracles``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from prior_forge._rational import ONE, ZERO
 from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
@@ -201,3 +204,35 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
         boxed = tuple(tuple(v / top for v in row) for row in payoffs)
     margin = ONE / total if all(live) else ZERO
     return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
+
+
+def fraction_read_off(structure: InformationStructure, value: list, lives: list, strong: bool):
+    """The read-off of ``priors._read_off`` with one ``Fraction`` per state
+    and per cell and the prior built by ``Distribution(probs)``: its oracle.
+    The block totals are summed as reduced pairs; a live cell's lambda is
+    its value over its type at the first state of its type's support."""
+    if not lives:
+        return None, None, ZERO
+    sn, sd = 0, 1
+    for states, an, ad in lives:
+        den = lcm(*(value[w][1] for w in states))
+        num = sum(value[w][0] * (den // value[w][1]) for w in states)
+        sn, sd = sn * den * an + num * ad * sd, sd * den * an
+        g = gcd(sn, sd)
+        sn, sd = sn // g, sd // g
+    probs = [ZERO] * structure.num_states
+    scale = {}  # per live state, its block's factor to the prior
+    for states, an, ad in lives:
+        fn, fd = ad * sd, an * sn
+        for w in states:
+            probs[w] = Fraction(value[w][0] * fn, value[w][1] * fd)
+            scale[w] = Fraction(fn, fd)
+    weights = []
+    for cells in structure.cell_types:
+        row = []
+        for t in cells:
+            w = t.support()[0]
+            row.append(Fraction(*value[w]) / t[w] * scale[w] if w in scale else ZERO)
+        weights.append(tuple(row))
+    margin = Fraction(sd, sn) if strong else ZERO
+    return Distribution(tuple(probs)), tuple(weights), margin

@@ -390,6 +390,61 @@ def test_cli_remaining_paths_are_pinned(run, spath, tmp_path):
     assert digest.hexdigest() == PINNED_CLI_REST
 
 
+# The rendering pieces of ``report`` by form. A command builds only the form
+# it prints: under --json no text piece runs, and in text mode no JSON piece.
+TEXT_PIECES = (
+    "component_lines", "notion_lines", "payoff_lines", "prior_check_line",
+    "pump_lines", "trade_flags_line", "verdict_line", "_weight_lines", "_vector",
+)
+JSON_PIECES = (
+    "components_json", "digest_json", "notion_json", "prior_check_json",
+    "prior_witness_json", "pump_json", "trade_json", "verdict_json",
+    "_classification_json", "_states_json",
+)
+
+
+def test_each_command_builds_only_the_form_it_prints(run, spath, tmp_path, monkeypatch):
+    from prior_forge import cli
+
+    ran, seen = [], set()
+    for name in TEXT_PIECES + JSON_PIECES:
+        real = getattr(report, name)
+
+        def spy(*args, _name=name, _real=real):
+            ran.append(_name)
+            return _real(*args)
+
+        for module in (report, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    for name in ("intro", "ex_pl1", "ex_pl2", "pl4"):
+        s = spath(name)
+        doc = read_json(s)
+        states, players = len(doc["states"]), len(doc["players"])
+        p = write_json(tmp_path, f"u{name}.json", {"dist": [f"1/{states}"] * states})
+        f = write_json(tmp_path, f"f{name}.json", {"payoffs": [[0] * states] * players})
+        for command, *args in (
+            ("check",),
+            ("components", "--all"),
+            *(("prior", "--kind", kind) for kind in ("common", "universal", "strong")),
+            ("prior", "--kind", "common", "--check", p),
+            *(("trade", "--kind", kind) for kind in ("agreeable", "weak", "acceptable")),
+            ("pump", "--dist", p),
+            ("pump", "--require", "strong", "--dist", p),
+            ("classify", "--dist", p),
+            ("classify", "--trade", f),
+            ("report", "--all-components", "--dist", p),
+        ):
+            for json_flag, unprinted in (((), JSON_PIECES), (("--json",), TEXT_PIECES)):
+                ran.clear()
+                code, out, _ = run(command, *json_flag, *args, s)
+                assert code in (0, 3) and out
+                assert not set(ran) & set(unprinted), (command, args, json_flag)
+                seen.update(ran)
+    # Every piece was seen to run, each in its own form.
+    assert seen == set(TEXT_PIECES + JSON_PIECES)
+
+
 # sha256 over the verdicts alone of the PINNED_CLI and PINNED_CLI_REST
 # invocations: every exit code, and from each --json document the holds
 # flags, the distribution grades, and each trade's is_trade flag with the

@@ -44,7 +44,7 @@ from prior_forge import (
 from prior_forge import jsonio
 from prior_forge._rational import to_json_value
 from prior_forge.certainty import support_graph
-from prior_forge.harness import planted_structure, random_distribution
+from prior_forge.harness import chain_structure, planted_structure, random_distribution
 from prior_forge.harness import (
     GeneratorConfig,
     acceptable_trade_program,
@@ -67,6 +67,7 @@ from prior_forge.lp import (
 from prior_forge.model import dot, single_player_view
 from prior_forge.priors import (
     NOTIONS,
+    _read_off,
     _walk_blocks,
     blocks,
     disintegrable_by_definition,
@@ -87,6 +88,7 @@ from oracles import (
     dense_mixture,
     dense_pump_piece,
     dense_walk_blocks,
+    fraction_read_off,
 )
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
@@ -336,6 +338,40 @@ def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_pl
         seen.add((walk.common, walk.strong))
     # Every verdict occurs: no block live, some live, all live.
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_prior_read_off_matches_the_fraction_read_off(monkeypatch, fixture_path):
+    # The walk reads its canonical prior off as an integer form; the read-off
+    # it replaced, one Fraction per state and cell and Distribution(probs),
+    # is the oracle on the walk's own state values.
+    structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
+    structures += [random_structure(GeneratorConfig(seed=seed)) for seed in range(2000)]
+    structures += [
+        chain_structure(m, k) for m in (1, 2, 3, 256) for k in (1, 3, 2**64 - 1)
+    ]
+    calls = []
+
+    def recording(*args):
+        calls.append((args, _read_off(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("prior_forge.priors._read_off", recording)
+    kinds = set()
+    for structure in structures:
+        walk = _walk_blocks(structure)
+        args, ours = calls[-1]
+        theirs = fraction_read_off(*args)
+        assert ours == theirs
+        assert (walk.prior, walk.hull_weights, walk.margin) == ours
+        if ours[0] is not None:
+            assert (ours[0].den, ours[0].support()) == (theirs[0].den, theirs[0].support())
+            assert {type(v) for row in ours[1] for v in row} == {Fraction}
+        assert type(ours[2]) is Fraction
+        kinds.add((walk.common, walk.strong, len(args[2])))
+    assert len(calls) == len(structures)
+    # No block live, some live, all live; and several live blocks at once.
+    assert {k[:2] for k in kinds} == {(False, False), (True, False), (True, True)}
+    assert max(k[2] for k in kinds) > 1
 
 
 def test_structure_rows_read_each_support_entry_once(monkeypatch, fixture_path):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -98,6 +99,28 @@ def test_numbers_of_any_length_round_trip():
     for bad in (f"{text}_1", f"{text}/-1", f"{text}e1", f" {text}"):
         with pytest.raises(SchemaError, match="malformed rational literal"):
             parse_rational_pair(bad)
+
+
+LIMIT = sys.get_int_max_str_digits() or 4_300  # 0 means no limit
+
+
+@pytest.mark.parametrize("digits", [LIMIT - 1, LIMIT, LIMIT + 1, 4_932, 2 * LIMIT + 1, 33_804])
+def test_halving_round_trips_past_the_digit_limit(digits):
+    # Past the limit int_text and text_int split at a power of ten near half
+    # the digits. Each length is checked for both signs, with random digits
+    # and with its last digits // 2 + 1 digits set to 0...07, so that the low
+    # piece of either split starts with zeros, against decimal's exact
+    # conversion.
+    rng = random.Random(digits)
+    for zeros in (False, True):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        if zeros:
+            low = 10 ** (digits // 2 + 1)
+            n = n // low * low + 7
+        for x in (n, -n):
+            text = int_text(x)
+            assert text == str(Decimal(x)) and len(text.lstrip("-")) == digits
+            assert text_int(text) == x and int(Decimal(text)) == x
 
 
 def test_schema_tag():

@@ -13,15 +13,18 @@ import prior_forge
 from prior_forge import (
     AnalysisReport,
     Distribution,
+    MoneyPumpWitness,
     PriorWitness,
     Trade,
     VerificationError,
     analyze,
+    classify_trade,
     harness,
     lp,
     parse_structure,
     priors,
     rational,
+    trades,
     uniform,
 )
 from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
@@ -99,36 +102,46 @@ def test_rendering_deterministic(pl4):
 
 def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
     # The one trade must carry the grade of every notion that fails: a zero
-    # trade refutes neither ex_pl2's common prior (agreeable), nor pl4's
-    # universal one (weakly agreeable), nor ex_pl1's strong one (acceptable),
-    # and a missing trade refutes nothing.
+    # trade, forged together with its classification, refutes neither
+    # ex_pl2's common prior (agreeable), nor pl4's universal one (weakly
+    # agreeable), nor ex_pl1's strong one (acceptable), and a missing trade
+    # refutes nothing.
     for s, flag in ((ex_pl2, "agreeable"), (pl4, "weakly_agreeable"), (ex_pl1, "acceptable")):
         priors = analyze(s).priors
         zero = Trade(((0,) * s.num_states,) * s.num_players)
-        for trade in (zero, None):
+        for trade, cls in ((zero, classify_trade(s, zero)), (None, None)):
             with pytest.raises(VerificationError, match=f"no {flag} trade"):
-                _verify_report(s, replace(priors, trade=trade), None)
+                _verify_report(s, replace(priors, trade=trade, trade_class=cls))
 
 
 def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
     # ex_pl1's canonical prior misses a cell, so it is not strong; pl4's
     # misses a minimal component, so it is not universal. Claiming either
     # grade for it must fail the re-check.
-    strong = replace(analyze(ex_pl1).priors, holds=("common", "universal", "strong"), trade=None)
+    strong = replace(
+        analyze(ex_pl1).priors,
+        holds=("common", "universal", "strong"),
+        trade=None,
+        trade_class=None,
+    )
     with pytest.raises(VerificationError, match="strong prior witness"):
-        _verify_report(ex_pl1, strong, None)
+        _verify_report(ex_pl1, strong)
     universal = replace(analyze(pl4).priors, holds=("common", "universal"))
     with pytest.raises(VerificationError, match="universal prior witness"):
-        _verify_report(pl4, universal, None)
+        _verify_report(pl4, universal)
+
+
+def _fresh(fixture_path, name):
+    """The fixture freshly parsed, so no memo from another test applies."""
+    return parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("name", ["intro", "ex_plbet4"])
 def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch, name):
-    # A freshly parsed structure, so no memo from another test applies. Both
-    # fixtures have a strong prior: the walk gives its hull weights, so no
-    # hull_weights call is needed; the witness is verified once when it is
-    # built and once more by the report.
-    s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+    # Both fixtures have a strong prior: the walk gives its hull weights, so
+    # no hull_weights call is needed, and the witness is verified once, when
+    # it is built; the report checks its claims against it.
+    s = _fresh(fixture_path, name)
     calls = []
     real_weights, real_verify = priors.hull_weights, PriorWitness.verify
 
@@ -143,7 +156,54 @@ def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch,
     monkeypatch.setattr(priors, "hull_weights", counting_weights)
     monkeypatch.setattr(PriorWitness, "verify", counting_verify)
     analyze(s)
-    assert sorted(calls) == ["verify"] * 2
+    assert calls == ["verify"]
+
+
+@pytest.mark.parametrize(
+    "name, dist, witnesses, graded, pumps",
+    [
+        # No common prior: the trade is graded once, the pump verified once.
+        ("ex_pl2", "uniform", 0, 1, 1),
+        # A common prior that is not strong, and a pumping distribution.
+        ("ex_pl1", "uniform", 1, 1, 1),
+        # A strong prior, given its own prior: two witnesses, one each.
+        ("intro", "own", 2, 0, 0),
+    ],
+)
+def test_analyze_checks_each_certificate_once(
+    fixture_path, monkeypatch, name, dist, witnesses, graded, pumps
+):
+    s = _fresh(fixture_path, name)
+    if dist == "uniform":
+        p = uniform(s.num_states)
+    else:  # found on another copy, so that s keeps no memo
+        p = priors.find_common_prior(_fresh(fixture_path, name)).prior
+    verified, classified = [], []
+    real_verify, real_pump_verify = PriorWitness.verify, MoneyPumpWitness.verify
+    real_classify = trades.classify_trade
+
+    def counting_verify(self, structure):
+        verified.append(self)
+        return real_verify(self, structure)
+
+    def counting_pump_verify(self, structure):
+        verified.append(self)
+        return real_pump_verify(self, structure)
+
+    def counting_classify(*args):
+        classified.append(args)
+        return real_classify(*args)
+
+    monkeypatch.setattr(PriorWitness, "verify", counting_verify)
+    monkeypatch.setattr(MoneyPumpWitness, "verify", counting_pump_verify)
+    monkeypatch.setattr(trades, "classify_trade", counting_classify)
+    rep = analyze(s, p)
+    assert len(set(map(id, verified))) == len(verified)
+    assert sum(isinstance(w, PriorWitness) for w in verified) == witnesses
+    assert sum(isinstance(w, MoneyPumpWitness) for w in verified) == pumps
+    assert len(classified) == graded
+    assert (rep.priors.trade is not None) == bool(graded)
+    assert (rep.verdict.pump_witness is not None) == bool(pumps)
 
 
 def _lp_importers():
