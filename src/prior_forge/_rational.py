@@ -15,29 +15,60 @@ denominator is 1) and ``to_json_value`` as a JSON value.
 Ints of any length convert to and from decimal text: ``int_text`` and
 ``text_int`` use ``str`` and ``int``, and only past the interpreter's digit
 limit (``sys.get_int_max_str_digits()``) split the number in halves at a
-power of ten, recursively, until each piece is within it. The limit itself
-is never changed.
+power of ten, recursively, until each piece is within it. ``int_text``
+decides from the bit length, and in a narrow band by one comparison with
+``10**limit``, whether an int is past the limit, so it never makes a
+``str`` attempt it must throw away. The limit itself is never changed.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The interpreter's int-to-text digit limit; interpreters older than the
+# limit (before 3.10.7) have none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def int_text(n: int) -> str:
     """The decimal text of ``n``, at any length: past the digit limit, the
     texts of ``divmod(|n|, 10**k)`` for k about half its digits, the low
-    half zero-padded to k digits."""
-    try:
-        return str(n)
-    except ValueError:  # past the digit limit
-        k = n.bit_length() * 3 // 20  # log10(2) < 0.302: half the digits, or a little less
-        hi, lo = divmod(abs(n), 10**k)
-        return ("-" if n < 0 else "") + int_text(hi) + int_text(lo).zfill(k)
+    half zero-padded to k digits.
+
+    Just past the limit a failing ``str(n)`` converts the whole number
+    before it compares the digit count, so ``str`` is only tried on an int
+    within the limit (``_within_limit``)."""
+    if _within_limit(n):
+        try:
+            return str(n)
+        except ValueError:  # a digit rule other than the one _within_limit reads
+            pass
+    k = n.bit_length() * 3 // 20  # log10(2) < 0.302: half the digits, or a little less
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + int_text(hi) + int_text(lo).zfill(k)
+
+
+def _within_limit(n: int) -> bool:
+    """Whether |n| has at most as many digits as the interpreter's limit
+    allows ``str`` to write (no limit: always). With b bits, |n| < 2**b has
+    at most floor(b * log10(2)) + 1 digits and |n| >= 2**(b - 1) more than
+    (b - 1) * log10(2); 0.30102 < log10(2) < 0.30103 keeps both bounds
+    safe. Only in the few bit lengths where they disagree is |n| compared
+    with 10**limit, the least int with one digit too many."""
+    limit = _digit_limit()
+    if not limit:
+        return True
+    b = n.bit_length()
+    if b * 30103 < limit * 100000:
+        return True
+    if (b - 1) * 30102 >= limit * 100000:
+        return False
+    return abs(n) < 10**limit
 
 
 def text_int(digits: str) -> int:

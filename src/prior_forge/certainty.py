@@ -6,6 +6,20 @@ of states; the minimal ones are exactly the bottom strongly connected
 components, and every component contains a minimal one, so "for every
 component" checks reduce to the minimal list (the reduction itself is covered
 by tests, not assumed).
+
+The minimal components are found on a contracted graph. A type lives on its
+own cell, and every state of the cell has an edge to every state of the
+type's support, the support's own states included, so the states of one
+support reach each other: they lie in one strongly connected component.
+Uniting each support's states, in one pass over the nonzero type entries,
+therefore merges only states of one component, and every edge of the
+support graph runs from a state to a class. The contracted graph has one
+node per class and one edge from the class of each state to the class of
+each of its cells' supports, so at most one per state and player, against
+one per state and support entry in the support graph. Its strongly
+connected components, unions of classes, are exactly those of the support
+graph, and its bottom ones are the minimal components. ``component_family``
+and ``closure`` keep the full support graph.
 """
 
 from __future__ import annotations
@@ -133,8 +147,43 @@ def minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...]
 
 
 def _minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
-    sccs, successors = _condensation(structure)
-    bottoms = (tuple(comp) for comp, succ in zip(sccs, successors) if not succ)
+    """The bottom components of the contracted graph (see the module
+    docstring), expanded to their states: each support's states are united
+    with path halving, each cell adds one edge per state to its support's
+    class, and Tarjan runs on the classes."""
+    parent = list(range(structure.num_states))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for types in structure.cell_types:
+        for t in types:
+            support = t.support()
+            root = find(support[0])
+            for w in support[1:]:
+                other = find(w)
+                if other != root:
+                    parent[other] = root
+    roots = [find(s) for s in range(structure.num_states)]
+    node = {r: k for k, r in enumerate(dict.fromkeys(roots))}
+    node_of = [node[r] for r in roots]
+    succ: list[set[int]] = [set() for _ in node]
+    for cells, types in zip(structure.partitions, structure.cell_types):
+        for cell, t in zip(cells, types):
+            target = node_of[t.support()[0]]
+            for s in cell:
+                succ[node_of[s]].add(target)
+    adj = tuple(map(tuple, succ))
+    members: list[list[int]] = [[] for _ in node]
+    for s, k in enumerate(node_of):
+        members[k].append(s)
+    bottoms = []
+    for comp in _strongly_connected_components(adj):
+        inside = set(comp)
+        if all(inside.issuperset(adj[k]) for k in comp):
+            bottoms.append(tuple(sorted(s for k in comp for s in members[k])))
     return tuple(sorted(bottoms, key=lambda c: c[0]))
 
 

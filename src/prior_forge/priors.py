@@ -64,19 +64,43 @@ NOTIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PriorWitness:
     """A prior plus, per player, convex weights over that player's cells
-    expressing it as a mixture of the cells' types."""
+    expressing it as a mixture of the cells' types.
+
+    The weights are held as integer forms: ``weight_forms[i]`` is
+    ``(den, nums)`` in lowest terms, player i's weight on cell c being
+    ``nums[c] / den``. ``PriorWitness(prior, hull_weights)`` takes rows of
+    rationals and derives their forms (``integer_form``); the walk and
+    ``classify_prior``, whose weights are cell masses over the prior's
+    ``den``, hand theirs over as ``PriorWitness(prior, weight_forms=...)``,
+    each form put in lowest terms by one gcd. ``hull_weights`` builds the
+    rows of ``Fraction``s when read. Equality and the hash are those of the
+    prior and the forms, so of the weights' values."""
 
     prior: Distribution
-    hull_weights: tuple[tuple, ...]
+    weight_forms: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, prior, hull_weights=None, *, weight_forms=None) -> None:
+        if weight_forms is None:
+            forms = tuple(map(integer_form, hull_weights))
+        else:
+            forms = tuple(map(_lowest_terms, weight_forms))
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "weight_forms", forms)
+
+    @property
+    def hull_weights(self) -> tuple[tuple, ...]:
+        """The weights as rows of ``Fraction``s, built on each read."""
+        return _fraction_rows(self.weight_forms)
 
     def verify(self, structure: InformationStructure) -> None:
-        """Exact re-multiplication; raises VerificationError on any defect.
-        The prior need not be a ``Distribution``: a plain tuple of rationals
-        is checked the same way."""
-        if len(self.hull_weights) != structure.num_players:
+        """Exact re-multiplication on the weights' integer forms; raises
+        VerificationError on any defect. The prior need not be a
+        ``Distribution``: a plain tuple of rationals is checked the same
+        way."""
+        if len(self.weight_forms) != structure.num_players:
             raise VerificationError("witness has wrong number of weight vectors")
         if len(self.prior) != structure.num_states:
             raise VerificationError("witness prior has wrong dimension")
@@ -85,11 +109,9 @@ class PriorWitness:
             den, nums = prior.den, state_nums(prior)
         else:
             den, nums = integer_form(prior)
-        for i in range(structure.num_players):
-            weights = self.hull_weights[i]
-            if len(weights) != structure.num_cells(i):
+        for i, (wden, wnums) in enumerate(self.weight_forms):
+            if len(wnums) != structure.num_cells(i):
                 raise VerificationError(f"player {i} weight vector has wrong length")
-            wden, wnums = integer_form(weights)
             if any(u < 0 for u in wnums):
                 raise VerificationError(f"player {i} has a negative hull weight")
             if sum(wnums) != wden:
@@ -101,15 +123,41 @@ class PriorWitness:
                 )
 
 
+def _lowest_terms(form: tuple) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` over the least common denominator of its values."""
+    den, nums = form
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([a // g for a in nums])
+
+
+def _fraction_rows(forms) -> tuple:
+    """Rows of ``Fraction``s from integer forms ``(den, nums)``; a form
+    that is None gives None."""
+    return tuple(
+        None if form is None else tuple(Fraction(a, form[0]) for a in form[1]) for form in forms
+    )
+
+
 @dataclass(frozen=True)
 class PriorClassification:
+    """Per-player hull membership of a distribution and its charge grades.
+    ``weight_forms[i]`` is player i's hull weights as ``hull_form`` gives
+    them, or None outside the hull; ``hull_weights`` reads them as rows of
+    ``Fraction``s."""
+
     prior_for_player: tuple[bool, ...]
-    hull_weights: tuple[tuple | None, ...]  # per player, None outside the hull
+    weight_forms: tuple[tuple | None, ...]
     common: bool
     maximal: bool
     strongly_maximal: bool
     universal: bool
     strong: bool
+
+    @property
+    def hull_weights(self) -> tuple[tuple | None, ...]:
+        return _fraction_rows(self.weight_forms)
 
 
 def check_single_player(structure: InformationStructure) -> None:
@@ -119,18 +167,26 @@ def check_single_player(structure: InformationStructure) -> None:
         )
 
 
+def hull_form(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> tuple[int, tuple[int, ...]] | None:
+    """The player's convex weights over its cells reconstructing dist from
+    the cells' types, as ``(dist.den, masses)``, or None when dist is
+    outside the hull. Weights are forced to be the cell masses, so this is
+    a direct exact check on ints, not a search."""
+    check_dimension(structure, dist)
+    den, nums = dist.den, state_nums(dist)
+    masses = tuple([sum(nums[w] for w in cell) for cell in structure.partitions[player]])
+    if _off_mixture(structure, player, den, masses, den, nums):
+        return None
+    return den, masses
+
+
 def hull_weights(
     structure: InformationStructure, player: int, dist: Distribution
 ) -> tuple | None:
-    """Convex weights over the player's cells reconstructing dist from the
-    cells' types, or None when dist is outside the hull. Weights are forced
-    to be the cell masses, so this is a direct exact check, not a search."""
-    check_dimension(structure, dist)
-    den, nums = dist.den, state_nums(dist)
-    masses = [sum(nums[w] for w in cell) for cell in structure.partitions[player]]
-    if _off_mixture(structure, player, den, masses, den, nums):
-        return None
-    return tuple(Fraction(a, den) for a in masses)
+    """``hull_form`` as a row of ``Fraction``s, or None outside the hull."""
+    return _fraction_rows((hull_form(structure, player, dist),))[0]
 
 
 def _off_mixture(
@@ -250,16 +306,22 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
 class Blocks:
     """The structure's linked cell blocks, walked once: a live flag per
     block in walk order, the states live blocks charge, the canonical prior
-    with its hull weights (per player, the mass of each cell) and its least
-    cell mass, and the one refuting trade. ``prior`` and ``hull_weights``
+    with its hull weights (per player, the mass of each cell, as the
+    integer form ``(den, masses)`` over the prior's ``den``) and its least
+    cell mass, and the one refuting trade. ``prior`` and ``weight_forms``
     are None when no block is live, ``payoffs`` when every block is."""
 
     live: tuple[bool, ...]
     support: frozenset[int]
     prior: Distribution | None
-    hull_weights: tuple[tuple, ...] | None
+    weight_forms: tuple[tuple, ...] | None
     margin: Fraction
     payoffs: tuple[tuple, ...] | None
+
+    @property
+    def hull_weights(self) -> tuple[tuple, ...] | None:
+        """The hull weights as rows of ``Fraction``s, built when read."""
+        return None if self.weight_forms is None else _fraction_rows(self.weight_forms)
 
     @property
     def common(self) -> bool:
@@ -315,8 +377,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     b / E (the numerators of ``t.items()`` over ``t.den``), and player j's
     type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
-    comparisons cross-multiply. The prior is built from its integer form
-    (``_read_off``); rationals are built once per result: the hull weights,
+    comparisons cross-multiply. The prior and its hull weights are read off
+    as integer forms (``_read_off``); rationals are built once per result:
     the margin and the boxed payoffs."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
@@ -425,8 +487,9 @@ def _read_off(
     over the lcm of its ``value`` denominators, scaled by ``ad / (lcm * an)``
     so that its least cell has mass 1 (over the lcm of those scales' own
     denominators when several blocks are live), and one gcd over the
-    support reduces them. A hull weight is its cell's mass; the margin,
-    with every block live, is the least one."""
+    support reduces them. A hull weight is its cell's mass, kept as the
+    integer form ``(den, masses)`` per player; the margin, with every block
+    live, is the least one."""
     if not lives:
         return None, None, ZERO
     nums = [0] * structure.num_states
@@ -451,10 +514,9 @@ def _read_off(
     prior = Distribution.from_integer_form(
         structure.num_states, tuple(support), den, tuple(nums[w] for w in support)
     )
-    masses = [[sum(nums[w] for w in cell) for cell in cells] for cells in structure.partitions]
-    weights = tuple(tuple(Fraction(a, den) for a in row) for row in masses)
+    masses = [tuple([sum(nums[w] for w in cell) for cell in cells]) for cells in structure.partitions]
     margin = Fraction(min(map(min, masses)), den) if strong else ZERO
-    return prior, weights, margin
+    return prior, tuple((den, row) for row in masses), margin
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
@@ -467,7 +529,7 @@ def _canonical_witness(structure: InformationStructure) -> PriorWitness | None:
     walk = blocks(structure)
     if walk.prior is None:
         return None
-    witness = PriorWitness(walk.prior, walk.hull_weights)
+    witness = PriorWitness(walk.prior, weight_forms=walk.weight_forms)
     witness.verify(structure)
     return witness
 
@@ -498,14 +560,14 @@ def classify_prior(
     """Exact flags for a given distribution: per-player hull membership plus
     the positivity grades that upgrade a common prior to universal/strong."""
     check_dimension(structure, dist)
-    rows = tuple(hull_weights(structure, i, dist) for i in range(structure.num_players))
-    per_player = tuple(row is not None for row in rows)
+    forms = tuple(hull_form(structure, i, dist) for i in range(structure.num_players))
+    per_player = tuple(form is not None for form in forms)
     common = all(per_player)
     maximal = is_maximal(structure, dist)
     strongly = is_strongly_maximal(structure, dist)
     return PriorClassification(
         prior_for_player=per_player,
-        hull_weights=rows,
+        weight_forms=forms,
         common=common,
         maximal=maximal,
         strongly_maximal=strongly,

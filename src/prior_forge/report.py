@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ._rational import rational_text, to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
-from .jsonio import SCHEMA, structure_to_json, type_row
+from .jsonio import SCHEMA, ratio_value, structure_to_json, type_row
 from .model import Distribution, InformationStructure
 from .priors import NOTIONS, PriorWitness
 from .trades import (
@@ -162,11 +162,12 @@ def components_json(s: InformationStructure, minimal, family) -> dict:
 
 
 def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
+    """The prior's row and the hull weights, written from their integer
+    forms."""
     return {
         "prior": type_row(witness.prior),
         "hull_weights": [
-            [to_json_value(v) for v in witness.hull_weights[i]]
-            for i in range(s.num_players)
+            [ratio_value(a, den) for a in nums] for den, nums in witness.weight_forms
         ],
     }
 

@@ -369,7 +369,7 @@ def classify_distribution(
     prior_witness = None
     pump_witness = None
     if cls.common:
-        prior_witness = PriorWitness(dist, cls.hull_weights)
+        prior_witness = PriorWitness(dist, weight_forms=cls.weight_forms)
         prior_witness.verify(structure)
         base = "common_prior"
     else:
@@ -417,9 +417,11 @@ class PriorReport:
 def build_prior_report(structure: InformationStructure) -> PriorReport:
     """The canonical prior, the notions whose charge test it passes, and,
     unless every notion holds, the block trade that refutes the others with
-    the classification ``graded_block_trade`` made for it. The report checks
-    that classification against each notion the trade refutes."""
+    the classification ``graded_block_trade`` made for it. Each charge test
+    runs once here; the report checks that classification against each
+    notion the trade refutes."""
     holds = tuple(n.key for n in NOTIONS if find_prior(structure, n) is not None)
-    trade = find_acceptable_trade(structure)
-    cls = None if trade is None else graded_block_trade(structure)[1]
+    trade = cls = None
+    if len(holds) < len(NOTIONS):
+        trade, cls = graded_block_trade(structure)
     return PriorReport(find_common_prior(structure), holds, trade, cls)

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from prior_forge._rational import ONE, ZERO
 from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
-from prior_forge.model import Distribution, InformationStructure, payoff_vector
+from prior_forge.model import Distribution, InformationStructure, integer_form, payoff_vector
 from prior_forge.priors import Blocks
 from prior_forge.trades import TradeClassification
 
@@ -197,7 +197,9 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
         for w in support:
             probs[w] = value[w] / total
         prior = Distribution(tuple(probs))
-        weights = tuple(tuple(lam / total for lam in row) for row in scale)
+        # Blocks keeps the weights as integer forms; they are read back as
+        # rationals through ``Blocks.hull_weights``.
+        weights = tuple(integer_form([lam / total for lam in row]) for row in scale)
     boxed = None
     if not all(live):
         top = max(abs(v) for row in payoffs for v in row)

@@ -1,3 +1,7 @@
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from prior_forge import (
@@ -12,11 +16,16 @@ from prior_forge import (
     is_strongly_maximal,
     make_structure,
     minimal_components,
+    parse_structure,
     support_graph,
     uniform,
 )
 from prior_forge.certainty import _condensation
 from prior_forge.harness import GeneratorConfig, random_structure
+from prior_forge.jsonio import load_path
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
 
 
 def singletons(m):
@@ -108,3 +117,40 @@ def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4
     for s in (intro, ex_pl2, pl4, ex_plbet4):
         for comp in minimal_components(s):
             assert forward_closed(s, comp)
+
+
+def _bottom_sccs(structure):
+    """The bottom strongly connected components of the full support graph,
+    ordered by least state: the oracle of the contracted search."""
+    sccs, successors = _condensation(structure)
+    bottoms = (tuple(comp) for comp, succ in zip(sccs, successors) if not succ)
+    return tuple(sorted(bottoms, key=lambda c: c[0]))
+
+
+@pytest.mark.parametrize(
+    "sizes, seeds",
+    [((6, 3, 6), 2000), ((12, 4, 6), 1500), ((16, 4, 3), 1500), ((8, 2, 2), 1500)],
+    ids=["default", "12-4-6", "16-4-3", "8-2-2"],
+)
+def test_minimal_components_are_the_bottom_sccs_on_generated_structures(sizes, seeds):
+    m, n, bound = sizes
+    for seed in range(seeds):
+        s = random_structure(GeneratorConfig(seed, m, n, bound))
+        assert minimal_components(s) == _bottom_sccs(s), seed
+
+
+def test_minimal_components_are_the_bottom_sccs_on_fixtures_and_benchmark_inputs(
+    fixture_path, monkeypatch
+):
+    # The fixtures, and the 36 operations of the seed-1 planted_large
+    # benchmark workload (its 12 design cells, 3 replicates each).
+    structures = [parse_structure(load_path(fixture_path(name))) for name in FIXTURES]
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports gen
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.make_inputs("planted_large", 1)["ops"]
+    assert len(ops) == 36
+    structures += [parse_structure(json.loads(op["structure"])) for op in ops]
+    for s in structures:
+        assert minimal_components(s) == _bottom_sccs(s)

@@ -361,12 +361,19 @@ def test_prior_read_off_matches_the_fraction_read_off(monkeypatch, fixture_path)
         walk = _walk_blocks(structure)
         args, ours = calls[-1]
         theirs = fraction_read_off(*args)
-        assert ours == theirs
-        assert (walk.prior, walk.hull_weights, walk.margin) == ours
-        if ours[0] is not None:
-            assert (ours[0].den, ours[0].support()) == (theirs[0].den, theirs[0].support())
-            assert {type(v) for row in ours[1] for v in row} == {Fraction}
-        assert type(ours[2]) is Fraction
+        # The hull weights are read off as integer forms, the cell masses
+        # over the prior's den, and compared as rationals.
+        prior, forms, margin = ours
+        rows = None if forms is None else tuple(
+            tuple(Fraction(a, den) for a in nums) for den, nums in forms
+        )
+        assert (prior, rows, margin) == theirs
+        assert (walk.prior, walk.weight_forms, walk.margin) == ours
+        if prior is not None:
+            assert (prior.den, prior.support()) == (theirs[0].den, theirs[0].support())
+            assert {den for den, _ in forms} == {prior.den}
+            assert {type(a) for _, nums in forms for a in nums} == {int}
+        assert type(margin) is Fraction
         kinds.add((walk.common, walk.strong, len(args[2])))
     assert len(calls) == len(structures)
     # No block live, some live, all live; and several live blocks at once.

@@ -1,9 +1,12 @@
 """Wire format: float rejection, schema tags, round trips, and the
 canonical writer against the stdlib encoder."""
 
+import copy
 import importlib.util
+import itertools
 import json
 import pathlib
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -18,6 +21,7 @@ from prior_forge import (
     SCHEMA,
     SchemaError,
     StochasticityError,
+    analyze,
     dumps_canonical,
     parse_distribution,
     parse_payoffs,
@@ -32,16 +36,24 @@ from prior_forge._rational import (
     text_int,
     to_json_value,
 )
-from prior_forge.harness import GeneratorConfig, planted_structure, random_structure
+from prior_forge.harness import (
+    GeneratorConfig,
+    planted_structure,
+    random_distribution,
+    random_structure,
+)
 from prior_forge.jsonio import (
+    TypeRow,
     check_schema,
     distribution_to_json,
     load_path,
     loads,
     parse_rational_pair,
     parse_rational_value,
+    type_row,
 )
-from prior_forge import jsonio
+from prior_forge import _rational, jsonio
+from prior_forge.priors import NOTIONS
 from prior_forge.model import make_structure, uniform
 from prior_forge.report import analyze
 
@@ -618,3 +630,174 @@ def test_malformed_distributions_fail_as_the_fraction_parse_does(row):
         parse_distribution(row, structure)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
+
+
+# -- type rows written from their support ------------------------------------
+
+
+@pytest.mark.parametrize("seeds", [range(k, k + 100) for k in range(0, 400, 100)])
+def test_writer_matches_the_stdlib_on_reports_with_sampled_distributions(seeds):
+    # The structure's type rows, the prior's row and the distribution's row
+    # are TypeRows, written from their support.
+    for seed in seeds:
+        s = random_structure(GeneratorConfig(seed=seed))
+        dist = random_distribution(s, GeneratorConfig(), NOTIONS[0], random.Random(seed))
+        doc = analyze(s, dist).to_json()
+        assert type(doc["distribution"]["dist"]) is TypeRow
+        assert all(type(row) is TypeRow for rows in doc["structure"]["types"] for row in rows)
+        _same_bytes(doc)
+
+
+@pytest.mark.parametrize("m", (32, 44, 96))
+def test_writer_matches_the_stdlib_on_planted_reports_with_their_priors(m):
+    for n, blocks in itertools.product((3, 4), (1, 2, 4)):
+        s, prior = planted_structure(m, n, blocks, random.Random(f"rows:{m}:{n}:{blocks}"))
+        doc = analyze(s, prior).to_json()
+        assert type(doc["priors"]["strong"]["witness"]["prior"]) is TypeRow
+        _same_bytes(doc)
+
+
+def _row() -> TypeRow:
+    """``[0, "1/6", 0, 0, "1/3", 0, 1/2, 0]`` as ``type_row`` builds it."""
+    return type_row(Distribution.from_integer_form(8, (1, 4, 6), 6, (1, 2, 3)))
+
+
+def _writes_current_entries(row):
+    """``row``, alone and inside a document, is written as a plain list of
+    its current entries is, or both raise ``TypeError``."""
+    for wrap in (lambda r: r, lambda r: {"types": [[r, r]], "dist": r}):
+        try:
+            expected = dumps_canonical(wrap(list(row)))
+        except TypeError:
+            with pytest.raises(TypeError):
+                dumps_canonical(wrap(row))
+            continue
+        assert dumps_canonical(wrap(row)) == expected
+
+
+def test_type_row_is_a_read_only_list_equal_to_the_dense_row():
+    row = _row()
+    dense = [0, "1/6", 0, 0, "1/3", 0, "1/2", 0]
+    assert row == dense and dense == row and isinstance(row, list)
+    assert row.support == (1, 4, 6)
+    assert dumps_canonical(row) == json.dumps(dense, indent=2) + "\n"
+    changes = [
+        lambda r: r.__setitem__(0, 1),
+        lambda r: r.__setitem__(slice(1, 3), []),
+        lambda r: r.__delitem__(1),
+        lambda r: r.__iadd__([0]),
+        lambda r: r.__imul__(2),
+        lambda r: r.append(0),
+        lambda r: r.extend([0]),
+        lambda r: r.insert(0, 0),
+        lambda r: r.pop(),
+        lambda r: r.remove(0),
+        lambda r: r.clear(),
+        lambda r: r.sort(key=str),
+        lambda r: r.reverse(),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="^a type row is read-only$"):
+            change(row)
+        assert row == dense
+    # A copy, or a pickle, is a plain list.
+    assert type(copy.copy(row)) is list and copy.deepcopy(row) == dense
+    assert type(pickle.loads(pickle.dumps(row))) is list
+
+
+CHANGED_VALUES = {
+    "int": 5, "str": "x", "false": False, "true": True, "zero float": 0.0, "negative zero": -0.0,
+    "zero fraction": Fraction(0), "fraction": Fraction(1, 2), "none": None, "list": [0],
+    "long int": 2**20000,
+}
+
+
+@pytest.mark.parametrize("value", CHANGED_VALUES.values(), ids=CHANGED_VALUES.keys())
+@pytest.mark.parametrize("at", [0, 1, 7])
+def test_a_row_changed_behind_its_back_is_written_as_it_stands(value, at):
+    # list's own methods bypass the refusal; the writer's check sees every
+    # such change, at a zero and at a support state, and writes the current
+    # entries, or raises as for a plain list.
+    row = _row()
+    list.__setitem__(row, at, value)
+    _writes_current_entries(row)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r: list.append(r, 0),
+        lambda r: list.append(r, "1/9"),
+        lambda r: list.insert(r, 0, 0),
+        lambda r: list.pop(r),
+        lambda r: list.pop(r, 1),
+        lambda r: list.reverse(r),
+        lambda r: list.clear(r),
+        lambda r: list.__init__(r, [0] * 8),
+        lambda r: list.__init__(r, ["1/8"] * 8),
+        lambda r: list.__setitem__(r, slice(0, 2), [False, "1/6"]),
+        lambda r: list.__setitem__(r, 1, 0),
+        lambda r: list.__setitem__(r, 4, "0"),
+    ],
+)
+def test_a_row_resized_or_reordered_behind_its_back_is_written_as_it_stands(change):
+    row = _row()
+    change(row)
+    _writes_current_entries(row)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(1, 4), (1, 4, 6, 7), (4, 1, 6), (1, 1, 4), (1, 4, 60), (-1, 4, 6), [1, 4, 6], (1.0, 4, 6), (True, 4, 6), None, ()],
+)
+def test_a_row_with_a_wrong_support_is_written_as_it_stands(support):
+    row = _row()
+    row.support = support
+    _writes_current_entries(row)
+    # A TypeRow built by hand is checked the same way, with or without a support.
+    by_hand = TypeRow([0, "1/2", False, "1/2"])
+    _writes_current_entries(by_hand)
+    by_hand.support = (1, 3)
+    _writes_current_entries(by_hand)
+
+
+def test_lists_that_look_like_rows_take_the_plain_path():
+    # A plain list equal to a row, and any list with a Fraction, a float or a
+    # bool, render or raise as they always did.
+    assert dumps_canonical(list(_row())) == dumps_canonical(_row())
+    assert dumps_canonical([0, True, False]) == "[\n  0,\n  true,\n  false\n]\n"
+    for bad in ([0, Fraction(1, 2)], [0.0], [0, 1.5]):
+        with pytest.raises(TypeError):
+            dumps_canonical(bad)
+        with pytest.raises(TypeError):
+            dumps_canonical({"r": bad})
+    with pytest.raises(TypeError):
+        dumps_canonical({1: _row()})
+
+
+def test_int_text_tries_str_exactly_within_the_limit(monkeypatch):
+    # int_text tries str on an int within the limit, and on any int with no
+    # limit, and never on one past it: neither far past, where the bit
+    # length tells, nor one digit past, where 10**limit does.
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return str(n)
+
+    monkeypatch.setattr(_rational, "str", spy, raising=False)
+    limit = sys.get_int_max_str_digits()
+    for n in (10**limit - 1, 10 ** (limit - 1), -(10**limit - 1), 0, 7):
+        calls.clear()
+        assert int_text(n) == str(n) and calls == [n]
+    for n in (10**limit, 10**limit + 7, -(10**limit), 10 ** (limit + 631) + 7, 10**33803 + 7):
+        calls.clear()
+        assert int_text(n) == str(Decimal(n))
+        assert calls and n not in calls
+    try:
+        sys.set_int_max_str_digits(0)
+        big = 10**40000 + 3
+        calls.clear()
+        assert int_text(big) == str(big) and calls == [big]
+    finally:
+        sys.set_int_max_str_digits(limit)

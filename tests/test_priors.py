@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,8 +41,12 @@ from prior_forge.harness import (
     planted_structure,
     random_structure,
 )
+from prior_forge._rational import to_json_value
+from prior_forge.jsonio import dumps_canonical
 from prior_forge.lp import enumerate_basic_solutions, solve
+from prior_forge.model import integer_form
 from prior_forge.priors import blocks
+from prior_forge.report import prior_witness_json
 
 
 def q(text):
@@ -486,3 +491,69 @@ def test_charge_grade_is_the_walks_verdict(
         structures.append(broken_planted(*key))
     for structure in structures:
         charge_grade_is_the_walks_verdict(structure)
+
+
+# -- hull weights as integer forms --------------------------------------------
+
+
+def _witness_cases(intro, ex_pl1, ex_plbet4):
+    """(structure, canonical witness) for fixtures and planted structures."""
+    structures = [intro, ex_pl1, ex_plbet4]
+    for m, n, k in ((24, 3, 1), (32, 4, 2), (44, 3, 4)):
+        structures.append(planted_structure(m, n, k, random.Random(f"forms:{m}:{n}:{k}"))[0])
+    return [(s, find_common_prior(s)) for s in structures]
+
+
+def test_a_witness_from_integer_forms_equals_the_fraction_witness(intro, ex_pl1, ex_plbet4):
+    # The walk's witness keeps its weights as (den, masses); one built from
+    # the equal Fractions, and one from forms not in lowest terms, compare
+    # equal, hash alike, render the same bytes and verify alike.
+    for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
+        rows = witness.hull_weights
+        assert all(type(v) is Fraction for row in rows for v in row)
+        scaled = [(3 * den, tuple(3 * a for a in nums)) for den, nums in witness.weight_forms]
+        twins = [PriorWitness(witness.prior, rows), PriorWitness(witness.prior, weight_forms=scaled)]
+        for twin in twins:
+            assert twin == witness and hash(twin) == hash(witness)
+            assert twin.weight_forms == witness.weight_forms and twin.hull_weights == rows
+            twin.verify(s)
+        texts = {dumps_canonical(prior_witness_json(s, w)) for w in [witness] + twins}
+        fraction_text = dumps_canonical(
+            {
+                "prior": [to_json_value(v) for v in witness.prior.probs],
+                "hull_weights": [[to_json_value(v) for v in row] for row in rows],
+            }
+        )
+        assert texts == {fraction_text}
+
+
+def test_forged_weights_fail_alike_in_both_forms(intro, ex_pl1, ex_plbet4):
+    # A negative weight, weights that do not sum to 1 and weights that miss
+    # the prior raise the same message from rows of Fractions and from forms
+    # (in lowest terms or not). Player i has two cells, the first charged.
+    for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
+        rows = [list(row) for row in witness.hull_weights]
+        i = next(k for k, row in enumerate(rows) if len(row) > 1)
+        c = next(k for k, v in enumerate(rows[i]) if v)
+        d = 1 if c == 0 else 0
+
+        def forge(first, other):
+            forged = [row[:] for row in rows]
+            forged[i][c] += first
+            forged[i][d] += other
+            return forged
+
+        cases = [
+            (forge(-1, 1), f"player {i} has a negative hull weight"),
+            (forge(rows[i][c], 0), f"player {i} hull weights do not sum to 1"),
+            (forge(-rows[i][c] / 2, rows[i][c] / 2), f"player {i} weights fail to reconstruct the prior at state "),
+        ]
+        for forged, message in cases:
+            forms = [integer_form(row) for row in forged]
+            unreduced = [(5 * den, [5 * a for a in nums]) for den, nums in forms]
+            texts = set()
+            for twin in (PriorWitness(witness.prior, forged), PriorWitness(witness.prior, weight_forms=unreduced)):
+                with pytest.raises(VerificationError, match="^" + message) as caught:
+                    twin.verify(s)
+                texts.add(str(caught.value))
+            assert len(texts) == 1

@@ -139,21 +139,27 @@ def _fresh(fixture_path, name):
 @pytest.mark.parametrize("name", ["intro", "ex_plbet4"])
 def test_analyze_builds_and_verifies_the_witness_once(fixture_path, monkeypatch, name):
     # Both fixtures have a strong prior: the walk gives its hull weights, so
-    # no hull_weights call is needed, and the witness is verified once, when
-    # it is built; the report checks its claims against it.
+    # no hull weights are computed (by hull_weights or the integer hull_form
+    # it wraps), and the witness is verified once, when it is built; the
+    # report checks its claims against it.
     s = _fresh(fixture_path, name)
     calls = []
-    real_weights, real_verify = priors.hull_weights, PriorWitness.verify
+    real_weights, real_form, real_verify = priors.hull_weights, priors.hull_form, PriorWitness.verify
 
     def counting_weights(*args):
         calls.append("hull_weights")
         return real_weights(*args)
+
+    def counting_form(*args):
+        calls.append("hull_form")
+        return real_form(*args)
 
     def counting_verify(self, structure):
         calls.append("verify")
         return real_verify(self, structure)
 
     monkeypatch.setattr(priors, "hull_weights", counting_weights)
+    monkeypatch.setattr(priors, "hull_form", counting_form)
     monkeypatch.setattr(PriorWitness, "verify", counting_verify)
     analyze(s)
     assert calls == ["verify"]
@@ -252,3 +258,37 @@ def test_generated_reports_are_pinned():
         digest.update(dumps_canonical(rep.to_json()).encode())
     assert (trades, pumps) == (85, 146)
     assert digest.hexdigest() == PINNED_GENERATED_REPORTS
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        # A strong prior: each charge test decides once and is checked once.
+        ("intro", {"is_maximal": 2, "is_strongly_maximal": 2}),
+        ("chain", {"is_maximal": 2, "is_strongly_maximal": 2}),
+        # A common, universal prior that is not strong: the strong test
+        # decides once, and the block trade is checked by its grade.
+        ("ex_pl1", {"is_maximal": 2, "is_strongly_maximal": 1}),
+    ],
+)
+def test_analyze_runs_each_charge_test_once_per_decision(fixture_path, name, counts):
+    s = harness.chain_structure(256, 2**64 - 1) if name == "chain" else _fresh(fixture_path, name)
+    seen = {}
+    charges = [(n, n.charges) for n in priors.NOTIONS if n.charges is not None]
+
+    def spy(test):
+        def counted(structure, dist):
+            seen[test.__name__] = seen.get(test.__name__, 0) + 1
+            return test(structure, dist)
+
+        counted.__name__ = test.__name__
+        return counted
+
+    try:
+        for notion, test in charges:
+            object.__setattr__(notion, "charges", spy(test))
+        analyze(s)
+    finally:
+        for notion, test in charges:
+            object.__setattr__(notion, "charges", test)
+    assert seen == counts

@@ -505,17 +505,20 @@ def test_classify_distribution_prior_side(intro):
 
 
 def test_classify_distribution_asks_each_players_hull_weights_once(intro, monkeypatch):
+    # The hull weights are computed on ints by ``hull_form``; the witness
+    # takes the classification's forms.
     calls = []
-    real = priors.hull_weights
+    real = priors.hull_form
 
     def counting(structure, player, dist):
         calls.append(player)
         return real(structure, player, dist)
 
-    monkeypatch.setattr(priors, "hull_weights", counting)
+    monkeypatch.setattr(priors, "hull_form", counting)
     verdict = classify_distribution(intro, uniform(5))
     assert sorted(calls) == [0, 1]
     assert verdict.prior_witness.hull_weights == verdict.classification.hull_weights
+    assert verdict.prior_witness.weight_forms == verdict.classification.weight_forms
 
 
 def test_classify_distribution_pump_side(pl4):
