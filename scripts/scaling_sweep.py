@@ -3,7 +3,6 @@
     python3 scripts/scaling_sweep.py
     python3 scripts/scaling_sweep.py --states 96 768 --players 3
     python3 scripts/scaling_sweep.py --family chain --states 256 1024 --k 999
-    python3 scripts/scaling_sweep.py --states 768 --players 3 --check-bytes
 
 For every pair of a state count M and a player count N, a fresh interpreter
 builds one structure of the family, writes it as a ``prior-forge/1``
@@ -23,11 +22,7 @@ splitting the numbers in halves at a power of ten. The row then times, in wall-c
 Each row also gives the cell count over all players, the number of nonzero
 type entries and ``peak_rss_mb``, the measuring interpreter's peak resident
 set size (``ru_maxrss``) in MB once the row is measured. The package is
-imported from this checkout's ``src``. With ``--check-bytes`` each row, once
-timed, also compares the report's canonical text with
-``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"`` and the sweep stops
-with an error on the first difference; its peak RSS then includes the
-check.
+imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -58,9 +53,8 @@ def _timed(fn, *args):
     return value, round((time.perf_counter() - start) * 1000, 1)
 
 
-def measure(family: str, m: int, n: int, k: int, check: bool = False) -> dict:
-    """One row of the sweep, measured in this process; with ``check``, the
-    report's bytes are compared with the stdlib encoder's after timing."""
+def measure(family: str, m: int, n: int, k: int) -> dict:
+    """One row of the sweep, measured in this process."""
     sys.path.insert(0, str(ROOT / "src"))
     from prior_forge.harness import chain_structure, planted_structure
     from prior_forge.jsonio import dumps_canonical, parse_structure, structure_to_json
@@ -73,9 +67,7 @@ def measure(family: str, m: int, n: int, k: int, check: bool = False) -> dict:
     doc = json.loads(dumps_canonical(structure_to_json(built)))
     structure, parse_ms = _timed(parse_structure, doc)
     report, analyze_ms = _timed(analyze, structure)
-    text, render_ms = _timed(lambda: dumps_canonical(report.to_json()))
-    if check and text != json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n":
-        raise SystemExit(f"M = {m}, N = {n}: the report's bytes differ from json.dumps")
+    _, render_ms = _timed(lambda: dumps_canonical(report.to_json()))
     types = [t for row in structure.cell_types for t in row]
     return {
         "M": m,
@@ -95,14 +87,10 @@ def main(argv=None) -> int:
     ap.add_argument("--states", type=int, nargs="+", default=STATES)
     ap.add_argument("--players", type=int, nargs="+", default=PLAYERS, help="planted family only")
     ap.add_argument("--k", type=int, default=CHAIN_K, help="chain family: types are (1/(K+1), K/(K+1))")
-    ap.add_argument(
-        "--check-bytes", action="store_true",
-        help="also compare each report's bytes with json.dumps(indent=2, ensure_ascii=False)",
-    )
     ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        row = measure(args.family, args.states[0], args.players[0], args.k, args.check_bytes)
+        row = measure(args.family, args.states[0], args.players[0], args.k)
         row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         print(json.dumps(row))
         return 0
@@ -112,12 +100,10 @@ def main(argv=None) -> int:
         for n in players:
             cmd = [
                 sys.executable, __file__, "--one", "--family", args.family, "--states", str(m),
-                "--players", str(n), "--k", str(args.k), *(["--check-bytes"] if args.check_bytes else []),
+                "--players", str(n), "--k", str(args.k),
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode:
-                sys.exit(proc.stderr.strip() or f"the row at M = {m}, N = {n} failed")
-            row = json.loads(proc.stdout)
+            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+            row = json.loads(out)
             print(" ".join(f"{row[c]:>10}" for c in COLUMNS), flush=True)
     return 0
 

@@ -34,6 +34,11 @@ ONE = Fraction(1)
 # limit (before 3.10.7) have none.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+# No limit the interpreter accepts is below ``str_digits_check_threshold``
+# (640) digits, and an int of b bits has fewer than b * 0.30103 + 1 digits,
+# so ``str`` writes any int of fewer bits than this whatever the limit.
+ANY_LIMIT_BITS = getattr(sys.int_info, "str_digits_check_threshold", 0) * 100000 // 30103
+
 
 def int_text(n: int) -> str:
     """The decimal text of ``n``, at any length: past the digit limit, the
@@ -41,13 +46,11 @@ def int_text(n: int) -> str:
     half zero-padded to k digits.
 
     Just past the limit a failing ``str(n)`` converts the whole number
-    before it compares the digit count, so ``str`` is only tried on an int
-    within the limit (``_within_limit``)."""
-    if _within_limit(n):
-        try:
-            return str(n)
-        except ValueError:  # a digit rule other than the one _within_limit reads
-            pass
+    before it compares the digit count, so ``str`` is only called on an int
+    within the limit: one of fewer than ``ANY_LIMIT_BITS`` bits, or one
+    that ``_within_limit`` admits."""
+    if n.bit_length() < ANY_LIMIT_BITS or _within_limit(n):
+        return str(n)
     k = n.bit_length() * 3 // 20  # log10(2) < 0.302: half the digits, or a little less
     hi, lo = divmod(abs(n), 10**k)
     return ("-" if n < 0 else "") + int_text(hi) + int_text(lo).zfill(k)

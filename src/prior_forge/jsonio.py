@@ -21,15 +21,10 @@ a ``Distribution`` holds only its support: parsing skips the zero literals
 ints in lowest terms, and builds each type from the integer form of those
 pairs, so no ``Fraction`` is built to parse or to render a type.
 
-A type row costs its nonzeros to write. ``type_row`` returns a ``TypeRow``,
-a read-only list of the dense values that records its support, the states
-of its nonzero entries, filled from the support's integer numerators. The
-writer renders such a row as the text ``0`` repeated, with the support's
-entries put in place, in one ``join``: a Python step per support entry and
-a few C-speed scans of the list, where a plain list takes a Python step per
-entry. It first checks the row against its support (see
-``dumps_canonical``), so a row changed behind its back is written as it now
-stands, never from a stale support.
+A type row costs its nonzeros to write: ``type_row`` builds a plain list,
+and the writer finds the states of a row's nonzero entries at C speed and
+renders only those, over a row of the text ``0``, in one ``join`` (see
+``dumps_canonical``).
 
 Numbers have no length limit on either side: the writers render ints with
 ``int_text`` and the parsers read them with ``text_int`` (see ``loads``), so
@@ -42,10 +37,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from json.encoder import encode_basestring
 from math import gcd, lcm
 
-from ._rational import int_text, parse_literal, text_int
+from ._rational import ANY_LIMIT_BITS, int_text, parse_literal, text_int
 from .errors import DimensionError, SchemaError
 from .model import Distribution, InformationStructure, make_structure
 
@@ -104,16 +100,14 @@ def dumps_canonical(obj) -> str:
     time, such as a report piece shared by several notions, is rendered
     once.
 
-    A ``TypeRow`` (``type_row``) is written from its support: ``"0"``
-    repeated, the support's entries rendered in place, one ``join``. Its
-    support is trusted only after a check: every support state is an int,
-    in range and increasing, with a nonzero int or str entry; the list
-    holds exactly as many entries equal to 0 as it has states off the
-    support, so those are the zeros; and every entry is an exact int or
-    str, so each of them is the int 0. The Python work grows with the
-    support; the length only enters through ``list.count``, a type scan
-    and the ``join``, all in C. A row that fails the check is rendered as
-    any other list, entry by entry."""
+    A list of exact ints and strings that is mostly zeros, such as a type
+    row, is written from its nonzero entries: the text ``0`` at every int 0
+    and each other entry rendered in place, so the Python work grows with
+    the nonzeros and the length only enters through C-speed scans
+    (``all``, ``list.count``, a type scan and ``itertools.compress``) and
+    the ``join``. A nonzero entry costs more there than in the
+    entry-by-entry path, so a list with as many nonzero entries as zeros,
+    or with an empty string among them, takes that path."""
     return _render(obj, "\n", {}) + "\n"
 
 
@@ -136,54 +130,8 @@ _SCALARS = {
 }
 
 
-# The entry types a ``TypeRow`` written from its support may hold.
+# The entry types of a list that may be written from its nonzero entries.
 _ROW_TYPES = frozenset((int, str))
-
-
-class TypeRow(list):
-    """The dense JSON row of a distribution (``type_row``), equal to the
-    plain list of its values, that records ``support``, the increasing
-    states of its nonzero entries, so that ``dumps_canonical`` writes it
-    from its support. It refuses every change; a copy is a plain list."""
-
-    __slots__ = ("support",)
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a type row is read-only")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
-def _row_text(row: TypeRow, inner: str) -> str | None:
-    """The items of ``row`` joined at ``inner`` and written from its
-    support, or None when the row does not match its support (see
-    ``dumps_canonical``)."""
-    size, support = len(row), getattr(row, "support", None)
-    if type(support) is not tuple or not _ROW_TYPES.issuperset(map(type, row)):
-        return None
-    if row.count(0) != size - len(support):
-        return None
-    items = ["0"] * size
-    last = -1
-    for w in support:
-        if type(w) is not int or not last < w < size:
-            return None
-        last = w
-        value = row[w]
-        if not value:
-            return None
-        if type(value) is str:
-            items[w] = encode_basestring(value)
-        else:
-            try:
-                items[w] = repr(value)
-            except ValueError:  # past the digit limit
-                items[w] = int_text(value)
-    return ("," + inner).join(items)
 
 
 def _render(obj, brk: str, done: dict) -> str:
@@ -206,14 +154,20 @@ def _render(obj, brk: str, done: dict) -> str:
         text = "{" + inner + ("," + inner).join(items) + brk + "}"
         done[id(obj)] = (brk, text)
         return text
-    if kind is list or kind is tuple or kind is TypeRow:
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = brk + "  "
-        if kind is TypeRow:
-            text = _row_text(obj, inner)
-            if text is not None:
-                return "[" + inner + text + brk + "]"
+        if not all(obj):
+            size, zeros = len(obj), obj.count(0)
+            if zeros * 2 > size and _ROW_TYPES.issuperset(map(type, obj)):
+                nonzero = list(compress(range(size), obj))
+                if zeros + len(nonzero) == size:  # no empty string
+                    items = ["0"] * size
+                    for w in nonzero:
+                        v = obj[w]
+                        items[w] = encode_basestring(v) if type(v) is str else int_text(v)
+                    return "[" + inner + ("," + inner).join(items) + brk + "]"
         try:
             items = [_SCALARS[type(v)](v) for v in obj]
         except (KeyError, ValueError):  # a container, what the writer rejects, or a long int
@@ -397,28 +351,25 @@ def structure_to_json(structure: InformationStructure) -> dict:
 def ratio_value(num: int, den: int):
     """``num / den`` (``den > 0``) as ``to_json_value`` writes a rational,
     from the ints: reduced by one gcd, a plain int when whole, else
-    ``"a/b"``."""
+    ``"a/b"``, written by ``str`` when both ints have fewer than
+    ``ANY_LIMIT_BITS`` bits and by ``int_text`` otherwise."""
     g = gcd(num, den)
     if g == den:
         return num // g
     num, den = num // g, den // g
-    try:
+    if num.bit_length() < ANY_LIMIT_BITS and den.bit_length() < ANY_LIMIT_BITS:
         return f"{num}/{den}"
-    except ValueError:  # past the digit limit
-        return int_text(num) + "/" + int_text(den)
+    return int_text(num) + "/" + int_text(den)
 
 
-def type_row(t: Distribution) -> TypeRow:
-    """The JSON row of a type, or of any distribution, as a ``TypeRow``: 0
-    off its support, and on it each numerator over ``t.den`` as
-    ``ratio_value`` writes it (in lowest terms, an int when whole, else
-    ``"a/b"``)."""
-    dense = [0] * len(t)
+def type_row(t: Distribution) -> list:
+    """The JSON row of a type, or of any distribution: 0 off its support,
+    and on it each numerator over ``t.den`` as ``ratio_value`` writes it
+    (in lowest terms, an int when whole, else ``"a/b"``)."""
+    row = [0] * len(t)
     den = t.den
     for w, a in t.items():
-        dense[w] = ratio_value(a, den)
-    row = TypeRow(dense)
-    row.support = t.support()
+        row[w] = ratio_value(a, den)
     return row
 
 

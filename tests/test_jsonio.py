@@ -1,16 +1,15 @@
 """Wire format: float rejection, schema tags, round trips, and the
 canonical writer against the stdlib encoder."""
 
-import copy
 import importlib.util
 import itertools
 import json
 import pathlib
-import pickle
 import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import pytest
 
@@ -43,7 +42,6 @@ from prior_forge.harness import (
     random_structure,
 )
 from prior_forge.jsonio import (
-    TypeRow,
     check_schema,
     distribution_to_json,
     load_path,
@@ -632,81 +630,87 @@ def test_malformed_distributions_fail_as_the_fraction_parse_does(row):
     assert str(got.value) == str(expected.value)
 
 
-# -- type rows written from their support ------------------------------------
+# -- lists written from their nonzero entries --------------------------------
 
 
 @pytest.mark.parametrize("seeds", [range(k, k + 100) for k in range(0, 400, 100)])
 def test_writer_matches_the_stdlib_on_reports_with_sampled_distributions(seeds):
-    # The structure's type rows, the prior's row and the distribution's row
-    # are TypeRows, written from their support.
     for seed in seeds:
         s = random_structure(GeneratorConfig(seed=seed))
         dist = random_distribution(s, GeneratorConfig(), NOTIONS[0], random.Random(seed))
-        doc = analyze(s, dist).to_json()
-        assert type(doc["distribution"]["dist"]) is TypeRow
-        assert all(type(row) is TypeRow for rows in doc["structure"]["types"] for row in rows)
-        _same_bytes(doc)
+        _same_bytes(analyze(s, dist).to_json())
 
 
 @pytest.mark.parametrize("m", (32, 44, 96))
 def test_writer_matches_the_stdlib_on_planted_reports_with_their_priors(m):
     for n, blocks in itertools.product((3, 4), (1, 2, 4)):
         s, prior = planted_structure(m, n, blocks, random.Random(f"rows:{m}:{n}:{blocks}"))
-        doc = analyze(s, prior).to_json()
-        assert type(doc["priors"]["strong"]["witness"]["prior"]) is TypeRow
-        _same_bytes(doc)
+        _same_bytes(analyze(s, prior).to_json())
 
 
-def _row() -> TypeRow:
-    """``[0, "1/6", 0, 0, "1/3", 0, 1/2, 0]`` as ``type_row`` builds it."""
+def test_writer_matches_the_stdlib_on_a_planted_report_with_long_rows():
+    # 768 states over 3 players: type rows of a few hundred entries, most of
+    # them zeros.
+    s, prior = planted_structure(768, 3, 1, random.Random("rows:768:3"))
+    _same_bytes(analyze(s, prior).to_json())
+
+
+def _row() -> list:
+    """``[0, "1/6", 0, 0, "1/3", 0, "1/2", 0]`` as ``type_row`` builds it."""
     return type_row(Distribution.from_integer_form(8, (1, 4, 6), 6, (1, 2, 3)))
 
 
+def _has_float(x) -> bool:
+    if isinstance(x, (list, tuple)):
+        return any(map(_has_float, x))
+    if isinstance(x, dict):
+        return any(map(_has_float, x.values()))
+    return type(x) is float
+
+
 def _writes_current_entries(row):
-    """``row``, alone and inside a document, is written as a plain list of
-    its current entries is, or both raise ``TypeError``."""
-    for wrap in (lambda r: r, lambda r: {"types": [[r, r]], "dist": r}):
+    """``row``, alone and inside a document, is written with the bytes of
+    ``json.dumps`` with no digit limit, or raises ``TypeError`` where the
+    stdlib writes a float or refuses the entry."""
+    limit = sys.get_int_max_str_digits()
+    for doc in (row, {"types": [[row, row]], "dist": row}):
+        sys.set_int_max_str_digits(0)
         try:
-            expected = dumps_canonical(wrap(list(row)))
+            expected = None if _has_float(doc) else json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
         except TypeError:
+            expected = None
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if expected is None:
             with pytest.raises(TypeError):
-                dumps_canonical(wrap(row))
-            continue
-        assert dumps_canonical(wrap(row)) == expected
+                dumps_canonical(doc)
+        else:
+            assert dumps_canonical(doc) == expected
 
 
-def test_type_row_is_a_read_only_list_equal_to_the_dense_row():
+def test_type_row_is_the_dense_row():
     row = _row()
-    dense = [0, "1/6", 0, 0, "1/3", 0, "1/2", 0]
-    assert row == dense and dense == row and isinstance(row, list)
-    assert row.support == (1, 4, 6)
-    assert dumps_canonical(row) == json.dumps(dense, indent=2) + "\n"
-    changes = [
-        lambda r: r.__setitem__(0, 1),
-        lambda r: r.__setitem__(slice(1, 3), []),
-        lambda r: r.__delitem__(1),
-        lambda r: r.__iadd__([0]),
-        lambda r: r.__imul__(2),
-        lambda r: r.append(0),
-        lambda r: r.extend([0]),
-        lambda r: r.insert(0, 0),
-        lambda r: r.pop(),
-        lambda r: r.remove(0),
-        lambda r: r.clear(),
-        lambda r: r.sort(key=str),
-        lambda r: r.reverse(),
-    ]
-    for change in changes:
-        with pytest.raises(TypeError, match="^a type row is read-only$"):
-            change(row)
-        assert row == dense
-    # A copy, or a pickle, is a plain list.
-    assert type(copy.copy(row)) is list and copy.deepcopy(row) == dense
-    assert type(pickle.loads(pickle.dumps(row))) is list
+    assert type(row) is list and row == [0, "1/6", 0, 0, "1/3", 0, "1/2", 0]
+    _writes_current_entries(row)
+
+
+def test_a_mostly_zero_row_is_written_from_its_nonzero_entries(monkeypatch):
+    # Only the nonzero entries of a long type row are rendered one by one.
+    rendered = []
+
+    def spy(text):
+        rendered.append(text)
+        return encode_basestring(text)
+
+    monkeypatch.setattr(jsonio, "encode_basestring", spy)
+    row = type_row(Distribution.from_integer_form(3000, (7, 2999), 3, (1, 2)))
+    assert dumps_canonical({"dist": row}) == json.dumps({"dist": row}, indent=2) + "\n"
+    assert rendered == ["dist", "1/3", "2/3"]
 
 
 CHANGED_VALUES = {
-    "int": 5, "str": "x", "false": False, "true": True, "zero float": 0.0, "negative zero": -0.0,
+    "int": 5, "negative int": -3, "zero": 0, "str": "x", "zero str": "0", "empty str": "",
+    "false": False, "true": True, "zero float": 0.0, "negative zero": -0.0,
     "zero fraction": Fraction(0), "fraction": Fraction(1, 2), "none": None, "list": [0],
     "long int": 2**20000,
 }
@@ -714,59 +718,51 @@ CHANGED_VALUES = {
 
 @pytest.mark.parametrize("value", CHANGED_VALUES.values(), ids=CHANGED_VALUES.keys())
 @pytest.mark.parametrize("at", [0, 1, 7])
-def test_a_row_changed_behind_its_back_is_written_as_it_stands(value, at):
-    # list's own methods bypass the refusal; the writer's check sees every
-    # such change, at a zero and at a support state, and writes the current
-    # entries, or raises as for a plain list.
+def test_a_row_changed_after_type_row_is_written_as_it_stands(value, at):
+    # At a zero and at a support state; the writer reads the row's entries
+    # as they are when it is called.
     row = _row()
-    list.__setitem__(row, at, value)
+    row[at] = value
     _writes_current_entries(row)
 
 
 @pytest.mark.parametrize(
     "change",
     [
-        lambda r: list.append(r, 0),
-        lambda r: list.append(r, "1/9"),
-        lambda r: list.insert(r, 0, 0),
-        lambda r: list.pop(r),
-        lambda r: list.pop(r, 1),
-        lambda r: list.reverse(r),
-        lambda r: list.clear(r),
-        lambda r: list.__init__(r, [0] * 8),
-        lambda r: list.__init__(r, ["1/8"] * 8),
-        lambda r: list.__setitem__(r, slice(0, 2), [False, "1/6"]),
-        lambda r: list.__setitem__(r, 1, 0),
-        lambda r: list.__setitem__(r, 4, "0"),
+        lambda r: r.append(0),
+        lambda r: r.append("1/9"),
+        lambda r: r.insert(0, 0),
+        lambda r: r.pop(),
+        lambda r: r.pop(1),
+        lambda r: r.reverse(),
+        lambda r: r.clear(),
+        lambda r: r.__init__([0] * 8),
+        lambda r: r.__init__(["1/8"] * 8),
+        lambda r: r.__setitem__(slice(0, 2), [False, "1/6"]),
+        lambda r: r.__setitem__(slice(0, 2), ["", "1/6"]),
     ],
 )
-def test_a_row_resized_or_reordered_behind_its_back_is_written_as_it_stands(change):
+def test_a_row_resized_or_reordered_after_type_row_is_written_as_it_stands(change):
     row = _row()
     change(row)
     _writes_current_entries(row)
 
 
-@pytest.mark.parametrize(
-    "support",
-    [(1, 4), (1, 4, 6, 7), (4, 1, 6), (1, 1, 4), (1, 4, 60), (-1, 4, 6), [1, 4, 6], (1.0, 4, 6), (True, 4, 6), None, ()],
-)
-def test_a_row_with_a_wrong_support_is_written_as_it_stands(support):
-    row = _row()
-    row.support = support
-    _writes_current_entries(row)
-    # A TypeRow built by hand is checked the same way, with or without a support.
-    by_hand = TypeRow([0, "1/2", False, "1/2"])
-    _writes_current_entries(by_hand)
-    by_hand.support = (1, 3)
-    _writes_current_entries(by_hand)
-
-
-def test_lists_that_look_like_rows_take_the_plain_path():
-    # A plain list equal to a row, and any list with a Fraction, a float or a
-    # bool, render or raise as they always did.
-    assert dumps_canonical(list(_row())) == dumps_canonical(_row())
+def test_lists_of_ints_and_strings_and_other_lists():
+    # Mostly-zero lists of ints and strings (lists and tuples) take the
+    # nonzero path, unless an empty string is among them; other lists, and
+    # any list with a bool, a Fraction, a float or None, render or raise as
+    # they always did.
+    for row in (
+        [0, 0, 0], [0, 0, 0, 2**20000], [0, 0, 0, -7, "x"], (0, 0, 0, "1/2"), [0, "", 0, 0],
+        [0, 0, ""], ["a", "b"], [1, -1, 0, 2**20000], ["", 0, "0"], [0, ""], [""],
+        (0, "1/2", 0, "1/2"), ("", 0), [0, True, False], [0, 0, False], [0, 0, 0.0],
+        [0, 0, Fraction(0)], [0, 0, None], [0, None, "x"],
+    ):
+        _writes_current_entries(row)
     assert dumps_canonical([0, True, False]) == "[\n  0,\n  true,\n  false\n]\n"
-    for bad in ([0, Fraction(1, 2)], [0.0], [0, 1.5]):
+    assert dumps_canonical(["", 0]) == '[\n  "",\n  0\n]\n'
+    for bad in ([0, Fraction(1, 2)], [0.0], [0, 1.5], ["0", Fraction(0)]):
         with pytest.raises(TypeError):
             dumps_canonical(bad)
         with pytest.raises(TypeError):
@@ -778,7 +774,8 @@ def test_lists_that_look_like_rows_take_the_plain_path():
 def test_int_text_tries_str_exactly_within_the_limit(monkeypatch):
     # int_text tries str on an int within the limit, and on any int with no
     # limit, and never on one past it: neither far past, where the bit
-    # length tells, nor one digit past, where 10**limit does.
+    # length tells, nor one digit past, where 10**limit does. The least
+    # limit the interpreter accepts is checked too.
     calls = []
 
     def spy(n):
@@ -786,18 +783,20 @@ def test_int_text_tries_str_exactly_within_the_limit(monkeypatch):
         return str(n)
 
     monkeypatch.setattr(_rational, "str", spy, raising=False)
-    limit = sys.get_int_max_str_digits()
-    for n in (10**limit - 1, 10 ** (limit - 1), -(10**limit - 1), 0, 7):
-        calls.clear()
-        assert int_text(n) == str(n) and calls == [n]
-    for n in (10**limit, 10**limit + 7, -(10**limit), 10 ** (limit + 631) + 7, 10**33803 + 7):
-        calls.clear()
-        assert int_text(n) == str(Decimal(n))
-        assert calls and n not in calls
+    default = sys.get_int_max_str_digits()
     try:
+        for limit in (default, sys.int_info.str_digits_check_threshold):
+            sys.set_int_max_str_digits(limit)
+            for n in (10**limit - 1, 10 ** (limit - 1), -(10**limit - 1), 0, 7):
+                calls.clear()
+                assert int_text(n) == str(n) and calls == [n]
+            for n in (10**limit, 10**limit + 7, -(10**limit), 10 ** (limit + 631) + 7, 10**33803 + 7):
+                calls.clear()
+                assert int_text(n) == str(Decimal(n))
+                assert calls and n not in calls
         sys.set_int_max_str_digits(0)
         big = 10**40000 + 3
         calls.clear()
         assert int_text(big) == str(big) and calls == [big]
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(default)

@@ -39,14 +39,3 @@ def test_sweep_runs_one_tiny_chain_row():
     # {w4, w5}, {w6}.
     assert (m, n, cells, nonzeros) == ("6", "2", "7", "12")
     assert all(float(t) >= 0 for t in times) and float(peak) > 1
-
-
-def test_sweep_checks_the_report_bytes():
-    # --check-bytes compares each report's canonical text with the stdlib
-    # encoder's and still prints the row.
-    proc = subprocess.run(
-        [sys.executable, str(SWEEP), "--states", "12", "--players", "3", "--check-bytes"],
-        check=True, capture_output=True, text=True, timeout=120,
-    )
-    header, row = proc.stdout.splitlines()
-    assert row.split()[:2] == ["12", "3"]
