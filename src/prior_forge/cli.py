@@ -34,6 +34,7 @@ from .jsonio import (
     parse_structure,
     structure_to_json,
 )
+from .model import integer_form
 from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
 from .report import notion_json, notion_lines, payoff_lines, prior_check_json, prior_witness_json
@@ -99,7 +100,7 @@ def _cmd_prior(args) -> int:
     def doc():
         refuting = None
         if refutation is not None:
-            refuting = trade_json(structure, refutation.payoffs, priors.trade_class)
+            refuting = trade_json(structure, refutation.forms, priors.trade_class)
         witnessing = None if witness is None else prior_witness_json(structure, witness)
         return {"kind": kind, **notion_json(witnessing, refuting)}
 
@@ -122,7 +123,7 @@ def _cmd_trade(args) -> int:
         lambda: {
             "kind": kind,
             "holds": True,
-            "trade": trade_json(structure, trade.payoffs, priors.trade_class),
+            "trade": trade_json(structure, trade.forms, priors.trade_class),
         },
         lambda: [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")],
     )
@@ -156,7 +157,7 @@ def _cmd_classify(args) -> int:
         cls = classify_trade(structure, payoffs)
         _emit(
             args,
-            lambda: {"trade": trade_json(structure, payoffs, cls)},
+            lambda: {"trade": trade_json(structure, tuple(map(integer_form, payoffs)), cls)},
             lambda: [trade_flags_line(cls)],
         )
         return 0

@@ -57,6 +57,7 @@ from .model import (
     cell_expectations,
     dot,
     forward_closed,
+    fraction_rows,
     induced_substructure,
     integer_form,
     make_structure,
@@ -351,10 +352,9 @@ def _event_set(table, relation) -> tuple[int, ...]:
 def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> None:
     """The pointwise trade grades must match their commonly-certain forms."""
     cls = classify_trade(structure, trade)
-    payoffs = trade.payoffs
-    table = cls.expectations
-    positive = _event_set(table, lambda e: e > ZERO)
-    nonneg = _event_set(table, lambda e: e >= ZERO)
+    table = [nums for _, nums in cls.expectation_forms]  # signs are the numerators'
+    positive = _event_set(table, lambda e: e > 0)
+    nonneg = _event_set(table, lambda e: e >= 0)
     m = structure.num_states
     # With no positive state neither grade holds: [False] answers both.
     certain = [is_commonly_certain(structure, positive, w) for w in range(m)] if positive else [False]
@@ -362,12 +362,12 @@ def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> N
     rec.check(
         f"{label}: agreeable == commonly-certain-everywhere",
         cls.agreeable == cc_everywhere,
-        lambda: f"payoffs {payoffs}",
+        lambda: f"payoffs {trade.payoffs}",
     )
     rec.check(
         f"{label}: weakly == commonly-certain-somewhere",
         cls.weakly_agreeable == cc_somewhere,
-        lambda: f"payoffs {payoffs}",
+        lambda: f"payoffs {trade.payoffs}",
     )
     semi_cc = all(
         is_commonly_certain(structure, nonneg, w) for w in range(m)
@@ -375,7 +375,7 @@ def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> N
     rec.check(
         f"{label}: semi-trade == commonly-certain non-negative",
         cls.is_semi_trade == semi_cc,
-        lambda: f"payoffs {payoffs}",
+        lambda: f"payoffs {trade.payoffs}",
     )
 
 
@@ -971,7 +971,7 @@ def _oracle_check(seed: int) -> CrossCheckReport:
         )
     dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
     for i in range(structure.num_players):
-        piece = pump_piece(structure, i, dist)
+        piece = fraction_rows((pump_piece(structure, i, dist),))[0]
         program = pump_piece_program(structure, i, dist)
         out_pump = solve(program)
         rec.check(

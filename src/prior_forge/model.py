@@ -52,6 +52,24 @@ def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
+def lowest_terms(form: tuple) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` over the least common denominator of its values: one
+    gcd, so two forms of the same values are equal exactly when reduced."""
+    den, nums = form
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([a // g for a in nums])
+
+
+def fraction_rows(forms) -> tuple:
+    """Rows of ``Fraction``s from integer forms ``(den, nums)``; a form
+    that is None gives None."""
+    return tuple(
+        None if form is None else tuple(Fraction(a, form[0]) for a in form[1]) for form in forms
+    )
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Distribution:
     """An exact probability distribution over ``size`` indexed states, held
@@ -197,8 +215,9 @@ def cell_expectations(
     ``num / den``, an integer sum over the type's support with ``den > 0``,
     so its sign is ``num``'s."""
     fden, g = form
+    at = g.__getitem__
     return [
-        (cell, sum(a * g[w] for w, a in t.items()), t.den * fden)
+        (cell, sum(map(mul, t._nums, map(at, t._support))), t.den * fden)
         for cell, t in zip(structure.partitions[player], structure.cell_types[player])
     ]
 

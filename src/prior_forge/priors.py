@@ -33,7 +33,14 @@ from typing import Callable, Iterator
 from ._rational import ZERO
 from .certainty import check_dimension, is_maximal, is_strongly_maximal
 from .errors import PlayerCountError, SizeCapError, VerificationError
-from .model import Distribution, InformationStructure, integer_form, state_nums
+from .model import (
+    Distribution,
+    InformationStructure,
+    fraction_rows,
+    integer_form,
+    lowest_terms,
+    state_nums,
+)
 
 EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
@@ -86,14 +93,14 @@ class PriorWitness:
         if weight_forms is None:
             forms = tuple(map(integer_form, hull_weights))
         else:
-            forms = tuple(map(_lowest_terms, weight_forms))
+            forms = tuple(map(lowest_terms, weight_forms))
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "weight_forms", forms)
 
     @property
     def hull_weights(self) -> tuple[tuple, ...]:
         """The weights as rows of ``Fraction``s, built on each read."""
-        return _fraction_rows(self.weight_forms)
+        return fraction_rows(self.weight_forms)
 
     def verify(self, structure: InformationStructure) -> None:
         """Exact re-multiplication on the weights' integer forms; raises
@@ -123,23 +130,6 @@ class PriorWitness:
                 )
 
 
-def _lowest_terms(form: tuple) -> tuple[int, tuple[int, ...]]:
-    """``(den, nums)`` over the least common denominator of its values."""
-    den, nums = form
-    g = gcd(den, *nums)
-    if g == 1:
-        return den, tuple(nums)
-    return den // g, tuple([a // g for a in nums])
-
-
-def _fraction_rows(forms) -> tuple:
-    """Rows of ``Fraction``s from integer forms ``(den, nums)``; a form
-    that is None gives None."""
-    return tuple(
-        None if form is None else tuple(Fraction(a, form[0]) for a in form[1]) for form in forms
-    )
-
-
 @dataclass(frozen=True)
 class PriorClassification:
     """Per-player hull membership of a distribution and its charge grades.
@@ -157,7 +147,7 @@ class PriorClassification:
 
     @property
     def hull_weights(self) -> tuple[tuple | None, ...]:
-        return _fraction_rows(self.weight_forms)
+        return fraction_rows(self.weight_forms)
 
 
 def check_single_player(structure: InformationStructure) -> None:
@@ -186,7 +176,7 @@ def hull_weights(
     structure: InformationStructure, player: int, dist: Distribution
 ) -> tuple | None:
     """``hull_form`` as a row of ``Fraction``s, or None outside the hull."""
-    return _fraction_rows((hull_form(structure, player, dist),))[0]
+    return fraction_rows((hull_form(structure, player, dist),))[0]
 
 
 def _off_mixture(
@@ -308,20 +298,26 @@ class Blocks:
     block in walk order, the states live blocks charge, the canonical prior
     with its hull weights (per player, the mass of each cell, as the
     integer form ``(den, masses)`` over the prior's ``den``) and its least
-    cell mass, and the one refuting trade. ``prior`` and ``weight_forms``
-    are None when no block is live, ``payoffs`` when every block is."""
+    cell mass, and the one refuting trade, one integer form ``(den, nums)``
+    in lowest terms per player. ``prior`` and ``weight_forms`` are None when
+    no block is live, ``payoff_forms`` when every block is."""
 
     live: tuple[bool, ...]
     support: frozenset[int]
     prior: Distribution | None
     weight_forms: tuple[tuple, ...] | None
     margin: Fraction
-    payoffs: tuple[tuple, ...] | None
+    payoff_forms: tuple[tuple, ...] | None
 
     @property
     def hull_weights(self) -> tuple[tuple, ...] | None:
         """The hull weights as rows of ``Fraction``s, built when read."""
-        return None if self.weight_forms is None else _fraction_rows(self.weight_forms)
+        return None if self.weight_forms is None else fraction_rows(self.weight_forms)
+
+    @property
+    def payoffs(self) -> tuple[tuple, ...] | None:
+        """The refuting trade as rows of ``Fraction``s, built when read."""
+        return None if self.payoff_forms is None else fraction_rows(self.payoff_forms)
 
     @property
     def common(self) -> bool:
@@ -378,8 +374,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
     comparisons cross-multiply. The prior and its hull weights are read off
-    as integer forms (``_read_off``); rationals are built once per result:
-    the margin and the boxed payoffs."""
+    as integer forms (``_read_off``), and so is the boxed trade
+    (``_boxed_forms``); the one rational built is the margin."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
     own = [structure.own_nums(j) for j in range(n)]
@@ -466,17 +462,25 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
 
     support = frozenset(w for states, _, _ in lives for w in states)
     prior, weights, margin = _read_off(structure, value, lives, all(live))
-    boxed = None
-    if not all(live):
-        top_n, top_d = 0, 1
-        for pn, pd in pay.values():
-            if abs(pn) * top_d > top_n * pd:
-                top_n, top_d = abs(pn), pd
-        rows = [[ZERO] * m for _ in range(n)]
-        for (i, w), (pn, pd) in pay.items():
-            rows[i][w] = Fraction(pn * top_d, pd * top_n)
-        boxed = tuple(map(tuple, rows))
+    boxed = None if all(live) else _boxed_forms(m, n, pay)
     return Blocks(tuple(live), support, prior, weights, margin, boxed)
+
+
+def _boxed_forms(m: int, n: int, pay: dict) -> tuple[tuple, ...]:
+    """The trade whose unboxed payoffs ``pay`` holds, per (player, state),
+    as reduced pairs, divided by its largest absolute payoff top_n / top_d:
+    per player, its entries over the lcm D of their denominators, and the
+    row ``nums * top_d / (D * top_n)`` put in lowest terms by one gcd."""
+    top_n, top_d = 0, 1
+    dens = [1] * n
+    for (i, _), (pn, pd) in pay.items():
+        if abs(pn) * top_d > top_n * pd:
+            top_n, top_d = abs(pn), pd
+        dens[i] = lcm(dens[i], pd)
+    rows = [[0] * m for _ in range(n)]
+    for (i, w), (pn, pd) in pay.items():
+        rows[i][w] = pn * (dens[i] // pd) * top_d
+    return tuple(lowest_terms((den * top_n, row)) for den, row in zip(dens, rows))
 
 
 def _read_off(

@@ -21,6 +21,11 @@ maximal for strong); where it fails, the trade's classification must carry
 the notion's grade. A report is the artifact that leaves the process; it
 must never carry a claim that was not checked. The trade's classification
 is what the renderings print.
+
+The JSON pieces write every payoff, expectation and hull weight from its
+integer form with ``jsonio.ratio_value``, the one rule for writing num/den;
+a pump's deficit, the one rational of a report, is written by
+``to_json_value``. The text pieces read the ``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class AnalysisReport:
         # into a piece once, shared by every notion it witnesses or refutes.
         witness, trade = self.priors.witness, self.priors.trade
         witnessing = None if witness is None else prior_witness_json(s, witness)
-        refuting = None if trade is None else trade_json(s, trade.payoffs, self.priors.trade_class)
+        refuting = None if trade is None else trade_json(s, trade.forms, self.priors.trade_class)
         priors = {}
         for notion in NOTIONS:
             held, refutation = self.priors.notion(notion.key)
@@ -166,9 +171,7 @@ def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
     forms."""
     return {
         "prior": type_row(witness.prior),
-        "hull_weights": [
-            [ratio_value(a, den) for a in nums] for den, nums in witness.weight_forms
-        ],
+        "hull_weights": _form_rows(witness.weight_forms),
     }
 
 
@@ -195,12 +198,31 @@ TRADE_FLAGS = (
 )
 
 
-def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> dict:
-    """A payoff family with its classification attached."""
+def _form_rows(forms) -> list[list]:
+    """Rows given as integer forms ``(den, nums)``, each distinct numerator
+    of a row with ``den > 1`` written once by ``ratio_value`` (a payoff row
+    repeats -1 and +1, an expectation row its cell's value at every state
+    of the cell); a row with ``den == 1`` is ints already."""
+    rows = []
+    for den, nums in forms:
+        if den == 1:
+            rows.append(list(nums))
+            continue
+        text = {0: 0}
+        for a in nums:
+            if a not in text:
+                text[a] = ratio_value(a, den)
+        rows.append([text[a] for a in nums])
+    return rows
+
+
+def trade_json(s: InformationStructure, forms, cls: TradeClassification) -> dict:
+    """A payoff family, given as one integer form per row, with its
+    classification attached."""
     return {
-        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
+        "payoffs": _form_rows(forms),
         "flags": {attr: getattr(cls, attr) for attr, _ in TRADE_FLAGS},
-        "expectations": [[to_json_value(v) for v in row] for row in cls.expectations],
+        "expectations": _form_rows(cls.expectation_forms),
         "agreeable_component": None
         if cls.agreeable_component is None
         else _states_json(s, cls.agreeable_component),
@@ -210,7 +232,7 @@ def trade_json(s: InformationStructure, payoffs, cls: TradeClassification) -> di
 def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
     return {
         "dist": type_row(witness.distribution),
-        "payoffs": [[to_json_value(v) for v in row] for row in witness.payoffs],
+        "payoffs": _form_rows(witness.forms),
         "deficit": to_json_value(witness.deficit),
         "kind": witness.kind,
     }

@@ -27,22 +27,32 @@ Synthesized trades and money pumps box payoffs into [-1, 1]; every
 defining condition is scale-invariant, so this only normalizes witnesses.
 Every object returned has been re-verified against its definition; failures
 raise VerificationError and mean a bug, not bad input.
+
+Every payoff family is held as integer forms, one ``(den, nums)`` in lowest
+terms per player: the block walk hands the refuting trade over as forms
+(``Trade(forms=...)``), ``classify_trade`` keeps each player's expectation
+table as one, and ``pump_piece`` returns its row's, which the pump's witness
+keeps and verifies. ``Trade.payoffs``, ``MoneyPumpWitness.payoffs`` and
+``TradeClassification.expectations`` are rows of ``Fraction``s built when
+read, for text, messages and oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from ._rational import ONE, ZERO, rational_text
+from ._rational import ZERO, rational_text
 from .certainty import check_dimension, minimal_components
-from .errors import DimensionError, InconsistencyError, VerificationError
+from .errors import DimensionError, InconsistencyError, InputError, VerificationError
 from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
+    fraction_rows,
     integer_form,
+    lowest_terms,
     payoff_vector,
     state_nums,
 )
@@ -59,19 +69,22 @@ from .priors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trade:
     """Per-player payoffs with pointwise sum <= 0 (zero-sum with slack).
 
-    Like a ``Distribution``, a payoff family fixes its integer form at
-    construction: ``forms[i]`` is ``integer_form(payoffs[i])``."""
+    The payoffs are held as integer forms: ``forms[i]`` is ``(den, nums)``
+    in lowest terms, player i's payoff at state w being ``nums[w] / den``.
+    ``Trade(payoffs)`` takes rows of rationals and derives their forms
+    (``integer_form``); the block walk hands its own over as
+    ``Trade(forms=...)``, each put in lowest terms by one gcd. ``payoffs``
+    builds the rows of ``Fraction``s when read. Equality and the hash are
+    those of the forms, so of the payoffs' values."""
 
-    payoffs: tuple[tuple, ...]
-    forms: tuple = field(init=False, repr=False, compare=False)
+    forms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        rows, forms = _payoff_rows(self.payoffs, "a trade")
-        object.__setattr__(self, "payoffs", rows)
+    def __init__(self, payoffs=None, *, forms=None) -> None:
+        forms = _payoff_forms(payoffs, forms, "a trade")
         object.__setattr__(self, "forms", forms)
         den, sums = _column_sums(forms)
         for w, total in enumerate(sums):
@@ -80,16 +93,29 @@ class Trade:
                     f"payoffs sum to {rational_text(Fraction(total, den))} > 0 at state index {w}; not a trade"
                 )
 
+    @property
+    def payoffs(self) -> tuple[tuple, ...]:
+        """The payoffs as rows of ``Fraction``s, built on each read."""
+        return fraction_rows(self.forms)
 
-def _payoff_rows(payoffs, what: str) -> tuple[tuple, tuple]:
-    """``(rows, forms)``: ``payoffs`` coerced to exact rows, one per player
-    and all of one length, and their integer forms."""
-    rows = tuple(payoff_vector(f) for f in payoffs)
-    if not rows:
+
+def _payoff_forms(payoffs, forms, what: str) -> tuple:
+    """The integer forms of a payoff family given either as rows of
+    rationals (coerced by ``payoff_vector``) or as forms (put in lowest
+    terms), one per player and all of one length."""
+    if (payoffs is None) == (forms is None):
+        raise InputError(f"{what} takes its payoff rows or their forms, not both or neither")
+    if forms is None:
+        forms = tuple(integer_form(payoff_vector(f)) for f in payoffs)
+    else:
+        forms = tuple(map(lowest_terms, forms))
+        if any(den <= 0 for den, _ in forms):
+            raise InputError(f"{what}'s row denominators must be positive")
+    if not forms:
         raise DimensionError(f"{what} needs at least one player")
-    if any(len(f) != len(rows[0]) for f in rows):
+    if any(len(g) != len(forms[0][1]) for _, g in forms):
         raise DimensionError("payoff vectors differ in length")
-    return rows, tuple(integer_form(f) for f in rows)
+    return forms
 
 
 def _column_sums(forms) -> tuple[int, list[int]]:
@@ -111,53 +137,71 @@ def _deficit(forms, dist: Distribution):
 
 @dataclass(frozen=True)
 class TradeClassification:
+    """The grades of a payoff family, and per player its expectation table
+    as an integer form ``(den, nums)`` in lowest terms, ``nums[w] / den``
+    the expectation of the player's cell at w; ``expectations`` reads the
+    table as rows of ``Fraction``s."""
+
     is_trade: bool
     is_semi_trade: bool
     acceptable: bool
     weakly_agreeable: bool
     agreeable: bool
-    expectations: tuple[tuple, ...]  # [player][state], exact
+    expectation_forms: tuple[tuple[int, tuple[int, ...]], ...]  # [player], exact
     agreeable_component: tuple[int, ...] | None
 
+    @property
+    def expectations(self) -> tuple[tuple, ...]:
+        """The table as rows of ``Fraction``s, [player][state], built on
+        each read."""
+        return fraction_rows(self.expectation_forms)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class MoneyPumpWitness:
     """A distribution, the semi-trade that pumps it, and the deficit. The
-    semi-trade condition depends on a structure, so ``verify`` checks it;
-    construction only coerces the payoff rows and fixes their integer forms,
-    as a ``Trade`` does. A pumping search, which derived the forms of its
-    rows to test the deficit, hands them over as ``forms`` instead."""
+    semi-trade condition depends on a structure, so ``verify`` checks it.
+    Like a ``Trade``, the semi-trade is held as integer forms, one
+    ``(den, nums)`` in lowest terms per player: a caller hands over rows of
+    rationals as ``payoffs``, or, as a pumping search does, the forms it
+    derived as ``forms`` with ``payoffs`` None, never both. ``payoffs``
+    reads the forms as rows of ``Fraction``s, so what is printed is what
+    ``verify`` checked."""
 
     distribution: Distribution
-    payoffs: tuple[tuple, ...]
+    forms: tuple[tuple[int, tuple[int, ...]], ...]
     deficit: object
     kind: str
-    forms: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.forms is None:
-            rows, forms = _payoff_rows(self.payoffs, "a semi-trade")
-            object.__setattr__(self, "payoffs", rows)
-            object.__setattr__(self, "forms", forms)
+    def __init__(self, distribution, payoffs, deficit, kind, *, forms=None) -> None:
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "forms", _payoff_forms(payoffs, forms, "a semi-trade"))
+        object.__setattr__(self, "deficit", deficit)
+        object.__setattr__(self, "kind", kind)
+
+    @property
+    def payoffs(self) -> tuple[tuple, ...]:
+        """The semi-trade as rows of ``Fraction``s, built on each read."""
+        return fraction_rows(self.forms)
 
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
-        payoffs = self.payoffs
-        if len(payoffs) != structure.num_players:
+        forms = self.forms
+        if len(forms) != structure.num_players:
             raise VerificationError("pump witness has wrong player count")
-        if len(payoffs[0]) != structure.num_states or len(self.distribution) != structure.num_states:
+        if len(forms[0][1]) != structure.num_states or len(self.distribution) != structure.num_states:
             raise VerificationError("pump witness has wrong state count")
-        # One sign test per (player, cell) on the fixed integer forms; cells
-        # are ordered by least state, so the first failing cell holds the
+        # One sign test per (player, cell) on the integer forms; cells are
+        # ordered by least state, so the first failing cell holds the
         # player's least failing state.
-        for i, form in enumerate(self.forms):
+        for i, form in enumerate(forms):
             for cell, num, den in cell_expectations(structure, i, form):
                 if num < 0:
                     raise VerificationError(
                         f"not a semi-trade: player {i} expects {rational_text(Fraction(num, den))} < 0 "
                         f"at state {cell[0]}"
                     )
-        deficit = _deficit(self.forms, self.distribution)
+        deficit = _deficit(forms, self.distribution)
         if deficit != self.deficit:
             raise VerificationError(
                 f"stored deficit {rational_text(self.deficit)} differs from recomputed {rational_text(deficit)}"
@@ -193,13 +237,14 @@ def classify_trade(
     trade.
 
     Each row is put over one denominator once, or, for a ``Trade``, its
-    fixed integer forms are read. Per player, a cell's expectation is one
-    integer sum from ``cell_expectations`` and one rational when nonzero;
-    the signs of the expectations and of the pointwise sums are read off
-    integers."""
+    integer forms are read. Per player, a cell's expectation is one integer
+    sum from ``cell_expectations``, over the cell type's ``den`` times the
+    row's; the player's table is those sums over the lcm of the types'
+    ``den``s, one integer form put in lowest terms by one gcd. The signs of
+    the expectations and of the pointwise sums are read off integers."""
     m = structure.num_states
     if isinstance(payoffs, Trade):
-        size = len(payoffs.payoffs[0])
+        size = len(payoffs.forms[0][1])
         if size != m:
             raise DimensionError(f"payoff vector has {size} entries, expected {m}")
         forms = payoffs.forms
@@ -211,14 +256,16 @@ def classify_trade(
         )
     table, signs = [], []
     for i, form in enumerate(forms):
-        row, sign = [ZERO] * m, [0] * m
-        for cell, num, den in cell_expectations(structure, i, form):
+        cells = cell_expectations(structure, i, form)
+        scale = lcm(*(t.den for t in structure.cell_types[i]))
+        row, sign = [0] * m, [0] * m
+        for (cell, num, _), t in zip(cells, structure.cell_types[i]):
             if num:
-                e, s = Fraction(num, den), 1 if num > 0 else -1
+                e, s = num * (scale // t.den), 1 if num > 0 else -1
                 for w in cell:
                     row[w] = e
                     sign[w] = s
-        table.append(tuple(row))
+        table.append(lowest_terms((scale * form[0], row)))
         signs.append(sign)
     is_semi = min(map(min, signs)) >= 0
     everyone = [min(col) > 0 for col in zip(*signs)]
@@ -232,7 +279,7 @@ def classify_trade(
         acceptable=is_semi and max(map(max, signs)) > 0,
         weakly_agreeable=component is not None,
         agreeable=all(everyone),
-        expectations=tuple(table),
+        expectation_forms=tuple(table),
         agreeable_component=component,
     )
 
@@ -241,10 +288,10 @@ def classify_trade(
 
 
 def _grade_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
-    payoffs = blocks(structure).payoffs
-    if payoffs is None:
+    forms = blocks(structure).payoff_forms
+    if forms is None:
         raise VerificationError("a prior notion fails, yet every block is live")
-    trade = Trade(payoffs)
+    trade = Trade(forms=forms)
     return trade, classify_trade(structure, trade)
 
 
@@ -289,9 +336,10 @@ def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
 
 def pump_piece(
     structure: InformationStructure, player: int, dist: Distribution
-) -> tuple:
+) -> tuple[int, tuple[int, ...]]:
     """One player's boxed payoff with the most negative p-expectation among
-    those whose conditional expectation is non-negative at every cell.
+    those whose conditional expectation is non-negative at every cell, as
+    its integer form ``(den, nums)`` in lowest terms.
 
     Semi-trades carry no budget row, so the pump program splits by player and
     then by cell. Each cell is a continuous knapsack, min sum p_w f_w subject
@@ -305,36 +353,55 @@ def pump_piece(
     numerators on its support, p_w / t_w orders as the int a_w * (L / b_w)
     does (a and b the numerators of p and t), a stable sort keeps the lower
     state first on ties, and the constraint is counted in units of the
-    type's denominator, so each cell builds at most one fractional entry.
+    type's denominator, so a cell's entries are -1, +1 and at most one
+    ``(need - b_w) / b_w``, kept as a reduced pair. The row's ``den`` is
+    the lcm of those pairs' denominators, so the form is in lowest terms.
     """
-    f = [-ONE] * structure.num_states
+    f = [-1] * structure.num_states
+    stops = []  # per cell, a state that stopped part way, not at 0, and its reduced pair
     a, b = state_nums(dist), structure.own_nums(player)
     for t in structure.cell_types[player]:
         need, support = t.den, t.support()
-        scale = lcm(*(b[w] for w in support))
-        for w in sorted(support, key=lambda w: a[w] * (scale // b[w])):
+        if len(support) > 1:
+            scale = lcm(*map(b.__getitem__, support))
+            support = sorted(support, key=lambda w: a[w] * (scale // b[w]))
+        for w in support:
             gain = 2 * b[w]  # of raising f_w from -1 to +1
             if gain >= need:
-                f[w] = Fraction(need - b[w], b[w])
+                num, den = need - b[w], b[w]
+                if num:
+                    g = gcd(num, den)
+                    stops.append((w, num // g, den // g))
+                else:  # a type with one state always stops there, at 0
+                    f[w] = 0
                 break
-            f[w] = ONE
+            f[w] = 1
             need -= gain
-    return tuple(f)
+    if not stops:
+        return 1, tuple(f)
+    den = lcm(*(d for _, _, d in stops))
+    if den > 1:
+        f = [x * den for x in f]
+    for w, num, d in stops:
+        f[w] = num * (den // d)
+    return den, tuple(f)
 
 
 def _pump_search(
-    structure: InformationStructure, dist: Distribution
+    structure: InformationStructure, dist: Distribution, kind: str | None = None
 ) -> MoneyPumpWitness | None:
-    """The semi-trade of ``pump_piece`` rows and its witness, built once and
-    verified, when its deficit is negative; else None. Each row's integer
-    form is derived once, for the deficit, and the witness keeps it."""
+    """The semi-trade of ``pump_piece`` forms and its witness, built once
+    from those forms and verified, when its deficit is negative; else None.
+    ``kind`` is the pump's kind when the caller has already graded ``dist``,
+    else ``pump_kind`` grades it."""
     check_dimension(structure, dist)
-    payoffs = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
-    forms = tuple(integer_form(f) for f in payoffs)
+    forms = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
     deficit = _deficit(forms, dist)
     if not deficit < ZERO:
         return None
-    witness = MoneyPumpWitness(dist, payoffs, deficit, pump_kind(structure, dist), forms)
+    if kind is None:
+        kind = pump_kind(structure, dist)
+    witness = MoneyPumpWitness(dist, None, deficit, kind, forms=forms)
     witness.verify(structure)
     return witness
 
@@ -373,7 +440,10 @@ def classify_distribution(
         prior_witness.verify(structure)
         base = "common_prior"
     else:
-        pump_witness = find_multiplayer_money_pump(structure, dist)
+        # The pump's kind is read off the grades ``classify_prior`` made,
+        # as ``pump_kind`` would find it: the strongest notion p charges.
+        kind = NOTIONS[2 if cls.strongly_maximal else 1 if cls.maximal else 0].pump
+        pump_witness = _pump_search(structure, dist, kind)
         if pump_witness is None:
             raise VerificationError(
                 "distribution is neither a common prior nor a money pump"

@@ -3,9 +3,11 @@
 Distributions and payoff families carry integer numerators over one
 denominator, and the hull checks, witness verification, expectations, trade
 grades, pump pieces and the block walk of ``model``, ``priors`` and
-``trades`` compute on ints and build one rational per result. These are the definitions they replaced, one Fraction
-operation per term, kept here as their oracles for the tests. Pytest does
-not collect this file; the tests import it as ``oracles``.
+``trades`` compute on ints and build one rational per result, and the
+report writes trades and pumps from their integer forms. These are the
+definitions they replaced, one Fraction operation per term or one
+``to_json_value`` per entry, kept here as their oracles for the tests.
+Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from prior_forge._rational import ONE, ZERO
+from prior_forge._rational import ONE, ZERO, to_json_value
 from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
 from prior_forge.model import Distribution, InformationStructure, integer_form, payoff_vector
+from prior_forge.jsonio import type_row
 from prior_forge.priors import Blocks
+from prior_forge.report import TRADE_FLAGS
 from prior_forge.trades import TradeClassification
 
 
@@ -70,7 +74,7 @@ def dense_classify_trade(structure: InformationStructure, payoffs) -> TradeClass
         acceptable=is_semi and any(gainers),
         weakly_agreeable=component is not None,
         agreeable=all(everyone),
-        expectations=table,
+        expectation_forms=tuple(map(integer_form, table)),
         agreeable_component=component,
     )
 
@@ -203,7 +207,9 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
     boxed = None
     if not all(live):
         top = max(abs(v) for row in payoffs for v in row)
-        boxed = tuple(tuple(v / top for v in row) for row in payoffs)
+        # Blocks keeps the trade as integer forms too, read back through
+        # ``Blocks.payoffs``.
+        boxed = tuple(integer_form([v / top for v in row]) for row in payoffs)
     margin = ONE / total if all(live) else ZERO
     return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
 
@@ -238,3 +244,28 @@ def fraction_read_off(structure: InformationStructure, value: list, lives: list,
         weights.append(tuple(row))
     margin = Fraction(sd, sn) if strong else ZERO
     return Distribution(tuple(probs)), tuple(weights), margin
+
+
+def fraction_trade_json(structure: InformationStructure, payoffs, cls: TradeClassification, table) -> dict:
+    """The piece of ``report.trade_json`` with every payoff and expectation
+    written by ``to_json_value`` from rows of ``Fraction``s, ``payoffs``
+    and the expectation table ``table``: its oracle."""
+    return {
+        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
+        "flags": {attr: getattr(cls, attr) for attr, _ in TRADE_FLAGS},
+        "expectations": [[to_json_value(v) for v in row] for row in table],
+        "agreeable_component": None
+        if cls.agreeable_component is None
+        else [structure.states[w] for w in cls.agreeable_component],
+    }
+
+
+def fraction_pump_json(dist: Distribution, payoffs, deficit, kind: str) -> dict:
+    """The piece of ``report.pump_json`` with every payoff written by
+    ``to_json_value`` from rows of ``Fraction``s: its oracle."""
+    return {
+        "dist": type_row(dist),
+        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
+        "deficit": to_json_value(deficit),
+        "kind": kind,
+    }

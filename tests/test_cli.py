@@ -2,13 +2,23 @@
 
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 
 from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report
 from prior_forge.cli import main
-from prior_forge.jsonio import loads, parse_distribution, parse_rational_value, parse_structure
+from prior_forge.jsonio import (
+    loads,
+    parse_distribution,
+    parse_payoffs,
+    parse_rational_value,
+    parse_structure,
+    structure_to_json,
+)
+from prior_forge.model import Distribution, make_structure
+from prior_forge.trades import MoneyPumpWitness, classify_trade
 from prior_forge.priors import PriorWitness
 
 
@@ -577,6 +587,62 @@ def test_a_witness_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
         code, out, err = run(*argv, path)
         assert code in (0, 3) and err == "", argv
     assert structure == harness.chain_structure(256, 2**64 - 1)
+
+
+def long_type_structure(seed):
+    """The generator's structure for ``seed`` with every type redrawn on its
+    own support: masses cut from an odd 4,096-bit denominator at points
+    drawn from ``random.Random(0)``."""
+    s = harness.random_structure(harness.GeneratorConfig(seed=seed))
+    rng = random.Random(0)
+    types = []
+    for cells in s.cell_types:
+        row = []
+        for t in cells:
+            den = rng.getrandbits(4096) | 1 << 4095 | 1
+            cuts = set()
+            while len(cuts) < len(t.support()) - 1:
+                cuts.add(rng.randrange(1, den))
+            marks = [0, *sorted(cuts), den]
+            nums = tuple(b - a for a, b in zip(marks, marks[1:]))
+            row.append(Distribution.from_integer_form(s.num_states, t.support(), den, nums))
+        types.append(row)
+    return make_structure(s.states, s.players, s.partitions, types)
+
+
+def test_a_refuting_trade_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
+    # Seed 147 (M = 5, N = 3) has no common prior; with 4,096-bit types its
+    # block trade's payoffs and expectations, and the uniform distribution's
+    # pump, carry numbers past the interpreter's digit limit.
+    structure = long_type_structure(147)
+    assert (structure.num_states, structure.num_players) == (5, 3)
+    path = write_json(tmp_path, "long.json", structure_to_json(structure))
+    uniform = write_json(tmp_path, "uniform.json", {"dist": ["1/5"] * 5})
+    code, out, err = run("report", "--json", "--dist", uniform, path)
+    assert (code, err) == (0, "")
+    doc = loads(out)
+    refutation = doc["priors"]["common"]["refutation"]
+    numbers = [
+        v.partition("/")[0].lstrip("-")
+        for key in ("payoffs", "expectations")
+        for row in refutation[key]
+        for v in row
+        if isinstance(v, str)
+    ]
+    assert max(map(len, numbers)) > sys.get_int_max_str_digits()
+    payoffs = parse_payoffs(refutation["payoffs"], structure)
+    cls = classify_trade(structure, payoffs)
+    assert {attr: getattr(cls, attr) for attr, _ in report.TRADE_FLAGS} == refutation["flags"]
+    expectations = tuple(tuple(map(parse_rational_value, row)) for row in refutation["expectations"])
+    assert expectations == cls.expectations
+    pump = doc["distribution"]["pump_witness"]
+    witness = MoneyPumpWitness(
+        parse_distribution(pump["dist"], structure),
+        parse_payoffs(pump["payoffs"], structure),
+        parse_rational_value(pump["deficit"]),
+        pump["kind"],
+    )
+    witness.verify(structure)
 
 
 def test_constraint_rows_are_sparse_and_in_range():

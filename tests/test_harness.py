@@ -210,7 +210,7 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     assert walk.live == (True, False, True)
     # Plant a walk that calls every block live: production then reads "no
     # acceptable trade" off it, and the programs object.
-    s.derived("blocks", lambda _: replace(walk, live=(True,) * 3, payoffs=None))
+    s.derived("blocks", lambda _: replace(walk, live=(True,) * 3, payoff_forms=None))
     report = cross_check(s)
     failures = _oracle_failures(report)
     assert "oracle: acceptable program matches the acceptable trade" in failures
@@ -236,8 +236,8 @@ def test_cross_check_oracle_reports_a_dead_block_the_program_refutes(fixture_pat
     walk = blocks(_fresh(fixture_path, "ex_plbet4"))
     s = _fresh(fixture_path, "ex_plbet4")
     dead = (False,) + walk.live[1:]
-    payoffs = ((ZERO,) * s.num_states,) * s.num_players
-    s.derived("blocks", lambda _: replace(walk, live=dead, margin=ZERO, payoffs=payoffs))
+    forms = ((1, (0,) * s.num_states),) * s.num_players
+    s.derived("blocks", lambda _: replace(walk, live=dead, margin=ZERO, payoff_forms=forms))
     report = cross_check(s)
     assert "oracle: program trade grades as the block trade" in _oracle_failures(report)
 

@@ -33,6 +33,7 @@ from prior_forge import (
     DimensionError,
     Distribution,
     InconsistencyError,
+    InputError,
     PriorWitness,
     StochasticityError,
     Trade,
@@ -64,7 +65,7 @@ from prior_forge.lp import (
     feasibility_violations,
     solve,
 )
-from prior_forge.model import dot, single_player_view
+from prior_forge.model import dot, integer_form, single_player_view
 from prior_forge.priors import (
     NOTIONS,
     _read_off,
@@ -74,9 +75,11 @@ from prior_forge.priors import (
     hull_weights,
     is_conglomerable,
 )
+from prior_forge.report import pump_json, trade_json
 from prior_forge.trades import (
     MoneyPumpWitness,
     find_multiplayer_money_pump,
+    graded_block_trade,
     pump_piece,
 )
 
@@ -88,7 +91,9 @@ from oracles import (
     dense_mixture,
     dense_pump_piece,
     dense_walk_blocks,
+    fraction_pump_json,
     fraction_read_off,
+    fraction_trade_json,
 )
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
@@ -244,8 +249,9 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             expected = _dense_defect(structure, prior, weight_rows)
             assert _message(PriorWitness(prior, weight_rows), structure) == expected
 
-        pieces = tuple(pump_piece(structure, i, dist) for i in range(n))
-        assert pieces == tuple(dense_pump_piece(structure, i, dist) for i in range(n))
+        forms = tuple(pump_piece(structure, i, dist) for i in range(n))
+        pieces = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
+        assert forms == tuple(map(integer_form, pieces))
         dense_deficit = dense_dot([sum(col, Fraction(0)) for col in zip(*pieces)], dist.probs)
         pump = find_multiplayer_money_pump(structure, dist)
         if pump is None:
@@ -269,6 +275,53 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
     if trade is not None:
         table = classify_trade(structure, trade).expectations
         assert table == dense_expectation_table(structure, trade)
+
+
+# The benchmark's planted sizes: (M, N, blocks).
+BENCH_PLANTED = tuple(itertools.product((32, 44), (3, 4), (1, 2, 4)))
+
+
+def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
+    """The report writes the refuting trade, its expectations and a pump
+    from their integer forms; the ``Fraction`` rendering they replaced,
+    ``to_json_value`` over the dense oracles' rows, is the oracle, on the
+    six fixtures, generator seeds 0..399 and planted structures at the
+    benchmark's sizes, each with sampled distributions."""
+    cases = [_build("fixture", name, fixture_path) for name in FIXTURES]
+    cases += [_build("seed", seed, fixture_path) for seed in range(400)]
+    cases += [_build("planted", key, fixture_path) for key in BENCH_PLANTED]
+    trades = pumps = 0
+    for structure, planted in cases:
+        n = structure.num_players
+        walk = blocks(structure)
+        assert walk.payoffs == dense_walk_blocks(structure).payoffs
+        if walk.payoff_forms is not None:
+            trade, cls = graded_block_trade(structure)
+            payoffs = trade.payoffs
+            assert cls == dense_classify_trade(structure, payoffs)
+            table = dense_expectation_table(structure, payoffs)
+            assert trade_json(structure, trade.forms, cls) == fraction_trade_json(
+                structure, payoffs, cls, table
+            )
+            # Forms not in lowest terms name the same trade.
+            scaled = tuple((3 * den, tuple(3 * a for a in nums)) for den, nums in trade.forms)
+            twin = Trade(forms=scaled)
+            assert twin == trade == Trade(payoffs) and hash(twin) == hash(Trade(payoffs))
+            assert twin.forms == trade.forms
+            trades += 1
+        rng = random.Random(f"render:{structure.num_states}:{n}")
+        for dist in _distributions(structure, planted, rng):
+            rows = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
+            forms = tuple(pump_piece(structure, i, dist) for i in range(n))
+            assert forms == tuple(map(integer_form, rows))
+            pump = find_multiplayer_money_pump(structure, dist)
+            if pump is not None:
+                assert pump.payoffs == rows
+                assert pump_json(structure, pump) == fraction_pump_json(
+                    dist, rows, pump.deficit, pump.kind
+                )
+                pumps += 1
+    assert (trades, pumps) == (169, 912)
 
 
 def test_distribution_errors_keep_their_messages():
@@ -295,6 +348,22 @@ def test_trade_rejects_a_tiny_positive_sum():
         Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3) + tiny)))
 
 
+def test_a_trade_from_forms_checks_its_forms():
+    # Forms are taken in any scale and reduced; a trade is given its rows or
+    # their forms, a row's denominator is positive, and the pointwise sums
+    # are checked as for rows.
+    trade = Trade(forms=((6, (0, 2)), (3, (-3, -1))))
+    assert trade.forms == ((3, (0, 1)), (3, (-3, -1)))
+    assert trade == Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3))))
+    for bad in ({}, {"payoffs": trade.payoffs, "forms": trade.forms}):
+        with pytest.raises(InputError, match="^a trade takes its payoff rows or their forms"):
+            Trade(**bad)
+    with pytest.raises(InputError, match="^a trade's row denominators must be positive$"):
+        Trade(forms=((-3, (0, 1)), (3, (0, -1))))
+    with pytest.raises(InconsistencyError, match="^payoffs sum to 1/3 > 0 at state index 1"):
+        Trade(forms=((3, (0, 2)), (3, (0, -1))))
+
+
 def test_pump_piece_breaks_ties_toward_the_lower_state():
     """In cell {a, b} the ratios p/t are 1/2 at both states, with p's
     numerators (1, 2) over 6 and t's (1, 2) over 3: a is raised first, to
@@ -302,7 +371,8 @@ def test_pump_piece_breaks_ties_toward_the_lower_state():
     s = make_structure(["a", "b", "c"], ["P"], [[[0, 1], [2]]], [[{0: "1/3", 1: "2/3"}, {2: 1}]])
     p = Distribution(("1/6", "2/6", "3/6"))
     expected = (Fraction(1), Fraction(-1, 2), Fraction(0))
-    assert pump_piece(s, 0, p) == dense_pump_piece(s, 0, p) == expected
+    assert dense_pump_piece(s, 0, p) == expected
+    assert pump_piece(s, 0, p) == integer_form(expected) == (2, (2, -1, 0))
 
 
 def test_expectation_table_rejects_a_short_row(intro):

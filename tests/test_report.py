@@ -28,6 +28,8 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
+from prior_forge import report
+from prior_forge._rational import to_json_value
 from prior_forge.jsonio import dumps_canonical
 from prior_forge.report import _verify_report
 
@@ -269,9 +271,14 @@ def test_generated_reports_are_pinned():
         # A common, universal prior that is not strong: the strong test
         # decides once, and the block trade is checked by its grade.
         ("ex_pl1", {"is_maximal": 2, "is_strongly_maximal": 1}),
+        # No prior, and a strongly maximal p that is pumped: classify_prior
+        # grades p once, the pump's kind is read off those grades, and the
+        # witness's verify checks its kind once.
+        ("ex_pl2+uniform", {"is_maximal": 1, "is_strongly_maximal": 2}),
     ],
 )
 def test_analyze_runs_each_charge_test_once_per_decision(fixture_path, name, counts):
+    name, _, dist = name.partition("+")
     s = harness.chain_structure(256, 2**64 - 1) if name == "chain" else _fresh(fixture_path, name)
     seen = {}
     charges = [(n, n.charges) for n in priors.NOTIONS if n.charges is not None]
@@ -287,8 +294,30 @@ def test_analyze_runs_each_charge_test_once_per_decision(fixture_path, name, cou
     try:
         for notion, test in charges:
             object.__setattr__(notion, "charges", spy(test))
-        analyze(s)
+        # ``classify_prior`` calls the tests by their names in ``priors``.
+        with pytest.MonkeyPatch.context() as patch:
+            for _, test in charges:
+                patch.setattr(priors, test.__name__, spy(test))
+            analyze(s, uniform(s.num_states) if dist else None)
     finally:
         for notion, test in charges:
             object.__setattr__(notion, "charges", test)
     assert seen == counts
+
+
+def test_a_report_writes_payoffs_and_expectations_from_integer_forms(fixture_path, monkeypatch):
+    # ex_pl2 has no prior, so the report carries the block trade, 8 payoffs
+    # and 8 expectations, and a pump for uniform(4), 8 payoffs: every one is
+    # written from its integer form, and only the deficit as a rational.
+    rep = analyze(_fresh(fixture_path, "ex_pl2"), uniform(4))
+    written = []
+
+    def spy(q):
+        written.append(q)
+        return to_json_value(q)
+
+    monkeypatch.setattr(report, "to_json_value", spy)
+    doc = rep.to_json()
+    assert written == [rep.verdict.pump_witness.deficit]
+    refutation = doc["priors"]["common"]["refutation"]
+    assert [len(refutation[key]) * len(refutation[key][0]) for key in ("payoffs", "expectations")] == [8, 8]

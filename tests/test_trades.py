@@ -10,6 +10,7 @@ from prior_forge import (
     DimensionError,
     Distribution,
     InconsistencyError,
+    InputError,
     MoneyPumpWitness,
     Trade,
     VerificationError,
@@ -33,7 +34,7 @@ from prior_forge import (
     rational,
     uniform,
 )
-from prior_forge import lp, priors, trades
+from prior_forge import lp, priors, report, trades
 from prior_forge.harness import (
     GeneratorConfig,
     component_substructures,
@@ -441,14 +442,14 @@ def test_a_pump_search_builds_its_witness_only_when_it_pumps(monkeypatch):
     built, found = [], []
 
     class Counted(MoneyPumpWitness):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
             built.append(self)
-            super().__post_init__()
+            super().__init__(*args, **kwargs)
 
     search = trades._pump_search
 
-    def spied(structure, dist):
-        found.append(search(structure, dist))
+    def spied(structure, dist, kind=None):
+        found.append(search(structure, dist, kind))
         return found[-1]
 
     monkeypatch.setattr(trades, "MoneyPumpWitness", Counted)
@@ -462,28 +463,52 @@ def test_a_pump_search_builds_its_witness_only_when_it_pumps(monkeypatch):
 
 def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
     """Over battery seeds 1000..1099, every pumping search derives the
-    integer form of each of its rows once: for the deficit, and the witness
-    keeps that form instead of deriving it again."""
-    derived, counts = [], []
-    form, search = trades.integer_form, trades._pump_search
+    integer form of each of its rows once, in ``pump_piece``, which returns
+    it: the deficit and the witness read those forms, and no row is put
+    over one denominator again."""
+    pieces, derived, counts = [], [], []
+    piece, form, search = trades.pump_piece, trades.integer_form, trades._pump_search
+
+    def counted_piece(*args):
+        pieces.append(args)
+        return piece(*args)
 
     def counted_form(values):
         derived.append(values)
         return form(values)
 
-    def spied(structure, dist):
+    def spied(structure, dist, kind=None):
+        pieces.clear()
         derived.clear()
-        witness = search(structure, dist)
+        witness = search(structure, dist, kind)
         if witness is not None:
-            counts.append((len(derived), structure.num_players))
+            counts.append((len(pieces), len(derived), structure.num_players))
         return witness
 
+    monkeypatch.setattr(trades, "pump_piece", counted_piece)
     monkeypatch.setattr(trades, "integer_form", counted_form)
     monkeypatch.setattr(trades, "_pump_search", spied)
     for seed in range(1000, 1100):
         assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed
     assert len(counts) == 712
-    assert all(rows == players for rows, players in counts)
+    assert all((rows, forms) == (players, 0) for rows, forms, players in counts)
+
+
+def test_a_pump_witness_holds_one_set_of_rows(ex_pl2):
+    # The rows a witness prints are the rows it verifies: given both rows and
+    # forms that disagree, construction refuses them, and rows given alone
+    # are what ``verify`` checks and ``pump_json`` writes.
+    w = find_multiplayer_money_pump(ex_pl2, uniform(4))
+    fives = ((5,) * 4,) * len(w.forms)
+    with pytest.raises(InputError, match="not both"):
+        MoneyPumpWitness(w.distribution, fives, w.deficit, w.kind, forms=w.forms)
+    twin = MoneyPumpWitness(w.distribution, w.payoffs, w.deficit, w.kind)
+    assert twin == w and hash(twin) == hash(w)
+    assert report.pump_json(ex_pl2, twin) == report.pump_json(ex_pl2, w)
+    forged = MoneyPumpWitness(w.distribution, fives, w.deficit, w.kind)
+    assert report.pump_json(ex_pl2, forged)["payoffs"] == [[5] * 4] * len(w.forms)
+    with pytest.raises(VerificationError, match="differs from recomputed"):
+        forged.verify(ex_pl2)
 
 
 def test_pump_kind_grades(ex_pl1, pl):
