@@ -125,7 +125,7 @@ def _cmd_trade(args) -> int:
             "holds": True,
             "trade": trade_json(structure, trade.forms, priors.trade_class),
         },
-        lambda: [f"{kind} trade: present", *payoff_lines(structure, trade.payoffs, "  ")],
+        lambda: [f"{kind} trade: present", *payoff_lines(structure, trade.forms, "  ")],
     )
     return 0
 

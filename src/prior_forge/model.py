@@ -23,6 +23,7 @@ from ._rational import ZERO, rational, rational_text
 from .errors import (
     DimensionError,
     EmptySetError,
+    InputError,
     NotAComponentError,
     PartitionError,
     SchemaError,
@@ -60,6 +61,15 @@ def lowest_terms(form: tuple) -> tuple[int, tuple[int, ...]]:
     if g == 1:
         return den, tuple(nums)
     return den // g, tuple([a // g for a in nums])
+
+
+def reduced_forms(forms, what: str) -> tuple:
+    """The integer forms ``(den, nums)`` a certificate holds, each put in
+    lowest terms (``lowest_terms``) once every ``den`` is checked positive;
+    InputError otherwise."""
+    if any(den <= 0 for den, _ in forms):
+        raise InputError(f"{what}'s row denominators must be positive")
+    return tuple(map(lowest_terms, forms))
 
 
 def fraction_rows(forms) -> tuple:

@@ -20,6 +20,12 @@ charge, and a block can carry mass or not. Which blocks are live decides all
 three notions, gives one canonical prior and, where a notion fails, one
 refuting trade. No LP is solved; the common-prior program stays in
 ``harness`` as the walk's oracle.
+
+Hull weights are integer forms, one ``(den, nums)`` per player, and a
+``PriorWitness`` takes its prior and those forms and nothing else; both
+renderings write rows from them. The function ``hull_weights`` alone reads
+a player's form as a row of ``Fraction``s, for ``is_disintegrable`` and the
+battery's cross-check.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .model import (
     Distribution,
     InformationStructure,
     fraction_rows,
-    integer_form,
     lowest_terms,
+    reduced_forms,
     state_nums,
 )
 
@@ -71,51 +77,32 @@ NOTIONS = (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PriorWitness:
     """A prior plus, per player, convex weights over that player's cells
     expressing it as a mixture of the cells' types.
 
-    The weights are held as integer forms: ``weight_forms[i]`` is
-    ``(den, nums)`` in lowest terms, player i's weight on cell c being
-    ``nums[c] / den``. ``PriorWitness(prior, hull_weights)`` takes rows of
-    rationals and derives their forms (``integer_form``); the walk and
-    ``classify_prior``, whose weights are cell masses over the prior's
-    ``den``, hand theirs over as ``PriorWitness(prior, weight_forms=...)``,
-    each form put in lowest terms by one gcd. ``hull_weights`` builds the
-    rows of ``Fraction``s when read. Equality and the hash are those of the
-    prior and the forms, so of the weights' values."""
+    The weights are integer forms: ``weight_forms[i]`` is ``(den, nums)``,
+    player i's weight on cell c being ``nums[c] / den``, each put in lowest
+    terms when the witness is built. The walk and ``classify_prior``, whose
+    weights are cell masses over the prior's ``den``, hand theirs over as
+    they have them. Equality and the hash are those of the prior and the
+    forms, so of the weights' values."""
 
     prior: Distribution
     weight_forms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __init__(self, prior, hull_weights=None, *, weight_forms=None) -> None:
-        if weight_forms is None:
-            forms = tuple(map(integer_form, hull_weights))
-        else:
-            forms = tuple(map(lowest_terms, weight_forms))
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "weight_forms", forms)
-
-    @property
-    def hull_weights(self) -> tuple[tuple, ...]:
-        """The weights as rows of ``Fraction``s, built on each read."""
-        return fraction_rows(self.weight_forms)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weight_forms", reduced_forms(self.weight_forms, "a prior witness"))
 
     def verify(self, structure: InformationStructure) -> None:
         """Exact re-multiplication on the weights' integer forms; raises
-        VerificationError on any defect. The prior need not be a
-        ``Distribution``: a plain tuple of rationals is checked the same
-        way."""
+        VerificationError on any defect."""
         if len(self.weight_forms) != structure.num_players:
             raise VerificationError("witness has wrong number of weight vectors")
         if len(self.prior) != structure.num_states:
             raise VerificationError("witness prior has wrong dimension")
-        prior = self.prior
-        if isinstance(prior, Distribution):
-            den, nums = prior.den, state_nums(prior)
-        else:
-            den, nums = integer_form(prior)
+        den, nums = self.prior.den, state_nums(self.prior)
         for i, (wden, wnums) in enumerate(self.weight_forms):
             if len(wnums) != structure.num_cells(i):
                 raise VerificationError(f"player {i} weight vector has wrong length")
@@ -134,8 +121,7 @@ class PriorWitness:
 class PriorClassification:
     """Per-player hull membership of a distribution and its charge grades.
     ``weight_forms[i]`` is player i's hull weights as ``hull_form`` gives
-    them, or None outside the hull; ``hull_weights`` reads them as rows of
-    ``Fraction``s."""
+    them, or None outside the hull."""
 
     prior_for_player: tuple[bool, ...]
     weight_forms: tuple[tuple | None, ...]
@@ -144,10 +130,6 @@ class PriorClassification:
     strongly_maximal: bool
     universal: bool
     strong: bool
-
-    @property
-    def hull_weights(self) -> tuple[tuple | None, ...]:
-        return fraction_rows(self.weight_forms)
 
 
 def check_single_player(structure: InformationStructure) -> None:
@@ -308,16 +290,6 @@ class Blocks:
     weight_forms: tuple[tuple, ...] | None
     margin: Fraction
     payoff_forms: tuple[tuple, ...] | None
-
-    @property
-    def hull_weights(self) -> tuple[tuple, ...] | None:
-        """The hull weights as rows of ``Fraction``s, built when read."""
-        return None if self.weight_forms is None else fraction_rows(self.weight_forms)
-
-    @property
-    def payoffs(self) -> tuple[tuple, ...] | None:
-        """The refuting trade as rows of ``Fraction``s, built when read."""
-        return None if self.payoff_forms is None else fraction_rows(self.payoff_forms)
 
     @property
     def common(self) -> bool:
@@ -533,7 +505,7 @@ def _canonical_witness(structure: InformationStructure) -> PriorWitness | None:
     walk = blocks(structure)
     if walk.prior is None:
         return None
-    witness = PriorWitness(walk.prior, weight_forms=walk.weight_forms)
+    witness = PriorWitness(walk.prior, walk.weight_forms)
     witness.verify(structure)
     return witness
 

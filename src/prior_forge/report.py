@@ -22,17 +22,20 @@ the notion's grade. A report is the artifact that leaves the process; it
 must never carry a claim that was not checked. The trade's classification
 is what the renderings print.
 
-The JSON pieces write every payoff, expectation and hull weight from its
-integer form with ``jsonio.ratio_value``, the one rule for writing num/den;
-a pump's deficit, the one rational of a report, is written by
-``to_json_value``. The text pieces read the ``Fraction`` rows.
+Every certificate holds its rows as integer forms, and one row writer,
+``_form_rows``, writes every payoff, expectation and hull weight from its
+form with ``jsonio.ratio_value``, the one rule for writing num/den; a
+distribution's row is its ``type_row``. The JSON pieces put those rows in
+the document and the text pieces print them, so both renderings write the
+same literals. A pump's deficit, the one rational of a report, is written
+by ``to_json_value`` and ``rational_text``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import rational_text, to_json_value
+from ._rational import int_text, rational_text, to_json_value
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, ratio_value, structure_to_json, type_row
@@ -101,12 +104,12 @@ class AnalysisReport:
             lines += notion_lines(s, notion.label, *self.priors.notion(notion.key), grade)
         if self.dist is not None and self.verdict is not None:
             v = self.verdict
-            lines.append(f"distribution p = {_vector(self.dist)}")
+            lines.append(f"distribution p = {_vector(type_row(self.dist))}")
             lines.append("  " + verdict_line(v))
             if v.pump_witness is not None:
                 lines += pump_lines(s, v.pump_witness)
             if v.prior_witness is not None:
-                lines += _weight_lines(s, v.prior_witness.hull_weights, "  ")
+                lines += _weight_lines(s, v.prior_witness.weight_forms, "  ")
         return "\n".join(lines) + "\n"
 
 
@@ -268,9 +271,10 @@ def verdict_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
 # -- text pieces ------------------------------------------------------------
 
 
-def _vector(values) -> str:
-    """Rationals, or a ``type_row``'s ints and strings, as ``(a, b/c, ...)``."""
-    return "(" + ", ".join(v if type(v) is str else rational_text(v) for v in values) + ")"
+def _vector(row) -> str:
+    """A row of ints and ``"a/b"`` strings, as ``_form_rows`` and
+    ``type_row`` write it, as ``(a, b/c, ...)``."""
+    return "(" + ", ".join(v if type(v) is str else int_text(v) for v in row) + ")"
 
 
 def _state_set(s: InformationStructure, indices) -> str:
@@ -281,12 +285,15 @@ def _state_sets(s: InformationStructure, sets) -> str:
     return " ".join(_state_set(s, indices) for indices in sets)
 
 
-def payoff_lines(s: InformationStructure, payoffs, indent: str) -> list[str]:
-    return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, payoffs)]
+def payoff_lines(s: InformationStructure, forms, indent: str) -> list[str]:
+    """One line per player, its payoff row written from its integer form."""
+    rows = _form_rows(forms)
+    return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, rows)]
 
 
-def _weight_lines(s: InformationStructure, weights, indent: str) -> list[str]:
-    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, weights)]
+def _weight_lines(s: InformationStructure, forms, indent: str) -> list[str]:
+    rows = _form_rows(forms)
+    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, rows)]
 
 
 def component_lines(s: InformationStructure, minimal, family, suffix: str) -> list[str]:
@@ -305,18 +312,18 @@ def notion_lines(
     if witness is not None:
         return [
             f"{label}: present",
-            f"  p = {_vector(witness.prior)}",
-            *_weight_lines(s, witness.hull_weights, "  "),
+            f"  p = {_vector(type_row(witness.prior))}",
+            *_weight_lines(s, witness.weight_forms, "  "),
         ]
     lines = [f"{label}: absent"]
     if refutation is not None:
         lines.append(f"  refuting trade ({grade}):")
-        lines += payoff_lines(s, refutation.payoffs, "    ")
+        lines += payoff_lines(s, refutation.forms, "    ")
     return lines
 
 
 def prior_check_line(kind: str, dist: Distribution, holds: bool) -> str:
-    return f"p = {_vector(dist)} {'is' if holds else 'is not'} a {kind} prior"
+    return f"p = {_vector(type_row(dist))} {'is' if holds else 'is not'} a {kind} prior"
 
 
 def verdict_line(verdict: DistributionVerdict) -> str:
@@ -327,7 +334,7 @@ def verdict_line(verdict: DistributionVerdict) -> str:
 def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
     return [
         f"  deficit = {rational_text(witness.deficit)}",
-        *payoff_lines(s, witness.payoffs, "  "),
+        *payoff_lines(s, witness.forms, "  "),
     ]
 
 

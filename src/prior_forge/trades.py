@@ -29,12 +29,13 @@ Every object returned has been re-verified against its definition; failures
 raise VerificationError and mean a bug, not bad input.
 
 Every payoff family is held as integer forms, one ``(den, nums)`` in lowest
-terms per player: the block walk hands the refuting trade over as forms
-(``Trade(forms=...)``), ``classify_trade`` keeps each player's expectation
-table as one, and ``pump_piece`` returns its row's, which the pump's witness
-keeps and verifies. ``Trade.payoffs``, ``MoneyPumpWitness.payoffs`` and
-``TradeClassification.expectations`` are rows of ``Fraction``s built when
-read, for text, messages and oracles.
+terms per player, and a certificate takes its forms and nothing else: the
+block walk hands the refuting trade over as ``Trade(forms)``,
+``classify_trade`` keeps each player's expectation table as one, and
+``pump_piece`` returns its row's, which the pump's witness keeps and
+verifies. Both renderings write rows from the forms. ``Trade.payoffs``
+alone reads them as rows of ``Fraction``s, for the benchmark's correctness
+gate, which grades a refuting trade from them, and for messages.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from math import gcd, lcm
 
 from ._rational import ZERO, rational_text
 from .certainty import check_dimension, minimal_components
-from .errors import DimensionError, InconsistencyError, InputError, VerificationError
+from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
     Distribution,
     InformationStructure,
@@ -54,6 +55,7 @@ from .model import (
     integer_form,
     lowest_terms,
     payoff_vector,
+    reduced_forms,
     state_nums,
 )
 from .priors import (
@@ -69,24 +71,20 @@ from .priors import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Trade:
     """Per-player payoffs with pointwise sum <= 0 (zero-sum with slack).
 
-    The payoffs are held as integer forms: ``forms[i]`` is ``(den, nums)``
-    in lowest terms, player i's payoff at state w being ``nums[w] / den``.
-    ``Trade(payoffs)`` takes rows of rationals and derives their forms
-    (``integer_form``); the block walk hands its own over as
-    ``Trade(forms=...)``, each put in lowest terms by one gcd. ``payoffs``
-    builds the rows of ``Fraction``s when read. Equality and the hash are
-    those of the forms, so of the payoffs' values."""
+    The payoffs are integer forms: ``forms[i]`` is ``(den, nums)``, player
+    i's payoff at state w being ``nums[w] / den``, each put in lowest terms
+    when the trade is built, so equality and the hash are those of the
+    payoffs' values."""
 
     forms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __init__(self, payoffs=None, *, forms=None) -> None:
-        forms = _payoff_forms(payoffs, forms, "a trade")
-        object.__setattr__(self, "forms", forms)
-        den, sums = _column_sums(forms)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "forms", _payoff_forms(self.forms, "a trade"))
+        den, sums = _column_sums(self.forms)
         for w, total in enumerate(sums):
             if total > 0:
                 raise InconsistencyError(
@@ -95,22 +93,15 @@ class Trade:
 
     @property
     def payoffs(self) -> tuple[tuple, ...]:
-        """The payoffs as rows of ``Fraction``s, built on each read."""
+        """The payoffs as rows of ``Fraction``s, built on each read: the
+        benchmark's correctness gate grades a refuting trade from them."""
         return fraction_rows(self.forms)
 
 
-def _payoff_forms(payoffs, forms, what: str) -> tuple:
-    """The integer forms of a payoff family given either as rows of
-    rationals (coerced by ``payoff_vector``) or as forms (put in lowest
-    terms), one per player and all of one length."""
-    if (payoffs is None) == (forms is None):
-        raise InputError(f"{what} takes its payoff rows or their forms, not both or neither")
-    if forms is None:
-        forms = tuple(integer_form(payoff_vector(f)) for f in payoffs)
-    else:
-        forms = tuple(map(lowest_terms, forms))
-        if any(den <= 0 for den, _ in forms):
-            raise InputError(f"{what}'s row denominators must be positive")
+def _payoff_forms(forms, what: str) -> tuple:
+    """A payoff family's integer forms, checked and put in lowest terms by
+    ``reduced_forms``, one per player and all of one length."""
+    forms = reduced_forms(forms, what)
     if not forms:
         raise DimensionError(f"{what} needs at least one player")
     if any(len(g) != len(forms[0][1]) for _, g in forms):
@@ -139,8 +130,7 @@ def _deficit(forms, dist: Distribution):
 class TradeClassification:
     """The grades of a payoff family, and per player its expectation table
     as an integer form ``(den, nums)`` in lowest terms, ``nums[w] / den``
-    the expectation of the player's cell at w; ``expectations`` reads the
-    table as rows of ``Fraction``s."""
+    the expectation of the player's cell at w."""
 
     is_trade: bool
     is_semi_trade: bool
@@ -150,39 +140,23 @@ class TradeClassification:
     expectation_forms: tuple[tuple[int, tuple[int, ...]], ...]  # [player], exact
     agreeable_component: tuple[int, ...] | None
 
-    @property
-    def expectations(self) -> tuple[tuple, ...]:
-        """The table as rows of ``Fraction``s, [player][state], built on
-        each read."""
-        return fraction_rows(self.expectation_forms)
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MoneyPumpWitness:
     """A distribution, the semi-trade that pumps it, and the deficit. The
     semi-trade condition depends on a structure, so ``verify`` checks it.
     Like a ``Trade``, the semi-trade is held as integer forms, one
-    ``(den, nums)`` in lowest terms per player: a caller hands over rows of
-    rationals as ``payoffs``, or, as a pumping search does, the forms it
-    derived as ``forms`` with ``payoffs`` None, never both. ``payoffs``
-    reads the forms as rows of ``Fraction``s, so what is printed is what
-    ``verify`` checked."""
+    ``(den, nums)`` per player put in lowest terms when the witness is
+    built, and both renderings write its rows from them, so what is
+    printed is what ``verify`` checked."""
 
     distribution: Distribution
     forms: tuple[tuple[int, tuple[int, ...]], ...]
     deficit: object
     kind: str
 
-    def __init__(self, distribution, payoffs, deficit, kind, *, forms=None) -> None:
-        object.__setattr__(self, "distribution", distribution)
-        object.__setattr__(self, "forms", _payoff_forms(payoffs, forms, "a semi-trade"))
-        object.__setattr__(self, "deficit", deficit)
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def payoffs(self) -> tuple[tuple, ...]:
-        """The semi-trade as rows of ``Fraction``s, built on each read."""
-        return fraction_rows(self.forms)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "forms", _payoff_forms(self.forms, "a semi-trade"))
 
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
@@ -291,7 +265,7 @@ def _grade_block_trade(structure: InformationStructure) -> tuple[Trade, TradeCla
     forms = blocks(structure).payoff_forms
     if forms is None:
         raise VerificationError("a prior notion fails, yet every block is live")
-    trade = Trade(forms=forms)
+    trade = Trade(forms)
     return trade, classify_trade(structure, trade)
 
 
@@ -401,7 +375,7 @@ def _pump_search(
         return None
     if kind is None:
         kind = pump_kind(structure, dist)
-    witness = MoneyPumpWitness(dist, None, deficit, kind, forms=forms)
+    witness = MoneyPumpWitness(dist, forms, deficit, kind)
     witness.verify(structure)
     return witness
 
@@ -436,7 +410,7 @@ def classify_distribution(
     prior_witness = None
     pump_witness = None
     if cls.common:
-        prior_witness = PriorWitness(dist, weight_forms=cls.weight_forms)
+        prior_witness = PriorWitness(dist, cls.weight_forms)
         prior_witness.verify(structure)
         base = "common_prior"
     else:

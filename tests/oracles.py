@@ -201,14 +201,13 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
         for w in support:
             probs[w] = value[w] / total
         prior = Distribution(tuple(probs))
-        # Blocks keeps the weights as integer forms; they are read back as
-        # rationals through ``Blocks.hull_weights``.
+        # Blocks keeps the weights as integer forms, compared with the
+        # walk's as they are.
         weights = tuple(integer_form([lam / total for lam in row]) for row in scale)
     boxed = None
     if not all(live):
         top = max(abs(v) for row in payoffs for v in row)
-        # Blocks keeps the trade as integer forms too, read back through
-        # ``Blocks.payoffs``.
+        # Blocks keeps the trade as integer forms too.
         boxed = tuple(integer_form([v / top for v in row]) for row in payoffs)
     margin = ONE / total if all(live) else ZERO
     return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)

@@ -34,7 +34,7 @@ from prior_forge import (
 from prior_forge.cli import main as cli_main
 from prior_forge.harness import common_prior_program, oracle_battery, run_battery
 from prior_forge.lp import enumerate_basic_solutions
-from prior_forge.model import dot
+from prior_forge.model import dot, integer_form
 
 
 def q(text):
@@ -74,7 +74,7 @@ def test_criterion_1_single_player_pump(pl):
     f = (q("-1/9"), rational(1), ZERO)
     manual = MoneyPumpWitness(
         distribution=p,
-        payoffs=(f,),
+        forms=(integer_form(f),),
         deficit=q("-1/90"),
         kind=pump_kind(pl, p),
     )

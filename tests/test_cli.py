@@ -17,7 +17,7 @@ from prior_forge.jsonio import (
     parse_structure,
     structure_to_json,
 )
-from prior_forge.model import Distribution, make_structure
+from prior_forge.model import Distribution, fraction_rows, integer_form, make_structure
 from prior_forge.trades import MoneyPumpWitness, classify_trade
 from prior_forge.priors import PriorWitness
 
@@ -570,7 +570,16 @@ def test_a_witness_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
     assert max(map(len, witness["prior"])) > 2 * sys.get_int_max_str_digits()
     prior = parse_distribution(witness["prior"], structure)
     weights = tuple(tuple(map(parse_rational_value, row)) for row in witness["hull_weights"])
-    PriorWitness(prior, weights).verify(structure)
+    PriorWitness(prior, tuple(map(integer_form, weights))).verify(structure)
+    # The text form prints the same literals in its p and hull weight lines.
+    code, out, err = run("prior", "--kind", "common", path)
+    assert (code, err) == (0, "")
+    vector = lambda row: "(" + ", ".join(map(str, row)) + ")"
+    assert out.splitlines() == [
+        "common prior: present",
+        f"  p = {vector(witness['prior'])}",
+        *(f"  {name} hull weights: {vector(row)}" for name, row in zip(("P1", "P2"), witness["hull_weights"])),
+    ]
     # Every command once: the witness is rendered as text and in a report,
     # and the uniform distribution, no prior here, is pumped and classified.
     uniform = write_json(tmp_path, "uniform.json", {"dist": ["1/256"] * 256})
@@ -634,11 +643,11 @@ def test_a_refuting_trade_past_the_digit_limit_is_written_and_read_back(run, tmp
     cls = classify_trade(structure, payoffs)
     assert {attr: getattr(cls, attr) for attr, _ in report.TRADE_FLAGS} == refutation["flags"]
     expectations = tuple(tuple(map(parse_rational_value, row)) for row in refutation["expectations"])
-    assert expectations == cls.expectations
+    assert expectations == fraction_rows(cls.expectation_forms)
     pump = doc["distribution"]["pump_witness"]
     witness = MoneyPumpWitness(
         parse_distribution(pump["dist"], structure),
-        parse_payoffs(pump["payoffs"], structure),
+        tuple(map(integer_form, parse_payoffs(pump["payoffs"], structure))),
         parse_rational_value(pump["deficit"]),
         pump["kind"],
     )

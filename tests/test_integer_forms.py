@@ -65,7 +65,7 @@ from prior_forge.lp import (
     feasibility_violations,
     solve,
 )
-from prior_forge.model import dot, integer_form, single_player_view
+from prior_forge.model import dot, fraction_rows, integer_form, single_player_view
 from prior_forge.priors import (
     NOTIONS,
     _read_off,
@@ -216,14 +216,14 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
     assert support_graph(structure) == dense_graph
 
     families = _graded_families(structure, random.Random(f"grades:{kind}:{key}"))
-    trade = blocks(structure).payoffs
-    if trade is not None:
-        families.append(trade)
+    trade_forms = blocks(structure).payoff_forms
+    if trade_forms is not None:
+        families.append(fraction_rows(trade_forms))
     grades = [classify_trade(structure, payoffs) for payoffs in families]
     assert grades == [dense_classify_trade(structure, payoffs) for payoffs in families]
     assert [g.is_trade for g in grades[1:3]] == [True, False]
     for i in range(n):
-        assert set(grades[3 + i].expectations[i]) == {0}
+        assert set(fraction_rows(grades[3 + i].expectation_forms)[i]) == {0}
 
     for dist in _distributions(structure, planted, rng):
         _check_integer_form(dist)
@@ -235,11 +235,11 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             for cells in structure.partitions
         )
         # Verify verdicts on the cell masses (the hull weights where dist is
-        # inside a hull), on a prior bumped at one state (a plain tuple, not
-        # a Distribution), and on weights swapped between two cells.
-        bumped = list(dist.probs)
-        bumped[rng.randrange(m)] += Fraction(1, 7)
-        forged = [(dist, masses), (tuple(bumped), masses)]
+        # inside a hull), on a prior moved 1/7 of the way toward one state,
+        # and on weights swapped between two cells.
+        moved = [6 * q / 7 for q in dist.probs]
+        moved[rng.randrange(m)] += Fraction(1, 7)
+        forged = [(dist, masses), (Distribution(moved), masses)]
         for i in range(n):
             if len(masses[i]) > 1:
                 swapped = list(masses[i])
@@ -247,7 +247,8 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
                 forged.append((dist, masses[:i] + (tuple(swapped),) + masses[i + 1 :]))
         for prior, weight_rows in forged:
             expected = _dense_defect(structure, prior, weight_rows)
-            assert _message(PriorWitness(prior, weight_rows), structure) == expected
+            witness = PriorWitness(prior, tuple(map(integer_form, weight_rows)))
+            assert _message(witness, structure) == expected
 
         forms = tuple(pump_piece(structure, i, dist) for i in range(n))
         pieces = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
@@ -259,21 +260,22 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         else:
             assert pump.deficit == dense_deficit < 0
         for payoffs in (pieces, tuple(_random_row(m, rng) for _ in range(n))):
-            table = classify_trade(structure, payoffs).expectations
+            table = fraction_rows(classify_trade(structure, payoffs).expectation_forms)
             assert table == dense_expectation_table(structure, payoffs)
             for f in payoffs:
                 assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
             deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
-            message = _message(MoneyPumpWitness(dist, payoffs, deficit, "plain"), structure)
+            witness = MoneyPumpWitness(dist, tuple(map(integer_form, payoffs)), deficit, "plain")
+            message = _message(witness, structure)
             defect = _dense_semi_trade_defect(structure, payoffs)
             if defect is not None:
                 assert message == defect
             else:
                 assert message is None or not message.startswith("not a semi-trade")
 
-    trade = blocks(structure).payoffs
-    if trade is not None:
-        table = classify_trade(structure, trade).expectations
+    if trade_forms is not None:
+        trade = fraction_rows(trade_forms)
+        table = fraction_rows(classify_trade(structure, trade).expectation_forms)
         assert table == dense_expectation_table(structure, trade)
 
 
@@ -294,7 +296,7 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
     for structure, planted in cases:
         n = structure.num_players
         walk = blocks(structure)
-        assert walk.payoffs == dense_walk_blocks(structure).payoffs
+        assert walk.payoff_forms == dense_walk_blocks(structure).payoff_forms
         if walk.payoff_forms is not None:
             trade, cls = graded_block_trade(structure)
             payoffs = trade.payoffs
@@ -305,8 +307,8 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
             )
             # Forms not in lowest terms name the same trade.
             scaled = tuple((3 * den, tuple(3 * a for a in nums)) for den, nums in trade.forms)
-            twin = Trade(forms=scaled)
-            assert twin == trade == Trade(payoffs) and hash(twin) == hash(Trade(payoffs))
+            twin, same = Trade(scaled), Trade(tuple(map(integer_form, payoffs)))
+            assert twin == trade == same and hash(twin) == hash(same)
             assert twin.forms == trade.forms
             trades += 1
         rng = random.Random(f"render:{structure.num_states}:{n}")
@@ -316,7 +318,7 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
             assert forms == tuple(map(integer_form, rows))
             pump = find_multiplayer_money_pump(structure, dist)
             if pump is not None:
-                assert pump.payoffs == rows
+                assert fraction_rows(pump.forms) == rows
                 assert pump_json(structure, pump) == fraction_pump_json(
                     dist, rows, pump.deficit, pump.kind
                 )
@@ -340,28 +342,42 @@ def test_trade_rejects_a_tiny_positive_sum():
     """The pointwise sum is tested on ints over the rows' common
     denominator; the message prints it as the reduced rational."""
     tiny = Fraction(1, 10**40)
-    Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3))))
+    Trade((integer_form((0, Fraction(1, 3))), integer_form((-1, Fraction(-1, 3)))))
     with pytest.raises(
         InconsistencyError,
         match=f"^payoffs sum to 1/1{'0' * 40} > 0 at state index 1; not a trade$",
     ):
-        Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3) + tiny)))
+        Trade((integer_form((0, Fraction(1, 3))), integer_form((-1, Fraction(-1, 3) + tiny))))
 
 
 def test_a_trade_from_forms_checks_its_forms():
-    # Forms are taken in any scale and reduced; a trade is given its rows or
-    # their forms, a row's denominator is positive, and the pointwise sums
-    # are checked as for rows.
-    trade = Trade(forms=((6, (0, 2)), (3, (-3, -1))))
+    # Forms are taken in any scale and reduced, a row's denominator is
+    # positive, and the pointwise sums are checked on the forms.
+    trade = Trade(((6, (0, 2)), (3, (-3, -1))))
     assert trade.forms == ((3, (0, 1)), (3, (-3, -1)))
-    assert trade == Trade(((0, Fraction(1, 3)), (-1, Fraction(-1, 3))))
-    for bad in ({}, {"payoffs": trade.payoffs, "forms": trade.forms}):
-        with pytest.raises(InputError, match="^a trade takes its payoff rows or their forms"):
-            Trade(**bad)
+    assert trade.payoffs == ((0, Fraction(1, 3)), (-1, Fraction(-1, 3)))
     with pytest.raises(InputError, match="^a trade's row denominators must be positive$"):
-        Trade(forms=((-3, (0, 1)), (3, (0, -1))))
+        Trade(((-3, (0, 1)), (3, (0, -1))))
     with pytest.raises(InconsistencyError, match="^payoffs sum to 1/3 > 0 at state index 1"):
-        Trade(forms=((3, (0, 2)), (3, (0, -1))))
+        Trade(((3, (0, 2)), (3, (0, -1))))
+
+
+def test_a_certificate_refuses_a_denominator_that_is_not_positive():
+    # The denominator is checked before a form is reduced: a zero one would
+    # divide by gcd(0, 0, 0), and a negative one would hold the weight 1 as
+    # (-1, (-1,)), unequal to (1, (1,)) and a "negative hull weight".
+    two = Distribution(("1/2", "1/2"))
+    builders = {
+        "a trade": lambda den: Trade(forms=((den, (0, 0)), (1, (0, 0)))),
+        "a semi-trade": lambda den: MoneyPumpWitness(
+            distribution=two, forms=((den, (0, 0)),), deficit=0, kind="plain"
+        ),
+        "a prior witness": lambda den: PriorWitness(prior=two, weight_forms=((den, (den,)),)),
+    }
+    for what, build in builders.items():
+        for den in (0, -1):
+            with pytest.raises(InputError, match=f"^{what}'s row denominators must be positive$"):
+                build(den)
 
 
 def test_pump_piece_breaks_ties_toward_the_lower_state():
@@ -380,7 +396,7 @@ def test_expectation_table_rejects_a_short_row(intro):
         classify_trade(intro, ((0, 0, 0, 0), (0, 0, 0, 0, 0)))
 
 
-BLOCK_FIELDS = ("live", "support", "prior", "hull_weights", "margin", "payoffs")
+BLOCK_FIELDS = ("live", "support", "prior", "weight_forms", "margin", "payoff_forms")
 
 
 def _rational_types(value):
@@ -402,8 +418,10 @@ def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_pl
         walk, dense = _walk_blocks(structure), dense_walk_blocks(structure)
         for name in BLOCK_FIELDS:
             ours, theirs = getattr(walk, name), getattr(dense, name)
+            if name.endswith("_forms"):  # compared as rows of rationals
+                ours, theirs = (None if x is None else fraction_rows(x) for x in (ours, theirs))
             assert ours == theirs, name
-            if name in ("prior", "hull_weights", "margin", "payoffs") and theirs is not None:
+            if name in ("prior", "weight_forms", "margin", "payoff_forms") and theirs is not None:
                 assert _rational_types(ours) == _rational_types(theirs), name
         seen.add((walk.common, walk.strong))
     # Every verdict occurs: no block live, some live, all live.

@@ -44,7 +44,7 @@ from prior_forge.harness import (
 from prior_forge._rational import to_json_value
 from prior_forge.jsonio import dumps_canonical
 from prior_forge.lp import enumerate_basic_solutions, solve
-from prior_forge.model import integer_form
+from prior_forge.model import fraction_rows, integer_form
 from prior_forge.priors import blocks
 from prior_forge.report import prior_witness_json
 
@@ -199,11 +199,13 @@ def test_hull_weights_outside_the_hull(ex_pl1):
 def test_prior_witness_verify_rejects_defects(intro):
     witness = find_strong_common_prior(intro)
     witness.verify(intro)
-    bumped = list(witness.prior)
-    bumped[3] += q("1/7")
+    moved = list(witness.prior)
+    moved[3] += q("1/10")
+    moved[4] -= q("1/10")
     with pytest.raises(VerificationError, match="reconstruct the prior at state 3"):
-        PriorWitness(tuple(bumped), witness.hull_weights).verify(intro)
-    doubled = (tuple(2 * w for w in witness.hull_weights[0]),) + witness.hull_weights[1:]
+        PriorWitness(Distribution(moved), witness.weight_forms).verify(intro)
+    den, nums = witness.weight_forms[0]
+    doubled = ((den, tuple(2 * a for a in nums)),) + witness.weight_forms[1:]
     with pytest.raises(VerificationError, match="player 0 hull weights do not sum to 1"):
         PriorWitness(witness.prior, doubled).verify(intro)
 
@@ -418,15 +420,16 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     assert walk.live == (True, False, True)
     assert walk.support == {0, 3} and is_maximal(ex_pl1, walk.prior) and walk.margin == ZERO
     assert walk.prior == Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
-    assert walk.payoffs == ((0, 1, 0, 0), (0, -1, 0, 0))
-    assert grades(ex_pl1, walk.payoffs) == (True, True, False, False)
+    payoffs = fraction_rows(walk.payoff_forms)
+    assert payoffs == ((0, 1, 0, 0), (0, -1, 0, 0))
+    assert grades(ex_pl1, payoffs) == (True, True, False, False)
     # ex_pl2: one block of all four cells; P2's {w2,w3} charges only w2, so
     # the walk meets a mixed charge at w3 and no block is live: the trade is
     # agreeable.
     walk = blocks(ex_pl2)
     assert walk.live == (False,) and walk.support == frozenset()
     assert walk.prior is None and find_universal_common_prior(ex_pl2) is None
-    assert grades(ex_pl2, walk.payoffs) == (True, True, True, True)
+    assert grades(ex_pl2, fraction_rows(walk.payoff_forms)) == (True, True, True, True)
     # pl4: two blocks, each one cell of P1 and one of P2. {w1,w2} is live;
     # on {w3,w4} P2's type (1, 0) misses w4, a mixed charge. P1 takes 1 at
     # w4 (gain 1/2), then pays P2 1/2 at w3 across the tree edge, so each
@@ -435,8 +438,9 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     walk = blocks(pl4)
     assert walk.live == (True, False)
     assert walk.support == {0, 1} and not is_maximal(pl4, walk.prior)
-    assert walk.payoffs == ((0, 0, q("-1/2"), 1), (0, 0, q("1/2"), -1))
-    assert grades(pl4, walk.payoffs) == (True, True, True, False)
+    payoffs = fraction_rows(walk.payoff_forms)
+    assert payoffs == ((0, 0, q("-1/2"), 1), (0, 0, q("1/2"), -1))
+    assert grades(pl4, payoffs) == (True, True, True, False)
 
 
 @pytest.mark.parametrize("m", (24, 48))
@@ -462,7 +466,8 @@ def test_blocks_match_the_program_on_broken_planted_structures(
     assert (solve(agreeable_trade_program(structure)).objective_value > ZERO) == (not walk.common)
     assert solve(acceptable_trade_program(structure)).objective_value > ZERO
     universal = find_universal_common_prior(structure) is not None
-    assert grades(structure, walk.payoffs) == (True, True, not universal, not walk.common)
+    payoffs = fraction_rows(walk.payoff_forms)
+    assert grades(structure, payoffs) == (True, True, not universal, not walk.common)
 
 
 def charge_grade_is_the_walks_verdict(structure):
@@ -506,16 +511,17 @@ def _witness_cases(intro, ex_pl1, ex_plbet4):
 
 def test_a_witness_from_integer_forms_equals_the_fraction_witness(intro, ex_pl1, ex_plbet4):
     # The walk's witness keeps its weights as (den, masses); one built from
-    # the equal Fractions, and one from forms not in lowest terms, compare
-    # equal, hash alike, render the same bytes and verify alike.
+    # the forms of the equal Fractions, and one from forms not in lowest
+    # terms, compare equal, hash alike, render the same bytes and verify
+    # alike.
     for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
-        rows = witness.hull_weights
+        rows = fraction_rows(witness.weight_forms)
         assert all(type(v) is Fraction for row in rows for v in row)
         scaled = [(3 * den, tuple(3 * a for a in nums)) for den, nums in witness.weight_forms]
-        twins = [PriorWitness(witness.prior, rows), PriorWitness(witness.prior, weight_forms=scaled)]
+        twins = [PriorWitness(witness.prior, tuple(map(integer_form, rows))), PriorWitness(witness.prior, scaled)]
         for twin in twins:
             assert twin == witness and hash(twin) == hash(witness)
-            assert twin.weight_forms == witness.weight_forms and twin.hull_weights == rows
+            assert twin.weight_forms == witness.weight_forms and fraction_rows(twin.weight_forms) == rows
             twin.verify(s)
         texts = {dumps_canonical(prior_witness_json(s, w)) for w in [witness] + twins}
         fraction_text = dumps_canonical(
@@ -529,10 +535,10 @@ def test_a_witness_from_integer_forms_equals_the_fraction_witness(intro, ex_pl1,
 
 def test_forged_weights_fail_alike_in_both_forms(intro, ex_pl1, ex_plbet4):
     # A negative weight, weights that do not sum to 1 and weights that miss
-    # the prior raise the same message from rows of Fractions and from forms
-    # (in lowest terms or not). Player i has two cells, the first charged.
+    # the prior raise the same message from forms in lowest terms and not.
+    # Player i has two cells, the first charged.
     for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
-        rows = [list(row) for row in witness.hull_weights]
+        rows = [list(row) for row in fraction_rows(witness.weight_forms)]
         i = next(k for k, row in enumerate(rows) if len(row) > 1)
         c = next(k for k, v in enumerate(rows[i]) if v)
         d = 1 if c == 0 else 0
@@ -552,7 +558,7 @@ def test_forged_weights_fail_alike_in_both_forms(intro, ex_pl1, ex_plbet4):
             forms = [integer_form(row) for row in forged]
             unreduced = [(5 * den, [5 * a for a in nums]) for den, nums in forms]
             texts = set()
-            for twin in (PriorWitness(witness.prior, forged), PriorWitness(witness.prior, weight_forms=unreduced)):
+            for twin in (PriorWitness(witness.prior, forms), PriorWitness(witness.prior, unreduced)):
                 with pytest.raises(VerificationError, match="^" + message) as caught:
                     twin.verify(s)
                 texts.add(str(caught.value))

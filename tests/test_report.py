@@ -38,6 +38,10 @@ from prior_forge.report import _verify_report
 # refuting trade and 146 a money pump.
 PINNED_GENERATED_REPORTS = "b0318fe957827b4933e0fcf89cee262d54abde9a85e2c1e3822efecd8e069c4c"
 
+# sha256 of ``analyze(...).to_text()`` on the same structures and
+# distributions.
+PINNED_GENERATED_TEXT = "b46e2801fae4c906346ae09b72eddbe12c7f453441efacee007f683ff6dafd80"
+
 
 def test_analyze_ex_pl1(ex_pl1):
     rep = analyze(ex_pl1)
@@ -110,7 +114,7 @@ def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
     # refutes nothing.
     for s, flag in ((ex_pl2, "agreeable"), (pl4, "weakly_agreeable"), (ex_pl1, "acceptable")):
         priors = analyze(s).priors
-        zero = Trade(((0,) * s.num_states,) * s.num_players)
+        zero = Trade(((1, (0,) * s.num_states),) * s.num_players)
         for trade, cls in ((zero, classify_trade(s, zero)), (None, None)):
             with pytest.raises(VerificationError, match=f"no {flag} trade"):
                 _verify_report(s, replace(priors, trade=trade, trade_class=cls))
@@ -249,7 +253,7 @@ def test_analyze_solves_no_lp(monkeypatch, intro, pl, ex_pl1, ex_pl2, pl4, ex_pl
 
 
 def test_generated_reports_are_pinned():
-    digest = hashlib.sha256()
+    digest, text = hashlib.sha256(), hashlib.sha256()
     trades = pumps = 0
     for seed in range(200):
         s = random_structure(GeneratorConfig(seed=seed))
@@ -258,8 +262,10 @@ def test_generated_reports_are_pinned():
         trades += rep.priors.trade is not None
         pumps += rep.verdict.pump_witness is not None
         digest.update(dumps_canonical(rep.to_json()).encode())
+        text.update(rep.to_text().encode())
     assert (trades, pumps) == (85, 146)
     assert digest.hexdigest() == PINNED_GENERATED_REPORTS
+    assert text.hexdigest() == PINNED_GENERATED_TEXT
 
 
 @pytest.mark.parametrize(
@@ -321,3 +327,32 @@ def test_a_report_writes_payoffs_and_expectations_from_integer_forms(fixture_pat
     assert written == [rep.verdict.pump_witness.deficit]
     refutation = doc["priors"]["common"]["refutation"]
     assert [len(refutation[key]) * len(refutation[key][0]) for key in ("payoffs", "expectations")] == [8, 8]
+
+
+def test_a_text_report_writes_rows_from_integer_forms(fixture_path, monkeypatch):
+    # The text rendering prints the rows the JSON pieces write: no payoff,
+    # hull weight or distribution entry becomes a Fraction on the way, and
+    # only a pump's deficit is written as a rational. ex_pl2 carries the
+    # block trade and a pump for uniform(4), intro a prior witness for
+    # uniform(5).
+    reports = [
+        analyze(_fresh(fixture_path, "ex_pl2"), uniform(4)),
+        analyze(_fresh(fixture_path, "intro"), uniform(5)),
+    ]
+    texts = [rep.to_text() for rep in reports]
+    written = []
+
+    def spy(q):
+        written.append(q)
+        return str(q)
+
+    def refused(*args):
+        raise AssertionError("a row was read as Fractions")
+
+    monkeypatch.setattr(report, "rational_text", spy)
+    monkeypatch.setattr(Distribution, "probs", property(refused))
+    for module in (trades, priors):
+        monkeypatch.setattr(module, "fraction_rows", refused)
+    assert [rep.to_text() for rep in reports] == texts
+    assert written == [reports[0].verdict.pump_witness.deficit]
+    assert "hull weights" in texts[1] and "refuting trade" in texts[0]

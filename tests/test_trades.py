@@ -10,7 +10,6 @@ from prior_forge import (
     DimensionError,
     Distribution,
     InconsistencyError,
-    InputError,
     MoneyPumpWitness,
     Trade,
     VerificationError,
@@ -43,7 +42,7 @@ from prior_forge.harness import (
     random_structure,
 )
 from prior_forge.lp import solve
-from prior_forge.model import dot
+from prior_forge.model import dot, fraction_rows, integer_form
 from prior_forge.priors import NOTIONS
 
 from oracles import dense_expectation_table
@@ -61,21 +60,26 @@ def point_mass(state, size):
     return Distribution(tuple(1 if i == state else 0 for i in range(size)))
 
 
+def as_forms(rows):
+    """The integer forms of payoff rows of ints and rationals."""
+    return tuple(map(integer_form, rows))
+
+
 # -- payoff containers -------------------------------------------------------
 
 
 def test_trade_rejects_positive_sum():
     with pytest.raises(InconsistencyError):
-        Trade(((1, 0), (0, 0)))
+        Trade(as_forms(((1, 0), (0, 0))))
     # Strictly negative sums are allowed: zero-sum "with slack".
-    Trade(((1, -1), (-2, 0)))
+    Trade(as_forms(((1, -1), (-2, 0))))
 
 
 def test_semi_trade_allows_any_sum():
     # A pump witness's rows are a semi-trade: no sum constraint, so rows
-    # summing to 2 > 0 at the first state are coerced, not rejected.
-    witness = MoneyPumpWitness(uniform(2), ((1, 0), (1, 0)), ZERO, "plain")
-    assert witness.payoffs[0] == (rational(1), ZERO)
+    # summing to 2 > 0 at the first state are kept, not rejected.
+    witness = MoneyPumpWitness(uniform(2), as_forms(((1, 0), (1, 0))), ZERO, "plain")
+    assert fraction_rows(witness.forms)[0] == (rational(1), ZERO)
 
 
 def test_trade_dimension_checks():
@@ -84,12 +88,12 @@ def test_trade_dimension_checks():
     with pytest.raises(DimensionError):
         Trade(())
     with pytest.raises(DimensionError):
-        Trade(((1, -1), (0,)))
+        Trade(as_forms(((1, -1), (0,))))
 
 
 def test_expectation_table(ex_pl1):
     f1 = (0, 1, 1, 0)
-    table = classify_trade(ex_pl1, (f1, neg(f1))).expectations
+    table = fraction_rows(classify_trade(ex_pl1, (f1, neg(f1))).expectation_forms)
     # Player 1 expects 1 inside the middle cell, 0 at the endpoints.
     assert table[0] == (ZERO, rational(1), rational(1), ZERO)
     # Player 2's point-mass types only see the endpoint payoffs, both 0.
@@ -106,7 +110,7 @@ def test_acceptable_not_weakly_agreeable(ex_pl1):
     assert cls.acceptable
     assert not cls.weakly_agreeable and cls.agreeable_component is None
     assert not cls.agreeable
-    assert cls.expectations[0][1] > 0
+    assert fraction_rows(cls.expectation_forms)[0][1] > 0
 
 
 def test_agreeable_family(ex_pl2):
@@ -114,7 +118,7 @@ def test_agreeable_family(ex_pl2):
     cls = classify_trade(ex_pl2, (f1, neg(f1)))
     assert cls.agreeable
     assert cls.weakly_agreeable and cls.acceptable and cls.is_trade
-    assert all(e > ZERO for row in cls.expectations for e in row)
+    assert all(e > ZERO for row in fraction_rows(cls.expectation_forms) for e in row)
 
 
 def test_weakly_agreeable_not_agreeable(pl4):
@@ -151,7 +155,7 @@ def test_classify_trade_flags_match_their_definitions(intro, pl, ex_pl1, ex_pl2,
             positive = [all(table[i][w] > ZERO for i in range(n)) for w in range(m)]
             comp = next((c for c in minimal_components(s) if all(positive[w] for w in c)), None)
             cls = classify_trade(s, payoffs)
-            assert cls.expectations == tuple(map(tuple, table))
+            assert fraction_rows(cls.expectation_forms) == tuple(map(tuple, table))
             assert cls.is_trade == all(sum(f[w] for f in payoffs) <= 0 for w in range(m))
             assert (cls.is_semi_trade, cls.acceptable) == (semi, semi and gain)
             assert (cls.agreeable, cls.weakly_agreeable) == (all(positive), comp is not None)
@@ -241,12 +245,12 @@ def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name)
     assert solved == []
     # Graded once, from the fixed forms of the finders' one Trade.
     assert len(graded) == 1 and graded[0] is acceptable
-    assert acceptable.payoffs == walk.payoffs
+    assert acceptable.payoffs == fraction_rows(walk.payoff_forms)
     # ex_pl2 has no common prior; pl4 has one but no universal one, and its
     # weakly agreeable and acceptable trades are the same block trade.
     assert (find_common_prior(s) is None) == (name == "ex_pl2")
     assert (agreeable is None) == (name == "pl4")
-    assert weak.payoffs == acceptable.payoffs == walk.payoffs
+    assert weak.payoffs == acceptable.payoffs == fraction_rows(walk.payoff_forms)
 
 
 def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -258,7 +262,7 @@ def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl
             graded += 1
     assert graded == 3
     with pytest.raises(DimensionError):
-        classify_trade(pl, Trade(((0, 0), (0, 0))))
+        classify_trade(pl, Trade(as_forms(((0, 0), (0, 0)))))
 
 
 def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -310,7 +314,7 @@ def test_single_pump_pinned_example(pl):
     f = (q("-1/9"), rational(1), ZERO)
     manual = MoneyPumpWitness(
         distribution=p,
-        payoffs=(f,),
+        forms=as_forms((f,)),
         deficit=q("-1/90"),
         kind=pump_kind(pl, p),
     )
@@ -321,19 +325,19 @@ def test_single_pump_pinned_example(pl):
 
 def test_pump_witness_verify_rejects_defects(pl):
     p = Distribution((q("1/10"), ZERO, q("9/10")))
-    f = (q("-1/9"), rational(1), ZERO)
+    f = integer_form((q("-1/9"), rational(1), ZERO))
     MoneyPumpWitness(p, (f,), q("-1/90"), "strong").verify(pl)
     # p' = (0, 1, 0) misses the cell {w3}, a minimal component: a pump, but
     # only a plain one.
     p_plain = Distribution((ZERO, rational(1), ZERO))
-    f_plain = (q("1/9"), rational(-1), ZERO)
+    f_plain = integer_form((q("1/9"), rational(-1), ZERO))
     MoneyPumpWitness(p_plain, (f_plain,), rational(-1), "plain").verify(pl)
     for witness, message in (
         (MoneyPumpWitness(p, (f, f), q("-1/45"), "strong"), "wrong player count"),
-        (MoneyPumpWitness(p, ((0, 0),), ZERO, "strong"), "wrong state count"),
-        (MoneyPumpWitness(p, ((-1, 0, 0),), q("-1/10"), "strong"), "player 0 expects"),
+        (MoneyPumpWitness(p, as_forms(((0, 0),)), ZERO, "strong"), "wrong state count"),
+        (MoneyPumpWitness(p, as_forms(((-1, 0, 0),)), q("-1/10"), "strong"), "player 0 expects"),
         (MoneyPumpWitness(p, (f,), q("-1/45"), "strong"), "stored deficit -1/45"),
-        (MoneyPumpWitness(p, ((0, 0, 0),), ZERO, "strong"), "is not negative"),
+        (MoneyPumpWitness(p, as_forms(((0, 0, 0),)), ZERO, "strong"), "is not negative"),
         (MoneyPumpWitness(p, (f,), q("-1/90"), "huge"), "unknown pump kind"),
         (
             MoneyPumpWitness(p_plain, (f_plain,), rational(-1), "universal"),
@@ -383,7 +387,7 @@ def test_closed_form_pump_ties_and_fractional_stop():
     )
     p = Distribution((q("3/8"), q("3/8"), q("1/8"), q("1/8")))
     witness = find_single_money_pump(s, p)
-    assert witness.payoffs == ((1, -1, -1, q("1/3")),)
+    assert fraction_rows(witness.forms) == ((1, -1, -1, q("1/3")),)
     assert witness.deficit == q("-1/12")
     oracle = solve(pump_piece_program(s, 0, p))
     assert oracle.objective_value == witness.deficit
@@ -495,16 +499,15 @@ def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
 
 
 def test_a_pump_witness_holds_one_set_of_rows(ex_pl2):
-    # The rows a witness prints are the rows it verifies: given both rows and
-    # forms that disagree, construction refuses them, and rows given alone
-    # are what ``verify`` checks and ``pump_json`` writes.
+    # The rows a witness prints are the rows it verifies: it holds one set
+    # of forms, put in lowest terms, which ``verify`` checks and
+    # ``pump_json`` writes.
     w = find_multiplayer_money_pump(ex_pl2, uniform(4))
-    fives = ((5,) * 4,) * len(w.forms)
-    with pytest.raises(InputError, match="not both"):
-        MoneyPumpWitness(w.distribution, fives, w.deficit, w.kind, forms=w.forms)
-    twin = MoneyPumpWitness(w.distribution, w.payoffs, w.deficit, w.kind)
+    scaled = tuple((7 * den, tuple(7 * a for a in nums)) for den, nums in w.forms)
+    twin = MoneyPumpWitness(w.distribution, scaled, w.deficit, w.kind)
     assert twin == w and hash(twin) == hash(w)
     assert report.pump_json(ex_pl2, twin) == report.pump_json(ex_pl2, w)
+    fives = ((1, (5,) * 4),) * len(w.forms)
     forged = MoneyPumpWitness(w.distribution, fives, w.deficit, w.kind)
     assert report.pump_json(ex_pl2, forged)["payoffs"] == [[5] * 4] * len(w.forms)
     with pytest.raises(VerificationError, match="differs from recomputed"):
@@ -542,7 +545,6 @@ def test_classify_distribution_asks_each_players_hull_weights_once(intro, monkey
     monkeypatch.setattr(priors, "hull_form", counting)
     verdict = classify_distribution(intro, uniform(5))
     assert sorted(calls) == [0, 1]
-    assert verdict.prior_witness.hull_weights == verdict.classification.hull_weights
     assert verdict.prior_witness.weight_forms == verdict.classification.weight_forms
 
 
@@ -600,7 +602,7 @@ def test_prior_report_matches_the_finders(intro, pl, ex_pl1, ex_pl2, pl4, ex_plb
             found, trade = find_prior(s), find_trade(s)
             assert (witness is None) == (found is None)
             if found is not None:
-                assert (witness.prior, witness.hull_weights) == (found.prior, found.hull_weights)
+                assert (witness.prior, witness.weight_forms) == (found.prior, found.weight_forms)
             assert (refutation is None) == (trade is None)
             if trade is not None:
                 assert refutation.payoffs == trade.payoffs
