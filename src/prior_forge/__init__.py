@@ -58,7 +58,6 @@ from .model import (
     forward_closed,
     induced_substructure,
     make_structure,
-    payoff_vector,
     single_player_view,
     uniform,
 )

@@ -10,7 +10,8 @@ minus sign on the numerator only, a nonzero denominator), and rejects floats
 and booleans. ``parse_literal`` is that grammar, the one place it lives: it
 reads a literal straight to a reduced ``(num, den)`` pair of ints.
 ``rational_text`` renders a rational as text (``a/b``, or ``a`` when the
-denominator is 1) and ``to_json_value`` as a JSON value.
+denominator is 1) for error messages; documents and reports write their
+numbers from ints, by ``jsonio.ratio_value``.
 
 Ints of any length convert to and from decimal text: ``int_text`` and
 ``text_int`` use ``str`` and ``int``, and only past the interpreter's digit
@@ -128,9 +129,3 @@ def rational_text(q) -> str:
         num, den = q.numerator, q.denominator
         return int_text(num) if den == 1 else int_text(num) + "/" + int_text(den)
 
-
-def to_json_value(q):
-    """JSON form: plain int when integral, ``"a/b"`` string otherwise."""
-    if q.denominator == 1:
-        return q.numerator
-    return rational_text(q)

@@ -34,7 +34,6 @@ from .jsonio import (
     parse_structure,
     structure_to_json,
 )
-from .model import integer_form
 from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
 from .report import notion_json, notion_lines, payoff_lines, prior_check_json, prior_witness_json
@@ -153,11 +152,11 @@ def _cmd_pump(args) -> int:
 def _cmd_classify(args) -> int:
     structure = _load_structure(args.structure)
     if args.trade is not None:
-        payoffs = parse_payoffs(load_path(args.trade), structure)
-        cls = classify_trade(structure, payoffs)
+        forms = parse_payoffs(load_path(args.trade), structure)
+        cls = classify_trade(structure, forms)
         _emit(
             args,
-            lambda: {"trade": trade_json(structure, tuple(map(integer_form, payoffs)), cls)},
+            lambda: {"trade": trade_json(structure, forms, cls)},
             lambda: [trade_flags_line(cls)],
         )
         return 0

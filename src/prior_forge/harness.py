@@ -60,6 +60,7 @@ from .model import (
     fraction_rows,
     induced_substructure,
     integer_form,
+    lowest_terms,
     make_structure,
     single_player_view,
 )
@@ -351,7 +352,7 @@ def _event_set(table, relation) -> tuple[int, ...]:
 
 def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> None:
     """The pointwise trade grades must match their commonly-certain forms."""
-    cls = classify_trade(structure, trade)
+    cls = classify_trade(structure, trade.forms)
     table = [nums for _, nums in cls.expectation_forms]  # signs are the numerators'
     positive = _event_set(table, lambda e: e > 0)
     nonneg = _event_set(table, lambda e: e >= 0)
@@ -362,12 +363,12 @@ def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> N
     rec.check(
         f"{label}: agreeable == commonly-certain-everywhere",
         cls.agreeable == cc_everywhere,
-        lambda: f"payoffs {trade.payoffs}",
+        lambda: f"payoff forms {trade.forms}",
     )
     rec.check(
         f"{label}: weakly == commonly-certain-somewhere",
         cls.weakly_agreeable == cc_somewhere,
-        lambda: f"payoffs {trade.payoffs}",
+        lambda: f"payoff forms {trade.forms}",
     )
     semi_cc = all(
         is_commonly_certain(structure, nonneg, w) for w in range(m)
@@ -375,7 +376,7 @@ def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> N
     rec.check(
         f"{label}: semi-trade == commonly-certain non-negative",
         cls.is_semi_trade == semi_cc,
-        lambda: f"payoffs {trade.payoffs}",
+        lambda: f"payoff forms {trade.forms}",
     )
 
 
@@ -417,7 +418,7 @@ def _add_mass_rows(b: LPBuilder, structure: InformationStructure, p_vars: list[i
 
 
 def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tuple[tuple, ...] | None:
-    """The refuting trade's payoffs, read off the multipliers u of
+    """The refuting trade's reduced integer forms, read off the multipliers u of
     ``outcome``, the common-prior program's (the constructive half of the
     Samet / Morris separation): the Farkas certificate when the program is
     infeasible, the optimal duals when the margin is 0, and None when the
@@ -460,7 +461,7 @@ def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tup
         for w in cell_set:
             h[owner][w] -= nu * n * types_den
     scale = max(abs(v) for hi in h for v in hi)
-    return tuple(tuple(Fraction(v, scale) for v in hi) for hi in h)
+    return tuple(lowest_terms((scale, hi)) for hi in h)
 
 
 def distinct_cell_sets(structure: InformationStructure) -> dict[tuple[int, ...], int]:

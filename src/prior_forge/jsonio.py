@@ -15,11 +15,13 @@ stdlib falls back to its pure-Python encoder, so
 ``dumps_canonical`` is its own one-pass writer, dispatched on exact types.
 It accepts only what the documents hold (dicts with string keys, lists,
 tuples, strings, ints, bools and None) and raises ``TypeError`` on anything
-else, floats and ``Fraction``s included. Type rows are dense on the wire, but
-a ``Distribution`` holds only its support: parsing skips the zero literals
-``0`` and ``"0"``, parses each nonzero entry once to a ``(num, den)`` pair of
-ints in lowest terms, and builds each type from the integer form of those
-pairs, so no ``Fraction`` is built to parse or to render a type.
+else, floats and ``Fraction``s included. Type and payoff rows are dense on
+the wire and read by one row parser: it skips the zero literals ``0`` and
+``"0"``, parses each nonzero entry once to a ``(num, den)`` pair of ints in
+lowest terms, and puts the pairs over the lcm of their denominators. A type
+is built on its support from that integer form, and a payoff row is the
+dense form that ``trades.classify_trade`` grades, so no ``Fraction`` is
+built to parse or to render either.
 
 A type row costs its nonzeros to write: ``type_row`` builds a plain list,
 and the writer finds the states of a row's nonzero entries at C speed and
@@ -35,7 +37,6 @@ and read back, exactly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import partial
 from itertools import compress
 from json.encoder import encode_basestring
@@ -202,11 +203,6 @@ def parse_rational_pair(v) -> tuple[int, int]:
     raise SchemaError(f"expected an integer or 'a/b' string, got {v!r}")
 
 
-def parse_rational_value(v) -> Fraction:
-    """A document's rational literal as a ``Fraction``."""
-    return Fraction(*parse_rational_pair(v))
-
-
 def _mapping(doc, what: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -229,14 +225,8 @@ def _label_list(data: dict, key: str) -> list[str]:
     return values
 
 
-def _rational_row(values, length: int, what: str) -> tuple:
-    if not isinstance(values, list) or len(values) != length:
-        raise SchemaError(f"{what} must be a list of {length} rationals")
-    return tuple(parse_rational_value(v) for v in values)
-
-
 def _support_row(values, length: int, what: str) -> tuple:
-    """A type row of ``length`` literals as ``_support_pairs`` reads it."""
+    """A type or payoff row of ``length`` literals, read by ``_support_pairs``."""
     if not isinstance(values, list) or len(values) != length:
         raise SchemaError(f"{what} must be a list of {length} rationals")
     return _support_pairs(values)
@@ -261,15 +251,19 @@ def _support_pairs(values) -> tuple:
     return tuple(support), tuple(nums), tuple(dens)
 
 
-def _distribution(size: int, row: tuple) -> Distribution:
-    """The distribution of a ``_support_pairs`` row over ``size`` states,
-    from its integer form: the lcm of the reduced denominators is the least
-    common one."""
-    support, nums, dens = row
+def _common_form(nums, dens) -> tuple:
+    """``(den, nums)``: the reduced rationals ``nums[k] / dens[k]`` over the
+    lcm of their denominators, the least common one, so in lowest terms."""
     den = lcm(*dens)
     if den != 1:
         nums = tuple([a * (den // d) for a, d in zip(nums, dens)])
-    return Distribution.from_integer_form(size, support, den, nums)
+    return den, nums
+
+
+def _distribution(size: int, row: tuple) -> Distribution:
+    """The distribution over ``size`` states of a ``_support_pairs`` row."""
+    support, nums, dens = row
+    return Distribution.from_integer_form(size, support, *_common_form(nums, dens))
 
 
 def parse_structure(doc) -> InformationStructure:
@@ -349,7 +343,7 @@ def structure_to_json(structure: InformationStructure) -> dict:
 
 
 def ratio_value(num: int, den: int):
-    """``num / den`` (``den > 0``) as ``to_json_value`` writes a rational,
+    """``num / den`` (``den > 0``) as a document holds a rational, written
     from the ints: reduced by one gcd, a plain int when whole, else
     ``"a/b"``, written by ``str`` when both ints have fewer than
     ``ANY_LIMIT_BITS`` bits and by ``int_text`` otherwise."""
@@ -395,15 +389,20 @@ def parse_distribution(doc, structure: InformationStructure) -> Distribution:
     return _distribution(len(values), row)
 
 
-def distribution_to_json(dist: Distribution) -> dict:
-    return {"schema": SCHEMA, "dist": type_row(dist)}
-
-
 def parse_payoffs(doc, structure: InformationStructure) -> tuple:
-    """Per-player payoff rows from ``{"payoffs": [...]}`` or a bare list."""
+    """Per-player payoffs from ``{"payoffs": [...]}`` or a bare list, one
+    dense integer form ``(den, nums)`` in lowest terms per player: each row
+    read by ``_support_row`` and put over ``_common_form``'s denominator."""
     rows = _envelope(doc, "payoffs", "payoff")
     if len(rows) != structure.num_players:
         raise DimensionError(
             f"{len(rows)} payoff rows for {structure.num_players} players"
         )
-    return tuple(_rational_row(row, structure.num_states, "payoff row") for row in rows)
+    m = structure.num_states
+    forms = []
+    for row in rows:
+        support, nums, dens = _support_row(row, m, "payoff row")
+        den, nums = _common_form(nums, dens)
+        at = dict(zip(support, nums)).get
+        forms.append((den, tuple([at(w, 0) for w in range(m)])))
+    return tuple(forms)

@@ -8,6 +8,10 @@ every operation on them is a pure function.
 
 State and player labels are strings at the boundary; internally everything is
 index-based (states ``0..M-1`` in declaration order, players likewise).
+
+Payoff and certificate rows are integer forms ``(den, nums)``, entry w
+being ``nums[w] / den``, from the parsed document to the grade; a family of
+them is checked by ``reduced_forms`` alone.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ from .errors import (
 T = TypeVar("T")
 
 
-def payoff_vector(values: Sequence, size: int | None = None) -> tuple:
-    """Coerce a sequence into a payoff vector, a plain tuple of exact
-    rationals with one entry per state, rejecting floats."""
-    vec = tuple(map(rational, values))
-    if size is not None and len(vec) != size:
-        raise DimensionError(f"payoff vector has {len(vec)} entries, expected {size}")
-    return vec
-
-
 def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """``(den, nums)``: the least common denominator of exact rationals (or
     ints) and their numerators over it, so ``nums[k] / den == values[k]``."""
@@ -63,12 +58,21 @@ def lowest_terms(form: tuple) -> tuple[int, tuple[int, ...]]:
     return den // g, tuple([a // g for a in nums])
 
 
+_ROWS = (tuple, list)
+
+
 def reduced_forms(forms, what: str) -> tuple:
-    """The integer forms ``(den, nums)`` a certificate holds, each put in
-    lowest terms (``lowest_terms``) once every ``den`` is checked positive;
-    InputError otherwise."""
-    if any(den <= 0 for den, _ in forms):
-        raise InputError(f"{what}'s row denominators must be positive")
+    """The integer forms ``(den, nums)`` a certificate or a graded payoff
+    family holds, each put in lowest terms (``lowest_terms``) once every
+    form is checked: a tuple or list of an int ``den > 0`` (not a bool) and
+    a tuple or list of ints; InputError otherwise. The checks are type
+    tests, so a row costs one C-speed scan of its entries' types."""
+    for form in forms:
+        if not (type(form) in _ROWS and len(form) == 2 and type(form[0]) is int
+                and type(form[1]) in _ROWS and {int}.issuperset(map(type, form[1]))):
+            raise InputError(f"{what}'s rows must be (den, nums) pairs of ints")
+        if form[0] <= 0:
+            raise InputError(f"{what}'s row denominators must be positive")
     return tuple(map(lowest_terms, forms))
 
 

@@ -25,17 +25,18 @@ is what the renderings print.
 Every certificate holds its rows as integer forms, and one row writer,
 ``_form_rows``, writes every payoff, expectation and hull weight from its
 form with ``jsonio.ratio_value``, the one rule for writing num/den; a
-distribution's row is its ``type_row``. The JSON pieces put those rows in
-the document and the text pieces print them, so both renderings write the
-same literals. A pump's deficit, the one rational of a report, is written
-by ``to_json_value`` and ``rational_text``.
+distribution's row is its ``type_row``, and a pump's deficit, the one
+rational a report holds, is written by ``ratio_value`` from its numerator
+and denominator. The JSON pieces put those values in the document and the
+text pieces print them (``_literal``), so both renderings write the same
+literals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import int_text, rational_text, to_json_value
+from ._rational import int_text
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
 from .jsonio import SCHEMA, ratio_value, structure_to_json, type_row
@@ -236,7 +237,7 @@ def pump_json(s: InformationStructure, witness: MoneyPumpWitness) -> dict:
     return {
         "dist": type_row(witness.distribution),
         "payoffs": _form_rows(witness.forms),
-        "deficit": to_json_value(witness.deficit),
+        "deficit": ratio_value(witness.deficit.numerator, witness.deficit.denominator),
         "kind": witness.kind,
     }
 
@@ -271,10 +272,15 @@ def verdict_json(s: InformationStructure, verdict: DistributionVerdict) -> dict:
 # -- text pieces ------------------------------------------------------------
 
 
+def _literal(v) -> str:
+    """An int or ``"a/b"`` string that ``ratio_value`` wrote, as text."""
+    return v if type(v) is str else int_text(v)
+
+
 def _vector(row) -> str:
     """A row of ints and ``"a/b"`` strings, as ``_form_rows`` and
     ``type_row`` write it, as ``(a, b/c, ...)``."""
-    return "(" + ", ".join(v if type(v) is str else int_text(v) for v in row) + ")"
+    return "(" + ", ".join(map(_literal, row)) + ")"
 
 
 def _state_set(s: InformationStructure, indices) -> str:
@@ -332,8 +338,9 @@ def verdict_line(verdict: DistributionVerdict) -> str:
 
 
 def pump_lines(s: InformationStructure, witness: MoneyPumpWitness) -> list[str]:
+    deficit = ratio_value(witness.deficit.numerator, witness.deficit.denominator)
     return [
-        f"  deficit = {rational_text(witness.deficit)}",
+        f"  deficit = {_literal(deficit)}",
         *payoff_lines(s, witness.forms, "  "),
     ]
 

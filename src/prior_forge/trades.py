@@ -29,13 +29,13 @@ Every object returned has been re-verified against its definition; failures
 raise VerificationError and mean a bug, not bad input.
 
 Every payoff family is held as integer forms, one ``(den, nums)`` in lowest
-terms per player, and a certificate takes its forms and nothing else: the
-block walk hands the refuting trade over as ``Trade(forms)``,
-``classify_trade`` keeps each player's expectation table as one, and
-``pump_piece`` returns its row's, which the pump's witness keeps and
-verifies. Both renderings write rows from the forms. ``Trade.payoffs``
-alone reads them as rows of ``Fraction``s, for the benchmark's correctness
-gate, which grades a refuting trade from them, and for messages.
+terms per player, from the document to the grade: ``jsonio.parse_payoffs``
+reads a payoff document to forms, and ``classify_trade`` takes forms and
+nothing else. A certificate takes its forms too: the block walk hands the
+refuting trade over as ``Trade(forms)``, ``classify_trade`` keeps each
+player's expectation table as one, and ``pump_piece`` returns its row's,
+which the pump's witness keeps and verifies. Both renderings write rows
+from the forms.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
-    fraction_rows,
-    integer_form,
     lowest_terms,
-    payoff_vector,
     reduced_forms,
     state_nums,
 )
@@ -92,10 +89,11 @@ class Trade:
                 )
 
     @property
-    def payoffs(self) -> tuple[tuple, ...]:
-        """The payoffs as rows of ``Fraction``s, built on each read: the
-        benchmark's correctness gate grades a refuting trade from them."""
-        return fraction_rows(self.forms)
+    def payoffs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``forms`` under its older name, which the benchmark's correctness
+        gate (``perfbench/workloads.py``) reads to grade a refuting trade.
+        ROADMAP item 1 moves the gate to ``forms`` and deletes this name."""
+        return self.forms
 
 
 def _payoff_forms(forms, what: str) -> tuple:
@@ -202,32 +200,26 @@ class DistributionVerdict:
     strong: str | None  # set only when p is strongly maximal
 
 
-def classify_trade(
-    structure: InformationStructure, payoffs
-) -> TradeClassification:
-    """Exact flags for an arbitrary payoff family, or for a ``Trade``.
+def classify_trade(structure: InformationStructure, forms) -> TradeClassification:
+    """Exact flags for an arbitrary payoff family, one integer form ``(den,
+    nums)`` per player, such as a ``Trade``'s or ``jsonio.parse_payoffs``'.
     Flags are independent evaluations of the defining conditions; in
     particular expectation flags are reported even when the family is not a
     trade.
 
-    Each row is put over one denominator once, or, for a ``Trade``, its
-    integer forms are read. Per player, a cell's expectation is one integer
-    sum from ``cell_expectations``, over the cell type's ``den`` times the
+    The player count is checked, then the forms (``reduced_forms``), then
+    each row's length. Per player, a cell's expectation is one integer sum
+    from ``cell_expectations``, over the cell type's ``den`` times the
     row's; the player's table is those sums over the lcm of the types'
     ``den``s, one integer form put in lowest terms by one gcd. The signs of
     the expectations and of the pointwise sums are read off integers."""
-    m = structure.num_states
-    if isinstance(payoffs, Trade):
-        size = len(payoffs.forms[0][1])
-        if size != m:
-            raise DimensionError(f"payoff vector has {size} entries, expected {m}")
-        forms = payoffs.forms
-    else:
-        forms = [integer_form(payoff_vector(f, m)) for f in payoffs]
-    if len(forms) != structure.num_players:
-        raise DimensionError(
-            f"{len(forms)} payoff vectors for {structure.num_players} players"
-        )
+    n, m = structure.num_players, structure.num_states
+    if len(forms) != n:
+        raise DimensionError(f"{len(forms)} payoff vectors for {n} players")
+    forms = reduced_forms(forms, "a payoff family")
+    for _, g in forms:
+        if len(g) != m:
+            raise DimensionError(f"payoff vector has {len(g)} entries, expected {m}")
     table, signs = [], []
     for i, form in enumerate(forms):
         cells = cell_expectations(structure, i, form)
@@ -266,7 +258,7 @@ def _grade_block_trade(structure: InformationStructure) -> tuple[Trade, TradeCla
     if forms is None:
         raise VerificationError("a prior notion fails, yet every block is live")
     trade = Trade(forms)
-    return trade, classify_trade(structure, trade)
+    return trade, classify_trade(structure, trade.forms)
 
 
 def graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:

@@ -15,14 +15,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from prior_forge._rational import ONE, ZERO, to_json_value
+from prior_forge._rational import ONE, ZERO, rational, rational_text
 from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
-from prior_forge.model import Distribution, InformationStructure, integer_form, payoff_vector
+from prior_forge.model import Distribution, InformationStructure, integer_form
 from prior_forge.jsonio import type_row
 from prior_forge.priors import Blocks
 from prior_forge.report import TRADE_FLAGS
 from prior_forge.trades import TradeClassification
+
+
+def to_json_value(q):
+    """A rational as a document holds it, a plain int when integral and an
+    ``"a/b"`` string otherwise, written from the ``Fraction``: the oracle of
+    ``jsonio.ratio_value``."""
+    if q.denominator == 1:
+        return q.numerator
+    return rational_text(q)
 
 
 def dense_dot(weights, values):
@@ -48,13 +57,16 @@ def dense_expectation_table(
 
 
 def dense_classify_trade(structure: InformationStructure, payoffs) -> TradeClassification:
-    """The flags of ``trades.classify_trade`` from ``payoff_vector`` rows,
-    ``dense_expectation_table`` and per-state ``Fraction`` column sums: its
-    oracle."""
-    norm = tuple(payoff_vector(f, structure.num_states) for f in payoffs)
+    """The flags of ``trades.classify_trade`` from rows of rationals, each
+    entry coerced by ``rational``, with ``dense_expectation_table`` and
+    per-state ``Fraction`` column sums: its oracle."""
+    m = structure.num_states
+    norm = tuple(tuple(map(rational, f)) for f in payoffs)
     if len(norm) != structure.num_players:
         raise DimensionError(f"{len(norm)} payoff vectors for {structure.num_players} players")
-    m = structure.num_states
+    for f in norm:
+        if len(f) != m:
+            raise DimensionError(f"payoff vector has {len(f)} entries, expected {m}")
     table = dense_expectation_table(structure, norm)
     is_semi, gainers = True, [0] * m
     for row in table:

@@ -103,7 +103,7 @@ def test_criterion_3_component_family_and_graded_priors(ex_pl1):
 
     assert find_acceptable_trade(ex_pl1) is not None
     f1 = (0, 1, 1, 0)
-    cls = classify_trade(ex_pl1, (f1, neg(f1)))
+    cls = classify_trade(ex_pl1, (integer_form(f1), integer_form(neg(f1))))
     assert cls.acceptable and not cls.weakly_agreeable
 
 
@@ -115,7 +115,7 @@ def test_criterion_4_agreeable_trade_and_pump(ex_pl2):
     assert classify_trade(ex_pl2, trade.payoffs).agreeable
 
     f1 = (2, -1, 4, -3)
-    assert classify_trade(ex_pl2, (f1, neg(f1))).agreeable
+    assert classify_trade(ex_pl2, (integer_form(f1), integer_form(neg(f1)))).agreeable
 
     witness = find_multiplayer_money_pump(ex_pl2, uniform(4))
     assert witness is not None
@@ -130,7 +130,7 @@ def test_criterion_5_point_polytope_and_plain_pump(pl4):
     assert find_universal_common_prior(pl4) is None
 
     f1 = (0, 0, -1, 2)
-    cls = classify_trade(pl4, (f1, neg(f1)))
+    cls = classify_trade(pl4, (integer_form(f1), integer_form(neg(f1))))
     assert cls.weakly_agreeable and not cls.agreeable
 
     witness = find_multiplayer_money_pump(pl4, point_mass(2, 4))

@@ -9,16 +9,16 @@ import pytest
 
 from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report
 from prior_forge.cli import main
+from prior_forge._rational import rational
 from prior_forge.jsonio import (
     loads,
     parse_distribution,
     parse_payoffs,
-    parse_rational_value,
     parse_structure,
     structure_to_json,
 )
 from prior_forge.model import Distribution, fraction_rows, integer_form, make_structure
-from prior_forge.trades import MoneyPumpWitness, classify_trade
+from prior_forge.trades import MoneyPumpWitness, build_prior_report, classify_trade, graded_block_trade
 from prior_forge.priors import PriorWitness
 
 
@@ -231,6 +231,38 @@ def test_classify_trade(run, spath, tmp_path):
     code, out, _ = run("classify", "--trade", f, spath("ex_pl1"))
     assert code == 0
     assert "acceptable" in out and "weakly agreeable" not in out
+
+
+# sha256 over ``classify --json --trade`` and ``classify --trade`` of the
+# refuting trades of generator seeds 0..199, in seed order.
+PINNED_CLASSIFIED_TRADES = "83d3f0350d49dd8f5ff59f09d618c8eb010941f5a9ef8ab90852ac8a02ab1d2d"
+
+
+def test_classified_generated_trades_are_pinned(run, tmp_path):
+    # Each refuting trade's payoffs, written as the report writes them, parse
+    # back to the trade's own forms, grade as the block walk graded them,
+    # and classify to the pinned bytes in both output forms.
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(200):
+        s = harness.random_structure(harness.GeneratorConfig(seed=seed))
+        trade = build_prior_report(s).trade
+        if trade is None:
+            continue
+        count += 1
+        cls = graded_block_trade(s)[1]
+        doc = {"payoffs": report.trade_json(s, trade.forms, cls)["payoffs"]}
+        forms = parse_payoffs(doc, s)
+        assert forms == trade.forms
+        assert classify_trade(s, forms) == cls
+        spath = write_json(tmp_path, "s.json", structure_to_json(s))
+        fpath = write_json(tmp_path, "f.json", doc)
+        for argv in (("classify", "--json", "--trade"), ("classify", "--trade")):
+            code, out, err = run(*argv, fpath, spath)
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+    assert count == 85
+    assert digest.hexdigest() == PINNED_CLASSIFIED_TRADES
 
 
 def test_classify_dist(run, spath, tmp_path):
@@ -569,7 +601,7 @@ def test_a_witness_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
     witness = loads(out)["witness"]
     assert max(map(len, witness["prior"])) > 2 * sys.get_int_max_str_digits()
     prior = parse_distribution(witness["prior"], structure)
-    weights = tuple(tuple(map(parse_rational_value, row)) for row in witness["hull_weights"])
+    weights = tuple(tuple(map(rational, row)) for row in witness["hull_weights"])
     PriorWitness(prior, tuple(map(integer_form, weights))).verify(structure)
     # The text form prints the same literals in its p and hull weight lines.
     code, out, err = run("prior", "--kind", "common", path)
@@ -642,13 +674,13 @@ def test_a_refuting_trade_past_the_digit_limit_is_written_and_read_back(run, tmp
     payoffs = parse_payoffs(refutation["payoffs"], structure)
     cls = classify_trade(structure, payoffs)
     assert {attr: getattr(cls, attr) for attr, _ in report.TRADE_FLAGS} == refutation["flags"]
-    expectations = tuple(tuple(map(parse_rational_value, row)) for row in refutation["expectations"])
+    expectations = tuple(tuple(map(rational, row)) for row in refutation["expectations"])
     assert expectations == fraction_rows(cls.expectation_forms)
     pump = doc["distribution"]["pump_witness"]
     witness = MoneyPumpWitness(
         parse_distribution(pump["dist"], structure),
-        tuple(map(integer_form, parse_payoffs(pump["payoffs"], structure))),
-        parse_rational_value(pump["deficit"]),
+        parse_payoffs(pump["payoffs"], structure),
+        rational(pump["deficit"]),
         pump["kind"],
     )
     witness.verify(structure)

@@ -43,7 +43,6 @@ from prior_forge import (
     parse_structure,
 )
 from prior_forge import jsonio
-from prior_forge._rational import to_json_value
 from prior_forge.certainty import support_graph
 from prior_forge.harness import chain_structure, planted_structure, random_distribution
 from prior_forge.harness import (
@@ -94,6 +93,7 @@ from oracles import (
     fraction_pump_json,
     fraction_read_off,
     fraction_trade_json,
+    to_json_value,
 )
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
@@ -219,7 +219,7 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
     trade_forms = blocks(structure).payoff_forms
     if trade_forms is not None:
         families.append(fraction_rows(trade_forms))
-    grades = [classify_trade(structure, payoffs) for payoffs in families]
+    grades = [classify_trade(structure, tuple(map(integer_form, payoffs))) for payoffs in families]
     assert grades == [dense_classify_trade(structure, payoffs) for payoffs in families]
     assert [g.is_trade for g in grades[1:3]] == [True, False]
     for i in range(n):
@@ -260,12 +260,13 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         else:
             assert pump.deficit == dense_deficit < 0
         for payoffs in (pieces, tuple(_random_row(m, rng) for _ in range(n))):
-            table = fraction_rows(classify_trade(structure, payoffs).expectation_forms)
+            forms = tuple(map(integer_form, payoffs))
+            table = fraction_rows(classify_trade(structure, forms).expectation_forms)
             assert table == dense_expectation_table(structure, payoffs)
             for f in payoffs:
                 assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
             deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
-            witness = MoneyPumpWitness(dist, tuple(map(integer_form, payoffs)), deficit, "plain")
+            witness = MoneyPumpWitness(dist, forms, deficit, "plain")
             message = _message(witness, structure)
             defect = _dense_semi_trade_defect(structure, payoffs)
             if defect is not None:
@@ -274,9 +275,8 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
                 assert message is None or not message.startswith("not a semi-trade")
 
     if trade_forms is not None:
-        trade = fraction_rows(trade_forms)
-        table = fraction_rows(classify_trade(structure, trade).expectation_forms)
-        assert table == dense_expectation_table(structure, trade)
+        table = fraction_rows(classify_trade(structure, trade_forms).expectation_forms)
+        assert table == dense_expectation_table(structure, fraction_rows(trade_forms))
 
 
 # The benchmark's planted sizes: (M, N, blocks).
@@ -299,7 +299,7 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
         assert walk.payoff_forms == dense_walk_blocks(structure).payoff_forms
         if walk.payoff_forms is not None:
             trade, cls = graded_block_trade(structure)
-            payoffs = trade.payoffs
+            payoffs = fraction_rows(trade.forms)
             assert cls == dense_classify_trade(structure, payoffs)
             table = dense_expectation_table(structure, payoffs)
             assert trade_json(structure, trade.forms, cls) == fraction_trade_json(
@@ -355,7 +355,7 @@ def test_a_trade_from_forms_checks_its_forms():
     # positive, and the pointwise sums are checked on the forms.
     trade = Trade(((6, (0, 2)), (3, (-3, -1))))
     assert trade.forms == ((3, (0, 1)), (3, (-3, -1)))
-    assert trade.payoffs == ((0, Fraction(1, 3)), (-1, Fraction(-1, 3)))
+    assert fraction_rows(trade.forms) == ((0, Fraction(1, 3)), (-1, Fraction(-1, 3)))
     with pytest.raises(InputError, match="^a trade's row denominators must be positive$"):
         Trade(((-3, (0, 1)), (3, (0, -1))))
     with pytest.raises(InconsistencyError, match="^payoffs sum to 1/3 > 0 at state index 1"):
@@ -380,6 +380,37 @@ def test_a_certificate_refuses_a_denominator_that_is_not_positive():
                 build(den)
 
 
+def test_a_malformed_form_is_an_input_error():
+    # A form is a pair of an int denominator, not a bool, and a sequence of
+    # ints. Rows of rationals, a bare int for the numerators, a Fraction or
+    # bool denominator and a numerator that is not an int (a Fraction, a
+    # float or a bool) are refused with an InputError naming the holder,
+    # classify_trade's payoff family included.
+    two = Distribution(("1/2", "1/2"))
+    s = make_structure(["a", "b"], ["P", "Q"], [[[0, 1]], [[0, 1]]], [[two], [two]])
+    malformed = [
+        [[0, 1, 1, 0], [0, -1, -1, 0]],
+        [[1, 1], [1, 1]],
+        [(1, 5), (1, 5)],
+        [(Fraction(1, 2), (1, -1)), (1, (0, 0))],
+        [(True, (0, 0)), (1, (0, 0))],
+        [(1, (0, Fraction(1, 2))), (1, (0, 0))],
+        [(1, (0, 0.5)), (1, (0, 0))],
+        [(1, (0, True)), (1, (0, 0))],
+        [(1, (0, 0), 1), (1, (0, 0))],
+    ]
+    builders = {
+        "a trade": Trade,
+        "a semi-trade": lambda forms: MoneyPumpWitness(two, forms, Fraction(-1), "plain"),
+        "a prior witness": lambda forms: PriorWitness(two, forms),
+        "a payoff family": lambda forms: classify_trade(s, forms),
+    }
+    for what, build in builders.items():
+        for forms in malformed:
+            with pytest.raises(InputError, match=f"^{what}'s rows must be \\(den, nums\\) pairs of ints$"):
+                build(forms)
+
+
 def test_pump_piece_breaks_ties_toward_the_lower_state():
     """In cell {a, b} the ratios p/t are 1/2 at both states, with p's
     numerators (1, 2) over 6 and t's (1, 2) over 3: a is raised first, to
@@ -392,8 +423,10 @@ def test_pump_piece_breaks_ties_toward_the_lower_state():
 
 
 def test_expectation_table_rejects_a_short_row(intro):
-    with pytest.raises(DimensionError, match="^payoff vector has 4 entries, expected 5$"):
-        classify_trade(intro, ((0, 0, 0, 0), (0, 0, 0, 0, 0)))
+    # Every row's length is checked, not only the first's.
+    for forms in (((1, (0,) * 4), (1, (0,) * 5)), ((1, (0,) * 5), (1, (0,) * 4))):
+        with pytest.raises(DimensionError, match="^payoff vector has 4 entries, expected 5$"):
+            classify_trade(intro, forms)
 
 
 BLOCK_FIELDS = ("live", "support", "prior", "weight_forms", "margin", "payoff_forms")

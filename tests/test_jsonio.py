@@ -33,7 +33,6 @@ from prior_forge._rational import (
     parse_literal,
     rational_text,
     text_int,
-    to_json_value,
 )
 from prior_forge.harness import (
     GeneratorConfig,
@@ -43,11 +42,10 @@ from prior_forge.harness import (
 )
 from prior_forge.jsonio import (
     check_schema,
-    distribution_to_json,
     load_path,
     loads,
     parse_rational_pair,
-    parse_rational_value,
+    ratio_value,
     type_row,
 )
 from prior_forge import _rational, jsonio
@@ -55,11 +53,13 @@ from prior_forge.priors import NOTIONS
 from prior_forge.model import make_structure, uniform
 from prior_forge.report import analyze
 
+from oracles import to_json_value
 
-def payoffs_to_json(payoffs):
+
+def payoffs_to_json(forms):
     return {
         "schema": SCHEMA,
-        "payoffs": [[to_json_value(v) for v in row] for row in payoffs],
+        "payoffs": [[ratio_value(a, den) for a in nums] for den, nums in forms],
     }
 
 
@@ -80,15 +80,15 @@ def test_invalid_json_is_schema_error():
 
 
 def test_rational_values():
-    assert parse_rational_value("1/3") == rational("1/3")
-    assert parse_rational_value(2) == rational(2)
-    assert parse_rational_value("-7/2") == rational("-7/2")
+    assert parse_rational_pair("1/3") == (1, 3)
+    assert parse_rational_pair(2) == (2, 1)
+    assert parse_rational_pair("-14/4") == (-7, 2)
     # int() would also take underscores, surrounding spaces, a plus sign
     # and other digit scripts; the wire format takes -?[0-9]+(/[0-9]+)?.
     loose = ("5_0/1_00", " -1/-2 ", "1/-2", " 1", "1 ", "+1", "\u0661", "1/", "/2", "")
     for bad in (True, None, [1], "1/0", "x", *loose):
         with pytest.raises(SchemaError):
-            parse_rational_value(bad)
+            parse_rational_pair(bad)
 
 
 def test_numbers_of_any_length_round_trip():
@@ -219,20 +219,27 @@ def test_distribution_forms(ex_pl1):
         parse_distribution(["1/2", "1/2"], ex_pl1)
     with pytest.raises(SchemaError):
         parse_distribution({"nope": []}, ex_pl1)
-    round_tripped = parse_distribution(distribution_to_json(d), ex_pl1)
+    round_tripped = parse_distribution({"schema": SCHEMA, "dist": type_row(d)}, ex_pl1)
     assert round_tripped == d
 
 
 def test_payoff_forms(ex_pl1):
+    # One dense integer form per player, over the lcm of the row's reduced
+    # denominators, so in lowest terms; a whole row has den 1.
     doc = {"payoffs": [["0", 1, 1, 0], [0, -1, -1, 0]]}
     payoffs = parse_payoffs(doc, ex_pl1)
-    assert payoffs[0][1] == rational(1)
+    assert payoffs == ((1, (0, 1, 1, 0)), (1, (0, -1, -1, 0)))
     bare = parse_payoffs([[0, 1, 1, 0], [0, -1, -1, 0]], ex_pl1)
     assert bare == payoffs
     with pytest.raises(DimensionError):
         parse_payoffs([[0, 1, 1, 0]], ex_pl1)  # one vector for two players
     again = parse_payoffs(payoffs_to_json(payoffs), ex_pl1)
     assert again == payoffs
+    halves = parse_payoffs([["2/4", "-1/3", "0/5", 0], ["-1/2", "1/3", 0, "-6/3"]], ex_pl1)
+    assert halves == ((6, (3, -2, 0, 0)), (6, (-3, 2, 0, -12)))
+    assert parse_payoffs(payoffs_to_json(halves), ex_pl1) == halves
+    with pytest.raises(SchemaError, match="^payoff row must be a list of 4 rationals$"):
+        parse_payoffs([[0, 1, 1, 0], [0, -1, -1]], ex_pl1)
 
 
 def test_load_path(tmp_path):
@@ -476,10 +483,15 @@ def _one_literal_doc(literal):
 
 @pytest.mark.parametrize("literal", [False, 0.0, " 0", "+0", "0/0", None, [0]])
 def test_zero_fast_path_keeps_the_grammar(literal):
+    # Type rows and payoff rows are read by one row parser.
     with pytest.raises(SchemaError) as expected:
-        parse_rational_value(literal)
+        parse_rational_pair(literal)
     with pytest.raises(SchemaError) as got:
         parse_structure(_one_literal_doc(literal))
+    assert str(got.value) == str(expected.value)
+    s = parse_structure(_one_literal_doc(0))
+    with pytest.raises(SchemaError) as got:
+        parse_payoffs([[0, "0", literal]], s)
     assert str(got.value) == str(expected.value)
 
 

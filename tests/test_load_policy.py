@@ -181,7 +181,6 @@ PINNED_EXPORTS = [
     "parse_distribution",
     "parse_payoffs",
     "parse_structure",
-    "payoff_vector",
     "priors",
     "pump_kind",
     "rational",

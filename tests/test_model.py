@@ -19,7 +19,6 @@ from prior_forge import (
     forward_closed,
     induced_substructure,
     make_structure,
-    payoff_vector,
     single_player_view,
     uniform,
 )
@@ -156,13 +155,6 @@ def test_uniform_and_point_mass():
     assert all(u[i] == u[0] for i in range(4))
     with pytest.raises(EmptySetError):
         uniform(0)
-
-
-def test_payoff_vector_length_checked():
-    with pytest.raises(DimensionError):
-        payoff_vector((1, 2), 3)
-    with pytest.raises(TypeError):
-        payoff_vector((1.5,), 1)
 
 
 def test_dot_and_expectation():

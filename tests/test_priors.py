@@ -41,12 +41,13 @@ from prior_forge.harness import (
     planted_structure,
     random_structure,
 )
-from prior_forge._rational import to_json_value
 from prior_forge.jsonio import dumps_canonical
 from prior_forge.lp import enumerate_basic_solutions, solve
 from prior_forge.model import fraction_rows, integer_form
 from prior_forge.priors import blocks
 from prior_forge.report import prior_witness_json
+
+from oracles import to_json_value
 
 
 def q(text):
@@ -405,7 +406,7 @@ def test_strong_prior_mixes_closed_blocks_by_least_cell_mass():
 
 
 def grades(structure, payoffs):
-    cls = classify_trade(structure, payoffs)
+    cls = classify_trade(structure, tuple(map(integer_form, payoffs)))
     return cls.is_trade, cls.acceptable, cls.weakly_agreeable, cls.agreeable
 
 

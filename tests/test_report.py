@@ -28,9 +28,8 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
-from prior_forge import report
-from prior_forge._rational import to_json_value
-from prior_forge.jsonio import dumps_canonical
+from prior_forge import model, report
+from prior_forge.jsonio import dumps_canonical, ratio_value
 from prior_forge.report import _verify_report
 
 # sha256 of the canonical JSON of ``analyze`` on generator seeds 0..199, each
@@ -115,7 +114,7 @@ def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
     for s, flag in ((ex_pl2, "agreeable"), (pl4, "weakly_agreeable"), (ex_pl1, "acceptable")):
         priors = analyze(s).priors
         zero = Trade(((1, (0,) * s.num_states),) * s.num_players)
-        for trade, cls in ((zero, classify_trade(s, zero)), (None, None)):
+        for trade, cls in ((zero, classify_trade(s, zero.forms)), (None, None)):
             with pytest.raises(VerificationError, match=f"no {flag} trade"):
                 _verify_report(s, replace(priors, trade=trade, trade_class=cls))
 
@@ -314,17 +313,21 @@ def test_analyze_runs_each_charge_test_once_per_decision(fixture_path, name, cou
 def test_a_report_writes_payoffs_and_expectations_from_integer_forms(fixture_path, monkeypatch):
     # ex_pl2 has no prior, so the report carries the block trade, 8 payoffs
     # and 8 expectations, and a pump for uniform(4), 8 payoffs: every one is
-    # written from its integer form, and only the deficit as a rational.
+    # written from its integer form, and the deficit from its numerator and
+    # denominator, each by ``ratio_value``.
     rep = analyze(_fresh(fixture_path, "ex_pl2"), uniform(4))
     written = []
 
-    def spy(q):
-        written.append(q)
-        return to_json_value(q)
+    def spy(num, den):
+        assert type(num) is int and type(den) is int
+        written.append((num, den))
+        return ratio_value(num, den)
 
-    monkeypatch.setattr(report, "to_json_value", spy)
+    monkeypatch.setattr(report, "ratio_value", spy)
     doc = rep.to_json()
-    assert written == [rep.verdict.pump_witness.deficit]
+    deficit = rep.verdict.pump_witness.deficit
+    assert (deficit.numerator, deficit.denominator) in written
+    assert doc["distribution"]["pump_witness"]["deficit"] == ratio_value(deficit.numerator, deficit.denominator)
     refutation = doc["priors"]["common"]["refutation"]
     assert [len(refutation[key]) * len(refutation[key][0]) for key in ("payoffs", "expectations")] == [8, 8]
 
@@ -332,9 +335,9 @@ def test_a_report_writes_payoffs_and_expectations_from_integer_forms(fixture_pat
 def test_a_text_report_writes_rows_from_integer_forms(fixture_path, monkeypatch):
     # The text rendering prints the rows the JSON pieces write: no payoff,
     # hull weight or distribution entry becomes a Fraction on the way, and
-    # only a pump's deficit is written as a rational. ex_pl2 carries the
-    # block trade and a pump for uniform(4), intro a prior witness for
-    # uniform(5).
+    # a pump's deficit is written from its ints, as the JSON piece writes
+    # it. ex_pl2 carries the block trade and a pump for uniform(4), intro a
+    # prior witness for uniform(5).
     reports = [
         analyze(_fresh(fixture_path, "ex_pl2"), uniform(4)),
         analyze(_fresh(fixture_path, "intro"), uniform(5)),
@@ -342,17 +345,21 @@ def test_a_text_report_writes_rows_from_integer_forms(fixture_path, monkeypatch)
     texts = [rep.to_text() for rep in reports]
     written = []
 
-    def spy(q):
-        written.append(q)
-        return str(q)
+    def spy(num, den):
+        assert type(num) is int and type(den) is int
+        written.append((num, den))
+        return ratio_value(num, den)
 
     def refused(*args):
         raise AssertionError("a row was read as Fractions")
 
-    monkeypatch.setattr(report, "rational_text", spy)
+    assert not hasattr(trades, "fraction_rows") and not hasattr(report, "rational_text")
+    monkeypatch.setattr(report, "ratio_value", spy)
     monkeypatch.setattr(Distribution, "probs", property(refused))
-    for module in (trades, priors):
+    for module in (model, priors):
         monkeypatch.setattr(module, "fraction_rows", refused)
     assert [rep.to_text() for rep in reports] == texts
-    assert written == [reports[0].verdict.pump_witness.deficit]
+    deficit = reports[0].verdict.pump_witness.deficit
+    assert (deficit.numerator, deficit.denominator) in written
+    assert f"  deficit = {deficit}" in texts[0].splitlines()
     assert "hull weights" in texts[1] and "refuting trade" in texts[0]

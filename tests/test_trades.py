@@ -1,5 +1,6 @@
 """Trades, semi-trades, money pumps, and the prior/trade dualities."""
 
+import fractions
 import hashlib
 import json
 import random
@@ -33,7 +34,7 @@ from prior_forge import (
     rational,
     uniform,
 )
-from prior_forge import lp, priors, report, trades
+from prior_forge import jsonio, lp, model, priors, report, trades
 from prior_forge.harness import (
     GeneratorConfig,
     component_substructures,
@@ -93,7 +94,7 @@ def test_trade_dimension_checks():
 
 def test_expectation_table(ex_pl1):
     f1 = (0, 1, 1, 0)
-    table = fraction_rows(classify_trade(ex_pl1, (f1, neg(f1))).expectation_forms)
+    table = fraction_rows(classify_trade(ex_pl1, as_forms((f1, neg(f1)))).expectation_forms)
     # Player 1 expects 1 inside the middle cell, 0 at the endpoints.
     assert table[0] == (ZERO, rational(1), rational(1), ZERO)
     # Player 2's point-mass types only see the endpoint payoffs, both 0.
@@ -105,7 +106,7 @@ def test_expectation_table(ex_pl1):
 
 def test_acceptable_not_weakly_agreeable(ex_pl1):
     f1 = (0, 1, 1, 0)
-    cls = classify_trade(ex_pl1, (f1, neg(f1)))
+    cls = classify_trade(ex_pl1, as_forms((f1, neg(f1))))
     assert cls.is_trade and cls.is_semi_trade
     assert cls.acceptable
     assert not cls.weakly_agreeable and cls.agreeable_component is None
@@ -115,7 +116,7 @@ def test_acceptable_not_weakly_agreeable(ex_pl1):
 
 def test_agreeable_family(ex_pl2):
     f1 = (2, -1, 4, -3)
-    cls = classify_trade(ex_pl2, (f1, neg(f1)))
+    cls = classify_trade(ex_pl2, as_forms((f1, neg(f1))))
     assert cls.agreeable
     assert cls.weakly_agreeable and cls.acceptable and cls.is_trade
     assert all(e > ZERO for row in fraction_rows(cls.expectation_forms) for e in row)
@@ -123,7 +124,7 @@ def test_agreeable_family(ex_pl2):
 
 def test_weakly_agreeable_not_agreeable(pl4):
     f1 = (0, 0, -1, 2)
-    cls = classify_trade(pl4, (f1, neg(f1)))
+    cls = classify_trade(pl4, as_forms((f1, neg(f1))))
     assert cls.weakly_agreeable
     assert cls.agreeable_component == (2, 3)
     assert not cls.agreeable
@@ -133,7 +134,7 @@ def test_weakly_agreeable_not_agreeable(pl4):
 def test_classification_flags_independent(ex_pl1):
     # A family violating the sum constraint still gets expectation flags.
     f1 = (1, 1, 1, 1)
-    cls = classify_trade(ex_pl1, (f1, f1))
+    cls = classify_trade(ex_pl1, as_forms((f1, f1)))
     assert not cls.is_trade
     assert cls.is_semi_trade and cls.agreeable
 
@@ -154,7 +155,7 @@ def test_classify_trade_flags_match_their_definitions(intro, pl, ex_pl1, ex_pl2,
             semi = all(e >= ZERO for row in table for e in row)
             positive = [all(table[i][w] > ZERO for i in range(n)) for w in range(m)]
             comp = next((c for c in minimal_components(s) if all(positive[w] for w in c)), None)
-            cls = classify_trade(s, payoffs)
+            cls = classify_trade(s, as_forms(payoffs))
             assert fraction_rows(cls.expectation_forms) == tuple(map(tuple, table))
             assert cls.is_trade == all(sum(f[w] for f in payoffs) <= 0 for w in range(m))
             assert (cls.is_semi_trade, cls.acceptable) == (semi, semi and gain)
@@ -244,25 +245,52 @@ def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name)
     assert s.derived("blocks", lambda _: None) is walk is not None
     assert solved == []
     # Graded once, from the fixed forms of the finders' one Trade.
-    assert len(graded) == 1 and graded[0] is acceptable
-    assert acceptable.payoffs == fraction_rows(walk.payoff_forms)
+    assert len(graded) == 1 and graded[0] is acceptable.forms
+    assert acceptable.forms == walk.payoff_forms
     # ex_pl2 has no common prior; pl4 has one but no universal one, and its
     # weakly agreeable and acceptable trades are the same block trade.
     assert (find_common_prior(s) is None) == (name == "ex_pl2")
     assert (agreeable is None) == (name == "pl4")
-    assert weak.payoffs == acceptable.payoffs == fraction_rows(walk.payoff_forms)
+    assert weak.forms == acceptable.forms == walk.payoff_forms
 
 
 def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    # A trade's forms grade as the forms of its rows of rationals do, and
+    # ``Trade.payoffs`` is the forms themselves.
     graded = 0
     for s in (intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
         trade = find_acceptable_trade(s)
         if trade is not None:
-            assert classify_trade(s, trade) == classify_trade(s, trade.payoffs)
+            assert trade.payoffs is trade.forms
+            assert classify_trade(s, trade.forms) == classify_trade(s, as_forms(fraction_rows(trade.forms)))
             graded += 1
     assert graded == 3
     with pytest.raises(DimensionError):
-        classify_trade(pl, Trade(as_forms(((0, 0), (0, 0)))))
+        classify_trade(pl, as_forms(((0, 0), (0, 0))))
+
+
+def test_parsing_and_grading_a_payoff_document_build_no_fraction(ex_pl2, monkeypatch):
+    # A payoff document parses straight to integer forms, and the grade reads
+    # them: the benchmark's gate grades ``Trade.payoffs`` the same way. Seed
+    # 5 is a generated structure with no common prior.
+    generated = random_structure(GeneratorConfig(seed=5))
+    assert find_common_prior(generated) is None
+    built = []
+    real_new = fractions.Fraction.__new__
+
+    def spied_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    for s in (ex_pl2, generated):
+        trade, cls = trades.graded_block_trade(s)
+        doc = {"payoffs": report.trade_json(s, trade.forms, cls)["payoffs"]}
+        with monkeypatch.context() as patch:
+            patch.setattr(fractions.Fraction, "__new__", spied_new)
+            forms = jsonio.parse_payoffs(doc, s)
+            grades = (classify_trade(s, forms), classify_trade(s, trade.payoffs))
+        assert built == []
+        assert forms == trade.forms and grades == (cls, cls)
 
 
 def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -272,7 +300,7 @@ def test_certificate_trades_fill_the_box(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbe
             if find_common_prior(sub) is None:
                 trade = find_agreeable_trade(sub)
                 assert classify_trade(sub, trade.payoffs).agreeable
-                assert max(abs(v) for f in trade.payoffs for v in f) == 1
+                assert max(abs(v) for f in fraction_rows(trade.forms) for v in f) == 1
                 refuted += 1
     assert refuted >= 2  # ex_pl2, and pl4's component {w3, w4}
 
@@ -294,7 +322,7 @@ def test_refuting_trades_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
             report.strong_refutation,
         ):
             text = "-" if trade is None else "|".join(
-                ",".join(map(str, f)) for f in trade.payoffs
+                ",".join(map(str, f)) for f in fraction_rows(trade.forms)
             )
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == PINNED_REFUTATIONS
@@ -469,9 +497,11 @@ def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
     """Over battery seeds 1000..1099, every pumping search derives the
     integer form of each of its rows once, in ``pump_piece``, which returns
     it: the deficit and the witness read those forms, and no row is put
-    over one denominator again."""
+    over one denominator again. ``trades`` does not import
+    ``integer_form``, and ``model``'s own calls to it are counted."""
+    assert not hasattr(trades, "integer_form")
     pieces, derived, counts = [], [], []
-    piece, form, search = trades.pump_piece, trades.integer_form, trades._pump_search
+    piece, form, search = trades.pump_piece, model.integer_form, trades._pump_search
 
     def counted_piece(*args):
         pieces.append(args)
@@ -490,7 +520,7 @@ def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
         return witness
 
     monkeypatch.setattr(trades, "pump_piece", counted_piece)
-    monkeypatch.setattr(trades, "integer_form", counted_form)
+    monkeypatch.setattr(model, "integer_form", counted_form)
     monkeypatch.setattr(trades, "_pump_search", spied)
     for seed in range(1000, 1100):
         assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed

@@ -127,7 +127,7 @@ def test_other_entry_points_fail_with_their_message():
             SchemaError,
             "distribution document must be an object or a list",
         ),
-        (lambda: classify_trade(s, [[0, 0]]), DimensionError, "1 payoff vectors for 2 players"),
+        (lambda: classify_trade(s, [(1, (0, 0))]), DimensionError, "1 payoff vectors for 2 players"),
         (lambda: closure(s, 2), DimensionError, "state index 2 out of range"),
         (lambda: forward_closed(s, []), EmptySetError, "the empty set is never a component"),
         (lambda: forward_closed(s, [2]), DimensionError, "state index out of range"),
