@@ -31,7 +31,8 @@ renders only those, over a row of the text ``0``, in one ``join`` (see
 Numbers have no length limit on either side: the writers render ints with
 ``int_text`` and the parsers read them with ``text_int`` (see ``loads``), so
 a report whose witness runs past the interpreter's digit limit is written,
-and read back, exactly.
+and read back, exactly; a row's writer (``row_value``) converts each long
+reduced denominator, which the entries mostly share, once per row.
 """
 
 from __future__ import annotations
@@ -347,23 +348,34 @@ def ratio_value(num: int, den: int):
     from the ints: reduced by one gcd, a plain int when whole, else
     ``"a/b"``, written by ``str`` when both ints have fewer than
     ``ANY_LIMIT_BITS`` bits and by ``int_text`` otherwise."""
+    return row_value(num, den, {})
+
+
+def row_value(num: int, den: int, dens: dict):
+    """``ratio_value`` for one entry of a row. ``dens`` maps each reduced
+    denominator of the row past ``ANY_LIMIT_BITS`` bits to its text, so a
+    row that repeats its denominator, as a prior over a long one does,
+    converts it once; numerators are converted per entry."""
     g = gcd(num, den)
     if g == den:
         return num // g
     num, den = num // g, den // g
     if num.bit_length() < ANY_LIMIT_BITS and den.bit_length() < ANY_LIMIT_BITS:
         return f"{num}/{den}"
-    return int_text(num) + "/" + int_text(den)
+    text = dens.get(den)
+    if text is None:
+        text = dens[den] = int_text(den)
+    return int_text(num) + "/" + text
 
 
 def type_row(t: Distribution) -> list:
     """The JSON row of a type, or of any distribution: 0 off its support,
     and on it each numerator over ``t.den`` as ``ratio_value`` writes it
-    (in lowest terms, an int when whole, else ``"a/b"``)."""
+    (in lowest terms, an int when whole, else ``"a/b"``), by ``row_value``."""
     row = [0] * len(t)
-    den = t.den
+    den, dens = t.den, {}
     for w, a in t.items():
-        row[w] = ratio_value(a, den)
+        row[w] = row_value(a, den, dens)
     return row
 
 

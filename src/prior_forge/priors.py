@@ -4,7 +4,8 @@ Single-player side: disintegrability (the generalized law of total
 probability) and conglomerability (every event's probability sandwiched
 between the extreme posteriors). Group side: the three common-prior notions,
 ordered strong => universal => common, each decided exactly and returned with
-a hull-weight witness that reconstructs the prior by re-multiplication.
+its prior as the witness, which every player's hull reconstructs by
+re-multiplication.
 
 A structural fact does most of the work here: types are supported inside
 their own cells, so distinct cells of one player always carry distinct types,
@@ -21,11 +22,12 @@ three notions, gives one canonical prior and, where a notion fails, one
 refuting trade. No LP is solved; the common-prior program stays in
 ``harness`` as the walk's oracle.
 
-Hull weights are integer forms, one ``(den, nums)`` per player, and a
-``PriorWitness`` takes its prior and those forms and nothing else; both
-renderings write rows from them. The function ``hull_weights`` alone reads
-a player's form as a row of ``Fraction``s, for ``is_disintegrable`` and the
-battery's cross-check.
+A prior witness is its prior: ``PriorWitness`` holds ``prior`` alone, and
+the renderings read the hull weights off it as cell masses. One rule,
+``_off_hull``, decides hull membership (``hull_form``, ``classify_prior``)
+and verifies a witness, a big cell mass times a small type numerator per
+state. ``hull_weights`` alone reads a player's weights as ``Fraction``s,
+for ``is_disintegrable`` and the battery's cross-check.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .model import (
     InformationStructure,
     fraction_rows,
     lowest_terms,
-    reduced_forms,
     state_nums,
 )
 
@@ -79,38 +80,20 @@ NOTIONS = (
 
 @dataclass(frozen=True)
 class PriorWitness:
-    """A prior plus, per player, convex weights over that player's cells
-    expressing it as a mixture of the cells' types.
-
-    The weights are integer forms: ``weight_forms[i]`` is ``(den, nums)``,
-    player i's weight on cell c being ``nums[c] / den``, each put in lowest
-    terms when the witness is built. The walk and ``classify_prior``, whose
-    weights are cell masses over the prior's ``den``, hand theirs over as
-    they have them. Equality and the hash are those of the prior and the
-    forms, so of the weights' values."""
+    """A common prior. Each player's hull weights, the convex weights over
+    its cells that mix the cells' types into the prior, are forced to be
+    the prior's cell masses, so the prior is the whole certificate."""
 
     prior: Distribution
-    weight_forms: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight_forms", reduced_forms(self.weight_forms, "a prior witness"))
 
     def verify(self, structure: InformationStructure) -> None:
-        """Exact re-multiplication on the weights' integer forms; raises
-        VerificationError on any defect."""
-        if len(self.weight_forms) != structure.num_players:
-            raise VerificationError("witness has wrong number of weight vectors")
+        """The hull rule ``_off_hull`` for every player, at the prior's cell
+        masses; raises VerificationError on any defect."""
         if len(self.prior) != structure.num_states:
             raise VerificationError("witness prior has wrong dimension")
-        den, nums = self.prior.den, state_nums(self.prior)
-        for i, (wden, wnums) in enumerate(self.weight_forms):
-            if len(wnums) != structure.num_cells(i):
-                raise VerificationError(f"player {i} weight vector has wrong length")
-            if any(u < 0 for u in wnums):
-                raise VerificationError(f"player {i} has a negative hull weight")
-            if sum(wnums) != wden:
-                raise VerificationError(f"player {i} hull weights do not sum to 1")
-            off = _off_mixture(structure, i, wden, wnums, den, nums)
+        nums = state_nums(self.prior)
+        for i in range(structure.num_players):
+            off = _off_hull(structure, i, nums)
             if off:
                 raise VerificationError(
                     f"player {i} weights fail to reconstruct the prior at state {min(off)}"
@@ -119,12 +102,9 @@ class PriorWitness:
 
 @dataclass(frozen=True)
 class PriorClassification:
-    """Per-player hull membership of a distribution and its charge grades.
-    ``weight_forms[i]`` is player i's hull weights as ``hull_form`` gives
-    them, or None outside the hull."""
+    """Per-player hull membership of a distribution and its charge grades."""
 
     prior_for_player: tuple[bool, ...]
-    weight_forms: tuple[tuple | None, ...]
     common: bool
     maximal: bool
     strongly_maximal: bool
@@ -139,19 +119,25 @@ def check_single_player(structure: InformationStructure) -> None:
         )
 
 
+def cell_masses(structure: InformationStructure, player: int, nums) -> tuple[int, ...]:
+    """Per cell of the player, the sum of ``nums`` over it: a distribution's
+    cell masses over its ``den``, with ``nums`` its numerators."""
+    get = nums.__getitem__
+    return tuple([sum(map(get, cell)) for cell in structure.partitions[player]])
+
+
 def hull_form(
     structure: InformationStructure, player: int, dist: Distribution
 ) -> tuple[int, tuple[int, ...]] | None:
     """The player's convex weights over its cells reconstructing dist from
     the cells' types, as ``(dist.den, masses)``, or None when dist is
     outside the hull. Weights are forced to be the cell masses, so this is
-    a direct exact check on ints, not a search."""
+    ``_off_hull``, a direct exact check on ints, not a search."""
     check_dimension(structure, dist)
-    den, nums = dist.den, state_nums(dist)
-    masses = tuple([sum(nums[w] for w in cell) for cell in structure.partitions[player]])
-    if _off_mixture(structure, player, den, masses, den, nums):
+    nums = state_nums(dist)
+    if _off_hull(structure, player, nums):
         return None
-    return den, masses
+    return dist.den, cell_masses(structure, player, nums)
 
 
 def hull_weights(
@@ -161,19 +147,19 @@ def hull_weights(
     return fraction_rows((hull_form(structure, player, dist),))[0]
 
 
-def _off_mixture(
-    structure: InformationStructure, player: int, wden: int, wnums, den: int, nums
-) -> list[int]:
-    """The states where sum_c (wnums[c] / wden) * type_c differs from
-    nums / den. Types vanish off their own cell and every state lies in
-    exactly one cell, so on cell c with type b / E the mixture is right at w
-    iff wnums[c] * den * b[w] == nums[w] * wden * E, with b[w] the player's
-    ``own_nums`` entry: ints only."""
-    own = structure.own_nums(player)
+def _off_hull(structure: InformationStructure, player: int, nums) -> list[int]:
+    """The states where p = nums / den is not the mixture of the player's
+    types at p's cell masses. Types vanish off their own cell, so on cell c
+    with type b / E that mixture is right at w iff ``mass_c * b[w] ==
+    nums[w] * E``, mass_c the sum of nums over c and b[w] the player's
+    ``own_nums`` entry: den cancels. A plain loop, as cells are small."""
+    own, masses = structure.own_nums(player), cell_masses(structure, player, nums)
     off = []
-    for cell, t, u in zip(structure.partitions[player], structure.cell_types[player], wnums):
-        lhs, rhs = u * den, wden * t.den
-        off += [w for w in cell if lhs * own[w] != nums[w] * rhs]
+    for cell, t, mass in zip(structure.partitions[player], structure.cell_types[player], masses):
+        e = t.den
+        for w in cell:
+            if mass * own[w] != nums[w] * e:
+                off.append(w)
     return off
 
 
@@ -278,16 +264,13 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
 class Blocks:
     """The structure's linked cell blocks, walked once: a live flag per
     block in walk order, the states live blocks charge, the canonical prior
-    with its hull weights (per player, the mass of each cell, as the
-    integer form ``(den, masses)`` over the prior's ``den``) and its least
-    cell mass, and the one refuting trade, one integer form ``(den, nums)``
-    in lowest terms per player. ``prior`` and ``weight_forms`` are None when
-    no block is live, ``payoff_forms`` when every block is."""
+    and its least cell mass, and the one refuting trade, one integer form
+    ``(den, nums)`` in lowest terms per player. ``prior`` is None when no
+    block is live, ``payoff_forms`` when every block is."""
 
     live: tuple[bool, ...]
     support: frozenset[int]
     prior: Distribution | None
-    weight_forms: tuple[tuple, ...] | None
     margin: Fraction
     payoff_forms: tuple[tuple, ...] | None
 
@@ -345,9 +328,9 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     b / E (the numerators of ``t.items()`` over ``t.den``), and player j's
     type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
-    comparisons cross-multiply. The prior and its hull weights are read off
-    as integer forms (``_read_off``), and so is the boxed trade
-    (``_boxed_forms``); the one rational built is the margin."""
+    comparisons cross-multiply. The prior is read off as an integer form
+    (``_read_off``), and so is the boxed trade (``_boxed_forms``); the one
+    rational built is the margin."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
     own = [structure.own_nums(j) for j in range(n)]
@@ -433,9 +416,9 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
             lam[i][c] = (0, 1)
 
     support = frozenset(w for states, _, _ in lives for w in states)
-    prior, weights, margin = _read_off(structure, value, lives, all(live))
+    prior, margin = _read_off(structure, value, lives, all(live))
     boxed = None if all(live) else _boxed_forms(m, n, pay)
-    return Blocks(tuple(live), support, prior, weights, margin, boxed)
+    return Blocks(tuple(live), support, prior, margin, boxed)
 
 
 def _boxed_forms(m: int, n: int, pay: dict) -> tuple[tuple, ...]:
@@ -457,17 +440,15 @@ def _boxed_forms(m: int, n: int, pay: dict) -> tuple[tuple, ...]:
 
 def _read_off(
     structure: InformationStructure, value: list, lives: list, strong: bool
-) -> tuple[Distribution | None, tuple[tuple, ...] | None, Fraction]:
-    """The canonical prior, its hull weights and its margin, as an integer
-    form: each live block's (states, an, ad) in ``lives`` takes numerators
-    over the lcm of its ``value`` denominators, scaled by ``ad / (lcm * an)``
-    so that its least cell has mass 1 (over the lcm of those scales' own
-    denominators when several blocks are live), and one gcd over the
-    support reduces them. A hull weight is its cell's mass, kept as the
-    integer form ``(den, masses)`` per player; the margin, with every block
-    live, is the least one."""
+) -> tuple[Distribution | None, Fraction]:
+    """The canonical prior, as an integer form, and its margin: each live
+    block's (states, an, ad) in ``lives`` takes numerators over the lcm of
+    its ``value`` denominators, scaled by ``ad / (lcm * an)`` so that its
+    least cell has mass 1 (over the lcm of those scales' own denominators
+    when several blocks are live), and one gcd over the support reduces
+    them. The margin, with every block live, is the least cell mass."""
     if not lives:
-        return None, None, ZERO
+        return None, ZERO
     nums = [0] * structure.num_states
     factors = []
     for states, an, ad in lives:
@@ -490,14 +471,13 @@ def _read_off(
     prior = Distribution.from_integer_form(
         structure.num_states, tuple(support), den, tuple(nums[w] for w in support)
     )
-    masses = [tuple([sum(nums[w] for w in cell) for cell in cells]) for cells in structure.partitions]
-    margin = Fraction(min(map(min, masses)), den) if strong else ZERO
-    return prior, tuple((den, row) for row in masses), margin
+    least = min(min(cell_masses(structure, i, nums)) for i in range(structure.num_players))
+    return prior, Fraction(least, den) if strong else ZERO
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:
-    """The canonical prior of ``blocks`` with hull weights, or None when no
-    block is live; built and verified once per structure."""
+    """The canonical prior of ``blocks``, or None when no block is live;
+    built and verified once per structure."""
     return structure.derived("witness", _canonical_witness)
 
 
@@ -505,7 +485,7 @@ def _canonical_witness(structure: InformationStructure) -> PriorWitness | None:
     walk = blocks(structure)
     if walk.prior is None:
         return None
-    witness = PriorWitness(walk.prior, walk.weight_forms)
+    witness = PriorWitness(walk.prior)
     witness.verify(structure)
     return witness
 
@@ -533,17 +513,17 @@ def find_strong_common_prior(structure: InformationStructure) -> PriorWitness | 
 def classify_prior(
     structure: InformationStructure, dist: Distribution
 ) -> PriorClassification:
-    """Exact flags for a given distribution: per-player hull membership plus
+    """Exact flags for a given distribution: per-player hull membership, by
+    ``_off_hull`` on one numerator row of dist shared by every player, plus
     the positivity grades that upgrade a common prior to universal/strong."""
     check_dimension(structure, dist)
-    forms = tuple(hull_form(structure, i, dist) for i in range(structure.num_players))
-    per_player = tuple(form is not None for form in forms)
+    nums = state_nums(dist)
+    per_player = tuple(not _off_hull(structure, i, nums) for i in range(structure.num_players))
     common = all(per_player)
     maximal = is_maximal(structure, dist)
     strongly = is_strongly_maximal(structure, dist)
     return PriorClassification(
         prior_for_player=per_player,
-        weight_forms=forms,
         common=common,
         maximal=maximal,
         strongly_maximal=strongly,

@@ -22,14 +22,15 @@ the notion's grade. A report is the artifact that leaves the process; it
 must never carry a claim that was not checked. The trade's classification
 is what the renderings print.
 
-Every certificate holds its rows as integer forms, and one row writer,
-``_form_rows``, writes every payoff, expectation and hull weight from its
-form with ``jsonio.ratio_value``, the one rule for writing num/den; a
-distribution's row is its ``type_row``, and a pump's deficit, the one
-rational a report holds, is written by ``ratio_value`` from its numerator
-and denominator. The JSON pieces put those values in the document and the
-text pieces print them (``_literal``), so both renderings write the same
-literals.
+Trades and pumps hold their rows as integer forms, and a prior witness its
+prior alone, whose cell masses are read off as hull weights (``_hull_rows``).
+One row writer, ``_form_rows``, writes every payoff, expectation and hull
+weight from its form with ``jsonio.row_value``, the one rule for writing
+num/den; a distribution's row is its ``type_row``, and a pump's deficit,
+the one rational a report holds, is written by ``ratio_value`` from its
+numerator and denominator. The JSON pieces put those values in the document
+and the text pieces print them (``_literal``), so both renderings write the
+same literals.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from dataclasses import dataclass
 from ._rational import int_text
 from .certainty import component_family, minimal_components
 from .errors import VerificationError
-from .jsonio import SCHEMA, ratio_value, structure_to_json, type_row
-from .model import Distribution, InformationStructure
-from .priors import NOTIONS, PriorWitness
+from .jsonio import SCHEMA, ratio_value, row_value, structure_to_json, type_row
+from .model import Distribution, InformationStructure, state_nums
+from .priors import NOTIONS, PriorWitness, cell_masses
 from .trades import (
     MoneyPumpWitness,
     PriorReport,
@@ -110,7 +111,7 @@ class AnalysisReport:
             if v.pump_witness is not None:
                 lines += pump_lines(s, v.pump_witness)
             if v.prior_witness is not None:
-                lines += _weight_lines(s, v.prior_witness.weight_forms, "  ")
+                lines += _weight_lines(s, v.prior_witness.prior, "  ")
         return "\n".join(lines) + "\n"
 
 
@@ -171,11 +172,10 @@ def components_json(s: InformationStructure, minimal, family) -> dict:
 
 
 def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
-    """The prior's row and the hull weights, written from their integer
-    forms."""
+    """The prior's row and the hull weights read off it (``_hull_rows``)."""
     return {
         "prior": type_row(witness.prior),
-        "hull_weights": _form_rows(witness.weight_forms),
+        "hull_weights": _hull_rows(s, witness.prior),
     }
 
 
@@ -204,7 +204,7 @@ TRADE_FLAGS = (
 
 def _form_rows(forms) -> list[list]:
     """Rows given as integer forms ``(den, nums)``, each distinct numerator
-    of a row with ``den > 1`` written once by ``ratio_value`` (a payoff row
+    of a row with ``den > 1`` written once by ``row_value`` (a payoff row
     repeats -1 and +1, an expectation row its cell's value at every state
     of the cell); a row with ``den == 1`` is ints already."""
     rows = []
@@ -212,10 +212,10 @@ def _form_rows(forms) -> list[list]:
         if den == 1:
             rows.append(list(nums))
             continue
-        text = {0: 0}
+        text, dens = {0: 0}, {}
         for a in nums:
             if a not in text:
-                text[a] = ratio_value(a, den)
+                text[a] = row_value(a, den, dens)
         rows.append([text[a] for a in nums])
     return rows
 
@@ -297,9 +297,16 @@ def payoff_lines(s: InformationStructure, forms, indent: str) -> list[str]:
     return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, rows)]
 
 
-def _weight_lines(s: InformationStructure, forms, indent: str) -> list[str]:
-    rows = _form_rows(forms)
-    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, rows)]
+def _hull_rows(s: InformationStructure, prior: Distribution) -> list[list]:
+    """Each player's hull weights, read off ``prior`` as its cell masses
+    over ``prior.den`` and written by ``_form_rows``."""
+    nums = state_nums(prior)
+    return _form_rows([(prior.den, cell_masses(s, i, nums)) for i in range(s.num_players)])
+
+
+def _weight_lines(s: InformationStructure, prior: Distribution, indent: str) -> list[str]:
+    rows = zip(s.players, _hull_rows(s, prior))
+    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in rows]
 
 
 def component_lines(s: InformationStructure, minimal, family, suffix: str) -> list[str]:
@@ -319,7 +326,7 @@ def notion_lines(
         return [
             f"{label}: present",
             f"  p = {_vector(type_row(witness.prior))}",
-            *_weight_lines(s, witness.weight_forms, "  "),
+            *_weight_lines(s, witness.prior, "  "),
         ]
     lines = [f"{label}: absent"]
     if refutation is not None:

@@ -402,7 +402,7 @@ def classify_distribution(
     prior_witness = None
     pump_witness = None
     if cls.common:
-        prior_witness = PriorWitness(dist, cls.weight_forms)
+        prior_witness = PriorWitness(dist)
         prior_witness.verify(structure)
         base = "common_prior"
     else:

@@ -6,7 +6,9 @@ grades, pump pieces and the block walk of ``model``, ``priors`` and
 ``trades`` compute on ints and build one rational per result, and the
 report writes trades and pumps from their integer forms. These are the
 definitions they replaced, one Fraction operation per term or one
-``to_json_value`` per entry, kept here as their oracles for the tests.
+``to_json_value`` per entry, kept here as their oracles for the tests;
+``off_mixture`` is the weighted-mixture check on ints that the hull rule
+replaced.
 Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
@@ -102,6 +104,23 @@ def dense_mixture(structure: InformationStructure, player: int, weights) -> list
                 if tdist[w]:
                     mixed[w] = lam * tdist[w]
     return mixed
+
+
+def off_mixture(
+    structure: InformationStructure, player: int, wden: int, wnums, den: int, nums
+) -> list[int]:
+    """The states where sum_c (wnums[c] / wden) * type_c differs from
+    nums / den, for any weights: on cell c with type b / E the mixture is
+    right at w iff ``wnums[c] * den * b[w] == nums[w] * wden * E``, with
+    b[w] the player's ``own_nums`` entry. At the cell masses over ``den``
+    it is the oracle of ``priors._off_hull``, which cancels ``den`` and
+    multiplies a cell mass by one small type numerator."""
+    own = structure.own_nums(player)
+    off = []
+    for cell, t, u in zip(structure.partitions[player], structure.cell_types[player], wnums):
+        lhs, rhs = u * den, wden * t.den
+        off += [w for w in cell if lhs * own[w] != nums[w] * rhs]
+    return off
 
 
 def dense_hull_weights(
@@ -207,22 +226,19 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
             sub[parent] += sub[cell]
         for i, c in cells:  # a dead cell carries no mass
             scale[i][c] = ZERO
-    prior = weights = None
+    prior = None
     if support:
         probs = [ZERO] * m
         for w in support:
             probs[w] = value[w] / total
         prior = Distribution(tuple(probs))
-        # Blocks keeps the weights as integer forms, compared with the
-        # walk's as they are.
-        weights = tuple(integer_form([lam / total for lam in row]) for row in scale)
     boxed = None
     if not all(live):
         top = max(abs(v) for row in payoffs for v in row)
         # Blocks keeps the trade as integer forms too.
         boxed = tuple(integer_form([v / top for v in row]) for row in payoffs)
     margin = ONE / total if all(live) else ZERO
-    return Blocks(tuple(live), frozenset(support), prior, weights, margin, boxed)
+    return Blocks(tuple(live), frozenset(support), prior, margin, boxed)
 
 
 def fraction_read_off(structure: InformationStructure, value: list, lives: list, strong: bool):

@@ -17,7 +17,7 @@ from prior_forge.jsonio import (
     parse_structure,
     structure_to_json,
 )
-from prior_forge.model import Distribution, fraction_rows, integer_form, make_structure
+from prior_forge.model import Distribution, fraction_rows, make_structure
 from prior_forge.trades import MoneyPumpWitness, build_prior_report, classify_trade, graded_block_trade
 from prior_forge.priors import PriorWitness
 
@@ -600,9 +600,11 @@ def test_a_witness_past_the_digit_limit_is_written_and_read_back(run, tmp_path):
     assert (code, err) == (0, "")
     witness = loads(out)["witness"]
     assert max(map(len, witness["prior"])) > 2 * sys.get_int_max_str_digits()
+    # The hull weights are the prior's cell masses, and the prior verifies.
     prior = parse_distribution(witness["prior"], structure)
-    weights = tuple(tuple(map(rational, row)) for row in witness["hull_weights"])
-    PriorWitness(prior, tuple(map(integer_form, weights))).verify(structure)
+    weights = [tuple(map(rational, row)) for row in witness["hull_weights"]]
+    assert weights == [tuple(prior.mass(cell) for cell in cells) for cells in structure.partitions]
+    PriorWitness(prior).verify(structure)
     # The text form prints the same literals in its p and hull weight lines.
     code, out, err = run("prior", "--kind", "common", path)
     assert (code, err) == (0, "")

@@ -64,12 +64,14 @@ from prior_forge.lp import (
     feasibility_violations,
     solve,
 )
-from prior_forge.model import dot, fraction_rows, integer_form, single_player_view
+from prior_forge.model import dot, fraction_rows, integer_form, single_player_view, state_nums
 from prior_forge.priors import (
     NOTIONS,
+    _off_hull,
     _read_off,
     _walk_blocks,
     blocks,
+    cell_masses,
     disintegrable_by_definition,
     hull_weights,
     is_conglomerable,
@@ -93,6 +95,7 @@ from oracles import (
     fraction_pump_json,
     fraction_read_off,
     fraction_trade_json,
+    off_mixture,
     to_json_value,
 )
 
@@ -161,14 +164,11 @@ def _graded_families(structure, rng):
     return found
 
 
-def _dense_defect(structure, prior, rows):
+def _dense_defect(structure, prior):
     """The message ``PriorWitness.verify`` must raise, by the dense
-    definition, or None when the witness holds."""
-    for i, weights in enumerate(rows):
-        if any(w < 0 for w in weights):
-            return f"player {i} has a negative hull weight"
-        if sum(weights, Fraction(0)) != 1:
-            return f"player {i} hull weights do not sum to 1"
+    definition at the prior's cell masses, or None when the witness holds."""
+    for i, cells in enumerate(structure.partitions):
+        weights = [sum((prior[w] for w in cell), Fraction(0)) for cell in cells]
         mixed = dense_mixture(structure, i, weights)
         for w in range(structure.num_states):
             if mixed[w] != prior[w]:
@@ -234,21 +234,12 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             tuple(sum((dist[w] for w in cell), Fraction(0)) for cell in cells)
             for cells in structure.partitions
         )
-        # Verify verdicts on the cell masses (the hull weights where dist is
-        # inside a hull), on a prior moved 1/7 of the way toward one state,
-        # and on weights swapped between two cells.
+        # Verify verdicts on dist and on dist moved 1/7 of the way toward
+        # one state, each at its own cell masses.
         moved = [6 * q / 7 for q in dist.probs]
         moved[rng.randrange(m)] += Fraction(1, 7)
-        forged = [(dist, masses), (Distribution(moved), masses)]
-        for i in range(n):
-            if len(masses[i]) > 1:
-                swapped = list(masses[i])
-                swapped[0], swapped[-1] = swapped[-1], swapped[0]
-                forged.append((dist, masses[:i] + (tuple(swapped),) + masses[i + 1 :]))
-        for prior, weight_rows in forged:
-            expected = _dense_defect(structure, prior, weight_rows)
-            witness = PriorWitness(prior, tuple(map(integer_form, weight_rows)))
-            assert _message(witness, structure) == expected
+        for prior in (dist, Distribution(moved)):
+            assert _message(PriorWitness(prior), structure) == _dense_defect(structure, prior)
 
         forms = tuple(pump_piece(structure, i, dist) for i in range(n))
         pieces = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
@@ -364,15 +355,14 @@ def test_a_trade_from_forms_checks_its_forms():
 
 def test_a_certificate_refuses_a_denominator_that_is_not_positive():
     # The denominator is checked before a form is reduced: a zero one would
-    # divide by gcd(0, 0, 0), and a negative one would hold the weight 1 as
-    # (-1, (-1,)), unequal to (1, (1,)) and a "negative hull weight".
+    # divide by gcd(0, 0, 0), and a negative one would hold the payoff 1 as
+    # (-1, (-1,)), unequal to (1, (1,)).
     two = Distribution(("1/2", "1/2"))
     builders = {
         "a trade": lambda den: Trade(forms=((den, (0, 0)), (1, (0, 0)))),
         "a semi-trade": lambda den: MoneyPumpWitness(
             distribution=two, forms=((den, (0, 0)),), deficit=0, kind="plain"
         ),
-        "a prior witness": lambda den: PriorWitness(prior=two, weight_forms=((den, (den,)),)),
     }
     for what, build in builders.items():
         for den in (0, -1):
@@ -402,7 +392,6 @@ def test_a_malformed_form_is_an_input_error():
     builders = {
         "a trade": Trade,
         "a semi-trade": lambda forms: MoneyPumpWitness(two, forms, Fraction(-1), "plain"),
-        "a prior witness": lambda forms: PriorWitness(two, forms),
         "a payoff family": lambda forms: classify_trade(s, forms),
     }
     for what, build in builders.items():
@@ -429,7 +418,7 @@ def test_expectation_table_rejects_a_short_row(intro):
             classify_trade(intro, forms)
 
 
-BLOCK_FIELDS = ("live", "support", "prior", "weight_forms", "margin", "payoff_forms")
+BLOCK_FIELDS = ("live", "support", "prior", "margin", "payoff_forms")
 
 
 def _rational_types(value):
@@ -454,7 +443,7 @@ def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_pl
             if name.endswith("_forms"):  # compared as rows of rationals
                 ours, theirs = (None if x is None else fraction_rows(x) for x in (ours, theirs))
             assert ours == theirs, name
-            if name in ("prior", "weight_forms", "margin", "payoff_forms") and theirs is not None:
+            if name in ("prior", "margin", "payoff_forms") and theirs is not None:
                 assert _rational_types(ours) == _rational_types(theirs), name
         seen.add((walk.common, walk.strong))
     # Every verdict occurs: no block live, some live, all live.
@@ -482,24 +471,68 @@ def test_prior_read_off_matches_the_fraction_read_off(monkeypatch, fixture_path)
         walk = _walk_blocks(structure)
         args, ours = calls[-1]
         theirs = fraction_read_off(*args)
-        # The hull weights are read off as integer forms, the cell masses
-        # over the prior's den, and compared as rationals.
-        prior, forms, margin = ours
-        rows = None if forms is None else tuple(
-            tuple(Fraction(a, den) for a in nums) for den, nums in forms
+        # The oracle's hull weights, each live cell's lambda over its type,
+        # are the prior's cell masses, which the report reads off it.
+        prior, margin = ours
+        rows = None if prior is None else tuple(
+            tuple(Fraction(a, prior.den) for a in cell_masses(structure, i, state_nums(prior)))
+            for i in range(structure.num_players)
         )
         assert (prior, rows, margin) == theirs
-        assert (walk.prior, walk.weight_forms, walk.margin) == ours
+        assert (walk.prior, walk.margin) == ours
         if prior is not None:
             assert (prior.den, prior.support()) == (theirs[0].den, theirs[0].support())
-            assert {den for den, _ in forms} == {prior.den}
-            assert {type(a) for _, nums in forms for a in nums} == {int}
         assert type(margin) is Fraction
         kinds.add((walk.common, walk.strong, len(args[2])))
     assert len(calls) == len(structures)
     # No block live, some live, all live; and several live blocks at once.
     assert {k[:2] for k in kinds} == {(False, False), (True, False), (True, True)}
     assert max(k[2] for k in kinds) > 1
+
+
+def _pushed(dist, rng):
+    """``dist`` moved off its place: one numerator unit carried from a
+    charged state to another state, and ``dist`` moved 1/7 of the way
+    toward one state."""
+    m, nums = len(dist), state_nums(dist)
+    a, b = rng.choice(dist.support()), rng.randrange(m)
+    nums[a] -= 1
+    nums[b] += 1
+    unit = Distribution.from_support(m, {w: Fraction(a, dist.den) for w, a in enumerate(nums)})
+    moved = [6 * q / 7 for q in dist.probs]
+    moved[rng.randrange(m)] += Fraction(1, 7)
+    return [unit, Distribution(moved)]
+
+
+def test_hull_rule_matches_the_weighted_mixture_oracle():
+    # The hull rule multiplies a cell mass by a small type numerator and
+    # cancels den; the weighted-mixture check it replaced, at the cell
+    # masses over den, gives the same off states: on the canonical prior
+    # and a sampled distribution of generator seeds 0..999, on each pushed
+    # off its place, and on the 256-state chain's prior, pushed too.
+    rng = random.Random("hull rule")
+    cases = []
+    for seed in range(1000):
+        cfg = GeneratorConfig(seed=seed)
+        s = random_structure(cfg)
+        dists = [random_distribution(s, cfg, NOTIONS[0], rng)]
+        witness = _walk_blocks(s).prior
+        if witness is not None:
+            dists.append(witness)
+        cases += [(s, d) for dist in dists for d in (dist, *_pushed(dist, rng))]
+    chain = chain_structure(256, 2**64 - 1)
+    prior = _walk_blocks(chain).prior
+    cases += [(chain, d) for d in (prior, *_pushed(prior, rng))]
+    counts = [0, 0]
+    for s, dist in cases:
+        nums = state_nums(dist)
+        for i in range(s.num_players):
+            ours = _off_hull(s, i, nums)
+            masses = cell_masses(s, i, nums)
+            assert ours == off_mixture(s, i, dist.den, masses, dist.den, nums)
+            counts[bool(ours)] += 1
+    assert min(counts) > 1000
+    assert _off_hull(chain, 0, state_nums(prior)) == []
 
 
 def test_structure_rows_read_each_support_entry_once(monkeypatch, fixture_path):

@@ -198,17 +198,18 @@ def test_hull_weights_outside_the_hull(ex_pl1):
 
 
 def test_prior_witness_verify_rejects_defects(intro):
+    # A witness is its prior: one moved off a player's hull fails at the
+    # least state where its cell masses miss it, and one over the wrong
+    # number of states fails its dimension.
     witness = find_strong_common_prior(intro)
     witness.verify(intro)
     moved = list(witness.prior)
     moved[3] += q("1/10")
     moved[4] -= q("1/10")
     with pytest.raises(VerificationError, match="reconstruct the prior at state 3"):
-        PriorWitness(Distribution(moved), witness.weight_forms).verify(intro)
-    den, nums = witness.weight_forms[0]
-    doubled = ((den, tuple(2 * a for a in nums)),) + witness.weight_forms[1:]
-    with pytest.raises(VerificationError, match="player 0 hull weights do not sum to 1"):
-        PriorWitness(witness.prior, doubled).verify(intro)
+        PriorWitness(Distribution(moved)).verify(intro)
+    with pytest.raises(VerificationError, match="^witness prior has wrong dimension$"):
+        PriorWitness(uniform(4)).verify(intro)
 
 
 # -- finders ----------------------------------------------------------------
@@ -511,56 +512,21 @@ def _witness_cases(intro, ex_pl1, ex_plbet4):
 
 
 def test_a_witness_from_integer_forms_equals_the_fraction_witness(intro, ex_pl1, ex_plbet4):
-    # The walk's witness keeps its weights as (den, masses); one built from
-    # the forms of the equal Fractions, and one from forms not in lowest
-    # terms, compare equal, hash alike, render the same bytes and verify
-    # alike.
+    # The walk's witness holds its prior as an integer form; one built from
+    # the prior's Fractions compares equal, hashes alike and verifies, and
+    # both render the hull weights as the Fraction cell masses of the prior,
+    # written by ``to_json_value``.
     for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
-        rows = fraction_rows(witness.weight_forms)
-        assert all(type(v) is Fraction for row in rows for v in row)
-        scaled = [(3 * den, tuple(3 * a for a in nums)) for den, nums in witness.weight_forms]
-        twins = [PriorWitness(witness.prior, tuple(map(integer_form, rows))), PriorWitness(witness.prior, scaled)]
-        for twin in twins:
-            assert twin == witness and hash(twin) == hash(witness)
-            assert twin.weight_forms == witness.weight_forms and fraction_rows(twin.weight_forms) == rows
-            twin.verify(s)
-        texts = {dumps_canonical(prior_witness_json(s, w)) for w in [witness] + twins}
+        twin = PriorWitness(Distribution(witness.prior.probs))
+        assert twin == witness and hash(twin) == hash(witness)
+        twin.verify(s)
+        rows = [
+            [sum((witness.prior[w] for w in cell), ZERO) for cell in cells] for cells in s.partitions
+        ]
         fraction_text = dumps_canonical(
             {
                 "prior": [to_json_value(v) for v in witness.prior.probs],
                 "hull_weights": [[to_json_value(v) for v in row] for row in rows],
             }
         )
-        assert texts == {fraction_text}
-
-
-def test_forged_weights_fail_alike_in_both_forms(intro, ex_pl1, ex_plbet4):
-    # A negative weight, weights that do not sum to 1 and weights that miss
-    # the prior raise the same message from forms in lowest terms and not.
-    # Player i has two cells, the first charged.
-    for s, witness in _witness_cases(intro, ex_pl1, ex_plbet4):
-        rows = [list(row) for row in fraction_rows(witness.weight_forms)]
-        i = next(k for k, row in enumerate(rows) if len(row) > 1)
-        c = next(k for k, v in enumerate(rows[i]) if v)
-        d = 1 if c == 0 else 0
-
-        def forge(first, other):
-            forged = [row[:] for row in rows]
-            forged[i][c] += first
-            forged[i][d] += other
-            return forged
-
-        cases = [
-            (forge(-1, 1), f"player {i} has a negative hull weight"),
-            (forge(rows[i][c], 0), f"player {i} hull weights do not sum to 1"),
-            (forge(-rows[i][c] / 2, rows[i][c] / 2), f"player {i} weights fail to reconstruct the prior at state "),
-        ]
-        for forged, message in cases:
-            forms = [integer_form(row) for row in forged]
-            unreduced = [(5 * den, [5 * a for a in nums]) for den, nums in forms]
-            texts = set()
-            for twin in (PriorWitness(witness.prior, forms), PriorWitness(witness.prior, unreduced)):
-                with pytest.raises(VerificationError, match="^" + message) as caught:
-                    twin.verify(s)
-                texts.add(str(caught.value))
-            assert len(texts) == 1
+        assert {dumps_canonical(prior_witness_json(s, w)) for w in (witness, twin)} == {fraction_text}

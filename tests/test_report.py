@@ -28,7 +28,7 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
-from prior_forge import model, report
+from prior_forge import jsonio, model, report
 from prior_forge.jsonio import dumps_canonical, ratio_value
 from prior_forge.report import _verify_report
 
@@ -363,3 +363,34 @@ def test_a_text_report_writes_rows_from_integer_forms(fixture_path, monkeypatch)
     assert (deficit.numerator, deficit.denominator) in written
     assert f"  deficit = {deficit}" in texts[0].splitlines()
     assert "hull weights" in texts[1] and "refuting trade" in texts[0]
+
+
+def test_a_long_denominator_is_converted_once_per_row(monkeypatch):
+    # The chain's prior at M = 256, K = 2**64 - 1 has one 16,320-bit
+    # denominator, and its cell masses reduce to it or to it over K + 1.
+    # The prior's row and each player's hull weights convert every reduced
+    # numerator to text and each distinct reduced denominator once per row.
+    s = harness.chain_structure(256, 2**64 - 1)
+    witness = priors.find_common_prior(s)
+    calls = []
+    real = jsonio.int_text
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(jsonio, "int_text", counting)
+    piece = report.prior_witness_json(s, witness)
+    p = witness.prior
+    rows = [[p[w] for w in range(s.num_states)]]
+    rows += [[p.mass(cell) for cell in cells] for cells in s.partitions]
+    expected = 0
+    for row in rows:
+        nonzero = [q for q in row if q.denominator > 1]
+        expected += len(nonzero) + len({q.denominator for q in nonzero})
+    assert len(calls) == expected < 2 * (256 + 128 + 129)
+    monkeypatch.undo()
+    assert piece == {
+        "prior": [ratio_value(q.numerator, q.denominator) for q in rows[0]],
+        "hull_weights": [[ratio_value(q.numerator, q.denominator) for q in row] for row in rows[1:]],
+    }

@@ -12,6 +12,7 @@ from prior_forge import (
     Distribution,
     InconsistencyError,
     MoneyPumpWitness,
+    PriorWitness,
     Trade,
     VerificationError,
     ZERO,
@@ -562,20 +563,27 @@ def test_classify_distribution_prior_side(intro):
     assert verdict.prior_witness is not None and verdict.pump_witness is None
 
 
-def test_classify_distribution_asks_each_players_hull_weights_once(intro, monkeypatch):
-    # The hull weights are computed on ints by ``hull_form``; the witness
-    # takes the classification's forms.
-    calls = []
-    real = priors.hull_form
+def test_classify_distribution_builds_one_numerator_row_per_check(intro, monkeypatch):
+    # ``classify_prior`` spreads p into one numerator row and runs every
+    # player's hull rule on it; the witness, p itself, does the same once
+    # when it is verified. No hull weights are built.
+    rows, rules = [], []
+    real_nums, real_rule = priors.state_nums, priors._off_hull
 
-    def counting(structure, player, dist):
-        calls.append(player)
-        return real(structure, player, dist)
+    def counting_nums(dist):
+        rows.append(dist)
+        return real_nums(dist)
 
-    monkeypatch.setattr(priors, "hull_form", counting)
+    def counting_rule(structure, player, nums):
+        rules.append(player)
+        return real_rule(structure, player, nums)
+
+    monkeypatch.setattr(priors, "state_nums", counting_nums)
+    monkeypatch.setattr(priors, "_off_hull", counting_rule)
+    monkeypatch.setattr(priors, "hull_form", None)
     verdict = classify_distribution(intro, uniform(5))
-    assert sorted(calls) == [0, 1]
-    assert verdict.prior_witness.weight_forms == verdict.classification.weight_forms
+    assert verdict.prior_witness == PriorWitness(uniform(5))
+    assert (rows, rules) == ([uniform(5)] * 2, [0, 1, 0, 1])
 
 
 def test_classify_distribution_pump_side(pl4):
@@ -632,7 +640,7 @@ def test_prior_report_matches_the_finders(intro, pl, ex_pl1, ex_pl2, pl4, ex_plb
             found, trade = find_prior(s), find_trade(s)
             assert (witness is None) == (found is None)
             if found is not None:
-                assert (witness.prior, witness.weight_forms) == (found.prior, found.weight_forms)
+                assert witness == found
             assert (refutation is None) == (trade is None)
             if trade is not None:
                 assert refutation.payoffs == trade.payoffs
