@@ -11,13 +11,15 @@ prior and the one refuting trade come from the block walk
 (``priors.blocks``). The programs it replaced live here as its oracles.
 cross_check solves the common-prior program on the structure and on its
 components and requires the walk's verdicts, canonical prior and trade
-grades from it; it solves the trade LPs and requires the same decisions as
-the finders. The joint common-prior formulation, with explicit hull
+grades from it; it solves the trade LPs, on the payoffs of N - 1 players
+with the last one's the budget's remainder, and requires the same decisions
+as the finders. The joint common-prior formulation, with explicit hull
 weights, is the oracle of the projected program in ``oracle_battery``. The
-term-by-term ``Fraction`` oracles of the integer paths live with the tests,
-in ``tests/oracles.py``. cross_check and run_battery report failures
-unshrunk, a guarded step that raises ``PriorForgeError`` among them;
-``minimize_failure`` shrinks one for ``prior-forge fuzz``.
+full trade LPs and the term-by-term ``Fraction`` oracles of the integer
+paths live with the tests, in ``tests/oracles.py``. cross_check and
+run_battery report failures unshrunk, a guarded step that raises
+``PriorForgeError`` among them; ``minimize_failure`` shrinks one for
+``prior-forge fuzz``.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -359,25 +361,13 @@ def _check_trade_forms(rec: _Recorder, structure, trade: Trade, label: str) -> N
     m = structure.num_states
     # With no positive state neither grade holds: [False] answers both.
     certain = [is_commonly_certain(structure, positive, w) for w in range(m)] if positive else [False]
-    cc_everywhere, cc_somewhere = all(certain), any(certain)
-    rec.check(
-        f"{label}: agreeable == commonly-certain-everywhere",
-        cls.agreeable == cc_everywhere,
-        lambda: f"payoff forms {trade.forms}",
-    )
-    rec.check(
-        f"{label}: weakly == commonly-certain-somewhere",
-        cls.weakly_agreeable == cc_somewhere,
-        lambda: f"payoff forms {trade.forms}",
-    )
-    semi_cc = all(
-        is_commonly_certain(structure, nonneg, w) for w in range(m)
-    ) if nonneg else False
-    rec.check(
-        f"{label}: semi-trade == commonly-certain non-negative",
-        cls.is_semi_trade == semi_cc,
-        lambda: f"payoff forms {trade.forms}",
-    )
+    semi_cc = all(is_commonly_certain(structure, nonneg, w) for w in range(m)) if nonneg else False
+    for claim, flag, held in (
+        ("agreeable == commonly-certain-everywhere", cls.agreeable, all(certain)),
+        ("weakly == commonly-certain-somewhere", cls.weakly_agreeable, any(certain)),
+        ("semi-trade == commonly-certain non-negative", cls.is_semi_trade, semi_cc),
+    ):
+        rec.check(f"{label}: {claim}", flag == held, lambda: f"payoff forms {trade.forms}")
 
 
 # -- the common prior program ---------------------------------------------
@@ -483,19 +473,17 @@ def component_substructures(
 
 
 def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
-    """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
-    row per state (pointwise sum <= 0); return the variable indices."""
+    """Add payoff variables f[i, w] in [-1, 1], player-major, for every
+    player but the last, whose payoff is the budget's remainder; return the
+    variable indices."""
     m = structure.num_states
-    fvar = [
+    return [
         [
             b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=NEG_ONE, upper=ONE)
             for w in range(m)
         ]
-        for i in range(structure.num_players)
+        for i in range(structure.num_players - 1)
     ]
-    for w in range(m):
-        b.add_integer_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, 1, "<=")
-    return fvar
 
 
 def _type_row(fvar: list[int], t: Distribution) -> dict:
@@ -504,35 +492,40 @@ def _type_row(fvar: list[int], t: Distribution) -> dict:
     return {fvar[w]: a for w, a in t.items()}
 
 
+def _expectation_rows(fvar: list[list[int]], structure: InformationStructure) -> Iterator[tuple]:
+    """Per player and cell: the cell, its type t and t's expectation of the
+    payoff, f_i for i < N and f_N = -sum_{i<N} f_i, over ``t.den``."""
+    for i, (cells, types) in enumerate(zip(structure.partitions, structure.cell_types)):
+        for cell, t in zip(cells, types):
+            row = _type_row(fvar[i], t) if i < len(fvar) else {f[w]: -a for f in fvar for w, a in t.items()}
+            yield cell, t, row
+
+
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
-    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
-    the worst conditional expectation over all (player, cell) pairs; an
-    agreeable trade exists iff the optimum is strictly positive. The oracle
-    of the block trade's agreeable grade."""
+    """Payoffs f[i, w] in [-1, 1] for i < N, f_N their budget's remainder,
+    maximizing delta, the worst conditional expectation over all (player,
+    cell) pairs; an agreeable trade exists iff the optimum is strictly
+    positive. The oracle of the block trade's agreeable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
     delta = b.add_var("delta", objective=ONE)
-    for i in range(structure.num_players):
-        for t in structure.cell_types[i]:
-            row = _type_row(fvar[i], t)
-            row[delta] = -t.den
-            b.add_integer_constraint(row, t.den, ">=")
+    for _, t, row in _expectation_rows(fvar, structure):
+        row[delta] = -t.den
+        b.add_integer_constraint(row, t.den, ">=")
     return b.build(maximize=True)
 
 
 def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
-    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0 and no player ever
-    expecting a loss, maximizing all conditional expectations summed over
-    states; an acceptable trade exists iff the optimum is strictly positive.
-    The oracle of the block trade's acceptable grade."""
+    """The same payoffs with no player ever expecting a loss, maximizing
+    all conditional expectations summed over states; an acceptable trade
+    exists iff the optimum is strictly positive. The oracle of the block
+    trade's acceptable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
-    for i in range(structure.num_players):
-        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
-            row = _type_row(fvar[i], t)
-            b.add_integer_constraint(row, t.den, ">=")
-            for var, coeff in row.items():
-                b.add_objective(var, Fraction(len(cell) * coeff, t.den))
+    for cell, t, row in _expectation_rows(fvar, structure):
+        b.add_integer_constraint(row, t.den, ">=")
+        for var, coeff in row.items():
+            b.add_objective(var, Fraction(len(cell) * coeff, t.den))
     return b.build(maximize=True)
 
 
@@ -584,15 +577,15 @@ def _check_trade_oracles(rec: _Recorder, structure, components, priors, trades) 
     prior finder and the trade finder; production solves none of them. Each
     runs at most once per (sub)structure: the agreeable one on the structure
     and on the components in order up to the first that has a trade, the
-    acceptable one on the structure."""
+    acceptable one on the structure. Player N's payoff is the budget's
+    remainder, which decides as the full family: raising f_N to it only
+    raises N's expectations, and a positive optimum, completed and divided
+    by max(1, N - 1), is back in the box with every state summing to 0."""
     agreeable = _trade_program_decides(agreeable_trade_program(structure))
     # Components in the finders' order, up to the first that has a trade.
     weakly = False
     for _, sub in components:
-        if sub is structure:
-            weakly = agreeable
-        else:
-            weakly = _trade_program_decides(agreeable_trade_program(sub))
+        weakly = agreeable if sub is structure else _trade_program_decides(agreeable_trade_program(sub))
         if weakly:
             break
     acceptable = _trade_program_decides(acceptable_trade_program(structure))

@@ -14,7 +14,9 @@ prior notions, graded once per structure. Each finder returns it exactly
 when its dual prior finder returns None, after checking the notion's grade
 in ``priors.NOTIONS``: agreeable when no block is live, weakly agreeable
 when some minimal component meets no live block, acceptable when some block
-is dead. The trade LPs and the common-prior program stay in ``harness``.
+is dead. The common-prior program and the trade LPs stay in ``harness`` as
+oracles; the trade LPs hold payoffs for N - 1 players only, the last
+player's being the budget's remainder.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
@@ -301,11 +303,13 @@ def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
 
 
 def pump_piece(
-    structure: InformationStructure, player: int, dist: Distribution
+    structure: InformationStructure, player: int, dist: Distribution, p_nums: list[int] | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """One player's boxed payoff with the most negative p-expectation among
     those whose conditional expectation is non-negative at every cell, as
-    its integer form ``(den, nums)`` in lowest terms.
+    its integer form ``(den, nums)`` in lowest terms. ``p_nums`` is p's
+    row, ``state_nums(dist)``, when the caller has built it for every
+    player.
 
     Semi-trades carry no budget row, so the pump program splits by player and
     then by cell. Each cell is a continuous knapsack, min sum p_w f_w subject
@@ -325,7 +329,7 @@ def pump_piece(
     """
     f = [-1] * structure.num_states
     stops = []  # per cell, a state that stopped part way, not at 0, and its reduced pair
-    a, b = state_nums(dist), structure.own_nums(player)
+    a, b = state_nums(dist) if p_nums is None else p_nums, structure.own_nums(player)
     for t in structure.cell_types[player]:
         need, support = t.den, t.support()
         if len(support) > 1:
@@ -361,7 +365,8 @@ def _pump_search(
     ``kind`` is the pump's kind when the caller has already graded ``dist``,
     else ``pump_kind`` grades it."""
     check_dimension(structure, dist)
-    forms = tuple(pump_piece(structure, i, dist) for i in range(structure.num_players))
+    p_nums = state_nums(dist)
+    forms = tuple(pump_piece(structure, i, dist, p_nums) for i in range(structure.num_players))
     deficit = _deficit(forms, dist)
     if not deficit < ZERO:
         return None

@@ -8,7 +8,9 @@ report writes trades and pumps from their integer forms. These are the
 definitions they replaced, one Fraction operation per term or one
 ``to_json_value`` per entry, kept here as their oracles for the tests;
 ``off_mixture`` is the weighted-mixture check on ints that the hull rule
-replaced.
+replaced. The full trade programs, with a budget row per state and a boxed
+payoff per player and state, are the oracles of ``harness``'s trade
+programs, which drop the budget rows and the last player's payoffs.
 Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
@@ -20,6 +22,8 @@ from math import gcd, lcm
 from prior_forge._rational import ONE, ZERO, rational, rational_text
 from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
+from prior_forge.harness import NEG_ONE, _type_row
+from prior_forge.lp import LinearProgram, LPBuilder
 from prior_forge.model import Distribution, InformationStructure, integer_form
 from prior_forge.jsonio import type_row
 from prior_forge.priors import Blocks
@@ -296,3 +300,53 @@ def fraction_pump_json(dist: Distribution, payoffs, deficit, kind: str) -> dict:
         "deficit": to_json_value(deficit),
         "kind": kind,
     }
+
+
+def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:
+    """Add payoff variables f[i, w] in [-1, 1], player-major, and one budget
+    row per state (pointwise sum <= 0); return the variable indices."""
+    m = structure.num_states
+    fvar = [
+        [
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=NEG_ONE, upper=ONE)
+            for w in range(m)
+        ]
+        for i in range(structure.num_players)
+    ]
+    for w in range(m):
+        b.add_integer_constraint({fvar[i][w]: 1 for i in range(structure.num_players)}, 1, "<=")
+    return fvar
+
+
+def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
+    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
+    the worst conditional expectation over all (player, cell) pairs; an
+    agreeable trade exists iff the optimum is strictly positive. The oracle
+    of ``harness.agreeable_trade_program``, which holds no budget row and
+    no last player's payoff."""
+    b = LPBuilder()
+    fvar = trade_variables(b, structure)
+    delta = b.add_var("delta", objective=ONE)
+    for i in range(structure.num_players):
+        for t in structure.cell_types[i]:
+            row = _type_row(fvar[i], t)
+            row[delta] = -t.den
+            b.add_integer_constraint(row, t.den, ">=")
+    return b.build(maximize=True)
+
+
+def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
+    """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0 and no player ever
+    expecting a loss, maximizing all conditional expectations summed over
+    states; an acceptable trade exists iff the optimum is strictly positive.
+    The oracle of ``harness.acceptable_trade_program``, which holds no
+    budget row and no last player's payoff."""
+    b = LPBuilder()
+    fvar = trade_variables(b, structure)
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            row = _type_row(fvar[i], t)
+            b.add_integer_constraint(row, t.den, ">=")
+            for var, coeff in row.items():
+                b.add_objective(var, Fraction(len(cell) * coeff, t.den))
+    return b.build(maximize=True)

@@ -47,8 +47,6 @@ from prior_forge.certainty import support_graph
 from prior_forge.harness import chain_structure, planted_structure, random_distribution
 from prior_forge.harness import (
     GeneratorConfig,
-    acceptable_trade_program,
-    agreeable_trade_program,
     common_prior_program,
     joint_common_prior_program,
     random_structure,
@@ -85,6 +83,8 @@ from prior_forge.trades import (
 )
 
 from oracles import (
+    acceptable_trade_program,
+    agreeable_trade_program,
     dense_classify_trade,
     dense_dot,
     dense_expectation_table,

@@ -401,13 +401,15 @@ def _decision_text(out):
 
 
 # sha256 digests over the programs below, per structure in builder order.
-# The decisions (status and optimum) of every program were recorded before
-# bounds left the tableau, and so were the full outcomes of the two
-# common-prior programs, which have no upper bounds. The trade programs'
-# full outcomes were re-pinned when bounds became column bounds: points and
-# duals moved on 19 of 206 agreeable and 71 of 206 acceptable programs,
-# with every decision and optimum unchanged. Any change of pivots shows up
-# as a changed point, certificate or dual.
+# The trade programs are the full ones of ``tests/oracles``, with a budget
+# row and a boxed payoff per player and state, the oracles of the reduced
+# programs that ``harness`` solves. The decisions (status and optimum) of
+# every program were recorded before bounds left the tableau, and so were
+# the full outcomes of the two common-prior programs, which have no upper
+# bounds. The trade programs' full outcomes were re-pinned when bounds
+# became column bounds: points and duals moved on 19 of 206 agreeable and
+# 71 of 206 acceptable programs, with every decision and optimum unchanged.
+# Any change of pivots shows up as a changed point, certificate or dual.
 PINNED_DECISIONS = "658ff1974b2b1587664cde30fec585c9cbd9133eccb729e85b86e2cc137cdb9f"
 PINNED_PRIOR_OUTCOMES = "8b31d55018e0aa4b3f6ac3303556169648c59612b5571fc7950a744a244c4c92"
 PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed81ccb7011"
@@ -416,12 +418,12 @@ PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed
 def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     from prior_forge.harness import (
         GeneratorConfig,
-        acceptable_trade_program,
-        agreeable_trade_program,
         common_prior_program,
         joint_common_prior_program,
         random_structure,
     )
+
+    from oracles import acceptable_trade_program, agreeable_trade_program
 
     builders = (
         common_prior_program,

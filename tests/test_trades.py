@@ -529,6 +529,29 @@ def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
     assert all((rows, forms) == (players, 0) for rows, forms, players in counts)
 
 
+def test_a_pump_search_builds_p_row_once(monkeypatch):
+    """Over battery seeds 1000..1099, every pump search, pumping or not,
+    builds p's numerator row once and hands it to each player's greedy."""
+    rows, counts = [], []
+    row, search = trades.state_nums, trades._pump_search
+
+    def counted_row(dist):
+        rows.append(dist)
+        return row(dist)
+
+    def spied(structure, dist, kind=None):
+        rows.clear()
+        witness = search(structure, dist, kind)
+        counts.append(len(rows))
+        return witness
+
+    monkeypatch.setattr(trades, "state_nums", counted_row)
+    monkeypatch.setattr(trades, "_pump_search", spied)
+    for seed in range(1000, 1100):
+        assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed
+    assert (len(counts), set(counts)) == (1088, {1})
+
+
 def test_a_pump_witness_holds_one_set_of_rows(ex_pl2):
     # The rows a witness prints are the rows it verifies: it holds one set
     # of forms, put in lowest terms, which ``verify`` checks and
