@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DimensionError, EmptySetError, SizeCapError
-from .model import Distribution, InformationStructure
+from .model import Distribution, InformationStructure, check_index
 
 COMPONENT_CAP = 20  # component_family refuses structures beyond this many states
 
@@ -54,8 +54,7 @@ def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
     """The smallest component containing ``state``: itself plus everything
     reachable from it in the support graph, walked afresh on each call over
     the structure's memoized support graph."""
-    if not 0 <= state < structure.num_states:
-        raise DimensionError(f"state index {state} out of range")
+    check_index("state", state, structure.num_states)
     adj = support_graph(structure)
     seen = {state}
     stack = [state]
@@ -72,6 +71,8 @@ def is_commonly_certain(structure: InformationStructure, event: Iterable[int], s
     ev = frozenset(event)
     if not ev:
         raise EmptySetError("the empty event is never commonly certain")
+    for w in (min(ev), max(ev)):
+        check_index("state", w, structure.num_states)
     return ev.issuperset(closure(structure, state))
 
 

@@ -36,10 +36,10 @@ from .jsonio import (
 )
 from .priors import classify_prior
 from .report import analyze, component_lines, components_json, digest_json
-from .report import notion_json, notion_lines, payoff_lines, prior_check_json, prior_witness_json
-from .report import prior_check_line, pump_json, pump_lines, trade_flags_line, trade_json
-from .report import verdict_json, verdict_line
-from .trades import classify_distribution, classify_trade, find_multiplayer_money_pump
+from .report import notion_lines, payoff_lines, prior_check_json, prior_check_line, priors_json
+from .report import pump_json, pump_lines, trade_flags_line, trade_json, verdict_json, verdict_line
+from .trades import build_prior_report, classify_distribution, classify_trade
+from .trades import find_multiplayer_money_pump
 
 # Refuting a prior notion means synthesizing its dual trade grade.
 _DUAL_TRADE = {"common": "agreeable", "universal": "weak", "strong": "acceptable"}
@@ -93,17 +93,13 @@ def _cmd_prior(args) -> int:
             lambda: [prior_check_line(kind, dist, holds)],
         )
         return 0 if holds else 3
-    priors = analyze(structure).priors
+    priors = build_prior_report(structure)
     witness, refutation = priors.notion(kind)
-
-    def doc():
-        refuting = None
-        if refutation is not None:
-            refuting = trade_json(structure, refutation.forms, priors.trade_class)
-        witnessing = None if witness is None else prior_witness_json(structure, witness)
-        return {"kind": kind, **notion_json(witnessing, refuting)}
-
-    _emit(args, doc, lambda: notion_lines(structure, f"{kind} prior", witness, refutation, dual))
+    _emit(
+        args,
+        lambda: {"kind": kind, **priors_json(structure, priors)[kind]},
+        lambda: notion_lines(structure, f"{kind} prior", witness, refutation, dual),
+    )
     return 0 if witness is not None else 3
 
 
@@ -111,7 +107,7 @@ def _cmd_trade(args) -> int:
     structure = _load_structure(args.structure)
     kind = args.kind
     refuted = next(notion for notion, dual in _DUAL_TRADE.items() if dual == kind)
-    priors = analyze(structure).priors
+    priors = build_prior_report(structure)
     trade = priors.notion(refuted)[1]
     if trade is None:
         doc = {"kind": kind, "holds": False, "trade": None}

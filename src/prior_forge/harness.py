@@ -65,6 +65,7 @@ from .model import (
     lowest_terms,
     make_structure,
     single_player_view,
+    state_nums,
 )
 from .priors import (
     DEFINITION_CAP,
@@ -83,13 +84,13 @@ from .priors import (
 )
 from .trades import (
     Trade,
+    build_prior_report,
     classify_trade,
     find_acceptable_trade,
     find_agreeable_trade,
     find_multiplayer_money_pump,
     find_single_money_pump,
     find_weakly_agreeable_trade,
-    graded_block_trade,
     pump_piece,
 )
 
@@ -604,7 +605,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
     canonical prior must satisfy the program's rows, and where a block is
     dead the program must give a trade, read off its certificate or duals,
     that is a trade, acceptable and agreeable exactly as the block trade is
-    by the grades ``trades`` keeps with it (weak agreeability is a
+    by the grades of the structure's prior report (weak agreeability is a
     per-component grade, which the component trade programs check)."""
     walk, program = blocks(structure), common_prior_program(structure)
     top = solve(program)
@@ -639,7 +640,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         payoffs = refuting_payoffs(structure, top)
         classes = (
             None if payoffs is None else classify_trade(structure, payoffs),
-            graded_block_trade(structure)[1],
+            build_prior_report(structure).trade_class,
         )
         grades = [cls and (cls.is_trade, cls.acceptable, cls.agreeable) for cls in classes]
         rec.check(
@@ -964,8 +965,9 @@ def _oracle_check(seed: int) -> CrossCheckReport:
             joint.status == "infeasible",
         )
     dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
+    p_nums = state_nums(dist)
     for i in range(structure.num_players):
-        piece = fraction_rows((pump_piece(structure, i, dist),))[0]
+        piece = fraction_rows((pump_piece(structure, i, p_nums),))[0]
         program = pump_piece_program(structure, i, dist)
         out_pump = solve(program)
         rec.check(

@@ -458,8 +458,15 @@ def induced_substructure(
     return InformationStructure(states_out, structure.players, tuple(partitions), tuple(types))
 
 
+def check_index(what: str, index: int, size: int) -> None:
+    """DimensionError naming ``index`` unless ``0 <= index < size``."""
+    if not 0 <= index < size:
+        raise DimensionError(f"{what} index {index} out of range")
+
+
 def single_player_view(structure: InformationStructure, player: int) -> InformationStructure:
     """The one-player structure (same states, this player's partition/types)."""
+    check_index("player", player, structure.num_players)
     return InformationStructure(
         structure.states,
         (structure.players[player],),

@@ -44,6 +44,7 @@ from .errors import PlayerCountError, SizeCapError, VerificationError
 from .model import (
     Distribution,
     InformationStructure,
+    check_index,
     fraction_rows,
     lowest_terms,
     state_nums,
@@ -108,8 +109,10 @@ class PriorClassification:
     common: bool
     maximal: bool
     strongly_maximal: bool
-    universal: bool
-    strong: bool
+
+    # A common prior's grades, read off the stored flags.
+    universal = property(lambda self: self.common and self.maximal)
+    strong = property(lambda self: self.common and self.strongly_maximal)
 
 
 def check_single_player(structure: InformationStructure) -> None:
@@ -133,6 +136,7 @@ def hull_form(
     the cells' types, as ``(dist.den, masses)``, or None when dist is
     outside the hull. Weights are forced to be the cell masses, so this is
     ``_off_hull``, a direct exact check on ints, not a search."""
+    check_index("player", player, structure.num_players)
     check_dimension(structure, dist)
     nums = state_nums(dist)
     if _off_hull(structure, player, nums):
@@ -519,14 +523,9 @@ def classify_prior(
     check_dimension(structure, dist)
     nums = state_nums(dist)
     per_player = tuple(not _off_hull(structure, i, nums) for i in range(structure.num_players))
-    common = all(per_player)
-    maximal = is_maximal(structure, dist)
-    strongly = is_strongly_maximal(structure, dist)
     return PriorClassification(
         prior_for_player=per_player,
-        common=common,
-        maximal=maximal,
-        strongly_maximal=strongly,
-        universal=common and maximal,
-        strong=common and strongly,
+        common=all(per_player),
+        maximal=is_maximal(structure, dist),
+        strongly_maximal=is_strongly_maximal(structure, dist),
     )

@@ -8,19 +8,22 @@ input yields byte-identical JSON and identical text.
 
 The renderings are built from module-level pieces, one JSON piece and one
 text piece per kind of result (a prior notion, the component lists, a
-distribution verdict, a money pump). The command line composes the same
+distribution verdict, a money pump); ``priors_json`` builds every notion's
+piece from one prior report. The command line composes the same
 pieces, passing its own label where a subcommand's wording differs.
 
 Each certificate is verified once, when it is built: the canonical prior
 and a distribution's prior witness by ``PriorWitness.verify``, a money pump
-by ``MoneyPumpWitness.verify``, and the one refuting trade is graded once by
-``classify_trade``. The report re-checks every claim against those
-certificates before any caller sees it: where a notion holds, the canonical
-prior must charge what the notion asks (maximal for universal, strongly
-maximal for strong); where it fails, the trade's classification must carry
-the notion's grade. A report is the artifact that leaves the process; it
-must never carry a claim that was not checked. The trade's classification
-is what the renderings print.
+by ``MoneyPumpWitness.verify``. The three prior notions come from
+``trades.build_prior_report``, the one decision the trade finders and the
+command line read too: it grades the one refuting trade once with
+``classify_trade`` and checks every claim against those certificates once
+per structure, before any caller sees it. Where a notion holds, the
+canonical prior must charge what the notion asks (maximal for universal,
+strongly maximal for strong); where it fails, the trade's classification
+must carry the notion's grade. A report is the artifact that leaves the
+process; it never carries a claim that was not checked. The trade's
+classification is what the renderings print.
 
 Trades and pumps hold their rows as integer forms, and a prior witness its
 prior alone, whose cell masses are read off as hull weights (``_hull_rows``).
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 
 from ._rational import int_text
 from .certainty import component_family, minimal_components
-from .errors import VerificationError
 from .jsonio import SCHEMA, ratio_value, row_value, structure_to_json, type_row
 from .model import Distribution, InformationStructure, state_nums
 from .priors import NOTIONS, PriorWitness, cell_masses
@@ -64,17 +66,6 @@ class AnalysisReport:
 
     def to_json(self) -> dict:
         s = self.structure
-        # The one canonical prior and the one refuting trade are each built
-        # into a piece once, shared by every notion it witnesses or refutes.
-        witness, trade = self.priors.witness, self.priors.trade
-        witnessing = None if witness is None else prior_witness_json(s, witness)
-        refuting = None if trade is None else trade_json(s, trade.forms, self.priors.trade_class)
-        priors = {}
-        for notion in NOTIONS:
-            held, refutation = self.priors.notion(notion.key)
-            priors[notion.key] = notion_json(
-                None if held is None else witnessing, None if refutation is None else refuting
-            )
         distribution = None
         if self.dist is not None and self.verdict is not None:
             distribution = {
@@ -87,7 +78,7 @@ class AnalysisReport:
             "digest": digest_json(s),
             "structure": structure_to_json(s),
             "components": components_json(s, self.minimal, self.all_components),
-            "priors": priors,
+            "priors": priors_json(s, self.priors),
             "distribution": distribution,
         }
 
@@ -120,32 +111,14 @@ def analyze(
     dist: Distribution | None = None,
     all_components: bool = False,
 ) -> AnalysisReport:
-    """Run every decision and check every claim against its certificate."""
+    """Run every decision; each certificate is checked when it is built."""
     minimal = minimal_components(structure)
     family = None
     if all_components:
         family = component_family(structure)
     priors = build_prior_report(structure)
-    _verify_report(structure, priors)
     verdict = classify_distribution(structure, dist) if dist is not None else None
     return AnalysisReport(structure, minimal, family, priors, dist, verdict)
-
-
-def _verify_report(s: InformationStructure, priors: PriorReport) -> None:
-    """Check every notion's claim against the report's certificates: where
-    it holds the canonical prior must charge what the notion asks, where it
-    fails the refuting trade's classification must carry the notion's
-    grade."""
-    witness = priors.witness
-    cls = None if priors.trade is None else priors.trade_class
-    for n in NOTIONS:
-        if n.key in priors.holds:
-            if witness is None:
-                raise VerificationError(f"{n.key} prior claimed without a witness")
-            if not n.charged_by(s, witness.prior):
-                raise VerificationError(f"{n.key} prior witness fails {n.charges.__name__}")
-        elif cls is None or not (cls.is_trade and getattr(cls, n.trade)):
-            raise VerificationError(f"{n.key} prior fails and no {n.trade} trade refutes it")
 
 
 # -- JSON pieces ------------------------------------------------------------
@@ -184,6 +157,22 @@ def notion_json(witnessing: dict | None, refuting: dict | None) -> dict:
     its witness, or ``refuting``, the ``trade_json`` piece of the trade that
     refutes it."""
     return {"holds": witnessing is not None, "witness": witnessing, "refutation": refuting}
+
+
+def priors_json(s: InformationStructure, priors: PriorReport) -> dict:
+    """Every prior notion's ``notion_json`` piece, by key. The one canonical
+    prior and the one refuting trade are each built into a piece once,
+    shared by every notion it witnesses or refutes."""
+    witness, trade = priors.witness, priors.trade
+    witnessing = None if witness is None else prior_witness_json(s, witness)
+    refuting = None if trade is None else trade_json(s, trade.forms, priors.trade_class)
+    pieces = {}
+    for notion in NOTIONS:
+        held, refutation = priors.notion(notion.key)
+        pieces[notion.key] = notion_json(
+            None if held is None else witnessing, None if refutation is None else refuting
+        )
+    return pieces
 
 
 def prior_check_json(kind: str, dist: Distribution, holds: bool) -> dict:

@@ -8,15 +8,19 @@ ever loses in expectation, someone somewhere gains), weakly agreeable
 the synthesizers here are the constructive halves of those dualities: they
 either produce a graded trade or the prior side exists.
 
-No LP is solved here. The three refuting trades are one trade, built by
-``priors.blocks`` from the dead blocks of the same walk that decides the
-prior notions, graded once per structure. Each finder returns it exactly
-when its dual prior finder returns None, after checking the notion's grade
-in ``priors.NOTIONS``: agreeable when no block is live, weakly agreeable
-when some minimal component meets no live block, acceptable when some block
-is dead. The common-prior program and the trade LPs stay in ``harness`` as
-oracles; the trade LPs hold payoffs for N - 1 players only, the last
-player's being the budget's remainder.
+No LP is solved here. The three prior notions and their refutations are
+one decision, ``build_prior_report``, memoized on the structure: the
+canonical prior of ``priors.blocks``, the notions whose charge test it
+passes and, where one fails, the one trade the same walk builds from its
+dead blocks, graded once by ``classify_trade``. Every claim is checked
+against those certificates once, before the report is kept. Each trade
+finder reads that report and returns the trade exactly when its dual prior
+finder returns None, with the notion's grade in ``priors.NOTIONS``:
+agreeable when no block is live, weakly agreeable when some minimal
+component meets no live block, acceptable when some block is dead. The
+common-prior program and the trade LPs stay in ``harness`` as oracles; the
+trade LPs hold payoffs for N - 1 players only, the last player's being the
+budget's remainder.
 
 Money pumps are the distribution-level mirror: a semi-trade (every player's
 conditional expectation non-negative at every state, no sum constraint)
@@ -59,7 +63,6 @@ from .model import (
 )
 from .priors import (
     NOTIONS,
-    Notion,
     PriorClassification,
     PriorWitness,
     blocks,
@@ -198,8 +201,11 @@ class DistributionVerdict:
     prior_witness: PriorWitness | None
     pump_witness: MoneyPumpWitness | None
     base: str  # "common_prior" | "money_pump"
-    universal: str | None  # set only when p is maximal
-    strong: str | None  # set only when p is strongly maximal
+
+    # The graded verdicts: universal only when p is maximal, strong only when
+    # p is strongly maximal.
+    universal = property(lambda self: f"universal_{self.base}" if self.classification.maximal else None)
+    strong = property(lambda self: f"strong_{self.base}" if self.classification.strongly_maximal else None)
 
 
 def classify_trade(structure: InformationStructure, forms) -> TradeClassification:
@@ -255,45 +261,20 @@ def classify_trade(structure: InformationStructure, forms) -> TradeClassificatio
 # -- synthesis ------------------------------------------------------------
 
 
-def _grade_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
-    forms = blocks(structure).payoff_forms
-    if forms is None:
-        raise VerificationError("a prior notion fails, yet every block is live")
-    trade = Trade(forms)
-    return trade, classify_trade(structure, trade.forms)
-
-
-def graded_block_trade(structure: InformationStructure) -> tuple[Trade, TradeClassification]:
-    """The refuting trade of ``priors.blocks`` and its grades, built and
-    graded once per structure; raises when every block is live."""
-    return structure.derived("block_trade", _grade_block_trade)
-
-
-def _refutation(structure: InformationStructure, notion: Notion) -> Trade | None:
-    """The one refuting trade of ``priors.blocks`` when ``notion`` has no
-    prior, else None. It must carry the notion's dual grade."""
-    if find_prior(structure, notion) is not None:
-        return None
-    trade, cls = graded_block_trade(structure)
-    if not getattr(cls, notion.trade):
-        raise VerificationError(f"block trade is not {notion.trade.replace('_', ' ')}")
-    return trade
-
-
 def find_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when no block is live, else None."""
-    return _refutation(structure, NOTIONS[0])
+    return build_prior_report(structure).notion("common")[1]
 
 
 def find_weakly_agreeable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when some minimal component meets no live block,
     else None."""
-    return _refutation(structure, NOTIONS[1])
+    return build_prior_report(structure).notion("universal")[1]
 
 
 def find_acceptable_trade(structure: InformationStructure) -> Trade | None:
     """The block trade when some block is dead, else None."""
-    return _refutation(structure, NOTIONS[2])
+    return build_prior_report(structure).notion("strong")[1]
 
 
 def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
@@ -303,12 +284,12 @@ def pump_kind(structure: InformationStructure, dist: Distribution) -> str:
 
 
 def pump_piece(
-    structure: InformationStructure, player: int, dist: Distribution, p_nums: list[int] | None = None
+    structure: InformationStructure, player: int, p_nums: list[int]
 ) -> tuple[int, tuple[int, ...]]:
     """One player's boxed payoff with the most negative p-expectation among
     those whose conditional expectation is non-negative at every cell, as
     its integer form ``(den, nums)`` in lowest terms. ``p_nums`` is p's
-    row, ``state_nums(dist)``, when the caller has built it for every
+    row, ``state_nums(dist)``, which the caller builds once for every
     player.
 
     Semi-trades carry no budget row, so the pump program splits by player and
@@ -329,7 +310,7 @@ def pump_piece(
     """
     f = [-1] * structure.num_states
     stops = []  # per cell, a state that stopped part way, not at 0, and its reduced pair
-    a, b = state_nums(dist) if p_nums is None else p_nums, structure.own_nums(player)
+    a, b = p_nums, structure.own_nums(player)
     for t in structure.cell_types[player]:
         need, support = t.den, t.support()
         if len(support) > 1:
@@ -366,7 +347,7 @@ def _pump_search(
     else ``pump_kind`` grades it."""
     check_dimension(structure, dist)
     p_nums = state_nums(dist)
-    forms = tuple(pump_piece(structure, i, dist, p_nums) for i in range(structure.num_players))
+    forms = tuple(pump_piece(structure, i, p_nums) for i in range(structure.num_players))
     deficit = _deficit(forms, dist)
     if not deficit < ZERO:
         return None
@@ -404,30 +385,17 @@ def classify_distribution(
     and when strongly maximal the strong pair does. A missing pump for a
     non-prior is a bug and raises."""
     cls = classify_prior(structure, dist)
-    prior_witness = None
-    pump_witness = None
     if cls.common:
-        prior_witness = PriorWitness(dist)
-        prior_witness.verify(structure)
-        base = "common_prior"
-    else:
-        # The pump's kind is read off the grades ``classify_prior`` made,
-        # as ``pump_kind`` would find it: the strongest notion p charges.
-        kind = NOTIONS[2 if cls.strongly_maximal else 1 if cls.maximal else 0].pump
-        pump_witness = _pump_search(structure, dist, kind)
-        if pump_witness is None:
-            raise VerificationError(
-                "distribution is neither a common prior nor a money pump"
-            )
-        base = "money_pump"
-    return DistributionVerdict(
-        classification=cls,
-        prior_witness=prior_witness,
-        pump_witness=pump_witness,
-        base=base,
-        universal=f"universal_{base}" if cls.maximal else None,
-        strong=f"strong_{base}" if cls.strongly_maximal else None,
-    )
+        witness = PriorWitness(dist)
+        witness.verify(structure)
+        return DistributionVerdict(cls, witness, None, "common_prior")
+    # The pump's kind is read off the grades ``classify_prior`` made, as
+    # ``pump_kind`` would find it: the strongest notion p charges.
+    kind = NOTIONS[2 if cls.strongly_maximal else 1 if cls.maximal else 0].pump
+    pump = _pump_search(structure, dist, kind)
+    if pump is None:
+        raise VerificationError("distribution is neither a common prior nor a money pump")
+    return DistributionVerdict(cls, None, pump, "money_pump")
 
 
 @dataclass(frozen=True)
@@ -456,13 +424,42 @@ class PriorReport:
 
 
 def build_prior_report(structure: InformationStructure) -> PriorReport:
-    """The canonical prior, the notions whose charge test it passes, and,
-    unless every notion holds, the block trade that refutes the others with
-    the classification ``graded_block_trade`` made for it. Each charge test
-    runs once here; the report checks that classification against each
-    notion the trade refutes."""
+    """The one decision of the three prior notions, memoized on the
+    structure: the canonical prior, the notions whose charge test it
+    passes, and, unless every notion holds, the block trade that refutes
+    the others, graded once by ``classify_trade``. Each charge test runs
+    once here, and ``_verify_prior_report`` checks every claim once before
+    the report is kept; the trade finders, ``report.analyze``, the command
+    line and the battery all read this report."""
+    return structure.derived("prior_report", _prior_report)
+
+
+def _prior_report(structure: InformationStructure) -> PriorReport:
     holds = tuple(n.key for n in NOTIONS if find_prior(structure, n) is not None)
     trade = cls = None
     if len(holds) < len(NOTIONS):
-        trade, cls = graded_block_trade(structure)
-    return PriorReport(find_common_prior(structure), holds, trade, cls)
+        forms = blocks(structure).payoff_forms
+        if forms is None:
+            raise VerificationError("a prior notion fails, yet every block is live")
+        trade = Trade(forms)
+        cls = classify_trade(structure, trade.forms)
+    report = PriorReport(find_common_prior(structure), holds, trade, cls)
+    _verify_prior_report(structure, report)
+    return report
+
+
+def _verify_prior_report(s: InformationStructure, priors: PriorReport) -> None:
+    """Check every notion's claim against the report's certificates: where
+    it holds the canonical prior must charge what the notion asks, where it
+    fails the refuting trade's classification must carry the notion's
+    grade."""
+    witness = priors.witness
+    cls = None if priors.trade is None else priors.trade_class
+    for n in NOTIONS:
+        if n.key in priors.holds:
+            if witness is None:
+                raise VerificationError(f"{n.key} prior claimed without a witness")
+            if not n.charged_by(s, witness.prior):
+                raise VerificationError(f"{n.key} prior witness fails {n.charges.__name__}")
+        elif cls is None or not (cls.is_trade and getattr(cls, n.trade)):
+            raise VerificationError(f"{n.key} prior fails and no {n.trade} trade refutes it")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report
+from prior_forge import SCHEMA, DimensionError, VerificationError, dumps_canonical, harness, lp, report, trades
 from prior_forge.cli import main
 from prior_forge._rational import rational
 from prior_forge.jsonio import (
@@ -18,7 +18,7 @@ from prior_forge.jsonio import (
     structure_to_json,
 )
 from prior_forge.model import Distribution, fraction_rows, make_structure
-from prior_forge.trades import MoneyPumpWitness, build_prior_report, classify_trade, graded_block_trade
+from prior_forge.trades import MoneyPumpWitness, build_prior_report, classify_trade
 from prior_forge.priors import PriorWitness
 
 
@@ -250,7 +250,7 @@ def test_classified_generated_trades_are_pinned(run, tmp_path):
         if trade is None:
             continue
         count += 1
-        cls = graded_block_trade(s)[1]
+        cls = build_prior_report(s).trade_class
         doc = {"payoffs": report.trade_json(s, trade.forms, cls)["payoffs"]}
         forms = parse_payoffs(doc, s)
         assert forms == trade.forms
@@ -714,7 +714,7 @@ def test_verification_failure_exits_four(run, spath, monkeypatch):
     def broken(*args):
         raise VerificationError("forged defect")
 
-    monkeypatch.setattr(report, "_verify_report", broken)
+    monkeypatch.setattr(trades, "_verify_prior_report", broken)
     code, out, err = run("report", spath("intro"))
     assert (code, out) == (4, "")
     assert err == "verification failure (this is a bug): forged defect\n"

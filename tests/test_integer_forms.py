@@ -77,8 +77,8 @@ from prior_forge.priors import (
 from prior_forge.report import pump_json, trade_json
 from prior_forge.trades import (
     MoneyPumpWitness,
+    build_prior_report,
     find_multiplayer_money_pump,
-    graded_block_trade,
     pump_piece,
 )
 
@@ -241,7 +241,7 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         for prior in (dist, Distribution(moved)):
             assert _message(PriorWitness(prior), structure) == _dense_defect(structure, prior)
 
-        forms = tuple(pump_piece(structure, i, dist) for i in range(n))
+        forms = tuple(pump_piece(structure, i, state_nums(dist)) for i in range(n))
         pieces = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
         assert forms == tuple(map(integer_form, pieces))
         dense_deficit = dense_dot([sum(col, Fraction(0)) for col in zip(*pieces)], dist.probs)
@@ -289,7 +289,8 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
         walk = blocks(structure)
         assert walk.payoff_forms == dense_walk_blocks(structure).payoff_forms
         if walk.payoff_forms is not None:
-            trade, cls = graded_block_trade(structure)
+            priors = build_prior_report(structure)
+            trade, cls = priors.trade, priors.trade_class
             payoffs = fraction_rows(trade.forms)
             assert cls == dense_classify_trade(structure, payoffs)
             table = dense_expectation_table(structure, payoffs)
@@ -305,7 +306,7 @@ def test_trade_and_pump_pieces_match_their_fraction_rendering(fixture_path):
         rng = random.Random(f"render:{structure.num_states}:{n}")
         for dist in _distributions(structure, planted, rng):
             rows = tuple(dense_pump_piece(structure, i, dist) for i in range(n))
-            forms = tuple(pump_piece(structure, i, dist) for i in range(n))
+            forms = tuple(pump_piece(structure, i, state_nums(dist)) for i in range(n))
             assert forms == tuple(map(integer_form, rows))
             pump = find_multiplayer_money_pump(structure, dist)
             if pump is not None:
@@ -408,7 +409,7 @@ def test_pump_piece_breaks_ties_toward_the_lower_state():
     p = Distribution(("1/6", "2/6", "3/6"))
     expected = (Fraction(1), Fraction(-1, 2), Fraction(0))
     assert dense_pump_piece(s, 0, p) == expected
-    assert pump_piece(s, 0, p) == integer_form(expected) == (2, (2, -1, 0))
+    assert pump_piece(s, 0, state_nums(p)) == integer_form(expected) == (2, (2, -1, 0))
 
 
 def test_expectation_table_rejects_a_short_row(intro):

@@ -30,7 +30,7 @@ from prior_forge import (
 from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
 from prior_forge import jsonio, model, report
 from prior_forge.jsonio import dumps_canonical, ratio_value
-from prior_forge.report import _verify_report
+from prior_forge.trades import _verify_prior_report
 
 # sha256 of the canonical JSON of ``analyze`` on generator seeds 0..199, each
 # with a distribution drawn for the common notion; 85 reports carry a
@@ -116,7 +116,7 @@ def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
         zero = Trade(((1, (0,) * s.num_states),) * s.num_players)
         for trade, cls in ((zero, classify_trade(s, zero.forms)), (None, None)):
             with pytest.raises(VerificationError, match=f"no {flag} trade"):
-                _verify_report(s, replace(priors, trade=trade, trade_class=cls))
+                _verify_prior_report(s, replace(priors, trade=trade, trade_class=cls))
 
 
 def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
@@ -130,10 +130,10 @@ def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
         trade_class=None,
     )
     with pytest.raises(VerificationError, match="strong prior witness"):
-        _verify_report(ex_pl1, strong)
+        _verify_prior_report(ex_pl1, strong)
     universal = replace(analyze(pl4).priors, holds=("common", "universal"))
     with pytest.raises(VerificationError, match="universal prior witness"):
-        _verify_report(pl4, universal)
+        _verify_prior_report(pl4, universal)
 
 
 def _fresh(fixture_path, name):

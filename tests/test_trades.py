@@ -255,6 +255,40 @@ def test_trade_finders_reuse_the_prior_programs(fixture_path, monkeypatch, name)
     assert weak.forms == acceptable.forms == walk.payoff_forms
 
 
+def test_each_structure_decides_and_checks_its_prior_report_once(monkeypatch):
+    # Over generator seeds 0..199, on one structure object, the cross-check,
+    # the three trade finders and two analyses read one prior report: its
+    # claims are checked once, and the block trade, where a notion fails, is
+    # graded once. ``harness`` holds its own name for ``classify_trade``, so
+    # the spy sees the report's grading alone.
+    checked, graded = [], []
+    check, grade = trades._verify_prior_report, trades.classify_trade
+
+    def counted_check(structure, priors):
+        checked.append(structure)
+        check(structure, priors)
+
+    def counted_grade(structure, forms):
+        graded.append(structure)
+        return grade(structure, forms)
+
+    monkeypatch.setattr(trades, "_verify_prior_report", counted_check)
+    monkeypatch.setattr(trades, "classify_trade", counted_grade)
+    refuted = 0
+    for seed in range(200):
+        s = random_structure(GeneratorConfig(seed=seed))
+        checked.clear()
+        graded.clear()
+        assert cross_check(s).passed
+        found = (find_agreeable_trade(s), find_weakly_agreeable_trade(s), find_acceptable_trade(s))
+        for _ in range(2):
+            report.analyze(s)
+        assert checked == [s]
+        assert graded == ([s] if found[2] is not None else [])
+        refuted += found[2] is not None
+    assert refuted == 85
+
+
 def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     # A trade's forms grade as the forms of its rows of rationals do, and
     # ``Trade.payoffs`` is the forms themselves.
@@ -284,7 +318,8 @@ def test_parsing_and_grading_a_payoff_document_build_no_fraction(ex_pl2, monkeyp
         return real_new(cls, *args, **kwargs)
 
     for s in (ex_pl2, generated):
-        trade, cls = trades.graded_block_trade(s)
+        priors = build_prior_report(s)
+        trade, cls = priors.trade, priors.trade_class
         doc = {"payoffs": report.trade_json(s, trade.forms, cls)["payoffs"]}
         with monkeypatch.context() as patch:
             patch.setattr(fractions.Fraction, "__new__", spied_new)

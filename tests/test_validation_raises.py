@@ -15,8 +15,12 @@ from prior_forge import (
     PartitionError,
     SchemaError,
     classify_trade,
+    hull_weights,
+    is_commonly_certain,
     make_structure,
     parse_structure,
+    single_player_view,
+    uniform,
 )
 from prior_forge.certainty import closure
 from prior_forge.cli import main
@@ -151,6 +155,25 @@ def test_other_entry_points_fail_with_their_message():
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+def test_player_and_state_indices_are_range_checked(pl4):
+    # A negative index would count from the end, and one past the end would
+    # raise a bare IndexError or, in an event, answer False. Each is a
+    # DimensionError naming the index.
+    p = uniform(4)
+    cases = [
+        (lambda: hull_weights(pl4, -1, p), "player index -1 out of range"),
+        (lambda: hull_weights(pl4, 9, p), "player index 9 out of range"),
+        (lambda: single_player_view(pl4, -1), "player index -1 out of range"),
+        (lambda: single_player_view(pl4, 9), "player index 9 out of range"),
+        (lambda: is_commonly_certain(pl4, [-1, 0, 1, 2, 3], 0), "state index -1 out of range"),
+        (lambda: is_commonly_certain(pl4, [99], 0), "state index 99 out of range"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert type(info.value) is DimensionError and str(info.value) == message
 
 
 @pytest.mark.parametrize("case", ["states not a list", "no states"])
