@@ -27,7 +27,6 @@ from .certainty import (
     is_maximal,
     is_strongly_maximal,
     minimal_components,
-    support_graph,
 )
 from .errors import (
     DimensionError,

@@ -7,24 +7,25 @@ components, and every component contains a minimal one, so "for every
 component" checks reduce to the minimal list (the reduction itself is covered
 by tests, not assumed).
 
-The minimal components are found on a contracted graph. A type lives on its
-own cell, and every state of the cell has an edge to every state of the
-type's support, the support's own states included, so the states of one
-support reach each other: they lie in one strongly connected component.
-Uniting each support's states, in one pass over the nonzero type entries,
+Every question here reads one contracted graph. A type lives on its own
+cell, and every state of the cell has an edge to every state of the type's
+support, the support's own states included, so the states of one support
+reach each other: they lie in one strongly connected component. Uniting
+each support's states, in one pass over the nonzero type entries,
 therefore merges only states of one component, and every edge of the
 support graph runs from a state to a class. The contracted graph has one
 node per class and one edge from the class of each state to the class of
 each of its cells' supports, so at most one per state and player, against
-one per state and support entry in the support graph. Its strongly
-connected components, unions of classes, are exactly those of the support
-graph, and its bottom ones are the minimal components. ``component_family``
-and ``closure`` keep the full support graph.
+one per state and support entry in the support graph. A state reaches what
+its class reaches, and the graph's strongly connected components, unions of
+classes, are exactly those of the support graph: its bottom ones are the
+minimal components, and the components are the successor-closed unions of
+them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DimensionError, EmptySetError, SizeCapError
 from .model import Distribution, InformationStructure, check_index
@@ -32,38 +33,72 @@ from .model import Distribution, InformationStructure, check_index
 COMPONENT_CAP = 20  # component_family refuses structures beyond this many states
 
 
-def support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
-    """Per-state successor lists (sorted, deduplicated). Memoized on the
-    structure: ``closure`` and the condensation read the same graph."""
-    return structure.derived("support_graph", _support_graph)
+class _Graph(NamedTuple):
+    """The contracted support graph. Classes are numbered by least state;
+    ``members`` and ``successors`` are sorted tuples, and ``sccs`` lists the
+    strongly connected components as sorted tuples of classes in Tarjan's
+    order, children first (sinks early)."""
+
+    class_of: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    successors: tuple[tuple[int, ...], ...]
+    sccs: tuple[tuple[int, ...], ...]
 
 
-def _support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
-    """Each cell's type support is read once and added to every state of
-    the cell."""
-    succ: list[set[int]] = [set() for _ in range(structure.num_states)]
-    for i in range(structure.num_players):
-        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+def _graph(structure: InformationStructure) -> _Graph:
+    """Memoized on the structure: every reader below shares one graph."""
+    return structure.derived("contracted_graph", _contract)
+
+
+def _contract(structure: InformationStructure) -> _Graph:
+    """Each support's states are united with path halving, each cell adds one
+    edge per state to its support's class, and Tarjan runs on the classes."""
+    parent = list(range(structure.num_states))
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for types in structure.cell_types:
+        for t in types:
             support = t.support()
+            root = find(support[0])
+            for w in support[1:]:
+                other = find(w)
+                if other != root:
+                    parent[other] = root
+    roots = [find(s) for s in range(structure.num_states)]
+    node = {r: k for k, r in enumerate(dict.fromkeys(roots))}
+    class_of = tuple(node[r] for r in roots)
+    members: list[list[int]] = [[] for _ in node]
+    for s, k in enumerate(class_of):
+        members[k].append(s)
+    succ: list[set[int]] = [set() for _ in node]
+    for cells, types in zip(structure.partitions, structure.cell_types):
+        for cell, t in zip(cells, types):
+            target = class_of[t.support()[0]]
             for s in cell:
-                succ[s].update(support)
-    return tuple(tuple(sorted(x)) for x in succ)
+                succ[class_of[s]].add(target)
+    adj = tuple(tuple(sorted(x)) for x in succ)
+    return _Graph(class_of, tuple(map(tuple, members)), adj, _strongly_connected_components(adj))
 
 
 def closure(structure: InformationStructure, state: int) -> tuple[int, ...]:
     """The smallest component containing ``state``: itself plus everything
-    reachable from it in the support graph, walked afresh on each call over
-    the structure's memoized support graph."""
+    reachable from it, walked afresh on each call over the classes of the
+    structure's memoized graph."""
     check_index("state", state, structure.num_states)
-    adj = support_graph(structure)
-    seen = {state}
-    stack = [state]
+    graph = _graph(structure)
+    start = graph.class_of[state]
+    seen = {start}
+    stack = [start]
     while stack:
-        for nxt in adj[stack.pop()]:
+        for nxt in graph.successors[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return tuple(sorted(seen))
+    return tuple(sorted(s for k in seen for s in graph.members[k]))
 
 
 def is_commonly_certain(structure: InformationStructure, event: Iterable[int], state: int) -> bool:
@@ -76,14 +111,14 @@ def is_commonly_certain(structure: InformationStructure, event: Iterable[int], s
     return ev.issuperset(closure(structure, state))
 
 
-def _strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+def _strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Iterative Tarjan; components come out children-first (sinks early)."""
     n = len(adj)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    out: list[list[int]] = []
+    out: list[tuple[int, ...]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -116,29 +151,11 @@ def _strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> list[lis
                     comp.append(member)
                     if member == node:
                         break
-                out.append(sorted(comp))
+                out.append(tuple(sorted(comp)))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-    return out
-
-
-def _condensation(
-    structure: InformationStructure,
-) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """Strongly connected components of the support graph and, for each, the
-    other components its edges reach in one step."""
-    adj = support_graph(structure)
-    sccs = _strongly_connected_components(adj)
-    comp_of = [0] * len(adj)
-    for k, comp in enumerate(sccs):
-        for s in comp:
-            comp_of[s] = k
-    successors = []
-    for k, comp in enumerate(sccs):
-        succ = {comp_of[nxt] for s in comp for nxt in adj[s]} - {k}
-        successors.append(tuple(sorted(succ)))
-    return sccs, successors
+    return tuple(out)
 
 
 def minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
@@ -148,69 +165,41 @@ def minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...]
 
 
 def _minimal_components(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
-    """The bottom components of the contracted graph (see the module
-    docstring), expanded to their states: each support's states are united
-    with path halving, each cell adds one edge per state to its support's
-    class, and Tarjan runs on the classes."""
-    parent = list(range(structure.num_states))
-
-    def find(s: int) -> int:
-        while parent[s] != s:
-            parent[s] = s = parent[parent[s]]
-        return s
-
-    for types in structure.cell_types:
-        for t in types:
-            support = t.support()
-            root = find(support[0])
-            for w in support[1:]:
-                other = find(w)
-                if other != root:
-                    parent[other] = root
-    roots = [find(s) for s in range(structure.num_states)]
-    node = {r: k for k, r in enumerate(dict.fromkeys(roots))}
-    node_of = [node[r] for r in roots]
-    succ: list[set[int]] = [set() for _ in node]
-    for cells, types in zip(structure.partitions, structure.cell_types):
-        for cell, t in zip(cells, types):
-            target = node_of[t.support()[0]]
-            for s in cell:
-                succ[node_of[s]].add(target)
-    adj = tuple(map(tuple, succ))
-    members: list[list[int]] = [[] for _ in node]
-    for s, k in enumerate(node_of):
-        members[k].append(s)
+    """The sink components of the contracted graph, expanded to their states."""
+    graph = _graph(structure)
     bottoms = []
-    for comp in _strongly_connected_components(adj):
+    for comp in graph.sccs:
         inside = set(comp)
-        if all(inside.issuperset(adj[k]) for k in comp):
-            bottoms.append(tuple(sorted(s for k in comp for s in members[k])))
+        if all(inside.issuperset(graph.successors[k]) for k in comp):
+            bottoms.append(tuple(sorted(s for k in comp for s in graph.members[k])))
     return tuple(sorted(bottoms, key=lambda c: c[0]))
 
 
 def component_family(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
     """Every component once: the successor-closed unions of strongly
     connected components, possibly exponentially many. Ordered by the bit
-    mask of the SCCs they join (Tarjan's order, sinks early).
+    mask of the components they join (Tarjan's order on the contracted
+    graph, sinks early).
 
-    Tarjan emits each SCC after every SCC it reaches, so the closed masks
-    over SCCs 0..a are those over 0..a-1, followed by those of them that
-    contain all of a's successors with a added: each closed mask is built
-    once, in increasing order, with no scan of the 2^k subsets."""
+    Tarjan emits each component after every component it reaches, so the
+    closed unions of components 0..a are those of 0..a-1, followed by those
+    of them that contain all of a's successors with a added: each is built
+    once, as a mask over classes, in increasing order, with no scan of the
+    2^k subsets."""
     if structure.num_states > COMPONENT_CAP:
         raise SizeCapError(
             f"{structure.num_states} states exceeds the component enumeration cap {COMPONENT_CAP}"
         )
-    sccs, successors = _condensation(structure)
-    closed = [0]
-    for a, succs in enumerate(successors):
-        need = sum(1 << b for b in succs)
-        closed += [m | 1 << a for m in closed if not need & ~m]
-    family = []
-    for mask in closed[1:]:
-        members = [w for a, comp in enumerate(sccs) if mask >> a & 1 for w in comp]
-        family.append(tuple(sorted(members)))
-    return tuple(family)
+    graph = _graph(structure)
+    closed = [0]  # masks over classes
+    for comp in graph.sccs:
+        bits = sum(1 << k for k in comp)
+        need = sum({1 << j for k in comp for j in graph.successors[k]})
+        closed += [m | bits for m in closed if not need & ~(m | bits)]
+    return tuple(
+        tuple(sorted(s for k, states in enumerate(graph.members) if mask >> k & 1 for s in states))
+        for mask in closed[1:]
+    )
 
 
 def is_maximal(structure: InformationStructure, p: Distribution) -> bool:

@@ -413,8 +413,8 @@ def forward_closed(structure: InformationStructure, states: Iterable[int]) -> bo
     inside = frozenset(states)
     if not inside:
         raise EmptySetError("the empty set is never a component")
-    if not all(0 <= s < structure.num_states for s in inside):
-        raise DimensionError("state index out of range")
+    for s in (min(inside), max(inside)):
+        check_index("state", s, structure.num_states)
     for i in range(structure.num_players):
         for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
             if not inside.isdisjoint(cell) and not inside.issuperset(t.support()):

@@ -10,7 +10,10 @@ definitions they replaced, one Fraction operation per term or one
 ``off_mixture`` is the weighted-mixture check on ints that the hull rule
 replaced. The full trade programs, with a budget row per state and a boxed
 payoff per player and state, are the oracles of ``harness``'s trade
-programs, which drop the budget rows and the last player's payoffs.
+programs, which drop the budget rows and the last player's payoffs. The
+state-level support graph, its reachability and its strongly connected
+components by mutual reachability are the oracles of ``certainty``, which
+reads one contracted graph.
 Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
@@ -38,6 +41,49 @@ def to_json_value(q):
     if q.denominator == 1:
         return q.numerator
     return rational_text(q)
+
+
+def support_graph(structure: InformationStructure) -> tuple[tuple[int, ...], ...]:
+    """Per-state successor lists (sorted, deduplicated): each cell's type
+    support is read once and added to every state of the cell."""
+    succ: list[set[int]] = [set() for _ in range(structure.num_states)]
+    for i in range(structure.num_players):
+        for cell, t in zip(structure.partitions[i], structure.cell_types[i]):
+            support = t.support()
+            for s in cell:
+                succ[s].update(support)
+    return tuple(tuple(sorted(x)) for x in succ)
+
+
+def reachable(adj) -> tuple[tuple[int, ...], ...]:
+    """Per node, the sorted nodes it reaches in ``adj``, itself included:
+    on the support graph, the oracle of ``certainty.closure``."""
+    out = []
+    for start in range(len(adj)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        out.append(tuple(sorted(seen)))
+    return tuple(out)
+
+
+def condensation(structure: InformationStructure):
+    """The strongly connected components of the support graph, found as
+    mutual reachability and ordered by least state, and for each the
+    components its edges reach in one step."""
+    adj = support_graph(structure)
+    reach = [frozenset(r) for r in reachable(adj)]
+    sccs = sorted({tuple(sorted(v for v in reach[w] if w in reach[v])) for w in range(len(adj))})
+    comp_of = {w: k for k, comp in enumerate(sccs) for w in comp}
+    successors = [
+        tuple(sorted({comp_of[v] for w in comp for v in adj[w]} - {k}))
+        for k, comp in enumerate(sccs)
+    ]
+    return sccs, successors
 
 
 def dense_dot(weights, values):

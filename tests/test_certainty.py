@@ -1,6 +1,10 @@
+import functools
+import hashlib
 import importlib.util
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -8,6 +12,8 @@ from prior_forge import (
     Distribution,
     EmptySetError,
     SizeCapError,
+    analyze,
+    certainty,
     closure,
     component_family,
     forward_closed,
@@ -17,12 +23,12 @@ from prior_forge import (
     make_structure,
     minimal_components,
     parse_structure,
-    support_graph,
     uniform,
 )
-from prior_forge.certainty import _condensation
-from prior_forge.harness import GeneratorConfig, random_structure
+from prior_forge.harness import GeneratorConfig, cross_check, planted_structure, random_structure
 from prior_forge.jsonio import load_path
+
+from oracles import condensation, reachable, support_graph
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
@@ -89,9 +95,9 @@ def test_component_family_cap():
 
 
 def _component_family_by_mask_scan(structure):
-    """Oracle: every nonempty SCC mask in increasing order, kept when no SCC
-    in it has a successor outside it."""
-    sccs, successors = _condensation(structure)
+    """Oracle: every nonempty mask over the state-level SCCs, kept when no
+    SCC in it has a successor outside it."""
+    sccs, successors = condensation(structure)
     k = len(sccs)
     succ_masks = [sum(1 << b for b in succs) for succs in successors]
     family = []
@@ -103,6 +109,8 @@ def _component_family_by_mask_scan(structure):
 
 
 def test_component_family_matches_mask_scan(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    # The same components, each once; the order is Tarjan's on the
+    # contracted graph, pinned below.
     structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
     structures += [random_structure(GeneratorConfig(seed=k)) for k in range(2000)]
     structures += [
@@ -110,7 +118,67 @@ def test_component_family_matches_mask_scan(intro, pl, ex_pl1, ex_pl2, pl4, ex_p
         for k in range(300)
     ]
     for s in structures:
-        assert component_family(s) == _component_family_by_mask_scan(s)
+        assert sorted(component_family(s)) == sorted(_component_family_by_mask_scan(s))
+
+
+GENERATED_CONFIGS = {"default": {}, "16/4": {"max_states": 16, "max_players": 4}}
+
+# sha256 of component_family over generator seeds 0..2999, one JSON line
+# per seed, at each config.
+PINNED_COMPONENT_FAMILIES = {
+    "default": "852211cbbca860b901a7d3a8791bdf1b115cda7acbc14fdc7dc5b5655a08c49a",
+    "16/4": "913465dab34b109b27695f26ec0b734bff8dc47e0ead7d58a1a1494c3191e44e",
+}
+
+
+@functools.cache
+def _generated(config):
+    kw = GENERATED_CONFIGS[config]
+    return tuple(random_structure(GeneratorConfig(seed=seed, **kw)) for seed in range(3000))
+
+
+@pytest.mark.parametrize("config", list(GENERATED_CONFIGS))
+def test_component_families_are_pinned(config):
+    lines = "".join(
+        json.dumps(component_family(s), separators=(",", ":")) + "\n" for s in _generated(config)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_COMPONENT_FAMILIES[config]
+
+
+def test_closures_and_minimal_components_match_the_state_graph(fixture_path, broken_planted):
+    structures = [parse_structure(load_path(fixture_path(name))) for name in FIXTURES]
+    for config in GENERATED_CONFIGS:
+        structures += _generated(config)
+    for m, n, k in itertools.product((24, 48), (2, 3), (1, 2)):
+        structures.append(planted_structure(m, n, k, random.Random(f"closure:{m}:{n}:{k}"))[0])
+        for kind in ("mixed", "cycle"):
+            structures.append(broken_planted(m, n, kind, k))
+    for s in structures:
+        reach = reachable(support_graph(s))
+        assert [closure(s, w) for w in range(s.num_states)] == list(reach)
+        assert minimal_components(s) == _bottom_sccs(s)
+
+
+def test_each_structure_builds_its_graph_once(fixture_path, monkeypatch):
+    # Every reader, over every route, shares one memoized graph per
+    # structure object; a substructure is an object of its own.
+    built = []
+    contract = certainty._contract
+
+    def spy(structure):
+        built.append(structure)
+        return contract(structure)
+
+    monkeypatch.setattr(certainty, "_contract", spy)
+    structures = [parse_structure(load_path(fixture_path(name))) for name in FIXTURES]
+    structures += [random_structure(GeneratorConfig(seed=seed)) for seed in range(200)]
+    for s in structures:
+        cross_check(s)
+        analyze(s, all_components=True)
+        for w in range(s.num_states):
+            closure(s, w)
+    assert all(any(b is s for b in built) for s in structures)
+    assert len({id(b) for b in built}) == len(built)
 
 
 def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4):
@@ -120,11 +188,10 @@ def test_every_minimal_component_is_forward_closed(intro, ex_pl2, pl4, ex_plbet4
 
 
 def _bottom_sccs(structure):
-    """The bottom strongly connected components of the full support graph,
-    ordered by least state: the oracle of the contracted search."""
-    sccs, successors = _condensation(structure)
-    bottoms = (tuple(comp) for comp, succ in zip(sccs, successors) if not succ)
-    return tuple(sorted(bottoms, key=lambda c: c[0]))
+    """The bottom strongly connected components of the state-level support
+    graph, ordered by least state: the oracle of the contracted search."""
+    sccs, successors = condensation(structure)
+    return tuple(tuple(comp) for comp, succ in zip(sccs, successors) if not succ)
 
 
 @pytest.mark.parametrize(

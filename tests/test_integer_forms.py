@@ -43,7 +43,7 @@ from prior_forge import (
     parse_structure,
 )
 from prior_forge import jsonio
-from prior_forge.certainty import support_graph
+from prior_forge.certainty import closure
 from prior_forge.harness import chain_structure, planted_structure, random_distribution
 from prior_forge.harness import (
     GeneratorConfig,
@@ -96,6 +96,7 @@ from oracles import (
     fraction_read_off,
     fraction_trade_json,
     off_mixture,
+    reachable,
     to_json_value,
 )
 
@@ -213,7 +214,7 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
         tuple(sorted({v for i in range(n) for v in structure.type_at(i, s).support()}))
         for s in range(m)
     )
-    assert support_graph(structure) == dense_graph
+    assert [closure(structure, w) for w in range(m)] == list(reachable(dense_graph))
 
     families = _graded_families(structure, random.Random(f"grades:{kind}:{key}"))
     trade_forms = blocks(structure).payoff_forms

@@ -187,7 +187,6 @@ PINNED_EXPORTS = [
     "report",
     "single_player_view",
     "structure_to_json",
-    "support_graph",
     "trades",
     "uniform",
 ]

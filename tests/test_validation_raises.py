@@ -16,6 +16,7 @@ from prior_forge import (
     SchemaError,
     classify_trade,
     hull_weights,
+    induced_substructure,
     is_commonly_certain,
     make_structure,
     parse_structure,
@@ -134,7 +135,7 @@ def test_other_entry_points_fail_with_their_message():
         (lambda: classify_trade(s, [(1, (0, 0))]), DimensionError, "1 payoff vectors for 2 players"),
         (lambda: closure(s, 2), DimensionError, "state index 2 out of range"),
         (lambda: forward_closed(s, []), EmptySetError, "the empty set is never a component"),
-        (lambda: forward_closed(s, [2]), DimensionError, "state index out of range"),
+        (lambda: forward_closed(s, [2]), DimensionError, "state index 2 out of range"),
         (
             lambda: LinearProgram((1, 1), False, (), (0,), (None, None), ("x", "y")),
             DimensionError,
@@ -169,6 +170,8 @@ def test_player_and_state_indices_are_range_checked(pl4):
         (lambda: single_player_view(pl4, 9), "player index 9 out of range"),
         (lambda: is_commonly_certain(pl4, [-1, 0, 1, 2, 3], 0), "state index -1 out of range"),
         (lambda: is_commonly_certain(pl4, [99], 0), "state index 99 out of range"),
+        (lambda: forward_closed(pl4, [-1]), "state index -1 out of range"),
+        (lambda: induced_substructure(pl4, [0, 1, 2, 3, 9]), "state index 9 out of range"),
     ]
     for call, message in cases:
         with pytest.raises(DimensionError) as info:
