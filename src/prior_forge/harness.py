@@ -19,7 +19,11 @@ full trade LPs and the term-by-term ``Fraction`` oracles of the integer
 paths live with the tests, in ``tests/oracles.py``. cross_check and
 run_battery report failures unshrunk, a guarded step that raises
 ``PriorForgeError`` among them; ``minimize_failure`` shrinks one for
-``prior-forge fuzz``.
+``prior-forge fuzz``. The battery reads the programs on integer forms, as
+``lp`` hands them over: the canonical prior and its margin are checked
+against the program as one point over the prior's denominator, a pump
+piece as its own form, and the program trade is read off the numerators
+of the certificate or the duals.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -39,6 +43,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from ._rational import ONE, ZERO, rational
@@ -57,11 +62,8 @@ from .model import (
     Distribution,
     InformationStructure,
     cell_expectations,
-    dot,
     forward_closed,
-    fraction_rows,
     induced_substructure,
-    integer_form,
     lowest_terms,
     make_structure,
     single_player_view,
@@ -427,11 +429,13 @@ def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tup
     u_0 = b.u = eps* = 0 and sum |nu| >= 1 from the eps column, so h is
     acceptable.
 
-    On ints: with u = U / D and L (``types_den``) the lcm of the types'
-    denominators, every term is a numerator over D * N * L, and the box
-    divides by the largest one."""
+    On ints: u is read as its integer form U / D, the certificate's
+    ``constraint_form`` or the outcome's ``dual_form``. With L
+    (``types_den``) the lcm of the types' denominators, every term is a
+    numerator over D * N * L, and the box divides by the largest one, so D
+    itself is never needed."""
     if outcome.status == "infeasible":
-        _, u = integer_form(outcome.certificate.constraint_multipliers)
+        u = outcome.certificate.constraint_form[1]
     elif outcome.objective_value == ZERO:
         u = outcome.dual_form[1]
     else:
@@ -623,8 +627,8 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         )
         ok = positive == sub_walk.strong
         if ok and positive:
-            optimum = (tuple(outcome.primal[: sub.num_states]), outcome.objective_value)
-            ok = optimum == (sub_walk.prior.probs, sub_walk.margin)
+            (xden, xnums), (den, nums) = outcome.point, _prior_point(sub_walk)
+            ok = all(a * den == b * xden for a, b in zip(xnums, nums))
         rec.check(
             "oracle: closed-form strong prior equals the margin program's optimum",
             ok,
@@ -633,8 +637,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         if comp is not None and not feasible:
             break
     if walk.common:
-        point = (*walk.prior.probs, walk.margin)
-        violations = feasibility_violations(program, point)
+        violations = feasibility_violations(program, _prior_point(walk))
         rec.check("oracle: canonical prior satisfies the common-prior program", not violations, lambda: str(violations))
     if not walk.strong:
         payoffs = refuting_payoffs(structure, top)
@@ -648,6 +651,16 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
             grades[0] == grades[1] == (True, True, not walk.common),
             lambda: f"program {grades[0]}, blocks {grades[1]}",
         )
+
+
+def _prior_point(walk) -> tuple[int, list[int]]:
+    """The canonical prior and its margin as a point of the common-prior
+    program, over the lcm of their denominators: the prior's ``den`` when
+    the margin is a cell mass, as the walk's is."""
+    prior, margin = walk.prior, walk.margin
+    den = math.lcm(prior.den, margin.denominator)
+    nums = [a * (den // prior.den) for a in state_nums(prior)]
+    return den, [*nums, margin.numerator * (den // margin.denominator)]
 
 
 def cross_check(
@@ -967,14 +980,14 @@ def _oracle_check(seed: int) -> CrossCheckReport:
     dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
     p_nums = state_nums(dist)
     for i in range(structure.num_players):
-        piece = fraction_rows((pump_piece(structure, i, p_nums),))[0]
+        den, nums = piece = pump_piece(structure, i, p_nums)
         program = pump_piece_program(structure, i, dist)
         out_pump = solve(program)
         rec.check(
             "oracle: closed-form pump piece is feasible and LP-optimal",
             not feasibility_violations(program, piece)
             and out_pump.status == "optimal"
-            and out_pump.objective_value == dot(piece, dist.probs),
+            and out_pump.objective_value == Fraction(sum(map(mul, nums, p_nums)), den * dist.den),
             lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
         )
     return CrossCheckReport(rec.count, tuple(rec.failures))

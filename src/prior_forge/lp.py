@@ -4,14 +4,11 @@ Two-phase bounded-variable primal simplex (Dantzig 1955) with Bland's
 anti-cycling rule. Every coefficient is an exact rational; there is no
 tolerance anywhere. A constraint is a sparse row, a map from variable index
 to nonzero int numerator over one positive denominator, in lowest terms,
-and it is built from that integer form alone. A row given in rationals is
-put over its least common denominator first (``LPBuilder.add_constraint``);
-builders that hold ints hand them over as they are
-(``LPBuilder.add_integer_constraint``) and no rational is made per
-coefficient. A program fixes the integer forms of its objective and bounds
-the same way. Standardization, the tableau and the self-checks read only
-these ints; only the objective is a dense tuple, and it fixes the number of
-variables.
+and it is built from that integer form alone
+(``LPBuilder.add_integer_constraint``), with no rational per coefficient. A
+program fixes the integer forms of its objective and bounds the same way.
+Standardization, the tableau and the self-checks read only these ints; only
+the objective is a dense tuple, and it fixes the number of variables.
 
 Bounds never become rows. Standardizing shifts a variable with a lower bound
 onto it, substitutes x = u - x' for a variable with only an upper bound u,
@@ -33,17 +30,18 @@ denominator, in lowest terms, and one pivot updates every row that holds its
 column, the objective's included, with integer multiplications and one gcd
 per changed row. Pivots follow the same rule on the same exact values, so
 bases, points, certificates and duals are those of a rational tableau;
-rationals are built only where results are read off.
+rationals are built only where results are read.
 Outcomes are verified before they are returned: optimal points are read off
 as numerators over one denominator and re-substituted into every constraint
 and bound, the optimum is derived again from the costs by one
 cross-multiplication, and infeasibility comes with a Farkas certificate
-whose contradiction is re-multiplied from scratch. The checks compare
-integer dot products with the rows' integer forms. An optimal outcome keeps
-its point and duals as integer forms and builds their rationals on first
-read; otherwise rationals are built for the certificate and for failure
-messages. A failed internal check raises ``VerificationError`` and always
-indicates a bug, never bad input.
+whose contradiction is re-multiplied from scratch. Points and certificates
+cross this module's boundary as integer forms ``(den, nums)``, which the
+checks (``feasibility_violations``, ``farkas_violations``) read. An
+outcome's point and duals and a certificate's multipliers build their
+rationals on first read; besides failure messages, the one rational built
+is an optimum's value. A failed internal check raises ``VerificationError``
+and always indicates a bug, never bad input.
 
 ``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
 solutions of the standardized system by brute-force basis selection with exact
@@ -69,7 +67,7 @@ from typing import NamedTuple, Sequence
 
 from ._rational import ONE, ZERO, rational
 from .errors import DimensionError, InputError, SizeCapError, VerificationError
-from .model import integer_form
+from .model import integer_form, lowest_terms
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
@@ -176,15 +174,9 @@ class LPBuilder:
         self._objective.append(objective)
         return len(self._names) - 1
 
-    def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
-        """The row ``sum_j coeffs[j] * x_j  rel  rhs`` in exact rationals,
-        put over their least common denominator."""
-        den, nums = integer_form([*map(rational, coeffs.values()), rational(rhs)])
-        self.add_integer_constraint(dict(zip(coeffs, nums)), den, rel, nums[-1])
-
     def add_integer_constraint(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
-        """``add_constraint`` from an integer form, ints over a positive
-        ``den``; see ``Constraint``."""
+        """The row ``sum_j nums[j] * x_j  rel  rhs_num``, ints over a
+        positive ``den``; see ``Constraint``."""
         self._rows.append(Constraint(nums, den, rel, rhs_num))
 
     def add_objective(self, var: int, coeff) -> None:
@@ -213,11 +205,18 @@ class FarkasCertificate:
     leave a strictly negative right-hand side. Sign rules: ``mu_k >= 0`` for
     ``<=`` rows, ``mu_k <= 0`` for ``>=`` rows, free for equalities;
     lower multipliers ``<= 0``; upper multipliers ``>= 0``.
+
+    The three vectors are kept as integer forms, ``constraint_form``,
+    ``lower_form`` and ``upper_form``, each a ``(den, nums)`` pair, and
+    their rationals are built on first read, as an outcome's are.
     """
 
-    constraint_multipliers: tuple
-    lower_multipliers: tuple
-    upper_multipliers: tuple
+    constraint_form: tuple
+    lower_form: tuple
+    upper_form: tuple
+    constraint_multipliers = cached_property(lambda self: _rationals(self.constraint_form))
+    lower_multipliers = cached_property(lambda self: _rationals(self.lower_form))
+    upper_multipliers = cached_property(lambda self: _rationals(self.upper_form))
 
 
 @dataclass(frozen=True)
@@ -255,19 +254,16 @@ def _rationals(form: tuple | None) -> tuple | None:
     return tuple(Fraction(n, den) for n in nums)
 
 
-def feasibility_violations(lp: LinearProgram, x: Sequence) -> list[str]:
-    """Human-readable list of constraint/bound violations of ``x`` (exact).
-    ``x`` is put over one denominator once and checked on ints
-    (``_violations``)."""
-    if len(x) != lp.num_vars:
-        return [f"point has {len(x)} coordinates, expected {lp.num_vars}"]
-    return _violations(lp, *integer_form(x))
-
-
-def _violations(lp: LinearProgram, xden: int, xnums: Sequence[int]) -> list[str]:
-    """``feasibility_violations`` of the point ``xnums / xden``: each row
-    compares its integer dot product with its rhs, and each bound
+def feasibility_violations(lp: LinearProgram, point: tuple) -> list[str]:
+    """Human-readable list of constraint/bound violations of the point
+    ``xnums / xden``, given as its integer form ``point == (xden, xnums)``:
+    each row compares its integer dot product with its rhs, and each bound
     cross-multiplies."""
+    xden, xnums = point
+    if len(xnums) != lp.num_vars:
+        return [f"point has {len(xnums)} coordinates, expected {lp.num_vars}"]
+    if xden <= 0:
+        return [f"point denominator {xden} is not positive"]
     bad = []
     for k, con in enumerate(lp.constraints):
         nums = con.nums
@@ -304,18 +300,14 @@ def _combine(lp: LinearProgram, mus: Sequence) -> tuple[int, list, int]:
 
 
 def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
-    """Check a Farkas certificate by exact re-multiplication. Each multiplier
-    vector is put over one denominator once; signs, cancellation and the
-    combined rhs are then integer tests."""
+    """Check a Farkas certificate by exact re-multiplication on its integer
+    forms: signs, cancellation and the combined rhs are integer tests."""
     bad = []
-    mus = cert.constraint_multipliers
-    los = cert.lower_multipliers
-    ups = cert.upper_multipliers
-    if len(mus) != len(lp.constraints) or len(los) != lp.num_vars or len(ups) != lp.num_vars:
+    (mden, mnums), (lden, lnums), (uden, unums) = cert.constraint_form, cert.lower_form, cert.upper_form
+    if len(mnums) != len(lp.constraints) or len(lnums) != lp.num_vars or len(unums) != lp.num_vars:
         return ["certificate shape mismatch"]
-    mden, mnums = integer_form(mus)
-    lden, lnums = integer_form(los)
-    uden, unums = integer_form(ups)
+    if min(mden, lden, uden) <= 0:
+        return ["certificate denominator not positive"]
     for k, (con, mu) in enumerate(zip(lp.constraints, mnums)):
         if con.rel == LESS and mu < 0:
             bad.append(f"multiplier {k} negative on a <= row")
@@ -801,19 +793,22 @@ class _Tableau:
 
 
 def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
-    """The certificate of phase 1's duals: the rows' multipliers, and what
-    they leave of each variable cancelled by a bound multiplier, its sign
-    naming the bound (a positive residual the lower, a negative one the
-    upper). The verifier catches a residual on a variable without that
-    bound."""
+    """The certificate of phase 1's duals: the rows' multipliers, numerators
+    over the objective row's denominator, and what they leave of each
+    variable cancelled by a bound multiplier, its sign naming the bound (a
+    positive residual the lower, a negative one the upper), each vector
+    an integer form in lowest terms. The verifier catches a residual on a
+    variable without that bound."""
     den = tab.obj_den
     mus = tab.multipliers(phase1=True)
     cden, combo, _ = _combine(lp, mus)
-    bounds = ([ZERO] * lp.num_vars, [ZERO] * lp.num_vars)
+    bounds = ([0] * lp.num_vars, [0] * lp.num_vars)
     for j, c in enumerate(combo):
         if c:
-            bounds[c < 0][j] = Fraction(-c, cden * den)
-    return FarkasCertificate(tuple(Fraction(v, den) for v in mus), *map(tuple, bounds))
+            bounds[c < 0][j] = -c
+    return FarkasCertificate(
+        lowest_terms((den, mus)), *(lowest_terms((cden * den, nums)) for nums in bounds)
+    )
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -829,8 +824,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
     status = tab.phase2()
     if status == "unbounded":
         return LPOutcome("unbounded", None, None)
-    xden, xnums = tab.point(lp)
-    problems = _violations(lp, xden, xnums)
+    xden, xnums = point = tab.point(lp)
+    problems = feasibility_violations(lp, point)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
     # The optimum derived again from the costs, c.x = num / (cost_den *
@@ -847,7 +842,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
             f"objective mismatch: tableau {claimed}, recomputed {value}"
         )
     duals = (tab.obj_den, tab.multipliers(phase1=False))
-    return LPOutcome("optimal", Fraction(num, den), None, (xden, xnums), duals)
+    return LPOutcome("optimal", Fraction(num, den), None, point, duals)
 
 
 # -- independent oracle --------------------------------------------------

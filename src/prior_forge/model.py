@@ -211,16 +211,6 @@ def state_nums(dist: Distribution) -> list[int]:
     return nums
 
 
-def dot(weights: Sequence, values: Sequence):
-    """Exact inner product: one integer sum over a common denominator per
-    side, one rational."""
-    if len(weights) != len(values):
-        raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
-    den, nums = integer_form(weights)
-    vden, vnums = integer_form(values)
-    return Fraction(sum(map(mul, nums, vnums)), den * vden)
-
-
 def cell_expectations(
     structure: InformationStructure, player: int, form: tuple[int, tuple[int, ...]]
 ) -> list:

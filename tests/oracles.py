@@ -13,7 +13,8 @@ payoff per player and state, are the oracles of ``harness``'s trade
 programs, which drop the budget rows and the last player's payoffs. The
 state-level support graph, its reachability and its strongly connected
 components by mutual reachability are the oracles of ``certainty``, which
-reads one contracted graph.
+reads one contracted graph. ``add_constraint`` writes a program's row in
+rationals, for the tests; ``lp`` takes integer forms only.
 Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
@@ -23,7 +24,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from prior_forge._rational import ONE, ZERO, rational, rational_text
-from prior_forge.certainty import minimal_components
 from prior_forge.errors import DimensionError
 from prior_forge.harness import NEG_ONE, _type_row
 from prior_forge.lp import LinearProgram, LPBuilder
@@ -86,8 +86,19 @@ def condensation(structure: InformationStructure):
     return sccs, successors
 
 
+def add_constraint(b: LPBuilder, coeffs: dict, rel: str, rhs) -> None:
+    """The row ``sum_j coeffs[j] * x_j  rel  rhs``, written in exact
+    rationals, put over their least common denominator and added to ``b``
+    as its integer form (``LPBuilder.add_integer_constraint``)."""
+    den, nums = integer_form([*map(rational, coeffs.values()), rational(rhs)])
+    b.add_integer_constraint(dict(zip(coeffs, nums)), den, rel, nums[-1])
+
+
 def dense_dot(weights, values):
-    """sum_k weights[k] * values[k], term by term: the oracle of ``model.dot``."""
+    """sum_k weights[k] * values[k], term by term: the exact inner product
+    of two rows of rationals (or ints), for the tests' expectations and
+    objective values. Production computes on integer forms and has no
+    rational inner product."""
     if len(weights) != len(values):
         raise DimensionError(f"length mismatch: {len(weights)} vs {len(values)}")
     return sum((w * v for w, v in zip(weights, values) if w), ZERO)
@@ -110,8 +121,9 @@ def dense_expectation_table(
 
 def dense_classify_trade(structure: InformationStructure, payoffs) -> TradeClassification:
     """The flags of ``trades.classify_trade`` from rows of rationals, each
-    entry coerced by ``rational``, with ``dense_expectation_table`` and
-    per-state ``Fraction`` column sums: its oracle."""
+    entry coerced by ``rational``, with ``dense_expectation_table``,
+    per-state ``Fraction`` column sums and the minimal components read off
+    ``condensation``, the state-level graph: its oracle."""
     m = structure.num_states
     norm = tuple(tuple(map(rational, f)) for f in payoffs)
     if len(norm) != structure.num_players:
@@ -128,10 +140,9 @@ def dense_classify_trade(structure: InformationStructure, payoffs) -> TradeClass
             elif e < ZERO:
                 is_semi = False
     everyone = [k == len(norm) for k in gainers]
-    component = next(
-        (comp for comp in minimal_components(structure) if all(everyone[w] for w in comp)),
-        None,
-    )
+    sccs, successors = condensation(structure)
+    bottoms = [comp for comp, out in zip(sccs, successors) if not out]  # by least state
+    component = next((comp for comp in bottoms if all(everyone[w] for w in comp)), None)
     return TradeClassification(
         is_trade=all(sum((f[w] for f in norm), ZERO) <= ZERO for w in range(m)),
         is_semi_trade=is_semi,

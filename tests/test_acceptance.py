@@ -34,7 +34,9 @@ from prior_forge import (
 from prior_forge.cli import main as cli_main
 from prior_forge.harness import common_prior_program, oracle_battery, run_battery
 from prior_forge.lp import enumerate_basic_solutions
-from prior_forge.model import dot, integer_form
+from prior_forge.model import integer_form
+
+from oracles import dense_dot
 
 
 def q(text):
@@ -79,7 +81,7 @@ def test_criterion_1_single_player_pump(pl):
         kind=pump_kind(pl, p),
     )
     manual.verify(pl)
-    assert dot((rational(-1), rational(9), ZERO), p) == q("-1/10")
+    assert dense_dot((rational(-1), rational(9), ZERO), p) == q("-1/10")
 
 
 def test_criterion_2_intro_classification(intro):

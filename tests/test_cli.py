@@ -692,7 +692,7 @@ def test_constraint_rows_are_sparse_and_in_range():
     builder = lp.LPBuilder()
     x = builder.add_var("x", lower=0)
     y = builder.add_var("y", lower=0)
-    builder.add_constraint({y: 1, x: 0}, "<=", 1)
+    builder.add_integer_constraint({y: 1, x: 0}, 1, "<=", 1)
     program = builder.build(maximize=True)
     assert program.constraints[0].coeffs == {y: 1}
     with pytest.raises(DimensionError):

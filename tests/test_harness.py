@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from prior_forge import (
     make_structure,
     parse_structure,
 )
-from prior_forge import harness
+from prior_forge import harness, lp
 from prior_forge.harness import (
     GeneratorConfig,
     common_prior_program,
@@ -29,6 +30,7 @@ from prior_forge.harness import (
     oracle_battery,
     random_distribution,
     random_structure,
+    refuting_payoffs,
     run_battery,
     structure_digest,
 )
@@ -138,6 +140,55 @@ def test_structure_digests_are_pinned(ex_pl1, ex_pl2, ex_plbet4, intro, pl, pl4)
     structures += [ex_pl1, ex_pl2, ex_plbet4, intro, pl, pl4]
     text = "\n".join(str(structure_digest(s)) for s in structures)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STRUCTURE_DIGESTS
+
+
+# sha256 over the program trade, ``refuting_payoffs`` of the common-prior
+# program's outcome, of the fixtures and then of generator seeds 0..999: one
+# line per structure, "-" when the margin is positive, else each player's
+# integer form as "den:nums". The box makes the trade invariant to a positive
+# scale of the multipliers it is read off.
+PINNED_PROGRAM_TRADES = "26513566d5c7f97d76d29ea9059ec1510aee5f3ac55d1ce11be1347bf8229539"
+
+
+def test_program_trades_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
+    structures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
+    structures += [random_structure(GeneratorConfig(seed=k)) for k in range(1000)]
+    digest = hashlib.sha256()
+    refuted = 0
+    for s in structures:
+        payoffs = refuting_payoffs(s, solve(common_prior_program(s)))
+        refuted += payoffs is not None
+        text = "-" if payoffs is None else "|".join(
+            f"{den}:{','.join(map(str, nums))}" for den, nums in payoffs
+        )
+        digest.update(text.encode() + b"\n")
+    assert refuted == 458
+    assert digest.hexdigest() == PINNED_PROGRAM_TRADES
+
+
+def test_the_battery_builds_one_rational_per_optimal_outcome(monkeypatch):
+    # Certificates, points and bounds cross the lp boundary as integer
+    # forms: the one ``Fraction`` that ``lp`` builds for the battery is each
+    # optimal outcome's ``objective_value``. Rationals of points,
+    # multipliers and failure messages are built only where they are read.
+    built = []
+    outcomes = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    def solving(program):
+        outcome = solve(program)
+        outcomes.append(outcome.status)
+        return outcome
+
+    monkeypatch.setattr(lp, "Fraction", counting)
+    monkeypatch.setattr(harness, "solve", solving)
+    for seed in range(1000, 1100):
+        assert cross_check(random_structure(GeneratorConfig(seed=seed))).passed
+    assert outcomes.count("optimal") == 471
+    assert len(built) == outcomes.count("optimal")
 
 
 def test_cross_check_fixtures(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):

@@ -62,7 +62,7 @@ from prior_forge.lp import (
     feasibility_violations,
     solve,
 )
-from prior_forge.model import dot, fraction_rows, integer_form, single_player_view, state_nums
+from prior_forge.model import fraction_rows, integer_form, single_player_view, state_nums
 from prior_forge.priors import (
     NOTIONS,
     _off_hull,
@@ -84,6 +84,7 @@ from prior_forge.trades import (
 
 from oracles import (
     acceptable_trade_program,
+    add_constraint,
     agreeable_trade_program,
     dense_classify_trade,
     dense_dot,
@@ -255,8 +256,6 @@ def test_integer_paths_match_dense_oracles(kind, key, fixture_path):
             forms = tuple(map(integer_form, payoffs))
             table = fraction_rows(classify_trade(structure, forms).expectation_forms)
             assert table == dense_expectation_table(structure, payoffs)
-            for f in payoffs:
-                assert dot(f, dist) == dot(f, dist.probs) == dense_dot(f, dist.probs)
             deficit = sum((dense_dot(f, dist.probs) for f in payoffs), Fraction(0))
             witness = MoneyPumpWitness(dist, forms, deficit, "plain")
             message = _message(witness, structure)
@@ -633,22 +632,22 @@ def _fractional_bound_programs():
         x = b.add_var("x", lower=Fraction(1, 3), objective=2)
         y = b.add_var("y", lower=Fraction(-5, 2), objective=Fraction(-1, 4))
         z = b.add_var("z", lower=Fraction(7, 6))
-        b.add_constraint({x: Fraction(3, 4), y: 1, z: Fraction(-2, 5)}, "<=", Fraction(9, 2))
-        b.add_constraint({x: 1, y: Fraction(1, 3)}, ">=", Fraction(-1, 6))
-        b.add_constraint({x: Fraction(1, 2), z: Fraction(3, 2)}, "<=", 4)
-        b.add_constraint({y: 1, z: 1}, "=", Fraction(5, 3))
+        add_constraint(b, {x: Fraction(3, 4), y: 1, z: Fraction(-2, 5)}, "<=", Fraction(9, 2))
+        add_constraint(b, {x: 1, y: Fraction(1, 3)}, ">=", Fraction(-1, 6))
+        add_constraint(b, {x: Fraction(1, 2), z: Fraction(3, 2)}, "<=", 4)
+        add_constraint(b, {y: 1, z: 1}, "=", Fraction(5, 3))
         if infeasible:
-            b.add_constraint({x: 1, z: 1}, "<=", Fraction(4, 3))
+            add_constraint(b, {x: 1, z: 1}, "<=", Fraction(4, 3))
         programs.append(b.build(maximize=True))
 
         b = LPBuilder()
         x = b.add_var("x", lower=Fraction(1, 3), upper=Fraction(7, 4), objective=1)
         y = b.add_var("y", upper=Fraction(5, 3), objective=Fraction(2, 3))
         w = b.add_var("w", lower=0, upper=Fraction(9, 8), objective=-1)
-        b.add_constraint({x: 1, y: 1, w: Fraction(1, 2)}, "<=", Fraction(11, 4))
-        b.add_constraint({y: 1, w: -1}, ">=", Fraction(-3, 2))
+        add_constraint(b, {x: 1, y: 1, w: Fraction(1, 2)}, "<=", Fraction(11, 4))
+        add_constraint(b, {y: 1, w: -1}, ">=", Fraction(-3, 2))
         if infeasible:
-            b.add_constraint({x: 1, y: 1}, ">=", 4)
+            add_constraint(b, {x: 1, y: 1}, ">=", 4)
         programs.append(b.build(maximize=True))
 
         b = LPBuilder()
@@ -656,10 +655,10 @@ def _fractional_bound_programs():
         y = b.add_var("y", lower=0, upper=2, objective=2)
         z = b.add_var("z", upper=Fraction(4, 3), objective=1)
         w = b.add_var("w", lower=0, objective=1)
-        b.add_constraint({x: 1, y: 1, w: 1}, "<=", 4)
-        b.add_constraint({z: 1, y: -1}, ">=", -3)
+        add_constraint(b, {x: 1, y: 1, w: 1}, "<=", 4)
+        add_constraint(b, {z: 1, y: -1}, ">=", -3)
         if infeasible:
-            b.add_constraint({x: 1, y: 1}, ">=", 4)
+            add_constraint(b, {x: 1, y: 1}, ">=", 4)
         programs.append(b.build(maximize=True))
     return programs
 
@@ -688,7 +687,7 @@ def _shifted_column_programs(count=60):
         ]
         for _ in range(rng.randint(2, 3)):
             picked = rng.sample(variables, rng.randint(1, len(variables)))
-            b.add_constraint({j: frac() or 1 for j in picked}, rng.choice(("<=", ">=", "=")), frac())
+            add_constraint(b, {j: frac() or 1 for j in picked}, rng.choice(("<=", ">=", "=")), frac())
         programs.append(b.build(maximize=rng.random() < 0.5))
     return programs
 
@@ -707,8 +706,8 @@ def test_shifted_columns_solve_as_the_enumerated_vertices():
         statuses.append(out.status)
         vertices = enumerate_basic_solutions(lp)
         if out.status == "optimal":
-            assert feasibility_violations(lp, out.primal) == []
-            values = [dot(lp.objective, point) for point in vertices]
+            assert feasibility_violations(lp, out.point) == []
+            values = [dense_dot(lp.objective, point) for point in vertices]
             assert out.objective_value == (max(values) if lp.maximize else min(values))
         elif out.status == "infeasible":
             assert vertices == ()
@@ -742,8 +741,8 @@ def test_fractional_bounds_solve_to_enumerated_vertices():
     for lp, out in solved:
         outcomes.append(out.status)
         if out.status == "optimal":
-            assert feasibility_violations(lp, out.primal) == []
-            best = max(dot(lp.objective, point) for point in enumerate_basic_solutions(lp))
+            assert feasibility_violations(lp, out.point) == []
+            best = max(dense_dot(lp.objective, point) for point in enumerate_basic_solutions(lp))
             assert out.objective_value == best
         else:
             assert enumerate_basic_solutions(lp) == ()
@@ -851,42 +850,39 @@ def test_feasibility_violations_match_the_term_by_term_check(programs):
         if out.status != "optimal":
             continue
         x = out.primal
-        assert feasibility_violations(lp, x) == dense_feasibility_violations(lp, x) == []
+        assert feasibility_violations(lp, out.point) == dense_feasibility_violations(lp, x) == []
         rows = [k for k, con in enumerate(lp.constraints) if con.coeffs]
         points = [_row_breaking(lp, x, k) for k in rows[:2] + rows[-1:]]
         for bounds, step in ((lp.lower, Fraction(-1, 3)), (lp.upper, Fraction(1, 3))):
             held = [j for j, bound in enumerate(bounds) if bound is not None]
             points += [x[:j] + (bounds[j] + step,) + x[j + 1 :] for j in held[:1] + held[-1:]]
         for point in points:
-            messages = feasibility_violations(lp, point)
+            messages = feasibility_violations(lp, integer_form(point))
             assert messages and messages == dense_feasibility_violations(lp, point)
             for key in seen:
                 seen[key] += any(key in message for message in messages)
-        assert feasibility_violations(lp, x + (Fraction(0),)) == dense_feasibility_violations(
-            lp, x + (Fraction(0),)
-        )
+        longer = x + (Fraction(0),)
+        assert feasibility_violations(lp, integer_form(longer)) == dense_feasibility_violations(lp, longer)
     assert all(seen.values()), seen
 
 
 def _tampered(lp, cert):
-    """Certificates that must fail: the multiplier of a non-empty row
-    doubled, every multiplier negated, and one bound multiplier moved off
-    its value."""
-    mus, los, ups = (
-        list(cert.constraint_multipliers),
-        list(cert.lower_multipliers),
-        list(cert.upper_multipliers),
-    )
+    """Certificates that must fail, forged on the integer forms: the
+    multiplier of a non-empty row doubled, every multiplier negated, and
+    one bound multiplier moved 1/5 off its value."""
+    forms = (cert.constraint_form, cert.lower_form, cert.upper_form)
+    (mden, mus), (lden, los), _ = forms
     k = next(k for k, mu in enumerate(mus) if mu and lp.constraints[k].coeffs)
-    doubled = mus[:k] + [2 * mus[k]] + mus[k + 1 :]
+    doubled = mus[:k] + (2 * mus[k],) + mus[k + 1 :]
     found = [
-        FarkasCertificate(tuple(doubled), tuple(los), tuple(ups)),
-        FarkasCertificate(tuple(-v for v in mus), tuple(-v for v in los), tuple(-v for v in ups)),
+        FarkasCertificate((mden, doubled), *forms[1:]),
+        FarkasCertificate(*((den, tuple(-v for v in nums)) for den, nums in forms)),
     ]
     j = next((j for j, lo in enumerate(lp.lower) if lo is not None), None)
     if j is not None:
-        moved = los[:j] + [los[j] - Fraction(1, 5)] + los[j + 1 :]
-        found.append(FarkasCertificate(tuple(mus), tuple(moved), tuple(ups)))
+        moved = [5 * v for v in los]
+        moved[j] -= lden
+        found.append(FarkasCertificate(forms[0], (5 * lden, tuple(moved)), forms[2]))
     return found
 
 
@@ -898,6 +894,9 @@ def test_farkas_violations_match_the_term_by_term_check(programs):
         infeasible += 1
         cert = out.certificate
         assert farkas_violations(lp, cert) == dense_farkas_violations(lp, cert) == []
+        # Each form is in lowest terms, so it is its rationals' integer form.
+        views = (cert.constraint_multipliers, cert.lower_multipliers, cert.upper_multipliers)
+        assert (cert.constraint_form, cert.lower_form, cert.upper_form) == tuple(map(integer_form, views))
         for forged in _tampered(lp, cert):
             messages = farkas_violations(lp, forged)
             assert messages and messages == dense_farkas_violations(lp, forged)

@@ -21,6 +21,8 @@ from prior_forge.lp import (
     solve,
 )
 
+from oracles import add_constraint
+
 
 def test_optimal_simple():
     b = LPBuilder()
@@ -28,7 +30,7 @@ def test_optimal_simple():
     y = b.add_var("y", lower=0)
     b.add_objective(x, 1)
     b.add_objective(y, 1)
-    b.add_constraint({x: 1, y: 1}, "<=", 1)
+    add_constraint(b, {x: 1, y: 1}, "<=", 1)
     out = solve(b.build(maximize=True))
     assert out.status == "optimal"
     assert out.objective_value == 1
@@ -47,7 +49,7 @@ def test_crossed_bounds_are_input_errors():
     b.add_var("y", lower=-1)
     b.add_var("z", lower="1/3", upper="33/100")
     b.add_var("u", lower="1/3", upper="1/3")
-    b.add_constraint({x: 1}, "<=", 1)
+    add_constraint(b, {x: 1}, "<=", 1)
     with pytest.raises(InputError, match="^variable z has lower bound 1/3 above upper bound 33/100$"):
         b.build(maximize=False)
 
@@ -71,7 +73,7 @@ def test_optimal_exact_fractions():
     y = b.add_var("y", lower=0)
     b.add_objective(x, 2)
     b.add_objective(y, 3)
-    b.add_constraint({x: rational("1/3"), y: rational("1/7")}, "<=", 1)
+    add_constraint(b, {x: rational("1/3"), y: rational("1/7")}, "<=", 1)
     out = solve(b.build(maximize=True))
     assert out.status == "optimal"
     # everything into y: y = 7 beats any mix (3/7 per unit of slack vs 2/3 per 1/3)
@@ -83,7 +85,7 @@ def test_free_variable():
     b = LPBuilder()
     x = b.add_var("x")
     b.add_objective(x, 1)
-    b.add_constraint({x: 1}, ">=", -5)
+    add_constraint(b, {x: 1}, ">=", -5)
     out = solve(b.build(maximize=False))
     assert out.status == "optimal"
     assert out.objective_value == -5
@@ -95,8 +97,8 @@ def test_upper_bound_without_lower():
     b = LPBuilder()
     x = b.add_var("x", upper=3, objective=1)
     y = b.add_var("y", lower=0, objective=1)
-    b.add_constraint({x: 1, y: 1}, "<=", 5)
-    b.add_constraint({x: 1}, ">=", -2)
+    add_constraint(b, {x: 1, y: 1}, "<=", 5)
+    add_constraint(b, {x: 1}, ">=", -2)
     lp = b.build(maximize=True)
     out = solve(lp)
     assert out.status == "optimal"
@@ -106,7 +108,7 @@ def test_upper_bound_without_lower():
     # that has no lower one.
     b = LPBuilder()
     x = b.add_var("x", upper=3)
-    b.add_constraint({x: 1}, ">=", 4)
+    add_constraint(b, {x: 1}, ">=", 4)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
@@ -117,8 +119,8 @@ def test_equality_rows():
     b = LPBuilder()
     x = b.add_var("x", lower=0)
     y = b.add_var("y", lower=0)
-    b.add_constraint({x: 1, y: 1}, "=", 1)
-    b.add_constraint({x: 1, y: -1}, "=", rational("1/3"))
+    add_constraint(b, {x: 1, y: 1}, "=", 1)
+    add_constraint(b, {x: 1, y: -1}, "=", rational("1/3"))
     b.add_objective(x, 1)
     out = solve(b.build(maximize=False))
     assert out.status == "optimal"
@@ -128,7 +130,7 @@ def test_equality_rows():
 def test_infeasible_yields_verified_farkas():
     b = LPBuilder()
     x = b.add_var("x", lower=0, upper=1)
-    b.add_constraint({x: 1}, ">=", 2)
+    add_constraint(b, {x: 1}, ">=", 2)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
@@ -142,8 +144,8 @@ def test_infeasible_equalities():
     b = LPBuilder()
     x = b.add_var("x", lower=0)
     y = b.add_var("y", lower=0)
-    b.add_constraint({x: 1, y: 1}, "=", 1)
-    b.add_constraint({x: 2, y: 2}, "=", 3)
+    add_constraint(b, {x: 1, y: 1}, "=", 1)
+    add_constraint(b, {x: 2, y: 2}, "=", 3)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
@@ -174,10 +176,10 @@ def test_beale_cycling_instance_terminates():
         b.add_objective(x5, 150)
         b.add_objective(x6, rational("-1/50"))
         b.add_objective(x7, 6)
-        b.add_constraint({x4: rational("1/4"), x5: -60, x6: rational("-1/25"), x7: 9}, "<=", 0)
-        b.add_constraint({x4: rational("1/2"), x5: -90, x6: rational("-1/50"), x7: 3}, "<=", 0)
+        add_constraint(b, {x4: rational("1/4"), x5: -60, x6: rational("-1/25"), x7: 9}, "<=", 0)
+        add_constraint(b, {x4: rational("1/2"), x5: -90, x6: rational("-1/50"), x7: 3}, "<=", 0)
         if not bounded:
-            b.add_constraint({x6: 1}, "<=", 1)
+            add_constraint(b, {x6: 1}, "<=", 1)
         out = solve(b.build(maximize=False))
         assert out.status == "optimal"
         assert out.objective_value == rational("-1/20")
@@ -187,12 +189,14 @@ def test_beale_cycling_instance_terminates():
 def test_feasibility_violations_reports():
     b = LPBuilder()
     x = b.add_var("x", lower=0, upper=1)
-    b.add_constraint({x: 1}, ">=", rational("1/2"))
+    add_constraint(b, {x: 1}, ">=", rational("1/2"))
     lp = b.build(maximize=False)
-    assert feasibility_violations(lp, (rational("1/2"),)) == []
-    assert feasibility_violations(lp, (ZERO,))  # constraint fails
-    assert feasibility_violations(lp, (rational(2),))  # above upper bound
-    assert feasibility_violations(lp, (ZERO, ZERO))  # wrong arity
+    # A point is its integer form (den, nums).
+    assert feasibility_violations(lp, (2, (1,))) == []
+    assert feasibility_violations(lp, (1, (0,)))  # constraint fails
+    assert feasibility_violations(lp, (1, (2,)))  # above upper bound
+    assert feasibility_violations(lp, (1, (0, 0)))  # wrong arity
+    assert feasibility_violations(lp, (-2, (-1,))) == ["point denominator -2 is not positive"]
 
 
 def test_bad_relation_rejected():
@@ -201,14 +205,14 @@ def test_bad_relation_rejected():
     b = LPBuilder()
     x = b.add_var("x")
     with pytest.raises(InputError, match="^unknown relation '<'$") as bad:
-        b.add_constraint({x: 1}, "<", 0)
+        add_constraint(b, {x: 1}, "<", 0)
     assert type(bad.value) is InputError
 
 
 def test_enumerate_simplex_vertices():
     b = LPBuilder()
     xs = [b.add_var(f"x{j}", lower=0) for j in range(3)]
-    b.add_constraint({j: 1 for j in xs}, "=", 1)
+    add_constraint(b, {j: 1 for j in xs}, "=", 1)
     lp = b.build(maximize=False)
     points = enumerate_basic_solutions(lp)
     expected = {
@@ -226,9 +230,9 @@ def test_enumerate_agrees_with_solve():
     y = b.add_var("y", lower=0)
     b.add_objective(x, 3)
     b.add_objective(y, 5)
-    b.add_constraint({x: 1}, "<=", 4)
-    b.add_constraint({y: 2}, "<=", 12)
-    b.add_constraint({x: 3, y: 2}, "<=", 18)
+    add_constraint(b, {x: 1}, "<=", 4)
+    add_constraint(b, {y: 2}, "<=", 12)
+    add_constraint(b, {x: 3, y: 2}, "<=", 18)
     lp = b.build(maximize=True)
     out = solve(lp)
     points = enumerate_basic_solutions(lp)
@@ -248,8 +252,8 @@ def test_enumerate_caps():
 def test_enumerate_infeasible_is_empty():
     b = LPBuilder()
     x = b.add_var("x", lower=0)
-    b.add_constraint({x: 1}, "=", 1)
-    b.add_constraint({x: 1}, "=", 2)
+    add_constraint(b, {x: 1}, "=", 1)
+    add_constraint(b, {x: 1}, "=", 2)
     assert enumerate_basic_solutions(b.build(maximize=False)) == ()
 
 
@@ -263,9 +267,9 @@ def test_starting_tableau_is_pinned():
     y = b.add_var("y", lower=0)
     b.add_objective(x, 1)
     for rel in ("<=", ">=", "="):
-        b.add_constraint({x: "1/2", y: 1}, rel, "1/2")
-        b.add_constraint({x: 1, y: -1}, rel, 0)
-        b.add_constraint({x: 1, y: "1/3"}, rel, -2)
+        add_constraint(b, {x: "1/2", y: 1}, rel, "1/2")
+        add_constraint(b, {x: 1, y: -1}, rel, 0)
+        add_constraint(b, {x: 1, y: "1/3"}, rel, -2)
     std = lp._int_standardize(b.build(maximize=True))
     tab = lp._Tableau(std)
     assert std.ncols == 2 and tab.dens == [2, 1, 3] * 3
@@ -345,7 +349,7 @@ def test_solve_derives_the_optimum_again_from_the_costs(monkeypatch):
     b = LPBuilder()
     x = b.add_var("x", lower=rational("1/3"), upper=2, objective=1)
     y = b.add_var("y", lower=-1, upper=1, objective=rational("1/2"))
-    b.add_constraint({x: 1, y: 1}, "<=", 2)
+    add_constraint(b, {x: 1, y: 1}, "<=", 2)
     program = b.build(maximize=True)
     out = solve(program)
     # The point and duals are integer forms until first read.
@@ -370,8 +374,8 @@ def test_duals_of_a_bounded_minimization():
     b = LPBuilder()
     x = b.add_var("x", lower=0, upper=3, objective=1)
     y = b.add_var("y", lower=0, objective=2)
-    b.add_constraint({x: 1, y: 1}, ">=", 1)
-    b.add_constraint({x: 1, y: -1}, "=", 0)
+    add_constraint(b, {x: 1, y: 1}, ">=", 1)
+    add_constraint(b, {x: 1, y: -1}, "=", 0)
     out = solve(b.build(maximize=False))
     assert out.objective_value == rational("3/2")
     # In max form (max -x - 2y) the >= row's dual is <= 0, and
@@ -455,8 +459,8 @@ def test_bland_ties_leave_on_the_smaller_basis_index():
     b = LPBuilder()
     y = b.add_var("y", lower=0, objective=1)
     x = b.add_var("x", lower=0, objective=2)
-    b.add_constraint({x: 3}, "<=", 3)
-    b.add_constraint({x: rational("1/2"), y: rational("1/2")}, "<=", rational("1/2"))
+    add_constraint(b, {x: 3}, "<=", 3)
+    add_constraint(b, {x: rational("1/2"), y: rational("1/2")}, "<=", rational("1/2"))
     out = solve(b.build(maximize=True))
     assert out.primal == (ZERO, rational(1))
     assert out.objective_value == 2
@@ -470,14 +474,14 @@ def test_coefficients_beyond_64_bits():
     y = b.add_var("y", lower=0, upper=big)
     b.add_objective(x, big)
     b.add_objective(y, 1)
-    b.add_constraint({x: big, y: 1}, "<=", big + 1)
-    b.add_constraint({x: 1, y: -big}, ">=", rational(-(2**80)))
+    add_constraint(b, {x: big, y: 1}, "<=", big + 1)
+    add_constraint(b, {x: 1, y: -big}, ">=", rational(-(2**80)))
     lp = b.build(maximize=True)
     out = solve(lp)
     assert out.status == "optimal"
-    assert feasibility_violations(lp, out.primal) == []
+    assert feasibility_violations(lp, out.point) == []
     assert out.objective_value == big + 1
-    b.add_constraint({x: big, y: big}, ">=", 2 * big * big)
+    add_constraint(b, {x: big, y: big}, ">=", 2 * big * big)
     lp = b.build(maximize=True)
     out = solve(lp)
     assert out.status == "infeasible"
@@ -489,14 +493,16 @@ def test_farkas_multiplier_on_a_missing_bound_is_reported():
     # bound, is named, not multiplied into the right-hand side.
     b = LPBuilder()
     x = b.add_var("x")
-    b.add_constraint({x: 1}, ">=", 1)
-    b.add_constraint({x: 1}, "<=", 0)
+    add_constraint(b, {x: 1}, ">=", 1)
+    add_constraint(b, {x: 1}, "<=", 0)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
     assert farkas_violations(lp, out.certificate) == []
-    cert = FarkasCertificate(out.certificate.constraint_multipliers, (rational(-1),), (ZERO,))
+    cert = FarkasCertificate(out.certificate.constraint_form, (1, (-1,)), (1, (0,)))
     assert farkas_violations(lp, cert) == [
         "lower multiplier 0 used without a bound",
         "variable x does not cancel (residual -1)",
     ]
+    cert = FarkasCertificate(out.certificate.constraint_form, (0, (-1,)), (1, (0,)))
+    assert farkas_violations(lp, cert) == ["certificate denominator not positive"]

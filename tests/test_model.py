@@ -25,7 +25,8 @@ from prior_forge import (
 from prior_forge.errors import NotAComponentError
 from prior_forge.harness import GeneratorConfig, random_structure
 from prior_forge.jsonio import parse_structure
-from prior_forge.model import dot
+
+from oracles import dense_dot
 
 FIXTURES = ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4")
 
@@ -159,9 +160,9 @@ def test_uniform_and_point_mass():
 
 def test_dot_and_expectation():
     d = Distribution(("1/4", "3/4"))
-    assert dot((4, 8), d) == 7
+    assert dense_dot((4, 8), d) == 7
     with pytest.raises(DimensionError):
-        dot((1,), d)
+        dense_dot((1,), d)
 
 
 def _pl_structure():

@@ -35,7 +35,7 @@ from prior_forge import (
     rational,
     uniform,
 )
-from prior_forge import jsonio, lp, model, priors, report, trades
+from prior_forge import certainty, jsonio, lp, model, priors, report, trades
 from prior_forge.harness import (
     GeneratorConfig,
     component_substructures,
@@ -44,10 +44,10 @@ from prior_forge.harness import (
     random_structure,
 )
 from prior_forge.lp import solve
-from prior_forge.model import dot, fraction_rows, integer_form
+from prior_forge.model import fraction_rows, integer_form
 from prior_forge.priors import NOTIONS
 
-from oracles import dense_expectation_table
+from oracles import dense_classify_trade, dense_dot, dense_expectation_table
 
 
 def q(text):
@@ -289,6 +289,39 @@ def test_each_structure_decides_and_checks_its_prior_report_once(monkeypatch):
     assert refuted == 85
 
 
+def _twin_blocks():
+    """Two players who disagree in the same way on {w1, w2} and on
+    {w3, w4}: two minimal components, both with an agreeable trade."""
+    third, two = rational("1/3"), rational("2/3")
+    cells = [[0, 1], [2, 3]]
+    types = {"P1": [{0: third, 1: two}, {2: third, 3: two}], "P2": [{0: two, 1: third}, {2: two, 3: third}]}
+    return make_structure(["w1", "w2", "w3", "w4"], list(types), [cells, cells], list(types.values()))
+
+
+def test_the_classify_oracle_does_not_share_the_component_search(monkeypatch):
+    # Production's component search corrupted to merge the two sink classes
+    # into one: classify_trade then names both blocks as the component, and
+    # the oracle, which reads the state-level graph, still names the first.
+    payoffs = ((-1, 1, -1, 1), (1, -1, 1, -1))
+    forms = tuple(map(integer_form, payoffs))
+    structure = _twin_blocks()
+    assert minimal_components(structure) == ((0, 1), (2, 3))
+    assert classify_trade(structure, forms) == dense_classify_trade(structure, payoffs)
+    contract = certainty._contract
+
+    def merged(structure):
+        graph = contract(structure)
+        assert graph.successors == ((0,), (1,))  # two sink classes
+        return certainty._Graph((0,) * 4, ((0, 1, 2, 3),), ((0,),), ((0,),))
+
+    monkeypatch.setattr(certainty, "_contract", merged)
+    structure = _twin_blocks()
+    assert minimal_components(structure) == ((0, 1, 2, 3),)
+    cls, dense = classify_trade(structure, forms), dense_classify_trade(structure, payoffs)
+    assert (cls.agreeable_component, dense.agreeable_component) == ((0, 1, 2, 3), (0, 1))
+    assert cls != dense
+
+
 def test_classify_trade_reads_a_trades_fixed_forms(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     # A trade's forms grade as the forms of its rows of rationals do, and
     # ``Trade.payoffs`` is the forms themselves.
@@ -384,7 +417,7 @@ def test_single_pump_pinned_example(pl):
     )
     manual.verify(pl)
     # The unscaled vector drains ten times as much per round.
-    assert dot((rational(-1), rational(9), ZERO), p) == q("-1/10")
+    assert dense_dot((rational(-1), rational(9), ZERO), p) == q("-1/10")
 
 
 def test_pump_witness_verify_rejects_defects(pl):
