@@ -13,17 +13,17 @@ cross_check solves the common-prior program on the structure and on its
 components and requires the walk's verdicts, canonical prior and trade
 grades from it; it solves the trade LPs, on the payoffs of N - 1 players
 with the last one's the budget's remainder, and requires the same decisions
-as the finders. The joint common-prior formulation, with explicit hull
-weights, is the oracle of the projected program in ``oracle_battery``. The
-full trade LPs and the term-by-term ``Fraction`` oracles of the integer
-paths live with the tests, in ``tests/oracles.py``. cross_check and
-run_battery report failures unshrunk, a guarded step that raises
-``PriorForgeError`` among them; ``minimize_failure`` shrinks one for
-``prior-forge fuzz``. The battery reads the programs on integer forms, as
-``lp`` hands them over: the canonical prior and its margin are checked
-against the program as one point over the prior's denominator, a pump
-piece as its own form, and the program trade is read off the numerators
-of the certificate or the duals.
+as the finders. The oracles of these programs live with the tests, in
+``tests/oracles.py``: the vertex enumerator and its LP oracle battery, the
+joint common-prior formulation with explicit hull weights, the pump
+piece's program, the full trade LPs and the term-by-term ``Fraction``
+oracles of the integer paths. cross_check and run_battery report failures
+unshrunk, a guarded step that raises ``PriorForgeError`` among them;
+``minimize_failure`` shrinks one for ``prior-forge fuzz``. The battery
+reads the programs on integer forms, as ``lp`` hands them over: the
+canonical prior and its margin are checked against the program as one
+point over the prior's denominator, and the program trade is read off the
+numerators of the certificate or the duals.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
@@ -43,7 +43,6 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from ._rational import ONE, ZERO, rational
@@ -54,7 +53,6 @@ from .lp import (
     LinearProgram,
     LPBuilder,
     LPOutcome,
-    enumerate_basic_solutions,
     feasibility_violations,
     solve,
 )
@@ -93,7 +91,6 @@ from .trades import (
     find_multiplayer_money_pump,
     find_single_money_pump,
     find_weakly_agreeable_trade,
-    pump_piece,
 )
 
 REJECTION_CAP = 1000
@@ -534,41 +531,6 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
     return b.build(maximize=True)
 
 
-def joint_common_prior_program(structure: InformationStructure) -> LinearProgram:
-    """The common priors as a joint program over (p, lambda per player and
-    cell, epsilon): p matches every player's mixture of cell types, every
-    cell's mass dominates epsilon, epsilon is maximized. The same decision
-    and optimum as ``common_prior_program``, which drops the lambda
-    columns because the hull weights are forced to be the cell masses; kept
-    as that projection's oracle."""
-    b = LPBuilder()
-    m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
-    lam_vars: list[list[int]] = []
-    for i in range(structure.num_players):
-        lam_vars.append(
-            [
-                b.add_var(f"w[{structure.players[i]},{v}]", lower=ZERO)
-                for v in range(structure.num_cells(i))
-            ]
-        )
-    eps = b.add_var("eps", lower=ZERO, objective=ONE)
-    for i in range(structure.num_players):
-        held: list[list] = [[] for _ in range(m)]  # per state, every type that charges it
-        for v, t in enumerate(structure.cell_types[i]):
-            for w, a in t.items():
-                held[w].append((v, t.den, a))
-        for w in range(m):
-            den = math.lcm(*(d for _, d, _ in held[w]))
-            row = {p_vars[w]: den}
-            for v, d, a in held[w]:
-                row[lam_vars[i][v]] = -a * (den // d)
-            b.add_integer_constraint(row, den, "=")
-        b.add_integer_constraint(dict.fromkeys(lam_vars[i], 1), 1, "=", 1)
-    _add_mass_rows(b, structure, p_vars, eps)
-    return b.build(maximize=True)
-
-
 def _trade_program_decides(program: LinearProgram) -> bool:
     """True when a trade program's boxed optimum is strictly positive."""
     out = solve(program)
@@ -922,72 +884,3 @@ def run_battery(seeds) -> BatteryReport:
     """cross_check, with its default sampling, over the default generator on
     a seed range; deterministic and mergeable."""
     return _battery(seeds, lambda seed: cross_check(random_structure(GeneratorConfig(seed=seed))))
-
-
-def pump_piece_program(
-    structure: InformationStructure, player: int, dist: Distribution
-) -> LinearProgram:
-    """The program ``pump_piece`` solves in closed form: one player's payoff
-    in [-1, 1] per state, a non-negative conditional expectation at every
-    cell, the p-expectation minimized. Kept as that closed form's oracle."""
-    b = LPBuilder()
-    fvar = [b.add_var(f"f[{w}]", lower=NEG_ONE, upper=ONE) for w in range(structure.num_states)]
-    for t in structure.cell_types[player]:
-        b.add_integer_constraint(_type_row(fvar, t), t.den, ">=")
-    for w, a in dist.items():
-        b.add_objective(fvar[w], Fraction(a, dist.den))
-    return b.build(maximize=False)
-
-
-def oracle_battery(seeds) -> BatteryReport:
-    """Simplex vs exhaustive basis enumeration on the common-prior program,
-    feasibility and strictness-margin objective, exactly; the joint
-    formulation vs the projected one; and the closed-form pump piece vs the
-    simplex on its program, per player, for one sampled distribution. The
-    structures are small (M <= 4, N <= 2) so that enumeration stays cheap."""
-    return _battery(seeds, _oracle_check)
-
-
-def _oracle_check(seed: int) -> CrossCheckReport:
-    """The checks of ``oracle_battery`` on one seed."""
-    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5, seed=seed)
-    structure = random_structure(cfg)
-    rec = _Recorder()
-    eps_lp = common_prior_program(structure)
-    out_eps = solve(eps_lp)
-    vertices_eps = enumerate_basic_solutions(eps_lp)
-    rec.check(
-        "oracle: margin program feasibility agrees",
-        (out_eps.status == "optimal") == bool(vertices_eps),
-    )
-    joint = solve(joint_common_prior_program(structure))
-    if out_eps.status == "optimal":
-        best = max(v[-1] for v in vertices_eps)
-        rec.check(
-            "oracle: margin optimum equals best vertex",
-            out_eps.objective_value == best,
-            lambda: f"lp={out_eps.objective_value} vertices={best}",
-        )
-        rec.check(
-            "oracle: joint formulation matches projected margin",
-            joint.status == "optimal" and joint.objective_value == out_eps.objective_value,
-        )
-    else:
-        rec.check(
-            "oracle: joint formulation agrees on infeasibility",
-            joint.status == "infeasible",
-        )
-    dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
-    p_nums = state_nums(dist)
-    for i in range(structure.num_players):
-        den, nums = piece = pump_piece(structure, i, p_nums)
-        program = pump_piece_program(structure, i, dist)
-        out_pump = solve(program)
-        rec.check(
-            "oracle: closed-form pump piece is feasible and LP-optimal",
-            not feasibility_violations(program, piece)
-            and out_pump.status == "optimal"
-            and out_pump.objective_value == Fraction(sum(map(mul, nums, p_nums)), den * dist.den),
-            lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
-        )
-    return CrossCheckReport(rec.count, tuple(rec.failures))

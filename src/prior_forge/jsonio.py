@@ -32,7 +32,8 @@ Numbers have no length limit on either side: the writers render ints with
 ``int_text`` and the parsers read them with ``text_int`` (see ``loads``), so
 a report whose witness runs past the interpreter's digit limit is written,
 and read back, exactly; a row's writer (``row_value``) converts each long
-reduced denominator, which the entries mostly share, once per row.
+int once through a memo, which a row's entries share, and which
+``report._form_rows`` shares across the rows of a report piece.
 """
 
 from __future__ import annotations
@@ -351,21 +352,26 @@ def ratio_value(num: int, den: int):
     return row_value(num, den, {})
 
 
-def row_value(num: int, den: int, dens: dict):
-    """``ratio_value`` for one entry of a row. ``dens`` maps each reduced
-    denominator of the row past ``ANY_LIMIT_BITS`` bits to its text, so a
-    row that repeats its denominator, as a prior over a long one does,
-    converts it once; numerators are converted per entry."""
+def row_value(num: int, den: int, texts: dict):
+    """``ratio_value`` for one entry of a row. Past ``ANY_LIMIT_BITS``
+    bits in either reduced int, ``texts`` maps each int converted so far,
+    numerator or denominator, to its text, so the entries that share one,
+    as a prior over a long denominator does, convert it once."""
     g = gcd(num, den)
     if g == den:
         return num // g
     num, den = num // g, den // g
     if num.bit_length() < ANY_LIMIT_BITS and den.bit_length() < ANY_LIMIT_BITS:
         return f"{num}/{den}"
-    text = dens.get(den)
+    return _memo_text(num, texts) + "/" + _memo_text(den, texts)
+
+
+def _memo_text(n: int, texts: dict) -> str:
+    """``int_text(n)``, converted once per ``texts``."""
+    text = texts.get(n)
     if text is None:
-        text = dens[den] = int_text(den)
-    return int_text(num) + "/" + text
+        text = texts[n] = int_text(n)
+    return text
 
 
 def type_row(t: Distribution) -> list:
@@ -373,9 +379,9 @@ def type_row(t: Distribution) -> list:
     and on it each numerator over ``t.den`` as ``ratio_value`` writes it
     (in lowest terms, an int when whole, else ``"a/b"``), by ``row_value``."""
     row = [0] * len(t)
-    den, dens = t.den, {}
+    den, texts = t.den, {}
     for w, a in t.items():
-        row[w] = row_value(a, den, dens)
+        row[w] = row_value(a, den, texts)
     return row
 
 

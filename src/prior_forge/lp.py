@@ -43,11 +43,10 @@ rationals on first read; besides failure messages, the one rational built
 is an optimum's value. A failed internal check raises ``VerificationError``
 and always indicates a bug, never bad input.
 
-``enumerate_basic_solutions`` is the independent oracle: it enumerates basic
-solutions of the standardized system by brute-force basis selection with exact
-Gaussian elimination. It standardizes term by term in rationals
-(``_standardize``), with every upper bound a row, shares no code path with
-the simplex iteration and is capped because its work is combinatorial.
+This module is the program types, their checks and the simplex alone. Its
+oracle, a brute-force enumeration of basic solutions, lives with the tests
+(``tests/oracles.py``) and reads only a program's public fields, so it
+shares no standardization or elimination with the simplex.
 
 Variables are free unless bounds say otherwise; nothing is implicitly
 non-negative. Callers are expected to keep their programs bounded via explicit
@@ -61,21 +60,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._rational import ONE, ZERO, rational
-from .errors import DimensionError, InputError, SizeCapError, VerificationError
+from ._rational import ZERO, rational
+from .errors import DimensionError, InputError, VerificationError
 from .model import integer_form, lowest_terms
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
 
-# Caps of the basis-enumeration oracle, whose work is combinatorial.
-ORACLE_MAX_VARS = 12
-ORACLE_MAX_CONSTRAINTS = 24
-ORACLE_MAX_BASES = 200_000
 
 class Constraint:
     """The row ``sum_j nums[j] * x_j  rel  rhs_num``, over one positive
@@ -345,36 +339,7 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
 #
 # Internal form: A x' = b with 0 <= x' <= u, u finite or not. The simplex
 # reads it off the constraints' integer forms (``_int_standardize``): std row
-# k is constraint k, and bounds stay on the columns. ``_standardize`` builds
-# the oracle's form term by term in rationals, free variables split and
-# every upper bound a row, for ``enumerate_basic_solutions`` alone, so the
-# oracle shares no standardization with the simplex.
-
-
-def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tuple:
-    """A point over the std columns, mapped back to the original variables."""
-    x = [ZERO] * lp.num_vars
-    for col, (tag, j) in enumerate(col_kind):
-        v = xstd[col]
-        if tag == "shift":
-            x[j] = lp.lower[j] + v
-        elif tag == "pos":
-            x[j] = x[j] + v
-        else:
-            x[j] = x[j] - v
-    return tuple(x)
-
-
-class _StdForm(NamedTuple):
-    """The oracle's standard form in rationals, term by term: the user rows
-    in order, then one ``<=`` row per finite upper bound in variable order.
-    The form that ``enumerate_basic_solutions`` enumerates."""
-
-    ncols: int
-    col_kind: list[tuple]         # per std column: ("shift", j) | ("pos", j) | ("neg", j)
-    rows: list[dict]              # transformed coefficient rows (sparse), pre-negation
-    row_rel: list[str]
-    row_rhs: list
+# k is constraint k, and bounds stay on the columns.
 
 
 class _IntStdForm(NamedTuple):
@@ -491,42 +456,6 @@ def _int_standardize(lp: LinearProgram) -> _IntStdForm:
         len(col_kind), col_kind, col_upper, offsets, rows, dens, [con.rel for con in lp.constraints],
         row_rhs, (const_num, const_den * lp.cost_den), costs, lp.cost_den,
     )
-
-
-def _standardize(lp: LinearProgram) -> _StdForm:
-    col_kind: list[tuple] = []
-    col_of_var: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
-    for j in range(lp.num_vars):
-        col = len(col_kind)
-        if lp.lower[j] is not None:
-            col_kind.append(("shift", j))
-            col_of_var.append([(col, 1)])
-        else:
-            col_kind.append(("pos", j))
-            col_kind.append(("neg", j))
-            col_of_var.append([(col, 1), (col + 1, -1)])
-
-    rows: list[dict] = []
-    row_rel: list[str] = []
-    row_rhs: list = []
-    for con in lp.constraints:
-        row: dict = {}
-        rhs = con.rhs
-        for j, a in con.coeffs.items():
-            if lp.lower[j]:
-                rhs -= a * lp.lower[j]
-            for col, sign in col_of_var[j]:
-                row[col] = a if sign == 1 else -a
-        rows.append(row)
-        row_rel.append(con.rel)
-        row_rhs.append(rhs)
-    for j, up in enumerate(lp.upper):
-        if up is None:
-            continue
-        rows.append({col: ONE if sign == 1 else -ONE for col, sign in col_of_var[j]})
-        row_rel.append(LESS)
-        row_rhs.append(up - lp.lower[j] if lp.lower[j] else up)
-    return _StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs)
 
 
 # -- simplex -------------------------------------------------------------
@@ -843,89 +772,3 @@ def solve(lp: LinearProgram) -> LPOutcome:
         )
     duals = (tab.obj_den, tab.multipliers(phase1=False))
     return LPOutcome("optimal", Fraction(num, den), None, point, duals)
-
-
-# -- independent oracle --------------------------------------------------
-
-
-def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
-    """All basic feasible solutions of the standardized system, mapped back to
-    original variables, deduplicated and sorted.
-
-    For a pointed feasible region this is exactly the vertex set. Brute force
-    by construction: every size-rank column subset is tried with exact
-    Gaussian elimination, the empty one at rank 0, whose solution is the
-    origin. Raises ``SizeCapError`` when the instance exceeds the caps.
-    """
-    if lp.num_vars > ORACLE_MAX_VARS:
-        raise SizeCapError(f"{lp.num_vars} variables exceeds oracle cap {ORACLE_MAX_VARS}")
-    if len(lp.constraints) > ORACLE_MAX_CONSTRAINTS:
-        raise SizeCapError(
-            f"{len(lp.constraints)} constraints exceeds oracle cap {ORACLE_MAX_CONSTRAINTS}"
-        )
-    std = _standardize(lp)
-    # Dense copy of the standardized equality system: a slack column per
-    # inequality after the structural columns, then the rhs.
-    ncols = std.ncols + sum(rel != EQUAL for rel in std.row_rel)
-    dense: list[list] = []
-    slack = std.ncols
-    for row, rel, rhs in zip(std.rows, std.row_rel, std.row_rhs):
-        line = [ZERO] * ncols + [rhs]
-        for j, v in row.items():
-            line[j] = v
-        if rel != EQUAL:
-            line[slack] = ONE if rel == LESS else -ONE
-            slack += 1
-        dense.append(line)
-
-    reduced, consistent = _row_reduce(dense, ncols)
-    if not consistent:
-        return ()
-    rank = len(reduced)
-    if math.comb(ncols, rank) > ORACLE_MAX_BASES:
-        raise SizeCapError(
-            f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"
-        )
-    seen = set()
-    for cols in combinations(range(ncols), rank):
-        # Nonbasic columns fixed to zero: a basis reduces to the identity,
-        # with the basic values in the last column.
-        square, _ = _row_reduce([[row[c] for c in cols] + [row[-1]] for row in reduced], rank)
-        if len(square) < rank:
-            continue  # singular: not a basis
-        solution = [ZERO] * ncols
-        for c, row in zip(cols, square):
-            solution[c] = row[-1]
-        if any(v < ZERO for v in solution):
-            continue
-        point = _to_original(lp, std.col_kind, solution[: std.ncols])
-        seen.add(point)
-    return tuple(sorted(seen))
-
-
-def _row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
-    """Gauss-Jordan over the augmented matrix; drops dependent rows."""
-    rows = [list(r) for r in dense]
-    kept: list[list] = []
-    for col in range(ncols):
-        target = None
-        for row in rows:
-            if row[col]:
-                target = row
-                break
-        if target is None:
-            continue
-        rows.remove(target)
-        inv = ONE / target[col]
-        target = [v * inv for v in target]
-        kept.append(target)
-        for other in [*rows, *kept[:-1]]:
-            f = other[col]
-            if f:
-                for j in range(ncols + 1):
-                    if target[j]:
-                        other[j] -= f * target[j]
-    for row in rows:
-        if row[-1]:
-            return [], False
-    return kept, True

@@ -26,14 +26,15 @@ process; it never carries a claim that was not checked. The trade's
 classification is what the renderings print.
 
 Trades and pumps hold their rows as integer forms, and a prior witness its
-prior alone, whose cell masses are read off as hull weights (``_hull_rows``).
-One row writer, ``_form_rows``, writes every payoff, expectation and hull
-weight from its form with ``jsonio.row_value``, the one rule for writing
-num/den; a distribution's row is its ``type_row``, and a pump's deficit,
-the one rational a report holds, is written by ``ratio_value`` from its
-numerator and denominator. The JSON pieces put those values in the document
-and the text pieces print them (``_literal``), so both renderings write the
-same literals.
+prior alone, whose cell masses are read off as hull weights
+(``_witness_rows``). One row writer, ``_form_rows``, writes every payoff,
+expectation, witness prior and hull weight from its form with
+``jsonio.row_value``, the one rule for writing num/den, and converts a long
+int that several of its rows hold once; another distribution's row is its
+``type_row``, and a pump's deficit, the one rational a report holds, is
+written by ``ratio_value`` from its numerator and denominator. The JSON
+pieces put those values in the document and the text pieces print them
+(``_literal``), so both renderings write the same literals.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class AnalysisReport:
             if v.pump_witness is not None:
                 lines += pump_lines(s, v.pump_witness)
             if v.prior_witness is not None:
-                lines += _weight_lines(s, v.prior_witness.prior, "  ")
+                lines += _weight_lines(s, _witness_rows(s, v.prior_witness.prior)[1:], "  ")
         return "\n".join(lines) + "\n"
 
 
@@ -145,11 +146,9 @@ def components_json(s: InformationStructure, minimal, family) -> dict:
 
 
 def prior_witness_json(s: InformationStructure, witness: PriorWitness) -> dict:
-    """The prior's row and the hull weights read off it (``_hull_rows``)."""
-    return {
-        "prior": type_row(witness.prior),
-        "hull_weights": _hull_rows(s, witness.prior),
-    }
+    """The prior's row and the hull weights read off it (``_witness_rows``)."""
+    prior, *hull = _witness_rows(s, witness.prior)
+    return {"prior": prior, "hull_weights": hull}
 
 
 def notion_json(witnessing: dict | None, refuting: dict | None) -> dict:
@@ -195,16 +194,20 @@ def _form_rows(forms) -> list[list]:
     """Rows given as integer forms ``(den, nums)``, each distinct numerator
     of a row with ``den > 1`` written once by ``row_value`` (a payoff row
     repeats -1 and +1, an expectation row its cell's value at every state
-    of the cell); a row with ``den == 1`` is ints already."""
+    of the cell); a row with ``den == 1`` is ints already. The rows share
+    one memo of long ints' texts, so a long numerator or denominator that
+    several rows hold, as a prior's row and its hull weights do, is
+    converted once."""
     rows = []
+    texts: dict = {}
     for den, nums in forms:
         if den == 1:
             rows.append(list(nums))
             continue
-        text, dens = {0: 0}, {}
+        text = {0: 0}
         for a in nums:
             if a not in text:
-                text[a] = row_value(a, den, dens)
+                text[a] = row_value(a, den, texts)
         rows.append([text[a] for a in nums])
     return rows
 
@@ -286,16 +289,18 @@ def payoff_lines(s: InformationStructure, forms, indent: str) -> list[str]:
     return [f"{indent}f[{name}] = {_vector(f)}" for name, f in zip(s.players, rows)]
 
 
-def _hull_rows(s: InformationStructure, prior: Distribution) -> list[list]:
-    """Each player's hull weights, read off ``prior`` as its cell masses
-    over ``prior.den`` and written by ``_form_rows``."""
+def _witness_rows(s: InformationStructure, prior: Distribution) -> list[list]:
+    """The prior's row, then each player's hull weights, read off ``prior``
+    as its cell masses over ``prior.den``: one ``_form_rows`` call, which
+    converts each long numerator or denominator of the rows once."""
     nums = state_nums(prior)
-    return _form_rows([(prior.den, cell_masses(s, i, nums)) for i in range(s.num_players)])
+    forms = [(prior.den, nums), *((prior.den, cell_masses(s, i, nums)) for i in range(s.num_players))]
+    return _form_rows(forms)
 
 
-def _weight_lines(s: InformationStructure, prior: Distribution, indent: str) -> list[str]:
-    rows = zip(s.players, _hull_rows(s, prior))
-    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in rows]
+def _weight_lines(s: InformationStructure, hull: list[list], indent: str) -> list[str]:
+    """One line per player, its row of ``hull`` weights."""
+    return [f"{indent}{name} hull weights: {_vector(w)}" for name, w in zip(s.players, hull)]
 
 
 def component_lines(s: InformationStructure, minimal, family, suffix: str) -> list[str]:
@@ -312,11 +317,8 @@ def notion_lines(
     """One prior notion under ``label``: the witness, or the refuting trade
     introduced by its ``grade`` word."""
     if witness is not None:
-        return [
-            f"{label}: present",
-            f"  p = {_vector(type_row(witness.prior))}",
-            *_weight_lines(s, witness.prior, "  "),
-        ]
+        prior, *hull = _witness_rows(s, witness.prior)
+        return [f"{label}: present", f"  p = {_vector(prior)}", *_weight_lines(s, hull, "  ")]
     lines = [f"{label}: absent"]
     if refutation is not None:
         lines.append(f"  refuting trade ({grade}):")

@@ -1,4 +1,4 @@
-"""Dense-rational oracles of the integer paths.
+"""Dense-rational oracles of the integer paths, and the LP's vertex oracle.
 
 Distributions and payoff families carry integer numerators over one
 denominator, and the hull checks, witness verification, expectations, trade
@@ -15,23 +15,52 @@ state-level support graph, its reachability and its strongly connected
 components by mutual reachability are the oracles of ``certainty``, which
 reads one contracted graph. ``add_constraint`` writes a program's row in
 rationals, for the tests; ``lp`` takes integer forms only.
+
+The vertex oracle of ``lp.solve`` lives here too, and reads only a
+program's public fields: ``enumerate_basic_solutions`` standardizes term by
+term in rationals (``standardize``), every upper bound a row, reduces the
+system to its rank once (``row_reduce``, in ``Fraction``s), scales each
+reduced row to ints and decides every candidate basis by fraction-free
+Gauss-Jordan elimination on ints (``basis_solution``), building rationals
+only for the values of a feasible basis. It shares no standardization or
+elimination with the simplex. ``oracle_battery`` runs it against the
+simplex on the common-prior program, with the joint formulation
+(``joint_common_prior_program``) and the pump piece's program
+(``pump_piece_program``), the oracles of the projected program and of the
+closed-form pump piece.
 Pytest does not collect this file; the tests import it as ``oracles``.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from prior_forge._rational import ONE, ZERO, rational, rational_text
-from prior_forge.errors import DimensionError
-from prior_forge.harness import NEG_ONE, _type_row
-from prior_forge.lp import LinearProgram, LPBuilder
-from prior_forge.model import Distribution, InformationStructure, integer_form
+from prior_forge.errors import DimensionError, SizeCapError
+from prior_forge.harness import (
+    NEG_ONE,
+    BatteryReport,
+    CrossCheckReport,
+    GeneratorConfig,
+    _add_mass_rows,
+    _battery,
+    _Recorder,
+    _type_row,
+    common_prior_program,
+    random_distribution,
+    random_structure,
+)
+from prior_forge.lp import EQUAL, LESS, LinearProgram, LPBuilder, feasibility_violations, solve
+from prior_forge.model import Distribution, InformationStructure, integer_form, state_nums
 from prior_forge.jsonio import type_row
-from prior_forge.priors import Blocks
+from prior_forge.priors import NOTIONS, Blocks
 from prior_forge.report import TRADE_FLAGS
-from prior_forge.trades import TradeClassification
+from prior_forge.trades import TradeClassification, pump_piece
 
 
 def to_json_value(q):
@@ -407,3 +436,313 @@ def acceptable_trade_program(structure: InformationStructure) -> LinearProgram:
             for var, coeff in row.items():
                 b.add_objective(var, Fraction(len(cell) * coeff, t.den))
     return b.build(maximize=True)
+
+
+# -- the vertex oracle -----------------------------------------------------
+
+# Caps of the basis enumeration, whose work is combinatorial.
+ORACLE_MAX_VARS = 12
+ORACLE_MAX_CONSTRAINTS = 24
+ORACLE_MAX_BASES = 200_000
+
+
+class StdForm(NamedTuple):
+    """The oracle's standard form ``A x' = b``, ``x' >= 0``, in rationals,
+    term by term: a variable with a lower bound l is shifted (x = l + x'),
+    any other split into a positive and a negative part; the user rows come
+    in order, then one ``<=`` row per finite upper bound in variable
+    order."""
+
+    ncols: int
+    col_kind: list[tuple]  # per std column: ("shift", j) | ("pos", j) | ("neg", j)
+    rows: list[dict]       # transformed coefficient rows (sparse), pre-negation
+    row_rel: list[str]
+    row_rhs: list
+
+
+def standardize(lp: LinearProgram) -> StdForm:
+    """``lp``'s ``StdForm``, read off its rows' ``coeffs`` and ``rhs`` and
+    its ``lower`` and ``upper`` bounds."""
+    col_kind: list[tuple] = []
+    col_of_var: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
+    for j in range(lp.num_vars):
+        col = len(col_kind)
+        if lp.lower[j] is not None:
+            col_kind.append(("shift", j))
+            col_of_var.append([(col, 1)])
+        else:
+            col_kind.append(("pos", j))
+            col_kind.append(("neg", j))
+            col_of_var.append([(col, 1), (col + 1, -1)])
+
+    rows: list[dict] = []
+    row_rel: list[str] = []
+    row_rhs: list = []
+    for con in lp.constraints:
+        row: dict = {}
+        rhs = con.rhs
+        for j, a in con.coeffs.items():
+            if lp.lower[j]:
+                rhs -= a * lp.lower[j]
+            for col, sign in col_of_var[j]:
+                row[col] = a if sign == 1 else -a
+        rows.append(row)
+        row_rel.append(con.rel)
+        row_rhs.append(rhs)
+    for j, up in enumerate(lp.upper):
+        if up is None:
+            continue
+        rows.append({col: ONE if sign == 1 else -ONE for col, sign in col_of_var[j]})
+        row_rel.append(LESS)
+        row_rhs.append(up - lp.lower[j] if lp.lower[j] else up)
+    return StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs)
+
+
+def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tuple:
+    """A point over the std columns, mapped back to the original variables."""
+    x = [ZERO] * lp.num_vars
+    for col, (tag, j) in enumerate(col_kind):
+        v = xstd[col]
+        if tag == "shift":
+            x[j] = lp.lower[j] + v
+        elif tag == "pos":
+            x[j] = x[j] + v
+        else:
+            x[j] = x[j] - v
+    return tuple(x)
+
+
+def row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
+    """Gauss-Jordan in rationals over the augmented matrix ``dense``, its
+    ``ncols`` columns then the rhs: the reduced rows, dependent ones
+    dropped, and whether the system is consistent. The enumerator's rank
+    reduction, and on a square system the oracle of ``basis_solution``."""
+    rows = [list(r) for r in dense]
+    kept: list[list] = []
+    for col in range(ncols):
+        target = None
+        for row in rows:
+            if row[col]:
+                target = row
+                break
+        if target is None:
+            continue
+        rows.remove(target)
+        inv = ONE / target[col]
+        target = [v * inv for v in target]
+        kept.append(target)
+        for other in [*rows, *kept[:-1]]:
+            f = other[col]
+            if f:
+                for j in range(ncols + 1):
+                    if target[j]:
+                        other[j] -= f * target[j]
+    for row in rows:
+        if row[-1]:
+            return [], False
+    return kept, True
+
+
+def reduced_system(lp: LinearProgram) -> tuple[StdForm, int, list[list]] | None:
+    """The standard form, the number of columns of its equality system (a
+    slack column per inequality after the structural ones) and that system
+    reduced by ``row_reduce``; None when it is inconsistent."""
+    std = standardize(lp)
+    ncols = std.ncols + sum(rel != EQUAL for rel in std.row_rel)
+    dense: list[list] = []
+    slack = std.ncols
+    for row, rel, rhs in zip(std.rows, std.row_rel, std.row_rhs):
+        line = [ZERO] * ncols + [rhs]
+        for j, v in row.items():
+            line[j] = v
+        if rel != EQUAL:
+            line[slack] = ONE if rel == LESS else -ONE
+            slack += 1
+        dense.append(line)
+    reduced, consistent = row_reduce(dense, ncols)
+    return (std, ncols, reduced) if consistent else None
+
+
+def basis_solution(rows: list[list[int]], cols: Sequence[int]) -> tuple[int, list[int]] | None:
+    """The basic solution of the integer system ``rows`` (each row's last
+    entry its rhs, as many rows as ``cols``) on the columns ``cols``, the
+    others fixed at 0, by fraction-free Gauss-Jordan elimination (Bareiss
+    1968): after step k every entry is a minor of order k + 1, so each
+    update divides exactly by the previous pivot, and every diagonal entry
+    is the latest pivot. None when the columns are singular, else
+    ``(d, nums)`` with d > 0 and ``nums[k] / d`` the value of column
+    ``cols[k]``."""
+    r = len(cols)
+    a = [[row[c] for c in cols] + [row[-1]] for row in rows]
+    prev = 1
+    for k in range(r):
+        # Each row holds its entries from column k on, then the rhs: an
+        # earlier column is 0 in it, or its diagonal, which is ``prev``.
+        p = next((i for i in range(k, r) if a[i][0]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k]
+        pk = pivot[0]
+        for i, row in enumerate(a):
+            if i == k:
+                continue
+            f = row[0]
+            if f:
+                row = [(pk * v - f * pv) // prev for v, pv in zip(row, pivot)]
+            elif pk != prev:
+                row = [pk * v // prev for v in row]
+            del row[0]
+            a[i] = row
+        del pivot[0]
+        prev = pk
+    nums = [row[0] for row in a]
+    return (prev, nums) if prev > 0 else (-prev, [-v for v in nums])
+
+
+def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
+    """All basic feasible solutions of the standardized system, mapped back to
+    original variables, deduplicated and sorted.
+
+    For a pointed feasible region this is exactly the vertex set. Brute force
+    by construction: every size-rank column subset of the reduced system,
+    its rows scaled to ints once, is decided by ``basis_solution``, the
+    empty one at rank 0, whose solution is the origin. Rationals are built
+    only for the values of a feasible basis. Raises ``SizeCapError`` when
+    the instance exceeds the caps.
+    """
+    if lp.num_vars > ORACLE_MAX_VARS:
+        raise SizeCapError(f"{lp.num_vars} variables exceeds oracle cap {ORACLE_MAX_VARS}")
+    if len(lp.constraints) > ORACLE_MAX_CONSTRAINTS:
+        raise SizeCapError(
+            f"{len(lp.constraints)} constraints exceeds oracle cap {ORACLE_MAX_CONSTRAINTS}"
+        )
+    system = reduced_system(lp)
+    if system is None:
+        return ()
+    std, ncols, reduced = system
+    rank = len(reduced)
+    if comb(ncols, rank) > ORACLE_MAX_BASES:
+        raise SizeCapError(
+            f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"
+        )
+    rows = [integer_form(row)[1] for row in reduced]
+    seen = set()
+    for cols in combinations(range(ncols), rank):
+        solved = basis_solution(rows, cols)
+        if solved is None or min(solved[1], default=0) < 0:
+            continue  # singular, or infeasible
+        d, nums = solved
+        solution = [ZERO] * std.ncols
+        for c, n in zip(cols, nums):
+            if n and c < std.ncols:
+                solution[c] = Fraction(n, d)
+        seen.add(_to_original(lp, std.col_kind, solution))
+    return tuple(sorted(seen))
+
+
+# -- the LP oracle battery -------------------------------------------------
+
+
+def joint_common_prior_program(structure: InformationStructure) -> LinearProgram:
+    """The common priors as a joint program over (p, lambda per player and
+    cell, epsilon): p matches every player's mixture of cell types, every
+    cell's mass dominates epsilon, epsilon is maximized. The same decision
+    and optimum as ``harness.common_prior_program``, which drops the lambda
+    columns because the hull weights are forced to be the cell masses: that
+    projection's oracle."""
+    b = LPBuilder()
+    m = structure.num_states
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
+    lam_vars: list[list[int]] = []
+    for i in range(structure.num_players):
+        lam_vars.append(
+            [
+                b.add_var(f"w[{structure.players[i]},{v}]", lower=ZERO)
+                for v in range(structure.num_cells(i))
+            ]
+        )
+    eps = b.add_var("eps", lower=ZERO, objective=ONE)
+    for i in range(structure.num_players):
+        held: list[list] = [[] for _ in range(m)]  # per state, every type that charges it
+        for v, t in enumerate(structure.cell_types[i]):
+            for w, a in t.items():
+                held[w].append((v, t.den, a))
+        for w in range(m):
+            den = lcm(*(d for _, d, _ in held[w]))
+            row = {p_vars[w]: den}
+            for v, d, a in held[w]:
+                row[lam_vars[i][v]] = -a * (den // d)
+            b.add_integer_constraint(row, den, "=")
+        b.add_integer_constraint(dict.fromkeys(lam_vars[i], 1), 1, "=", 1)
+    _add_mass_rows(b, structure, p_vars, eps)
+    return b.build(maximize=True)
+
+
+def pump_piece_program(
+    structure: InformationStructure, player: int, dist: Distribution
+) -> LinearProgram:
+    """The program ``trades.pump_piece`` solves in closed form: one player's
+    payoff in [-1, 1] per state, a non-negative conditional expectation at
+    every cell, the p-expectation minimized. That closed form's oracle."""
+    b = LPBuilder()
+    fvar = [b.add_var(f"f[{w}]", lower=NEG_ONE, upper=ONE) for w in range(structure.num_states)]
+    for t in structure.cell_types[player]:
+        b.add_integer_constraint(_type_row(fvar, t), t.den, ">=")
+    for w, a in dist.items():
+        b.add_objective(fvar[w], Fraction(a, dist.den))
+    return b.build(maximize=False)
+
+
+def oracle_battery(seeds) -> BatteryReport:
+    """Simplex vs exhaustive basis enumeration on the common-prior program,
+    feasibility and strictness-margin objective, exactly; the joint
+    formulation vs the projected one; and the closed-form pump piece vs the
+    simplex on its program, per player, for one sampled distribution. The
+    structures are small (M <= 4, N <= 2) so that enumeration stays cheap."""
+    return _battery(seeds, _oracle_check)
+
+
+def _oracle_check(seed: int) -> CrossCheckReport:
+    """The checks of ``oracle_battery`` on one seed."""
+    cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5, seed=seed)
+    structure = random_structure(cfg)
+    rec = _Recorder()
+    eps_lp = common_prior_program(structure)
+    out_eps = solve(eps_lp)
+    vertices_eps = enumerate_basic_solutions(eps_lp)
+    rec.check(
+        "oracle: margin program feasibility agrees",
+        (out_eps.status == "optimal") == bool(vertices_eps),
+    )
+    joint = solve(joint_common_prior_program(structure))
+    if out_eps.status == "optimal":
+        best = max(v[-1] for v in vertices_eps)
+        rec.check(
+            "oracle: margin optimum equals best vertex",
+            out_eps.objective_value == best,
+            lambda: f"lp={out_eps.objective_value} vertices={best}",
+        )
+        rec.check(
+            "oracle: joint formulation matches projected margin",
+            joint.status == "optimal" and joint.objective_value == out_eps.objective_value,
+        )
+    else:
+        rec.check(
+            "oracle: joint formulation agrees on infeasibility",
+            joint.status == "infeasible",
+        )
+    dist = random_distribution(structure, cfg, NOTIONS[0], random.Random(seed))
+    p_nums = state_nums(dist)
+    for i in range(structure.num_players):
+        den, nums = piece = pump_piece(structure, i, p_nums)
+        program = pump_piece_program(structure, i, dist)
+        out_pump = solve(program)
+        rec.check(
+            "oracle: closed-form pump piece is feasible and LP-optimal",
+            not feasibility_violations(program, piece)
+            and out_pump.status == "optimal"
+            and out_pump.objective_value == Fraction(sum(map(mul, nums, p_nums)), den * dist.den),
+            lambda: f"player {i} p={tuple(dist)} lp={out_pump.objective_value}",
+        )
+    return CrossCheckReport(rec.count, tuple(rec.failures))

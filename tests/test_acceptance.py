@@ -32,11 +32,10 @@ from prior_forge import (
     uniform,
 )
 from prior_forge.cli import main as cli_main
-from prior_forge.harness import common_prior_program, oracle_battery, run_battery
-from prior_forge.lp import enumerate_basic_solutions
+from prior_forge.harness import common_prior_program, run_battery
 from prior_forge.model import integer_form
 
-from oracles import dense_dot
+from oracles import dense_dot, enumerate_basic_solutions, oracle_battery
 
 
 def q(text):

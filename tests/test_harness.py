@@ -27,7 +27,6 @@ from prior_forge.harness import (
     common_prior_program,
     cross_check,
     minimize_failure,
-    oracle_battery,
     random_distribution,
     random_structure,
     refuting_payoffs,
@@ -36,6 +35,8 @@ from prior_forge.harness import (
 )
 from prior_forge.lp import solve
 from prior_forge.priors import NOTIONS, blocks
+
+from oracles import oracle_battery
 
 
 def test_config_validation():

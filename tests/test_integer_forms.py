@@ -12,7 +12,7 @@ LP constraints carry ``nums`` over one ``den`` as well, and the simplex's
 standard form and self-checks read them; the two exponential event walks of
 the single-player theory keep running integer sums. Their term-by-term
 ``Fraction`` definitions live in this file as their oracles: the standard
-form against ``lp._standardize`` on every program the pinned-outcome test
+form against ``oracles.standardize`` on every program the pinned-outcome test
 builds, the point and certificate checks against ``dense_feasibility_violations``
 and ``dense_farkas_violations``, and the walks against
 ``dense_is_conglomerable`` and ``dense_disintegrable_by_definition`` on every
@@ -45,19 +45,12 @@ from prior_forge import (
 from prior_forge import jsonio
 from prior_forge.certainty import closure
 from prior_forge.harness import chain_structure, planted_structure, random_distribution
-from prior_forge.harness import (
-    GeneratorConfig,
-    common_prior_program,
-    joint_common_prior_program,
-    random_structure,
-)
+from prior_forge.harness import GeneratorConfig, common_prior_program, random_structure
 from prior_forge.lp import (
     FarkasCertificate,
     LPBuilder,
     _Tableau,
     _int_standardize,
-    _standardize,
-    enumerate_basic_solutions,
     farkas_violations,
     feasibility_violations,
     solve,
@@ -93,11 +86,14 @@ from oracles import (
     dense_mixture,
     dense_pump_piece,
     dense_walk_blocks,
+    enumerate_basic_solutions,
     fraction_pump_json,
     fraction_read_off,
     fraction_trade_json,
+    joint_common_prior_program,
     off_mixture,
     reachable,
+    standardize,
     to_json_value,
 )
 
@@ -769,7 +765,7 @@ def test_integer_standard_form_matches_the_rational_one(programs):
     and offsets."""
     fractional = mirrored = bounded = 0
     for lp, _ in programs:
-        ours, theirs = _int_standardize(lp), _standardize(lp)
+        ours, theirs = _int_standardize(lp), standardize(lp)
         our_cols, their_cols = {}, {}
         for cols, form in ((our_cols, ours), (their_cols, theirs)):
             for col, (_, j) in enumerate(form.col_kind):

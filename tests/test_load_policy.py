@@ -3,8 +3,10 @@ importing ``prior_forge``, analysing a structure and every CLI command but
 ``fuzz`` leave both module bodies unexecuted. The package names the oracle
 layer only through those two modules."""
 
+import importlib
 import json
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -76,7 +78,6 @@ _ORACLE_NAMES = {
         "CrossCheckReport",
         "GeneratorConfig",
         "cross_check",
-        "oracle_battery",
         "random_distribution",
         "random_structure",
         "run_battery",
@@ -88,7 +89,6 @@ _ORACLE_NAMES = {
         "LinearProgram",
         "LPBuilder",
         "LPOutcome",
-        "enumerate_basic_solutions",
         "farkas_violations",
         "feasibility_violations",
         "solve",
@@ -195,3 +195,32 @@ PINNED_EXPORTS = [
 def test_package_exports_are_pinned():
     assert PINNED_EXPORTS == sorted(PINNED_EXPORTS)
     assert prior_forge.__all__ == PINNED_EXPORTS
+
+
+# The LP's vertex oracle and its battery, which only the tests call, live in
+# ``tests/oracles.py``: no module of the package defines or forwards them.
+# They were ``lp``'s enumerator, its caps and helpers, and ``harness``'s
+# oracle battery with the two programs only it solved.
+_MOVED_NAMES = (
+    "ORACLE_MAX_BASES",
+    "ORACLE_MAX_CONSTRAINTS",
+    "ORACLE_MAX_VARS",
+    "_StdForm",
+    "_row_reduce",
+    "_standardize",
+    "_to_original",
+    "enumerate_basic_solutions",
+    "_oracle_check",
+    "joint_common_prior_program",
+    "oracle_battery",
+    "pump_piece_program",
+)
+
+
+def test_the_vertex_oracle_is_not_in_the_package():
+    modules = [prior_forge] + [
+        importlib.import_module(f"prior_forge.{info.name}") for info in pkgutil.iter_modules(prior_forge.__path__)
+    ]
+    assert {"prior_forge.lp", "prior_forge.harness"} <= {module.__name__ for module in modules}
+    defined = [(module.__name__, name) for module in modules for name in _MOVED_NAMES if hasattr(module, name)]
+    assert defined == []

@@ -1,6 +1,9 @@
 """Exact simplex: solve outcomes, certificates, and the brute-force oracle."""
 
 import hashlib
+from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,16 +15,26 @@ from prior_forge import (
     rational,
 )
 from prior_forge import lp
+from prior_forge.harness import GeneratorConfig, common_prior_program, random_structure
 from prior_forge.lp import (
     FarkasCertificate,
     LPBuilder,
-    enumerate_basic_solutions,
     farkas_violations,
     feasibility_violations,
     solve,
 )
 
-from oracles import add_constraint
+from prior_forge.model import integer_form
+
+import oracles
+from oracles import (
+    add_constraint,
+    basis_solution,
+    enumerate_basic_solutions,
+    joint_common_prior_program,
+    reduced_system,
+    row_reduce,
+)
 
 
 def test_optimal_simple():
@@ -287,27 +300,72 @@ def test_starting_tableau_is_pinned():
 # sha256 over the vertex sets of the common-prior and joint programs of the
 # oracle battery's generator (M <= 4, N <= 2, d <= 5), seeds 0..399, recorded
 # while the enumerator still solved each basis with its own elimination
-# routine instead of ``_row_reduce``.
+# routine, before it used ``row_reduce`` and then ``basis_solution`` on ints.
 PINNED_VERTEX_SETS = "90ed1b0a7a3a3711f6862a90677b1002300df33b3c17aa6e5f9b53c7b2a9b954"
 
 
-def test_enumerated_vertex_sets_are_pinned():
-    from dataclasses import replace
-
-    from prior_forge.harness import (
-        GeneratorConfig,
-        common_prior_program,
-        joint_common_prior_program,
-        random_structure,
-    )
-
+def _pin_programs(seeds):
+    """The common-prior and joint programs of the oracle battery's
+    generator, per seed in that order."""
     cfg = GeneratorConfig(max_states=4, max_players=2, denominator_bound=5)
-    h = hashlib.sha256()
-    for seed in range(400):
+    for seed in seeds:
         s = random_structure(replace(cfg, seed=seed))
-        for build in (common_prior_program, joint_common_prior_program):
-            h.update(repr(enumerate_basic_solutions(build(s))).encode() + b"\n")
+        yield common_prior_program(s)
+        yield joint_common_prior_program(s)
+
+
+def test_enumerated_vertex_sets_are_pinned():
+    h = hashlib.sha256()
+    for program in _pin_programs(range(400)):
+        h.update(repr(enumerate_basic_solutions(program)).encode() + b"\n")
     assert h.hexdigest() == PINNED_VERTEX_SETS
+
+
+def test_integer_basis_decisions_match_the_fraction_elimination():
+    """Every candidate basis of the pin programs of seeds 0..49, decided on
+    the reduced rows scaled to ints by ``basis_solution``, is decided alike
+    by ``row_reduce``, Gauss-Jordan in ``Fraction``s on the reduced rows:
+    singular for both, or the same basic values."""
+    singular = nonsingular = 0
+    for program in _pin_programs(range(50)):
+        system = reduced_system(program)
+        if system is None:
+            continue
+        _, ncols, reduced = system
+        rank = len(reduced)
+        rows = [integer_form(row)[1] for row in reduced]
+        for cols in combinations(range(ncols), rank):
+            square, _ = row_reduce([[row[c] for c in cols] + [row[-1]] for row in reduced], rank)
+            solved = basis_solution(rows, cols)
+            if len(square) < rank:
+                assert solved is None
+                singular += 1
+            else:
+                d, nums = solved
+                assert d > 0 and [Fraction(n, d) for n in nums] == [row[-1] for row in square]
+                nonsingular += 1
+    assert singular > 100 and nonsingular > 100
+
+
+def test_the_vertex_oracle_runs_without_the_simplex(monkeypatch):
+    """The enumerator shares no standardization or elimination with the
+    simplex: with the simplex's standard form, its tableau and ``solve``
+    raising wherever ``lp`` or ``oracles`` names them, it enumerates the
+    pin programs of seeds 0..49 as before."""
+    programs = list(_pin_programs(range(50)))
+    expected = [enumerate_basic_solutions(program) for program in programs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex oracle reached the simplex")
+
+    simplex = (lp._int_standardize, lp._Tableau, lp.solve)
+    for module in (lp, oracles):
+        for name, value in list(vars(module).items()):
+            if any(value is part for part in simplex):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="reached the simplex"):
+        lp.solve(programs[0])
+    assert [enumerate_basic_solutions(program) for program in programs] == expected
 
 
 def _assert_optimal_duals(lp, out):
@@ -326,8 +384,6 @@ def _assert_optimal_duals(lp, out):
 
 
 def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
-    from prior_forge.harness import GeneratorConfig, common_prior_program, random_structure
-
     checked = 0
     fixtures = [intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4]
     generated = [random_structure(GeneratorConfig(seed=k)) for k in range(200)]
@@ -420,13 +476,6 @@ PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed
 
 
 def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
-    from prior_forge.harness import (
-        GeneratorConfig,
-        common_prior_program,
-        joint_common_prior_program,
-        random_structure,
-    )
-
     from oracles import acceptable_trade_program, agreeable_trade_program
 
     builders = (

@@ -42,12 +42,12 @@ from prior_forge.harness import (
     random_structure,
 )
 from prior_forge.jsonio import dumps_canonical
-from prior_forge.lp import enumerate_basic_solutions, solve
+from prior_forge.lp import solve
 from prior_forge.model import fraction_rows, integer_form
 from prior_forge.priors import blocks
 from prior_forge.report import prior_witness_json
 
-from oracles import to_json_value
+from oracles import enumerate_basic_solutions, to_json_value
 
 
 def q(text):

@@ -368,8 +368,11 @@ def test_a_text_report_writes_rows_from_integer_forms(fixture_path, monkeypatch)
 def test_a_long_denominator_is_converted_once_per_row(monkeypatch):
     # The chain's prior at M = 256, K = 2**64 - 1 has one 16,320-bit
     # denominator, and its cell masses reduce to it or to it over K + 1.
-    # The prior's row and each player's hull weights convert every reduced
-    # numerator to text and each distinct reduced denominator once per row.
+    # The prior's row and each player's hull weights share one memo, so
+    # every distinct reduced numerator and denominator of the piece is
+    # converted to text once: about half the conversions of a memo per row,
+    # which converts every numerator of the row and each of its distinct
+    # denominators.
     s = harness.chain_structure(256, 2**64 - 1)
     witness = priors.find_common_prior(s)
     calls = []
@@ -384,11 +387,14 @@ def test_a_long_denominator_is_converted_once_per_row(monkeypatch):
     p = witness.prior
     rows = [[p[w] for w in range(s.num_states)]]
     rows += [[p.mass(cell) for cell in cells] for cells in s.partitions]
-    expected = 0
+    per_row = 0
+    ints = set()
     for row in rows:
         nonzero = [q for q in row if q.denominator > 1]
-        expected += len(nonzero) + len({q.denominator for q in nonzero})
-    assert len(calls) == expected < 2 * (256 + 128 + 129)
+        per_row += len(nonzero) + len({q.denominator for q in nonzero})
+        ints.update(n for q in nonzero for n in (q.numerator, q.denominator))
+    assert sorted(calls) == sorted(ints)
+    assert per_row == 517 and len(calls) == 258
     monkeypatch.undo()
     assert piece == {
         "prior": [ratio_value(q.numerator, q.denominator) for q in rows[0]],

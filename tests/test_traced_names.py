@@ -11,9 +11,10 @@ from prior_forge.harness import (
     acceptable_trade_program,
     agreeable_trade_program,
     common_prior_program,
-    joint_common_prior_program,
 )
 from prior_forge.lp import solve
+
+from oracles import joint_common_prior_program
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 

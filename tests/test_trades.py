@@ -40,14 +40,13 @@ from prior_forge.harness import (
     GeneratorConfig,
     component_substructures,
     cross_check,
-    pump_piece_program,
     random_structure,
 )
 from prior_forge.lp import solve
 from prior_forge.model import fraction_rows, integer_form
 from prior_forge.priors import NOTIONS
 
-from oracles import dense_classify_trade, dense_dot, dense_expectation_table
+from oracles import dense_classify_trade, dense_dot, dense_expectation_table, pump_piece_program
 
 
 def q(text):
