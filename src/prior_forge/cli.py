@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Callable
 
 from .certainty import component_family, minimal_components
@@ -176,7 +175,10 @@ def _parse_seed_range(spec: str) -> range:
 
 
 def _cmd_fuzz(args) -> int:
-    # The only command that needs the oracle layer, so the only one that loads it.
+    # The only command that needs the oracle layer, so the only one that
+    # loads it, and with it ``dataclasses``.
+    from dataclasses import replace
+
     from .harness import GeneratorConfig, cross_check, minimize_failure, random_structure
 
     seeds = _parse_seed_range(args.seeds)

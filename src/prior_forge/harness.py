@@ -43,7 +43,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._rational import ONE, ZERO, rational
 from .certainty import closure, is_commonly_certain, minimal_components
@@ -291,14 +291,12 @@ def random_distribution(
 # -- the battery -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     name: str
     details: str
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     checks_run: int
     failures: tuple[CheckFailure, ...]
     skipped: int = 0  # checks left out because the structure exceeds their cap
@@ -855,8 +853,7 @@ def minimize_failure(
         current = smaller
 
 
-@dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(NamedTuple):
     structures_checked: int
     checks_run: int
     failures: tuple[tuple[int, CrossCheckReport], ...]

@@ -57,7 +57,6 @@ but unbounded programs are still detected and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -65,7 +64,7 @@ from typing import NamedTuple, Sequence
 
 from ._rational import ZERO, rational
 from .errors import DimensionError, InputError, VerificationError
-from .model import integer_form, lowest_terms
+from .model import Frozen, integer_form, lowest_terms
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
@@ -101,50 +100,47 @@ class Constraint:
         return Fraction(self.rhs_num, self.den)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Frozen):
     """A program over ``len(objective)`` variables. Like its rows, it fixes
     its integer forms at construction: ``cost_nums[j] / cost_den ==
     objective[j]``, and each bound in ``lower_forms`` and ``upper_forms``
     is a ``(num, den)`` pair, or None where ``lower`` or ``upper`` is. The
-    simplex and the self-checks read only these ints."""
+    simplex and the self-checks read only these ints. Frozen; equality, the
+    hash and ``repr`` read the six given fields, the objective and bounds
+    as rationals."""
 
+    _fields = ("objective", "maximize", "constraints", "lower", "upper", "names")
     objective: tuple
     maximize: bool
     constraints: tuple[Constraint, ...]
     lower: tuple  # per-variable lower bound or None
     upper: tuple  # per-variable upper bound or None
     names: tuple[str, ...]
-    cost_den: int = field(init=False, repr=False, compare=False)
-    cost_nums: tuple = field(init=False, repr=False, compare=False)
-    lower_forms: tuple = field(init=False, repr=False, compare=False)
-    upper_forms: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n = len(self.objective)
-        for name in ("lower", "upper", "names"):
-            if len(getattr(self, name)) != n:
+    def __init__(self, objective, maximize, constraints, lower, upper, names) -> None:
+        n = len(objective)
+        for name, value in (("lower", lower), ("upper", upper), ("names", names)):
+            if len(value) != n:
                 raise DimensionError(f"{name} must have one entry per variable")
-        used = set().union(*(con.nums for con in self.constraints))
+        used = set().union(*(con.nums for con in constraints))
         if used and not (0 <= min(used) and max(used) < n):
             raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
-        objective = tuple(map(rational, self.objective))
+        objective = tuple(map(rational, objective))
         cost_den, cost_nums = integer_form(objective)
-        lower = tuple(None if b is None else rational(b) for b in self.lower)
-        upper = tuple(None if b is None else rational(b) for b in self.upper)
+        lower = tuple(None if b is None else rational(b) for b in lower)
+        upper = tuple(None if b is None else rational(b) for b in upper)
         lower_forms = tuple(None if q is None else q.as_integer_ratio() for q in lower)
         upper_forms = tuple(None if q is None else q.as_integer_ratio() for q in upper)
         for j, (lo, hi) in enumerate(zip(lower_forms, upper_forms)):
             if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
                 raise InputError(
-                    f"variable {self.names[j]} has lower bound {lower[j]} above upper bound {upper[j]}"
+                    f"variable {names[j]} has lower bound {lower[j]} above upper bound {upper[j]}"
                 )
-        for name, value in (
-            ("objective", objective), ("lower", lower), ("upper", upper),
-            ("cost_den", cost_den), ("cost_nums", cost_nums),
-            ("lower_forms", lower_forms), ("upper_forms", upper_forms),
-        ):
-            object.__setattr__(self, name, value)
+        vars(self).update(
+            objective=objective, maximize=maximize, constraints=constraints, lower=lower,
+            upper=upper, names=names, cost_den=cost_den, cost_nums=cost_nums,
+            lower_forms=lower_forms, upper_forms=upper_forms,
+        )
 
     @property
     def num_vars(self) -> int:
@@ -189,8 +185,7 @@ class LPBuilder:
         )
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(Frozen):
     """Multipliers combining constraints and bounds into ``0 <= negative``.
 
     Semantics: sum over constraints of ``mu_k * (row_k)`` plus
@@ -202,19 +197,24 @@ class FarkasCertificate:
 
     The three vectors are kept as integer forms, ``constraint_form``,
     ``lower_form`` and ``upper_form``, each a ``(den, nums)`` pair, and
-    their rationals are built on first read, as an outcome's are.
+    their rationals are built on first read, as an outcome's are. Frozen;
+    equality, the hash and ``repr`` read the three forms.
     """
 
+    _fields = ("constraint_form", "lower_form", "upper_form")
     constraint_form: tuple
     lower_form: tuple
     upper_form: tuple
+
+    def __init__(self, constraint_form, lower_form, upper_form) -> None:
+        vars(self).update(constraint_form=constraint_form, lower_form=lower_form, upper_form=upper_form)
+
     constraint_multipliers = cached_property(lambda self: _rationals(self.constraint_form))
     lower_multipliers = cached_property(lambda self: _rationals(self.lower_form))
     upper_multipliers = cached_property(lambda self: _rationals(self.upper_form))
 
 
-@dataclass(frozen=True)
-class LPOutcome:
+class LPOutcome(Frozen):
     """``primal`` (optimal outcomes only): the optimal point. ``duals``
     (optimal outcomes only): one multiplier u_k per constraint, in max form
     (objective negated when minimizing), sign rules as in
@@ -223,21 +223,24 @@ class LPOutcome:
     else, A^T u >= c and b.u = c.x.
 
     Both are kept as integer forms, ``point`` and ``dual_form``, each a
-    ``(den, nums)`` pair, and their rationals are built on first read."""
+    ``(den, nums)`` pair, and their rationals are built on first read.
+    Frozen; equality, the hash and ``repr`` read the five given fields."""
 
+    _fields = ("status", "objective_value", "certificate", "point", "dual_form")
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective_value: object | None
     certificate: FarkasCertificate | None
-    point: tuple | None = None
-    dual_form: tuple | None = None
+    point: tuple | None
+    dual_form: tuple | None
 
-    @cached_property
-    def primal(self) -> tuple | None:
-        return _rationals(self.point)
+    def __init__(self, status, objective_value, certificate, point=None, dual_form=None) -> None:
+        vars(self).update(
+            status=status, objective_value=objective_value, certificate=certificate,
+            point=point, dual_form=dual_form,
+        )
 
-    @cached_property
-    def duals(self) -> tuple | None:
-        return _rationals(self.dual_form)
+    primal = cached_property(lambda self: _rationals(self.point))
+    duals = cached_property(lambda self: _rationals(self.dual_form))
 
 
 def _rationals(form: tuple | None) -> tuple | None:

@@ -3,8 +3,8 @@
 A structure is a finite state space, one partition per player, and one type
 (posterior distribution) per player and cell. Types must be probability
 distributions supported inside their own cell and constant across the cell.
-Both model objects are frozen dataclasses, immutable once validated, and
-every operation on them is a pure function.
+Both model objects are frozen value classes (``Frozen``), immutable once
+validated, and every operation on them is a pure function.
 
 State and player labels are strings at the boundary; internally everything is
 index-based (states ``0..M-1`` in declaration order, players likewise).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -36,6 +35,45 @@ from .errors import (
 )
 
 T = TypeVar("T")
+
+
+class Frozen:
+    """Base of the package's frozen value classes. ``_fields`` names the
+    attributes that equality, the hash and ``repr`` read, in order, as a
+    frozen dataclass's would: equal only to an instance of the same class,
+    hashed as the tuple of those values. The constructor stores its
+    attributes with ``object.__setattr__`` (or into ``__dict__``);
+    afterwards assignment and deletion raise the dataclass's
+    ``FrozenInstanceError``, which is imported only then, so that loading
+    the package does not load ``dataclasses``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def integer_form(values: Sequence) -> tuple[int, tuple[int, ...]]:
@@ -84,8 +122,7 @@ def fraction_rows(forms) -> tuple:
     )
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Distribution:
+class Distribution(Frozen):
     """An exact probability distribution over ``size`` indexed states, held
     on its support.
 
@@ -102,15 +139,9 @@ class Distribution:
     ints and build one rational per result. Indexing, iteration and
     ``probs`` give the dense values, 0 off the support, and build them when
     read. Instances are frozen; equality and the hash are those of the four
-    fields, so of the dense ``probs``, and ``repr`` shows ``probs``."""
+    slots, so of the dense ``probs``, and ``repr`` shows ``probs``."""
 
-    # Declared here, not by ``slots=True``: that replaces the class, and the
-    # generated ``__setattr__`` of a non-field name then fails on the old one.
-    __slots__ = ("size", "den", "_support", "_nums")
-    size: int
-    den: int
-    _support: tuple
-    _nums: tuple
+    __slots__ = _fields = ("size", "den", "_support", "_nums")
 
     def __init__(self, probs) -> None:
         probs = tuple(map(rational, probs))
@@ -233,8 +264,7 @@ def uniform(size: int) -> Distribution:
     return Distribution((w,) * size)
 
 
-@dataclass(frozen=True)
-class InformationStructure:
+class InformationStructure(Frozen):
     """States, players, per-player partitions, per-cell types.
 
     ``partitions[i]`` lists player ``i``'s cells as sorted index tuples, ordered
@@ -243,15 +273,18 @@ class InformationStructure:
     immutable afterwards, apart from the ``derived`` memo of values computed
     from them. Beside the types, construction keeps one state-indexed row
     per player, ``own_nums``, so that "player i's type at w, at w" is one
-    lookup and no type is read densely.
+    lookup and no type is read densely. Equality, the hash and ``repr`` are
+    those of the four fields.
     """
 
+    _fields = ("states", "players", "partitions", "cell_types")
     states: tuple[str, ...]
     players: tuple[str, ...]
     partitions: tuple[tuple[tuple[int, ...], ...], ...]
     cell_types: tuple[tuple[Distribution, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, states, players, partitions, cell_types) -> None:
+        vars(self).update(states=states, players=players, partitions=partitions, cell_types=cell_types)
         m = len(self.states)
         if m == 0:
             raise EmptySetError("a structure needs at least one state")
@@ -304,9 +337,7 @@ class InformationStructure:
                     row[w] = a
             cell_of.append(tuple(seen))
             own.append(tuple(row))
-        object.__setattr__(self, "_cell_of", tuple(cell_of))
-        object.__setattr__(self, "_own_nums", tuple(own))
-        object.__setattr__(self, "_derived", {})
+        vars(self).update(_cell_of=tuple(cell_of), _own_nums=tuple(own), _derived={})
 
     # -- indexed access -------------------------------------------------
 

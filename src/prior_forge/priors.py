@@ -32,17 +32,17 @@ for ``is_disintegrable`` and the battery's cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ._rational import ZERO
 from .certainty import check_dimension, is_maximal, is_strongly_maximal
 from .errors import PlayerCountError, SizeCapError, VerificationError
 from .model import (
     Distribution,
+    Frozen,
     InformationStructure,
     check_index,
     fraction_rows,
@@ -54,17 +54,21 @@ EVENT_CAP = 24  # exhaustive event enumeration refuses beyond this many states
 DEFINITION_CAP = 20  # the same for the definitional disintegrability oracle
 
 
-@dataclass(frozen=True)
-class Notion:
+class Notion(Frozen):
     """A common-prior notion: JSON key, text label, what its prior must
     charge beyond being common (None: nothing more), the flag of the trade
-    grade that refutes it, and the kind of the money pump that matches it."""
+    grade that refutes it, and the kind of the money pump that matches it.
+    Frozen, and equal, hashed and shown by those five fields."""
 
+    _fields = ("key", "label", "charges", "trade", "pump")
     key: str
     label: str
     charges: Callable[[InformationStructure, Distribution], bool] | None
     trade: str
     pump: str
+
+    def __init__(self, key, label, charges, trade, pump) -> None:
+        vars(self).update(key=key, label=label, charges=charges, trade=trade, pump=pump)
 
     def charged_by(self, structure: InformationStructure, dist: Distribution) -> bool:
         """Whether ``dist`` charges what the notion asks of its prior."""
@@ -79,8 +83,7 @@ NOTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class PriorWitness:
+class PriorWitness(NamedTuple):
     """A common prior. Each player's hull weights, the convex weights over
     its cells that mix the cells' types into the prior, are forced to be
     the prior's cell masses, so the prior is the whole certificate."""
@@ -101,8 +104,7 @@ class PriorWitness:
                 )
 
 
-@dataclass(frozen=True)
-class PriorClassification:
+class PriorClassification(NamedTuple):
     """Per-player hull membership of a distribution and its charge grades."""
 
     prior_for_player: tuple[bool, ...]
@@ -264,8 +266,7 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
 # -- linked cell blocks -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Blocks:
+class Blocks(NamedTuple):
     """The structure's linked cell blocks, walked once: a live flag per
     block in walk order, the states live blocks charge, the canonical prior
     and its least cell mass, and the one refuting trade, one integer form

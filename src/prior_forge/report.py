@@ -39,7 +39,7 @@ pieces put those values in the document and the text pieces print them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._rational import int_text
 from .certainty import component_family, minimal_components
@@ -56,8 +56,7 @@ from .trades import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     structure: InformationStructure
     minimal: tuple[tuple[int, ...], ...]
     all_components: tuple[tuple[int, ...], ...] | None

@@ -46,15 +46,16 @@ from the forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from ._rational import ZERO, rational_text
 from .certainty import check_dimension, minimal_components
 from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
     Distribution,
+    Frozen,
     InformationStructure,
     cell_expectations,
     lowest_terms,
@@ -73,25 +74,26 @@ from .priors import (
 )
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(Frozen):
     """Per-player payoffs with pointwise sum <= 0 (zero-sum with slack).
 
     The payoffs are integer forms: ``forms[i]`` is ``(den, nums)``, player
     i's payoff at state w being ``nums[w] / den``, each put in lowest terms
     when the trade is built, so equality and the hash are those of the
-    payoffs' values."""
+    payoffs' values. Frozen; ``repr`` shows the reduced forms."""
 
+    _fields = ("forms",)
     forms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forms", _payoff_forms(self.forms, "a trade"))
-        den, sums = _column_sums(self.forms)
+    def __init__(self, forms) -> None:
+        forms = _payoff_forms(forms, "a trade")
+        den, sums = _column_sums(forms)
         for w, total in enumerate(sums):
             if total > 0:
                 raise InconsistencyError(
                     f"payoffs sum to {rational_text(Fraction(total, den))} > 0 at state index {w}; not a trade"
                 )
+        vars(self)["forms"] = forms
 
     @property
     def payoffs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -129,8 +131,7 @@ def _deficit(forms, dist: Distribution):
     return Fraction(sum(sums[w] * a for w, a in dist.items()), den * dist.den)
 
 
-@dataclass(frozen=True)
-class TradeClassification:
+class TradeClassification(NamedTuple):
     """The grades of a payoff family, and per player its expectation table
     as an integer form ``(den, nums)`` in lowest terms, ``nums[w] / den``
     the expectation of the player's cell at w."""
@@ -144,22 +145,24 @@ class TradeClassification:
     agreeable_component: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class MoneyPumpWitness:
+class MoneyPumpWitness(Frozen):
     """A distribution, the semi-trade that pumps it, and the deficit. The
     semi-trade condition depends on a structure, so ``verify`` checks it.
     Like a ``Trade``, the semi-trade is held as integer forms, one
     ``(den, nums)`` per player put in lowest terms when the witness is
     built, and both renderings write its rows from them, so what is
-    printed is what ``verify`` checked."""
+    printed is what ``verify`` checked. Frozen, and equal, hashed and
+    shown by its four fields."""
 
+    _fields = ("distribution", "forms", "deficit", "kind")
     distribution: Distribution
     forms: tuple[tuple[int, tuple[int, ...]], ...]
     deficit: object
     kind: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forms", _payoff_forms(self.forms, "a semi-trade"))
+    def __init__(self, distribution, forms, deficit, kind) -> None:
+        forms = _payoff_forms(forms, "a semi-trade")
+        vars(self).update(distribution=distribution, forms=forms, deficit=deficit, kind=kind)
 
     def verify(self, structure: InformationStructure) -> None:
         """Re-derive every claim from scratch; VerificationError on defect."""
@@ -192,8 +195,7 @@ class MoneyPumpWitness:
             raise VerificationError(f"{self.kind} pump distribution fails {notion.charges.__name__}")
 
 
-@dataclass(frozen=True)
-class DistributionVerdict:
+class DistributionVerdict(NamedTuple):
     """The exactly-one case split for a distribution: prior or pump, graded
     by how much of the structure p charges."""
 
@@ -398,8 +400,7 @@ def classify_distribution(
     return DistributionVerdict(cls, None, pump, "money_pump")
 
 
-@dataclass(frozen=True)
-class PriorReport:
+class PriorReport(NamedTuple):
     """The three prior notions of one structure: the canonical prior, the
     keys of the notions it witnesses (``priors.NOTIONS`` order), and the one
     block trade that refutes every other notion, with its classification."""

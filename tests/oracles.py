@@ -18,11 +18,12 @@ rationals, for the tests; ``lp`` takes integer forms only.
 
 The vertex oracle of ``lp.solve`` lives here too, and reads only a
 program's public fields: ``enumerate_basic_solutions`` standardizes term by
-term in rationals (``standardize``), every upper bound a row, reduces the
-system to its rank once (``row_reduce``, in ``Fraction``s), scales each
-reduced row to ints and decides every candidate basis by fraction-free
-Gauss-Jordan elimination on ints (``basis_solution``), building rationals
-only for the values of a feasible basis. It shares no standardization or
+term in rationals (``standardize``), every upper bound a row, scales each
+row of the system to ints once, reduces it to its rank by fraction-free
+Gauss-Jordan elimination on ints (``int_row_reduce``, whose oracle is
+``row_reduce`` in ``Fraction``s) and decides every candidate basis by the
+same step (``basis_solution``), building rationals only for the values of
+a feasible basis. It shares no standardization or
 elimination with the simplex. ``oracle_battery`` runs it against the
 simplex on the common-prior program, with the joint formulation
 (``joint_common_prior_program``) and the pump piece's program
@@ -515,8 +516,8 @@ def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tu
 def row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
     """Gauss-Jordan in rationals over the augmented matrix ``dense``, its
     ``ncols`` columns then the rhs: the reduced rows, dependent ones
-    dropped, and whether the system is consistent. The enumerator's rank
-    reduction, and on a square system the oracle of ``basis_solution``."""
+    dropped, and whether the system is consistent. The oracle of
+    ``int_row_reduce``, and on a square system of ``basis_solution``."""
     rows = [list(r) for r in dense]
     kept: list[list] = []
     for col in range(ncols):
@@ -543,10 +544,10 @@ def row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
     return kept, True
 
 
-def reduced_system(lp: LinearProgram) -> tuple[StdForm, int, list[list]] | None:
+def dense_system(lp: LinearProgram) -> tuple[StdForm, int, list[list]]:
     """The standard form, the number of columns of its equality system (a
-    slack column per inequality after the structural ones) and that system
-    reduced by ``row_reduce``; None when it is inconsistent."""
+    slack column per inequality after the structural ones) and that
+    system's augmented rows in rationals, each row's rhs last."""
     std = standardize(lp)
     ncols = std.ncols + sum(rel != EQUAL for rel in std.row_rel)
     dense: list[list] = []
@@ -559,8 +560,49 @@ def reduced_system(lp: LinearProgram) -> tuple[StdForm, int, list[list]] | None:
             line[slack] = ONE if rel == LESS else -ONE
             slack += 1
         dense.append(line)
-    reduced, consistent = row_reduce(dense, ncols)
-    return (std, ncols, reduced) if consistent else None
+    return std, ncols, dense
+
+
+def int_row_reduce(rows: list[list[int]], ncols: int) -> list[list[int]] | None:
+    """Gauss-Jordan on the integer augmented matrix ``rows``, its ``ncols``
+    columns then the rhs, by ``basis_solution``'s fraction-free step
+    (Bareiss 1968), with ``row_reduce``'s choice of pivots: the first row
+    left with a nonzero entry in the column. After a pivot every entry of
+    every row is a minor of the pivots so far, so each update divides
+    exactly by the previous pivot. The kept rows, each divided by the gcd
+    of its entries, are those of ``row_reduce`` scaled by their leading
+    entries; the rows left over are 0 in every column, and dropped. None
+    when one of them has a nonzero rhs, so the system is inconsistent."""
+    live = [list(row) for row in rows]
+    kept: list[list[int]] = []
+    prev = 1
+    for col in range(ncols):
+        p = next((i for i, row in enumerate(live) if row[col]), None)
+        if p is None:
+            continue
+        pivot = live.pop(p)
+        pk = pivot[col]
+        for group in (live, kept):
+            for i, row in enumerate(group):
+                f = row[col]
+                if f:
+                    group[i] = [(pk * v - f * pv) // prev for v, pv in zip(row, pivot)]
+                elif pk != prev:
+                    group[i] = [pk * v // prev for v in row]
+        kept.append(pivot)
+        prev = pk
+    if any(row[-1] for row in live):
+        return None
+    return [[v // g for v in row] for row in kept for g in (gcd(*row),)]
+
+
+def reduced_system(lp: LinearProgram) -> tuple[StdForm, int, list[list[int]]] | None:
+    """The standard form, the number of columns of its equality system and
+    that system, each row scaled to ints once, reduced to its rank by
+    ``int_row_reduce``; None when it is inconsistent."""
+    std, ncols, dense = dense_system(lp)
+    reduced = int_row_reduce([integer_form(row)[1] for row in dense], ncols)
+    return None if reduced is None else (std, ncols, reduced)
 
 
 def basis_solution(rows: list[list[int]], cols: Sequence[int]) -> tuple[int, list[int]] | None:
@@ -605,9 +647,9 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
     original variables, deduplicated and sorted.
 
     For a pointed feasible region this is exactly the vertex set. Brute force
-    by construction: every size-rank column subset of the reduced system,
-    its rows scaled to ints once, is decided by ``basis_solution``, the
-    empty one at rank 0, whose solution is the origin. Rationals are built
+    by construction: every size-rank column subset of the system reduced on
+    ints (``reduced_system``) is decided by ``basis_solution``, the empty
+    one at rank 0, whose solution is the origin. Rationals are built
     only for the values of a feasible basis. Raises ``SizeCapError`` when
     the instance exceeds the caps.
     """
@@ -626,10 +668,9 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
         raise SizeCapError(
             f"C({ncols},{rank}) basis combinations exceed oracle cap {ORACLE_MAX_BASES}"
         )
-    rows = [integer_form(row)[1] for row in reduced]
     seen = set()
     for cols in combinations(range(ncols), rank):
-        solved = basis_solution(rows, cols)
+        solved = basis_solution(reduced, cols)
         if solved is None or min(solved[1], default=0) < 0:
             continue  # singular, or infeasible
         d, nums = solved

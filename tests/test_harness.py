@@ -8,7 +8,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,7 +216,7 @@ def test_cross_check_verifies_a_forged_witness(fixture_path, monkeypatch):
     probs = list(witness.prior.probs)
     probs[0] += probs[1]
     probs[1] = ZERO
-    forged = replace(witness, prior=Distribution(tuple(probs)))
+    forged = witness._replace(prior=Distribution(tuple(probs)))
     monkeypatch.setattr(harness, "find_strong_common_prior", lambda structure: forged)
     report = cross_check(s)
     assert "prior witness re-verifies" in [f.name for f in report.failures]
@@ -262,7 +261,7 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
     assert walk.live == (True, False, True)
     # Plant a walk that calls every block live: production then reads "no
     # acceptable trade" off it, and the programs object.
-    s.derived("blocks", lambda _: replace(walk, live=(True,) * 3, payoff_forms=None))
+    s.derived("blocks", lambda _: walk._replace(live=(True,) * 3, payoff_forms=None))
     report = cross_check(s)
     failures = _oracle_failures(report)
     assert "oracle: acceptable program matches the acceptable trade" in failures
@@ -274,7 +273,7 @@ def test_cross_check_oracle_catches_a_wrong_closed_form(fixture_path):
     # still satisfies the program's rows, so only the margin program objects.
     walk = blocks(_fresh(fixture_path, "ex_plbet4"))
     s = _fresh(fixture_path, "ex_plbet4")
-    s.derived("blocks", lambda _: replace(walk, margin=walk.margin / 2))
+    s.derived("blocks", lambda _: walk._replace(margin=walk.margin / 2))
     report = cross_check(s)
     assert [f.name for f in report.failures] == [
         "oracle: closed-form strong prior equals the margin program's optimum"
@@ -289,7 +288,7 @@ def test_cross_check_oracle_reports_a_dead_block_the_program_refutes(fixture_pat
     s = _fresh(fixture_path, "ex_plbet4")
     dead = (False,) + walk.live[1:]
     forms = ((1, (0,) * s.num_states),) * s.num_players
-    s.derived("blocks", lambda _: replace(walk, live=dead, margin=ZERO, payoff_forms=forms))
+    s.derived("blocks", lambda _: walk._replace(live=dead, margin=ZERO, payoff_forms=forms))
     report = cross_check(s)
     assert "oracle: program trade grades as the block trade" in _oracle_failures(report)
 

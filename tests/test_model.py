@@ -22,9 +22,11 @@ from prior_forge import (
     single_player_view,
     uniform,
 )
+from prior_forge import harness, lp, priors, report
 from prior_forge.errors import NotAComponentError
 from prior_forge.harness import GeneratorConfig, random_structure
 from prior_forge.jsonio import parse_structure
+from prior_forge.model import Frozen
 
 from oracles import dense_dot
 
@@ -114,6 +116,83 @@ def test_frozen_errors_name_any_attribute():
             delattr(d, name)
     assert not hasattr(d, "__dict__") and d.__sizeof__() == 48
     assert copy.deepcopy(d) == d == pickle.loads(pickle.dumps(d))
+
+
+def _value_instances(fixture_path) -> list:
+    """One instance of each value type, all built from freshly parsed
+    fixtures: ex_pl2 has no common prior and a pump for the uniform
+    distribution, pl4 has a common prior."""
+    no_prior, prior = (
+        parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+        for name in ("ex_pl2", "pl4")
+    )
+    rep = report.analyze(no_prior, uniform(4))
+    verdict = rep.verdict
+    program = harness.common_prior_program(no_prior)
+    cross = harness.cross_check(prior)
+    return [
+        no_prior.cell_types[0][0],
+        no_prior,
+        priors.Notion(*(getattr(priors.NOTIONS[1], name) for name in priors.Notion._fields)),
+        rep.priors.trade,
+        verdict.pump_witness,
+        program,
+        lp.solve(harness.common_prior_program(prior)),
+        lp.solve(program).certificate,
+        priors.find_common_prior(prior),
+        verdict.classification,
+        priors.blocks(no_prior),
+        rep.priors.trade_class,
+        verdict,
+        rep.priors,
+        rep,
+        harness.CheckFailure("ex_pl2", "forged"),
+        cross,
+        harness.BatteryReport(1, cross.checks_run, ((0, cross),)),
+    ]
+
+
+def _rows(program) -> list:
+    """A program's rows as integer forms: rows compare by identity."""
+    return [(con.nums, con.den, con.rel, con.rhs_num) for con in program.constraints]
+
+
+def _on_rows_of(program, other):
+    """``program`` rebuilt on the row objects of ``other``."""
+    p = program
+    return lp.LinearProgram(p.objective, p.maximize, other.constraints, p.lower, p.upper, p.names)
+
+
+def test_value_types_compare_hash_copy_and_pickle_by_value(fixture_path):
+    # Every frozen type of the package but the generator's config, which
+    # stays a dataclass: equal and hashed by value to an equal instance
+    # built apart, closed to assignment, and carried through deepcopy and
+    # pickle. Programs compare their rows by identity, so a program's twin
+    # and copies are compared row by row, then rebuilt on the same rows.
+    ours, twins = _value_instances(fixture_path), _value_instances(fixture_path)
+    assert _rows(twins[5]) == _rows(ours[5])
+    twins[5] = _on_rows_of(twins[5], ours[5])
+    assert len({type(a) for a in ours}) == len(ours) == 18
+    for a, b in zip(ours, twins):
+        assert a is not b and a == b and repr(a) == repr(b), type(a)
+        if isinstance(a, lp.LPOutcome):
+            # The simplex reads an optimal point and its duals off as lists,
+            # so an optimal outcome has no hash.
+            with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b), type(a)
+        error = dataclasses.FrozenInstanceError if isinstance(a, Frozen) else AttributeError
+        with pytest.raises(error):
+            setattr(a, a._fields[0], b)
+        for c in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(c) is type(a) and c is not a
+            if isinstance(a, lp.LinearProgram):
+                assert _rows(c) == _rows(a)
+                c = _on_rows_of(c, a)
+            assert c == a, type(a)
+    assert not any(dataclasses.is_dataclass(a) for a in ours)
+    assert dataclasses.is_dataclass(GeneratorConfig)
 
 
 def _dense_repr(t) -> str:

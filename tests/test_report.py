@@ -5,7 +5,6 @@ import hashlib
 import json
 import pathlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -116,22 +115,21 @@ def test_report_verification_regrades_refutations(ex_pl2, pl4, ex_pl1):
         zero = Trade(((1, (0,) * s.num_states),) * s.num_players)
         for trade, cls in ((zero, classify_trade(s, zero.forms)), (None, None)):
             with pytest.raises(VerificationError, match=f"no {flag} trade"):
-                _verify_prior_report(s, replace(priors, trade=trade, trade_class=cls))
+                _verify_prior_report(s, priors._replace(trade=trade, trade_class=cls))
 
 
 def test_report_verification_rechecks_claimed_grades(ex_pl1, pl4):
     # ex_pl1's canonical prior misses a cell, so it is not strong; pl4's
     # misses a minimal component, so it is not universal. Claiming either
     # grade for it must fail the re-check.
-    strong = replace(
-        analyze(ex_pl1).priors,
+    strong = analyze(ex_pl1).priors._replace(
         holds=("common", "universal", "strong"),
         trade=None,
         trade_class=None,
     )
     with pytest.raises(VerificationError, match="strong prior witness"):
         _verify_prior_report(ex_pl1, strong)
-    universal = replace(analyze(pl4).priors, holds=("common", "universal"))
+    universal = analyze(pl4).priors._replace(holds=("common", "universal"))
     with pytest.raises(VerificationError, match="universal prior witness"):
         _verify_prior_report(pl4, universal)
 
