@@ -95,7 +95,6 @@ from .trades import (
 
 REJECTION_CAP = 1000
 ZERO_MASS_RATE = rational("1/4")
-NEG_ONE = -ONE  # payoffs live in [NEG_ONE, ONE]
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,8 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     (``distinct_cell_sets``)."""
     b = LPBuilder()
     m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
-    eps = b.add_var("eps", lower=ZERO, objective=ONE)
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
+    eps = b.add_var("eps", lower=0, objective=ONE)
     for i in range(structure.num_players):
         own = structure.own_nums(i)
         for w in range(m):
@@ -479,7 +478,7 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
     m = structure.num_states
     return [
         [
-            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=NEG_ONE, upper=ONE)
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
             for w in range(m)
         ]
         for i in range(structure.num_players - 1)
@@ -505,10 +504,11 @@ def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     """Payoffs f[i, w] in [-1, 1] for i < N, f_N their budget's remainder,
     maximizing delta, the worst conditional expectation over all (player,
     cell) pairs; an agreeable trade exists iff the optimum is strictly
-    positive. The oracle of the block trade's agreeable grade."""
+    positive. delta >= 0 changes no optimum: f = 0 with delta = 0 is
+    feasible. The oracle of the block trade's agreeable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
-    delta = b.add_var("delta", objective=ONE)
+    delta = b.add_var("delta", lower=0, objective=ONE)
     for _, t, row in _expectation_rows(fvar, structure):
         row[delta] = -t.den
         b.add_integer_constraint(row, t.den, ">=")

@@ -6,23 +6,24 @@ tolerance anywhere. A constraint is a sparse row, a map from variable index
 to nonzero int numerator over one positive denominator, in lowest terms,
 and it is built from that integer form alone
 (``LPBuilder.add_integer_constraint``), with no rational per coefficient. A
-program fixes the integer forms of its objective and bounds the same way.
-Standardization, the tableau and the self-checks read only these ints; only
-the objective is a dense tuple, and it fixes the number of variables.
+program fixes the integer form of its objective the same way. Its bounds
+are ints: every variable has a lower bound and has an upper bound or none,
+and anything else is an ``InputError``. Standardization, the tableau and
+the self-checks read only these ints; only the objective is a dense tuple,
+and it fixes the number of variables.
 
-Bounds never become rows. Standardizing shifts a variable with a lower bound
-onto it, substitutes x = u - x' for a variable with only an upper bound u,
-and splits a free variable into a positive and a negative part; a finite
-upper bound of a shifted variable stays a bound of its column. A nonbasic
-column sits at either bound: moving it to its upper bound complements it
-(x = u - x') on the rows, so every nonbasic column reads 0. The ratio test
-also stops where a basic variable reaches its upper bound, which is
-complemented before it leaves, or where the entering column reaches its
-own, which flips it without a pivot. Bland's rule covers both: among tied
-candidates the smallest variable index leaves, the entering column's own
-flip under its own index. The starting basis takes each row's slack where,
-once the row is negated to a nonnegative rhs (a ``>=`` row with rhs 0 too),
-the slack's sign is +1, and a new artificial for every other row.
+One rule standardizes: column j is variable j shifted onto its lower bound,
+x_j = l_j + x'_j with 0 <= x'_j <= u_j - l_j, so bounds never become rows.
+A nonbasic column sits at either bound: moving it to its upper bound
+complements it (x' = u - l - x'') on the rows, so every nonbasic column reads 0.
+The ratio test also stops where a basic variable reaches its upper bound,
+which is complemented before it leaves, or where the entering column
+reaches its own, which flips it without a pivot. Bland's rule covers both:
+among tied candidates the smallest variable index leaves, the entering
+column's own flip under its own index. The starting basis takes each row's
+slack where, once the row is negated to a nonnegative rhs (a ``>=`` row
+with rhs 0 too), the slack's sign is +1, and a new artificial for every
+other row.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each row, the
 objective's too, is a sparse dict of integer numerators over one positive
@@ -36,22 +37,18 @@ as numerators over one denominator and re-substituted into every constraint
 and bound, the optimum is derived again from the costs by one
 cross-multiplication, and infeasibility comes with a Farkas certificate
 whose contradiction is re-multiplied from scratch. Points and certificates
-cross this module's boundary as integer forms ``(den, nums)``, which the
-checks (``feasibility_violations``, ``farkas_violations``) read. An
-outcome's point and duals and a certificate's multipliers build their
-rationals on first read; besides failure messages, the one rational built
-is an optimum's value. A failed internal check raises ``VerificationError``
-and always indicates a bug, never bad input.
+cross this module's boundary as integer forms ``(den, nums)``, ``nums`` a
+tuple, which the checks (``feasibility_violations``, ``farkas_violations``)
+read. An outcome's point and duals and a certificate's multipliers build
+their rationals on first read; besides failure messages, the one rational
+built is an optimum's value. A failed internal check raises
+``VerificationError`` and always indicates a bug, never bad input.
 
 This module is the program types, their checks and the simplex alone. Its
 oracle, a brute-force enumeration of basic solutions, lives with the tests
 (``tests/oracles.py``) and reads only a program's public fields, so it
-shares no standardization or elimination with the simplex.
-
-Variables are free unless bounds say otherwise; nothing is implicitly
-non-negative. Callers are expected to keep their programs bounded via explicit
-box bounds where it matters (payoffs live in [-1, 1] throughout this package),
-but unbounded programs are still detected and reported.
+shares no standardization or elimination with the simplex. Unbounded
+programs are detected and reported.
 """
 
 from __future__ import annotations
@@ -78,8 +75,9 @@ class Constraint:
     as a ``Distribution`` is from its support: the row is reduced to lowest
     terms by one gcd, zero numerators are dropped, and ``nums`` is kept as
     given when it is in lowest terms with no zero. The simplex and the
-    self-checks read the ints; the rationals ``coeffs[j] == nums[j] / den``
-    and ``rhs == rhs_num / den`` are made only when they are read."""
+    self-checks read the ints, and ``nums`` is the simplex's row as it
+    stands; the rationals ``coeffs[j] == nums[j] / den`` and
+    ``rhs == rhs_num / den`` are made only when they are read."""
 
     def __init__(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         if rel not in (LESS, EQUAL, GREATER):
@@ -101,20 +99,21 @@ class Constraint:
 
 
 class LinearProgram(Frozen):
-    """A program over ``len(objective)`` variables. Like its rows, it fixes
-    its integer forms at construction: ``cost_nums[j] / cost_den ==
-    objective[j]``, and each bound in ``lower_forms`` and ``upper_forms``
-    is a ``(num, den)`` pair, or None where ``lower`` or ``upper`` is. The
-    simplex and the self-checks read only these ints. Frozen; equality, the
-    hash and ``repr`` read the six given fields, the objective and bounds
-    as rationals."""
+    """A program over ``len(objective)`` variables. Each variable j has the
+    int lower bound ``lower[j]`` and the int upper bound ``upper[j]`` or
+    None; a missing lower bound, a bound that is not an int (a ``Fraction``,
+    a float or a bool) and crossed bounds are ``InputError``s naming the
+    variable. Like its rows, it fixes the objective's integer form at
+    construction: ``cost_nums[j] / cost_den == objective[j]``. The simplex
+    and the self-checks read only these ints. Frozen; equality, the hash and
+    ``repr`` read the six given fields, the objective as rationals."""
 
     _fields = ("objective", "maximize", "constraints", "lower", "upper", "names")
     objective: tuple
     maximize: bool
     constraints: tuple[Constraint, ...]
-    lower: tuple  # per-variable lower bound or None
-    upper: tuple  # per-variable upper bound or None
+    lower: tuple[int, ...]
+    upper: tuple  # per-variable int upper bound or None
     names: tuple[str, ...]
 
     def __init__(self, objective, maximize, constraints, lower, upper, names) -> None:
@@ -125,21 +124,19 @@ class LinearProgram(Frozen):
         used = set().union(*(con.nums for con in constraints))
         if used and not (0 <= min(used) and max(used) < n):
             raise DimensionError(f"constraint names a variable outside 0..{n - 1}")
+        for name, lo, hi in zip(names, lower, upper):
+            if lo is None:
+                raise InputError(f"variable {name} has no lower bound")
+            for bound in (lo, hi):
+                if bound is not None and type(bound) is not int:
+                    raise InputError(f"variable {name} has bound {bound!r}, which is not an int")
+            if hi is not None and lo > hi:
+                raise InputError(f"variable {name} has lower bound {lo} above upper bound {hi}")
         objective = tuple(map(rational, objective))
         cost_den, cost_nums = integer_form(objective)
-        lower = tuple(None if b is None else rational(b) for b in lower)
-        upper = tuple(None if b is None else rational(b) for b in upper)
-        lower_forms = tuple(None if q is None else q.as_integer_ratio() for q in lower)
-        upper_forms = tuple(None if q is None else q.as_integer_ratio() for q in upper)
-        for j, (lo, hi) in enumerate(zip(lower_forms, upper_forms)):
-            if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
-                raise InputError(
-                    f"variable {names[j]} has lower bound {lower[j]} above upper bound {upper[j]}"
-                )
         vars(self).update(
-            objective=objective, maximize=maximize, constraints=constraints, lower=lower,
-            upper=upper, names=names, cost_den=cost_den, cost_nums=cost_nums,
-            lower_forms=lower_forms, upper_forms=upper_forms,
+            objective=objective, maximize=maximize, constraints=constraints, lower=tuple(lower),
+            upper=tuple(upper), names=names, cost_den=cost_den, cost_nums=cost_nums,
         )
 
     @property
@@ -152,12 +149,12 @@ class LPBuilder:
 
     def __init__(self) -> None:
         self._names: list[str] = []
-        self._lower: list = []
+        self._lower: list[int] = []
         self._upper: list = []
         self._objective: list = []
         self._rows: list[Constraint] = []
 
-    def add_var(self, name: str, lower=None, upper=None, objective=ZERO) -> int:
+    def add_var(self, name: str, lower: int, upper: int | None = None, objective=ZERO) -> int:
         self._names.append(name)
         self._lower.append(lower)
         self._upper.append(upper)
@@ -223,8 +220,9 @@ class LPOutcome(Frozen):
     else, A^T u >= c and b.u = c.x.
 
     Both are kept as integer forms, ``point`` and ``dual_form``, each a
-    ``(den, nums)`` pair, and their rationals are built on first read.
-    Frozen; equality, the hash and ``repr`` read the five given fields."""
+    ``(den, nums)`` pair with ``nums`` a tuple, and their rationals are
+    built on first read. Frozen; equality, the hash and ``repr`` read the
+    five given fields, so an optimal outcome hashes by value too."""
 
     _fields = ("status", "objective_value", "certificate", "point", "dual_form")
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -270,10 +268,10 @@ def feasibility_violations(lp: LinearProgram, point: tuple) -> list[str]:
         if not ok:
             shown = Fraction(lhs, con.den * xden)
             bad.append(f"constraint {k}: {shown} {con.rel} {con.rhs} fails")
-    for j, (lo, up, v) in enumerate(zip(lp.lower_forms, lp.upper_forms, xnums)):
-        if lo is not None and v * lo[1] < lo[0] * xden:
+    for j, (lo, up, v) in enumerate(zip(lp.lower, lp.upper, xnums)):
+        if v < lo * xden:
             bad.append(f"variable {lp.names[j]} below lower bound")
-        if up is not None and v * up[1] > up[0] * xden:
+        if up is not None and v > up * xden:
             bad.append(f"variable {lp.names[j]} above upper bound")
     return bad
 
@@ -315,8 +313,6 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
             bad.append(f"lower multiplier {j} positive")
         if up < 0:
             bad.append(f"upper multiplier {j} negative")
-        if lo and lp.lower[j] is None:
-            bad.append(f"lower multiplier {j} used without a bound")
         if up and lp.upper[j] is None:
             bad.append(f"upper multiplier {j} used without a bound")
     den, combo, rhs = _combine(lp, mnums)
@@ -328,13 +324,13 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
         if residual:
             shown = Fraction(residual, common)
             bad.append(f"variable {lp.names[j]} does not cancel (residual {shown})")
-    terms = [(rhs, den)]
-    for nums, d, bounds in ((lnums, lden, lp.lower_forms), (unums, uden, lp.upper_forms)):
-        terms += [(u * b[0], d * b[1]) for u, b in zip(nums, bounds) if u and b is not None]
-    total = math.lcm(*(d for _, d in terms))
-    rhs = sum(n * (total // d) for n, d in terms)
+    rhs = (
+        rhs * cs
+        + sum(map(mul, lnums, lp.lower)) * ls
+        + sum(u * b for u, b in zip(unums, lp.upper) if b is not None) * us
+    )
     if not rhs < 0:
-        bad.append(f"combined right-hand side {Fraction(rhs, total)} is not negative")
+        bad.append(f"combined right-hand side {Fraction(rhs, common)} is not negative")
     return bad
 
 
@@ -342,122 +338,45 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
 #
 # Internal form: A x' = b with 0 <= x' <= u, u finite or not. The simplex
 # reads it off the constraints' integer forms (``_int_standardize``): std row
-# k is constraint k, and bounds stay on the columns.
+# k is constraint k, column j is variable j, and bounds stay on the columns.
 
 
 class _IntStdForm(NamedTuple):
-    """The simplex's input on ints: std row k is ``rows[k][col] / dens[k]``
-    with rhs ``row_rhs[k] / dens[k]``, in lowest terms; a bounded column
-    col is bounded above by ``col_upper[col]``, a ``(num, den)`` pair; the
-    costs are ``costs[col] / cost_den``, and the offsets add the constant
-    ``cost_const``, a ``(num, den)`` pair. ``offsets`` maps each variable
-    with a nonzero offset (its lower bound, or a mirrored one's upper bound)
-    to it as a ``(num, den)`` pair."""
+    """The simplex's input on ints: std row k is ``rows[k][j] / dens[k]``
+    with rhs ``row_rhs[k] / dens[k]``, in lowest terms; column j is bounded
+    above by ``col_upper[j]`` when variable j has an upper bound; the costs
+    are ``costs[j] / cost_den``, and the lower bounds add the constant
+    ``cost_const / cost_den``."""
 
     ncols: int
-    col_kind: list[tuple]         # per std column: ("shift" | "mirror" | "pos" | "neg", j)
     col_upper: dict
-    offsets: dict
     rows: list[dict]
     dens: list[int]
     row_rel: list[str]
     row_rhs: list[int]
-    cost_const: tuple[int, int]
+    cost_const: int
     costs: dict
     cost_den: int
 
 
 def _int_standardize(lp: LinearProgram) -> _IntStdForm:
-    """The standard form read off the program's integer forms. A variable
-    with a lower bound l is shifted, x = l + x', and keeps u - l as its
-    column's bound; one with only an upper bound u is mirrored, x = u - x',
-    and negates its coefficients; a free one is split, its negative part
-    taking the next column. Each row moves its rhs by the sum of a_j * o_j
-    over the offsets o_j of its variables, over their lcm, and is reduced
-    to lowest terms only when that lcm is not 1: the row's gcd divides
-    every a_j * o_j of an integral shift. A row whose every variable keeps
-    its index as its column, unsigned, is the constraint's own ``nums``,
-    which nothing writes."""
-    col_kind: list[tuple] = []
-    col_upper: dict = {}
-    colmap: list[int] = []  # per variable: its column (a free one's positive part)
-    free: set = set()
-    mirrored: set = set()
-    moved: set = set()      # variables that do not keep their index as their column
-    offsets: dict = {}      # variable: its offset, a (num, den) pair, when nonzero
-    for j, (lo, up) in enumerate(zip(lp.lower_forms, lp.upper_forms)):
-        col = len(col_kind)
-        colmap.append(col)
-        if col != j:
-            moved.add(j)
-        if lo is None and up is None:
-            col_kind += [("pos", j), ("neg", j)]
-            free.add(j)
-            continue
-        if lo is None:
-            col_kind.append(("mirror", j))
-            mirrored.add(j)
-            off = up
-        else:
-            col_kind.append(("shift", j))
-            off = lo
-            if up is not None:
-                (ln, ld), (un, ud) = lo, up
-                num, den = un * ld - ln * ud, ud * ld
-                g = math.gcd(num, den)
-                col_upper[col] = (num // g, den // g)
-        if off[0]:
-            offsets[j] = off
-    moved |= free | mirrored
-
-    rows: list[dict] = []
-    dens: list[int] = []
-    row_rhs: list[int] = []
-    for con in lp.constraints:
-        nums = con.nums
-        if moved.isdisjoint(nums):
-            row = nums
-        else:
-            row = {}
-            for j, a in nums.items():
-                col = colmap[j]
-                row[col] = -a if j in mirrored else a
-                if j in free:
-                    row[col + 1] = -a
-        den, rhs = con.den, con.rhs_num
-        terms = [(a * off[0], off[1]) for j, a in nums.items() if (off := offsets.get(j))]
-        if terms:
-            scale = math.lcm(*(od for _, od in terms))
-            rhs = rhs * scale - sum(n * (scale // od) for n, od in terms)
-            if scale != 1:
-                den *= scale
-                g = math.gcd(den, rhs, *(v * scale for v in row.values()))
-                row = {c: v * scale // g for c, v in row.items()}
-                den, rhs = den // g, rhs // g
-        rows.append(row)
-        dens.append(den)
-        row_rhs.append(rhs)
-
-    # Costs signed for minimization; the offsets' costs sum to the constant.
+    """The standard form read off the program's integer forms: each
+    variable is shifted onto its lower bound l, x = l + x', and keeps u - l
+    as its column's bound. Each row is the constraint's own ``nums``, which
+    nothing writes, and its rhs moves by the sum of a_j * l_j; the row stays
+    in lowest terms, because its gcd divides every a_j * l_j."""
+    lower = lp.lower
+    col_upper = {j: up - lo for j, (lo, up) in enumerate(zip(lower, lp.upper)) if up is not None}
+    row_rhs = [
+        con.rhs_num - sum(a * lower[j] for j, a in con.nums.items()) for con in lp.constraints
+    ]
+    # Costs signed for minimization; the lower bounds' costs sum to the constant.
     sign = -1 if lp.maximize else 1
-    costs: dict = {}
-    const_terms = []
-    for j, n in enumerate(lp.cost_nums):
-        if not n:
-            continue
-        n *= sign
-        col = colmap[j]
-        costs[col] = -n if j in mirrored else n
-        if j in free:
-            costs[col + 1] = -n
-        elif j in offsets:
-            on, od = offsets[j]
-            const_terms.append((n * on, od))
-    const_den = math.lcm(*(od for _, od in const_terms))
-    const_num = sum(n * (const_den // od) for n, od in const_terms)
+    costs = {j: sign * n for j, n in enumerate(lp.cost_nums) if n}
     return _IntStdForm(
-        len(col_kind), col_kind, col_upper, offsets, rows, dens, [con.rel for con in lp.constraints],
-        row_rhs, (const_num, const_den * lp.cost_den), costs, lp.cost_den,
+        lp.num_vars, col_upper, [con.nums for con in lp.constraints],
+        [con.den for con in lp.constraints], [con.rel for con in lp.constraints], row_rhs,
+        sum(n * lower[j] for j, n in costs.items()), costs, lp.cost_den,
     )
 
 
@@ -496,13 +415,12 @@ def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> int:
     return den
 
 
-def _complement(row: dict, den: int, c: int, bound: tuple[int, int]) -> int:
-    """Substitute x_c = u - x'_c, u = un / ud, in ``row`` over ``den`` in
-    place, x'_c taking column c: subtracting ``row[c]`` times the row
-    2 x_c = u negates the entry and takes entry * u off the rhs. Returns the
-    new denominator."""
-    un, ud = bound
-    return _eliminate(row, den, {c: 2 * ud, _RHS: un} if un else {c: 2 * ud}, ud, c)
+def _complement(row: dict, den: int, c: int, bound: int) -> int:
+    """Substitute x_c = u - x'_c, u the int ``bound``, in ``row`` over
+    ``den`` in place, x'_c taking column c: subtracting ``row[c]`` times the
+    row 2 x_c = u negates the entry and takes entry * u off the rhs. Returns
+    the new denominator."""
+    return _eliminate(row, den, {c: 2, _RHS: bound} if bound else {c: 2}, 1, c)
 
 
 class _Tableau:
@@ -611,7 +529,7 @@ class _Tableau:
             # entering column reaches its own bound or a basic variable
             # reaches 0 or its upper bound; ties go to the smaller variable
             # index. Rows compare rhs / a, their denominator cancelling.
-            best = (*upper[entering], entering) if entering in upper else None
+            best = (upper[entering], 1, entering) if entering in upper else None
             leaving_row = to_upper = None
             for r, row in enumerate(rows):
                 a = row.get(entering)
@@ -624,8 +542,7 @@ class _Tableau:
                 if a > 0:
                     step = (rhs, a, b)
                 else:
-                    un, ud = upper[b]
-                    step = (un * dens[r] - ud * rhs, -a * ud, b)
+                    step = (upper[b] * dens[r] - rhs, -a, b)
                 if best is None or (diff := step[0] * best[1] - best[0] * step[1]) < 0 or (
                     diff == 0 and b < best[2]
                 ):
@@ -685,31 +602,24 @@ class _Tableau:
         self._set_objective(obj, den)
         return self._iterate()
 
-    def point(self, lp: LinearProgram) -> tuple[int, list[int]]:
-        """The current point in the original variables as ``(den, nums)``,
-        ``nums[j] / den == x_j``: every nonzero term, the offsets and the
-        std columns' values (a complemented column's read back off its
-        bound, negated for a mirrored variable or a negative part), is put
-        over the lcm of their denominators."""
-        std, upper = self.std, self.upper
-        ncols = std.ncols
+    def point(self, lp: LinearProgram) -> tuple[int, tuple[int, ...]]:
+        """The current point as ``(den, nums)``, ``nums[j] / den == x_j``:
+        each column's value (a complemented column's read back off its
+        bound) over the lcm of the nonzero values' denominators, plus the
+        variable's lower bound."""
+        upper, ncols = self.upper, self.std.ncols
         value = {b: (row.get(_RHS, 0), d) for row, d, b in zip(self.rows, self.dens, self.basis) if b < ncols}
         for c in self.flipped:
             n, d = value.get(c, (0, 1))
-            un, ud = upper[c]
-            value[c] = (un * d - n * ud, ud * d)
-        terms = [(j, n, d) for j, (n, d) in std.offsets.items()]
+            value[c] = (upper[c] * d - n, d)
+        den = math.lcm(*(d for n, d in value.values() if n))
+        nums = [lo * den for lo in lp.lower]
         for c, (n, d) in value.items():
             if n:
-                tag, j = std.col_kind[c]
-                terms.append((j, -n if tag == "mirror" or tag == "neg" else n, d))
-        den = math.lcm(*(d for _, _, d in terms))
-        nums = [0] * lp.num_vars
-        for j, n, d in terms:
-            nums[j] += n * (den // d)
-        return den, nums
+                nums[c] += n * (den // d)
+        return den, tuple(nums)
 
-    def multipliers(self, phase1: bool) -> list:
+    def multipliers(self, phase1: bool) -> tuple:
         """Max-form multipliers of the user's constraints, as numerators
         over ``obj_den``. The objective row is c - yA and B^-1 sits under
         the rows' initial identity columns, so the rows' multipliers are
@@ -718,10 +628,10 @@ class _Tableau:
         redundant held a zero-cost artificial). y applies to the rows as the
         tableau holds them, after negation."""
         den, obj, artificials = self.obj_den, self.obj, self.artificials
-        return [
+        return tuple(
             (1 if negated else -1) * ((den if phase1 and col in artificials else 0) - obj.get(col, 0))
             for col, negated in zip(self.init_col, self.negated)
-        ]
+        )
 
 
 def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
@@ -729,8 +639,8 @@ def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
     over the objective row's denominator, and what they leave of each
     variable cancelled by a bound multiplier, its sign naming the bound (a
     positive residual the lower, a negative one the upper), each vector
-    an integer form in lowest terms. The verifier catches a residual on a
-    variable without that bound."""
+    an integer form in lowest terms. Every variable has a lower bound; the
+    verifier catches a negative residual on one without an upper bound."""
     den = tab.obj_den
     mus = tab.multipliers(phase1=True)
     cden, combo, _ = _combine(lp, mus)
@@ -764,8 +674,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
     # xden), against the tableau's: its minimum is the cost constant less
     # the objective row's rhs, negated for a maximum. One cross-multiplication.
     num, den = sum(map(mul, lp.cost_nums, xnums)), lp.cost_den * xden
-    (kn, kd), rhs, rhs_den = std.cost_const, tab.obj.get(_RHS, 0), tab.obj_den
-    claimed_num, claimed_den = kn * rhs_den - rhs * kd, kd * rhs_den
+    rhs, rhs_den = tab.obj.get(_RHS, 0), tab.obj_den
+    claimed_num, claimed_den = std.cost_const * rhs_den - rhs * std.cost_den, std.cost_den * rhs_den
     if lp.maximize:
         claimed_num = -claimed_num
     if claimed_num * den != num * claimed_den:

@@ -44,7 +44,6 @@ from typing import NamedTuple, Sequence
 from prior_forge._rational import ONE, ZERO, rational, rational_text
 from prior_forge.errors import DimensionError, SizeCapError
 from prior_forge.harness import (
-    NEG_ONE,
     BatteryReport,
     CrossCheckReport,
     GeneratorConfig,
@@ -395,7 +394,7 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
     m = structure.num_states
     fvar = [
         [
-            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=NEG_ONE, upper=ONE)
+            b.add_var(f"f[{structure.players[i]},{structure.states[w]}]", lower=-1, upper=1)
             for w in range(m)
         ]
         for i in range(structure.num_players)
@@ -407,13 +406,13 @@ def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[
 
 def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     """Payoffs f[i, w] in [-1, 1] with pointwise sum <= 0, maximizing delta,
-    the worst conditional expectation over all (player, cell) pairs; an
-    agreeable trade exists iff the optimum is strictly positive. The oracle
-    of ``harness.agreeable_trade_program``, which holds no budget row and
-    no last player's payoff."""
+    the worst conditional expectation over all (player, cell) pairs, at
+    least 0 as f = 0 is feasible; an agreeable trade exists iff the optimum
+    is strictly positive. The oracle of ``harness.agreeable_trade_program``,
+    which holds no budget row and no last player's payoff."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
-    delta = b.add_var("delta", objective=ONE)
+    delta = b.add_var("delta", lower=0, objective=ONE)
     for i in range(structure.num_players):
         for t in structure.cell_types[i]:
             row = _type_row(fvar[i], t)
@@ -694,16 +693,16 @@ def joint_common_prior_program(structure: InformationStructure) -> LinearProgram
     projection's oracle."""
     b = LPBuilder()
     m = structure.num_states
-    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=ZERO) for w in range(m)]
+    p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
     lam_vars: list[list[int]] = []
     for i in range(structure.num_players):
         lam_vars.append(
             [
-                b.add_var(f"w[{structure.players[i]},{v}]", lower=ZERO)
+                b.add_var(f"w[{structure.players[i]},{v}]", lower=0)
                 for v in range(structure.num_cells(i))
             ]
         )
-    eps = b.add_var("eps", lower=ZERO, objective=ONE)
+    eps = b.add_var("eps", lower=0, objective=ONE)
     for i in range(structure.num_players):
         held: list[list] = [[] for _ in range(m)]  # per state, every type that charges it
         for v, t in enumerate(structure.cell_types[i]):
@@ -727,7 +726,7 @@ def pump_piece_program(
     payoff in [-1, 1] per state, a non-negative conditional expectation at
     every cell, the p-expectation minimized. That closed form's oracle."""
     b = LPBuilder()
-    fvar = [b.add_var(f"f[{w}]", lower=NEG_ONE, upper=ONE) for w in range(structure.num_states)]
+    fvar = [b.add_var(f"f[{w}]", lower=-1, upper=1) for w in range(structure.num_states)]
     for t in structure.cell_types[player]:
         b.add_integer_constraint(_type_row(fvar, t), t.den, ">=")
     for w, a in dist.items():

@@ -568,7 +568,7 @@ def dense_feasibility_violations(lp, x):
         if not ok:
             bad.append(f"constraint {k}: {lhs} {con.rel} {con.rhs} fails")
     for j in range(lp.num_vars):
-        if lp.lower[j] is not None and x[j] < lp.lower[j]:
+        if x[j] < lp.lower[j]:
             bad.append(f"variable {lp.names[j]} below lower bound")
         if lp.upper[j] is not None and x[j] > lp.upper[j]:
             bad.append(f"variable {lp.names[j]} above upper bound")
@@ -593,8 +593,6 @@ def dense_farkas_violations(lp, cert):
             bad.append(f"lower multiplier {j} positive")
         if ups[j] < 0:
             bad.append(f"upper multiplier {j} negative")
-        if los[j] != 0 and lp.lower[j] is None:
-            bad.append(f"lower multiplier {j} used without a bound")
         if ups[j] != 0 and lp.upper[j] is None:
             bad.append(f"upper multiplier {j} used without a bound")
     combo = [Fraction(0)] * lp.num_vars
@@ -615,19 +613,19 @@ def dense_farkas_violations(lp, cert):
     return bad
 
 
-def _fractional_bound_programs():
-    """Programs whose bounds are not integers: fractional lower bounds (a
-    shifted rhs off the row's denominator), fractional upper bounds on a
-    shifted variable and on one with only an upper bound, a boxed program
-    whose optimum holds x, y and z (only bounded above) at their upper
-    bounds, and an infeasible variant of each; the boxed one's certificate
-    needs upper multipliers on the column bounds of x and y."""
+def _offset_bound_programs():
+    """Programs shifted onto nonzero integer lower bounds under rows of
+    fractions, so each rhs moves off the row's denominator: negative and
+    positive lower bounds, upper bounds on shifted variables, a boxed
+    program whose optimum holds x, y and z at their upper bounds, and an
+    infeasible variant of each; the boxed one's certificate needs upper
+    multipliers on the column bounds of x and y."""
     programs = []
     for infeasible in (False, True):
         b = LPBuilder()
-        x = b.add_var("x", lower=Fraction(1, 3), objective=2)
-        y = b.add_var("y", lower=Fraction(-5, 2), objective=Fraction(-1, 4))
-        z = b.add_var("z", lower=Fraction(7, 6))
+        x = b.add_var("x", lower=1, objective=2)
+        y = b.add_var("y", lower=-3, objective=Fraction(-1, 4))
+        z = b.add_var("z", lower=2)
         add_constraint(b, {x: Fraction(3, 4), y: 1, z: Fraction(-2, 5)}, "<=", Fraction(9, 2))
         add_constraint(b, {x: 1, y: Fraction(1, 3)}, ">=", Fraction(-1, 6))
         add_constraint(b, {x: Fraction(1, 2), z: Fraction(3, 2)}, "<=", 4)
@@ -637,9 +635,9 @@ def _fractional_bound_programs():
         programs.append(b.build(maximize=True))
 
         b = LPBuilder()
-        x = b.add_var("x", lower=Fraction(1, 3), upper=Fraction(7, 4), objective=1)
-        y = b.add_var("y", upper=Fraction(5, 3), objective=Fraction(2, 3))
-        w = b.add_var("w", lower=0, upper=Fraction(9, 8), objective=-1)
+        x = b.add_var("x", lower=-1, upper=2, objective=1)
+        y = b.add_var("y", lower=-2, upper=1, objective=Fraction(2, 3))
+        w = b.add_var("w", lower=0, upper=3, objective=-1)
         add_constraint(b, {x: 1, y: 1, w: Fraction(1, 2)}, "<=", Fraction(11, 4))
         add_constraint(b, {y: 1, w: -1}, ">=", Fraction(-3, 2))
         if infeasible:
@@ -647,11 +645,11 @@ def _fractional_bound_programs():
         programs.append(b.build(maximize=True))
 
         b = LPBuilder()
-        x = b.add_var("x", lower=Fraction(-1, 2), upper=Fraction(3, 2), objective=3)
+        x = b.add_var("x", lower=-1, upper=1, objective=3)
         y = b.add_var("y", lower=0, upper=2, objective=2)
-        z = b.add_var("z", upper=Fraction(4, 3), objective=1)
+        z = b.add_var("z", lower=-4, upper=1, objective=1)
         w = b.add_var("w", lower=0, objective=1)
-        add_constraint(b, {x: 1, y: 1, w: 1}, "<=", 4)
+        add_constraint(b, {x: Fraction(1, 2), y: 1, w: 1}, "<=", 4)
         add_constraint(b, {z: 1, y: -1}, ">=", -3)
         if infeasible:
             add_constraint(b, {x: 1, y: 1}, ">=", 4)
@@ -660,12 +658,9 @@ def _fractional_bound_programs():
 
 
 def _shifted_column_programs(count=60):
-    """Random programs whose first variable is free, so its negative part
-    takes column 1 and every later variable's column is one past its index:
-    a mirrored variable (only an upper bound) and a shifted one, whose lower
-    bound, and upper bound when it has one, are small fractions. A shifted
-    variable keeps no sign change, so a row over it alone is still
-    rewritten, into its column."""
+    """Random programs over three variables, each shifted onto a nonzero
+    integer lower bound, mostly negative, and bounded above one time in
+    three, under rows of small fractions."""
     rng = random.Random(26)
 
     def frac():
@@ -674,13 +669,11 @@ def _shifted_column_programs(count=60):
     programs = []
     for _ in range(count):
         b = LPBuilder()
-        lower = frac()
-        upper = rng.choice((None, lower + rng.randint(0, 3)))
-        variables = [
-            b.add_var("free", objective=frac()),
-            b.add_var("mirrored", upper=frac(), objective=frac()),
-            b.add_var("shifted", lower=lower, upper=upper, objective=frac()),
-        ]
+        variables = []
+        for name in ("x", "y", "z"):
+            lower = rng.randint(-9, 1) or 1
+            upper = rng.choice((None, None, lower + rng.randint(0, 3)))
+            variables.append(b.add_var(name, lower=lower, upper=upper, objective=frac()))
         for _ in range(rng.randint(2, 3)):
             picked = rng.sample(variables, rng.randint(1, len(variables)))
             add_constraint(b, {j: frac() or 1 for j in picked}, rng.choice(("<=", ">=", "=")), frac())
@@ -689,15 +682,12 @@ def _shifted_column_programs(count=60):
 
 
 def test_shifted_columns_solve_as_the_enumerated_vertices():
-    """Each of ``_shifted_column_programs`` has a shifted variable whose
-    column is not its index, and the simplex agrees with the basis
-    enumeration: the optimum is the best enumerated vertex, an infeasible
-    program has no vertex and a Farkas certificate, and an unbounded one
-    has a vertex."""
+    """On each of ``_shifted_column_programs`` the simplex agrees with the
+    basis enumeration: the optimum is the best enumerated vertex, an
+    infeasible program has no vertex and a Farkas certificate, and an
+    unbounded one has a vertex."""
     statuses = []
     for lp in _shifted_column_programs():
-        form = _int_standardize(lp)
-        assert any(tag == "shift" and col != j for col, (tag, j) in enumerate(form.col_kind))
         out = solve(lp)
         statuses.append(out.status)
         vertices = enumerate_basic_solutions(lp)
@@ -715,9 +705,9 @@ def test_shifted_columns_solve_as_the_enumerated_vertices():
 
 @pytest.fixture(scope="module")
 def programs(fixture_path):
-    """Every program ``test_simplex_outcomes_are_pinned`` solves, then the
-    fractional-bound ones and ``_shifted_column_programs``, each with its
-    outcome."""
+    """Every program ``test_simplex_outcomes_are_pinned`` solves, then
+    ``_offset_bound_programs`` and ``_shifted_column_programs``, each with
+    its outcome."""
     builders = (
         common_prior_program,
         joint_common_prior_program,
@@ -727,13 +717,13 @@ def programs(fixture_path):
     structures = [_build("fixture", name, fixture_path)[0] for name in FIXTURES]
     structures += [random_structure(GeneratorConfig(seed=seed)) for seed in SEEDS]
     found = [build(s) for s in structures for build in builders]
-    found += _fractional_bound_programs() + _shifted_column_programs()
+    found += _offset_bound_programs() + _shifted_column_programs()
     return [(lp, solve(lp)) for lp in found]
 
 
-def test_fractional_bounds_solve_to_enumerated_vertices():
+def test_offset_bounds_solve_to_enumerated_vertices():
     outcomes = []
-    solved = [(lp, solve(lp)) for lp in _fractional_bound_programs()]
+    solved = [(lp, solve(lp)) for lp in _offset_bound_programs()]
     for lp, out in solved:
         outcomes.append(out.status)
         if out.status == "optimal":
@@ -746,87 +736,56 @@ def test_fractional_bounds_solve_to_enumerated_vertices():
     assert outcomes == ["optimal"] * 3 + ["infeasible"] * 3
     lp, out = solved[2]
     assert [n for n, v, up in zip(lp.names, out.primal, lp.upper) if v == up] == ["x", "y", "z"]
-    assert out.objective_value == Fraction(31, 3)
+    assert out.objective_value == Fraction(19, 2)
     lp, out = solved[5]
     uppers = out.certificate.upper_multipliers
-    assert [n for n, u, lo in zip(lp.names, uppers, lp.lower) if u and lo is not None] == ["x", "y"]
+    assert [n for n, u in zip(lp.names, uppers) if u] == ["x", "y"]
 
 
 def test_integer_standard_form_matches_the_rational_one(programs):
-    """The simplex's form against the oracle's, which splits every variable
-    without a lower bound and writes every upper bound as a row. The user
-    rows agree column by column, except that a mirrored variable (only an
-    upper bound u, x = u - x') has the negated coefficient of the oracle's
-    positive part and moves the rhs by its coefficient times u. The
+    """The simplex's form against the oracle's, which writes every upper
+    bound as a row. Both shift every variable onto its lower bound, so
+    column j is variable j in each, and the user rows agree entry by entry,
+    their rhs moved alike; the simplex's row is the constraint's own. The
     oracle's rows after the user rows, one per finite upper bound in
-    variable order, each appear as an equal column bound, or, for a mirrored
-    variable, as its offset. The simplex's costs and cost constant are the
-    objective's, signed for minimization, moved through the same columns
-    and offsets."""
-    fractional = mirrored = bounded = 0
+    variable order, each appear as an equal column bound. The simplex's
+    costs are the objective's, signed for minimization, and its cost
+    constant is their sum over the lower bounds."""
+    fractional = bounded = shifted = 0
     for lp, _ in programs:
         ours, theirs = _int_standardize(lp), standardize(lp)
-        our_cols, their_cols = {}, {}
-        for cols, form in ((our_cols, ours), (their_cols, theirs)):
-            for col, (_, j) in enumerate(form.col_kind):
-                cols.setdefault(j, []).append(col)
-        mirror = {j: lp.upper[j] for tag, j in ours.col_kind if tag == "mirror"}
-        mirrored += len(mirror)
-        for j in range(lp.num_vars):
-            kinds = [theirs.col_kind[col][0] for col in their_cols[j]]
-            expected = ["mirror"] if j in mirror else kinds
-            assert [ours.col_kind[col][0] for col in our_cols[j]] == expected
-        assert ours.ncols == theirs.ncols - len(mirror)
-
-        def translated(dense):
-            out = {}
-            for col, v in dense.items():
-                tag, j = theirs.col_kind[col]
-                if j not in mirror:
-                    out[our_cols[j][their_cols[j].index(col)]] = v
-                elif tag == "pos":
-                    out[our_cols[j][0]] = -v
-            return out
-
-        user = list(range(len(lp.constraints)))
+        assert theirs.col_kind == [("shift", j) for j in range(lp.num_vars)]
+        assert ours.ncols == theirs.ncols == lp.num_vars
+        user = len(lp.constraints)
         upper = [j for j, up in enumerate(lp.upper) if up is not None]
-        assert len(theirs.rows) == len(theirs.row_rel) == len(theirs.row_rhs) == len(user) + len(upper)
-        assert ours.row_rel == theirs.row_rel[: len(user)]
-        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == len(user)
+        assert len(theirs.rows) == len(theirs.row_rel) == len(theirs.row_rhs) == user + len(upper)
+        assert ours.row_rel == theirs.row_rel[:user]
+        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == user
         for con, row, den, rhs, dense_row, dense_rhs in zip(
             lp.constraints, ours.rows, ours.dens, ours.row_rhs, theirs.rows, theirs.row_rhs
         ):
-            assert den > 0
-            assert {j: Fraction(v, den) for j, v in row.items()} == translated(dense_row)
-            moved = sum((con.coeffs.get(j, 0) * u for j, u in mirror.items()), Fraction(0))
-            assert Fraction(rhs, den) == dense_rhs - moved
+            assert row is con.nums and den == con.den
+            assert {j: Fraction(v, den) for j, v in row.items()} == dense_row
+            assert Fraction(rhs, den) == dense_rhs
             # lowest terms: the rows the tableau starts from are unique
             assert math.gcd(den, rhs, *row.values()) == 1
             fractional += den > 1
+        tail = zip(upper, theirs.rows[user:], theirs.row_rel[user:], theirs.row_rhs[user:])
         bounds = {}
-        tail = zip(upper, theirs.rows[len(user) :], theirs.row_rel[len(user) :], theirs.row_rhs[len(user) :])
         for j, dense_row, rel, dense_rhs in tail:
-            assert rel == "<="
-            assert translated(dense_row) == {our_cols[j][0]: -1 if j in mirror else 1}
-            if j in mirror:
-                assert dense_rhs == mirror[j]
-            else:
-                bounds[our_cols[j][0]] = dense_rhs
-                bounded += 1
-        assert {col: Fraction(*b) for col, b in ours.col_upper.items()} == bounds
+            assert (dense_row, rel) == ({j: 1}, "<=")
+            bounds[j] = dense_rhs
+        assert ours.col_upper == bounds
+        bounded += len(bounds)
+        shifted += any(lp.lower)
         assert ours.cost_den > 0
-        costs = {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()}
         sign = -1 if lp.maximize else 1
-        signed = {
-            col: sign * lp.objective[j] * (-1 if tag == "neg" else 1)
-            for col, (tag, j) in enumerate(theirs.col_kind)
-            if lp.objective[j]
-        }
-        assert costs == translated(signed)
+        costs = {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()}
+        assert costs == {j: sign * c for j, c in enumerate(lp.objective) if c}
         assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
-        offsets = {j: lo for j, lo in enumerate(lp.lower) if lo is not None} | mirror
-        assert Fraction(*ours.cost_const) == sum((sign * lp.objective[j] * off for j, off in offsets.items()), Fraction(0))
-    assert fractional and mirrored and bounded
+        constant = sum((sign * c * lo for c, lo in zip(lp.objective, lp.lower)), Fraction(0))
+        assert Fraction(ours.cost_const, ours.cost_den) == constant
+    assert fractional and bounded and shifted
 
 
 def _row_breaking(lp, x, k):
@@ -874,11 +833,9 @@ def _tampered(lp, cert):
         FarkasCertificate((mden, doubled), *forms[1:]),
         FarkasCertificate(*((den, tuple(-v for v in nums)) for den, nums in forms)),
     ]
-    j = next((j for j, lo in enumerate(lp.lower) if lo is not None), None)
-    if j is not None:
-        moved = [5 * v for v in los]
-        moved[j] -= lden
-        found.append(FarkasCertificate(forms[0], (5 * lden, tuple(moved)), forms[2]))
+    moved = [5 * v for v in los]
+    moved[0] -= lden
+    found.append(FarkasCertificate(forms[0], (5 * lden, tuple(moved)), forms[2]))
     return found
 
 
@@ -903,8 +860,8 @@ def test_farkas_violations_match_the_term_by_term_check(programs):
 # re-solving the ``programs`` fixture, and a sha256 over them: one line per
 # program, its events in order.
 PINNED_SIMPLEX_PATH = (
-    6700,
-    "2524fd29b75468d8f4b21e399d3eac8774ee6ec375379906c5d4e0be029fa2ff",
+    6737,
+    "7f786e54c5ba1a3c3d9cbcdc27389cdea9e545a820f187ada575298fe49f3088",
 )
 
 

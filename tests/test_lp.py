@@ -58,14 +58,14 @@ def test_crossed_bounds_are_input_errors():
     b.add_var("x", lower=8, upper=3, objective=1)
     with pytest.raises(InputError, match="^variable x has lower bound 8 above upper bound 3$"):
         b.build(maximize=True)
-    # One crossed bound among several variables, compared exactly: 1/3 > 33/100.
+    # One crossed bound among several variables; equal bounds are not crossed.
     b = LPBuilder()
     x = b.add_var("x", lower=0, upper=1)
     b.add_var("y", lower=-1)
-    b.add_var("z", lower="1/3", upper="33/100")
-    b.add_var("u", lower="1/3", upper="1/3")
+    b.add_var("z", lower=-3, upper=-4)
+    b.add_var("u", lower=2, upper=2)
     add_constraint(b, {x: 1}, "<=", 1)
-    with pytest.raises(InputError, match="^variable z has lower bound 1/3 above upper bound 33/100$"):
+    with pytest.raises(InputError, match="^variable z has lower bound -3 above upper bound -4$"):
         b.build(maximize=False)
 
 
@@ -97,8 +97,11 @@ def test_optimal_exact_fractions():
 
 
 def test_free_variable():
+    # Every variable has a lower bound (``test_validation_raises``); one
+    # below every feasible value stands in for a free variable, and the
+    # point is read back off its shift.
     b = LPBuilder()
-    x = b.add_var("x")
+    x = b.add_var("x", lower=-7)
     b.add_objective(x, 1)
     add_constraint(b, {x: 1}, ">=", -5)
     out = solve(b.build(maximize=False))
@@ -108,26 +111,26 @@ def test_free_variable():
 
 
 def test_upper_bound_without_lower():
-    # max x + y, x <= 3 (no lower bound), y >= 0, x + y <= 5, x >= -2.
+    # An upper bound needs a lower one too (``test_validation_raises``):
+    # max x + y, x in [-2, 3], y >= 0, x + y <= 5.
     b = LPBuilder()
-    x = b.add_var("x", upper=3, objective=1)
+    x = b.add_var("x", lower=-2, upper=3, objective=1)
     y = b.add_var("y", lower=0, objective=1)
     add_constraint(b, {x: 1, y: 1}, "<=", 5)
-    add_constraint(b, {x: 1}, ">=", -2)
     lp = b.build(maximize=True)
     out = solve(lp)
     assert out.status == "optimal"
     assert out.primal == (rational(3), rational(2))
     assert out.objective_value == 5
-    # x <= 3 and x >= 4: the certificate uses the upper bound of a variable
-    # that has no lower one.
+    # x in [-2, 3] and x >= 4: the certificate uses the upper bound of x.
     b = LPBuilder()
-    x = b.add_var("x", upper=3)
+    x = b.add_var("x", lower=-2, upper=3)
     add_constraint(b, {x: 1}, ">=", 4)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
     assert farkas_violations(lp, out.certificate) == []
+    assert out.certificate.upper_form == (1, (1,))
 
 
 def test_equality_rows():
@@ -218,7 +221,7 @@ def test_bad_relation_rejected():
     # A relation other than <=, = and >= is bad input, as a non-positive row
     # denominator is, not a dimension mismatch.
     b = LPBuilder()
-    x = b.add_var("x")
+    x = b.add_var("x", lower=0)
     with pytest.raises(InputError, match="^unknown relation '<'$") as bad:
         add_constraint(b, {x: 1}, "<", 0)
     assert type(bad.value) is InputError
@@ -421,11 +424,12 @@ def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
 
 
 def test_solve_derives_the_optimum_again_from_the_costs(monkeypatch):
-    # max x + y/2 on x in [1/3, 2], y in [-1, 1] with x + y <= 2: the
-    # offsets put 1/3 - 1/2 into the cost constant, and a tableau whose
-    # constant is off by 1/6 must fail the integer cross-check.
+    # max x + y/2 on x in [1, 2], y in [-1, 1] with x + y <= 2: the
+    # lower bounds put -(1 - 1/2) into the cost constant, an int over the
+    # costs' denominator 2, and a tableau whose constant is off by 1/2 must
+    # fail the integer cross-check.
     b = LPBuilder()
-    x = b.add_var("x", lower=rational("1/3"), upper=2, objective=1)
+    x = b.add_var("x", lower=1, upper=2, objective=1)
     y = b.add_var("y", lower=-1, upper=1, objective=rational("1/2"))
     add_constraint(b, {x: 1, y: 1}, "<=", 2)
     program = b.build(maximize=True)
@@ -436,11 +440,11 @@ def test_solve_derives_the_optimum_again_from_the_costs(monkeypatch):
     den, nums = out.dual_form
     assert out.duals == tuple(rational(f"{n}/{den}") for n in nums)
     standardize = lp._int_standardize
+    assert (standardize(program).cost_const, standardize(program).cost_den) == (-1, 2)
 
     def shifted(p):
         std = standardize(p)
-        num, den = std.cost_const
-        return std._replace(cost_const=(num * 6 + den, den * 6))
+        return std._replace(cost_const=std.cost_const + 1)
 
     monkeypatch.setattr(lp, "_int_standardize", shifted)
     with pytest.raises(VerificationError, match="objective mismatch"):
@@ -490,11 +494,13 @@ def _decision_text(out):
 # the full outcomes of the two common-prior programs, which have no upper
 # bounds. The trade programs' full outcomes were re-pinned when bounds
 # became column bounds: points and duals moved on 19 of 206 agreeable and
-# 71 of 206 acceptable programs, with every decision and optimum unchanged.
+# 71 of 206 acceptable programs, with every decision and optimum unchanged,
+# and again when delta, which had no bound, took the lower bound 0: points
+# or duals moved on 8 of 206 agreeable programs, and on no acceptable one.
 # Any change of pivots shows up as a changed point, certificate or dual.
 PINNED_DECISIONS = "658ff1974b2b1587664cde30fec585c9cbd9133eccb729e85b86e2cc137cdb9f"
 PINNED_PRIOR_OUTCOMES = "8b31d55018e0aa4b3f6ac3303556169648c59612b5571fc7950a744a244c4c92"
-PINNED_TRADE_OUTCOMES = "19ecb18a625a97f18e119d0746a9ef2270e3f2a2668a3939d0032ed81ccb7011"
+PINNED_TRADE_OUTCOMES = "0d89a39fc76b5d6b79fe9ffdb9b063a63239368616f625c78eebba532061558c"
 
 
 def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
@@ -539,10 +545,12 @@ def test_bland_ties_leave_on_the_smaller_basis_index():
 
 
 def test_coefficients_beyond_64_bits():
+    # Coefficients over a 70-bit numerator and denominator 3, and a 69-bit
+    # integral bound.
     big = rational(2**70) / 3
     b = LPBuilder()
     x = b.add_var("x", lower=0)
-    y = b.add_var("y", lower=0, upper=big)
+    y = b.add_var("y", lower=0, upper=2**70 // 3)
     b.add_objective(x, big)
     b.add_objective(y, 1)
     add_constraint(b, {x: big, y: 1}, "<=", big + 1)
@@ -560,20 +568,21 @@ def test_coefficients_beyond_64_bits():
 
 
 def test_farkas_multiplier_on_a_missing_bound_is_reported():
-    # x free, x >= 1 and x <= 0. A lower multiplier on x, which has no lower
-    # bound, is named, not multiplied into the right-hand side.
+    # x >= -1 with no upper bound, x >= 1 and x <= 0. An upper multiplier on
+    # x, which has no upper bound, is named, not multiplied into the
+    # right-hand side; every variable has a lower bound.
     b = LPBuilder()
-    x = b.add_var("x")
+    x = b.add_var("x", lower=-1)
     add_constraint(b, {x: 1}, ">=", 1)
     add_constraint(b, {x: 1}, "<=", 0)
     lp = b.build(maximize=False)
     out = solve(lp)
     assert out.status == "infeasible"
     assert farkas_violations(lp, out.certificate) == []
-    cert = FarkasCertificate(out.certificate.constraint_form, (1, (-1,)), (1, (0,)))
+    cert = FarkasCertificate(out.certificate.constraint_form, (1, (0,)), (1, (1,)))
     assert farkas_violations(lp, cert) == [
-        "lower multiplier 0 used without a bound",
-        "variable x does not cancel (residual -1)",
+        "upper multiplier 0 used without a bound",
+        "variable x does not cancel (residual 1)",
     ]
     cert = FarkasCertificate(out.certificate.constraint_form, (0, (-1,)), (1, (0,)))
     assert farkas_violations(lp, cert) == ["certificate denominator not positive"]

@@ -5,6 +5,7 @@ each error class a structure document can raise, one document that makes
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -156,6 +157,24 @@ def test_other_entry_points_fail_with_their_message():
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [
+        (None, None, "variable y has no lower bound"),
+        (None, 1, "variable y has no lower bound"),
+        (Fraction(1, 3), None, "variable y has bound Fraction(1, 3), which is not an int"),
+        (0, 1.0, "variable y has bound 1.0, which is not an int"),
+        (True, None, "variable y has bound True, which is not an int"),
+    ],
+)
+def test_program_bounds_are_ints_with_a_lower_bound(lower, upper, message):
+    # Every LP variable has an int lower bound and an int upper bound or
+    # none; anything else names the variable, here the second one.
+    with pytest.raises(InputError) as info:
+        LinearProgram((0, 1), True, (), (0, lower), (None, upper), ("x", "y"))
+    assert type(info.value) is InputError and str(info.value) == message
 
 
 def test_player_and_state_indices_are_range_checked(pl4):
