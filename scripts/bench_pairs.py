@@ -14,8 +14,11 @@ operation counts and output digest; per workload, whether every run of
 each side was correct (``correct``) and whether both sides printed the same
 set of output digests (``outputs_equal``); and per end-to-end metric each
 side's median and quartiles, the base's interquartile range, the number of
-pairs the working tree won (ties count for neither side), and how far the
-working tree's median is worse than the base's, against the metric's bound.
+pairs the working tree won (ties count for neither side), how far the
+working tree's median is worse than the base's, against the metric's bound,
+and whether the metric is unresolved: the base's interquartile range is
+wider than the bound times its median, and not every working-tree run
+reads better than every base run.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ def summarize(runs: list[dict], metric: dict) -> dict:
     bq, cq = quartiles(base), quartiles(change)
     wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
     worse = (bq[1] - cq[1] if higher else cq[1] - bq[1]) / bq[1]
+    separated = min(change) > max(base) if higher else max(change) < min(base)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -108,6 +112,7 @@ def summarize(runs: list[dict], metric: dict) -> dict:
         "pairs": len(runs),
         "worse_by": worse,
         "within_bound": worse <= metric["bound"],
+        "unresolved": bq[2] - bq[0] > metric["bound"] * bq[1] and not separated,
     }
 
 

@@ -5,20 +5,24 @@ anti-cycling rule. Every coefficient is an exact rational; there is no
 tolerance anywhere. A constraint is a sparse row, a map from variable index
 to nonzero int numerator over one positive denominator, in lowest terms,
 and it is built from that integer form alone
-(``LPBuilder.add_integer_constraint``), with no rational per coefficient. A
+(``LPBuilder.add_integer_constraint``), with no rational per coefficient; a
+numerator, denominator or rhs that is not an int is an ``InputError``. A
 program fixes the integer form of its objective the same way. Its bounds
 are ints: every variable has a lower bound and has an upper bound or none,
-and anything else is an ``InputError``. Standardization, the tableau and
-the self-checks read only these ints; only the objective is a dense tuple,
-and it fixes the number of variables.
+and anything else is an ``InputError``. The tableau and the self-checks
+read only these ints; only the objective is a dense tuple, and it fixes the
+number of variables.
 
-One rule standardizes: column j is variable j shifted onto its lower bound,
-x_j = l_j + x'_j with 0 <= x'_j <= u_j - l_j, so bounds never become rows.
-A nonbasic column sits at either bound: moving it to its upper bound
-complements it (x' = u - l - x'') on the rows, so every nonbasic column reads 0.
-The ratio test also stops where a basic variable reaches its upper bound,
-which is complemented before it leaves, or where the entering column
-reaches its own, which flips it without a pivot. Bland's rule covers both:
+The program is its own standard form. Tableau row k starts as constraint
+k's ``nums`` over its ``den``, and column j is variable j shifted onto its
+lower bound, x_j = l_j + x'_j with 0 <= x'_j <= u_j - l_j, so each row's
+rhs moves by the sum of a_j * l_j, the costs gain the constant sum of
+c_j * l_j, and bounds never become rows. A nonbasic column sits at either
+bound: moving it to its upper bound complements it (x' = u - l - x'') on
+the rows, so every nonbasic column reads 0. The ratio test also stops
+where a basic variable reaches its upper bound, which is complemented
+before it leaves, or where the entering column reaches its own, which
+flips it without a pivot. Bland's rule covers both:
 among tied candidates the smallest variable index leaves, the entering
 column's own flip under its own index. The starting basis takes each row's
 slack where, once the row is negated to a nonnegative rhs (a ``>=`` row
@@ -39,16 +43,17 @@ cross-multiplication, and infeasibility comes with a Farkas certificate
 whose contradiction is re-multiplied from scratch. Points and certificates
 cross this module's boundary as integer forms ``(den, nums)``, ``nums`` a
 tuple, which the checks (``feasibility_violations``, ``farkas_violations``)
-read. An outcome's point and duals and a certificate's multipliers build
-their rationals on first read; besides failure messages, the one rational
-built is an optimum's value. A failed internal check raises
-``VerificationError`` and always indicates a bug, never bad input.
+read. An outcome's point and a certificate's multipliers build their
+rationals on first read, and an outcome's duals stay an integer form;
+besides failure messages, the one rational built is an optimum's value. A
+failed internal check raises ``VerificationError`` and always indicates a
+bug, never bad input.
 
 This module is the program types, their checks and the simplex alone. Its
 oracle, a brute-force enumeration of basic solutions, lives with the tests
 (``tests/oracles.py``) and reads only a program's public fields, so it
-shares no standardization or elimination with the simplex. Unbounded
-programs are detected and reported.
+shares no code with the simplex. Unbounded programs are detected and
+reported.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._rational import ZERO, rational
 from .errors import DimensionError, InputError, VerificationError
@@ -70,18 +75,26 @@ _RHS = -1  # dict key for the right-hand side inside sparse tableau rows
 class Constraint:
     """The row ``sum_j nums[j] * x_j  rel  rhs_num``, over one positive
     ``den``; another ``den``, or a ``rel`` other than ``<=``, ``=`` and
-    ``>=``, is an ``InputError``. ``nums`` maps variable
-    indices to int numerators. It is built from this integer form alone,
-    as a ``Distribution`` is from its support: the row is reduced to lowest
-    terms by one gcd, zero numerators are dropped, and ``nums`` is kept as
-    given when it is in lowest terms with no zero. The simplex and the
-    self-checks read the ints, and ``nums`` is the simplex's row as it
-    stands; the rationals ``coeffs[j] == nums[j] / den`` and
+    ``>=``, is an ``InputError``. ``nums`` maps variable indices to int
+    numerators; a numerator, ``den`` or ``rhs_num`` that is not an int (a
+    ``Fraction``, a float or a bool) is an ``InputError``, checked by one
+    scan of the numerators' types. It is built from this integer form
+    alone, as a ``Distribution`` is from its support: the row is reduced to
+    lowest terms by one gcd, zero numerators are dropped, and ``nums`` is
+    kept as given when it is in lowest terms with no zero. The simplex and
+    the self-checks read the ints, and the tableau starts from a copy of
+    ``nums``; the rationals ``coeffs[j] == nums[j] / den`` and
     ``rhs == rhs_num / den`` are made only when they are read."""
 
     def __init__(self, nums: dict, den: int, rel: str, rhs_num: int = 0) -> None:
         if rel not in (LESS, EQUAL, GREATER):
             raise InputError(f"unknown relation {rel!r}")
+        if not {int}.issuperset(map(type, nums.values())):
+            j = next(j for j, a in nums.items() if type(a) is not int)
+            raise InputError(f"variable {j} has coefficient numerator {nums[j]!r}, which is not an int")
+        for name, value in (("denominator", den), ("rhs numerator", rhs_num)):
+            if type(value) is not int:
+                raise InputError(f"row {name} {value!r} is not an int")
         if den <= 0:
             raise InputError(f"row denominator {den} is not positive")
         g = math.gcd(den, rhs_num, *nums.values())
@@ -212,17 +225,17 @@ class FarkasCertificate(Frozen):
 
 
 class LPOutcome(Frozen):
-    """``primal`` (optimal outcomes only): the optimal point. ``duals``
+    """``point`` (optimal outcomes only): the optimal point. ``dual_form``
     (optimal outcomes only): one multiplier u_k per constraint, in max form
     (objective negated when minimizing), sign rules as in
     ``FarkasCertificate``. The reduced costs c - A^T u are priced by the
     variables' bounds; with every variable bounded below by 0 and nothing
     else, A^T u >= c and b.u = c.x.
 
-    Both are kept as integer forms, ``point`` and ``dual_form``, each a
-    ``(den, nums)`` pair with ``nums`` a tuple, and their rationals are
-    built on first read. Frozen; equality, the hash and ``repr`` read the
-    five given fields, so an optimal outcome hashes by value too."""
+    Both are integer forms, each a ``(den, nums)`` pair with ``nums`` a
+    tuple; the point's rationals, ``primal``, are built on first read.
+    Frozen; equality, the hash and ``repr`` read the five given fields, so
+    an optimal outcome hashes by value too."""
 
     _fields = ("status", "objective_value", "certificate", "point", "dual_form")
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -238,7 +251,6 @@ class LPOutcome(Frozen):
         )
 
     primal = cached_property(lambda self: _rationals(self.point))
-    duals = cached_property(lambda self: _rationals(self.dual_form))
 
 
 def _rationals(form: tuple | None) -> tuple | None:
@@ -334,52 +346,6 @@ def farkas_violations(lp: LinearProgram, cert: FarkasCertificate) -> list[str]:
     return bad
 
 
-# -- standardization -----------------------------------------------------
-#
-# Internal form: A x' = b with 0 <= x' <= u, u finite or not. The simplex
-# reads it off the constraints' integer forms (``_int_standardize``): std row
-# k is constraint k, column j is variable j, and bounds stay on the columns.
-
-
-class _IntStdForm(NamedTuple):
-    """The simplex's input on ints: std row k is ``rows[k][j] / dens[k]``
-    with rhs ``row_rhs[k] / dens[k]``, in lowest terms; column j is bounded
-    above by ``col_upper[j]`` when variable j has an upper bound; the costs
-    are ``costs[j] / cost_den``, and the lower bounds add the constant
-    ``cost_const / cost_den``."""
-
-    ncols: int
-    col_upper: dict
-    rows: list[dict]
-    dens: list[int]
-    row_rel: list[str]
-    row_rhs: list[int]
-    cost_const: int
-    costs: dict
-    cost_den: int
-
-
-def _int_standardize(lp: LinearProgram) -> _IntStdForm:
-    """The standard form read off the program's integer forms: each
-    variable is shifted onto its lower bound l, x = l + x', and keeps u - l
-    as its column's bound. Each row is the constraint's own ``nums``, which
-    nothing writes, and its rhs moves by the sum of a_j * l_j; the row stays
-    in lowest terms, because its gcd divides every a_j * l_j."""
-    lower = lp.lower
-    col_upper = {j: up - lo for j, (lo, up) in enumerate(zip(lower, lp.upper)) if up is not None}
-    row_rhs = [
-        con.rhs_num - sum(a * lower[j] for j, a in con.nums.items()) for con in lp.constraints
-    ]
-    # Costs signed for minimization; the lower bounds' costs sum to the constant.
-    sign = -1 if lp.maximize else 1
-    costs = {j: sign * n for j, n in enumerate(lp.cost_nums) if n}
-    return _IntStdForm(
-        lp.num_vars, col_upper, [con.nums for con in lp.constraints],
-        [con.den for con in lp.constraints], [con.rel for con in lp.constraints], row_rhs,
-        sum(n * lower[j] for j, n in costs.items()), costs, lp.cost_den,
-    )
-
-
 # -- simplex -------------------------------------------------------------
 #
 # Fraction-free rows: entry j of row r is rows[r][j] / dens[r], with int
@@ -427,29 +393,35 @@ class _Tableau:
     """Sparse fraction-free simplex tableau; row key -1 holds the rhs. The
     objective row ``obj`` over ``obj_den`` has the same form. ``upper``
     holds the bounded columns' bounds and ``flipped`` the columns now held
-    complemented."""
+    complemented. A starting row stays in lowest terms after the shift onto
+    the lower bounds, because its gcd divides every a_j * l_j. ``costs``
+    are the objective's numerators over its ``cost_den``, signed for
+    minimization, and the lower bounds add ``cost_const`` to them."""
 
-    def __init__(self, std: _IntStdForm) -> None:
-        self.std = std
+    def __init__(self, lp: LinearProgram) -> None:
+        self.lp = lp
         self.rows: list[dict] = []
-        self.dens: list[int] = std.dens[:]
+        self.dens: list[int] = []
         self.basis: list[int] = []
-        self.negated: list[bool] = []  # std row multiplied by -1 to make rhs >= 0
-        self.upper = std.col_upper
+        self.negated: list[bool] = []  # row multiplied by -1 to make rhs >= 0
+        lower = lp.lower
+        self.upper = {j: up - lo for j, (lo, up) in enumerate(zip(lower, lp.upper)) if up is not None}
         self.flipped: set[int] = set()
-        ncols = std.ncols
+        ncols = lp.num_vars
         artificials: set[int] = set()
-        for base_row, den, rel, rhs in zip(std.rows, std.dens, std.row_rel, std.row_rhs):
+        for con in lp.constraints:
+            nums, den, rel = con.nums, con.den, con.rel
+            rhs = con.rhs_num - sum(a * lower[j] for j, a in nums.items())
             sign = (rel == LESS) - (rel == GREATER)  # the slack's sign; 0: no slack
             # Negating >= rows with rhs 0 turns their slack into a valid
             # starting basis column; many callers' programs then need no
             # phase 1 at all.
             negate = rhs < 0 or (rhs == 0 and sign == -1)
             if negate:
-                row = {j: -v for j, v in base_row.items()}
+                row = {j: -v for j, v in nums.items()}
                 rhs, sign = -rhs, -sign
             else:
-                row = dict(base_row)
+                row = dict(nums)
             if sign:
                 row[ncols] = sign * den
                 ncols += 1
@@ -460,13 +432,17 @@ class _Tableau:
             if rhs:
                 row[_RHS] = rhs
             self.rows.append(row)
+            self.dens.append(den)
             self.basis.append(ncols - 1)
             self.negated.append(negate)
-        self.init_col = self.basis[:]  # the starting basis: each std row's identity column
+        self.init_col = self.basis[:]  # the starting basis: each row's identity column
         self.artificials = artificials
         self.barred: set[int] = set()
         self.obj: dict = {}
         self.obj_den = 1
+        sign = -1 if lp.maximize else 1
+        self.costs = {j: sign * n for j, n in enumerate(lp.cost_nums) if n}
+        self.cost_const = sum(n * lower[j] for j, n in self.costs.items())
 
     def pivot(self, r: int, c: int) -> None:
         """Scale row r to entry 1 at column c (its numerators, made coprime
@@ -592,7 +568,7 @@ class _Tableau:
         self.barred.update(self.artificials)
 
     def phase2(self) -> str:
-        obj, den = dict(self.std.costs), self.std.cost_den
+        obj, den = dict(self.costs), self.lp.cost_den
         # the costs of the columns phase 1 left complemented, then the basic
         # columns priced out; remaining negative reduced costs drive the
         # iteration
@@ -602,18 +578,18 @@ class _Tableau:
         self._set_objective(obj, den)
         return self._iterate()
 
-    def point(self, lp: LinearProgram) -> tuple[int, tuple[int, ...]]:
+    def point(self) -> tuple[int, tuple[int, ...]]:
         """The current point as ``(den, nums)``, ``nums[j] / den == x_j``:
         each column's value (a complemented column's read back off its
         bound) over the lcm of the nonzero values' denominators, plus the
         variable's lower bound."""
-        upper, ncols = self.upper, self.std.ncols
+        upper, ncols = self.upper, self.lp.num_vars
         value = {b: (row.get(_RHS, 0), d) for row, d, b in zip(self.rows, self.dens, self.basis) if b < ncols}
         for c in self.flipped:
             n, d = value.get(c, (0, 1))
             value[c] = (upper[c] * d - n, d)
         den = math.lcm(*(d for n, d in value.values() if n))
-        nums = [lo * den for lo in lp.lower]
+        nums = [lo * den for lo in self.lp.lower]
         for c, (n, d) in value.items():
             if n:
                 nums[c] += n * (den // d)
@@ -655,8 +631,7 @@ def _extract_farkas(lp: LinearProgram, tab: _Tableau) -> FarkasCertificate:
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; outcomes are self-verified before being returned."""
-    std = _int_standardize(lp)
-    tab = _Tableau(std)
+    tab = _Tableau(lp)
     if not tab.phase1():
         cert = _extract_farkas(lp, tab)
         problems = farkas_violations(lp, cert)
@@ -666,7 +641,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     status = tab.phase2()
     if status == "unbounded":
         return LPOutcome("unbounded", None, None)
-    xden, xnums = point = tab.point(lp)
+    xden, xnums = point = tab.point()
     problems = feasibility_violations(lp, point)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
@@ -675,7 +650,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     # the objective row's rhs, negated for a maximum. One cross-multiplication.
     num, den = sum(map(mul, lp.cost_nums, xnums)), lp.cost_den * xden
     rhs, rhs_den = tab.obj.get(_RHS, 0), tab.obj_den
-    claimed_num, claimed_den = std.cost_const * rhs_den - rhs * std.cost_den, std.cost_den * rhs_den
+    claimed_num, claimed_den = tab.cost_const * rhs_den - rhs * lp.cost_den, lp.cost_den * rhs_den
     if lp.maximize:
         claimed_num = -claimed_num
     if claimed_num * den != num * claimed_den:

@@ -448,14 +448,12 @@ ORACLE_MAX_BASES = 200_000
 
 class StdForm(NamedTuple):
     """The oracle's standard form ``A x' = b``, ``x' >= 0``, in rationals,
-    term by term: a variable with a lower bound l is shifted (x = l + x'),
-    any other split into a positive and a negative part; the user rows come
-    in order, then one ``<=`` row per finite upper bound in variable
-    order."""
+    term by term: every variable is shifted onto its lower bound l, x = l +
+    x', so column j is variable j; the user rows come in order, then one
+    ``<=`` row per finite upper bound in variable order."""
 
     ncols: int
-    col_kind: list[tuple]  # per std column: ("shift", j) | ("pos", j) | ("neg", j)
-    rows: list[dict]       # transformed coefficient rows (sparse), pre-negation
+    rows: list[dict]       # sparse coefficient rows, pre-negation
     row_rel: list[str]
     row_rhs: list
 
@@ -463,53 +461,20 @@ class StdForm(NamedTuple):
 def standardize(lp: LinearProgram) -> StdForm:
     """``lp``'s ``StdForm``, read off its rows' ``coeffs`` and ``rhs`` and
     its ``lower`` and ``upper`` bounds."""
-    col_kind: list[tuple] = []
-    col_of_var: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
-    for j in range(lp.num_vars):
-        col = len(col_kind)
-        if lp.lower[j] is not None:
-            col_kind.append(("shift", j))
-            col_of_var.append([(col, 1)])
-        else:
-            col_kind.append(("pos", j))
-            col_kind.append(("neg", j))
-            col_of_var.append([(col, 1), (col + 1, -1)])
-
     rows: list[dict] = []
     row_rel: list[str] = []
     row_rhs: list = []
     for con in lp.constraints:
-        row: dict = {}
-        rhs = con.rhs
-        for j, a in con.coeffs.items():
-            if lp.lower[j]:
-                rhs -= a * lp.lower[j]
-            for col, sign in col_of_var[j]:
-                row[col] = a if sign == 1 else -a
-        rows.append(row)
+        rows.append(con.coeffs)
         row_rel.append(con.rel)
-        row_rhs.append(rhs)
+        row_rhs.append(con.rhs - sum((a * lp.lower[j] for j, a in con.coeffs.items()), ZERO))
     for j, up in enumerate(lp.upper):
         if up is None:
             continue
-        rows.append({col: ONE if sign == 1 else -ONE for col, sign in col_of_var[j]})
+        rows.append({j: ONE})
         row_rel.append(LESS)
-        row_rhs.append(up - lp.lower[j] if lp.lower[j] else up)
-    return StdForm(len(col_kind), col_kind, rows, row_rel, row_rhs)
-
-
-def _to_original(lp: LinearProgram, col_kind: list[tuple], xstd: Sequence) -> tuple:
-    """A point over the std columns, mapped back to the original variables."""
-    x = [ZERO] * lp.num_vars
-    for col, (tag, j) in enumerate(col_kind):
-        v = xstd[col]
-        if tag == "shift":
-            x[j] = lp.lower[j] + v
-        elif tag == "pos":
-            x[j] = x[j] + v
-        else:
-            x[j] = x[j] - v
-    return tuple(x)
+        row_rhs.append(up - lp.lower[j])
+    return StdForm(lp.num_vars, rows, row_rel, row_rhs)
 
 
 def row_reduce(dense: list[list], ncols: int) -> tuple[list[list], bool]:
@@ -643,7 +608,7 @@ def basis_solution(rows: list[list[int]], cols: Sequence[int]) -> tuple[int, lis
 
 def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
     """All basic feasible solutions of the standardized system, mapped back to
-    original variables, deduplicated and sorted.
+    original variables (x = l + x'), deduplicated and sorted.
 
     For a pointed feasible region this is exactly the vertex set. Brute force
     by construction: every size-rank column subset of the system reduced on
@@ -673,11 +638,11 @@ def enumerate_basic_solutions(lp: LinearProgram) -> tuple[tuple, ...]:
         if solved is None or min(solved[1], default=0) < 0:
             continue  # singular, or infeasible
         d, nums = solved
-        solution = [ZERO] * std.ncols
+        solution = list(map(Fraction, lp.lower))
         for c, n in zip(cols, nums):
             if n and c < std.ncols:
-                solution[c] = Fraction(n, d)
-        seen.add(_to_original(lp, std.col_kind, solution))
+                solution[c] += Fraction(n, d)
+        seen.add(tuple(solution))
     return tuple(sorted(seen))
 
 

@@ -9,11 +9,11 @@ exactly, with the term-by-term ``Fraction`` definition it replaced (kept in
 structures at M in {24, 48}, broken ones for the walk.
 
 LP constraints carry ``nums`` over one ``den`` as well, and the simplex's
-standard form and self-checks read them; the two exponential event walks of
-the single-player theory keep running integer sums. Their term-by-term
-``Fraction`` definitions live in this file as their oracles: the standard
-form against ``oracles.standardize`` on every program the pinned-outcome test
-builds, the point and certificate checks against ``dense_feasibility_violations``
+starting tableau and self-checks read them; the two exponential event walks
+of the single-player theory keep running integer sums. Their term-by-term
+``Fraction`` definitions live in this file as their oracles: the starting
+tableau against ``oracles.standardize`` on every program the pinned-outcome
+test builds, the point and certificate checks against ``dense_feasibility_violations``
 and ``dense_farkas_violations``, and the walks against
 ``dense_is_conglomerable`` and ``dense_disintegrable_by_definition`` on every
 player view of seeds 0..1999 and the fixtures. The simplex's pivots and flips
@@ -49,8 +49,8 @@ from prior_forge.harness import GeneratorConfig, common_prior_program, random_st
 from prior_forge.lp import (
     FarkasCertificate,
     LPBuilder,
+    _RHS,
     _Tableau,
-    _int_standardize,
     farkas_violations,
     feasibility_violations,
     solve,
@@ -743,48 +743,52 @@ def test_offset_bounds_solve_to_enumerated_vertices():
 
 
 def test_integer_standard_form_matches_the_rational_one(programs):
-    """The simplex's form against the oracle's, which writes every upper
-    bound as a row. Both shift every variable onto its lower bound, so
-    column j is variable j in each, and the user rows agree entry by entry,
-    their rhs moved alike; the simplex's row is the constraint's own. The
-    oracle's rows after the user rows, one per finite upper bound in
-    variable order, each appear as an equal column bound. The simplex's
-    costs are the objective's, signed for minimization, and its cost
-    constant is their sum over the lower bounds."""
+    """The simplex's starting tableau against the oracle's standard form,
+    which writes every upper bound as a row. Both shift every variable onto
+    its lower bound, so column j is variable j in each. With the slack and
+    artificial columns dropped and the negation undone, each starting row
+    is its constraint's ``nums`` over its ``den`` and agrees with the
+    oracle's user row entry by entry, their rhs moved alike. The oracle's
+    rows after the user rows, one per finite upper bound in variable order,
+    each appear as an equal column bound. The tableau's costs are the
+    objective's, signed for minimization, and its cost constant is their
+    sum over the lower bounds."""
     fractional = bounded = shifted = 0
     for lp, _ in programs:
-        ours, theirs = _int_standardize(lp), standardize(lp)
-        assert theirs.col_kind == [("shift", j) for j in range(lp.num_vars)]
-        assert ours.ncols == theirs.ncols == lp.num_vars
-        user = len(lp.constraints)
+        tab, theirs = _Tableau(lp), standardize(lp)
+        n, user = lp.num_vars, len(lp.constraints)
+        assert theirs.ncols == n
         upper = [j for j, up in enumerate(lp.upper) if up is not None]
         assert len(theirs.rows) == len(theirs.row_rel) == len(theirs.row_rhs) == user + len(upper)
-        assert ours.row_rel == theirs.row_rel[:user]
-        assert len(ours.rows) == len(ours.dens) == len(ours.row_rhs) == user
-        for con, row, den, rhs, dense_row, dense_rhs in zip(
-            lp.constraints, ours.rows, ours.dens, ours.row_rhs, theirs.rows, theirs.row_rhs
+        assert theirs.row_rel[:user] == [con.rel for con in lp.constraints]
+        assert len(tab.rows) == len(tab.dens) == len(tab.negated) == user
+        for con, row, den, negated, dense_row, dense_rhs in zip(
+            lp.constraints, tab.rows, tab.dens, tab.negated, theirs.rows, theirs.row_rhs
         ):
-            assert row is con.nums and den == con.den
-            assert {j: Fraction(v, den) for j, v in row.items()} == dense_row
+            sign = -1 if negated else 1
+            nums = {j: sign * v for j, v in row.items() if 0 <= j < n}
+            rhs = sign * row.get(_RHS, 0)
+            assert nums == con.nums and den == con.den
+            assert {j: Fraction(v, den) for j, v in nums.items()} == dense_row
             assert Fraction(rhs, den) == dense_rhs
             # lowest terms: the rows the tableau starts from are unique
-            assert math.gcd(den, rhs, *row.values()) == 1
+            assert math.gcd(den, rhs, *nums.values()) == 1
             fractional += den > 1
         tail = zip(upper, theirs.rows[user:], theirs.row_rel[user:], theirs.row_rhs[user:])
         bounds = {}
         for j, dense_row, rel, dense_rhs in tail:
             assert (dense_row, rel) == ({j: 1}, "<=")
             bounds[j] = dense_rhs
-        assert ours.col_upper == bounds
+        assert tab.upper == bounds
         bounded += len(bounds)
         shifted += any(lp.lower)
-        assert ours.cost_den > 0
+        assert lp.cost_den > 0
         sign = -1 if lp.maximize else 1
-        costs = {j: Fraction(v, ours.cost_den) for j, v in ours.costs.items()}
+        costs = {j: Fraction(v, lp.cost_den) for j, v in tab.costs.items()}
         assert costs == {j: sign * c for j, c in enumerate(lp.objective) if c}
-        assert math.gcd(ours.cost_den, *ours.costs.values()) == 1
+        assert math.gcd(lp.cost_den, *tab.costs.values()) == 1
         constant = sum((sign * c * lo for c, lo in zip(lp.objective, lp.lower)), Fraction(0))
-        assert Fraction(ours.cost_const, ours.cost_den) == constant
+        assert Fraction(tab.cost_const, lp.cost_den) == constant
     assert fractional and bounded and shifted
 
 

@@ -210,7 +210,6 @@ _MOVED_NAMES = (
     "_StdForm",
     "_row_reduce",
     "_standardize",
-    "_to_original",
     "enumerate_basic_solutions",
     "_oracle_check",
     "joint_common_prior_program",

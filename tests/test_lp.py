@@ -1,6 +1,7 @@
 """Exact simplex: solve outcomes, certificates, and the brute-force oracle."""
 
 import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +25,7 @@ from prior_forge.lp import (
     solve,
 )
 
-from prior_forge.model import integer_form
+from prior_forge.model import fraction_rows, integer_form
 
 import oracles
 from oracles import (
@@ -79,6 +80,31 @@ def test_row_denominators_must_be_positive(den):
         b.add_integer_constraint({x: 1}, den, "<=", 1)
     with pytest.raises(InputError, match=f"^row denominator {den} is not positive$"):
         lp.Constraint({x: 1}, den, "<=", 1)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("numerator", "variable 3 has coefficient numerator {!r}, which is not an int"),
+        ("den", "row denominator {!r} is not an int"),
+        ("rhs_num", "row rhs numerator {!r} is not an int"),
+    ],
+    ids=["numerator", "den", "rhs_num"],
+)
+def test_row_integer_forms_must_be_ints(where, message, bad):
+    # x_0 + bad x_3 <= 1, or x_0 <= 1 over a bad denominator or rhs: a
+    # Fraction or float is not left to math.gcd, and a bool is not kept as
+    # an int.
+    nums, den, rhs_num = {0: 1, 3: 1}, 1, 1
+    if where == "numerator":
+        nums[3] = bad
+    elif where == "den":
+        den = bad
+    else:
+        rhs_num = bad
+    with pytest.raises(InputError, match="^" + re.escape(message.format(bad)) + "$"):
+        lp.Constraint(nums, den, "<=", rhs_num)
 
 
 def test_optimal_exact_fractions():
@@ -279,27 +305,32 @@ def test_starting_tableau_is_pinned():
     """Each relation with a positive, zero and negative rhs, so every
     set-up branch runs: the starting basis, the negated rows, the
     artificials, and each row's slack and artificial entries, its
-    denominator signed."""
+    denominator signed. The last row, y + z >= 1 with z >= 3, has a
+    positive rhs that the shift onto z's lower bound alone makes
+    negative, so it is negated and starts on its slack."""
     b = LPBuilder()
     x = b.add_var("x", lower=0)
     y = b.add_var("y", lower=0)
+    z = b.add_var("z", lower=3)
     b.add_objective(x, 1)
     for rel in ("<=", ">=", "="):
         add_constraint(b, {x: "1/2", y: 1}, rel, "1/2")
         add_constraint(b, {x: 1, y: -1}, rel, 0)
         add_constraint(b, {x: 1, y: "1/3"}, rel, -2)
-    std = lp._int_standardize(b.build(maximize=True))
-    tab = lp._Tableau(std)
-    assert std.ncols == 2 and tab.dens == [2, 1, 3] * 3
-    assert tab.basis == tab.init_col == [2, 3, 5, 7, 8, 9, 10, 11, 12]
-    assert tab.negated == [False, False, True, False, True, True, False, False, True]
-    assert sorted(tab.artificials) == [5, 7, 10, 11, 12]
-    added = [{c: v for c, v in row.items() if c >= std.ncols} for row in tab.rows]
+    add_constraint(b, {y: 1, z: 1}, ">=", 1)
+    tab = lp._Tableau(b.build(maximize=True))
+    assert tab.dens == [2, 1, 3] * 3 + [1]
+    assert tab.basis == tab.init_col == [3, 4, 6, 8, 9, 10, 11, 12, 13, 14]
+    assert tab.negated == [False, False, True, False, True, True, False, False, True, True]
+    assert sorted(tab.artificials) == [6, 8, 11, 12, 13]
+    added = [{c: v for c, v in row.items() if c >= 3} for row in tab.rows]
     assert added == [
-        {2: 2}, {3: 1}, {4: -3, 5: 3},
-        {6: -2, 7: 2}, {8: 1}, {9: 3},
-        {10: 2}, {11: 1}, {12: 3},
+        {3: 2}, {4: 1}, {5: -3, 6: 3},
+        {7: -2, 8: 2}, {9: 1}, {10: 3},
+        {11: 2}, {12: 1}, {13: 3},
+        {14: 1},
     ]
+    assert tab.rows[-1] == {y: -1, z: -1, 14: 1, lp._RHS: 2}
 
 
 # sha256 over the vertex sets of the common-prior and joint programs of the
@@ -374,16 +405,16 @@ def test_integer_rank_reduction_matches_the_fraction_elimination():
 
 def test_the_vertex_oracle_runs_without_the_simplex(monkeypatch):
     """The enumerator shares no standardization or elimination with the
-    simplex: with the simplex's standard form, its tableau and ``solve``
-    raising wherever ``lp`` or ``oracles`` names them, it enumerates the
-    pin programs of seeds 0..49 as before."""
+    simplex: with the simplex's tableau and ``solve`` raising wherever
+    ``lp`` or ``oracles`` names them, it enumerates the pin programs of
+    seeds 0..49 as before."""
     programs = list(_pin_programs(range(50)))
     expected = [enumerate_basic_solutions(program) for program in programs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the vertex oracle reached the simplex")
 
-    simplex = (lp._int_standardize, lp._Tableau, lp.solve)
+    simplex = (lp._Tableau, lp.solve)
     for module in (lp, oracles):
         for name, value in list(vars(module).items()):
             if any(value is part for part in simplex):
@@ -393,12 +424,17 @@ def test_the_vertex_oracle_runs_without_the_simplex(monkeypatch):
     assert [enumerate_basic_solutions(program) for program in programs] == expected
 
 
+def _duals(out):
+    """An outcome's duals as rationals, read off ``dual_form``, or None."""
+    return fraction_rows([out.dual_form])[0]
+
+
 def _assert_optimal_duals(lp, out):
     # Max form, every variable bounded below by 0 and nothing else: the
     # duals are dual-feasible (A^T u >= c, u <= 0 on >= rows) and close the
     # duality gap exactly.
     assert all(lo == 0 for lo in lp.lower) and all(up is None for up in lp.upper)
-    u = out.duals
+    u = _duals(out)
     assert len(u) == len(lp.constraints)
     for con, uk in zip(lp.constraints, u):
         assert not (con.rel == ">=" and uk > 0) and not (con.rel == "<=" and uk < 0)
@@ -419,7 +455,7 @@ def test_common_prior_program_duals(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
             _assert_optimal_duals(lp, out)
             checked += 1
         else:
-            assert out.duals is None
+            assert out.dual_form is None
     assert checked > 50
 
 
@@ -434,19 +470,18 @@ def test_solve_derives_the_optimum_again_from_the_costs(monkeypatch):
     add_constraint(b, {x: 1, y: 1}, "<=", 2)
     program = b.build(maximize=True)
     out = solve(program)
-    # The point and duals are integer forms until first read.
-    assert "primal" not in vars(out) and "duals" not in vars(out)
+    # The point is an integer form until first read; the duals stay one.
+    assert "primal" not in vars(out)
     assert (out.objective_value, out.primal) == (rational(2), (rational(2), ZERO))
-    den, nums = out.dual_form
-    assert out.duals == tuple(rational(f"{n}/{den}") for n in nums)
-    standardize = lp._int_standardize
-    assert (standardize(program).cost_const, standardize(program).cost_den) == (-1, 2)
+    assert _duals(out) == (rational("1/2"),)
+    assert (lp._Tableau(program).cost_const, program.cost_den) == (-1, 2)
+    init = lp._Tableau.__init__
 
-    def shifted(p):
-        std = standardize(p)
-        return std._replace(cost_const=std.cost_const + 1)
+    def forged(tab, p):
+        init(tab, p)
+        tab.cost_const += 1
 
-    monkeypatch.setattr(lp, "_int_standardize", shifted)
+    monkeypatch.setattr(lp._Tableau, "__init__", forged)
     with pytest.raises(VerificationError, match="objective mismatch"):
         solve(program)
 
@@ -462,7 +497,7 @@ def test_duals_of_a_bounded_minimization():
     assert out.objective_value == rational("3/2")
     # In max form (max -x - 2y) the >= row's dual is <= 0, and
     # u . b = -3/2 = the max-form value.
-    assert out.duals == (rational("-3/2"), rational("1/2"))
+    assert _duals(out) == (rational("-3/2"), rational("1/2"))
 
 
 def _outcome_text(out):
@@ -477,7 +512,7 @@ def _outcome_text(out):
         "-" if cert is None else "|".join(
             row(m) for m in (cert.constraint_multipliers, cert.lower_multipliers, cert.upper_multipliers)
         ),
-        row(out.duals),
+        row(_duals(out)),
     ]
     return ";".join(parts)
 
@@ -541,7 +576,7 @@ def test_bland_ties_leave_on_the_smaller_basis_index():
     out = solve(b.build(maximize=True))
     assert out.primal == (ZERO, rational(1))
     assert out.objective_value == 2
-    assert out.duals == (ZERO, rational(4))
+    assert _duals(out) == (ZERO, rational(4))
 
 
 def test_coefficients_beyond_64_bits():
