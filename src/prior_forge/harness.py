@@ -23,15 +23,21 @@ unshrunk, a guarded step that raises ``PriorForgeError`` among them;
 reads the programs on integer forms, as ``lp`` hands them over: the
 canonical prior and its margin are checked against the program as one
 point over the prior's denominator, and the program trade is read off the
-numerators of the certificate or the duals.
+numerators of the certificate or the duals. A sample's two hull-membership
+checks, on each player's view and on the full structure, read integer forms
+(``is_disintegrable``, ``hull_form``), and its pumps are decided on ints.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
 compositions with bounded denominators; supports are thinned, each state
-dropped with probability ``ZERO_MASS_RATE``, so sparse structures (rich
-component geometry) appear often. ``planted_structure`` draws the other
-side at any size: a structure built around a chosen strong common prior.
-``chain_structure`` builds inputs whose witnesses grow in bits, not states.
+dropped with probability ``ZERO_MASS_NUM / ZERO_MASS_DEN``, so sparse
+structures (rich component geometry) appear often. Every type and sample is
+built straight from its composition as an integer form
+(``Distribution.from_integer_form``), with no rational per mass; the
+``Fraction`` construction it replaced is kept in ``tests/oracles.py`` as its
+oracle. ``planted_structure`` draws the other side at any size: a structure
+built around a chosen strong common prior. ``chain_structure`` builds
+inputs whose witnesses grow in bits, not states.
 No state outlives a call: the Bell numbers are built once per structure.
 """
 
@@ -40,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -78,7 +83,7 @@ from .priors import (
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
-    hull_weights,
+    hull_form,
     is_conglomerable,
     is_disintegrable,
 )
@@ -94,7 +99,8 @@ from .trades import (
 )
 
 REJECTION_CAP = 1000
-ZERO_MASS_RATE = rational("1/4")
+# Each state is dropped from a drawn support with probability 1/4.
+ZERO_MASS_NUM, ZERO_MASS_DEN = 1, 4
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def _sample_set_partition(items: list[int], rng: random.Random, bells: list[int]
 
 
 def _drop(rng: random.Random) -> bool:
-    return rng.randrange(ZERO_MASS_RATE.denominator) < ZERO_MASS_RATE.numerator
+    return rng.randrange(ZERO_MASS_DEN) < ZERO_MASS_NUM
 
 
 def _positive_composition(total: int, parts: int, rng: random.Random) -> list[int]:
@@ -178,9 +184,14 @@ def _random_composition(
     return support, d, _positive_composition(d, k, rng)
 
 
-def _masses(support: list[int], d: int, parts: list[int]) -> dict:
-    """{state: mass} of a ``_random_composition``."""
-    return {s: Fraction(part, d) for s, part in zip(support, parts)}
+def _composed(m: int, support: Sequence[int], d: int, parts: list[int]) -> Distribution:
+    """The distribution over m states with mass ``parts[k] / d`` at
+    ``support[k]``, an increasing support with positive parts summing to d,
+    built from its integer form in lowest terms: one gcd, no rational."""
+    g = math.gcd(d, *parts)
+    if g > 1:
+        d, parts = d // g, [a // g for a in parts]
+    return Distribution.from_integer_form(m, tuple(support), d, tuple(parts))
 
 
 def random_structure(cfg: GeneratorConfig) -> InformationStructure:
@@ -198,7 +209,7 @@ def random_structure(cfg: GeneratorConfig) -> InformationStructure:
         blocks = sorted([sorted(b) for b in blocks])
         partitions.append(blocks)
         cell_types.append(
-            [Distribution.from_support(m, _masses(*_random_composition(b, cfg, rng))) for b in blocks]
+            [_composed(m, *_random_composition(b, cfg, rng)) for b in blocks]
         )
     return make_structure(states, players, partitions, cell_types)
 
@@ -271,20 +282,20 @@ def random_distribution(
 ) -> Distribution:
     """Rejection-samples a distribution that charges what ``notion`` asks of
     its prior; after the attempt cap falls back to a perturbed uniform, which
-    always qualifies."""
+    always qualifies. Either way the sample is built from its composition
+    (``_composed``)."""
     m = structure.num_states
     for _ in range(REJECTION_CAP):
-        # The charge test reads only the drawn support, so the masses are
-        # built for the kept draw alone.
+        # The charge test reads only the drawn support, so the distribution
+        # is built for the kept draw alone.
         support, d, parts = _random_composition(range(m), cfg, rng)
         marks = [0] * m
         for w in support:
             marks[w] = 1
         if notion.charged_by(structure, marks):
-            return Distribution.from_support(m, _masses(support, d, parts))
+            return _composed(m, support, d, parts)
     weights = [1 + rng.randrange(cfg.denominator_bound + 1) for _ in range(m)]
-    total = rational(sum(weights))
-    return Distribution(tuple(rational(w) / total for w in weights))
+    return _composed(m, range(m), sum(weights), weights)
 
 
 # -- the battery -----------------------------------------------------------
@@ -331,16 +342,32 @@ class _Recorder:
         if not ok:
             self.failures.append(CheckFailure(name, details() if details else ""))
 
-    @contextmanager
-    def guard(self, name: str) -> Iterator[None]:
+    def guard(self, name: str) -> _Guard:
         """Count one check; a ``PriorForgeError`` raised inside is recorded as
         its failure rather than aborting the battery."""
-        try:
-            yield
-        except PriorForgeError as exc:
-            self.failures.append(CheckFailure(name, f"raised {exc!r}"))
-        finally:
-            self.count += 1
+        return _Guard(self, name)
+
+
+class _Guard:
+    """The context of ``_Recorder.guard``: a plain class, so that entering
+    and leaving a guarded step creates no generator frame. On exit it counts
+    one check, and records and swallows a ``PriorForgeError``; any other
+    exception propagates."""
+
+    __slots__ = ("rec", "name")
+
+    def __init__(self, rec: _Recorder, name: str) -> None:
+        self.rec, self.name = rec, name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        self.rec.count += 1
+        if kind is not None and issubclass(kind, PriorForgeError):
+            self.rec.failures.append(CheckFailure(self.name, f"raised {exc!r}"))
+            return True
+        return False
 
 
 def _event_set(table, relation) -> tuple[int, ...]:
@@ -736,7 +763,7 @@ def cross_check(
     for i in range(structure.num_players):
         view = single_player_view(structure, i)
         for k, (dist, _) in enumerate(samples):
-            disintegrable, weights = is_disintegrable(view, dist)
+            disintegrable, _ = is_disintegrable(view, dist)
             if view.num_states > DEFINITION_CAP:
                 rec.skipped += 1
             else:
@@ -747,7 +774,7 @@ def cross_check(
                 )
             rec.check(
                 "view membership matches full-structure hull membership",
-                disintegrable == (hull_weights(structure, i, dist) is not None),
+                disintegrable == (hull_form(structure, i, dist) is not None),
                 lambda: f"player {i}",
             )
             if disintegrable and view.num_states > EVENT_CAP:

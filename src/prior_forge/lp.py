@@ -233,7 +233,8 @@ class LPOutcome(Frozen):
     else, A^T u >= c and b.u = c.x.
 
     Both are integer forms, each a ``(den, nums)`` pair with ``nums`` a
-    tuple; the point's rationals, ``primal``, are built on first read.
+    tuple, put in lowest terms (``model.lowest_terms``) as a certificate's
+    are; the point's rationals, ``primal``, are built on first read.
     Frozen; equality, the hash and ``repr`` read the five given fields, so
     an optimal outcome hashes by value too."""
 
@@ -641,7 +642,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     status = tab.phase2()
     if status == "unbounded":
         return LPOutcome("unbounded", None, None)
-    xden, xnums = point = tab.point()
+    xden, xnums = point = lowest_terms(tab.point())
     problems = feasibility_violations(lp, point)
     if problems:
         raise VerificationError("optimal point infeasible: " + "; ".join(problems))
@@ -658,5 +659,5 @@ def solve(lp: LinearProgram) -> LPOutcome:
         raise VerificationError(
             f"objective mismatch: tableau {claimed}, recomputed {value}"
         )
-    duals = (tab.obj_den, tab.multipliers(phase1=False))
+    duals = lowest_terms((tab.obj_den, tab.multipliers(phase1=False)))
     return LPOutcome("optimal", Fraction(num, den), None, point, duals)

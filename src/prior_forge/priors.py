@@ -24,10 +24,10 @@ refuting trade. No LP is solved; the common-prior program stays in
 
 A prior witness is its prior: ``PriorWitness`` holds ``prior`` alone, and
 the renderings read the hull weights off it as cell masses. One rule,
-``_off_hull``, decides hull membership (``hull_form``, ``classify_prior``)
-and verifies a witness, a big cell mass times a small type numerator per
-state. ``hull_weights`` alone reads a player's weights as ``Fraction``s,
-for ``is_disintegrable`` and the battery's cross-check.
+``_off_hull``, decides hull membership (``hull_form``, ``classify_prior``,
+``is_disintegrable``) and verifies a witness, a big cell mass times a small
+type numerator per state. ``hull_weights`` is ``hull_form``'s row of
+``Fraction``s, a view that nothing on the decision path reads.
 """
 
 from __future__ import annotations
@@ -171,12 +171,17 @@ def _off_hull(structure: InformationStructure, player: int, nums) -> list[int]:
 
 def is_disintegrable(
     structure: InformationStructure, dist: Distribution
-) -> tuple[bool, tuple | None]:
+) -> tuple[bool, tuple[int, tuple[int, ...]] | None]:
     """Single-player: does dist disintegrate over the partition via the type
-    function? Equivalent to membership in the convex hull of the types."""
+    function? Equivalent to membership in the convex hull of the types.
+    Returns the answer and the hull weights, the cell masses, as
+    ``hull_form``'s integer form ``(den, masses)`` in lowest terms, or None
+    when dist does not disintegrate."""
     check_single_player(structure)
-    weights = hull_weights(structure, 0, dist)
-    return (weights is not None), weights
+    form = hull_form(structure, 0, dist)
+    if form is None:
+        return False, None
+    return True, lowest_terms(form)
 
 
 def _gray_steps(m: int) -> Iterator[tuple[int, int, int]]:
@@ -234,7 +239,7 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
     ``mass[c]`` that of p(c), the identity reads
     ``inter[c] * t_c.den == tev[c] * mass[c]``. Exponential; exists purely
     as an independent oracle for the closed-form test above, and shares no
-    code with ``hull_weights``."""
+    code with ``hull_form``."""
     check_single_player(structure)
     check_dimension(structure, dist)
     m = structure.num_states

@@ -42,6 +42,12 @@ refuting trade over as ``Trade(forms)``, ``classify_trade`` keeps each
 player's expectation table as one, and ``pump_piece`` returns its row's,
 which the pump's witness keeps and verifies. Both renderings write rows
 from the forms.
+
+A pump search is decided on ints: its deficit is one ``(num, den)`` pair
+(``_deficit``), whose sign is ``num``'s, and the witness's ``Fraction``
+deficit is the one rational the search builds, only when p pumps.
+``MoneyPumpWitness.verify`` recomputes the pair and compares it with the
+stored deficit by one cross-multiplication.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._rational import ZERO, rational_text
+from ._rational import rational_text
 from .certainty import check_dimension, minimal_components
 from .errors import DimensionError, InconsistencyError, VerificationError
 from .model import (
@@ -123,12 +129,13 @@ def _column_sums(forms) -> tuple[int, list[int]]:
     return den, list(map(sum, zip(*rows)))
 
 
-def _deficit(forms, dist: Distribution):
-    """The p-expectation of the summed rows whose integer forms are
-    ``forms``: one integer sum of their column sums times p's numerators
-    over p's support, one rational."""
+def _deficit(forms, dist: Distribution) -> tuple[int, int]:
+    """``(num, den)``, ``den > 0``: the p-expectation ``num / den`` of the
+    summed rows whose integer forms are ``forms``, one integer sum of their
+    column sums times p's numerators over p's support. Not reduced; its
+    sign is ``num``'s."""
     den, sums = _column_sums(forms)
-    return Fraction(sum(sums[w] * a for w, a in dist.items()), den * dist.den)
+    return sum(sums[w] * a for w, a in dist.items()), den * dist.den
 
 
 class TradeClassification(NamedTuple):
@@ -181,13 +188,15 @@ class MoneyPumpWitness(Frozen):
                         f"not a semi-trade: player {i} expects {rational_text(Fraction(num, den))} < 0 "
                         f"at state {cell[0]}"
                     )
-        deficit = _deficit(forms, self.distribution)
-        if deficit != self.deficit:
+        num, den = _deficit(forms, self.distribution)
+        stored = self.deficit
+        if num * stored.denominator != stored.numerator * den:
             raise VerificationError(
-                f"stored deficit {rational_text(self.deficit)} differs from recomputed {rational_text(deficit)}"
+                f"stored deficit {rational_text(stored)} differs from recomputed "
+                f"{rational_text(Fraction(num, den))}"
             )
-        if not deficit < ZERO:
-            raise VerificationError(f"deficit {rational_text(deficit)} is not negative")
+        if num >= 0:
+            raise VerificationError(f"deficit {rational_text(Fraction(num, den))} is not negative")
         notion = next((n for n in NOTIONS if n.pump == self.kind), None)
         if notion is None:
             raise VerificationError(f"unknown pump kind {self.kind!r}")
@@ -345,17 +354,18 @@ def _pump_search(
 ) -> MoneyPumpWitness | None:
     """The semi-trade of ``pump_piece`` forms and its witness, built once
     from those forms and verified, when its deficit is negative; else None.
-    ``kind`` is the pump's kind when the caller has already graded ``dist``,
-    else ``pump_kind`` grades it."""
+    The deficit's sign is read off its int pair, and its ``Fraction`` is
+    built for the witness alone. ``kind`` is the pump's kind when the caller
+    has already graded ``dist``, else ``pump_kind`` grades it."""
     check_dimension(structure, dist)
     p_nums = state_nums(dist)
     forms = tuple(pump_piece(structure, i, p_nums) for i in range(structure.num_players))
-    deficit = _deficit(forms, dist)
-    if not deficit < ZERO:
+    num, den = _deficit(forms, dist)
+    if num >= 0:
         return None
     if kind is None:
         kind = pump_kind(structure, dist)
-    witness = MoneyPumpWitness(dist, forms, deficit, kind)
+    witness = MoneyPumpWitness(dist, forms, Fraction(num, den), kind)
     witness.verify(structure)
     return witness
 

@@ -15,6 +15,11 @@ state-level support graph, its reachability and its strongly connected
 components by mutual reachability are the oracles of ``certainty``, which
 reads one contracted graph. ``add_constraint`` writes a program's row in
 rationals, for the tests; ``lp`` takes integer forms only.
+``fraction_random_structure`` and ``fraction_random_distribution`` are the
+generator as it built types and samples before: one ``Fraction`` per mass,
+through ``Distribution.from_support``, and the fallback's perturbed uniform
+through ``Distribution``, on the same random draws. They are the oracles of
+``harness``'s generation from integer forms.
 
 The vertex oracle of ``lp.solve`` lives here too, and reads only a
 program's public fields: ``enumerate_basic_solutions`` standardizes term by
@@ -44,21 +49,31 @@ from typing import NamedTuple, Sequence
 from prior_forge._rational import ONE, ZERO, rational, rational_text
 from prior_forge.errors import DimensionError, SizeCapError
 from prior_forge.harness import (
+    REJECTION_CAP,
     BatteryReport,
     CrossCheckReport,
     GeneratorConfig,
     _add_mass_rows,
     _battery,
+    _bell_numbers,
+    _random_composition,
     _Recorder,
+    _sample_set_partition,
     _type_row,
     common_prior_program,
     random_distribution,
     random_structure,
 )
 from prior_forge.lp import EQUAL, LESS, LinearProgram, LPBuilder, feasibility_violations, solve
-from prior_forge.model import Distribution, InformationStructure, integer_form, state_nums
+from prior_forge.model import (
+    Distribution,
+    InformationStructure,
+    integer_form,
+    make_structure,
+    state_nums,
+)
 from prior_forge.jsonio import type_row
-from prior_forge.priors import NOTIONS, Blocks
+from prior_forge.priors import NOTIONS, Blocks, Notion
 from prior_forge.report import TRADE_FLAGS
 from prior_forge.trades import TradeClassification, pump_piece
 
@@ -386,6 +401,49 @@ def fraction_pump_json(dist: Distribution, payoffs, deficit, kind: str) -> dict:
         "deficit": to_json_value(deficit),
         "kind": kind,
     }
+
+
+def _fraction_masses(support: list[int], d: int, parts: list[int]) -> dict:
+    """{state: mass} of a ``harness._random_composition``, one ``Fraction``
+    per support state."""
+    return {s: Fraction(part, d) for s, part in zip(support, parts)}
+
+
+def fraction_random_structure(cfg: GeneratorConfig) -> InformationStructure:
+    """``harness.random_structure`` on the same draws, each type built from
+    its ``Fraction`` masses by ``Distribution.from_support``: its oracle."""
+    rng = random.Random(cfg.seed)
+    m = rng.randint(1, cfg.max_states)
+    n = rng.randint(1, cfg.max_players)
+    bells = _bell_numbers(m)
+    partitions, cell_types = [], []
+    for _ in range(n):
+        blocks = sorted(sorted(b) for b in _sample_set_partition(list(range(m)), rng, bells))
+        partitions.append(blocks)
+        cell_types.append(
+            [Distribution.from_support(m, _fraction_masses(*_random_composition(b, cfg, rng))) for b in blocks]
+        )
+    return make_structure(
+        [f"w{k + 1}" for k in range(m)], [f"P{k + 1}" for k in range(n)], partitions, cell_types
+    )
+
+
+def fraction_random_distribution(
+    structure: InformationStructure, cfg: GeneratorConfig, notion: Notion, rng: random.Random
+) -> tuple[Distribution, bool]:
+    """``harness.random_distribution`` on the same draws, the kept draw
+    built from its ``Fraction`` masses and the fallback's perturbed uniform
+    from ``Fraction`` weights over their sum: its oracle. Returned with
+    whether the fallback was taken."""
+    m = structure.num_states
+    for _ in range(REJECTION_CAP):
+        support, d, parts = _random_composition(range(m), cfg, rng)
+        marks = [1 if w in support else 0 for w in range(m)]
+        if notion.charged_by(structure, marks):
+            return Distribution.from_support(m, _fraction_masses(support, d, parts)), False
+    weights = [1 + rng.randrange(cfg.denominator_bound + 1) for _ in range(m)]
+    total = Fraction(sum(weights))
+    return Distribution(tuple(Fraction(w) / total for w in weights)), True
 
 
 def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:

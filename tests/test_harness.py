@@ -16,11 +16,12 @@ from prior_forge import (
     ZERO,
     Distribution,
     PriorForgeError,
+    VerificationError,
     find_strong_common_prior,
     make_structure,
     parse_structure,
 )
-from prior_forge import harness, lp
+from prior_forge import _rational, harness, lp, model
 from prior_forge.harness import (
     GeneratorConfig,
     common_prior_program,
@@ -35,7 +36,7 @@ from prior_forge.harness import (
 from prior_forge.lp import solve
 from prior_forge.priors import NOTIONS, blocks
 
-from oracles import oracle_battery
+from oracles import fraction_random_distribution, fraction_random_structure, oracle_battery
 
 
 def test_config_validation():
@@ -102,6 +103,83 @@ def test_distribution_falls_back_to_a_perturbed_uniform(monkeypatch):
     assert d.support() == tuple(range(m))
     assert NOTIONS[2].charged_by(s, d)
     assert d == random_distribution(s, cfg, NOTIONS[2], random.Random(3))
+
+
+def _singletons(m: int):
+    """One player with m singleton cells: a strong draw must keep every
+    state, so past a few dozen states every draw fails and the generator
+    falls back to its perturbed uniform."""
+    return make_structure(
+        [f"w{w}" for w in range(m)], ["P"], [[[w] for w in range(m)]], [[{w: 1} for w in range(m)]]
+    )
+
+
+def test_generation_matches_the_fraction_oracle():
+    """Types and samples built from their compositions' integer forms equal
+    the ``Fraction`` construction they replaced, on the same draws: the
+    structures of seeds 0..1999 and of seeds 0..499 at 16 states and 4
+    players, each with the samples ``cross_check`` draws for it, and the
+    fallback's perturbed uniform on forty singleton cells."""
+    drawn = fallbacks = 0
+    for sizes, seeds in (({}, range(2000)), ({"max_states": 16, "max_players": 4}, range(500))):
+        for seed in seeds:
+            cfg = GeneratorConfig(seed=seed, **sizes)
+            s = random_structure(cfg)
+            assert s == fraction_random_structure(cfg)
+            rng, oracle_rng = random.Random(structure_digest(s)), random.Random(structure_digest(s))
+            for notion in (*NOTIONS, NOTIONS[0]):
+                dist = random_distribution(s, GeneratorConfig(), notion, rng)
+                assert (dist, False) == fraction_random_distribution(s, GeneratorConfig(), notion, oracle_rng)
+                drawn += 1
+    s = _singletons(40)
+    for seed in range(3):
+        dist = random_distribution(s, GeneratorConfig(), NOTIONS[2], random.Random(seed))
+        assert (dist, True) == fraction_random_distribution(s, GeneratorConfig(), NOTIONS[2], random.Random(seed))
+        fallbacks += 1
+    assert (drawn, fallbacks) == (10_000, 3)
+
+
+def test_generation_builds_no_fraction(monkeypatch):
+    """Structures and samples, the fallback's included, are built from
+    integer forms: not one ``Fraction`` is constructed in ``harness``,
+    ``model`` or ``_rational`` while they are drawn."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    singletons = _singletons(40)
+    for module in (harness, model, _rational):
+        monkeypatch.setattr(module, "Fraction", Counting)
+    for seed in range(200):
+        s = random_structure(GeneratorConfig(seed=seed))
+        rng = random.Random(seed)
+        for notion in (*NOTIONS, NOTIONS[0]):
+            random_distribution(s, GeneratorConfig(), notion, rng)
+    random_distribution(singletons, GeneratorConfig(), NOTIONS[2], random.Random(3))
+    assert built == []
+
+
+def test_a_guard_counts_one_check_and_records_only_package_errors():
+    """A guarded step adds one to the count however it ends; a
+    ``PriorForgeError`` is recorded as its failure, ``raised`` and the
+    error's repr, and swallowed; any other exception propagates."""
+    rec = harness._Recorder()
+    with rec.guard("quiet step"):
+        pass
+    assert (rec.count, rec.failures) == (1, [])
+    error = VerificationError("bad witness")
+    with rec.guard("failing step"):
+        raise error
+    assert rec.count == 2
+    assert rec.failures == [harness.CheckFailure("failing step", f"raised {error!r}")]
+    with pytest.raises(KeyError):
+        with rec.guard("broken step"):
+            raise KeyError("not a package error")
+    assert rec.count == 3
+    assert len(rec.failures) == 1
 
 
 # sha256 over the sampled distributions of generator seeds 0..299: per

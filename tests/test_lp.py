@@ -1,6 +1,7 @@
 """Exact simplex: solve outcomes, certificates, and the brute-force oracle."""
 
 import hashlib
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,13 @@ from prior_forge import (
     rational,
 )
 from prior_forge import lp
-from prior_forge.harness import GeneratorConfig, common_prior_program, random_structure
+from prior_forge.harness import (
+    GeneratorConfig,
+    acceptable_trade_program,
+    agreeable_trade_program,
+    common_prior_program,
+    random_structure,
+)
 from prior_forge.lp import (
     FarkasCertificate,
     LPBuilder,
@@ -561,6 +568,26 @@ def test_simplex_outcomes_are_pinned(intro, pl, ex_pl1, ex_pl2, pl4, ex_plbet4):
     assert digest(_decision_text, range(4)) == PINNED_DECISIONS
     assert digest(_outcome_text, (0, 1)) == PINNED_PRIOR_OUTCOMES
     assert digest(_outcome_text, (2, 3)) == PINNED_TRADE_OUTCOMES
+
+
+def test_optimal_points_and_duals_are_in_lowest_terms():
+    # Equality and the hash of an outcome read its point and duals as
+    # values, so each is a form in lowest terms, as a certificate's are:
+    # over the three battery programs of seeds 0..199, 550 optimal
+    # outcomes. Seed 0's agreeable point is (0, 1, 0, -1/2, 0).
+    optimal = 0
+    for seed in range(200):
+        s = random_structure(GeneratorConfig(seed=seed))
+        for build in (common_prior_program, agreeable_trade_program, acceptable_trade_program):
+            out = solve(build(s))
+            if out.status != "optimal":
+                continue
+            optimal += 1
+            for den, nums in (out.point, out.dual_form):
+                assert math.gcd(den, *nums) == 1, (seed, build.__name__, out)
+            if seed == 0 and build is agreeable_trade_program:
+                assert out.point == (2, (0, 2, 0, -1, 0))
+    assert optimal == 550
 
 
 def test_bland_ties_leave_on_the_smaller_basis_index():

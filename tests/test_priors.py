@@ -81,7 +81,9 @@ def test_pl_disintegrable_point(pl):
     p = Distribution((q("9/20"), q("1/20"), q("1/2")))
     holds, weights = is_disintegrable(pl, p)
     assert holds
-    assert weights == (q("1/2"), q("1/2"))
+    # The hull weights are the cell masses 1/2 and 1/2, as an integer form
+    # in lowest terms.
+    assert weights == (2, (1, 1))
     assert disintegrable_by_definition(pl, p)
 
 

@@ -40,7 +40,9 @@ from prior_forge.harness import (
     GeneratorConfig,
     component_substructures,
     cross_check,
+    random_distribution,
     random_structure,
+    structure_digest,
 )
 from prior_forge.lp import solve
 from prior_forge.model import fraction_rows, integer_form
@@ -559,6 +561,77 @@ def test_a_pump_search_builds_its_witness_only_when_it_pumps(monkeypatch):
     pumped = [w for w in found if w is not None]
     assert (len(found), len(pumped), len(built)) == (1088, 712, 712)
     assert all(a is b for a, b in zip(built, pumped))
+
+
+def test_verify_rejects_a_deficit_one_unit_of_its_denominator_off(pl):
+    # The pinned pump's deficit is -1/90: -89/90 and -91/90 are one unit of
+    # 1/90 away, and the cross-multiplication tells both from it.
+    p = Distribution((q("1/10"), ZERO, q("9/10")))
+    w = find_single_money_pump(pl, p)
+    assert w.deficit == q("-1/90")
+    for stored in (q("-89/90"), q("-91/90")):
+        forged = MoneyPumpWitness(w.distribution, w.forms, stored, w.kind)
+        with pytest.raises(VerificationError, match=f"^stored deficit {stored} differs from recomputed -1/90$"):
+            forged.verify(pl)
+    # The same on every pump of seeds 0..99's samples, whatever its
+    # denominator.
+    checked = 0
+    for seed in range(100):
+        structure = random_structure(GeneratorConfig(seed=seed))
+        rng = random.Random(seed)
+        for notion in NOTIONS:
+            pump = find_multiplayer_money_pump(structure, random_distribution(structure, GeneratorConfig(), notion, rng))
+            if pump is None:
+                continue
+            num, den = pump.deficit.numerator, pump.deficit.denominator
+            for off in (num - 1, num + 1):
+                forged = MoneyPumpWitness(pump.distribution, pump.forms, fractions.Fraction(off, den), pump.kind)
+                with pytest.raises(VerificationError, match="differs from recomputed"):
+                    forged.verify(structure)
+            checked += 1
+    assert checked > 100
+
+
+def test_verify_reads_a_stored_int_deficit():
+    # One cell {w1, w2} whose type sits on w1, and p on w2: the pump pays -1
+    # at w2 and 0 at w1, so its deficit is the integer -1, and an int stored
+    # deficit is read by value.
+    s = make_structure(["w1", "w2"], ["P"], [[[0, 1]]], [[{0: 1}]])
+    p = Distribution((0, 1))
+    w = find_single_money_pump(s, p)
+    assert (w.forms, w.deficit) == (((1, (0, -1)),), -1)
+    MoneyPumpWitness(p, w.forms, -1, w.kind).verify(s)
+    for stored in (0, -2):
+        with pytest.raises(VerificationError, match=f"^stored deficit {stored} differs from recomputed -1$"):
+            MoneyPumpWitness(p, w.forms, stored, w.kind).verify(s)
+
+
+def test_a_pump_search_builds_one_fraction_per_pump(monkeypatch):
+    """A search decides on its deficit's int pair: it builds the witness's
+    one ``Fraction`` when p pumps, and ``verify`` builds none. A search on a
+    common prior builds none."""
+    built = []
+
+    class Counting(fractions.Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    structures = [random_structure(GeneratorConfig(seed=seed)) for seed in range(200)]
+    samples = []
+    for s in structures:
+        rng = random.Random(structure_digest(s))
+        samples += [(s, random_distribution(s, GeneratorConfig(), n, rng)) for n in NOTIONS]
+    priors_of = [(s, w.prior) for s in structures if (w := find_common_prior(s)) is not None]
+    monkeypatch.setattr(trades, "Fraction", Counting)
+    pumps = [(s, w) for s, dist in samples if (w := find_multiplayer_money_pump(s, dist)) is not None]
+    assert 0 < len(pumps) < len(samples)
+    assert len(built) == len(pumps)
+    built.clear()
+    for s, w in pumps:
+        w.verify(s)
+    assert all(find_multiplayer_money_pump(s, prior) is None for s, prior in priors_of)
+    assert len(priors_of) > 50 and built == []
 
 
 def test_a_pumping_search_derives_each_row_form_once(monkeypatch):
