@@ -21,23 +21,24 @@ oracles of the integer paths. cross_check and run_battery report failures
 unshrunk, a guarded step that raises ``PriorForgeError`` among them;
 ``minimize_failure`` shrinks one for ``prior-forge fuzz``. The battery
 reads the programs on integer forms, as ``lp`` hands them over: the
-canonical prior and its margin are checked against the program as one
-point over the prior's denominator, and the program trade is read off the
-numerators of the certificate or the duals. A sample's two hull-membership
-checks, on each player's view and on the full structure, read integer forms
-(``is_disintegrable``, ``hull_form``), and its pumps are decided on ints.
+canonical prior and its margin (its least cell mass, read only here) are
+checked against the program as one point over the prior's denominator, and
+the program trade is read off the numerators of the certificate or the
+duals. A sample's hull membership per player, on the view and on the
+structure (``is_disintegrable``, ``classify_prior``), is checked against one
+definitional oracle run, and its pumps are decided on ints.
 
 Generation is fully deterministic in the seed. Partitions are drawn
 uniformly over all set partitions of the state set; type values are uniform
 compositions with bounded denominators; supports are thinned, each state
 dropped with probability ``ZERO_MASS_NUM / ZERO_MASS_DEN``, so sparse
-structures (rich component geometry) appear often. Every type and sample is
-built straight from its composition as an integer form
-(``Distribution.from_integer_form``), with no rational per mass; the
-``Fraction`` construction it replaced is kept in ``tests/oracles.py`` as its
-oracle. ``planted_structure`` draws the other side at any size: a structure
-built around a chosen strong common prior. ``chain_structure`` builds
-inputs whose witnesses grow in bits, not states.
+structures (rich component geometry) appear often. ``planted_structure``
+draws the other side at any size: a structure built around a chosen strong
+common prior. ``chain_structure`` builds inputs whose witnesses grow in bits,
+not states. Every generated type and sample, and every type the shrinker
+renormalizes, comes straight from its composition as an integer form
+(``_composed``); the ``Fraction`` constructions it replaced are the oracles
+in ``tests/oracles.py``.
 No state outlives a call: the Bell numbers are built once per structure.
 """
 
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ._rational import ONE, ZERO, rational
 from .certainty import closure, is_commonly_certain, minimal_components
 from .errors import InputError, PriorForgeError, VerificationError
 from .jsonio import type_row
@@ -78,12 +78,12 @@ from .priors import (
     NOTIONS,
     Notion,
     blocks,
+    cell_masses,
     classify_prior,
     disintegrable_by_definition,
     find_common_prior,
     find_strong_common_prior,
     find_universal_common_prior,
-    hull_form,
     is_conglomerable,
     is_disintegrable,
 )
@@ -227,8 +227,6 @@ def planted_structure(
     if not 1 <= blocks <= m:
         raise InputError(f"cannot cut {m} states into {blocks} non-empty blocks")
     weights = [rng.randint(1, 6) for _ in range(m)]
-    total = rational(sum(weights))
-    prior = [rational(v) / total for v in weights]
     order = list(range(m))
     rng.shuffle(order)
     cuts = [0, *sorted(rng.sample(range(1, m), blocks - 1)), m]
@@ -239,14 +237,14 @@ def planted_structure(
         cells = [cell for block in split for cell in _sample_set_partition(block, rng, bells)]
         rows = []
         for cell in cells:
-            mass = sum((prior[w] for w in cell), ZERO)
-            rows.append(Distribution.from_support(m, {w: prior[w] / mass for w in cell}))
+            parts = [weights[w] for w in cell]
+            rows.append(_composed(m, cell, sum(parts), parts))
         partitions.append(cells)
         cell_types.append(rows)
     structure = make_structure(
         [f"w{k + 1}" for k in range(m)], [f"P{k + 1}" for k in range(n)], partitions, cell_types
     )
-    return structure, Distribution(tuple(prior))
+    return structure, _composed(m, range(m), sum(weights), weights)
 
 
 def chain_structure(m: int, k: int) -> InformationStructure:
@@ -259,7 +257,6 @@ def chain_structure(m: int, k: int) -> InformationStructure:
     limit for int-to-text conversion."""
     if m < 1 or k < 1:
         raise InputError(f"a chain needs m >= 1 states and k >= 1, got m={m}, k={k}")
-    low, high = Fraction(1, k + 1), Fraction(k, k + 1)
 
     def cells(first: int) -> tuple:
         pairs = [(w, w + 1) for w in range(first, m - 1, 2)]
@@ -268,7 +265,7 @@ def chain_structure(m: int, k: int) -> InformationStructure:
 
     partitions = (cells(0), cells(1))
     cell_types = [
-        [{c[0]: ONE} if len(c) == 1 else {c[0]: low, c[1]: high} for c in part]
+        [_composed(m, c, 1, [1]) if len(c) == 1 else _composed(m, c, k + 1, [1, k]) for c in part]
         for part in partitions
     ]
     return make_structure([f"w{j + 1}" for j in range(m)], ["P1", "P2"], partitions, cell_types)
@@ -410,7 +407,7 @@ def common_prior_program(structure: InformationStructure) -> LinearProgram:
     b = LPBuilder()
     m = structure.num_states
     p_vars = [b.add_var(f"p[{structure.states[w]}]", lower=0) for w in range(m)]
-    eps = b.add_var("eps", lower=0, objective=ONE)
+    eps = b.add_var("eps", lower=0, objective=1)
     for i in range(structure.num_players):
         own = structure.own_nums(i)
         for w in range(m):
@@ -457,7 +454,7 @@ def refuting_payoffs(structure: InformationStructure, outcome: LPOutcome) -> tup
     itself is never needed."""
     if outcome.status == "infeasible":
         u = outcome.certificate.constraint_form[1]
-    elif outcome.objective_value == ZERO:
+    elif outcome.objective_value == 0:
         u = outcome.dual_form[1]
     else:
         return None
@@ -535,7 +532,7 @@ def agreeable_trade_program(structure: InformationStructure) -> LinearProgram:
     feasible. The oracle of the block trade's agreeable grade."""
     b = LPBuilder()
     fvar = trade_variables(b, structure)
-    delta = b.add_var("delta", lower=0, objective=ONE)
+    delta = b.add_var("delta", lower=0, objective=1)
     for _, t, row in _expectation_rows(fvar, structure):
         row[delta] = -t.den
         b.add_integer_constraint(row, t.den, ">=")
@@ -561,7 +558,7 @@ def _trade_program_decides(program: LinearProgram) -> bool:
     out = solve(program)
     if out.status != "optimal":
         raise VerificationError(f"trade program ended {out.status}")
-    return out.objective_value > ZERO
+    return out.objective_value > 0
 
 
 def _check_trade_oracles(rec: _Recorder, structure, components, priors, trades) -> None:
@@ -591,22 +588,23 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
     """The common-prior program decides again what ``blocks`` decided: on
     the structure, and on the components in order up to the first with no
     common prior, where it must also agree with whether the structure's live
-    blocks meet the component. Where every block is live the canonical prior
-    and its margin must be the program's optimum. On the structure the
-    canonical prior must satisfy the program's rows, and where a block is
-    dead the program must give a trade, read off its certificate or duals,
-    that is a trade, acceptable and agreeable exactly as the block trade is
-    by the grades of the structure's prior report (weak agreeability is a
-    per-component grade, which the component trade programs check)."""
+    blocks, the canonical prior's support, meet the component. Where every
+    block is live the canonical prior and its margin must be the program's
+    optimum. On the structure the canonical prior must satisfy the program's
+    rows, and where a block is dead the program must give a trade, read off
+    its certificate or duals, that is a trade, acceptable and agreeable
+    exactly as the block trade is by the grades of the structure's prior
+    report (weak agreeability is a per-component grade, which the component
+    trade programs check)."""
     walk, program = blocks(structure), common_prior_program(structure)
     top = solve(program)
     subs = [(comp, sub) for comp, sub in components if sub is not structure]
     for comp, sub in ((None, structure), *subs):
         outcome = top if comp is None else solve(common_prior_program(sub))
         feasible = outcome.status == "optimal"
-        positive = feasible and outcome.objective_value > ZERO
+        positive = feasible and outcome.objective_value > 0
         sub_walk = blocks(sub)
-        met = walk.common if comp is None else not walk.support.isdisjoint(comp)
+        met = walk.common and (comp is None or not set(comp).isdisjoint(walk.prior.support()))
         rec.check(
             "oracle: common-prior program decides as the blocks",
             (feasible, positive) == (sub_walk.common, sub_walk.strong) and feasible == met,
@@ -614,7 +612,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         )
         ok = positive == sub_walk.strong
         if ok and positive:
-            (xden, xnums), (den, nums) = outcome.point, _prior_point(sub_walk)
+            (xden, xnums), (den, nums) = outcome.point, _prior_point(sub, sub_walk)
             ok = all(a * den == b * xden for a, b in zip(xnums, nums))
         rec.check(
             "oracle: closed-form strong prior equals the margin program's optimum",
@@ -624,7 +622,7 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         if comp is not None and not feasible:
             break
     if walk.common:
-        violations = feasibility_violations(program, _prior_point(walk))
+        violations = feasibility_violations(program, _prior_point(structure, walk))
         rec.check("oracle: canonical prior satisfies the common-prior program", not violations, lambda: str(violations))
     if not walk.strong:
         payoffs = refuting_payoffs(structure, top)
@@ -640,14 +638,13 @@ def _check_common_program(rec: _Recorder, structure, components) -> None:
         )
 
 
-def _prior_point(walk) -> tuple[int, list[int]]:
+def _prior_point(structure: InformationStructure, walk) -> tuple[int, list[int]]:
     """The canonical prior and its margin as a point of the common-prior
-    program, over the lcm of their denominators: the prior's ``den`` when
-    the margin is a cell mass, as the walk's is."""
-    prior, margin = walk.prior, walk.margin
-    den = math.lcm(prior.den, margin.denominator)
-    nums = [a * (den // prior.den) for a in state_nums(prior)]
-    return den, [*nums, margin.numerator * (den // margin.denominator)]
+    program, over the prior's ``den``: the margin is the prior's least cell
+    mass over every player when every block is live, and 0 otherwise."""
+    nums, players = state_nums(walk.prior), range(structure.num_players)
+    margin = min(min(cell_masses(structure, i, nums)) for i in players) if walk.strong else 0
+    return walk.prior.den, [*nums, margin]
 
 
 def cross_check(
@@ -728,9 +725,10 @@ def cross_check(
     # common notion, which charges nothing.
     drawn = (*NOTIONS, *[NOTIONS[0]] * (sample_count - 1))
     samples = [(random_distribution(structure, cfg, n, rng), n) for n in drawn]
-    sample_pumps = []
+    sample_pumps, sample_flags = [], []
     for dist, notion in samples:
         cls = classify_prior(structure, dist)
+        sample_flags.append(cls.prior_for_player)
         pump = None
         with rec.guard("pump finder"):
             pump = find_multiplayer_money_pump(structure, dist)
@@ -765,18 +763,20 @@ def cross_check(
         for k, (dist, _) in enumerate(samples):
             disintegrable, _ = is_disintegrable(view, dist)
             if view.num_states > DEFINITION_CAP:
-                rec.skipped += 1
+                rec.skipped += 2
             else:
+                # One oracle run answers both checks.
+                by_definition = disintegrable_by_definition(view, dist)
                 rec.check(
                     "closed-form disintegrability matches definitional oracle",
-                    disintegrable == disintegrable_by_definition(view, dist),
+                    disintegrable == by_definition,
                     lambda: f"player {i} p={tuple(dist)}",
                 )
-            rec.check(
-                "view membership matches full-structure hull membership",
-                disintegrable == (hull_form(structure, i, dist) is not None),
-                lambda: f"player {i}",
-            )
+                rec.check(
+                    "classify_prior's player flag matches definitional oracle",
+                    sample_flags[k][i] == by_definition,
+                    lambda: f"player {i} p={tuple(dist)}",
+                )
             if disintegrable and view.num_states > EVENT_CAP:
                 rec.skipped += 1
             elif disintegrable:
@@ -822,25 +822,24 @@ def _delete_player(structure: InformationStructure, player: int) -> InformationS
 
 
 def _delete_state(structure: InformationStructure, state: int) -> InformationStructure | None:
-    """``structure`` without ``state``, each type renormalized on what its
-    support keeps; None when a cell keeps states but no mass."""
+    """``structure`` without ``state``, each type renormalized over the
+    numerators its support keeps (``_composed``); None when a cell keeps
+    states but no mass."""
     keep = [w for w in range(structure.num_states) if w != state]
     index = {w: k for k, w in enumerate(keep)}
-    partitions = []
-    cell_types = []
+    partitions, cell_types = [], []
     for i in range(structure.num_players):
-        blocks = []
-        types = []
+        blocks, types = [], []
         for old, t in zip(structure.partitions[i], structure.cell_types[i]):
             cell = [w for w in old if w != state]
             if not cell:
                 continue
-            kept = {index[w]: a for w, a in t.items() if w != state}
+            kept = [(index[w], a) for w, a in t.items() if w != state]
             if not kept:
                 return None  # renormalization impossible; skip this deletion
-            mass = sum(kept.values())
+            support, nums = zip(*kept)
             blocks.append([index[w] for w in cell])
-            types.append({k: Fraction(a, mass) for k, a in kept.items()})
+            types.append(_composed(len(keep), support, sum(nums), nums))
         partitions.append(blocks)
         cell_types.append(types)
     return make_structure(

@@ -19,7 +19,8 @@ Every group verdict comes from one walk over linked cell blocks
 fixed up to one scalar per block of cells linked through the states they
 charge, and a block can carry mass or not. Which blocks are live decides all
 three notions, gives one canonical prior and, where a notion fails, one
-refuting trade. No LP is solved; the common-prior program stays in
+refuting trade, and the walk returns those three and nothing more, on ints.
+No LP is solved; the common-prior program, with its margin, stays in
 ``harness`` as the walk's oracle.
 
 A prior witness is its prior: ``PriorWitness`` holds ``prior`` alone, and
@@ -32,12 +33,10 @@ type numerator per state. ``hull_weights`` is ``hull_form``'s row of
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from ._rational import ZERO
 from .certainty import check_dimension, is_maximal, is_strongly_maximal
 from .errors import PlayerCountError, SizeCapError, VerificationError
 from .model import (
@@ -273,15 +272,13 @@ def disintegrable_by_definition(structure: InformationStructure, dist: Distribut
 
 class Blocks(NamedTuple):
     """The structure's linked cell blocks, walked once: a live flag per
-    block in walk order, the states live blocks charge, the canonical prior
-    and its least cell mass, and the one refuting trade, one integer form
+    block in walk order, the canonical prior, which charges exactly the
+    states of the live blocks, and the one refuting trade, one integer form
     ``(den, nums)`` in lowest terms per player. ``prior`` is None when no
     block is live, ``payoff_forms`` when every block is."""
 
     live: tuple[bool, ...]
-    support: frozenset[int]
     prior: Distribution | None
-    margin: Fraction
     payoff_forms: tuple[tuple, ...] | None
 
     @property
@@ -313,8 +310,7 @@ def blocks(structure: InformationStructure) -> Blocks:
     mass 1 and normalizes the sum; its hull weights are those cell masses,
     0 on dead cells. It charges every state of every live block and nothing
     else, so it witnesses each notion that holds; with every block live it
-    is the unique maximizer of the least cell mass, which is then
-    ``margin``, 1 over the total, and otherwise 0.
+    is the unique maximizer of the least cell mass, 1 over the total.
 
     The refuting trade sums one transfer family per dead block, built from
     the first reason the walk finds it dead, at state w. Mixed charge: the
@@ -339,8 +335,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
     type at w puts ``own_nums(j)[w]`` on w; each lambda, state value, gain and
     transfer is a reduced pair (numerator, positive denominator), and
     comparisons cross-multiply. The prior is read off as an integer form
-    (``_read_off``), and so is the boxed trade (``_boxed_forms``); the one
-    rational built is the margin."""
+    (``_read_off``), and so is the boxed trade (``_boxed_forms``): the walk
+    builds no rational."""
     m, n = structure.num_states, structure.num_players
     types = structure.cell_types
     own = [structure.own_nums(j) for j in range(n)]
@@ -425,10 +421,8 @@ def _walk_blocks(structure: InformationStructure) -> Blocks:
         for i, c in cells:  # a dead cell carries no mass
             lam[i][c] = (0, 1)
 
-    support = frozenset(w for states, _, _ in lives for w in states)
-    prior, margin = _read_off(structure, value, lives, all(live))
     boxed = None if all(live) else _boxed_forms(m, n, pay)
-    return Blocks(tuple(live), support, prior, margin, boxed)
+    return Blocks(tuple(live), _read_off(structure, value, lives), boxed)
 
 
 def _boxed_forms(m: int, n: int, pay: dict) -> tuple[tuple, ...]:
@@ -448,17 +442,15 @@ def _boxed_forms(m: int, n: int, pay: dict) -> tuple[tuple, ...]:
     return tuple(lowest_terms((den * top_n, row)) for den, row in zip(dens, rows))
 
 
-def _read_off(
-    structure: InformationStructure, value: list, lives: list, strong: bool
-) -> tuple[Distribution | None, Fraction]:
-    """The canonical prior, as an integer form, and its margin: each live
-    block's (states, an, ad) in ``lives`` takes numerators over the lcm of
-    its ``value`` denominators, scaled by ``ad / (lcm * an)`` so that its
-    least cell has mass 1 (over the lcm of those scales' own denominators
-    when several blocks are live), and one gcd over the support reduces
-    them. The margin, with every block live, is the least cell mass."""
+def _read_off(structure: InformationStructure, value: list, lives: list) -> Distribution | None:
+    """The canonical prior, as an integer form, or None when no block is
+    live: each live block's (states, an, ad) in ``lives`` takes numerators
+    over the lcm of its ``value`` denominators, scaled by ``ad / (lcm * an)``
+    so that its least cell has mass 1 (over the lcm of those scales' own
+    denominators when several blocks are live), and one gcd over the
+    support reduces them."""
     if not lives:
-        return None, ZERO
+        return None
     nums = [0] * structure.num_states
     factors = []
     for states, an, ad in lives:
@@ -477,12 +469,9 @@ def _read_off(
     g = gcd(*(nums[w] for w in support))
     if g > 1:
         nums = [a // g for a in nums]
-    den = sum(nums)
-    prior = Distribution.from_integer_form(
-        structure.num_states, tuple(support), den, tuple(nums[w] for w in support)
+    return Distribution.from_integer_form(
+        structure.num_states, tuple(support), sum(nums), tuple(nums[w] for w in support)
     )
-    least = min(min(cell_masses(structure, i, nums)) for i in range(structure.num_players))
-    return prior, Fraction(least, den) if strong else ZERO
 
 
 def find_common_prior(structure: InformationStructure) -> PriorWitness | None:

@@ -15,11 +15,13 @@ state-level support graph, its reachability and its strongly connected
 components by mutual reachability are the oracles of ``certainty``, which
 reads one contracted graph. ``add_constraint`` writes a program's row in
 rationals, for the tests; ``lp`` takes integer forms only.
-``fraction_random_structure`` and ``fraction_random_distribution`` are the
-generator as it built types and samples before: one ``Fraction`` per mass,
+``fraction_random_structure``, ``fraction_random_distribution``,
+``fraction_planted_structure``, ``fraction_chain_structure`` and
+``fraction_delete_state`` are the generators and the shrinker's state
+deletion as they built types and samples before: one ``Fraction`` per mass,
 through ``Distribution.from_support``, and the fallback's perturbed uniform
-through ``Distribution``, on the same random draws. They are the oracles of
-``harness``'s generation from integer forms.
+and the planted prior through ``Distribution``, on the same random draws.
+They are the oracles of ``harness``'s types built from integer forms.
 
 The vertex oracle of ``lp.solve`` lives here too, and reads only a
 program's public fields: ``enumerate_basic_solutions`` standardizes term by
@@ -342,17 +344,17 @@ def dense_walk_blocks(structure: InformationStructure) -> Blocks:
         top = max(abs(v) for row in payoffs for v in row)
         # Blocks keeps the trade as integer forms too.
         boxed = tuple(integer_form([v / top for v in row]) for row in payoffs)
-    margin = ONE / total if all(live) else ZERO
-    return Blocks(tuple(live), frozenset(support), prior, margin, boxed)
+    return Blocks(tuple(live), prior, boxed)
 
 
-def fraction_read_off(structure: InformationStructure, value: list, lives: list, strong: bool):
+def fraction_read_off(structure: InformationStructure, value: list, lives: list):
     """The read-off of ``priors._read_off`` with one ``Fraction`` per state
-    and per cell and the prior built by ``Distribution(probs)``: its oracle.
-    The block totals are summed as reduced pairs; a live cell's lambda is
-    its value over its type at the first state of its type's support."""
+    and per cell and the prior built by ``Distribution(probs)``: its oracle,
+    returned with the hull weights. The block totals are summed as reduced
+    pairs; a live cell's lambda is its value over its type at the first
+    state of its type's support."""
     if not lives:
-        return None, None, ZERO
+        return None, None
     sn, sd = 0, 1
     for states, an, ad in lives:
         den = lcm(*(value[w][1] for w in states))
@@ -374,8 +376,7 @@ def fraction_read_off(structure: InformationStructure, value: list, lives: list,
             w = t.support()[0]
             row.append(Fraction(*value[w]) / t[w] * scale[w] if w in scale else ZERO)
         weights.append(tuple(row))
-    margin = Fraction(sd, sn) if strong else ZERO
-    return Distribution(tuple(probs)), tuple(weights), margin
+    return Distribution(tuple(probs)), tuple(weights)
 
 
 def fraction_trade_json(structure: InformationStructure, payoffs, cls: TradeClassification, table) -> dict:
@@ -444,6 +445,76 @@ def fraction_random_distribution(
     weights = [1 + rng.randrange(cfg.denominator_bound + 1) for _ in range(m)]
     total = Fraction(sum(weights))
     return Distribution(tuple(Fraction(w) / total for w in weights)), True
+
+
+def fraction_planted_structure(
+    m: int, n: int, blocks: int, rng: random.Random
+) -> tuple[InformationStructure, Distribution]:
+    """``harness.planted_structure`` on the same draws, the prior one
+    ``Fraction`` per state and each type that prior conditioned on its cell
+    by ``Distribution.from_support``: its oracle."""
+    weights = [rng.randint(1, 6) for _ in range(m)]
+    total = rational(sum(weights))
+    prior = [rational(v) / total for v in weights]
+    order = list(range(m))
+    rng.shuffle(order)
+    cuts = [0, *sorted(rng.sample(range(1, m), blocks - 1)), m]
+    split = [sorted(order[cuts[k] : cuts[k + 1]]) for k in range(blocks)]
+    bells = _bell_numbers(max(map(len, split)))
+    partitions, cell_types = [], []
+    for _ in range(n):
+        cells = [cell for block in split for cell in _sample_set_partition(block, rng, bells)]
+        rows = []
+        for cell in cells:
+            mass = sum((prior[w] for w in cell), ZERO)
+            rows.append(Distribution.from_support(m, {w: prior[w] / mass for w in cell}))
+        partitions.append(cells)
+        cell_types.append(rows)
+    structure = make_structure(
+        [f"w{k + 1}" for k in range(m)], [f"P{k + 1}" for k in range(n)], partitions, cell_types
+    )
+    return structure, Distribution(tuple(prior))
+
+
+def fraction_chain_structure(m: int, k: int) -> InformationStructure:
+    """``harness.chain_structure`` with each type a map of ``Fraction``
+    masses, 1/(k+1) and k/(k+1) on a two-state cell: its oracle."""
+    low, high = Fraction(1, k + 1), Fraction(k, k + 1)
+
+    def cells(first: int) -> tuple:
+        pairs = [(w, w + 1) for w in range(first, m - 1, 2)]
+        ends = [(0,)] * first + [(m - 1,)] * ((m - first) % 2)
+        return tuple(sorted(ends + pairs))
+
+    partitions = (cells(0), cells(1))
+    cell_types = [
+        [{c[0]: ONE} if len(c) == 1 else {c[0]: low, c[1]: high} for c in part]
+        for part in partitions
+    ]
+    return make_structure([f"w{j + 1}" for j in range(m)], ["P1", "P2"], partitions, cell_types)
+
+
+def fraction_delete_state(structure: InformationStructure, state: int) -> InformationStructure | None:
+    """``harness._delete_state`` with each kept type renormalized one
+    ``Fraction`` per mass: its oracle."""
+    keep = [w for w in range(structure.num_states) if w != state]
+    index = {w: k for k, w in enumerate(keep)}
+    partitions, cell_types = [], []
+    for cells, types in zip(structure.partitions, structure.cell_types):
+        kept_cells, kept_types = [], []
+        for old, t in zip(cells, types):
+            cell = [index[w] for w in old if w != state]
+            if not cell:
+                continue
+            kept = {index[w]: a for w, a in t.items() if w != state}
+            if not kept:
+                return None
+            mass = sum(kept.values())
+            kept_cells.append(cell)
+            kept_types.append({k: Fraction(a, mass) for k, a in kept.items()})
+        partitions.append(kept_cells)
+        cell_types.append(kept_types)
+    return make_structure([structure.states[w] for w in keep], structure.players, partitions, cell_types)
 
 
 def trade_variables(b: LPBuilder, structure: InformationStructure) -> list[list[int]]:

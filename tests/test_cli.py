@@ -320,12 +320,13 @@ def test_fuzz_bad_range(run):
 def test_fuzz_beyond_the_caps_counts_skipped_checks(run):
     # Seed 0 draws 25 states: past the definitional disintegrability cap (20)
     # and the event enumeration cap (24), so those checks are skipped and
-    # counted, not run into a SizeCapError.
+    # counted, not run into a SizeCapError. Per player and sample, both
+    # checks that read the definitional oracle are skipped.
     code, out, _ = run("fuzz", "--seeds", "0..2", "--max-states", "40")
     assert code == 0
     docs = [json.loads(line) for line in out.strip().split("\n")]
     assert [doc["states"] for doc in docs] == [25, 9]
-    assert [doc["skipped"] for doc in docs] == [8, 0]
+    assert [doc["skipped"] for doc in docs] == [16, 0]
     assert all(doc["failures"] == [] for doc in docs)
 
 

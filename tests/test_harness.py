@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -24,9 +25,12 @@ from prior_forge import (
 from prior_forge import _rational, harness, lp, model
 from prior_forge.harness import (
     GeneratorConfig,
+    _one_smaller,
+    chain_structure,
     common_prior_program,
     cross_check,
     minimize_failure,
+    planted_structure,
     random_distribution,
     random_structure,
     refuting_payoffs,
@@ -36,7 +40,14 @@ from prior_forge.harness import (
 from prior_forge.lp import solve
 from prior_forge.priors import NOTIONS, blocks
 
-from oracles import fraction_random_distribution, fraction_random_structure, oracle_battery
+from oracles import (
+    fraction_chain_structure,
+    fraction_delete_state,
+    fraction_planted_structure,
+    fraction_random_distribution,
+    fraction_random_structure,
+    oracle_battery,
+)
 
 
 def test_config_validation():
@@ -139,10 +150,54 @@ def test_generation_matches_the_fraction_oracle():
     assert (drawn, fallbacks) == (10_000, 3)
 
 
+def test_planted_and_chain_structures_match_the_fraction_oracle():
+    """Planted and chain structures, built from integer forms, equal the
+    ``Fraction`` construction they replaced on the same draws: planted
+    structures and priors at M = 1..48, N = 1..4 and every block count, and
+    at M = 768, N = 3 with 2 blocks; chains at M in {1, 2, 3, 256} and K in
+    {1, 3, 2**64 - 1}. Players are drawn one after another, after the
+    prior and the blocks, so on one seed the oracle's four-player structure
+    holds the structure of N players as its first N."""
+    built = 0
+    for m in range(1, 49):
+        for k in range(1, m + 1):
+            seed = f"planted:{m}:{k}"
+            oracle, oracle_prior = fraction_planted_structure(m, 4, k, random.Random(seed))
+            for n in range(1, 5):
+                s, prior = planted_structure(m, n, k, random.Random(seed))
+                assert prior == oracle_prior
+                assert (s.states, s.players, s.partitions, s.cell_types) == (
+                    oracle.states, oracle.players[:n], oracle.partitions[:n], oracle.cell_types[:n]
+                )
+                built += 1
+    assert built == 4 * 48 * 49 // 2
+    rng, oracle_rng = random.Random(768), random.Random(768)
+    assert planted_structure(768, 3, 2, rng) == fraction_planted_structure(768, 3, 2, oracle_rng)
+    for m, k in itertools.product((1, 2, 3, 256), (1, 3, 2**64 - 1)):
+        assert chain_structure(m, k) == fraction_chain_structure(m, k)
+
+
+def test_shrinker_candidates_match_the_fraction_renormalization(monkeypatch):
+    """Every candidate ``_one_smaller`` yields for generator seeds 0..199,
+    each type that loses a state renormalized from its integer form, equals
+    the candidate of the ``Fraction`` renormalization it replaced."""
+    candidates = 0
+    for seed in range(200):
+        s = random_structure(GeneratorConfig(seed=seed))
+        ours = list(_one_smaller(s))
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_delete_state", fraction_delete_state)
+            theirs = list(_one_smaller(s))
+        assert ours == theirs
+        candidates += len(ours)
+    assert candidates == 846
+
+
 def test_generation_builds_no_fraction(monkeypatch):
-    """Structures and samples, the fallback's included, are built from
-    integer forms: not one ``Fraction`` is constructed in ``harness``,
-    ``model`` or ``_rational`` while they are drawn."""
+    """Random, planted and chain structures, samples (the fallback's
+    included) and the shrinker's candidates are built from integer forms:
+    not one ``Fraction`` is constructed in ``harness``, ``model`` or
+    ``_rational`` while they are drawn."""
     built = []
 
     class Counting(Fraction):
@@ -151,6 +206,7 @@ def test_generation_builds_no_fraction(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     singletons = _singletons(40)
+    structures = [random_structure(GeneratorConfig(seed=seed)) for seed in range(200)]
     for module in (harness, model, _rational):
         monkeypatch.setattr(module, "Fraction", Counting)
     for seed in range(200):
@@ -159,6 +215,12 @@ def test_generation_builds_no_fraction(monkeypatch):
         for notion in (*NOTIONS, NOTIONS[0]):
             random_distribution(s, GeneratorConfig(), notion, rng)
     random_distribution(singletons, GeneratorConfig(), NOTIONS[2], random.Random(3))
+    for m, n, k in ((1, 1, 1), (24, 3, 2), (48, 4, 4), (768, 3, 2)):
+        planted_structure(m, n, k, random.Random(m))
+    for m, k in ((1, 3), (3, 1), (256, 2**64 - 1)):
+        chain_structure(m, k)
+    candidates = [c for s in structures for c in _one_smaller(s)]
+    assert len(candidates) == 846
     assert built == []
 
 
@@ -347,11 +409,18 @@ def test_cross_check_oracle_catches_a_corrupted_prior_outcome(fixture_path):
 
 
 def test_cross_check_oracle_catches_a_wrong_closed_form(fixture_path):
-    # Plant a halved margin in the walk's memo: the prior still verifies and
-    # still satisfies the program's rows, so only the margin program objects.
-    walk = blocks(_fresh(fixture_path, "ex_plbet4"))
-    s = _fresh(fixture_path, "ex_plbet4")
-    s.derived("blocks", lambda _: walk._replace(margin=walk.margin / 2))
+    # pl has two live blocks, {w1, w2} and {w3}, and the canonical prior
+    # (9, 1, 10) / 20 gives each the least cell mass 1/2. Plant a walk whose
+    # prior weighs the second block twice as much, (9, 1, 20) / 30: a
+    # mixture of the blocks, so it still verifies and still satisfies the
+    # program's rows, but its least cell mass is 1/3, and only the margin
+    # program objects.
+    walk = blocks(_fresh(fixture_path, "pl"))
+    assert walk.live == (True, True)
+    assert (walk.prior.den, tuple(walk.prior.items())) == (20, ((0, 9), (1, 1), (2, 10)))
+    s = _fresh(fixture_path, "pl")
+    reweighted = Distribution.from_integer_form(3, (0, 1, 2), 30, (9, 1, 20))
+    s.derived("blocks", lambda _: walk._replace(prior=reweighted))
     report = cross_check(s)
     assert [f.name for f in report.failures] == [
         "oracle: closed-form strong prior equals the margin program's optimum"
@@ -366,9 +435,27 @@ def test_cross_check_oracle_reports_a_dead_block_the_program_refutes(fixture_pat
     s = _fresh(fixture_path, "ex_plbet4")
     dead = (False,) + walk.live[1:]
     forms = ((1, (0,) * s.num_states),) * s.num_players
-    s.derived("blocks", lambda _: walk._replace(live=dead, margin=ZERO, payoff_forms=forms))
+    s.derived("blocks", lambda _: walk._replace(live=dead, payoff_forms=forms))
     report = cross_check(s)
     assert "oracle: program trade grades as the block trade" in _oracle_failures(report)
+
+
+def test_cross_check_catches_a_wrong_per_player_hull_flag(fixture_path, monkeypatch):
+    # classify_prior's flag for player 0 is flipped on every sample: the
+    # definitional oracle on player 0's view objects once per sample, and
+    # nothing else reads the per-player flags.
+    s = _fresh(fixture_path, "pl4")
+    classify = harness.classify_prior
+
+    def flipped(structure, dist):
+        cls = classify(structure, dist)
+        return cls._replace(prior_for_player=(not cls.prior_for_player[0], *cls.prior_for_player[1:]))
+
+    monkeypatch.setattr(harness, "classify_prior", flipped)
+    report = cross_check(s)
+    name = "classify_prior's player flag matches definitional oracle"
+    assert [f.name for f in report.failures] == [name] * 4
+    assert [f.details[:9] for f in report.failures] == ["player 0 "] * 4
 
 
 def test_cross_check_oracle_catches_a_missing_dual_trade(fixture_path, monkeypatch):

@@ -415,7 +415,7 @@ def test_expectation_table_rejects_a_short_row(intro):
             classify_trade(intro, forms)
 
 
-BLOCK_FIELDS = ("live", "support", "prior", "margin", "payoff_forms")
+BLOCK_FIELDS = ("live", "prior", "payoff_forms")
 
 
 def _rational_types(value):
@@ -440,7 +440,7 @@ def test_walk_on_integer_forms_matches_the_fraction_walk(fixture_path, broken_pl
             if name.endswith("_forms"):  # compared as rows of rationals
                 ours, theirs = (None if x is None else fraction_rows(x) for x in (ours, theirs))
             assert ours == theirs, name
-            if name in ("prior", "margin", "payoff_forms") and theirs is not None:
+            if name in ("prior", "payoff_forms") and theirs is not None:
                 assert _rational_types(ours) == _rational_types(theirs), name
         seen.add((walk.common, walk.strong))
     # Every verdict occurs: no block live, some live, all live.
@@ -470,16 +470,15 @@ def test_prior_read_off_matches_the_fraction_read_off(monkeypatch, fixture_path)
         theirs = fraction_read_off(*args)
         # The oracle's hull weights, each live cell's lambda over its type,
         # are the prior's cell masses, which the report reads off it.
-        prior, margin = ours
+        prior = ours
         rows = None if prior is None else tuple(
             tuple(Fraction(a, prior.den) for a in cell_masses(structure, i, state_nums(prior)))
             for i in range(structure.num_players)
         )
-        assert (prior, rows, margin) == theirs
-        assert (walk.prior, walk.margin) == ours
+        assert (prior, rows) == theirs
+        assert walk.prior is prior
         if prior is not None:
             assert (prior.den, prior.support()) == (theirs[0].den, theirs[0].support())
-        assert type(margin) is Fraction
         kinds.add((walk.common, walk.strong, len(args[2])))
     assert len(calls) == len(structures)
     # No block live, some live, all live; and several live blocks at once.

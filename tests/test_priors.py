@@ -43,8 +43,8 @@ from prior_forge.harness import (
 )
 from prior_forge.jsonio import dumps_canonical
 from prior_forge.lp import solve
-from prior_forge.model import fraction_rows, integer_form
-from prior_forge.priors import blocks
+from prior_forge.model import fraction_rows, integer_form, state_nums
+from prior_forge.priors import blocks, cell_masses
 from prior_forge.report import prior_witness_json
 
 from oracles import enumerate_basic_solutions, to_json_value
@@ -305,13 +305,22 @@ def test_polytope_agrees_with_finder(intro, pl4, ex_pl1, ex_pl2):
 # -- the closed-form strong prior ---------------------------------------------
 
 
+def walk_support(walk) -> set:
+    """The states of the live blocks: the canonical prior's support."""
+    return set(walk.prior.support()) if walk.common else set()
+
+
 def closed_form_matches_program(structure):
     """The canonical prior of ``blocks`` against the margin program it
-    replaces: where every block is live, the same primal and epsilon, and
-    None exactly where the program is infeasible or has epsilon* = 0.
-    Returns the closed form."""
+    replaces: where every block is live, the same primal, and epsilon the
+    prior's least cell mass; None exactly where the program is infeasible
+    or has epsilon* = 0. Returns the closed form."""
     walk = blocks(structure)
-    closed = (walk.prior, walk.margin) if walk.strong else None
+    closed = None
+    if walk.strong:
+        nums = state_nums(walk.prior)
+        least = min(min(cell_masses(structure, i, nums)) for i in range(structure.num_players))
+        closed = (walk.prior, Fraction(least, walk.prior.den))
     out = solve(common_prior_program(structure))
     if closed is None:
         assert out.status == "infeasible" or out.objective_value == ZERO
@@ -422,7 +431,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # strong, and the trade is acceptable only.
     walk = blocks(ex_pl1)
     assert walk.live == (True, False, True)
-    assert walk.support == {0, 3} and is_maximal(ex_pl1, walk.prior) and walk.margin == ZERO
+    assert walk.prior.support() == (0, 3) and is_maximal(ex_pl1, walk.prior) and not walk.strong
     assert walk.prior == Distribution((q("1/2"), ZERO, ZERO, q("1/2")))
     payoffs = fraction_rows(walk.payoff_forms)
     assert payoffs == ((0, 1, 0, 0), (0, -1, 0, 0))
@@ -431,7 +440,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # the walk meets a mixed charge at w3 and no block is live: the trade is
     # agreeable.
     walk = blocks(ex_pl2)
-    assert walk.live == (False,) and walk.support == frozenset()
+    assert walk.live == (False,) and walk_support(walk) == set()
     assert walk.prior is None and find_universal_common_prior(ex_pl2) is None
     assert grades(ex_pl2, fraction_rows(walk.payoff_forms)) == (True, True, True, True)
     # pl4: two blocks, each one cell of P1 and one of P2. {w1,w2} is live;
@@ -441,7 +450,7 @@ def test_blocks_by_hand(ex_pl1, ex_pl2, pl4):
     # {w3,w4}: common, not universal, and the trade is weakly agreeable.
     walk = blocks(pl4)
     assert walk.live == (True, False)
-    assert walk.support == {0, 1} and not is_maximal(pl4, walk.prior)
+    assert walk.prior.support() == (0, 1) and not is_maximal(pl4, walk.prior)
     payoffs = fraction_rows(walk.payoff_forms)
     assert payoffs == ((0, 0, q("-1/2"), 1), (0, 0, q("1/2"), -1))
     assert grades(pl4, payoffs) == (True, True, True, False)
@@ -460,7 +469,7 @@ def test_blocks_match_the_program_on_broken_planted_structures(
     for comp, sub in component_substructures(structure):
         out = solve(common_prior_program(sub))
         feasible = out.status == "optimal"
-        assert feasible == (not walk.support.isdisjoint(comp))
+        assert feasible == (not walk_support(walk).isdisjoint(comp))
         assert (feasible, feasible and out.objective_value > ZERO) == (
             blocks(sub).common, blocks(sub).strong
         )
@@ -478,7 +487,7 @@ def charge_grade_is_the_walks_verdict(structure):
     """The walk decides common, universal and strong by its live blocks; the
     canonical prior's charge grade must decide them the same way."""
     walk = blocks(structure)
-    meets = all(not walk.support.isdisjoint(comp) for comp in minimal_components(structure))
+    meets = all(not walk_support(walk).isdisjoint(comp) for comp in minimal_components(structure))
     assert (walk.prior is not None) == any(walk.live)
     if walk.prior is None:
         assert not meets and not all(walk.live)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,8 +27,8 @@ from prior_forge import (
     trades,
     uniform,
 )
-from prior_forge.harness import GeneratorConfig, random_distribution, random_structure
-from prior_forge import jsonio, model, report
+from prior_forge.harness import GeneratorConfig, planted_structure, random_distribution, random_structure
+from prior_forge import _rational, jsonio, model, report
 from prior_forge.jsonio import dumps_canonical, ratio_value
 from prior_forge.trades import _verify_prior_report
 
@@ -398,3 +399,50 @@ def test_a_long_denominator_is_converted_once_per_row(monkeypatch):
         "prior": [ratio_value(q.numerator, q.denominator) for q in rows[0]],
         "hull_weights": [[ratio_value(q.numerator, q.denominator) for q in row] for row in rows[1:]],
     }
+
+
+def _pumping(structure):
+    """The first of the distributions with weights 1..M, rotated by r =
+    0, 1, ..., that is not a common prior, so that it pumps."""
+    m = structure.num_states
+    for r in range(m):
+        weights = [1 + (w + r) % m for w in range(m)]
+        dist = Distribution.from_integer_form(m, tuple(range(m)), sum(weights), tuple(weights))
+        if not prior_forge.classify_prior(structure, dist).common:
+            return dist
+    raise AssertionError("every rotation is a common prior")
+
+
+def test_analysis_builds_no_fraction(monkeypatch, fixture_path):
+    """``analyze``, ``to_json`` and ``to_text`` read integer forms. On the
+    six fixtures and on planted structures, with no distribution, with the
+    planted prior and with a pumping distribution, not one ``Fraction`` is
+    constructed in ``priors``, ``trades``, ``report``, ``jsonio``, ``model``
+    or ``_rational``, but one per pumping distribution: its pump's deficit.
+    Each structure is new, so its walk runs under the count too."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    cases = []
+    for name in ("intro", "pl", "ex_pl1", "ex_pl2", "pl4", "ex_plbet4"):
+        s = parse_structure(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+        cases += [(s, None), (s, _pumping(s))]
+    for m, n, k in ((24, 2, 1), (32, 3, 2), (44, 4, 4)):
+        s, planted = planted_structure(m, n, k, random.Random(f"{m}:{n}:{k}"))
+        cases += [(s, None), (s, planted), (s, _pumping(s))]
+    pumping = 0
+    # A module that imports no Fraction gets the counter as well, so one
+    # that takes the import back is counted.
+    for module in (priors, trades, report, jsonio, model, _rational):
+        monkeypatch.setattr(module, "Fraction", Counting, raising=False)
+    for s, dist in cases:
+        rep = analyze(s, dist)
+        rep.to_json()
+        rep.to_text()
+        pumping += dist is not None and rep.verdict.pump_witness is not None
+    assert pumping == 9
+    assert len(built) == pumping
